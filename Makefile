@@ -18,7 +18,7 @@ test: vet
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
-	$(GO) test -race -run 'KernelWorkers' ./internal/casestudy/ .
+	$(GO) test -race -run 'KernelWorkers|TestServeFacade' ./internal/casestudy/ .
 	$(GO) test -race -run 'TestParallelDeterminism|TestKernelSweep' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity' .

@@ -101,14 +101,14 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
 	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	backend := serve.NewStreamerBackend(streamer.NewClient(st))
+	lanes := []serve.Lane{streamer.NewClient(st)}
 
 	var tier *serve.Tier
 	var err error
 	if shard != nil {
-		tier, err = serve.NewCross(cliK, k, toSrv, toCli, cfg, spec, backend)
+		tier, err = serve.NewCross(cliK, k, toSrv, toCli, cfg, spec, lanes)
 	} else {
-		tier, err = serve.New(k, cfg, spec, backend)
+		tier, err = serve.New(k, cfg, spec, lanes)
 	}
 	if err != nil {
 		panic(err)

@@ -104,7 +104,7 @@ func (r *tenantRig) drain() {
 }
 
 // victimLoop issues ops paced 4 KiB random reads and returns via elapsed.
-func victimLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *sim.Proc) {
+func victimLoop(c *streamer.Client, ops int, elapsed *sim.Time) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		rnd := sim.NewRand(11)
 		slots := int(tenantWindowBytes / victimIOBytes)
@@ -120,7 +120,7 @@ func victimLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *si
 
 // noisyLoop fires bursts of 64 KiB reads, keeping up to noisyDepth commands
 // outstanding, and returns via elapsed.
-func noisyLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *sim.Proc) {
+func noisyLoop(c *streamer.Client, ops int, elapsed *sim.Time) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		rnd := sim.NewRand(23)
 		slots := int(tenantWindowBytes / noisyIOBytes)

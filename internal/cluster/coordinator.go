@@ -376,9 +376,6 @@ func contains(set []int, nd int) bool {
 // --- write path ---
 
 func (co *coordinator) write(p *sim.Proc, addr uint64, n int64, data []byte) error {
-	if addr%512 != 0 || n%512 != 0 {
-		panic(fmt.Sprintf("cluster: transfer %d@%#x not 512-aligned", n, addr))
-	}
 	var firstErr error
 	chunkB := uint64(co.cfg.ChunkBytes)
 	var off int64
@@ -516,9 +513,6 @@ func (co *coordinator) writePiece(p *sim.Proc, key int64, addr uint64, n int64, 
 // --- read path ---
 
 func (co *coordinator) read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	if addr%512 != 0 || n%512 != 0 {
-		panic(fmt.Sprintf("cluster: transfer %d@%#x not 512-aligned", n, addr))
-	}
 	var out []byte
 	if co.cfg.Functional {
 		out = make([]byte, n)

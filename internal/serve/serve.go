@@ -6,7 +6,6 @@ import (
 	"snacc/internal/ethernet"
 	"snacc/internal/obs"
 	"snacc/internal/sim"
-	"snacc/internal/streamer"
 	"snacc/internal/workload"
 )
 
@@ -30,9 +29,9 @@ type Config struct {
 	// link is paused; arrivals beyond it are shed oldest-first and counted
 	// as drops. Default 4096.
 	ClientBacklog int
-	// LaneWindow bounds requests in flight per backend lane; the
-	// dispatcher blocks at the cap, which is what fills the dispatch
-	// queue when the backend is slow. Default 64.
+	// LaneWindow bounds requests in flight per lane; the dispatcher blocks
+	// at the cap, which is what fills the dispatch queue when the backend
+	// is slow. Default 64.
 	LaneWindow int
 	// RetryTick is the client's poll interval while the link refuses new
 	// frames. Default 2µs.
@@ -85,62 +84,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Backend is the storage side the dispatcher feeds. Lanes are independent
-// in-order pipelines: completions on a lane return in issue order, which is
-// exactly the Streamer client contract (one lane) and the TenantHub
-// contract (one lane per tenant).
-type Backend interface {
-	Lanes() int
-	ReadAsync(p *sim.Proc, lane int, addr uint64, n int64)
-	ConsumeRead(p *sim.Proc, lane int) error
-	WriteAsync(p *sim.Proc, lane int, addr uint64, n int64)
-	WaitWrite(p *sim.Proc, lane int) error
+// Lane is one in-order pipeline of the storage side the dispatcher feeds:
+// completions return in issue order per direction. *streamer.Client is a
+// Lane, over a plain Streamer or over one tenant of a TenantHub.
+type Lane interface {
+	ReadAsync(p *sim.Proc, addr uint64, n int64)
+	ConsumeReadErr(p *sim.Proc) (int64, []byte, error)
+	WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte)
+	WaitWriteErr(p *sim.Proc) error
 }
-
-// streamerBackend adapts a single streamer.Client as a one-lane Backend.
-type streamerBackend struct{ c *streamer.Client }
-
-// NewStreamerBackend wraps the plain Streamer client.
-func NewStreamerBackend(c *streamer.Client) Backend { return streamerBackend{c} }
-
-func (b streamerBackend) Lanes() int { return 1 }
-func (b streamerBackend) ReadAsync(p *sim.Proc, _ int, addr uint64, n int64) {
-	b.c.ReadAsync(p, addr, n)
-}
-func (b streamerBackend) ConsumeRead(p *sim.Proc, _ int) error {
-	_, _, err := b.c.ConsumeReadErr(p)
-	return err
-}
-func (b streamerBackend) WriteAsync(p *sim.Proc, _ int, addr uint64, n int64) {
-	b.c.WriteAsync(p, addr, n, nil)
-}
-func (b streamerBackend) WaitWrite(p *sim.Proc, _ int) error { return b.c.WaitWriteErr(p) }
-
-// hubBackend adapts a TenantHub as a lane-per-tenant Backend; lane i maps
-// to tenant i's window-relative address space.
-type hubBackend struct{ cl []*streamer.TenantClient }
-
-// NewHubBackend wraps a TenantHub, one lane per tenant.
-func NewHubBackend(h *streamer.TenantHub) Backend {
-	cl := make([]*streamer.TenantClient, h.Tenants())
-	for i := range cl {
-		cl[i] = h.Client(i)
-	}
-	return hubBackend{cl}
-}
-
-func (b hubBackend) Lanes() int { return len(b.cl) }
-func (b hubBackend) ReadAsync(p *sim.Proc, lane int, addr uint64, n int64) {
-	b.cl[lane].ReadAsync(p, addr, n)
-}
-func (b hubBackend) ConsumeRead(p *sim.Proc, lane int) error {
-	_, _, err := b.cl[lane].ConsumeReadErr(p)
-	return err
-}
-func (b hubBackend) WriteAsync(p *sim.Proc, lane int, addr uint64, n int64) {
-	b.cl[lane].WriteAsync(p, addr, n, nil)
-}
-func (b hubBackend) WaitWrite(p *sim.Proc, lane int) error { return b.cl[lane].WaitWriteErr(p) }
 
 // pending is one request the client has generated but not yet put on the
 // wire.
@@ -160,9 +112,9 @@ type pending struct {
 // two communicate exclusively through encoded frames, which is what keeps
 // the sharded rig race-free and deterministic.
 type Tier struct {
-	cfg     Config
-	spec    workload.OpenLoopSpec
-	backend Backend
+	cfg   Config
+	spec  workload.OpenLoopSpec
+	lanes []Lane
 
 	cliK, srvK *sim.Kernel
 	cliMAC     *ethernet.MAC
@@ -196,23 +148,25 @@ type Tier struct {
 	rejected  int64
 }
 
-// New builds a serving tier with both sides on one kernel.
-func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, backend Backend) (*Tier, error) {
-	return build(k, k, nil, nil, cfg, spec, backend)
+// New builds a serving tier with both sides on one kernel. With one lane
+// every request goes to it; with more, a request goes to the lane of its
+// tenant.
+func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
+	return build(k, k, nil, nil, cfg, spec, lanes)
 }
 
 // NewCross builds a serving tier whose client side lives on cliK and server
 // side on srvK, in different shard domains connected by the toSrv/toCli
 // edges (lookahead at least the wire latency). The two sides exchange only
 // encoded frames, so the sharded run is byte-identical to the serial one.
-func NewCross(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend Backend) (*Tier, error) {
+func NewCross(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
 	if toSrv == nil || toCli == nil {
 		return nil, fmt.Errorf("serve: cross-domain tier needs both edges")
 	}
-	return build(cliK, srvK, toSrv, toCli, cfg, spec, backend)
+	return build(cliK, srvK, toSrv, toCli, cfg, spec, lanes)
 }
 
-func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend Backend) (*Tier, error) {
+func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -221,12 +175,12 @@ func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec work
 	if err != nil {
 		return nil, err
 	}
-	if backend == nil || backend.Lanes() < 1 {
-		return nil, fmt.Errorf("serve: backend with at least one lane required")
+	if len(lanes) < 1 {
+		return nil, fmt.Errorf("serve: at least one lane required")
 	}
-	if spec.Tenants > 1 && backend.Lanes() < spec.Tenants {
-		return nil, fmt.Errorf("serve: %d tenants need %d backend lanes, have %d",
-			spec.Tenants, spec.Tenants, backend.Lanes())
+	if spec.Tenants > 1 && len(lanes) < spec.Tenants {
+		return nil, fmt.Errorf("serve: %d tenants need %d lanes, have %d",
+			spec.Tenants, spec.Tenants, len(lanes))
 	}
 	table, err := NewConnTable(spec.Clients)
 	if err != nil {
@@ -236,7 +190,7 @@ func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec work
 	t := &Tier{
 		cfg:         cfg,
 		spec:        spec,
-		backend:     backend,
+		lanes:       lanes,
 		cliK:        cliK,
 		srvK:        srvK,
 		gen:         gen,
@@ -255,10 +209,9 @@ func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec work
 		ethernet.Connect(t.cliMAC, t.srvMAC)
 	}
 
-	lanes := backend.Lanes()
-	t.pendRead = make([]*sim.Chan[Request], lanes)
-	t.pendWrite = make([]*sim.Chan[Request], lanes)
-	for i := 0; i < lanes; i++ {
+	t.pendRead = make([]*sim.Chan[Request], len(lanes))
+	t.pendWrite = make([]*sim.Chan[Request], len(lanes))
+	for i := range lanes {
 		t.pendRead[i] = sim.NewChan[Request](srvK, cfg.LaneWindow)
 		t.pendWrite[i] = sim.NewChan[Request](srvK, cfg.LaneWindow)
 		lane := i
@@ -466,23 +419,23 @@ func (t *Tier) serverRxLoop(p *sim.Proc) {
 	}
 }
 
-// dispatchLoop batches queued requests into the backend, up to
+// dispatchLoop batches queued requests into the lanes, up to
 // DispatchBatch per wakeup. The bounded per-lane pend channels block it
-// when the backend falls behind, which is what lets the dispatch queue
-// fill and trip the pause thresholds upstream.
+// when a lane falls behind, which is what lets the dispatch queue fill and
+// trip the pause thresholds upstream.
 func (t *Tier) dispatchLoop(p *sim.Proc) {
 	for {
 		req := t.dispatchQ.Get(p)
 		for issued := 0; ; issued++ {
 			lane := 0
-			if t.backend.Lanes() > 1 {
+			if len(t.lanes) > 1 {
 				lane = int(req.Tenant)
 			}
 			if req.Op == OpRead {
-				t.backend.ReadAsync(p, lane, req.Addr, req.N)
+				t.lanes[lane].ReadAsync(p, req.Addr, req.N)
 				t.pendRead[lane].Put(p, req)
 			} else {
-				t.backend.WriteAsync(p, lane, req.Addr, req.N)
+				t.lanes[lane].WriteAsync(p, req.Addr, req.N, nil)
 				t.pendWrite[lane].Put(p, req)
 			}
 			if issued+1 >= t.cfg.DispatchBatch {
@@ -498,8 +451,8 @@ func (t *Tier) dispatchLoop(p *sim.Proc) {
 }
 
 // drainLoop pairs one lane-direction's completions with the requests that
-// issued them (the backend contract is in-order per lane and direction)
-// and queues the responses for transmission.
+// issued them (the Lane contract is in-order per direction) and queues the
+// responses for transmission.
 func (t *Tier) drainLoop(p *sim.Proc, lane int, read bool) {
 	pend := t.pendWrite[lane]
 	if read {
@@ -509,9 +462,9 @@ func (t *Tier) drainLoop(p *sim.Proc, lane int, read bool) {
 		req := pend.Get(p)
 		var err error
 		if read {
-			err = t.backend.ConsumeRead(p, lane)
+			_, _, err = t.lanes[lane].ConsumeReadErr(p)
 		} else {
-			err = t.backend.WaitWrite(p, lane)
+			err = t.lanes[lane].WaitWriteErr(p)
 		}
 		t.table.Done(req.Conn)
 		resp := Response{

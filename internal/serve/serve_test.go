@@ -8,21 +8,28 @@ import (
 	"snacc/internal/workload"
 )
 
-// stubBackend is a fixed-latency storage model: completions return in
-// issue order per lane and direction (the Backend contract) after a
-// configurable service delay, so tests dial the backend anywhere from
-// instant to pathologically slow without standing up the full streamer
-// stack.
-type stubBackend struct {
-	lanes int
-	delay sim.Time
-}
+// stubLane is a fixed-latency storage model: completions return in issue
+// order per direction (the Lane contract) after a configurable service
+// delay, so tests dial the storage side anywhere from instant to
+// pathologically slow without standing up the full streamer stack.
+type stubLane struct{ delay sim.Time }
 
-func (b stubBackend) Lanes() int                               { return b.lanes }
-func (b stubBackend) ReadAsync(*sim.Proc, int, uint64, int64)  {}
-func (b stubBackend) WriteAsync(*sim.Proc, int, uint64, int64) {}
-func (b stubBackend) ConsumeRead(p *sim.Proc, _ int) error     { p.Sleep(b.delay); return nil }
-func (b stubBackend) WaitWrite(p *sim.Proc, _ int) error       { p.Sleep(b.delay); return nil }
+func (l stubLane) ReadAsync(*sim.Proc, uint64, int64)          {}
+func (l stubLane) WriteAsync(*sim.Proc, uint64, int64, []byte) {}
+func (l stubLane) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
+	p.Sleep(l.delay)
+	return 0, nil, nil
+}
+func (l stubLane) WaitWriteErr(p *sim.Proc) error { p.Sleep(l.delay); return nil }
+
+// stubLanes returns n stub lanes with the given service delay.
+func stubLanes(n int, delay sim.Time) []Lane {
+	lanes := make([]Lane, n)
+	for i := range lanes {
+		lanes[i] = stubLane{delay}
+	}
+	return lanes
+}
 
 func fastSpec(ops int64) workload.OpenLoopSpec {
 	return workload.OpenLoopSpec{
@@ -40,7 +47,7 @@ func fastSpec(ops int64) workload.OpenLoopSpec {
 }
 
 // runSerial builds and runs a single-kernel tier to quiescence.
-func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b Backend) Report {
+func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) Report {
 	t.Helper()
 	k := sim.NewKernel()
 	tier, err := New(k, cfg, spec, b)
@@ -55,7 +62,7 @@ func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b Backend) 
 }
 
 // runCross builds and runs the tier across two shard domains.
-func runCross(t *testing.T, workers int, cfg Config, spec workload.OpenLoopSpec, b Backend) Report {
+func runCross(t *testing.T, workers int, cfg Config, spec workload.OpenLoopSpec, b []Lane) Report {
 	t.Helper()
 	shard := sim.NewShard(workers)
 	cli := shard.AddDomain("clients")
@@ -92,7 +99,7 @@ func checkConservation(t *testing.T, r Report) {
 }
 
 func TestTierEndToEnd(t *testing.T) {
-	r := runSerial(t, Config{}, fastSpec(400), stubBackend{lanes: 1, delay: sim.Microsecond})
+	r := runSerial(t, Config{}, fastSpec(400), stubLanes(1, sim.Microsecond))
 	checkConservation(t, r)
 	if r.Generated != 400 {
 		t.Fatalf("generated %d, want 400", r.Generated)
@@ -157,7 +164,7 @@ func TestBackpressureBounds(t *testing.T) {
 		LaneWindow:    4,
 		Ethernet:      ecfg,
 	}
-	slow := stubBackend{lanes: 1, delay: 100 * sim.Microsecond}
+	slow := stubLanes(1, 100*sim.Microsecond)
 
 	for _, tc := range []struct {
 		name string
@@ -202,7 +209,7 @@ func TestBackpressureBounds(t *testing.T) {
 // including the latency histogram).
 func TestTierShardIdentity(t *testing.T) {
 	spec := fastSpec(300)
-	b := stubBackend{lanes: 1, delay: 2 * sim.Microsecond}
+	b := stubLanes(1, 2*sim.Microsecond)
 	serial := runSerial(t, Config{}, spec, b)
 	checkConservation(t, serial)
 	for _, w := range []int{1, 2, 4} {
@@ -217,12 +224,12 @@ func TestTierShardIdentity(t *testing.T) {
 	}
 }
 
-// TestTierTenantLanes routes a multi-tenant spec across a lane-per-tenant
-// backend.
+// TestTierTenantLanes routes a multi-tenant spec across one lane per
+// tenant.
 func TestTierTenantLanes(t *testing.T) {
 	spec := fastSpec(300)
 	spec.Tenants = 4
-	r := runSerial(t, Config{}, spec, stubBackend{lanes: 4, delay: sim.Microsecond})
+	r := runSerial(t, Config{}, spec, stubLanes(4, sim.Microsecond))
 	checkConservation(t, r)
 	if r.Completed != 300 {
 		t.Fatalf("completed %d, want 300", r.Completed)
@@ -232,15 +239,15 @@ func TestTierTenantLanes(t *testing.T) {
 func TestTierConfigErrors(t *testing.T) {
 	k := sim.NewKernel()
 	good := fastSpec(10)
-	b := stubBackend{lanes: 1, delay: 0}
+	b := stubLanes(1, 0)
 
 	if _, err := New(k, Config{}, good, nil); err == nil {
-		t.Fatal("nil backend accepted")
+		t.Fatal("no lanes accepted")
 	}
 	multi := good
 	multi.Tenants = 4
 	if _, err := New(k, Config{}, multi, b); err == nil {
-		t.Fatal("4 tenants over a 1-lane backend accepted")
+		t.Fatal("4 tenants over 1 lane accepted")
 	}
 	bad := good
 	bad.Clients = 0

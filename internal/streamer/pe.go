@@ -6,23 +6,43 @@ import (
 	"snacc/internal/sim"
 )
 
-// Client is a convenience wrapper for driving a Streamer the way a user PE
-// does over the four AXI streams. Tests, benchmarks and examples use it;
-// the case study wires its own PEs directly to the streams.
+// Port is the PE-facing interface of the Streamer (§4.1): four AXI4
+// streams. A Streamer exposes one; a TenantHub gives every tenant its own,
+// with identical framing, so one Client drives either.
+type Port struct {
+	ReadCmd   *axis.Stream // PE → Streamer: ReadRequest metadata
+	ReadData  *axis.Stream // Streamer → PE: read payload
+	WriteIn   *axis.Stream // PE → Streamer: WriteRequest + data + TLAST
+	WriteResp *axis.Stream // Streamer → PE: completion tokens
+}
+
+func newPort(k *sim.Kernel, name string, cfg axis.Config) Port {
+	return Port{
+		ReadCmd:   axis.New(k, name+".rdcmd", cfg),
+		ReadData:  axis.New(k, name+".rddata", cfg),
+		WriteIn:   axis.New(k, name+".wr", cfg),
+		WriteResp: axis.New(k, name+".wrresp", cfg),
+	}
+}
+
+// Client drives a Port the way a user PE does over the four AXI streams.
+// Tests, benchmarks, the facade and the serving tier use it; the case
+// study wires its own PEs directly to the streams.
 type Client struct {
-	s *Streamer
+	port *Port
+	st   *Streamer // nil when the port is a tenant's
 	// PktBytes is the data-beat packet granularity used on the write
 	// stream (and expected back on the read stream). Defaults to 256 KiB.
 	PktBytes int64
 }
 
-// NewClient wraps a streamer.
+// NewClient wraps a streamer's port.
 func NewClient(s *Streamer) *Client {
-	return &Client{s: s, PktBytes: 256 * sim.KiB}
+	return &Client{port: &s.Port, st: s, PktBytes: 256 * sim.KiB}
 }
 
-// Streamer returns the wrapped streamer.
-func (c *Client) Streamer() *Streamer { return c.s }
+// Streamer returns the wrapped streamer, or nil for a tenant's client.
+func (c *Client) Streamer() *Streamer { return c.st }
 
 // Write streams n bytes to device byte address addr and waits for the
 // response token. data may be nil (timing-only).
@@ -37,9 +57,11 @@ func (c *Client) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
 }
 
 // writeAsyncT is WriteAsync with the command attributed to a tenant, so a
-// TenantHub's issue path keeps span ownership across striping.
+// TenantHub's issue path keeps span ownership across striping. A write of
+// n <= 0 is a bare header with TLAST: the Streamer acknowledges it as an
+// empty write and a hub rejects it, and neither waits for data.
 func (c *Client) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
-	c.s.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr, Tenant: tenant}})
+	c.port.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr, Tenant: tenant}, Last: n <= 0})
 	var off int64
 	for off < n {
 		m := c.PktBytes
@@ -51,23 +73,21 @@ func (c *Client) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data
 			d = data[off : off+m]
 		}
 		off += m
-		c.s.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
+		c.port.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
 	}
 }
 
 // WaitWrite consumes one write-response token.
 func (c *Client) WaitWrite(p *sim.Proc) {
-	c.s.WriteResp.Recv(p)
+	c.port.WriteResp.Recv(p)
 }
 
-// WaitWriteErr consumes one write-response token and surfaces the error
-// flag it carries when any piece of the write failed terminally.
+// WaitWriteErr consumes one write-response token and returns the error
+// flag it carries (a terminal NVMe failure, a hub rejection or a degraded
+// stripe), nil on success.
 func (c *Client) WaitWriteErr(p *sim.Proc) error {
-	pkt := c.s.WriteResp.Recv(p)
-	if ce, ok := pkt.Meta.(CmdError); ok {
-		return ce
-	}
-	return nil
+	err, _ := c.port.WriteResp.Recv(p).Meta.(error)
+	return err
 }
 
 // WriteErr is Write returning the response token's error flag.
@@ -83,7 +103,27 @@ func (c *Client) ReadAsync(p *sim.Proc, addr uint64, n int64) {
 
 // readAsyncT is ReadAsync with the command attributed to a tenant.
 func (c *Client) readAsyncT(p *sim.Proc, tenant int, addr uint64, n int64) {
-	c.s.ReadCmd.Send(p, axis.Packet{Meta: ReadRequest{Addr: addr, Len: n, Tenant: tenant}})
+	c.port.ReadCmd.Send(p, axis.Packet{Meta: ReadRequest{Addr: addr, Len: n, Tenant: tenant}})
+}
+
+// forwardRead relays one read's packets (through TLAST) to out unchanged
+// and returns the payload bytes plus the first error flagged on the
+// stream. A TenantHub uses it to pass a Streamer's read packet by packet to
+// the tenant's port.
+func (c *Client) forwardRead(p *sim.Proc, out *axis.Stream) (int64, error) {
+	var total int64
+	var err error
+	for {
+		pkt := c.port.ReadData.Recv(p)
+		total += pkt.Bytes
+		if e, ok := pkt.Meta.(error); ok && err == nil {
+			err = e
+		}
+		out.Send(p, pkt)
+		if pkt.Last {
+			return total, err
+		}
+	}
 }
 
 // ConsumeRead drains packets for one read request (until TLAST) and
@@ -103,9 +143,9 @@ func (c *Client) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
 	var data []byte
 	var err error
 	for {
-		pkt := c.s.ReadData.Recv(p)
-		if ce, ok := pkt.Meta.(CmdError); ok && err == nil {
-			err = ce
+		pkt := c.port.ReadData.Recv(p)
+		if e, ok := pkt.Meta.(error); ok && err == nil {
+			err = e
 		}
 		total += pkt.Bytes
 		if pkt.Data != nil {

@@ -70,11 +70,8 @@ type Streamer struct {
 	res  Resources
 	port *pcie.Port
 
-	// PE-facing AXI4 streams (§4.1).
-	ReadCmd   *axis.Stream // PE → Streamer: ReadRequest metadata
-	ReadData  *axis.Stream // Streamer → PE: read payload
-	WriteIn   *axis.Stream // PE → Streamer: WriteRequest + data + TLAST
-	WriteResp *axis.Stream // Streamer → PE: completion tokens
+	// Port holds the PE-facing AXI4 streams (§4.1).
+	Port
 
 	// Device linkage, programmed by the host driver at initialization
 	// (§4.6: "dynamically configuring the NVMe Streamer ... with the
@@ -291,10 +288,7 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 		cfg:       cfg,
 		res:       res,
 		port:      port,
-		ReadCmd:   axis.New(k, cfg.Name+".rdcmd", cfg.StreamCfg),
-		ReadData:  axis.New(k, cfg.Name+".rddata", cfg.StreamCfg),
-		WriteIn:   axis.New(k, cfg.Name+".wr", cfg.StreamCfg),
-		WriteResp: axis.New(k, cfg.Name+".wrresp", cfg.StreamCfg),
+		Port:      newPort(k, cfg.Name, cfg.StreamCfg),
 		rob:       make([]robEntry, cfg.QueueDepth),
 		prpReg:    make([]prpRegVal, cfg.QueueDepth),
 		submitFSM: sim.NewServer(k),

@@ -85,6 +85,38 @@ func TestWriteReadRoundTripAllVariants(t *testing.T) {
 	}
 }
 
+// TestEmptyWrite: a zero-length write is framed as a bare header with
+// TLAST, which the Streamer acknowledges without waiting for data, and the
+// write stream stays framed for the next request.
+func TestEmptyWrite(t *testing.T) {
+	k, c, _ := rig(t, streamer.URAM, true, nil)
+	want := make([]byte, 4096)
+	for i := range want {
+		want[i] = byte(i*13 + 5)
+	}
+	done := false
+	k.Spawn("pe", func(p *sim.Proc) {
+		if err := c.WriteErr(p, 0, 0, nil); err != nil {
+			t.Errorf("empty write: %v", err)
+		}
+		if err := c.WriteErr(p, 8192, int64(len(want)), want); err != nil {
+			t.Errorf("write after empty write: %v", err)
+		}
+		got, err := c.ReadErr(p, 8192, int64(len(want)))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("round trip after empty write: err=%v, bytes equal=%v", err, bytes.Equal(got, want))
+		}
+		done = true
+	})
+	k.Run(0)
+	if !done {
+		t.Fatal("PE never finished")
+	}
+	if got := c.Streamer().CommandsSubmitted(); got != 2 {
+		t.Errorf("commands submitted = %d, want 2 (the empty write issues none)", got)
+	}
+}
+
 func TestSmallUnalignedLengths(t *testing.T) {
 	// 512-byte LBA granularity, sub-page and sub-piece sizes.
 	k, c, _ := rig(t, streamer.URAM, true, nil)

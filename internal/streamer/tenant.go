@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"snacc/internal/axis"
-	"snacc/internal/bufpool"
 	"snacc/internal/nvme"
 	"snacc/internal/obs"
 	"snacc/internal/sim"
@@ -165,16 +164,13 @@ func (b *tokenBucket) take(now sim.Time, cost int64) sim.Time {
 	return wait
 }
 
-// Tenant is the hub-side state of one tenant: its PE-facing streams plus
-// scheduler bookkeeping. PEs drive the exported streams (or a TenantClient);
-// everything else is the hub's.
+// Tenant is the hub-side state of one tenant: its PE-facing port plus
+// scheduler bookkeeping. PEs drive the port's streams (or a Client from
+// TenantHub.Client); everything else is the hub's.
 type Tenant struct {
-	// ReadCmd/ReadData/WriteIn/WriteResp mirror the Streamer's PE-facing
-	// stream interface, scoped to this tenant.
-	ReadCmd   *axis.Stream
-	ReadData  *axis.Stream
-	WriteIn   *axis.Stream
-	WriteResp *axis.Stream
+	// Port mirrors the Streamer's PE-facing stream interface, scoped to
+	// this tenant.
+	Port
 
 	cfg     TenantConfig
 	idx     int
@@ -204,108 +200,19 @@ func (t *Tenant) release() {
 	}
 }
 
-// tenantTarget abstracts the backend under a hub. issueRead/issueWrite run
-// on the hub's single issue proc (which keeps the backend's write stream
-// framing and per-direction completion order intact); deliverRead and
-// completeWrite run on the per-direction completion procs and pair results
-// in issue order.
+// tenantTarget is the backend under a hub, implemented by *Client (one
+// Streamer's port) and *Striped. readAsyncT/writeAsyncT run on the hub's
+// single issue proc, which keeps the backend's write stream framing and
+// per-direction completion order intact; forwardRead and WaitWriteErr run on
+// the per-direction completion procs and pair results in issue order.
 type tenantTarget interface {
-	issueRead(p *sim.Proc, tenant int, addr uint64, n int64)
-	// deliverRead forwards one read's result packets to out (ending with
+	readAsyncT(p *sim.Proc, tenant int, addr uint64, n int64)
+	// forwardRead forwards one read's result packets to out (ending with
 	// TLAST) and returns the successfully delivered payload bytes plus the
 	// first error flagged on the stream.
-	deliverRead(p *sim.Proc, out *axis.Stream) (int64, error)
-	issueWrite(p *sim.Proc, tenant int, addr uint64, n int64, data []byte)
-	completeWrite(p *sim.Proc) error
-}
-
-// streamerTarget multiplexes tenants onto a single Streamer's streams.
-type streamerTarget struct {
-	s   *Streamer
-	pkt int64
-}
-
-func (tg *streamerTarget) issueRead(p *sim.Proc, tenant int, addr uint64, n int64) {
-	tg.s.ReadCmd.Send(p, axis.Packet{Meta: ReadRequest{Addr: addr, Len: n, Tenant: tenant}})
-}
-
-func (tg *streamerTarget) deliverRead(p *sim.Proc, out *axis.Stream) (int64, error) {
-	var total int64
-	var err error
-	for {
-		pkt := tg.s.ReadData.Recv(p)
-		total += pkt.Bytes
-		if ce, ok := pkt.Meta.(CmdError); ok && err == nil {
-			err = ce
-		}
-		out.Send(p, pkt)
-		if pkt.Last {
-			return total, err
-		}
-	}
-}
-
-func (tg *streamerTarget) issueWrite(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
-	tg.s.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr, Tenant: tenant}})
-	var off int64
-	for off < n {
-		m := tg.pkt
-		if m > n-off {
-			m = n - off
-		}
-		var d []byte
-		if data != nil {
-			d = data[off : off+m]
-		}
-		off += m
-		tg.s.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
-	}
-}
-
-func (tg *streamerTarget) completeWrite(p *sim.Proc) error {
-	pkt := tg.s.WriteResp.Recv(p)
-	if ce, ok := pkt.Meta.(CmdError); ok {
-		return ce
-	}
-	return nil
-}
-
-// stripedTarget multiplexes tenants onto a striped set. Writes pipeline via
-// WriteAsyncT/WaitWriteErr (issue-order completions); reads execute at
-// completion time because Striped reads are blocking and must not overlap.
-type stripedTarget struct {
-	sp    *Striped
-	readQ *sim.Chan[tenantJob]
-}
-
-func (tg *stripedTarget) issueRead(p *sim.Proc, tenant int, addr uint64, n int64) {
-	tg.readQ.Put(p, tenantJob{tenant: tenant, addr: addr, n: n})
-}
-
-func (tg *stripedTarget) deliverRead(p *sim.Proc, out *axis.Stream) (int64, error) {
-	j := tg.readQ.Get(p)
-	data, err := tg.sp.ReadErrT(p, j.tenant, j.addr, j.n)
-	pkt := axis.Packet{Last: true}
-	if data != nil {
-		pkt.Bytes = j.n
-		pkt.Data = data
-	} else if err == nil {
-		// Timing-only mode delivers no payload but the full byte count.
-		pkt.Bytes = j.n
-	}
-	if err != nil {
-		pkt.Meta = CmdError{Status: nvme.StatusInternalError, Addr: j.addr, Len: j.n}
-	}
-	out.Send(p, pkt)
-	return pkt.Bytes, err
-}
-
-func (tg *stripedTarget) issueWrite(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
-	tg.sp.WriteAsyncT(p, tenant, addr, n, data)
-}
-
-func (tg *stripedTarget) completeWrite(p *sim.Proc) error {
-	return tg.sp.WaitWriteErr(p)
+	forwardRead(p *sim.Proc, out *axis.Stream) (int64, error)
+	writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte)
+	WaitWriteErr(p *sim.Proc) error
 }
 
 // TenantHub virtualizes one backend (a Streamer or a Striped set) for N
@@ -335,13 +242,12 @@ type TenantHub struct {
 
 // NewTenantHub virtualizes a single streamer for the given tenants.
 func NewTenantHub(k *sim.Kernel, st *Streamer, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
-	return newTenantHub(k, &streamerTarget{s: st, pkt: 256 * sim.KiB}, st.cfg.StreamCfg, cfgs, opts)
+	return newTenantHub(k, NewClient(st), st.cfg.StreamCfg, cfgs, opts)
 }
 
 // NewStripedTenantHub virtualizes a striped set for the given tenants.
 func NewStripedTenantHub(k *sim.Kernel, sp *Striped, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
-	tg := &stripedTarget{sp: sp, readQ: sim.NewChan[tenantJob](k, 1<<16)}
-	return newTenantHub(k, tg, axis.DefaultConfig(), cfgs, opts)
+	return newTenantHub(k, sp, axis.DefaultConfig(), cfgs, opts)
 }
 
 func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
@@ -406,13 +312,10 @@ func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfg
 		}
 		name := fmt.Sprintf("tenant%d.%s", i, cfg.Name)
 		t := &Tenant{
-			ReadCmd:   axis.New(k, name+".rdcmd", streamCfg),
-			ReadData:  axis.New(k, name+".rddata", streamCfg),
-			WriteIn:   axis.New(k, name+".wr", streamCfg),
-			WriteResp: axis.New(k, name+".wrresp", streamCfg),
-			cfg:       cfg,
-			idx:       i,
-			quantum:   quantum * int64(cfg.Weight),
+			Port:    newPort(k, name, streamCfg),
+			cfg:     cfg,
+			idx:     i,
+			quantum: quantum * int64(cfg.Weight),
 			bucket: tokenBucket{
 				rate:  cfg.RateBytesPerSec,
 				burst: cfg.BurstBytes,
@@ -652,9 +555,9 @@ func (h *TenantHub) issueLoop(p *sim.Proc) {
 		j := h.dispatchQ.Get(p)
 		if !j.rejected {
 			if j.isWrite {
-				h.target.issueWrite(p, j.tenant, j.addr, j.n, j.data)
+				h.target.writeAsyncT(p, j.tenant, j.addr, j.n, j.data)
 			} else {
-				h.target.issueRead(p, j.tenant, j.addr, j.n)
+				h.target.readAsyncT(p, j.tenant, j.addr, j.n)
 			}
 		}
 		if j.isWrite {
@@ -678,7 +581,7 @@ func (h *TenantHub) readCompleteLoop(p *sim.Proc) {
 		if j.rejected {
 			t.ReadData.Send(p, axis.Packet{Last: true, Meta: rejectError(j)})
 		} else {
-			n, err := h.target.deliverRead(p, t.ReadData)
+			n, err := h.target.forwardRead(p, t.ReadData)
 			t.stats.BytesRead += n
 			if err != nil {
 				t.stats.Errors++
@@ -708,7 +611,7 @@ func (h *TenantHub) writeCompleteLoop(p *sim.Proc) {
 		if j.rejected {
 			t.WriteResp.Send(p, axis.Packet{Last: true, Meta: rejectError(j)})
 		} else {
-			err := h.target.completeWrite(p)
+			err := h.target.WaitWriteErr(p)
 			pkt := axis.Packet{Last: true}
 			if err != nil {
 				t.stats.Errors++
@@ -752,114 +655,8 @@ func (h *TenantHub) WriteLatency(i int) obs.Hist { return h.tenants[i].writeLat 
 // the time commands spent queued behind the scheduler.
 func (h *TenantHub) QueueWait(i int) obs.Hist { return h.tenants[i].queueLat }
 
-// TenantClient drives one tenant's stream pair the way Client drives a raw
-// streamer's. Addresses are window-relative.
-type TenantClient struct {
-	t *Tenant
-	// PktBytes is the write-stream packet granularity. Defaults to 256 KiB.
-	PktBytes int64
-}
-
-// Client returns a client for tenant i.
-func (h *TenantHub) Client(i int) *TenantClient {
-	return &TenantClient{t: h.tenants[i], PktBytes: 256 * sim.KiB}
-}
-
-// WriteAsync streams a write without waiting for the response token.
-func (c *TenantClient) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
-	if n <= 0 {
-		// A bare TLAST header frames the (invalid, length-zero) write so
-		// the hub can reject it instead of desynchronizing the stream.
-		c.t.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr}, Last: true})
-		return
-	}
-	c.t.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr}})
-	var off int64
-	for off < n {
-		m := c.PktBytes
-		if m > n-off {
-			m = n - off
-		}
-		var d []byte
-		if data != nil {
-			d = data[off : off+m]
-		}
-		off += m
-		c.t.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
-	}
-}
-
-// WaitWriteErr consumes one write-response token and returns its error flag
-// (a rejection or a backend failure), nil on success.
-func (c *TenantClient) WaitWriteErr(p *sim.Proc) error {
-	pkt := c.t.WriteResp.Recv(p)
-	if err, ok := pkt.Meta.(error); ok {
-		return err
-	}
-	return nil
-}
-
-// WriteErr is the blocking write with the error flag surfaced.
-func (c *TenantClient) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
-	c.WriteAsync(p, addr, n, data)
-	return c.WaitWriteErr(p)
-}
-
-// Write is the blocking write, discarding the error flag.
-func (c *TenantClient) Write(p *sim.Proc, addr uint64, n int64, data []byte) {
-	c.WriteAsync(p, addr, n, data)
-	c.t.WriteResp.Recv(p)
-}
-
-// ReadAsync issues a read command without consuming the data.
-func (c *TenantClient) ReadAsync(p *sim.Proc, addr uint64, n int64) {
-	c.t.ReadCmd.Send(p, axis.Packet{Meta: ReadRequest{Addr: addr, Len: n}})
-}
-
-// ConsumeReadErr drains packets for one read (until TLAST) and returns the
-// delivered bytes, concatenated content (functional mode), and the first
-// error flagged on the stream.
-func (c *TenantClient) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
-	var total int64
-	var data []byte
-	var err error
-	for {
-		pkt := c.t.ReadData.Recv(p)
-		if e, ok := pkt.Meta.(error); ok && err == nil {
-			err = e
-		}
-		total += pkt.Bytes
-		if pkt.Data != nil {
-			data = append(data, pkt.Data...)
-			// The chunk was copied out above; recycle it like
-			// Client.ConsumeReadErr does.
-			bufpool.Put(pkt.Data)
-		}
-		if pkt.Last {
-			return total, data, err
-		}
-	}
-}
-
-// ConsumeRead drains packets for one read, ignoring error flags.
-func (c *TenantClient) ConsumeRead(p *sim.Proc) (int64, []byte) {
-	total, data, _ := c.ConsumeReadErr(p)
-	return total, data
-}
-
-// ReadErr is the blocking read with error flags surfaced.
-func (c *TenantClient) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	c.ReadAsync(p, addr, n)
-	_, data, err := c.ConsumeReadErr(p)
-	return data, err
-}
-
-// Read is the blocking read, panicking on short delivery like Client.Read.
-func (c *TenantClient) Read(p *sim.Proc, addr uint64, n int64) []byte {
-	c.ReadAsync(p, addr, n)
-	got, data, err := c.ConsumeReadErr(p)
-	if err == nil && got != n {
-		panic("streamer: tenant read returned unexpected length")
-	}
-	return data
+// Client returns a client for tenant i's port. Addresses are
+// window-relative.
+func (h *TenantHub) Client(i int) *Client {
+	return &Client{port: &h.tenants[i].Port, PktBytes: 256 * sim.KiB}
 }

@@ -54,19 +54,27 @@ func TestServeFacade(t *testing.T) {
 	}
 }
 
-// TestServeFacadeTenants routes the serving tier through the virtualized
-// hub: requests are stamped with tenant IDs and dispatched one lane per
-// tenant, inside each tenant's LBA window.
-func TestServeFacadeTenants(t *testing.T) {
+// tenantServeOpts serves serveOpts through a two-tenant hub, one serve lane
+// per tenant.
+func tenantServeOpts() Options {
 	so := serveOpts()
 	so.SpanBytes = 16 * sim.MiB // must fit the smaller tenant window
-	sys := MustNewSystem(Options{
+	return Options{
 		Tenants: []TenantConfig{
 			{Name: "a", Weight: 1, LBAStart: 0, LBABytes: 32 * sim.MiB},
 			{Name: "b", Weight: 2, LBAStart: uint64(32 * sim.MiB), LBABytes: 16 * sim.MiB},
 		},
 		Serve: so,
-	})
+	}
+}
+
+// TestServeFacadeTenants routes the serving tier through the virtualized
+// hub: requests are stamped with tenant IDs and dispatched one lane per
+// tenant, inside each tenant's LBA window. The report is pinned exactly, so
+// a change to the serve lanes or the hub's forwarding cannot shift a single
+// event unnoticed.
+func TestServeFacadeTenants(t *testing.T) {
+	sys := MustNewSystem(tenantServeOpts())
 	rep, err := sys.Serve()
 	if err != nil {
 		t.Fatal(err)
@@ -75,24 +83,46 @@ func TestServeFacadeTenants(t *testing.T) {
 		t.Fatalf("tenant-backed run: completed %d of %d sent, failed %d",
 			rep.Completed, rep.Sent, rep.Failed)
 	}
+	lat := rep.Latency
+	rep.Latency = LatencyHist{}
+	want := ServeReport{
+		Clients: 500, Generated: 300, Sent: 300, Completed: 300,
+		BytesRead: 823296, BytesWritten: 405504, Elapsed: 885564,
+		PeakDispatch: 1, DispatchCap: 256,
+		PeakConns: 231, ConnCapacity: 500, ConnStateBytes: 10192, Opens: 231,
+	}
+	if rep != want {
+		t.Errorf("report:\n got %+v\nwant %+v", rep, want)
+	}
+	got := [...]sim.Time{sim.Time(lat.Count()), lat.Sum(), lat.Min(), lat.Max(), lat.P50(), lat.P99()}
+	if wantLat := [...]sim.Time{300, 46902895, 10805, 307380, 151551, 307380}; got != wantLat {
+		t.Errorf("latency count/sum/min/max/p50/p99 = %v, want %v", got, wantLat)
+	}
 }
 
 // TestServeFacadeWorkersIdentity pins the public-API determinism contract:
 // the serving report is identical whether the system runs on the serial
-// kernel or with the client fleet in its own shard domain.
+// kernel or with the client fleet in its own shard domain, both on the plain
+// Streamer and through the two-tenant hub.
 func TestServeFacadeWorkersIdentity(t *testing.T) {
-	run := func(workers int) ServeReport {
-		sys := MustNewSystem(Options{KernelWorkers: workers, Serve: serveOpts()})
-		rep, err := sys.Serve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	configs := map[string]Options{
+		"plain":   {Serve: serveOpts()},
+		"tenants": tenantServeOpts(),
 	}
-	serial := run(0)
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != serial {
-			t.Fatalf("KernelWorkers=%d report diverged:\nserial: %+v\nworkers: %+v", w, serial, got)
+	for name, opts := range configs {
+		run := func(workers int) ServeReport {
+			opts.KernelWorkers = workers
+			rep, err := MustNewSystem(opts).Serve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		serial := run(0)
+		for _, w := range []int{2, 4} {
+			if got := run(w); got != serial {
+				t.Fatalf("%s: KernelWorkers=%d report diverged:\nserial: %+v\nworkers: %+v", name, w, serial, got)
+			}
 		}
 	}
 }

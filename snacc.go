@@ -115,8 +115,9 @@ type Options struct {
 	// every submission, a weighted share of the device under deficit
 	// round-robin scheduling, and optional token-bucket rate limiting with
 	// admission control. Tenant traffic goes through Handle.TenantRead /
-	// TenantWrite; the raw Handle.Read / Write entry points panic, since
-	// they would bypass the isolation windows.
+	// TenantWrite; the raw Handle.Read / Write entry points panic (and
+	// ReadErr / WriteErr return an error), since they would bypass the
+	// isolation windows.
 	Tenants []TenantConfig
 	// Cluster, when non-nil, scales the system out: Nodes full
 	// streamer+SSD stacks behind the simulated Ethernet switch, a
@@ -395,14 +396,15 @@ type System struct {
 	plat     *tapasco.Platform
 	dev      *nvme.Device
 	st       *streamer.Streamer
-	client   *streamer.Client
 	injector *fault.Injector     // nil unless Options.Faults was set
 	tracer   *obs.Tracer         // nil unless Options.Trace was set
 	boundary *pcie.Tracer        // nil unless Options.Trace.Boundary was set
 	hub      *streamer.TenantHub // nil unless Options.Tenants was set
-	tclients []*streamer.TenantClient
-	cluster  *cluster.Cluster // nil unless Options.Cluster was set
-	serve    *serve.Tier      // nil unless Options.Serve was set
+	// lanes holds one client on the Streamer's port without tenants, and
+	// one per tenant's port with them (nil in cluster mode).
+	lanes   []*streamer.Client
+	cluster *cluster.Cluster // nil unless Options.Cluster was set
+	serve   *serve.Tier      // nil unless Options.Serve was set
 }
 
 // systemBARWindow is where enumeration places discovered device BARs.
@@ -528,32 +530,31 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, fmt.Errorf("snacc: initialization stalled")
 	}
 	sys := &System{kernel: k, shard: shard, plat: pl, dev: dev, st: st,
-		client: streamer.NewClient(st), injector: injector,
-		tracer: tracer, boundary: boundary}
-	if len(opts.Tenants) > 0 {
+		injector: injector, tracer: tracer, boundary: boundary}
+	if len(opts.Tenants) == 0 {
+		sys.lanes = []*streamer.Client{streamer.NewClient(st)}
+	} else {
 		hub, err := streamer.NewTenantHub(k, st, opts.Tenants, streamer.HubOptions{})
 		if err != nil {
 			return nil, err
 		}
 		sys.hub = hub
 		for i := 0; i < hub.Tenants(); i++ {
-			sys.tclients = append(sys.tclients, hub.Client(i))
+			sys.lanes = append(sys.lanes, hub.Client(i))
 		}
 	}
 	if opts.Serve != nil {
 		spec, cfg := opts.Serve.build(len(opts.Tenants))
-		var backend serve.Backend
-		if sys.hub != nil {
-			backend = serve.NewHubBackend(sys.hub)
-		} else {
-			backend = serve.NewStreamerBackend(sys.client)
+		lanes := make([]serve.Lane, len(sys.lanes))
+		for i, c := range sys.lanes {
+			lanes[i] = c
 		}
 		var tier *serve.Tier
 		var err error
 		if shard != nil {
-			tier, err = serve.NewCross(fleetK, k, toServer, toFleet, cfg, spec, backend)
+			tier, err = serve.NewCross(fleetK, k, toServer, toFleet, cfg, spec, lanes)
 		} else {
-			tier, err = serve.New(k, cfg, spec, backend)
+			tier, err = serve.New(k, cfg, spec, lanes)
 		}
 		if err != nil {
 			return nil, err
@@ -814,116 +815,180 @@ func (s *System) KernelWorkers() int {
 // Now returns the current simulated time in nanoseconds.
 func (h *Handle) Now() int64 { return int64(h.p.Now()) }
 
-// client returns the raw (untenanted) streamer client, panicking when the
-// system is virtualized — raw access would bypass the tenant LBA windows.
-func (h *Handle) client() *streamer.Client {
-	if h.sys.hub != nil {
-		panic("snacc: Streamer is virtualized (Options.Tenants); use TenantRead/TenantWrite")
+// raw returns the untenanted Streamer's client, or an error when the
+// system has no single raw Streamer: a virtualized system (raw access would
+// bypass the tenant LBA windows) or a cluster.
+func (s *System) raw() (*streamer.Client, error) {
+	switch {
+	case s.hub != nil:
+		return nil, fmt.Errorf("snacc: Streamer is virtualized (Options.Tenants); use TenantRead/TenantWrite")
+	case s.cluster != nil:
+		return nil, fmt.Errorf("snacc: a cluster has no raw Streamer (Options.Cluster)")
 	}
-	return h.sys.client
+	return s.lanes[0], nil
 }
 
-// tenant returns tenant i's client, panicking when the system has no
+// tenant returns tenant i's client, or an error when the system has no
 // tenants or the index is out of range.
-func (h *Handle) tenant(i int) *streamer.TenantClient {
+func (h *Handle) tenant(i int) (*streamer.Client, error) {
 	if h.sys.hub == nil {
-		panic("snacc: no tenants configured (set Options.Tenants)")
+		return nil, fmt.Errorf("snacc: no tenants configured (set Options.Tenants)")
 	}
-	if i < 0 || i >= len(h.sys.tclients) {
-		panic(fmt.Sprintf("snacc: tenant %d out of range (%d configured)", i, len(h.sys.tclients)))
+	if i < 0 || i >= len(h.sys.lanes) {
+		return nil, fmt.Errorf("snacc: tenant %d out of range (%d configured)", i, len(h.sys.lanes))
 	}
-	return h.sys.tclients[i]
+	return h.sys.lanes[i], nil
+}
+
+// checkShape validates a transfer before it reaches the model: the address
+// and the length must be multiples of 512, and only a write may be empty.
+// The Streamer and the cluster coordinator would otherwise fail inside a
+// simulation process, where the caller cannot recover.
+func checkShape(addr uint64, n int64, write bool) error {
+	if addr%512 != 0 || n%512 != 0 || n < 0 || (n == 0 && !write) {
+		return fmt.Errorf("snacc: bad transfer %d@%#x: address and length must be multiples of 512, and a read must not be empty", n, addr)
+	}
+	return nil
+}
+
+// route validates a transfer's shape and picks its path: the cluster when
+// there is one, else the raw Streamer's client.
+func (h *Handle) route(addr uint64, n int64, write bool) (*cluster.Cluster, *streamer.Client, error) {
+	if err := checkShape(addr, n, write); err != nil {
+		return nil, nil, err
+	}
+	if h.sys.cluster != nil {
+		return h.sys.cluster, nil, nil
+	}
+	c, err := h.sys.raw()
+	return nil, c, err
+}
+
+// must panics with err's message: the entry points without an error
+// result report failures this way.
+func must(err error) {
+	if err != nil {
+		panic(err.Error())
+	}
 }
 
 // Write stores data at the given device byte address (512-aligned, length
 // a multiple of 512) and waits for the Streamer's response token. In
 // cluster mode the address is a cluster-logical byte address and the write
-// replicates to R nodes, acknowledging at the configured quorum.
+// replicates to R nodes, acknowledging at the configured quorum. It panics
+// on a bad transfer shape, on a virtualized system and on a cluster quorum
+// failure; terminal NVMe errors are discarded (use WriteErr).
 func (h *Handle) Write(addr uint64, data []byte) {
-	if c := h.sys.cluster; c != nil {
-		if err := c.Write(h.p, addr, data); err != nil {
-			panic(fmt.Sprintf("snacc: cluster write %d@%#x: %v", len(data), addr, err))
-		}
-		return
+	cl, c, err := h.route(addr, int64(len(data)), true)
+	if cl != nil {
+		err = cl.Write(h.p, addr, data)
+	} else if c != nil {
+		c.Write(h.p, addr, int64(len(data)), data)
 	}
-	h.client().Write(h.p, addr, int64(len(data)), data)
+	must(err)
 }
 
 // WriteTimed performs a timing-only write of n bytes.
 func (h *Handle) WriteTimed(addr uint64, n int64) {
-	if c := h.sys.cluster; c != nil {
-		if err := c.WriteTimed(h.p, addr, n); err != nil {
-			panic(fmt.Sprintf("snacc: cluster write %d@%#x: %v", n, addr, err))
-		}
-		return
+	cl, c, err := h.route(addr, n, true)
+	if cl != nil {
+		err = cl.WriteTimed(h.p, addr, n)
+	} else if c != nil {
+		c.Write(h.p, addr, n, nil)
 	}
-	h.client().Write(h.p, addr, n, nil)
+	must(err)
 }
 
 // Read returns n bytes from the given device byte address. In cluster mode
 // the read is served by the chunk's primary replica, failing over to the
-// others on error or timeout.
+// others on error or timeout. It panics where Write does, and on a short
+// delivery (use ReadErr).
 func (h *Handle) Read(addr uint64, n int64) []byte {
-	if c := h.sys.cluster; c != nil {
-		data, err := c.Read(h.p, addr, n)
-		if err != nil {
-			panic(fmt.Sprintf("snacc: cluster read %d@%#x: %v", n, addr, err))
-		}
-		return data
+	cl, c, err := h.route(addr, n, false)
+	var data []byte
+	if cl != nil {
+		data, err = cl.Read(h.p, addr, n)
+	} else if c != nil {
+		data = c.Read(h.p, addr, n)
 	}
-	return h.client().Read(h.p, addr, n)
+	must(err)
+	return data
 }
 
 // ReadTimed performs a timing-only read of n bytes.
 func (h *Handle) ReadTimed(addr uint64, n int64) {
-	if c := h.sys.cluster; c != nil {
-		if _, err := c.Read(h.p, addr, n); err != nil {
-			panic(fmt.Sprintf("snacc: cluster read %d@%#x: %v", n, addr, err))
-		}
-		return
+	cl, c, err := h.route(addr, n, false)
+	if cl != nil {
+		_, err = cl.Read(h.p, addr, n)
+	} else if c != nil {
+		c.ReadAsync(h.p, addr, n)
+		c.ConsumeRead(h.p)
 	}
-	c := h.client()
-	c.ReadAsync(h.p, addr, n)
-	c.ConsumeRead(h.p)
+	must(err)
 }
 
-// ReadErr is Read surfacing terminal NVMe errors (after the Streamer has
-// exhausted its retries) instead of panicking on the short delivery. The
-// returned data covers only the pieces that succeeded.
+// ReadErr is Read returning every failure as an error instead of
+// panicking: a bad transfer shape, a virtualized system, and terminal NVMe
+// errors (after the Streamer has exhausted its retries) or, in cluster
+// mode, a read no replica could serve. The returned data covers only the
+// pieces that succeeded.
 func (h *Handle) ReadErr(addr uint64, n int64) ([]byte, error) {
-	if c := h.sys.cluster; c != nil {
-		return c.Read(h.p, addr, n)
+	cl, c, err := h.route(addr, n, false)
+	switch {
+	case err != nil:
+		return nil, err
+	case cl != nil:
+		return cl.Read(h.p, addr, n)
 	}
-	return h.client().ReadErr(h.p, addr, n)
+	return c.ReadErr(h.p, addr, n)
 }
 
-// WriteErr is Write surfacing the worst terminal NVMe status across the
-// write's pieces via the response token's error flag (in cluster mode, a
-// quorum failure).
+// WriteErr is Write returning every failure as an error instead of
+// panicking: a bad transfer shape, a virtualized system, and the worst
+// terminal NVMe status across the write's pieces (in cluster mode, a
+// quorum failure). An empty write is acknowledged with nil.
 func (h *Handle) WriteErr(addr uint64, data []byte) error {
-	if c := h.sys.cluster; c != nil {
-		return c.Write(h.p, addr, data)
+	cl, c, err := h.route(addr, int64(len(data)), true)
+	switch {
+	case err != nil:
+		return err
+	case cl != nil:
+		return cl.Write(h.p, addr, data)
 	}
-	return h.client().WriteErr(h.p, addr, int64(len(data)), data)
+	return c.WriteErr(h.p, addr, int64(len(data)), data)
 }
 
 // TenantWrite stores data at a tenant-relative device byte address through
 // tenant's virtual stream pair. Addresses are relative to the tenant's LBA
 // window; out-of-window or unaligned requests return the per-tenant
-// rejection error without touching the device.
+// rejection error without touching the device. Like every Tenant* method it
+// returns an error, never panics, when the system has no tenants or the
+// index is out of range.
 func (h *Handle) TenantWrite(tenant int, addr uint64, data []byte) error {
-	return h.tenant(tenant).WriteErr(h.p, addr, int64(len(data)), data)
+	c, err := h.tenant(tenant)
+	if err != nil {
+		return err
+	}
+	return c.WriteErr(h.p, addr, int64(len(data)), data)
 }
 
 // TenantWriteTimed is a timing-only TenantWrite of n bytes.
 func (h *Handle) TenantWriteTimed(tenant int, addr uint64, n int64) error {
-	return h.tenant(tenant).WriteErr(h.p, addr, n, nil)
+	c, err := h.tenant(tenant)
+	if err != nil {
+		return err
+	}
+	return c.WriteErr(h.p, addr, n, nil)
 }
 
 // TenantRead returns n bytes from a tenant-relative device byte address,
 // surfacing window rejections and terminal NVMe errors.
 func (h *Handle) TenantRead(tenant int, addr uint64, n int64) ([]byte, error) {
-	return h.tenant(tenant).ReadErr(h.p, addr, n)
+	c, err := h.tenant(tenant)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadErr(h.p, addr, n)
 }
 
 // Sleep advances this process by d nanoseconds of simulated time.

@@ -104,14 +104,56 @@ func TestTenantFacadeGuards(t *testing.T) {
 	virt := MustNewSystem(twoTenantOpts())
 	virt.Execute(func(h *Handle) {
 		mustPanic("raw Read on virtualized system", "virtualized", func() { h.Read(0, 512) })
-		mustPanic("out-of-range tenant", "out of range", func() { h.TenantRead(5, 0, 512) })
+		if _, err := h.ReadErr(0, 512); err == nil || !strings.Contains(err.Error(), "virtualized") {
+			t.Errorf("raw ReadErr on virtualized system: err = %v, want virtualized", err)
+		}
+		if err := h.WriteErr(0, make([]byte, 512)); err == nil || !strings.Contains(err.Error(), "virtualized") {
+			t.Errorf("raw WriteErr on virtualized system: err = %v, want virtualized", err)
+		}
 	})
-	plain := MustNewSystem(Options{})
-	plain.Execute(func(h *Handle) {
-		mustPanic("TenantRead without tenants", "no tenants", func() { h.TenantRead(0, 0, 512) })
-	})
-	if got := plain.TenantStats(); got != nil {
+	if _, err := virt.RunWorkload(DefaultWorkload()); err == nil {
+		t.Error("RunWorkload on a virtualized system bypassed the tenant windows")
+	}
+	if got := MustNewSystem(Options{}).TenantStats(); got != nil {
 		t.Errorf("TenantStats without tenants = %v, want nil", got)
+	}
+}
+
+// TestTenantFacadeIndexErrors: the tenant entry points return errors, not
+// panics, when the system has no tenants or the index is out of range, and
+// the tenants keep working afterwards.
+func TestTenantFacadeIndexErrors(t *testing.T) {
+	calls := map[string]func(h *Handle, i int) error{
+		"TenantRead": func(h *Handle, i int) error {
+			_, err := h.TenantRead(i, 0, 512)
+			return err
+		},
+		"TenantWrite":      func(h *Handle, i int) error { return h.TenantWrite(i, 0, make([]byte, 512)) },
+		"TenantWriteTimed": func(h *Handle, i int) error { return h.TenantWriteTimed(i, 0, 512) },
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		index int
+		want  string
+	}{
+		{"no tenants", Options{}, 0, "no tenants"},
+		{"negative index", twoTenantOpts(), -1, "out of range"},
+		{"index past the end", twoTenantOpts(), 2, "out of range"},
+	} {
+		sys := MustNewSystem(tc.opts)
+		sys.Execute(func(h *Handle) {
+			for name, call := range calls {
+				if err := call(h, tc.index); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: %s(%d): err = %v, want %q", tc.name, name, tc.index, err, tc.want)
+				}
+			}
+			if sys.hub != nil {
+				if err := h.TenantWrite(1, 0, make([]byte, 512)); err != nil {
+					t.Errorf("%s: valid tenant write after the errors: %v", tc.name, err)
+				}
+			}
+		})
 	}
 }
 

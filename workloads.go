@@ -28,10 +28,13 @@ const (
 // RunWorkload executes the workload on this system and returns its
 // throughput summary.
 func (s *System) RunWorkload(spec WorkloadSpec) (WorkloadResult, error) {
+	c, err := s.raw()
+	if err != nil {
+		return WorkloadResult{}, err
+	}
 	var res WorkloadResult
-	var err error
 	s.Execute(func(h *Handle) {
-		res, err = workload.Run(h.p, s.client, spec)
+		res, err = workload.Run(h.p, c, spec)
 	})
 	return res, err
 }
@@ -54,10 +57,13 @@ func RecordTrace(spec WorkloadSpec) ([]TraceOp, error) { return workload.RecordT
 // honoring per-operation arrival gaps (open loop) or running closed-loop
 // when gaps are zero.
 func (s *System) ReplayTrace(name string, ops []TraceOp) (WorkloadResult, error) {
+	c, err := s.raw()
+	if err != nil {
+		return WorkloadResult{}, err
+	}
 	var res WorkloadResult
-	var err error
 	s.Execute(func(h *Handle) {
-		res, err = workload.Replay(h.p, s.client, name, ops)
+		res, err = workload.Replay(h.p, c, name, ops)
 	})
 	return res, err
 }
