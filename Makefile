@@ -14,14 +14,16 @@ test: vet
 
 # Race-checks the worker pool, the kernel/buffer-pool hot paths it drives,
 # and the fault-injection/recovery machinery (including the controller
-# crash-recovery ladder and its multi-queue/ring-wrap variants).
+# crash-recovery ladder and its multi-queue/ring-wrap variants). Race builds
+# poison every buffer given back to internal/bufpool, so the byte-checked
+# integrity tests here also catch a pooled buffer used after its return.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
 	$(GO) test -race -run 'KernelWorkers|TestServeFacade' ./internal/casestudy/ .
 	$(GO) test -race -run 'TestParallelDeterminism|TestKernelSweep' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity' .
+	$(GO) test -race -run 'RandomizedDataIntegrity' .
 
 vet:
 	$(GO) vet ./...
@@ -48,11 +50,13 @@ cover:
 latency:
 	$(GO) run ./cmd/snaccbench -latency
 
-# Microbenchmarks: kernel scheduling (events/sec, allocs/op) and end-to-end
-# streamer reads (4 KiB and 1 MiB).
+# Microbenchmarks: kernel scheduling (events/sec, allocs/op), end-to-end
+# streamer reads (4 KiB and 1 MiB) and the functional 4 MiB write + read
+# round trip (bytes allocated per trip).
 bench:
 	$(GO) test -run XXX -bench BenchmarkKernel -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench BenchmarkStreamerRead -benchmem ./internal/bench/
+	$(GO) test -run XXX -bench BenchmarkFunctionalRoundTrip4M -benchmem .
 
 # One-iteration pass over the kernel micro-benchmarks under the race
 # detector: catches data races and bit-rot on the sharded hot paths without

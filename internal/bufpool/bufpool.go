@@ -1,7 +1,8 @@
 // Package bufpool recycles the payload byte slices the simulation's hot
 // paths would otherwise allocate per message: staged write payloads and
-// drain chunks in the NVMe Streamer, SQE fetch batches and PRP lists in the
-// controller model, and the 4-byte doorbell writes on the PCIe port path.
+// drain chunks in the NVMe Streamer; SQE fetch batches, PRP lists, CQEs and
+// the per-command DMA staging buffers of reads and writes in the controller
+// model; and the 4-byte doorbell writes of the Streamer.
 //
 // Buffers are pooled in power-of-two size classes backed by sync.Pool, so
 // the pools are safe to share between the parallel experiment engine's
@@ -9,6 +10,11 @@
 // from the same process-wide pools). Determinism is unaffected: Get returns
 // buffers with undefined contents, and every call site fully overwrites the
 // bytes it later reads.
+//
+// A buffer belongs to whoever took it from Get until it is handed on or
+// given back with Put; after Put nobody may touch it. Race builds fill
+// every buffer given back with a poison byte, so a use after Put shows up
+// as corrupt data instead of passing silently.
 package bufpool
 
 import (
@@ -70,5 +76,13 @@ func Put(b []byte) {
 		return
 	}
 	b = b[:c]
+	if poisonOnPut {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
 	classes[cl].Put(&b)
 }
+
+// poisonByte is what race builds fill a buffer with when it is given back.
+const poisonByte = 0xA5

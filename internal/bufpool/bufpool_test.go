@@ -46,6 +46,24 @@ func TestGetZeroed(t *testing.T) {
 	Put(z)
 }
 
+func TestPutPoisonsUnderRace(t *testing.T) {
+	b := Get(4096)
+	for i := range b {
+		b[i] = 0
+	}
+	Put(b)
+	// Reading b after Put is exactly the bug the poison exposes.
+	for i, v := range b[:cap(b)] {
+		want := byte(0)
+		if poisonOnPut {
+			want = poisonByte
+		}
+		if v != want {
+			t.Fatalf("byte %d after Put = %#x, want %#x (poisonOnPut=%v)", i, v, want, poisonOnPut)
+		}
+	}
+}
+
 func TestPutForeignBuffer(t *testing.T) {
 	Put(nil)
 	Put(make([]byte, 0))

@@ -5,8 +5,9 @@ import "encoding/binary"
 // Write Zeroes (0x08) and Dataset Management / deallocate (0x09): the
 // remaining I/O commands a block stack issues against a real 990 PRO.
 // Deallocated ranges read back as zeros, which the model implements by
-// clearing the media store; both complete quickly (metadata-only on the
-// device side) with a small firmware cost.
+// dropping the range's pages from the media store (SparseMem.Zero), so the
+// host cost does not grow with the range; both complete quickly
+// (metadata-only on the device side) with a small firmware cost.
 
 // I/O opcodes (extension of the core set in spec.go).
 const (
@@ -42,7 +43,7 @@ func (d *Device) executeWriteZeroes(q *queuePair, cmd Command) {
 		return
 	}
 	if d.cfg.Functional {
-		d.nand.Store().WriteBytes(off, make([]byte, total))
+		d.nand.Store().Zero(off, total)
 	}
 	// Metadata-only on the device: a mapping-table update.
 	d.k.After(2*d.cfg.FrontEndWriteCost, func() {
@@ -80,7 +81,7 @@ func (d *Device) executeDatasetMgmt(q *queuePair, cmd Command) {
 			bytes := int64(nlb) * d.cfg.LBASize
 			off := slba * uint64(d.cfg.LBASize)
 			if d.cfg.Functional {
-				d.nand.Store().WriteBytes(off, make([]byte, bytes))
+				d.nand.Store().Zero(off, bytes)
 			}
 			d.deallocated += bytes
 		}

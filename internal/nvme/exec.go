@@ -161,9 +161,12 @@ func (d *Device) executeRead(q *queuePair, cmd Command) {
 			d.complete(q, cmd, status, 0)
 			return
 		}
+		// The DMA staging buffer comes from the pool: the NAND read fills
+		// all of it at issue, and the target copies each posted write out on
+		// delivery, so it goes back once the last write has landed.
 		var media []byte
 		if d.cfg.Functional {
-			media = make([]byte, total)
+			media = bufpool.Get(int(total))
 		}
 		d.nand.Read(off, total, media, func() {
 			outstanding := len(runs)
@@ -177,6 +180,7 @@ func (d *Device) executeRead(q *queuePair, cmd Command) {
 				d.port.Write(r.addr, r.len, data, func() {
 					outstanding--
 					if outstanding == 0 {
+						bufpool.Put(media)
 						d.complete(q, cmd, StatusSuccess, 0)
 					}
 				})
@@ -202,9 +206,11 @@ func (d *Device) executeWrite(q *queuePair, cmd Command) {
 			return
 		}
 		d.nand.ReserveBuffer(total, func() {
+			// Pooled like the read side: the PRP reads fill every byte,
+			// and Program copies the buffer into the media store.
 			var media []byte
 			if d.cfg.Functional {
-				media = make([]byte, total)
+				media = bufpool.Get(int(total))
 			}
 			outstanding := len(runs)
 			var pos int64
@@ -218,6 +224,7 @@ func (d *Device) executeWrite(q *queuePair, cmd Command) {
 					outstanding--
 					if outstanding == 0 {
 						d.nand.Program(off, total, media)
+						bufpool.Put(media)
 						d.complete(q, cmd, StatusSuccess, 0)
 					}
 				})

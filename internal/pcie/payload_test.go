@@ -121,6 +121,32 @@ func TestSparseMemProperty(t *testing.T) {
 	}
 }
 
+func TestSparseMemZeroHugeRange(t *testing.T) {
+	// A namespace-sized Zero costs what is materialized, not the range:
+	// the two whole pages inside the 2 TiB range are dropped, the first
+	// page, which the range covers only in part, is cleared in place, and
+	// the page past the range is left alone.
+	s := NewSparseMem()
+	one := bytes.Repeat([]byte{7}, 4096)
+	for _, addr := range []uint64{0, 1 << 30, 1<<41 - 4096} {
+		s.WriteBytes(addr, one)
+	}
+	s.WriteBytes(1<<41, one) // just past the range
+	s.Zero(100, 1<<41-100)
+	if s.Pages() != 2 {
+		t.Fatalf("Pages() = %d, want 2 (the partly covered first page and the page past the range)", s.Pages())
+	}
+	got := make([]byte, 4096)
+	s.ReadBytes(0, got)
+	if !bytes.Equal(got[:100], one[:100]) || !bytes.Equal(got[100:], make([]byte, 4096-100)) {
+		t.Fatal("first page: the 100 bytes before the range must survive, the rest must be zero")
+	}
+	s.ReadBytes(1<<41, got)
+	if !bytes.Equal(got, one) {
+		t.Fatal("the page past the range was clobbered")
+	}
+}
+
 func TestSparseMemOverlappingWrites(t *testing.T) {
 	s := NewSparseMem()
 	s.WriteBytes(100, []byte{1, 1, 1, 1, 1, 1})

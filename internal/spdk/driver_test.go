@@ -2,6 +2,8 @@ package spdk
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"snacc/internal/nvme"
@@ -313,6 +315,76 @@ func TestWriteZeroesAndTrim(t *testing.T) {
 		}
 	})
 	k.Run(0)
+	if dev.Errors() != 0 {
+		t.Fatalf("device errors: %d", dev.Errors())
+	}
+}
+
+// TestTrimLargeRangeStaysSparse pins that deallocate drops media pages
+// instead of writing zeros over the range: a 256 MiB trim allocates almost
+// nothing, never grows the media store, reads back as zeros, and leaves the
+// bytes just outside the range intact. The range starts and ends one LBA
+// into a 4 KiB page, so both boundary pages are cleared only in part.
+func TestTrimLargeRangeStaysSparse(t *testing.T) {
+	const (
+		slba = 2049                // one LBA into the page at LBA 2048
+		nlb  = 256 << 20 / 512     // 256 MiB
+		end  = slba + nlb          // first LBA past the range, one into its page
+		mid  = slba + nlb/2 + 1000 // a written page well inside the range
+	)
+	k, host, dev := rig(true)
+	cfg := DefaultDriverConfig()
+	cfg.Functional = true
+	store := dev.NAND().Store()
+	var alloc uint64
+	var pagesBefore, pagesAfter int
+	var failure string
+	k.Spawn("t", func(p *sim.Proc) {
+		d, err := Attach(p, host, testBAR, cfg)
+		if err != nil {
+			failure = "attach: " + err.Error()
+			return
+		}
+		buf := d.AllocBuffer(4096)
+		page := bytes.Repeat([]byte{0xCD}, 4096)
+		for _, lba := range []uint64{slba - 1, mid, end - 1} {
+			if err := d.Write(p, lba, 8, buf, page); err != nil {
+				failure = "write: " + err.Error()
+				return
+			}
+		}
+		pagesBefore = store.Pages()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err = d.Trim(p, []nvme.DSMRange{{SLBA: slba, NLB: nlb}})
+		runtime.ReadMemStats(&m1)
+		alloc = m1.TotalAlloc - m0.TotalAlloc
+		pagesAfter = store.Pages()
+		if err != nil {
+			failure = "trim: " + err.Error()
+			return
+		}
+		got := make([]byte, 4096)
+		check := func(lba uint64, want []byte) {
+			if failure == "" && (d.Read(p, lba, 8, buf, got) != nil || !bytes.Equal(got, want)) {
+				failure = fmt.Sprintf("read-back of LBA %d after the trim is wrong", lba)
+			}
+		}
+		// Each boundary page keeps its one LBA outside the range.
+		check(slba-1, append(bytes.Repeat([]byte{0xCD}, 512), make([]byte, 3584)...))
+		check(end-1, append(make([]byte, 512), bytes.Repeat([]byte{0xCD}, 3584)...))
+		check(mid, make([]byte, 4096))
+	})
+	k.Run(0)
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("a 256 MiB trim allocated %d bytes, want < 1 MiB", alloc)
+	}
+	if pagesAfter > pagesBefore {
+		t.Errorf("trim grew the media store from %d to %d pages", pagesBefore, pagesAfter)
+	}
 	if dev.Errors() != 0 {
 		t.Fatalf("device errors: %d", dev.Errors())
 	}

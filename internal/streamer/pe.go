@@ -139,6 +139,23 @@ func (c *Client) ConsumeRead(p *sim.Proc) (int64, []byte) {
 // and the first error flagged on the stream. Failed pieces deliver no
 // payload, so on error the byte count falls short of the request.
 func (c *Client) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
+	return c.consumeRead(p, 0)
+}
+
+// DrainRead consumes one read's packets (until TLAST) like ConsumeReadErr
+// but recycles the payload instead of collecting it, so a caller that only
+// wants the timing allocates nothing, even on a functional system.
+func (c *Client) DrainRead(p *sim.Proc) (int64, error) {
+	total, _, err := c.consumeRead(p, -1)
+	return total, err
+}
+
+// consumeRead drains one read's packets through TLAST. A caller that knows
+// the read's length passes it as want: the content buffer is then
+// allocated once, at the first packet carrying data, and never regrown.
+// want == 0 grows the buffer as packets arrive; want < 0 drops the content.
+// Every drain chunk goes back to the pool.
+func (c *Client) consumeRead(p *sim.Proc, want int64) (int64, []byte, error) {
 	var total int64
 	var data []byte
 	var err error
@@ -149,9 +166,12 @@ func (c *Client) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
 		}
 		total += pkt.Bytes
 		if pkt.Data != nil {
-			data = append(data, pkt.Data...)
-			// The drain chunk was copied out above; hand it back to
-			// the pool for the next chunk read.
+			if want >= 0 {
+				if data == nil && want > 0 && len(pkt.Data) > 0 {
+					data = make([]byte, 0, want)
+				}
+				data = append(data, pkt.Data...)
+			}
 			bufpool.Put(pkt.Data)
 		}
 		if pkt.Last {
@@ -163,7 +183,7 @@ func (c *Client) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
 // Read performs a blocking read of n bytes at device byte address addr.
 func (c *Client) Read(p *sim.Proc, addr uint64, n int64) []byte {
 	c.ReadAsync(p, addr, n)
-	got, data := c.ConsumeRead(p)
+	got, data, _ := c.consumeRead(p, n)
 	if got != n {
 		panic("streamer: read returned unexpected length")
 	}
@@ -179,7 +199,7 @@ func (c *Client) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 // readErrT is ReadErr with the command attributed to a tenant.
 func (c *Client) readErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byte, error) {
 	c.readAsyncT(p, tenant, addr, n)
-	got, data, err := c.ConsumeReadErr(p)
+	got, data, err := c.consumeRead(p, n)
 	if err == nil && got != n {
 		panic("streamer: read returned unexpected length")
 	}

@@ -103,7 +103,7 @@ func LatencyRead(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int, 
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
 		start := p.Now()
 		c.ReadAsync(p, addr, ioBytes)
-		c.ConsumeRead(p)
+		c.DrainRead(p)
 		h.Add(p.Now() - start)
 	}
 	return h

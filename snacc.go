@@ -922,7 +922,7 @@ func (h *Handle) ReadTimed(addr uint64, n int64) {
 		_, err = cl.Read(h.p, addr, n)
 	} else if c != nil {
 		c.ReadAsync(h.p, addr, n)
-		c.ConsumeRead(h.p)
+		c.DrainRead(h.p)
 	}
 	must(err)
 }
