@@ -114,7 +114,7 @@ serve:
 cluster:
 	$(GO) test ./internal/cluster/
 	$(GO) test -run 'TestClusterRandomizedDataIntegrity' .
-	$(GO) run ./cmd/snaccbench -cluster
+	$(GO) run ./cmd/snaccbench -cluster -size 64
 
 # Serial-vs-parallel suite wall time + kernel throughput -> BENCH_parallel.json
 perfreport:
