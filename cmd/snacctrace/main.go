@@ -32,8 +32,6 @@ import (
 	"snacc/internal/tapasco"
 )
 
-const ssdBAR = 0x10_0000_0000
-
 func main() {
 	variant := flag.String("variant", "uram", "streamer variant: uram, obdram, hostdram")
 	op := flag.String("op", "write", "workload: write or read (1 MiB sequential commands)")
@@ -68,37 +66,14 @@ func main() {
 	}
 
 	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
-	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, v))
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-
-	tr := pcie.NewTracer(k)
-	if v != streamer.HostDRAM {
-		base := st.Config().WindowBase
-		span := uint64(st.Config().ReadBufBytes + st.Config().WriteBufBytes)
-		if v == streamer.URAM {
-			span = uint64(st.Config().ReadBufBytes)
-		}
-		tr.Filter = func(addr uint64, n int64) bool {
-			return addr >= base && addr < base+span && n >= 4096
-		}
-		pl.Card.AttachTracer(tr)
-	} else {
-		// The host-DRAM variant stages in host memory: trace there.
-		hostCfg := pl.Config().Host
-		tr.Filter = func(addr uint64, n int64) bool {
-			return addr >= hostCfg.MemBase && n >= 4096
-		}
-		pl.Host.Port.AttachTracer(tr)
-	}
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
+	ssd := node.AddSSD(nvme.DefaultConfig("ssd0", 0)) // BAR assigned by enumeration
+	st := node.AddStreamer(ssd, streamer.DefaultConfig("snacc0", 0, v))
+	tr := node.Platform.AttachBoundaryTracer(st)
 
 	var bw float64
 	k.Spawn("main", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
+		if err := node.Init(p); err != nil {
 			panic(err)
 		}
 		c := streamer.NewClient(st)

@@ -93,50 +93,42 @@ func AblationMultiSSD(counts []int, perSSDBytes int64) []AblationMultiSSDRow {
 	return mapRows(len(counts), func(ci int) AblationMultiSSDRow {
 		n := counts[ci]
 		k := sim.NewKernel()
-		pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+		node := tapasco.NewNode(k, tapasco.DefaultU280())
 		var clients []*streamer.Client
-		var drvs []*tapasco.Driver
-		var sts []*streamer.Streamer
 		for i := 0; i < n; i++ {
-			bar := uint64(ssdBAR) + uint64(i)*0x1000_0000
-			name := fmt.Sprintf("ssd%d", i)
-			nvme.New(k, pl.Fabric, nvme.DefaultConfig(name, bar))
+			ssd := node.AddSSD(nvme.DefaultConfig(fmt.Sprintf("ssd%d", i), uint64(ssdBAR)+uint64(i)*0x1000_0000))
 			// URAM windows are cheap; one per SSD keeps queues separate.
-			st := pl.AddStreamer(streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM))
-			sts = append(sts, st)
+			st := node.AddStreamer(ssd, streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM))
 			clients = append(clients, streamer.NewClient(st))
-			drvs = append(drvs, tapasco.NewDriver(pl, name, bar))
 		}
-		var start, end sim.Time
-		done := 0
-		k.Spawn("main", func(p *sim.Proc) {
-			for i := range drvs {
-				if err := drvs[i].InitController(p); err != nil {
-					panic(err)
-				}
-				if err := drvs[i].AttachStreamer(p, sts[i], 1); err != nil {
-					panic(err)
-				}
-			}
-			start = p.Now()
-			fin := sim.NewChan[struct{}](k, n)
-			for i := 0; i < n; i++ {
-				c := clients[i]
-				k.Spawn(fmt.Sprintf("w%d", i), func(wp *sim.Proc) {
-					streamer.SeqWrite(wp, c, 0, perSSDBytes)
-					fin.TryPut(struct{}{})
-				})
-			}
-			for done < n {
-				fin.Get(p)
-				done++
-			}
-			end = p.Now()
+		elapsed := timeParallel(node, n, func(p *sim.Proc, i int) {
+			streamer.SeqWrite(p, clients[i], 0, perSSDBytes)
 		})
-		k.Run(0)
-		agg := float64(perSSDBytes*int64(n)) / (end - start).Seconds() / 1e9
+		agg := float64(perSSDBytes*int64(n)) / elapsed.Seconds() / 1e9
 		return AblationMultiSSDRow{SSDs: n, SeqWriteGB: agg, PerSSDWrite: agg / float64(n)}
 	})
+}
+
+// timeParallel brings node up (runInMain), then runs work(p, i) for each i
+// in [0, n) in concurrent processes "w0".."w<n-1>" and returns the time
+// from the end of bring-up to the last finish.
+func timeParallel(node *tapasco.Node, n int, work func(p *sim.Proc, i int)) sim.Time {
+	var elapsed sim.Time
+	runInMain(node, func(p *sim.Proc) {
+		k, start := node.Platform.K, p.Now()
+		fin := sim.NewChan[struct{}](k, n)
+		for i := 0; i < n; i++ {
+			k.Spawn(fmt.Sprintf("w%d", i), func(wp *sim.Proc) {
+				work(wp, i)
+				fin.TryPut(struct{}{})
+			})
+		}
+		for done := 0; done < n; done++ {
+			fin.Get(p)
+		}
+		elapsed = p.Now() - start
+	})
+	return elapsed
 }
 
 // AblationGen5Row is the §7 PCIe 5.0 projection.
@@ -199,21 +191,12 @@ func AblationDRAM(totalBytes int64) []AblationDRAMRow {
 			plCfg.DRAM.Turnaround = 0
 			plCfg.DRAM.RowMissPenalty = 0
 		}
-		pl := tapasco.NewPlatform(k, plCfg)
-		nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
-		st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.OnboardDRAM))
-		drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
+		node := tapasco.NewNode(k, plCfg)
+		st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.OnboardDRAM))
 		var wr float64
-		k.Spawn("main", func(p *sim.Proc) {
-			if err := drv.InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drv.AttachStreamer(p, st, 1); err != nil {
-				panic(err)
-			}
+		runInMain(node, func(p *sim.Proc) {
 			wr = streamer.SeqWrite(p, streamer.NewClient(st), 0, totalBytes).GBps()
 		})
-		k.Run(0)
 		return AblationDRAMRow{Label: label, SeqWriteGB: wr}
 	})
 }
@@ -237,31 +220,23 @@ func AblationHBM(totalBytes int64) []AblationHBMRow {
 			label = "HBM2, 32 channels (§7)"
 		}
 		k := sim.NewKernel()
-		pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-		nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+		node := tapasco.NewNode(k, tapasco.DefaultU280())
+		ssd := node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 		cfg := streamer.DefaultConfig("snacc0", 0, streamer.OnboardDRAM)
 		var st *streamer.Streamer
 		if hbm {
 			// HBM's channel parallelism also shortens the drain path.
 			cfg.DrainLatency = 1500 * sim.Nanosecond
-			st = pl.AddStreamerHBM(cfg, memmodel.NewHBM(k, memmodel.DefaultHBMConfig()))
+			st = node.AddStreamerHBM(ssd, cfg, memmodel.NewHBM(k, memmodel.DefaultHBMConfig()))
 		} else {
-			st = pl.AddStreamer(cfg)
+			st = node.AddStreamer(ssd, cfg)
 		}
-		drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
 		var wr, rd float64
-		k.Spawn("main", func(p *sim.Proc) {
-			if err := drv.InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drv.AttachStreamer(p, st, 1); err != nil {
-				panic(err)
-			}
+		runInMain(node, func(p *sim.Proc) {
 			c := streamer.NewClient(st)
 			wr = streamer.SeqWrite(p, c, 0, totalBytes).GBps()
 			rd = streamer.SeqRead(p, c, 0, totalBytes).GBps()
 		})
-		k.Run(0)
 		return AblationHBMRow{Label: label, SeqWriteGB: wr, SeqReadGB: rd}
 	})
 }
@@ -318,49 +293,23 @@ func AblationQP(counts []int, totalBytes int64) []AblationQPRow {
 		row := AblationQPRow{Streamers: n}
 		for _, random := range []bool{false, true} {
 			k := sim.NewKernel()
-			pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-			nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+			node := tapasco.NewNode(k, tapasco.DefaultU280())
+			ssd := node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 			var clients []*streamer.Client
-			var sts []*streamer.Streamer
 			for i := 0; i < n; i++ {
-				st := pl.AddStreamer(streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM))
-				sts = append(sts, st)
+				// Streamer i takes queue pair i+1.
+				st := node.AddStreamer(ssd, streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM))
 				clients = append(clients, streamer.NewClient(st))
 			}
-			drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
 			per := totalBytes / int64(n)
-			var start, end sim.Time
-			random := random
-			k.Spawn("main", func(p *sim.Proc) {
-				if err := drv.InitController(p); err != nil {
-					panic(err)
+			elapsed := timeParallel(node, n, func(p *sim.Proc, i int) {
+				if random {
+					streamer.RandRead(p, clients[i], span/int64(n), per, 4096, uint64(31+i))
+				} else {
+					streamer.SeqWrite(p, clients[i], uint64(i)*uint64(span/int64(n)), per)
 				}
-				for i := range sts {
-					if err := drv.AttachStreamer(p, sts[i], uint16(i+1)); err != nil {
-						panic(err)
-					}
-				}
-				start = p.Now()
-				fin := sim.NewChan[struct{}](k, n)
-				for i := 0; i < n; i++ {
-					c := clients[i]
-					base := uint64(i) * uint64(span/int64(n))
-					k.Spawn(fmt.Sprintf("w%d", i), func(wp *sim.Proc) {
-						if random {
-							streamer.RandRead(wp, c, span/int64(n), per, 4096, uint64(31+i))
-						} else {
-							streamer.SeqWrite(wp, c, base, per)
-						}
-						fin.TryPut(struct{}{})
-					})
-				}
-				for done := 0; done < n; done++ {
-					fin.Get(p)
-				}
-				end = p.Now()
 			})
-			k.Run(0)
-			gb := float64(totalBytes) / (end - start).Seconds() / 1e9
+			gb := float64(totalBytes) / elapsed.Seconds() / 1e9
 			if random {
 				row.RandReadGB = gb
 			} else {

@@ -27,43 +27,45 @@ func Variants() []streamer.Variant {
 
 // snaccRig is one assembled SNAcc system.
 type snaccRig struct {
-	k   *sim.Kernel
-	pl  *tapasco.Platform
-	dev *nvme.Device
-	st  *streamer.Streamer
-	c   *streamer.Client
+	k    *sim.Kernel
+	node *tapasco.Node
+	dev  *nvme.Device
+	st   *streamer.Streamer
+	c    *streamer.Client
 }
 
 // buildSNAcc assembles platform + SSD + streamer and runs initialization.
 func buildSNAcc(v streamer.Variant, mutSt func(*streamer.Config), mutDev func(*nvme.Config)) *snaccRig {
 	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", ssdBAR)
 	if mutDev != nil {
 		mutDev(&devCfg)
 	}
-	dev := nvme.New(k, pl.Fabric, devCfg)
+	ssd := node.AddSSD(devCfg)
 	stCfg := streamer.DefaultConfig("snacc0", 0, v)
 	if mutSt != nil {
 		mutSt(&stCfg)
 	}
-	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	ok := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
+	st := node.AddStreamer(ssd, stCfg)
+	if err := node.Boot(k); err != nil {
+		panic(err)
+	}
+	return &snaccRig{k: k, node: node, dev: ssd.Dev, st: st, c: streamer.NewClient(st)}
+}
+
+// runInMain spawns "main", which brings node up and then runs fn, and
+// drains the node's kernel — for rigs whose timed work shares the
+// bring-up's process.
+func runInMain(node *tapasco.Node, fn func(p *sim.Proc)) {
+	k := node.Platform.K
+	k.Spawn("main", func(p *sim.Proc) {
+		if err := node.Init(p); err != nil {
 			panic(err)
 		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			panic(err)
-		}
-		ok = true
+		fn(p)
 	})
 	k.Run(0)
-	if !ok {
-		panic("bench: initialization failed")
-	}
-	return &snaccRig{k: k, pl: pl, dev: dev, st: st, c: streamer.NewClient(st)}
 }
 
 // measure runs fn in a fresh proc and drains the kernel.

@@ -24,17 +24,6 @@ type CrashSweepRow struct {
 	Aborts      int64   // commands failed terminally (0 when recovery works)
 }
 
-// crashLadder enables the full recovery ladder on top of the per-command
-// reference settings: a two-timeout breaker, two reset attempts, and a 1 ms
-// controller-status poll as the fast-detect path (the 50 ms CmdTimeout is
-// sized for worst-case queue-depth bursts, far too slow for crash detection).
-func crashLadder(c *streamer.Config) {
-	faultRecovery(c)
-	c.BreakerThreshold = 2
-	c.MaxResets = 2
-	c.CFSPollInterval = sim.Millisecond
-}
-
 // CrashSweep measures URAM sequential-read goodput and mean time to recover
 // as the injected controller-crash rate grows. Each row builds a fresh rig
 // whose controller fatally crashes (CSTS.CFS, no fetches, no completions)
@@ -49,7 +38,7 @@ func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
 		if n == 1 {
 			panic("bench: CrashSweep period 1 can never make progress")
 		}
-		rig := buildSNAcc(streamer.URAM, crashLadder, nil)
+		rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmLadder, nil)
 		in := fault.NewInjector(faultSweepSeed)
 		if n > 0 {
 			in.Add(fault.Rule{Name: "ctrl-crash", Kind: fault.CrashCtrl,
@@ -78,7 +67,7 @@ func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
 // controller crashes every Nth command — the goodput dips are the
 // detect→reset→replay episodes the averaged sweep numbers hide.
 func CrashTimeline(everyN int64, totalBytes int64, window sim.Time) []TimelinePoint {
-	rig := buildSNAcc(streamer.URAM, crashLadder, nil)
+	rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmLadder, nil)
 	in := fault.NewInjector(faultSweepSeed)
 	if everyN > 0 {
 		in.Add(fault.Rule{Name: "ctrl-crash", Kind: fault.CrashCtrl,
@@ -123,37 +112,25 @@ type StripedDegradedRow struct {
 // surviving stripe reads back.
 func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
 	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	var sts []*streamer.Streamer
-	var drvs []*tapasco.Driver
 	for i := 0; i < members; i++ {
-		bar := uint64(ssdBAR) + uint64(i)*0x100000
-		name := fmt.Sprintf("ssd%d", i)
-		dev := nvme.New(k, pl.Fabric, nvme.DefaultConfig(name, bar))
+		ssd := node.AddSSD(nvme.DefaultConfig(fmt.Sprintf("ssd%d", i), uint64(ssdBAR)+uint64(i)*0x100000))
 		if i == 1 {
 			// Surprise-remove member 1 mid-stream: no reset revives it, so
 			// the ladder exhausts its resets and declares the member dead.
 			in := fault.NewInjector(faultSweepSeed)
 			in.Add(fault.Rule{Name: "remove", Kind: fault.RemoveCtrl,
 				Opcode: fault.OpAny, Nth: 8, Count: 1})
-			in.Attach(dev)
+			in.Attach(ssd.Dev)
 		}
 		stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM)
-		crashLadder(&stCfg)
-		sts = append(sts, pl.AddStreamer(stCfg))
-		drvs = append(drvs, tapasco.NewDriver(pl, name, bar))
+		stCfg.ArmLadder()
+		sts = append(sts, node.AddStreamer(ssd, stCfg))
 	}
 	row := StripedDegradedRow{Members: members, DeadMember: -1}
 	var start, end sim.Time
-	k.Spawn("main", func(p *sim.Proc) {
-		for i := range drvs {
-			if err := drvs[i].InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drvs[i].AttachStreamer(p, sts[i], 1); err != nil {
-				panic(err)
-			}
-		}
+	runInMain(node, func(p *sim.Proc) {
 		s := streamer.NewStriped(k, sts, sim.MiB)
 		start = p.Now()
 		for off := int64(0); off < totalBytes; off += sim.MiB {
@@ -171,7 +148,6 @@ func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
 		row.DegradedWrites = s.DegradedWrites()
 		row.DegradedReads = s.DegradedReads()
 	})
-	k.Run(0)
 	row.WriteGB = float64(totalBytes) / (end - start).Seconds() / 1e9
 	return row
 }

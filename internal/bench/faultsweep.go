@@ -24,15 +24,6 @@ type FaultSweepRow struct {
 	Amplification float64 // commands submitted / commands retired
 }
 
-// faultRecovery enables the streamer's recovery machinery with the sweep's
-// reference settings: a deadline comfortably above worst-case device latency,
-// three resubmissions, and a short exponential backoff base.
-func faultRecovery(c *streamer.Config) {
-	c.CmdTimeout = 50 * sim.Millisecond
-	c.MaxRetries = 3
-	c.RetryBackoff = 10 * sim.Microsecond
-}
-
 // FaultSweep measures sequential read goodput and retry amplification of the
 // URAM variant as the injected NVMe read-error rate grows. Each rate builds a
 // fresh rig with a deterministic injector (retryable StatusDataTransferError
@@ -42,7 +33,7 @@ func faultRecovery(c *streamer.Config) {
 func FaultSweep(ratesPct []float64, totalBytes int64) []FaultSweepRow {
 	return mapRows(len(ratesPct), func(i int) FaultSweepRow {
 		rate := ratesPct[i]
-		rig := buildSNAcc(streamer.URAM, faultRecovery, nil)
+		rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmRetry, nil)
 		in := fault.NewInjector(faultSweepSeed)
 		if rate > 0 {
 			in.Add(fault.Rule{Name: "read-errors", Kind: fault.StatusError,

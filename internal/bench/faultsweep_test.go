@@ -32,7 +32,7 @@ func TestFaultSweepBaselineRow(t *testing.T) {
 // Nothing is silently swallowed.
 func TestStatusFaultAccountingInvariant(t *testing.T) {
 	const total = sim.GiB // 1024 commands: ~10 injections expected at 1%
-	rig := buildSNAcc(streamer.URAM, faultRecovery, nil)
+	rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmRetry, nil)
 	in := fault.NewInjector(faultSweepSeed)
 	in.Add(fault.Rule{Name: "read-errors", Kind: fault.StatusError,
 		Opcode: nvme.OpRead, Probability: 0.01,
@@ -70,7 +70,7 @@ func TestStatusFaultAccountingInvariant(t *testing.T) {
 // must be dispositioned as a retry or an abort.
 func TestDropFaultAccountingInvariant(t *testing.T) {
 	const total = 64 * sim.MiB
-	rig := buildSNAcc(streamer.URAM, faultRecovery, nil)
+	rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmRetry, nil)
 	in := fault.NewInjector(faultSweepSeed)
 	in.Add(fault.Rule{Name: "drop-16th", Kind: fault.DropCQE,
 		Opcode: nvme.OpRead, Nth: 16})

@@ -80,15 +80,15 @@ func serveSpec(clients int, ops int, phases []workload.PhaseSpec) workload.OpenL
 // wire-latency edges, exactly like the case study's front end; results are
 // byte-identical either way.
 func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
-	var (
-		shard *sim.Shard
-		cliK  *sim.Kernel
-		toSrv *sim.Edge
-		toCli *sim.Edge
-	)
 	k := sim.NewKernel()
+	var (
+		eng          sim.Engine = k
+		cliK         *sim.Kernel
+		toSrv, toCli *sim.Edge
+	)
 	if kernelWorkers > 1 {
-		shard = sim.NewShard(kernelWorkers)
+		shard := sim.NewShard(kernelWorkers)
+		eng = shard
 		cliD := shard.AddDomain("clients")
 		fpga := shard.AddDomain("fpga")
 		k = fpga.Kernel()
@@ -97,15 +97,13 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 		toSrv = shard.MustConnect(cliD, fpga, look)
 		toCli = shard.MustConnect(fpga, cliD, look)
 	}
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
-	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
+	st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	lanes := []serve.Lane{streamer.NewClient(st)}
 
 	var tier *serve.Tier
 	var err error
-	if shard != nil {
+	if cliK != nil {
 		tier, err = serve.NewCross(cliK, k, toSrv, toCli, cfg, spec, lanes)
 	} else {
 		tier, err = serve.New(k, cfg, spec, lanes)
@@ -114,35 +112,13 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 		panic(err)
 	}
 
-	ok := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			panic(err)
-		}
-		ok = true
-	})
-	drain := func() {
-		if shard != nil {
-			shard.Run(0)
-		} else {
-			k.Run(0)
-		}
-	}
-	drain()
-	if !ok {
-		panic("bench: serve rig initialization failed")
-	}
-	now := k.Now()
-	if shard != nil {
-		now = shard.Now()
-	}
-	if err := tier.Start(now); err != nil {
+	if err := node.Boot(eng); err != nil {
 		panic(err)
 	}
-	drain()
+	if err := tier.Start(eng.Now()); err != nil {
+		panic(err)
+	}
+	eng.Run(0)
 	return tier.Report()
 }
 

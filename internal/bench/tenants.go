@@ -52,23 +52,22 @@ const (
 // run path when domain-level workers are configured (results are identical
 // either way; the determinism tests sweep both axes).
 type tenantRig struct {
-	k     *sim.Kernel
-	shard *sim.Shard
-	hub   *streamer.TenantHub
+	k   *sim.Kernel
+	eng sim.Engine
+	hub *streamer.TenantHub
 }
 
 func newTenantRig(fifo bool) *tenantRig {
 	r := &tenantRig{}
 	r.k = sim.NewKernel()
+	r.eng = r.k
 	if kernelWorkers > 1 {
-		r.shard = sim.NewShard(kernelWorkers)
-		r.k = r.shard.AddDomain("fpga").Kernel()
+		shard := sim.NewShard(kernelWorkers)
+		r.eng = shard
+		r.k = shard.AddDomain("fpga").Kernel()
 	}
-	pl := tapasco.NewPlatform(r.k, tapasco.DefaultU280())
-	nvme.New(r.k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
-	stCfg := streamer.DefaultConfig("snacc0", 0, streamer.URAM)
-	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
+	node := tapasco.NewNode(r.k, tapasco.DefaultU280())
+	st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	hub, err := streamer.NewTenantHub(r.k, st, []streamer.TenantConfig{
 		{Name: "victim", Weight: 1, LBAStart: 0, LBABytes: tenantWindowBytes},
 		{Name: "noisy", Weight: 1, LBAStart: uint64(tenantWindowBytes), LBABytes: tenantWindowBytes},
@@ -77,30 +76,10 @@ func newTenantRig(fifo bool) *tenantRig {
 		panic(err)
 	}
 	r.hub = hub
-	ok := false
-	r.k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			panic(err)
-		}
-		ok = true
-	})
-	r.drain()
-	if !ok {
-		panic("bench: tenant rig initialization failed")
+	if err := node.Boot(r.eng); err != nil {
+		panic(err)
 	}
 	return r
-}
-
-// drain runs the rig to quiescence on whichever engine owns it.
-func (r *tenantRig) drain() {
-	if r.shard != nil {
-		r.shard.Run(0)
-	} else {
-		r.k.Run(0)
-	}
 }
 
 // victimLoop issues ops paced 4 KiB random reads and returns via elapsed.
@@ -159,7 +138,7 @@ func runTenantRig(sched string, fifo, withNoisy bool, victimOps, noisyOps int) [
 	if withNoisy {
 		rig.k.Spawn("noisy", noisyLoop(rig.hub.Client(1), noisyOps, &nElapsed))
 	}
-	rig.drain()
+	rig.eng.Run(0)
 
 	row := func(tenant int, elapsed sim.Time) TenantSweepRow {
 		st := rig.hub.Stats()[tenant]

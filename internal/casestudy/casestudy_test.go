@@ -166,7 +166,7 @@ var _ = fmt.Sprintf
 // image and record on the SSD media byte for byte.
 func verifySNAccContent(t *testing.T, cfg Config, v streamer.Variant) {
 	t.Helper()
-	res, dev := runSNAcc(v, cfg)
+	res, dev := runSNAcc(v, cfg, nil)
 	if res.Errors != 0 {
 		t.Fatalf("%s: %d errors", v, res.Errors)
 	}
@@ -262,7 +262,7 @@ func TestImageLatencyAccounting(t *testing.T) {
 	// sensible: at least the storage time of one ~9 MB image, and well
 	// under a second even with flow-control stalls.
 	cfg := smallConfig(48)
-	res, _ := runSNAcc(streamer.HostDRAM, cfg)
+	res, _ := runSNAcc(streamer.HostDRAM, cfg, nil)
 	if res.ImageLatency.Count() != cfg.Images {
 		t.Fatalf("latency samples = %d, want %d", res.ImageLatency.Count(), cfg.Images)
 	}

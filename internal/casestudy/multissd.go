@@ -18,23 +18,20 @@ import (
 // with two or more SSDs the pipeline runs into the 100 G link itself.
 func RunSNAccStriped(n int, cfg Config) Result {
 	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	var sts []*streamer.Streamer
 	var devs []*nvme.Device
-	var drvs []*tapasco.Driver
 	for i := 0; i < n; i++ {
-		bar := uint64(caseSSDBAR) + uint64(i)*0x100000
-		name := fmt.Sprintf("ssd%d", i)
-		devCfg := nvme.DefaultConfig(name, bar)
+		devCfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", i), uint64(caseSSDBAR)+uint64(i)*0x100000)
 		devCfg.Functional = cfg.Functional
-		devs = append(devs, nvme.New(k, pl.Fabric, devCfg))
+		ssd := node.AddSSD(devCfg)
+		devs = append(devs, ssd.Dev)
 		// URAM members: their P2P fetch paths are fully independent, so
 		// aggregate bandwidth scales with the SSD count until the network
 		// or the card link caps it.
 		stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM)
 		stCfg.Functional = cfg.Functional
-		sts = append(sts, pl.AddStreamer(stCfg))
-		drvs = append(drvs, tapasco.NewDriver(pl, name, bar))
+		sts = append(sts, node.AddStreamer(ssd, stCfg))
 	}
 
 	fe := newFrontEnd(k, cfg)
@@ -44,13 +41,8 @@ func RunSNAccStriped(n int, cfg Config) Result {
 	var start, end sim.Time
 
 	k.Spawn("main", func(p *sim.Proc) {
-		for i := range drvs {
-			if err := drvs[i].InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drvs[i].AttachStreamer(p, sts[i], 1); err != nil {
-				panic(err)
-			}
+		if err := node.Init(p); err != nil {
+			panic(err)
 		}
 		striped := streamer.NewStriped(k, sts, sim.MiB)
 		start = p.Now()
@@ -89,13 +81,10 @@ func RunSNAccStriped(n int, cfg Config) Result {
 		EthernetPauses: fe.tx.PausesHonored(),
 		FramesDropped:  fe.rx.FramesDropped(),
 	}
-	ports := map[string]*pcie.Port{"card": pl.Card, "host": pl.Host.Port}
+	ports := map[string]*pcie.Port{"card": node.Platform.Card, "host": node.Platform.Host.Port}
 	for i, d := range devs {
 		ports[fmt.Sprintf("ssd%d", i)] = d.Port()
-		res.Errors += d.Errors()
-	}
-	for _, st := range sts {
-		res.Errors += st.CommandErrors()
+		res.Errors += d.Errors() + sts[i].CommandErrors()
 	}
 	collectPCIe(&res, ports)
 	return res

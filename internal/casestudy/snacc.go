@@ -16,41 +16,39 @@ const caseSSDBAR = 0x10_0000_0000
 // initialization "the entire application operates autonomously on the FPGA
 // without any host interaction" (§6).
 func RunSNAcc(v streamer.Variant, cfg Config) Result {
-	res, _ := runSNAcc(v, cfg)
+	res, _ := runSNAcc(v, cfg, nil)
 	return res
 }
 
-func runSNAcc(v streamer.Variant, cfg Config) (Result, *nvme.Device) {
-	return runSNAccInner(v, cfg, nil)
-}
-
-func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Result, *nvme.Device) {
+func runSNAcc(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Result, *nvme.Device) {
 	// With KernelWorkers > 1 the rig splits at the Ethernet wire: the
 	// transmitter FPGA gets its own shard domain, everything PCIe-coupled
 	// (platform, streamer, SSD, receive PEs) stays together, and the two
 	// advance concurrently under conservative sync with the wire latency as
 	// lookahead. With 0 or 1 everything runs on one serial kernel.
+	k := sim.NewKernel()
 	var (
 		shard *sim.Shard
 		txd   *sim.Domain
+		eng   sim.Engine = k
 	)
-	k := sim.NewKernel()
 	if cfg.KernelWorkers > 1 {
 		shard = sim.NewShard(cfg.KernelWorkers)
+		eng = shard
 		txd = shard.AddDomain("txfpga")
 		k = shard.AddDomain("fpga").Kernel()
 	}
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", caseSSDBAR)
 	devCfg.Functional = cfg.Functional
-	dev := nvme.New(k, pl.Fabric, devCfg)
+	ssd := node.AddSSD(devCfg)
+	dev := ssd.Dev
 	if devHook != nil {
 		devHook(dev)
 	}
 	stCfg := streamer.DefaultConfig("snacc0", 0, v)
 	stCfg.Functional = cfg.Functional
-	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", caseSSDBAR)
+	st := node.AddStreamer(ssd, stCfg)
 
 	var fe *frontEnd
 	if shard != nil {
@@ -69,10 +67,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 	sentAt := make([]sim.Time, 0, cfg.Images)
 
 	k.Spawn("main", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
+		if err := node.Init(p); err != nil {
 			panic(err)
 		}
 		c := streamer.NewClient(st)
@@ -114,11 +109,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 		}
 		doneC.Get(p)
 	})
-	if shard != nil {
-		shard.Run(0)
-	} else {
-		k.Run(0)
-	}
+	eng.Run(0)
 
 	res := Result{
 		Variant:        variantName(v),
@@ -132,9 +123,9 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 		Errors:         dev.Errors() + st.CommandErrors(),
 	}
 	collectPCIe(&res, map[string]*pcie.Port{
-		"card": pl.Card,
+		"card": node.Platform.Card,
 		"ssd":  dev.Port(),
-		"host": pl.Host.Port,
+		"host": node.Platform.Host.Port,
 	})
 	return res, dev
 }
@@ -151,7 +142,7 @@ func collectPCIe(res *Result, ports map[string]*pcie.Port) {
 // runSNAccWithFaults is a test hook: every Nth NVMe write fails with an
 // internal error, exercising error propagation through the Streamer.
 func runSNAccWithFaults(cfg Config, v streamer.Variant, everyN int64) (Result, *nvme.Device) {
-	res, dev := runSNAccInner(v, cfg, func(d *nvme.Device) {
+	res, dev := runSNAcc(v, cfg, func(d *nvme.Device) {
 		n := int64(0)
 		d.SetFaultInjector(func(cmd nvme.Command) uint16 {
 			if cmd.Opcode != nvme.OpWrite {

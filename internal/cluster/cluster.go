@@ -28,10 +28,6 @@ import (
 	"snacc/internal/streamer"
 )
 
-// nodeBAR is where each node's private fabric places its SSD register BAR
-// (nodes are independent PCIe fabrics, so the address can repeat).
-const nodeBAR = 0x10_0000_0000
-
 // DefaultChunkBytes is the replication granule: the unit of placement,
 // locking, and repair. 256 KiB keeps a whole-chunk repair copy to one
 // capsule exchange under the default Ethernet FIFO sizing.
@@ -120,7 +116,7 @@ type Config struct {
 	// node domain owns its PRNG stream.
 	NodeInjector func(node int) *fault.Injector
 	// StreamerTune, when set, adjusts a node's Streamer config after the
-	// cluster recovery defaults are applied.
+	// recovery ladder is armed (streamer.Config.ArmLadder).
 	StreamerTune func(node int, cfg *streamer.Config)
 	// Partitions lists link-level fault windows (see Partition).
 	Partitions []Partition
@@ -255,9 +251,6 @@ func New(cfg Config) (*Cluster, error) {
 		if n.initErr != nil {
 			return nil, fmt.Errorf("cluster: node %d init: %w", n.id, n.initErr)
 		}
-		if !n.initOK {
-			return nil, fmt.Errorf("cluster: node %d initialization stalled", n.id)
-		}
 	}
 
 	cl.co = newCoordinator(cl, comac)
@@ -331,6 +324,31 @@ func (cl *Cluster) Spans() []obs.Span {
 	var out []obs.Span
 	for _, n := range cl.nodes {
 		out = append(out, n.tracer.Spans()...)
+	}
+	return out
+}
+
+// StageHist returns the latency histogram of the transition into stage st,
+// merged over the node tracers in node order (nil without TraceSpans or for
+// an unknown stage).
+func (cl *Cluster) StageHist(st obs.Stage) *obs.Hist {
+	return cl.mergeHists(func(t *obs.Tracer) *obs.Hist { return t.StageHist(st) })
+}
+
+// E2E returns the end-to-end latency histogram for the given direction,
+// merged over the node tracers in node order (nil without TraceSpans).
+func (cl *Cluster) E2E(write bool) *obs.Hist {
+	return cl.mergeHists(func(t *obs.Tracer) *obs.Hist { return t.E2E(write) })
+}
+
+func (cl *Cluster) mergeHists(pick func(*obs.Tracer) *obs.Hist) *obs.Hist {
+	out := &obs.Hist{}
+	for _, n := range cl.nodes {
+		h := pick(n.tracer)
+		if h == nil {
+			return nil
+		}
+		out.Merge(h)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"snacc/internal/ethernet"
@@ -12,11 +13,12 @@ import (
 	"snacc/internal/tapasco"
 )
 
-// node is one cluster member: a full TaPaSCo platform (its own PCIe
-// fabric), one NVMe SSD, one Streamer, and a MAC — all owned by the node's
-// shard domain. The serve loop applies capsules strictly in arrival order,
-// which together with the switch's per-egress FIFO gives each node
-// read-your-writes ordering without any protocol-level sequencing.
+// node is one cluster member: a tapasco.Node built exactly like the
+// facade's single system (its own platform and PCIe fabric, one NVMe SSD,
+// one Streamer) plus a MAC — all owned by the node's shard domain. The
+// serve loop applies capsules strictly in arrival order, which together
+// with the switch's per-egress FIFO gives each node read-your-writes
+// ordering without any protocol-level sequencing.
 type node struct {
 	id  int
 	k   *sim.Kernel
@@ -29,47 +31,39 @@ type node struct {
 	rx     *fault.LinkInjector
 	tracer *obs.Tracer
 
-	initOK  bool
+	// initErr is the outcome of the node's init process: nil once the
+	// bring-up completed, a stall error until then.
 	initErr error
-}
-
-// clusterRecoveryDefaults arms the Streamer's full recovery ladder — the
-// cluster's health tracker depends on nodes resolving local faults
-// (bounded retry, breaker, reset+replay) or failing commands terminally,
-// never stalling them.
-func clusterRecoveryDefaults(cfg *streamer.Config) {
-	cfg.CmdTimeout = 50 * sim.Millisecond
-	cfg.MaxRetries = 3
-	cfg.RetryBackoff = 10 * sim.Microsecond
-	cfg.BreakerThreshold = 2
-	cfg.MaxResets = 2
-	cfg.CFSPollInterval = sim.Millisecond
 }
 
 // newNode assembles node id on its domain kernel and spawns its init
 // process (drained by New before traffic starts).
 func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	n := &node{id: id, k: k}
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	devName := fmt.Sprintf("ssd%d", id)
-	devCfg := nvme.DefaultConfig(devName, nodeBAR)
+	tn := tapasco.NewNode(k, tapasco.DefaultU280())
+	// BAR assigned by enumeration; each node is its own PCIe fabric.
+	devCfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", id), 0)
 	devCfg.Functional = cfg.Functional
 	if cfg.Seed != 0 {
 		// Distinct per-node NAND jitter streams from one cluster seed.
 		devCfg.NAND.Seed = splitmix64(cfg.Seed + uint64(id))
 	}
-	n.dev = nvme.New(k, pl.Fabric, devCfg)
+	ssd := tn.AddSSD(devCfg)
+	n.dev = ssd.Dev
 
 	stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", id), 0, cfg.Variant)
 	stCfg.Functional = cfg.Functional
 	if cfg.QueueDepth > 0 {
 		stCfg.QueueDepth = cfg.QueueDepth
 	}
-	clusterRecoveryDefaults(&stCfg)
+	// The health tracker depends on nodes resolving local faults (bounded
+	// retry, breaker, reset+replay) or failing commands terminally, never
+	// stalling them: every node arms the full recovery ladder.
+	stCfg.ArmLadder()
 	if cfg.StreamerTune != nil {
 		cfg.StreamerTune(id, &stCfg)
 	}
-	n.st = pl.AddStreamer(stCfg)
+	n.st = tn.AddStreamer(ssd, stCfg)
 	n.c = streamer.NewClient(n.st)
 
 	if cfg.NodeInjector != nil {
@@ -80,13 +74,7 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	if cfg.TraceSpans {
 		n.tracer = obs.NewTracer(cfg.SpanLimit)
 		n.tracer.SetNode(id)
-		n.st.SetTracer(n.tracer)
-		st := n.st
-		n.dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-			if qid >= 1 && int(qid) <= st.IOQueues() {
-				st.OnDeviceEvent(cid, stage, at)
-			}
-		})
+		tn.Trace(n.tracer)
 	}
 
 	n.rx = fault.NewLinkInjector(splitmix64(cfg.Seed + uint64(id) + 0x746f))
@@ -103,18 +91,8 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	}
 
 	n.mac = ethernet.NewMAC(k, fmt.Sprintf("node%d", id), ecfg)
-	drv := tapasco.NewDriver(pl, devName, nodeBAR)
-	k.Spawn(fmt.Sprintf("node%d.init", id), func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			n.initErr = err
-			return
-		}
-		if err := drv.AttachStreamer(p, n.st, 1); err != nil {
-			n.initErr = err
-			return
-		}
-		n.initOK = true
-	})
+	n.initErr = errors.New("initialization stalled")
+	k.Spawn(fmt.Sprintf("node%d.init", id), func(p *sim.Proc) { n.initErr = tn.Init(p) })
 	return n
 }
 

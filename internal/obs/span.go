@@ -369,10 +369,10 @@ func (t *Tracer) Events() []Annot {
 }
 
 // StageHist returns the latency histogram of the transition into stage st
-// (nil for a nil tracer). The histogram aggregates reads and writes; use
-// Breakdown over Spans for a per-direction view.
+// (nil for a nil tracer or an unknown stage). The histogram aggregates
+// reads and writes; use Breakdown over Spans for a per-direction view.
 func (t *Tracer) StageHist(st Stage) *Hist {
-	if t == nil {
+	if t == nil || st >= NumStages {
 		return nil
 	}
 	return &t.stage[st]

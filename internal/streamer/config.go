@@ -167,6 +167,26 @@ type Config struct {
 	CFSPollInterval sim.Time
 }
 
+// ArmRetry enables per-command recovery at the reference settings: a
+// 50 ms watchdog (comfortably above worst-case device latency), three
+// resubmissions and a 10 µs backoff base.
+func (c *Config) ArmRetry() {
+	c.CmdTimeout = 50 * sim.Millisecond
+	c.MaxRetries = 3
+	c.RetryBackoff = 10 * sim.Microsecond
+}
+
+// ArmLadder is ArmRetry plus the crash-recovery ladder: a breaker that
+// trips on two consecutive timeouts, two reset attempts per trip, and a
+// 1 ms controller-status poll as the fast crash-detect path (the watchdog
+// is sized for queue-depth bursts, far too slow to detect a crash).
+func (c *Config) ArmLadder() {
+	c.ArmRetry()
+	c.BreakerThreshold = 2
+	c.MaxResets = 2
+	c.CFSPollInterval = sim.Millisecond
+}
+
 // MaxIOQueues bounds Config.IOQueues: every variant's window layout
 // reserves 2*ctrlRegionGap of control space per queue pair after the PRP
 // region, and the tightest variant (host DRAM) has exactly room for 8 —

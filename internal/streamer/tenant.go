@@ -644,16 +644,26 @@ func (h *TenantHub) Stats() []TenantStats {
 }
 
 // ReadLatency returns a copy of tenant i's accept→complete read-latency
-// histogram.
-func (h *TenantHub) ReadLatency(i int) obs.Hist { return h.tenants[i].readLat }
+// histogram (the zero histogram for an index outside the tenants).
+func (h *TenantHub) ReadLatency(i int) obs.Hist { return h.at(i).readLat }
 
 // WriteLatency returns a copy of tenant i's accept→complete write-latency
-// histogram.
-func (h *TenantHub) WriteLatency(i int) obs.Hist { return h.tenants[i].writeLat }
+// histogram (the zero histogram for an index outside the tenants).
+func (h *TenantHub) WriteLatency(i int) obs.Hist { return h.at(i).writeLat }
 
 // QueueWait returns a copy of tenant i's accept→dispatch wait histogram —
-// the time commands spent queued behind the scheduler.
-func (h *TenantHub) QueueWait(i int) obs.Hist { return h.tenants[i].queueLat }
+// the time commands spent queued behind the scheduler (the zero histogram
+// for an index outside the tenants).
+func (h *TenantHub) QueueWait(i int) obs.Hist { return h.at(i).queueLat }
+
+// at returns tenant i, or an idle zero tenant for an index outside the
+// tenants.
+func (h *TenantHub) at(i int) *Tenant {
+	if i < 0 || i >= len(h.tenants) {
+		return &Tenant{}
+	}
+	return h.tenants[i]
+}
 
 // Client returns a client for tenant i's port. Addresses are
 // window-relative.

@@ -111,16 +111,8 @@ func (d *Driver) InitController(p *sim.Proc) error {
 	h.Port.WriteB(p, d.bar+nvme.RegASQ, 8, le64b(d.asq))
 	h.Port.WriteB(p, d.bar+nvme.RegACQ, 8, le64b(d.acq))
 	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(nvme.CCEnable))
-	for i := 0; ; i++ {
-		buf := make([]byte, 4)
-		h.Port.ReadB(p, d.bar+nvme.RegCSTS, 4, buf)
-		if le32(buf)&nvme.CSTSReady != 0 {
-			break
-		}
-		if i > 1000 {
-			return fmt.Errorf("tapasco: controller never became ready")
-		}
-		p.Sleep(10 * sim.Microsecond)
+	if err := d.pollCSTS(p, false, "controller never became ready", ready); err != nil {
+		return err
 	}
 	idBuf := h.Alloc(nvme.PageSize, nvme.PageSize)
 	if _, err := d.adminCmd(p, nvme.Command{Opcode: nvme.OpIdentify, PRP1: idBuf, CDW10: nvme.CNSController}); err != nil {
@@ -212,20 +204,10 @@ func (d *Driver) createStreamerQueues(p *sim.Proc, st *streamer.Streamer, qid ui
 func (d *Driver) ResetController(p *sim.Proc) error {
 	h := d.pl.Host
 	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(0))
-	for i := 0; ; i++ {
-		buf := make([]byte, 4)
-		h.Port.ReadB(p, d.bar+nvme.RegCSTS, 4, buf)
-		v := le32(buf)
-		if v == ^uint32(0) {
-			return fmt.Errorf("tapasco: controller absent (CSTS floats all-1s)")
-		}
-		if v&(nvme.CSTSReady|nvme.CSTSFatal) == 0 {
-			break
-		}
-		if i > 1000 {
-			return fmt.Errorf("tapasco: controller never left ready/fatal state (CSTS %#x)", v)
-		}
-		p.Sleep(10 * sim.Microsecond)
+	if err := d.pollCSTS(p, true, "controller never left ready/fatal state", func(v uint32) bool {
+		return v&(nvme.CSTSReady|nvme.CSTSFatal) == 0
+	}); err != nil {
+		return err
 	}
 	// Discard stale admin state: any in-flight admin commands died with the
 	// old controller generation, and the completion ring restarts at phase 1
@@ -237,39 +219,42 @@ func (d *Driver) ResetController(p *sim.Proc) error {
 	h.Port.WriteB(p, d.bar+nvme.RegASQ, 8, le64b(d.asq))
 	h.Port.WriteB(p, d.bar+nvme.RegACQ, 8, le64b(d.acq))
 	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(nvme.CCEnable))
+	return d.pollCSTS(p, true, "controller never became ready after reset", ready)
+}
+
+func ready(csts uint32) bool { return csts&nvme.CSTSReady != 0 }
+
+// pollCSTS reads the controller status every 10 µs until done holds. It
+// gives up with the timeout error after about 1000 polls, and at once on an
+// all-1s read (surprise removal floats the registers) when absent is set.
+func (d *Driver) pollCSTS(p *sim.Proc, absent bool, timeout string, done func(csts uint32) bool) error {
 	for i := 0; ; i++ {
 		buf := make([]byte, 4)
-		h.Port.ReadB(p, d.bar+nvme.RegCSTS, 4, buf)
+		d.pl.Host.Port.ReadB(p, d.bar+nvme.RegCSTS, 4, buf)
 		v := le32(buf)
-		if v == ^uint32(0) {
+		if absent && v == ^uint32(0) {
 			return fmt.Errorf("tapasco: controller absent (CSTS floats all-1s)")
 		}
-		if v&nvme.CSTSReady != 0 {
-			break
+		if done(v) {
+			return nil
 		}
 		if i > 1000 {
-			return fmt.Errorf("tapasco: controller never became ready after reset")
+			return fmt.Errorf("tapasco: %s (CSTS %#x)", timeout, v)
 		}
 		p.Sleep(10 * sim.Microsecond)
 	}
-	return nil
-}
-
-// ReattachQueues recreates I/O queue pairs qid..qid+IOQueues-1 at the
-// Streamer's existing window addresses after a controller reset. IOMMU
-// grants and the Streamer's doorbell programming from AttachStreamer are
-// still valid; re-running Configure only refreshes them idempotently.
-func (d *Driver) ReattachQueues(p *sim.Proc, st *streamer.Streamer, qid uint16) error {
-	return d.createStreamerQueues(p, st, qid)
 }
 
 // ResetAndReattach is the full recovery sequence the Streamer's circuit
-// breaker invokes: controller reset followed by I/O queue rebuild.
+// breaker invokes: controller reset, then the I/O queues recreated at the
+// Streamer's existing window addresses (the IOMMU grants from
+// AttachStreamer still hold; re-running Configure refreshes the doorbell
+// programming idempotently).
 func (d *Driver) ResetAndReattach(p *sim.Proc, st *streamer.Streamer, qid uint16) error {
 	if err := d.ResetController(p); err != nil {
 		return err
 	}
-	return d.ReattachQueues(p, st, qid)
+	return d.createStreamerQueues(p, st, qid)
 }
 
 // Little-endian helpers.

@@ -392,7 +392,7 @@ func (f *FaultOptions) wantsBreaker() bool {
 // programmed).
 type System struct {
 	kernel   *sim.Kernel
-	shard    *sim.Shard // nil when KernelWorkers <= 1 (plain serial kernel)
+	eng      sim.Engine // kernel, or the shard it is a domain of (KernelWorkers > 1)
 	plat     *tapasco.Platform
 	dev      *nvme.Device
 	st       *streamer.Streamer
@@ -406,9 +406,6 @@ type System struct {
 	cluster *cluster.Cluster // nil unless Options.Cluster was set
 	serve   *serve.Tier      // nil unless Options.Serve was set
 }
-
-// systemBARWindow is where enumeration places discovered device BARs.
-const systemBARWindow = 0x10_0000_0000
 
 // NewSystem builds and initializes a system. The SSD's register BAR is not
 // hard-coded: the host enumerates the fabric's config space and locates
@@ -436,15 +433,15 @@ func NewSystem(opts Options) (*System, error) {
 		}
 		return newClusterSystem(opts, functional)
 	}
-	var (
-		shard    *sim.Shard
-		fleetK   *sim.Kernel // serve client fleet's domain kernel (sharded runs)
-		toServer *sim.Edge
-		toFleet  *sim.Edge
-	)
 	k := sim.NewKernel()
+	var (
+		eng               sim.Engine  = k
+		fleetK            *sim.Kernel // serve client fleet's domain kernel (sharded runs)
+		toServer, toFleet *sim.Edge
+	)
 	if opts.KernelWorkers > 1 {
-		shard = sim.NewShard(opts.KernelWorkers)
+		shard := sim.NewShard(opts.KernelWorkers)
+		eng = shard
 		sysD := shard.AddDomain("system")
 		k = sysD.Kernel()
 		if opts.Serve != nil {
@@ -458,13 +455,13 @@ func NewSystem(opts Options) (*System, error) {
 			toFleet = shard.MustConnect(sysD, fleet, look)
 		}
 	}
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", 0) // BAR assigned by enumeration
 	devCfg.Functional = functional
 	if opts.Seed != 0 {
 		devCfg.NAND.Seed = opts.Seed
 	}
-	dev := nvme.New(k, pl.Fabric, devCfg)
+	ssd := node.AddSSD(devCfg)
 	stCfg := streamer.DefaultConfig("snacc0", 0, opts.Variant)
 	stCfg.Functional = functional
 	stCfg.OutOfOrder = opts.OutOfOrder
@@ -476,60 +473,25 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.Faults != nil {
 		applyFaultRecovery(&stCfg, opts.Faults)
 	}
-	st := pl.AddStreamer(stCfg)
+	st := node.AddStreamer(ssd, stCfg)
 	var injector *fault.Injector
 	if opts.Faults != nil {
 		injector = buildInjector(opts.Faults)
-		injector.Attach(dev)
+		injector.Attach(ssd.Dev)
 	}
 	var tracer *obs.Tracer
 	var boundary *pcie.Tracer
 	if opts.Trace != nil {
 		tracer = obs.NewTracer(opts.Trace.SpanLimit)
-		st.SetTracer(tracer)
-		// The device reports fetch/execute events by qid/cid; the Streamer
-		// owns I/O queues 1..IOQueues (see AttachStreamer below) and maps
-		// the CID — unique across its queues, it is the reorder-buffer
-		// slot — back to the command.
-		dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-			if qid >= 1 && int(qid) <= st.IOQueues() {
-				st.OnDeviceEvent(cid, stage, at)
-			}
-		})
+		node.Trace(tracer)
 		if opts.Trace.Boundary {
-			boundary = attachBoundaryTracer(k, pl, st)
+			boundary = node.Platform.AttachBoundaryTracer(st)
 		}
 	}
-	nvmes := pcie.FindByClass(pl.Fabric.Enumerate(systemBARWindow), pcie.ClassNVMe)
-	if len(nvmes) != 1 {
-		return nil, fmt.Errorf("snacc: enumeration found %d NVMe controllers, want 1", len(nvmes))
+	if err := node.Boot(eng); err != nil {
+		return nil, err
 	}
-	drv := tapasco.NewDriver(pl, nvmes[0].Name, nvmes[0].BARBase)
-	var initErr error
-	done := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			initErr = err
-			return
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			initErr = err
-			return
-		}
-		done = true
-	})
-	if shard != nil {
-		shard.Run(0)
-	} else {
-		k.Run(0)
-	}
-	if initErr != nil {
-		return nil, initErr
-	}
-	if !done {
-		return nil, fmt.Errorf("snacc: initialization stalled")
-	}
-	sys := &System{kernel: k, shard: shard, plat: pl, dev: dev, st: st,
+	sys := &System{kernel: k, eng: eng, plat: node.Platform, dev: ssd.Dev, st: st,
 		injector: injector, tracer: tracer, boundary: boundary}
 	if len(opts.Tenants) == 0 {
 		sys.lanes = []*streamer.Client{streamer.NewClient(st)}
@@ -551,7 +513,7 @@ func NewSystem(opts Options) (*System, error) {
 		}
 		var tier *serve.Tier
 		var err error
-		if shard != nil {
+		if fleetK != nil {
 			tier, err = serve.NewCross(fleetK, k, toServer, toFleet, cfg, spec, lanes)
 		} else {
 			tier, err = serve.New(k, cfg, spec, lanes)
@@ -564,68 +526,35 @@ func NewSystem(opts Options) (*System, error) {
 	return sys, nil
 }
 
-// attachBoundaryTracer installs a PCIe tracer at the staging-buffer
-// boundary: the card port for the on-card variants (filtered to the payload
-// window), the host port for the host-DRAM variant — exactly where the
-// paper's §5.2 ILA sits.
-func attachBoundaryTracer(k *sim.Kernel, pl *tapasco.Platform, st *streamer.Streamer) *pcie.Tracer {
-	tr := pcie.NewTracer(k)
-	cfg := st.Config()
-	if cfg.Variant != streamer.HostDRAM {
-		base := cfg.WindowBase
-		span := uint64(cfg.ReadBufBytes + cfg.WriteBufBytes)
-		if cfg.Variant == streamer.URAM {
-			span = uint64(cfg.ReadBufBytes)
-		}
-		tr.Filter = func(addr uint64, n int64) bool {
-			return addr >= base && addr < base+span && n >= 4096
-		}
-		pl.Card.AttachTracer(tr)
-		return tr
-	}
-	hostCfg := pl.Config().Host
-	tr.Filter = func(addr uint64, n int64) bool {
-		return addr >= hostCfg.MemBase && n >= 4096
-	}
-	pl.Host.Port.AttachTracer(tr)
-	return tr
-}
-
-// applyFaultRecovery maps FaultOptions onto the Streamer's recovery knobs,
-// filling in the documented defaults.
+// applyFaultRecovery maps FaultOptions onto the Streamer's recovery knobs:
+// the reference settings (streamer.Config.ArmRetry, or ArmLadder when the
+// options ask for the crash-recovery ladder) with each set field overriding
+// its default.
 func applyFaultRecovery(cfg *streamer.Config, f *FaultOptions) {
-	cfg.CmdTimeout = 50 * sim.Millisecond
+	ladder := f.wantsBreaker()
+	if ladder {
+		cfg.ArmLadder()
+	} else {
+		cfg.ArmRetry()
+	}
 	if f.CmdTimeoutNs > 0 {
 		cfg.CmdTimeout = sim.Time(f.CmdTimeoutNs)
 	}
-	switch {
-	case f.MaxRetries < 0:
-		cfg.MaxRetries = 0
-	case f.MaxRetries == 0:
-		cfg.MaxRetries = 3
-	default:
-		cfg.MaxRetries = f.MaxRetries
+	if f.MaxRetries != 0 {
+		cfg.MaxRetries = max(f.MaxRetries, 0)
 	}
-	cfg.RetryBackoff = 10 * sim.Microsecond
 	if f.RetryBackoffNs > 0 {
 		cfg.RetryBackoff = sim.Time(f.RetryBackoffNs)
 	}
-	if !f.wantsBreaker() {
+	if !ladder {
 		return
 	}
-	cfg.BreakerThreshold = 2
 	if f.BreakerThreshold > 0 {
 		cfg.BreakerThreshold = f.BreakerThreshold
 	}
-	switch {
-	case f.MaxResets < 0:
-		cfg.MaxResets = 0
-	case f.MaxResets == 0:
-		cfg.MaxResets = 2
-	default:
-		cfg.MaxResets = f.MaxResets
+	if f.MaxResets != 0 {
+		cfg.MaxResets = max(f.MaxResets, 0)
 	}
-	cfg.CFSPollInterval = sim.Millisecond
 	if f.CrashDetectTimeoutNs > 0 {
 		cfg.CFSPollInterval = sim.Time(f.CrashDetectTimeoutNs)
 	}
@@ -769,11 +698,7 @@ func (s *System) Execute(fn func(h *Handle)) {
 	s.kernel.Spawn("app", func(p *sim.Proc) {
 		fn(&Handle{p: p, sys: s})
 	})
-	if s.shard != nil {
-		s.shard.Run(0)
-	} else {
-		s.kernel.Run(0)
-	}
+	s.eng.Run(0)
 }
 
 // Serve runs the configured open-loop serving workload (Options.Serve) to
@@ -785,18 +710,10 @@ func (s *System) Serve() (ServeReport, error) {
 	if s.serve == nil {
 		return ServeReport{}, fmt.Errorf("snacc: Serve requires Options.Serve")
 	}
-	now := s.kernel.Now()
-	if s.shard != nil {
-		now = s.shard.Now()
-	}
-	if err := s.serve.Start(now); err != nil {
+	if err := s.serve.Start(s.eng.Now()); err != nil {
 		return ServeReport{}, err
 	}
-	if s.shard != nil {
-		s.shard.Run(0)
-	} else {
-		s.kernel.Run(0)
-	}
+	s.eng.Run(0)
 	return s.serve.Report(), nil
 }
 
@@ -806,10 +723,10 @@ func (s *System) KernelWorkers() int {
 	if s.cluster != nil {
 		return s.cluster.KernelWorkers()
 	}
-	if s.shard == nil {
-		return 1
+	if shard, ok := s.eng.(*sim.Shard); ok {
+		return shard.Workers()
 	}
-	return s.shard.Workers()
+	return 1
 }
 
 // Now returns the current simulated time in nanoseconds.
@@ -1000,7 +917,9 @@ func (h *Handle) Spans() []Span { return h.sys.Spans() }
 
 // Trace returns the span tracer, or nil when the system was built without
 // Options.Trace. The tracer exposes per-stage latency histograms, span
-// accounting, and the global breaker/reset/death event timeline.
+// accounting, and the global breaker/reset/death event timeline. A cluster
+// has one tracer per node and no system tracer, so Trace stays nil in
+// cluster mode; use Spans, StageLatency and CommandLatency there.
 func (s *System) Trace() *obs.Tracer { return s.tracer }
 
 // Spans returns the completed command spans traced so far, in completion
@@ -1015,12 +934,25 @@ func (s *System) Spans() []Span {
 }
 
 // StageLatency returns the latency histogram of the transition into stage
-// st, or nil without Options.Trace.
-func (s *System) StageLatency(st SpanStage) *LatencyHist { return s.tracer.StageHist(st) }
+// st, or nil without Options.Trace or for an unknown stage. In cluster mode
+// it is a snapshot merging the node tracers' histograms in node order.
+func (s *System) StageLatency(st SpanStage) *LatencyHist {
+	if s.cluster != nil {
+		return s.cluster.StageHist(st)
+	}
+	return s.tracer.StageHist(st)
+}
 
 // CommandLatency returns the end-to-end (accepted → retired) latency
-// histogram for the given direction, or nil without Options.Trace.
-func (s *System) CommandLatency(write bool) *LatencyHist { return s.tracer.E2E(write) }
+// histogram for the given direction, or nil without Options.Trace. In
+// cluster mode it is a snapshot merging the node tracers' histograms in
+// node order.
+func (s *System) CommandLatency(write bool) *LatencyHist {
+	if s.cluster != nil {
+		return s.cluster.E2E(write)
+	}
+	return s.tracer.E2E(write)
+}
 
 // BoundaryTrace returns the staging-buffer-boundary PCIe tracer, or nil
 // unless Options.Trace.Boundary was set.
@@ -1178,7 +1110,8 @@ func (s *System) TenantStats() []TenantStats {
 }
 
 // TenantReadLatency returns tenant i's accept→complete read-latency
-// histogram (the zero histogram without Options.Tenants).
+// histogram (the zero histogram without Options.Tenants or for an index
+// outside them).
 func (s *System) TenantReadLatency(i int) LatencyHist {
 	if s.hub == nil {
 		return LatencyHist{}
@@ -1187,7 +1120,8 @@ func (s *System) TenantReadLatency(i int) LatencyHist {
 }
 
 // TenantWriteLatency returns tenant i's accept→complete write-latency
-// histogram (the zero histogram without Options.Tenants).
+// histogram (the zero histogram without Options.Tenants or for an index
+// outside them).
 func (s *System) TenantWriteLatency(i int) LatencyHist {
 	if s.hub == nil {
 		return LatencyHist{}

@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"snacc/internal/obs"
+	"snacc/internal/pcie"
+	"snacc/internal/sim"
 )
 
 func TestReplayTraceAPI(t *testing.T) {
@@ -78,5 +82,110 @@ func TestRecordAndFormatTraceAPI(t *testing.T) {
 	}
 	if len(back) != len(ops) {
 		t.Fatalf("round trip lost ops: %d vs %d", len(back), len(ops))
+	}
+}
+
+// TestAccessorsOutOfRange pins the documented empty results of the
+// index-taking accessors: an index outside the configured tenants yields
+// the zero histogram and an unknown span stage yields nil, never a panic.
+func TestAccessorsOutOfRange(t *testing.T) {
+	tenants := MustNewSystem(twoTenantOpts())
+	traced := MustNewSystem(Options{Trace: &TraceOptions{}})
+	zero := func(h LatencyHist) bool { return reflect.DeepEqual(h, LatencyHist{}) }
+	cases := []struct {
+		name string
+		ok   func() bool
+	}{
+		{"TenantReadLatency(2)", func() bool { return zero(tenants.TenantReadLatency(2)) }},
+		{"TenantReadLatency(-1)", func() bool { return zero(tenants.TenantReadLatency(-1)) }},
+		{"TenantWriteLatency(2)", func() bool { return zero(tenants.TenantWriteLatency(2)) }},
+		{"TenantWriteLatency(-1)", func() bool { return zero(tenants.TenantWriteLatency(-1)) }},
+		{"StageLatency(99)", func() bool { return traced.StageLatency(SpanStage(99)) == nil }},
+		{"StageLatency(NumStages)", func() bool { return traced.StageLatency(obs.NumStages) == nil }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if !c.ok() {
+				t.Fatal("want the documented empty result")
+			}
+		})
+	}
+}
+
+// TestClusterTraceHistograms checks that a traced cluster reports its
+// latency histograms, merged over the node tracers, alongside its spans:
+// each direction's end-to-end count equals its span count.
+func TestClusterTraceHistograms(t *testing.T) {
+	sys := MustNewSystem(Options{Trace: &TraceOptions{},
+		Cluster: &ClusterOptions{Nodes: 3, Replication: 2, Quorum: 2}})
+	sys.Execute(func(h *Handle) {
+		h.Write(0, make([]byte, 4096))
+		h.Read(0, 4096)
+	})
+	var writes, reads int64
+	for _, sp := range sys.Spans() {
+		if sp.Write {
+			writes++
+		} else {
+			reads++
+		}
+	}
+	if writes != 2 || reads != 1 {
+		t.Fatalf("spans: %d writes, %d reads; want 2 and 1 (R=2)", writes, reads)
+	}
+	for _, c := range []struct {
+		write bool
+		want  int64
+	}{{true, writes}, {false, reads}} {
+		h := sys.CommandLatency(c.write)
+		if h == nil || h.Count() != c.want {
+			t.Errorf("CommandLatency(%v) = %v, want %d samples", c.write, h, c.want)
+		}
+	}
+	if h := sys.StageLatency(obs.StageRetired); h == nil || h.Count() != writes+reads {
+		t.Errorf("StageLatency(retired) = %v, want %d samples", h, writes+reads)
+	}
+	if sys.Trace() != nil {
+		t.Error("Trace() is non-nil in cluster mode")
+	}
+}
+
+// TestBoundaryTracePinned pins the staging-buffer-boundary PCIe capture
+// (Trace.Boundary) for each variant: a timing-only 32 MiB write followed by
+// a 32 MiB read must record exactly these request and inbound-write counts
+// at these mean inter-arrival gaps.
+func TestBoundaryTracePinned(t *testing.T) {
+	want := map[Variant]struct {
+		reads, writes     int
+		readGap, writeGap sim.Time
+	}{
+		URAM:        {8192, 1024, 738, 4732},
+		OnboardDRAM: {8192, 1024, 938, 4732},
+		HostDRAM:    {16384, 2050, 695, 5560},
+	}
+	f := false
+	for _, v := range []Variant{URAM, OnboardDRAM, HostDRAM} {
+		sys := MustNewSystem(Options{Variant: v, Functional: &f,
+			Trace: &TraceOptions{Boundary: true}})
+		sys.Execute(func(h *Handle) {
+			h.WriteTimed(0, 32*sim.MiB)
+			h.ReadTimed(0, 32*sim.MiB)
+		})
+		tr := sys.BoundaryTrace()
+		if tr == nil {
+			t.Fatalf("%v: no boundary tracer", v)
+		}
+		reads, writes := len(tr.OfKind(pcie.TraceReadReq)), len(tr.OfKind(pcie.TraceWriteIn))
+		rg, wg := tr.MeanGap(pcie.TraceReadReq), tr.MeanGap(pcie.TraceWriteIn)
+		w := want[v]
+		if reads != w.reads || writes != w.writes || rg != w.readGap || wg != w.writeGap {
+			t.Errorf("%v: reads %d gap %v, writes %d gap %v; want reads %d gap %v, writes %d gap %v",
+				v, reads, rg, writes, wg, w.reads, w.readGap, w.writes, w.writeGap)
+		}
 	}
 }
