@@ -147,7 +147,7 @@ func BenchmarkStreamerSeqWrite(b *testing.B) {
 				var gbps float64
 				sys.Execute(func(h *Handle) {
 					start := h.Now()
-					h.WriteTimed(0, 128*sim.MiB)
+					check(b, h.WriteTimed(0, 128*sim.MiB))
 					gbps = float64(128*sim.MiB) / float64(h.Now()-start)
 				})
 				b.ReportMetric(gbps, "GBps")
@@ -163,7 +163,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys := MustNewSystem(Options{Variant: HostDRAM, Functional: &f})
-		sys.Execute(func(h *Handle) { h.WriteTimed(0, 64*sim.MiB) })
+		sys.Execute(func(h *Handle) { check(b, h.WriteTimed(0, 64*sim.MiB)) })
 	}
 	b.SetBytes(64 * sim.MiB)
 }

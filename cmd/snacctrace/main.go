@@ -134,12 +134,16 @@ func runSpans(v streamer.Variant, op string, sizeMiB int64, nspans int) {
 		// Retain every span: one command per MiB each way, plus slack.
 		Trace: &snacc.TraceOptions{SpanLimit: int(2*sizeMiB) + 16},
 	})
+	var err error
 	sys.Execute(func(h *snacc.Handle) {
-		h.WriteTimed(0, sizeMiB*sim.MiB)
-		if op == "read" {
-			h.ReadTimed(0, sizeMiB*sim.MiB)
+		if err = h.WriteTimed(0, sizeMiB*sim.MiB); err == nil && op == "read" {
+			err = h.ReadTimed(0, sizeMiB*sim.MiB)
 		}
 	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "workload failed: %v\n", err)
+		os.Exit(1)
+	}
 
 	all := sys.Spans()
 	var sel []snacc.Span

@@ -46,21 +46,24 @@ func runCrashIntegrity(t *testing.T, opts Options) {
 				for i := range data {
 					data[i] = byte(rng.Int63n(256))
 				}
-				h.Write(addr, data)
+				if err := h.WriteErr(addr, data); err != nil {
+					failure = fmt.Sprintf("op %d: write %d@%#x: %v", op, n, addr, err)
+					return
+				}
 				copy(shadow[addr:], data)
 			} else {
-				got := h.Read(addr, n)
+				got, err := h.ReadErr(addr, n)
 				want := shadow[addr : addr+uint64(n)]
-				if !bytes.Equal(got, want) {
-					failure = fmt.Sprintf("op %d: read %d@%#x diverged from shadow (first diff at %d)",
-						op, n, addr, firstDiff(got, want))
+				if err != nil || !bytes.Equal(got, want) {
+					failure = fmt.Sprintf("op %d: read %d@%#x diverged from shadow (err %v, first diff at %d)",
+						op, n, addr, err, firstDiff(got, want))
 					return
 				}
 			}
 		}
-		got := h.Read(0, span)
-		if !bytes.Equal(got, shadow) {
-			failure = fmt.Sprintf("final readback diverged at byte %d", firstDiff(got, shadow))
+		got, err := h.ReadErr(0, span)
+		if err != nil || !bytes.Equal(got, shadow) {
+			failure = fmt.Sprintf("final readback diverged at byte %d (err %v)", firstDiff(got, shadow), err)
 		}
 	})
 	if failure != "" {
@@ -105,6 +108,35 @@ func TestCrashRecoveryStatsReported(t *testing.T) {
 	}
 	if st.FaultsInjected == 0 {
 		t.Error("injector reported no firings")
+	}
+}
+
+// TestServeCrashRecoveryMultiQueue: a controller reset drops the CQEs of
+// commands that completed but had not yet retired along with the old
+// completion queues, so retiring them must not advance the rebuilt queues'
+// heads. With four queue pairs a single such completion on a queue left
+// that queue looking full to the controller: its next completion stalled
+// until the watchdog resubmitted a CID the controller still held.
+func TestServeCrashRecoveryMultiQueue(t *testing.T) {
+	so := serveOpts()
+	so.Requests = 200
+	so.SpanBytes = 16 * sim.MiB
+	sys := MustNewSystem(Options{Seed: 94, Serve: so, IOQueues: 4,
+		Faults: &FaultOptions{CrashEveryNCmds: 7}})
+	sys.Execute(func(h *Handle) {
+		for i := uint64(0); i < 6; i++ {
+			check(t, h.WriteErr(i*8192, make([]byte, 8192)))
+			mustRead(t, h, i*8192, 8192)
+		}
+	})
+	rep, err := sys.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats()
+	if rep.Completed != 200 || rep.Failed != 0 || st.ControllerResets == 0 || st.CommandTimeouts != 0 {
+		t.Errorf("completed %d, failed %d, resets %d, timeouts %d; want 200 completed across resets without a timeout",
+			rep.Completed, rep.Failed, st.ControllerResets, st.CommandTimeouts)
 	}
 }
 

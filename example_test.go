@@ -14,9 +14,12 @@ func ExampleSystem_Execute() {
 	sys := snacc.MustNewSystem(snacc.Options{Variant: snacc.URAM})
 	payload := bytes.Repeat([]byte{0x42}, 4096)
 	sys.Execute(func(h *snacc.Handle) {
-		h.Write(0, payload)
-		back := h.Read(0, 4096)
-		fmt.Println("intact:", bytes.Equal(back, payload))
+		if err := h.WriteErr(0, payload); err != nil {
+			fmt.Println("write:", err)
+			return
+		}
+		back, err := h.ReadErr(0, 4096)
+		fmt.Println("intact:", err == nil && bytes.Equal(back, payload))
 	})
 	st := sys.Stats()
 	fmt.Println("commands retired:", st.CommandsRetired, "errors:", st.CommandErrors)
@@ -34,7 +37,10 @@ func ExampleSystem_Execute_timing() {
 	sys.Execute(func(h *snacc.Handle) {
 		const n = 256 << 20 // past the SSD write buffer's absorption ramp
 		start := h.Now()
-		h.WriteTimed(0, n)
+		if err := h.WriteTimed(0, n); err != nil {
+			fmt.Println("write:", err)
+			return
+		}
 		gbps = float64(n) / float64(h.Now()-start)
 	})
 	fmt.Println("host-DRAM variant sequential write ~6 GB/s:", gbps > 5.5 && gbps < 6.8)

@@ -31,9 +31,14 @@ func main() {
 
 	sys.Execute(func(h *snacc.Handle) {
 		start := h.Now()
-		h.Write(4096, payload)
+		if err := h.WriteErr(4096, payload); err != nil {
+			log.Fatalf("write: %v", err)
+		}
 		wrote := h.Now()
-		got := h.Read(4096, int64(len(payload)))
+		got, err := h.ReadErr(4096, int64(len(payload)))
+		if err != nil {
+			log.Fatalf("read: %v", err)
+		}
 		read := h.Now()
 
 		if !bytes.Equal(got, payload) {

@@ -19,7 +19,7 @@ func TestFaultAPIRecoversInjectedErrors(t *testing.T) {
 		want[i] = byte(i % 253)
 	}
 	sys.Execute(func(h *Handle) {
-		h.Write(0, want)
+		check(t, h.WriteErr(0, want))
 		// Read repeatedly so the 20% rate is certain to fire.
 		for i := 0; i < 8; i++ {
 			got, err := h.ReadErr(0, int64(len(want)))
@@ -58,7 +58,7 @@ func TestFaultAPIZeroRetriesAborts(t *testing.T) {
 	}})
 	sys.Execute(func(h *Handle) {
 		block := make([]byte, 4096)
-		h.Write(0, block)
+		check(t, h.WriteErr(0, block))
 		got, err := h.ReadErr(0, 4096)
 		if err == nil {
 			t.Fatal("certain read failure with no retries returned success")
@@ -78,8 +78,8 @@ func TestFaultAPIZeroRetriesAborts(t *testing.T) {
 func TestFaultAPIDisabledByDefault(t *testing.T) {
 	sys := MustNewSystem(Options{Variant: URAM})
 	sys.Execute(func(h *Handle) {
-		h.WriteTimed(0, 1<<20)
-		h.ReadTimed(0, 1<<20)
+		check(t, h.WriteTimed(0, 1<<20))
+		check(t, h.ReadTimed(0, 1<<20))
 	})
 	st := sys.Stats()
 	if st.FaultsInjected != 0 || st.CommandRetries != 0 || st.CommandTimeouts != 0 ||

@@ -26,8 +26,8 @@ func TestEmptyWriteFacade(t *testing.T) {
 }
 
 // TestBadTransferShapes: misaligned addresses, lengths that are not a
-// multiple of 512, and empty or negative reads come back from ReadErr and
-// WriteErr as errors on a plain system and on a cluster, instead of
+// multiple of 512, and empty or negative reads come back from every Handle
+// transfer as errors on a plain system and on a cluster, instead of
 // panicking inside the simulation; the system keeps serving afterwards.
 func TestBadTransferShapes(t *testing.T) {
 	systems := map[string]Options{
@@ -44,6 +44,8 @@ func TestBadTransferShapes(t *testing.T) {
 		{"read negative", func(h *Handle) error { _, err := h.ReadErr(0, -512); return err }},
 		{"write misaligned address", func(h *Handle) error { return h.WriteErr(1, make([]byte, 512)) }},
 		{"write misaligned length", func(h *Handle) error { return h.WriteErr(0, make([]byte, 100)) }},
+		{"timed read empty", func(h *Handle) error { return h.ReadTimed(0, 0) }},
+		{"timed write misaligned address", func(h *Handle) error { return h.WriteTimed(512+1, 512) }},
 	}
 	for name, opts := range systems {
 		sys := MustNewSystem(opts)

@@ -52,22 +52,25 @@ func runIntegrity(t *testing.T, opts Options) {
 				for i := range data {
 					data[i] = byte(rng.Int63n(256))
 				}
-				h.Write(addr, data)
+				if err := h.WriteErr(addr, data); err != nil {
+					failure = fmt.Sprintf("op %d: write %d@%#x: %v", op, n, addr, err)
+					return
+				}
 				copy(shadow[addr:], data)
 			} else {
-				got := h.Read(addr, n)
+				got, err := h.ReadErr(addr, n)
 				want := shadow[addr : addr+uint64(n)]
-				if !bytes.Equal(got, want) {
-					failure = fmt.Sprintf("op %d: read %d@%#x diverged from shadow (first diff at %d)",
-						op, n, addr, firstDiff(got, want))
+				if err != nil || !bytes.Equal(got, want) {
+					failure = fmt.Sprintf("op %d: read %d@%#x diverged from shadow (err %v, first diff at %d)",
+						op, n, addr, err, firstDiff(got, want))
 					return
 				}
 			}
 		}
 		// Final full-window readback.
-		got := h.Read(0, span)
-		if !bytes.Equal(got, shadow) {
-			failure = fmt.Sprintf("final readback diverged at byte %d", firstDiff(got, shadow))
+		got, err := h.ReadErr(0, span)
+		if err != nil || !bytes.Equal(got, shadow) {
+			failure = fmt.Sprintf("final readback diverged at byte %d (err %v)", firstDiff(got, shadow), err)
 		}
 	})
 	if failure != "" {

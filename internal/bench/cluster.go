@@ -68,7 +68,7 @@ func ClusterSweep(grid [][3]int, totalBytes int64) []ClusterSweepRow {
 				// A strict quorum (Q == R) legitimately refuses writes in the
 				// window between the kill and the death verdict; that dip is
 				// part of the availability story, so count it, don't abort.
-				if err := cl.WriteTimed(p, uint64(off%span), op); err != nil {
+				if err := cl.WriteErr(p, uint64(off%span), op, nil); err != nil {
 					failed++
 					continue
 				}
@@ -114,7 +114,7 @@ func ClusterTimeline(until, window sim.Time) ([]TimelinePoint, cluster.Stats) {
 	cl.Execute(func(p *sim.Proc) {
 		windowStart, windowBytes := p.Now(), int64(0)
 		for off := int64(0); p.Now() < until; off += op {
-			if err := cl.WriteTimed(p, uint64(off%span), op); err != nil {
+			if err := cl.WriteErr(p, uint64(off%span), op, nil); err != nil {
 				continue // partition-window writes may time out; keep streaming
 			}
 			windowBytes += op

@@ -23,7 +23,6 @@ import (
 
 	"snacc/internal/ethernet"
 	"snacc/internal/fault"
-	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -202,6 +201,8 @@ type Cluster struct {
 	sw    *ethernet.Switch
 	nodes []*node
 	co    *coordinator
+	// reads/writes hold the outstanding async operations, oldest first.
+	reads, writes []pending
 }
 
 // New builds and initializes a cluster: shard topology per Plan, one full
@@ -284,85 +285,116 @@ func (cl *Cluster) Execute(fn func(p *sim.Proc)) {
 	cl.shard.Run(0)
 }
 
-// Write replicates data (len multiple of 512, addr 512-aligned) at the
-// cluster's logical byte address, acknowledging at the configured quorum.
-// It must be called from a process spawned via Execute.
-func (cl *Cluster) Write(p *sim.Proc, addr uint64, data []byte) error {
-	return cl.co.write(p, addr, int64(len(data)), data)
+// checkRange rejects a transfer that does not fit the logical capacity
+// before any capsule is sent: every replica would fail the command, and
+// the health ladder would read that as node failures.
+func (cl *Cluster) checkRange(addr uint64, n int64) error {
+	if c := uint64(cl.Capacity()); n < 0 || addr > c || uint64(n) > c-addr {
+		return fmt.Errorf("cluster: transfer %d@%#x exceeds the logical capacity %d", n, addr, c)
+	}
+	return nil
 }
 
-// WriteTimed is a timing-only Write of n bytes.
-func (cl *Cluster) WriteTimed(p *sim.Proc, addr uint64, n int64) error {
-	return cl.co.write(p, addr, n, nil)
+// WriteErr replicates n bytes of data (nil for timing-only; address and
+// length multiples of 512) at the cluster's logical byte address,
+// acknowledging at the configured quorum. Like every I/O method it must be
+// called from a front-domain process (see Execute).
+func (cl *Cluster) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
+	if err := cl.checkRange(addr, n); err != nil {
+		return err
+	}
+	return cl.co.write(p, addr, n, data)
 }
 
-// Read returns n bytes from the cluster's logical byte address, preferring
-// the primary replica and failing over to the others. On error the
-// returned buffer holds the pieces that succeeded.
-func (cl *Cluster) Read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
+// ReadErr returns n bytes from the cluster's logical byte address,
+// preferring each chunk's primary replica and failing over to the others.
+// On error the returned buffer holds the pieces that succeeded.
+func (cl *Cluster) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
+	if err := cl.checkRange(addr, n); err != nil {
+		return nil, err
+	}
 	return cl.co.read(p, addr, n)
 }
 
-// KernelWorkers returns the shard worker budget.
-func (cl *Cluster) KernelWorkers() int { return cl.shard.Workers() }
+// WriteAsync issues WriteErr in a front-domain process of its own and
+// returns at once; data must stay unmodified until WaitWriteErr reports
+// the write. Together with ReadAsync, DrainRead and WaitWriteErr it makes
+// the cluster a workload and serving lane: completions return in issue
+// order per direction.
+func (cl *Cluster) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
+	cl.writes = append(cl.writes, cl.async(n, func(ap *sim.Proc) error {
+		return cl.WriteErr(ap, addr, n, data)
+	}))
+}
+
+// WaitWriteErr returns the error of the oldest outstanding WriteAsync.
+func (cl *Cluster) WaitWriteErr(p *sim.Proc) error {
+	_, err := await(p, &cl.writes)
+	return err
+}
+
+// ReadAsync is WriteAsync's counterpart for ReadErr.
+func (cl *Cluster) ReadAsync(p *sim.Proc, addr uint64, n int64) {
+	cl.reads = append(cl.reads, cl.async(n, func(ap *sim.Proc) error {
+		_, err := cl.ReadErr(ap, addr, n)
+		return err
+	}))
+}
+
+// DrainRead waits for the oldest outstanding ReadAsync, discards its data
+// and returns the bytes it delivered (0 on error) and its error.
+func (cl *Cluster) DrainRead(p *sim.Proc) (int64, error) { return await(p, &cl.reads) }
+
+// pending is one outstanding async operation: its length and the one-slot
+// channel its error lands on.
+type pending struct {
+	n    int64
+	done *sim.Chan[error]
+}
+
+// async runs op as a front-domain process of its own.
+func (cl *Cluster) async(n int64, op func(p *sim.Proc) error) pending {
+	done := sim.NewChan[error](cl.front, 1)
+	cl.front.Spawn("cluster.io", func(p *sim.Proc) { done.TryPut(op(p)) })
+	return pending{n, done}
+}
+
+// await pops the oldest operation of q and waits for it: its length, or 0
+// and its error.
+func await(p *sim.Proc, q *[]pending) (int64, error) {
+	op := (*q)[0]
+	*q = (*q)[1:]
+	if err := op.done.Get(p); err != nil {
+		return 0, err
+	}
+	return op.n, nil
+}
+
+// Engine returns the shard that drives every domain of the cluster.
+func (cl *Cluster) Engine() *sim.Shard { return cl.shard }
+
+// Front returns the front domain's kernel: the coordinator's, and the one
+// every caller of the I/O methods must run on.
+func (cl *Cluster) Front() *sim.Kernel { return cl.front }
 
 // Capacity returns the cluster's logical byte capacity: one node's
 // namespace (replicas store chunks at their logical addresses).
-func (cl *Cluster) Capacity() int64 {
-	return cl.nodes[0].dev.Config().NamespaceBytes
-}
+func (cl *Cluster) Capacity() int64 { return cl.nodes[0].Dev.Config().NamespaceBytes }
 
 // Nodes returns the node count.
 func (cl *Cluster) Nodes() int { return len(cl.nodes) }
 
-// Node returns node i's streamer (test instrumentation).
-func (cl *Cluster) Node(i int) *streamer.Streamer { return cl.nodes[i].st }
-
-// Spans returns the completed spans of every node tracer, grouped in node
-// order, each span carrying its node identity (nil without TraceSpans).
-func (cl *Cluster) Spans() []obs.Span {
-	var out []obs.Span
-	for _, n := range cl.nodes {
-		out = append(out, n.tracer.Spans()...)
-	}
-	return out
-}
-
-// StageHist returns the latency histogram of the transition into stage st,
-// merged over the node tracers in node order (nil without TraceSpans or for
-// an unknown stage).
-func (cl *Cluster) StageHist(st obs.Stage) *obs.Hist {
-	return cl.mergeHists(func(t *obs.Tracer) *obs.Hist { return t.StageHist(st) })
-}
-
-// E2E returns the end-to-end latency histogram for the given direction,
-// merged over the node tracers in node order (nil without TraceSpans).
-func (cl *Cluster) E2E(write bool) *obs.Hist {
-	return cl.mergeHists(func(t *obs.Tracer) *obs.Hist { return t.E2E(write) })
-}
-
-func (cl *Cluster) mergeHists(pick func(*obs.Tracer) *obs.Hist) *obs.Hist {
-	out := &obs.Hist{}
-	for _, n := range cl.nodes {
-		h := pick(n.tracer)
-		if h == nil {
-			return nil
-		}
-		out.Merge(h)
-	}
-	return out
-}
+// Card returns node i's card (instrumentation).
+func (cl *Cluster) Card(i int) Card { return cl.nodes[i].Card }
 
 // Stats snapshots the cluster counters. Call between Execute runs, not
 // from inside one.
 func (cl *Cluster) Stats() Stats {
 	s := cl.co.stats()
-	s.SimTime = int64(cl.shard.Now())
-	s.SimEvents = cl.shard.EventsExecuted()
 	for _, n := range cl.nodes {
 		s.LinkFramesDropped += n.rx.Dropped()
 		s.LinkFramesDelayed += n.rx.Delayed()
-		if n.st.Dead() {
+		if n.Streamer.Dead() {
 			s.DeadNodes = append(s.DeadNodes, n.id)
 		}
 	}
@@ -406,7 +438,4 @@ type Stats struct {
 	BytesRead    int64
 	// DeadNodes lists nodes whose controllers are terminally dead.
 	DeadNodes []int
-	// SimTime/SimEvents mirror the shard clock and event counter.
-	SimTime   int64
-	SimEvents uint64
 }

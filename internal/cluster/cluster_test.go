@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snacc/internal/fault"
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 )
 
@@ -46,8 +47,8 @@ func TestClusterWriteReadRoundTrip(t *testing.T) {
 	var got []byte
 	var rerr, werr error
 	cl.Execute(func(p *sim.Proc) {
-		werr = cl.Write(p, 512, data)
-		got, rerr = cl.Read(p, 512, n)
+		werr = cl.WriteErr(p, 512, int64(len(data)), data)
+		got, rerr = cl.ReadErr(p, 512, n)
 	})
 	if werr != nil || rerr != nil {
 		t.Fatalf("write err %v, read err %v", werr, rerr)
@@ -72,7 +73,7 @@ func TestClusterReadUnwrittenReturnsZeros(t *testing.T) {
 	var got []byte
 	var err error
 	cl.Execute(func(p *sim.Proc) {
-		got, err = cl.Read(p, 4096, 8192)
+		got, err = cl.ReadErr(p, 4096, 8192)
 	})
 	if err != nil {
 		t.Fatalf("read of unwritten range: %v", err)
@@ -93,7 +94,7 @@ func TestClusterWriteFanout(t *testing.T) {
 	data := make([]byte, cfg.ChunkBytes)
 	fillPattern(data, 99)
 	cl.Execute(func(p *sim.Proc) {
-		if err := cl.Write(p, 0, data); err != nil {
+		if err := cl.WriteErr(p, 0, int64(len(data)), data); err != nil {
 			t.Errorf("write: %v", err)
 		}
 	})
@@ -119,7 +120,7 @@ func TestClusterWriteFanout(t *testing.T) {
 	// And the per-node streamer counters show R-times write amplification.
 	var fanout int64
 	for i := 0; i < cfg.Nodes; i++ {
-		fanout += cl.Node(i).BytesFromPE()
+		fanout += cl.Card(i).Streamer.BytesFromPE()
 	}
 	if want := 3 * cfg.ChunkBytes; fanout != want {
 		t.Fatalf("replica write fan-out moved %d bytes, want %d", fanout, want)
@@ -160,13 +161,13 @@ func TestClusterNodeDeathFailoverAndRepair(t *testing.T) {
 			addr := uint64(int64(rnd.Intn(64)) * ioBytes)
 			data := make([]byte, ioBytes)
 			fillPattern(data, uint64(i)<<32|addr)
-			if err := cl.Write(p, addr, data); err != nil {
+			if err := cl.WriteErr(p, addr, int64(len(data)), data); err != nil {
 				failures = append(failures, fmt.Sprintf("write %d @%#x: %v", i, addr, err))
 				continue
 			}
 			shadow[addr] = data
 			if i%3 == 0 {
-				got, err := cl.Read(p, addr, ioBytes)
+				got, err := cl.ReadErr(p, addr, ioBytes)
 				if err != nil {
 					failures = append(failures, fmt.Sprintf("read %d @%#x: %v", i, addr, err))
 				} else if !bytes.Equal(got, data) {
@@ -186,7 +187,7 @@ func TestClusterNodeDeathFailoverAndRepair(t *testing.T) {
 	var readbackErrs []string
 	cl.Execute(func(p *sim.Proc) {
 		for addr, want := range shadow {
-			got, err := cl.Read(p, addr, ioBytes)
+			got, err := cl.ReadErr(p, addr, ioBytes)
 			if err != nil {
 				readbackErrs = append(readbackErrs, fmt.Sprintf("readback @%#x: %v", addr, err))
 			} else if !bytes.Equal(got, want) {
@@ -240,7 +241,7 @@ func TestClusterPartitionRejoin(t *testing.T) {
 			addr := uint64(int64(i) * 5 * ioBytes) // spread over many chunks
 			data := make([]byte, ioBytes)
 			fillPattern(data, uint64(i)+0x70617274)
-			if err := cl.Write(p, addr, data); err != nil {
+			if err := cl.WriteErr(p, addr, int64(len(data)), data); err != nil {
 				failures = append(failures, fmt.Sprintf("write %d: %v", i, err))
 				continue
 			}
@@ -277,7 +278,7 @@ func TestClusterPartitionRejoin(t *testing.T) {
 	var readbackErrs []string
 	cl.Execute(func(p *sim.Proc) {
 		for addr, want := range shadow {
-			got, err := cl.Read(p, addr, ioBytes)
+			got, err := cl.ReadErr(p, addr, ioBytes)
 			if err != nil {
 				readbackErrs = append(readbackErrs, fmt.Sprintf("readback @%#x: %v", addr, err))
 			} else if !bytes.Equal(got, want) {
@@ -296,6 +297,8 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 	type fingerprint struct {
 		stats  Stats
 		digest uint64
+		now    sim.Time
+		events uint64
 	}
 	run := func(workers int) fingerprint {
 		cfg := DefaultConfig(4, 2, 1)
@@ -312,10 +315,10 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 				addr := uint64(int64(rnd.Intn(48)) * ioBytes)
 				data := make([]byte, ioBytes)
 				fillPattern(data, uint64(i))
-				if err := cl.Write(p, addr, data); err != nil {
+				if err := cl.WriteErr(p, addr, int64(len(data)), data); err != nil {
 					digest ^= 0xbad
 				}
-				got, err := cl.Read(p, addr, ioBytes)
+				got, err := cl.ReadErr(p, addr, ioBytes)
 				if err != nil {
 					digest ^= 0xdead
 				}
@@ -327,7 +330,8 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 				digest *= 1099511628211
 			}
 		})
-		return fingerprint{stats: cl.Stats(), digest: digest}
+		eng := cl.Engine()
+		return fingerprint{stats: cl.Stats(), digest: digest, now: eng.Now(), events: eng.EventsExecuted()}
 	}
 	base := run(1)
 	if base.stats.NodeDeaths != 1 {
@@ -335,6 +339,9 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 	}
 	for _, w := range []int{2, 4} {
 		got := run(w)
+		if got.now != base.now || got.events != base.events {
+			t.Errorf("workers=%d ended at %v after %d events, workers=1 at %v after %d", w, got.now, got.events, base.now, base.events)
+		}
 		if got.digest != base.digest {
 			t.Errorf("workers=%d digest %x != workers=1 digest %x", w, got.digest, base.digest)
 		}
@@ -353,14 +360,17 @@ func TestClusterSpanNodeAttribution(t *testing.T) {
 	data := make([]byte, 128*sim.KiB)
 	fillPattern(data, 5)
 	cl.Execute(func(p *sim.Proc) {
-		if err := cl.Write(p, 0, data); err != nil {
+		if err := cl.WriteErr(p, 0, int64(len(data)), data); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		if _, err := cl.Read(p, 0, int64(len(data))); err != nil {
+		if _, err := cl.ReadErr(p, 0, int64(len(data))); err != nil {
 			t.Errorf("read: %v", err)
 		}
 	})
-	spans := cl.Spans()
+	var spans []obs.Span
+	for i := 0; i < cl.Nodes(); i++ {
+		spans = append(spans, cl.Card(i).Tracer.Spans()...)
+	}
 	if len(spans) == 0 {
 		t.Fatal("no spans traced")
 	}
@@ -390,4 +400,57 @@ func firstDiff(a, b []byte) int {
 		return n
 	}
 	return -1
+}
+
+// TestClusterLaneAsync drives the cluster through its lane methods: async
+// writes and reads complete in issue order per direction, a drained read
+// reports its length, and an out-of-range transfer fails before any
+// capsule reaches a node.
+func TestClusterLaneAsync(t *testing.T) {
+	cl := MustNew(DefaultConfig(3, 2, 1))
+	const ioBytes = 64 * sim.KiB
+	bufs := make([][]byte, 4)
+	for i := range bufs {
+		bufs[i] = make([]byte, ioBytes)
+		fillPattern(bufs[i], uint64(i))
+	}
+	cl.Execute(func(p *sim.Proc) {
+		for i, b := range bufs {
+			cl.WriteAsync(p, uint64(int64(i)*ioBytes), ioBytes, b)
+		}
+		cl.WriteAsync(p, uint64(cl.Capacity()), 512, nil)
+		for i := range bufs {
+			if err := cl.WaitWriteErr(p); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+		}
+		if err := cl.WaitWriteErr(p); err == nil {
+			t.Error("out-of-range async write succeeded")
+		}
+		for i := range bufs {
+			cl.ReadAsync(p, uint64(int64(i)*ioBytes), ioBytes)
+		}
+		cl.ReadAsync(p, ^uint64(0)-511, 512)
+		for i := range bufs {
+			if n, err := cl.DrainRead(p); n != ioBytes || err != nil {
+				t.Errorf("read %d: %d bytes, %v", i, n, err)
+			}
+		}
+		if n, err := cl.DrainRead(p); n != 0 || err == nil {
+			t.Errorf("out-of-range async read: %d bytes, %v", n, err)
+		}
+		for i, b := range bufs {
+			got, err := cl.ReadErr(p, uint64(int64(i)*ioBytes), ioBytes)
+			if err != nil || !bytes.Equal(got, b) {
+				t.Errorf("read-back %d: err %v, first diff %d", i, err, firstDiff(got, b))
+			}
+		}
+	})
+	st := cl.Stats()
+	if st.NodeDeaths != 0 || st.Failovers != 0 || st.RequestTimeouts != 0 {
+		t.Fatalf("healthy lane run shows failures: %+v", st)
+	}
+	if len(cl.reads) != 0 || len(cl.writes) != 0 {
+		t.Fatalf("%d reads and %d writes left outstanding", len(cl.reads), len(cl.writes))
+	}
 }

@@ -13,6 +13,15 @@ import (
 	"snacc/internal/tapasco"
 )
 
+// Card is one SNAcc card as instrumentation sees it: its platform, SSD,
+// Streamer and span tracer.
+type Card struct {
+	Platform *tapasco.Platform
+	Dev      *nvme.Device
+	Streamer *streamer.Streamer
+	Tracer   *obs.Tracer // nil without Config.TraceSpans
+}
+
 // node is one cluster member: a tapasco.Node built exactly like the
 // facade's single system (its own platform and PCIe fabric, one NVMe SSD,
 // one Streamer) plus a MAC — all owned by the node's shard domain. The
@@ -20,16 +29,14 @@ import (
 // with the switch's per-egress FIFO gives each node read-your-writes
 // ordering without any protocol-level sequencing.
 type node struct {
+	Card
 	id  int
 	k   *sim.Kernel
 	mac *ethernet.MAC
-	dev *nvme.Device
-	st  *streamer.Streamer
 	c   *streamer.Client
 	// rx drops/delays frames this node receives (the to-node side of a
 	// Partition); owned by the node domain.
-	rx     *fault.LinkInjector
-	tracer *obs.Tracer
+	rx *fault.LinkInjector
 
 	// initErr is the outcome of the node's init process: nil once the
 	// bring-up completed, a stall error until then.
@@ -49,7 +56,7 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 		devCfg.NAND.Seed = splitmix64(cfg.Seed + uint64(id))
 	}
 	ssd := tn.AddSSD(devCfg)
-	n.dev = ssd.Dev
+	n.Platform, n.Dev = tn.Platform, ssd.Dev
 
 	stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", id), 0, cfg.Variant)
 	stCfg.Functional = cfg.Functional
@@ -63,18 +70,18 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	if cfg.StreamerTune != nil {
 		cfg.StreamerTune(id, &stCfg)
 	}
-	n.st = tn.AddStreamer(ssd, stCfg)
-	n.c = streamer.NewClient(n.st)
+	n.Streamer = tn.AddStreamer(ssd, stCfg)
+	n.c = streamer.NewClient(n.Streamer)
 
 	if cfg.NodeInjector != nil {
 		if in := cfg.NodeInjector(id); in != nil {
-			in.Attach(n.dev)
+			in.Attach(n.Dev)
 		}
 	}
 	if cfg.TraceSpans {
-		n.tracer = obs.NewTracer(cfg.SpanLimit)
-		n.tracer.SetNode(id)
-		tn.Trace(n.tracer)
+		n.Tracer = obs.NewTracer(cfg.SpanLimit)
+		n.Tracer.SetNode(id)
+		tn.Trace(n.Tracer)
 	}
 
 	n.rx = fault.NewLinkInjector(splitmix64(cfg.Seed + uint64(id) + 0x746f))
@@ -130,7 +137,7 @@ func (n *node) handle(p *sim.Proc, c capsule, data []byte) {
 	var payload []byte
 	switch c.Op {
 	case opProbe:
-		rep.OK = !n.st.Dead()
+		rep.OK = !n.Streamer.Dead()
 		if !rep.OK {
 			rep.Err = "controller dead"
 		}

@@ -84,15 +84,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Lane is one in-order pipeline of the storage side the dispatcher feeds:
-// completions return in issue order per direction. *streamer.Client is a
-// Lane, over a plain Streamer or over one tenant of a TenantHub.
-type Lane interface {
-	ReadAsync(p *sim.Proc, addr uint64, n int64)
-	ConsumeReadErr(p *sim.Proc) (int64, []byte, error)
-	WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte)
-	WaitWriteErr(p *sim.Proc) error
-}
+// Lane is one in-order pipeline of the storage side the dispatcher feeds,
+// the same seam the workload drivers issue through.
+type Lane = workload.Lane
 
 // pending is one request the client has generated but not yet put on the
 // wire.
@@ -462,7 +456,7 @@ func (t *Tier) drainLoop(p *sim.Proc, lane int, read bool) {
 		req := pend.Get(p)
 		var err error
 		if read {
-			_, _, err = t.lanes[lane].ConsumeReadErr(p)
+			_, err = t.lanes[lane].DrainRead(p)
 		} else {
 			err = t.lanes[lane].WaitWriteErr(p)
 		}

@@ -14,13 +14,12 @@ import (
 // pathologically slow without standing up the full streamer stack.
 type stubLane struct{ delay sim.Time }
 
-func (l stubLane) ReadAsync(*sim.Proc, uint64, int64)          {}
-func (l stubLane) WriteAsync(*sim.Proc, uint64, int64, []byte) {}
-func (l stubLane) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
-	p.Sleep(l.delay)
-	return 0, nil, nil
-}
-func (l stubLane) WaitWriteErr(p *sim.Proc) error { p.Sleep(l.delay); return nil }
+func (l stubLane) ReadErr(*sim.Proc, uint64, int64) ([]byte, error) { return nil, nil }
+func (l stubLane) WriteErr(*sim.Proc, uint64, int64, []byte) error  { return nil }
+func (l stubLane) ReadAsync(*sim.Proc, uint64, int64)               {}
+func (l stubLane) WriteAsync(*sim.Proc, uint64, int64, []byte)      {}
+func (l stubLane) DrainRead(p *sim.Proc) (int64, error)             { p.Sleep(l.delay); return 0, nil }
+func (l stubLane) WaitWriteErr(p *sim.Proc) error                   { p.Sleep(l.delay); return nil }
 
 // stubLanes returns n stub lanes with the given service delay.
 func stubLanes(n int, delay sim.Time) []Lane {

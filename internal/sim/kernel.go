@@ -293,11 +293,12 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // Stop makes Run return after the event being processed completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Engine is an event loop a rig drains and reads the clock of: a serial
-// *Kernel, or a *Shard of domain kernels.
+// Engine is an event loop a rig drains and reads the clock and event
+// count of: a serial *Kernel, or a *Shard of domain kernels.
 type Engine interface {
 	Run(horizon Time) Time
 	Now() Time
+	EventsExecuted() uint64
 }
 
 // Run executes events until the queue drains, Stop is called, or the

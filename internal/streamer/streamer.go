@@ -1222,6 +1222,11 @@ func (s *Streamer) replay(p *sim.Proc) {
 		q.dbPending = 0
 		q.dbSlots = q.dbSlots[:0]
 	}
+	// Completions received before the reset sit in the torn-down CQs:
+	// retiring their commands must not advance the rebuilt queues' heads.
+	for i := range s.rob {
+		s.rob[i].hasCQE = false
+	}
 	for _, slot := range s.inflightOrder() {
 		occupy(p, s.submitFSM, s.cfg.SubmitOverhead)
 		s.replayedCmds++
@@ -1424,7 +1429,9 @@ func (s *Streamer) retireLoop(p *sim.Proc) {
 			s.readLat.Add(p.Now() - e.submittedAt)
 		}
 		s.tr.End(e.span, e.status, p.Now())
-		hadCQE := e.hasCQE
+		// Read the live entry: a replay while this retirement blocked
+		// moved its completion out of the current CQ.
+		hadCQE := s.rob[slot].hasCQE
 		s.robRelease(slot)
 		s.cmdsRetired++
 		if hadCQE {

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"snacc/internal/sim"
-	"snacc/internal/streamer"
 )
 
 // TraceOp is one operation of a recorded I/O trace.
@@ -167,7 +166,7 @@ func RecordTrace(spec Spec) ([]TraceOp, error) {
 // pipelined harness as Run. Gap fields throttle issue (open-loop arrival
 // spacing); with all gaps zero the replay is closed-loop at full queue
 // pressure.
-func Replay(p *sim.Proc, c *streamer.Client, name string, ops []TraceOp) (Result, error) {
+func Replay(p *sim.Proc, c Lane, name string, ops []TraceOp) (Result, error) {
 	for i, op := range ops {
 		if err := validateOp(op); err != nil {
 			return Result{}, fmt.Errorf("trace op %d: %v", i, err)

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"snacc/internal/sim"
-	"snacc/internal/streamer"
 )
 
 // Pattern selects the address sequence.
@@ -195,7 +194,7 @@ func (r Result) IOPS() float64 {
 // the Streamer's in-order window: reads and writes issue from one command
 // process (preserving the shared-queue ordering of §4.2) while two
 // consumer processes drain data and tokens.
-func Run(p *sim.Proc, c *streamer.Client, spec Spec) (Result, error) {
+func Run(p *sim.Proc, c Lane, spec Spec) (Result, error) {
 	gen, err := NewGenerator(spec)
 	if err != nil {
 		return Result{}, err
@@ -208,11 +207,24 @@ func Run(p *sim.Proc, c *streamer.Client, spec Spec) (Result, error) {
 	return res, nil
 }
 
+// Lane is one in-order storage pipeline: blocking transfers, and async
+// issue whose completions return in issue order per direction, a read's
+// data drained rather than collected. *streamer.Client is a Lane, over a
+// plain Streamer or one tenant of a TenantHub, and so is *cluster.Cluster.
+type Lane interface {
+	ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error)
+	WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error
+	ReadAsync(p *sim.Proc, addr uint64, n int64)
+	DrainRead(p *sim.Proc) (int64, error)
+	WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte)
+	WaitWriteErr(p *sim.Proc) error
+}
+
 // drive is the shared pipelined-issue harness behind Run and Replay: one
 // command process issues the stream in order (preserving the shared-queue
 // ordering of §4.2) while two consumer processes drain read data and write
 // tokens, so issue never blocks on completion. Gap fields throttle issue.
-func drive(p *sim.Proc, c *streamer.Client, name string, next func() (TraceOp, bool)) Result {
+func drive(p *sim.Proc, c Lane, name string, next func() (TraceOp, bool)) Result {
 	k := p.Kernel()
 	res := Result{Spec: Spec{Name: name}}
 	start := p.Now()
@@ -228,7 +240,7 @@ func drive(p *sim.Proc, c *streamer.Client, name string, next func() (TraceOp, b
 				done.TryPut(struct{}{})
 				return
 			}
-			c.ConsumeRead(rp)
+			c.DrainRead(rp)
 			res.BytesRead += n
 		}
 	})
@@ -239,7 +251,7 @@ func drive(p *sim.Proc, c *streamer.Client, name string, next func() (TraceOp, b
 				done.TryPut(struct{}{})
 				return
 			}
-			c.WaitWrite(wp)
+			c.WaitWriteErr(wp)
 			res.BytesWritten += n
 		}
 	})

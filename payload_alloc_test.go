@@ -63,7 +63,7 @@ func TestFunctionalRoundTripAllocBudget(t *testing.T) {
 		perTrip = (m1.TotalAlloc - m0.TotalAlloc) / rounds
 
 		runtime.ReadMemStats(&m0)
-		h.ReadTimed(0, roundTripBytes)
+		check(t, h.ReadTimed(0, roundTripBytes))
 		runtime.ReadMemStats(&m1)
 		timed = m1.TotalAlloc - m0.TotalAlloc
 	})

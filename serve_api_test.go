@@ -130,9 +130,10 @@ func TestServeFacadeWorkersIdentity(t *testing.T) {
 func TestServeOptionErrors(t *testing.T) {
 	if _, err := NewSystem(Options{
 		Serve:   &ServeOptions{},
+		Tenants: tenantServeOpts().Tenants,
 		Cluster: &ClusterOptions{Nodes: 2, Replication: 1, Quorum: 1},
 	}); err == nil || !strings.Contains(err.Error(), "incompatible") {
-		t.Fatalf("Serve+Cluster: err = %v, want incompatible", err)
+		t.Fatalf("Serve+Tenants+Cluster: err = %v, want incompatible", err)
 	}
 	bad := serveOpts()
 	bad.IOBytes = 1000 // not a multiple of 512

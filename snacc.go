@@ -115,18 +115,17 @@ type Options struct {
 	// every submission, a weighted share of the device under deficit
 	// round-robin scheduling, and optional token-bucket rate limiting with
 	// admission control. Tenant traffic goes through Handle.TenantRead /
-	// TenantWrite; the raw Handle.Read / Write entry points panic (and
-	// ReadErr / WriteErr return an error), since they would bypass the
-	// isolation windows.
+	// TenantWrite; the raw Handle.ReadErr / WriteErr / *Timed entry points
+	// return an error, since they would bypass the isolation windows.
 	Tenants []TenantConfig
 	// Cluster, when non-nil, scales the system out: Nodes full
 	// streamer+SSD stacks behind the simulated Ethernet switch, a
 	// consistent-hash ring sharding the logical byte space with
 	// replication factor Replication, quorum writes, read failover, and
-	// background re-replication. Handle.Read / Write then address the
-	// cluster's replicated logical space; Options.Faults and
-	// Options.Tenants are incompatible with cluster mode (use
-	// ClusterOptions.NodeFaults for per-node injection).
+	// background re-replication. The Handle transfers and the serving tier
+	// then address the cluster's replicated logical space. Options.Faults
+	// arms every node without a ClusterOptions.NodeFaults entry; Tenants and
+	// Trace.Boundary are rejected.
 	Cluster *ClusterOptions
 	// Serve, when non-nil, attaches the open-loop RPC serving tier: a
 	// simulated client fleet sends length-prefixed read/write capsules over
@@ -134,10 +133,11 @@ type Options struct {
 	// queue in front of the Streamer. System.Serve runs the workload to
 	// quiescence and returns the fleet-side report. With Options.Tenants
 	// set, requests are stamped with tenant IDs and dispatched through the
-	// virtualized hub, one lane per tenant. Incompatible with
-	// Options.Cluster. Under KernelWorkers > 1 the fleet runs in its own
-	// shard domain joined to the FPGA side by wire-latency edges; reports
-	// are identical at any worker count.
+	// virtualized hub, one lane per tenant; with Options.Cluster, into the
+	// cluster's front domain, the cluster being the one lane. On a single
+	// card under KernelWorkers > 1 the fleet runs in its own shard domain
+	// joined to the FPGA side by wire-latency edges; reports are identical
+	// at any worker count.
 	Serve *ServeOptions
 }
 
@@ -278,8 +278,9 @@ type ClusterOptions struct {
 	ProbeIntervalNs  int64
 	ProbeLimit       int
 	// NodeFaults attaches a per-node NVMe fault injector (keyed by node
-	// index); a node's entry also arms its Streamer recovery ladder with
-	// the same knobs as Options.Faults.
+	// index in [0, Nodes)); a node's entry also arms its Streamer recovery
+	// ladder with the same knobs as Options.Faults, and replaces
+	// Options.Faults on that node.
 	NodeFaults map[int]*FaultOptions
 	// Partitions lists link-level fault windows against nodes.
 	Partitions []LinkPartition
@@ -389,22 +390,28 @@ func (f *FaultOptions) wantsBreaker() bool {
 // System is an assembled simulation: Alveo U280 + host + Samsung 990 PRO
 // model + one NVMe Streamer, fully initialized (admin queue brought up,
 // I/O queues created inside the Streamer window, IOMMU granted, doorbells
-// programmed).
+// programmed) — or, with Options.Cluster, a replicated cluster of such
+// cards.
 type System struct {
-	kernel   *sim.Kernel
-	eng      sim.Engine // kernel, or the shard it is a domain of (KernelWorkers > 1)
-	plat     *tapasco.Platform
-	dev      *nvme.Device
-	st       *streamer.Streamer
-	injector *fault.Injector     // nil unless Options.Faults was set
-	tracer   *obs.Tracer         // nil unless Options.Trace was set
+	eng  sim.Engine                 // the serial kernel, or the shard driving every domain
+	exec func(fn func(p *sim.Proc)) // runs fn as the app process and drains eng
+	// cards holds the system's card, or one per cluster node in node order.
+	cards    []card
 	boundary *pcie.Tracer        // nil unless Options.Trace.Boundary was set
 	hub      *streamer.TenantHub // nil unless Options.Tenants was set
-	// lanes holds one client on the Streamer's port without tenants, and
-	// one per tenant's port with them (nil in cluster mode).
-	lanes   []*streamer.Client
+	// lanes holds the storage seam every Handle method, the workload
+	// drivers and the serving tier drive: the Streamer's client, one client
+	// per tenant, or the cluster.
+	lanes   []serve.Lane
 	cluster *cluster.Cluster // nil unless Options.Cluster was set
 	serve   *serve.Tier      // nil unless Options.Serve was set
+}
+
+// card is one SNAcc card of the system — the single card or a cluster
+// node — with its tracer (nil without Options.Trace) and fault injector.
+type card struct {
+	cluster.Card
+	injector *fault.Injector // nil without faults on this card
 }
 
 // NewSystem builds and initializes a system. The SSD's register BAR is not
@@ -427,34 +434,57 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.KernelWorkers < 0 {
 		return nil, fmt.Errorf("snacc: KernelWorkers must be non-negative, got %d", opts.KernelWorkers)
 	}
-	if opts.Cluster != nil {
-		if opts.Serve != nil {
-			return nil, fmt.Errorf("snacc: Options.Serve is incompatible with Options.Cluster")
-		}
-		return newClusterSystem(opts, functional)
-	}
-	k := sim.NewKernel()
+	sys := &System{}
 	var (
-		eng               sim.Engine  = k
-		fleetK            *sim.Kernel // serve client fleet's domain kernel (sharded runs)
+		srvK, fleetK      *sim.Kernel // serving tier's server side; client fleet's own domain (sharded card)
 		toServer, toFleet *sim.Edge
 	)
-	if opts.KernelWorkers > 1 {
-		shard := sim.NewShard(opts.KernelWorkers)
-		eng = shard
-		sysD := shard.AddDomain("system")
-		k = sysD.Kernel()
-		if opts.Serve != nil {
-			// The client fleet only talks to the FPGA side through the
-			// Ethernet link, so it gets its own domain with wire-latency
-			// lookahead on both edges.
-			fleet := shard.AddDomain("clients")
-			fleetK = fleet.Kernel()
-			look := ethernet.DefaultConfig().EdgeLookahead()
-			toServer = shard.MustConnect(fleet, sysD, look)
-			toFleet = shard.MustConnect(sysD, fleet, look)
+	if opts.Cluster != nil {
+		if err := sys.buildCluster(opts, functional); err != nil {
+			return nil, err
+		}
+		srvK = sys.cluster.Front()
+	} else {
+		srvK = sim.NewKernel()
+		sys.eng = srvK
+		if opts.KernelWorkers > 1 {
+			shard := sim.NewShard(opts.KernelWorkers)
+			sys.eng = shard
+			sysD := shard.AddDomain("system")
+			srvK = sysD.Kernel()
+			if opts.Serve != nil {
+				// The client fleet only talks to the FPGA side through the
+				// Ethernet link, so it gets its own domain with wire-latency
+				// lookahead on both edges.
+				fleet := shard.AddDomain("clients")
+				fleetK = fleet.Kernel()
+				look := ethernet.DefaultConfig().EdgeLookahead()
+				toServer = shard.MustConnect(fleet, sysD, look)
+				toFleet = shard.MustConnect(sysD, fleet, look)
+			}
+		}
+		if err := sys.buildCard(srvK, opts, functional); err != nil {
+			return nil, err
 		}
 	}
+	if opts.Serve != nil {
+		spec, cfg := opts.Serve.build(len(opts.Tenants))
+		var err error
+		if fleetK != nil {
+			sys.serve, err = serve.NewCross(fleetK, srvK, toServer, toFleet, cfg, spec, sys.lanes)
+		} else {
+			sys.serve, err = serve.New(srvK, cfg, spec, sys.lanes)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sys, nil
+}
+
+// buildCard assembles and boots the single card on kernel k, then opens
+// its lanes: the Streamer's client, or one client per tenant.
+func (s *System) buildCard(k *sim.Kernel, opts Options, functional bool) error {
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", 0) // BAR assigned by enumeration
 	devCfg.Functional = functional
@@ -473,57 +503,39 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.Faults != nil {
 		applyFaultRecovery(&stCfg, opts.Faults)
 	}
-	st := node.AddStreamer(ssd, stCfg)
-	var injector *fault.Injector
+	c := card{Card: cluster.Card{Platform: node.Platform, Dev: ssd.Dev, Streamer: node.AddStreamer(ssd, stCfg)}}
 	if opts.Faults != nil {
-		injector = buildInjector(opts.Faults)
-		injector.Attach(ssd.Dev)
+		c.injector = buildInjector(opts.Faults)
+		c.injector.Attach(ssd.Dev)
 	}
-	var tracer *obs.Tracer
-	var boundary *pcie.Tracer
 	if opts.Trace != nil {
-		tracer = obs.NewTracer(opts.Trace.SpanLimit)
-		node.Trace(tracer)
+		c.Tracer = obs.NewTracer(opts.Trace.SpanLimit)
+		node.Trace(c.Tracer)
 		if opts.Trace.Boundary {
-			boundary = node.Platform.AttachBoundaryTracer(st)
+			s.boundary = node.Platform.AttachBoundaryTracer(c.Streamer)
 		}
 	}
-	if err := node.Boot(eng); err != nil {
-		return nil, err
+	if err := node.Boot(s.eng); err != nil {
+		return err
 	}
-	sys := &System{kernel: k, eng: eng, plat: node.Platform, dev: ssd.Dev, st: st,
-		injector: injector, tracer: tracer, boundary: boundary}
+	s.cards = []card{c}
+	s.exec = func(fn func(p *sim.Proc)) {
+		k.Spawn("app", fn)
+		s.eng.Run(0)
+	}
 	if len(opts.Tenants) == 0 {
-		sys.lanes = []*streamer.Client{streamer.NewClient(st)}
-	} else {
-		hub, err := streamer.NewTenantHub(k, st, opts.Tenants, streamer.HubOptions{})
-		if err != nil {
-			return nil, err
-		}
-		sys.hub = hub
-		for i := 0; i < hub.Tenants(); i++ {
-			sys.lanes = append(sys.lanes, hub.Client(i))
-		}
+		s.lanes = []serve.Lane{streamer.NewClient(c.Streamer)}
+		return nil
 	}
-	if opts.Serve != nil {
-		spec, cfg := opts.Serve.build(len(opts.Tenants))
-		lanes := make([]serve.Lane, len(sys.lanes))
-		for i, c := range sys.lanes {
-			lanes[i] = c
-		}
-		var tier *serve.Tier
-		var err error
-		if fleetK != nil {
-			tier, err = serve.NewCross(fleetK, k, toServer, toFleet, cfg, spec, lanes)
-		} else {
-			tier, err = serve.New(k, cfg, spec, lanes)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sys.serve = tier
+	hub, err := streamer.NewTenantHub(k, c.Streamer, opts.Tenants, streamer.HubOptions{})
+	if err != nil {
+		return err
 	}
-	return sys, nil
+	s.hub = hub
+	for i := 0; i < hub.Tenants(); i++ {
+		s.lanes = append(s.lanes, hub.Client(i))
+	}
+	return nil
 }
 
 // applyFaultRecovery maps FaultOptions onto the Streamer's recovery knobs:
@@ -600,23 +612,34 @@ func buildInjector(f *FaultOptions) *fault.Injector {
 	return in
 }
 
-// newClusterSystem assembles a replicated multi-node system behind the
-// simulated Ethernet switch (Options.Cluster).
-func newClusterSystem(opts Options, functional bool) (*System, error) {
+// buildCluster assembles a replicated multi-node system behind the
+// simulated Ethernet switch (Options.Cluster). The cluster is the system's
+// one lane; Options.Faults applies to every node without a NodeFaults
+// entry of its own.
+func (s *System) buildCluster(opts Options, functional bool) error {
+	// A tenant hub forwards its backend's AXI read packets, which the
+	// cluster's capsule path does not produce.
 	if len(opts.Tenants) > 0 {
-		return nil, fmt.Errorf("snacc: Options.Tenants is incompatible with Options.Cluster")
+		return fmt.Errorf("snacc: Options.Tenants is incompatible with Options.Cluster")
 	}
-	if opts.Faults != nil {
-		return nil, fmt.Errorf("snacc: Options.Faults is incompatible with Options.Cluster (use ClusterOptions.NodeFaults)")
-	}
+	// The boundary tracer taps one card's PCIe port; a cluster has no single one.
 	if opts.Trace != nil && opts.Trace.Boundary {
-		return nil, fmt.Errorf("snacc: Trace.Boundary is not supported in cluster mode")
+		return fmt.Errorf("snacc: Trace.Boundary is not supported in cluster mode")
 	}
 	co := opts.Cluster
 	for nd, f := range co.NodeFaults {
-		if f != nil && f.CrashEveryNCmds == 1 {
-			return nil, fmt.Errorf("snacc: node %d: CrashEveryNCmds must be >= 2", nd)
+		if nd < 0 || nd >= co.Nodes {
+			return fmt.Errorf("snacc: NodeFaults names node %d outside [0, %d)", nd, co.Nodes)
 		}
+		if f != nil && f.CrashEveryNCmds == 1 {
+			return fmt.Errorf("snacc: node %d: CrashEveryNCmds must be >= 2", nd)
+		}
+	}
+	faults := func(node int) *FaultOptions {
+		if f := co.NodeFaults[node]; f != nil {
+			return f
+		}
+		return opts.Faults
 	}
 	ccfg := cluster.DefaultConfig(co.Nodes, co.Replication, co.Quorum)
 	ccfg.ChunkBytes = co.ChunkBytes
@@ -633,19 +656,19 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 		ccfg.TraceSpans = true
 		ccfg.SpanLimit = opts.Trace.SpanLimit
 	}
-	if len(co.NodeFaults) > 0 {
-		faults := co.NodeFaults
-		ccfg.NodeInjector = func(node int) *fault.Injector {
-			f := faults[node]
-			if f == nil {
-				return nil
-			}
-			return buildInjector(f)
+	injectors := map[int]*fault.Injector{}
+	ccfg.NodeInjector = func(node int) *fault.Injector {
+		if f := faults(node); f != nil {
+			injectors[node] = buildInjector(f)
 		}
-		ccfg.StreamerTune = func(node int, cfg *streamer.Config) {
-			if f := faults[node]; f != nil {
-				applyFaultRecovery(cfg, f)
-			}
+		return injectors[node]
+	}
+	ccfg.StreamerTune = func(node int, cfg *streamer.Config) {
+		cfg.OutOfOrder = opts.OutOfOrder
+		cfg.IOQueues = opts.IOQueues
+		cfg.DoorbellBatch = opts.DoorbellBatch
+		if f := faults(node); f != nil {
+			applyFaultRecovery(cfg, f)
 		}
 	}
 	for _, pt := range co.Partitions {
@@ -664,9 +687,13 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 	}
 	cl, err := cluster.New(ccfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &System{cluster: cl}, nil
+	s.eng, s.exec, s.cluster, s.lanes = cl.Engine(), cl.Execute, cl, []serve.Lane{cl}
+	for i := 0; i < cl.Nodes(); i++ {
+		s.cards = append(s.cards, card{cl.Card(i), injectors[i]})
+	}
+	return nil
 }
 
 // MustNewSystem is NewSystem, panicking on error (examples, tests).
@@ -689,16 +716,7 @@ type Handle struct {
 // until it (and everything it triggered) completes, under whichever
 // scheduler Options.KernelWorkers selected.
 func (s *System) Execute(fn func(h *Handle)) {
-	if s.cluster != nil {
-		s.cluster.Execute(func(p *sim.Proc) {
-			fn(&Handle{p: p, sys: s})
-		})
-		return
-	}
-	s.kernel.Spawn("app", func(p *sim.Proc) {
-		fn(&Handle{p: p, sys: s})
-	})
-	s.eng.Run(0)
+	s.exec(func(p *sim.Proc) { fn(&Handle{p: p, sys: s}) })
 }
 
 // Serve runs the configured open-loop serving workload (Options.Serve) to
@@ -720,9 +738,6 @@ func (s *System) Serve() (ServeReport, error) {
 // KernelWorkers returns the sharded scheduler's worker budget, or 1 when
 // the system runs on the plain serial kernel.
 func (s *System) KernelWorkers() int {
-	if s.cluster != nil {
-		return s.cluster.KernelWorkers()
-	}
 	if shard, ok := s.eng.(*sim.Shard); ok {
 		return shard.Workers()
 	}
@@ -732,22 +747,29 @@ func (s *System) KernelWorkers() int {
 // Now returns the current simulated time in nanoseconds.
 func (h *Handle) Now() int64 { return int64(h.p.Now()) }
 
-// raw returns the untenanted Streamer's client, or an error when the
-// system has no single raw Streamer: a virtualized system (raw access would
-// bypass the tenant LBA windows) or a cluster.
-func (s *System) raw() (*streamer.Client, error) {
-	switch {
-	case s.hub != nil:
+// rawLane returns the system's untenanted lane: the Streamer's client or
+// the cluster. A virtualized system has none, since raw access would
+// bypass the tenant LBA windows.
+func (s *System) rawLane() (serve.Lane, error) {
+	if s.hub != nil {
 		return nil, fmt.Errorf("snacc: Streamer is virtualized (Options.Tenants); use TenantRead/TenantWrite")
-	case s.cluster != nil:
-		return nil, fmt.Errorf("snacc: a cluster has no raw Streamer (Options.Cluster)")
 	}
 	return s.lanes[0], nil
 }
 
+// raw validates a transfer's shape and returns the untenanted lane. The
+// Streamer and the cluster coordinator would otherwise fail inside a
+// simulation process, where the caller cannot recover.
+func (h *Handle) raw(addr uint64, n int64, write bool) (serve.Lane, error) {
+	if addr%512 != 0 || n%512 != 0 || n < 0 || (n == 0 && !write) {
+		return nil, fmt.Errorf("snacc: bad transfer %d@%#x: address and length must be multiples of 512, and a read must not be empty", n, addr)
+	}
+	return h.sys.rawLane()
+}
+
 // tenant returns tenant i's client, or an error when the system has no
 // tenants or the index is out of range.
-func (h *Handle) tenant(i int) (*streamer.Client, error) {
+func (h *Handle) tenant(i int) (serve.Lane, error) {
 	if h.sys.hub == nil {
 		return nil, fmt.Errorf("snacc: no tenants configured (set Options.Tenants)")
 	}
@@ -757,122 +779,52 @@ func (h *Handle) tenant(i int) (*streamer.Client, error) {
 	return h.sys.lanes[i], nil
 }
 
-// checkShape validates a transfer before it reaches the model: the address
-// and the length must be multiples of 512, and only a write may be empty.
-// The Streamer and the cluster coordinator would otherwise fail inside a
-// simulation process, where the caller cannot recover.
-func checkShape(addr uint64, n int64, write bool) error {
-	if addr%512 != 0 || n%512 != 0 || n < 0 || (n == 0 && !write) {
-		return fmt.Errorf("snacc: bad transfer %d@%#x: address and length must be multiples of 512, and a read must not be empty", n, addr)
-	}
-	return nil
-}
-
-// route validates a transfer's shape and picks its path: the cluster when
-// there is one, else the raw Streamer's client.
-func (h *Handle) route(addr uint64, n int64, write bool) (*cluster.Cluster, *streamer.Client, error) {
-	if err := checkShape(addr, n, write); err != nil {
-		return nil, nil, err
-	}
-	if h.sys.cluster != nil {
-		return h.sys.cluster, nil, nil
-	}
-	c, err := h.sys.raw()
-	return nil, c, err
-}
-
-// must panics with err's message: the entry points without an error
-// result report failures this way.
-func must(err error) {
-	if err != nil {
-		panic(err.Error())
-	}
-}
-
-// Write stores data at the given device byte address (512-aligned, length
-// a multiple of 512) and waits for the Streamer's response token. In
+// WriteErr stores data at the given device byte address (512-aligned,
+// length a multiple of 512) and waits for the write's completion. In
 // cluster mode the address is a cluster-logical byte address and the write
-// replicates to R nodes, acknowledging at the configured quorum. It panics
-// on a bad transfer shape, on a virtualized system and on a cluster quorum
-// failure; terminal NVMe errors are discarded (use WriteErr).
-func (h *Handle) Write(addr uint64, data []byte) {
-	cl, c, err := h.route(addr, int64(len(data)), true)
-	if cl != nil {
-		err = cl.Write(h.p, addr, data)
-	} else if c != nil {
-		c.Write(h.p, addr, int64(len(data)), data)
-	}
-	must(err)
-}
-
-// WriteTimed performs a timing-only write of n bytes.
-func (h *Handle) WriteTimed(addr uint64, n int64) {
-	cl, c, err := h.route(addr, n, true)
-	if cl != nil {
-		err = cl.WriteTimed(h.p, addr, n)
-	} else if c != nil {
-		c.Write(h.p, addr, n, nil)
-	}
-	must(err)
-}
-
-// Read returns n bytes from the given device byte address. In cluster mode
-// the read is served by the chunk's primary replica, failing over to the
-// others on error or timeout. It panics where Write does, and on a short
-// delivery (use ReadErr).
-func (h *Handle) Read(addr uint64, n int64) []byte {
-	cl, c, err := h.route(addr, n, false)
-	var data []byte
-	if cl != nil {
-		data, err = cl.Read(h.p, addr, n)
-	} else if c != nil {
-		data = c.Read(h.p, addr, n)
-	}
-	must(err)
-	return data
-}
-
-// ReadTimed performs a timing-only read of n bytes.
-func (h *Handle) ReadTimed(addr uint64, n int64) {
-	cl, c, err := h.route(addr, n, false)
-	if cl != nil {
-		_, err = cl.Read(h.p, addr, n)
-	} else if c != nil {
-		c.ReadAsync(h.p, addr, n)
-		c.DrainRead(h.p)
-	}
-	must(err)
-}
-
-// ReadErr is Read returning every failure as an error instead of
-// panicking: a bad transfer shape, a virtualized system, and terminal NVMe
-// errors (after the Streamer has exhausted its retries) or, in cluster
-// mode, a read no replica could serve. The returned data covers only the
-// pieces that succeeded.
-func (h *Handle) ReadErr(addr uint64, n int64) ([]byte, error) {
-	cl, c, err := h.route(addr, n, false)
-	switch {
-	case err != nil:
-		return nil, err
-	case cl != nil:
-		return cl.Read(h.p, addr, n)
-	}
-	return c.ReadErr(h.p, addr, n)
-}
-
-// WriteErr is Write returning every failure as an error instead of
-// panicking: a bad transfer shape, a virtualized system, and the worst
-// terminal NVMe status across the write's pieces (in cluster mode, a
-// quorum failure). An empty write is acknowledged with nil.
+// replicates to R nodes, acknowledging at the configured quorum. Every
+// failure comes back as an error: a bad transfer shape, a virtualized
+// system, the worst terminal NVMe status across the write's pieces, and in
+// cluster mode a quorum failure or a transfer past Capacity. An empty
+// write is acknowledged with nil.
 func (h *Handle) WriteErr(addr uint64, data []byte) error {
-	cl, c, err := h.route(addr, int64(len(data)), true)
-	switch {
-	case err != nil:
+	return h.write(addr, int64(len(data)), data)
+}
+
+// WriteTimed is a timing-only WriteErr of n bytes.
+func (h *Handle) WriteTimed(addr uint64, n int64) error { return h.write(addr, n, nil) }
+
+func (h *Handle) write(addr uint64, n int64, data []byte) error {
+	l, err := h.raw(addr, n, true)
+	if err != nil {
 		return err
-	case cl != nil:
-		return cl.Write(h.p, addr, data)
 	}
-	return c.WriteErr(h.p, addr, int64(len(data)), data)
+	return l.WriteErr(h.p, addr, n, data)
+}
+
+// ReadErr returns n bytes from the given device byte address. In cluster
+// mode each chunk is served by its primary replica, failing over to the
+// others on error or timeout. It fails where WriteErr does, and with a
+// terminal NVMe error or, in cluster mode, a read no replica could serve;
+// the returned data then covers only the pieces that succeeded.
+func (h *Handle) ReadErr(addr uint64, n int64) ([]byte, error) {
+	l, err := h.raw(addr, n, false)
+	if err != nil {
+		return nil, err
+	}
+	return l.ReadErr(h.p, addr, n)
+}
+
+// ReadTimed is a timing-only ReadErr of n bytes: the data is drained, not
+// collected.
+func (h *Handle) ReadTimed(addr uint64, n int64) error {
+	l, err := h.raw(addr, n, false)
+	if err != nil {
+		return err
+	}
+	l.ReadAsync(h.p, addr, n)
+	_, err = l.DrainRead(h.p)
+	return err
 }
 
 // TenantWrite stores data at a tenant-relative device byte address through
@@ -882,20 +834,20 @@ func (h *Handle) WriteErr(addr uint64, data []byte) error {
 // returns an error, never panics, when the system has no tenants or the
 // index is out of range.
 func (h *Handle) TenantWrite(tenant int, addr uint64, data []byte) error {
-	c, err := h.tenant(tenant)
-	if err != nil {
-		return err
-	}
-	return c.WriteErr(h.p, addr, int64(len(data)), data)
+	return h.tenantWrite(tenant, addr, int64(len(data)), data)
 }
 
 // TenantWriteTimed is a timing-only TenantWrite of n bytes.
 func (h *Handle) TenantWriteTimed(tenant int, addr uint64, n int64) error {
+	return h.tenantWrite(tenant, addr, n, nil)
+}
+
+func (h *Handle) tenantWrite(tenant int, addr uint64, n int64, data []byte) error {
 	c, err := h.tenant(tenant)
 	if err != nil {
 		return err
 	}
-	return c.WriteErr(h.p, addr, n, nil)
+	return c.WriteErr(h.p, addr, n, data)
 }
 
 // TenantRead returns n bytes from a tenant-relative device byte address,
@@ -920,38 +872,50 @@ func (h *Handle) Spans() []Span { return h.sys.Spans() }
 // accounting, and the global breaker/reset/death event timeline. A cluster
 // has one tracer per node and no system tracer, so Trace stays nil in
 // cluster mode; use Spans, StageLatency and CommandLatency there.
-func (s *System) Trace() *obs.Tracer { return s.tracer }
+func (s *System) Trace() *obs.Tracer {
+	if len(s.cards) > 1 {
+		return nil
+	}
+	return s.cards[0].Tracer
+}
 
 // Spans returns the completed command spans traced so far, in completion
 // order (nil without Options.Trace). In cluster mode the spans of every
 // node tracer are concatenated in node order, each stamped with its node
 // identity (Span.Node).
 func (s *System) Spans() []Span {
-	if s.cluster != nil {
-		return s.cluster.Spans()
+	var out []Span
+	for _, c := range s.cards {
+		out = append(out, c.Tracer.Spans()...)
 	}
-	return s.tracer.Spans()
+	return out
 }
 
 // StageLatency returns the latency histogram of the transition into stage
-// st, or nil without Options.Trace or for an unknown stage. In cluster mode
-// it is a snapshot merging the node tracers' histograms in node order.
+// st, or nil without Options.Trace or for an unknown stage. It is a
+// snapshot, merging the node tracers' histograms in node order in cluster
+// mode.
 func (s *System) StageLatency(st SpanStage) *LatencyHist {
-	if s.cluster != nil {
-		return s.cluster.StageHist(st)
-	}
-	return s.tracer.StageHist(st)
+	return s.mergeHists(func(t *obs.Tracer) *obs.Hist { return t.StageHist(st) })
 }
 
 // CommandLatency returns the end-to-end (accepted → retired) latency
-// histogram for the given direction, or nil without Options.Trace. In
-// cluster mode it is a snapshot merging the node tracers' histograms in
-// node order.
+// histogram for the given direction, or nil without Options.Trace; a
+// snapshot like StageLatency.
 func (s *System) CommandLatency(write bool) *LatencyHist {
-	if s.cluster != nil {
-		return s.cluster.E2E(write)
+	return s.mergeHists(func(t *obs.Tracer) *obs.Hist { return t.E2E(write) })
+}
+
+func (s *System) mergeHists(pick func(*obs.Tracer) *obs.Hist) *LatencyHist {
+	out := &LatencyHist{}
+	for _, c := range s.cards {
+		h := pick(c.Tracer)
+		if h == nil {
+			return nil
+		}
+		out.Merge(h)
 	}
-	return s.tracer.E2E(write)
+	return out
 }
 
 // BoundaryTrace returns the staging-buffer-boundary PCIe tracer, or nil
@@ -1026,60 +990,19 @@ type Stats struct {
 	DeadNodes             []int
 }
 
-// Stats snapshots the system counters.
+// Stats snapshots the system counters. Counters sum over the cluster's
+// nodes; IOQueueDepthPeak takes each queue's maximum.
 func (s *System) Stats() Stats {
-	if s.cluster != nil {
-		return s.clusterStats()
-	}
-	return Stats{
-		CommandsSubmitted: s.st.CommandsSubmitted(),
-		CommandsRetired:   s.st.CommandsRetired(),
-		CommandErrors:     s.st.CommandErrors(),
-		CommandRetries:    s.st.CommandRetries(),
-		CommandTimeouts:   s.st.CommandTimeouts(),
-		CommandAborts:     s.st.CommandAborts(),
-		ProtocolErrors:    s.st.ProtocolErrors(),
-		FaultsInjected:    s.FaultsInjected(),
-		BreakerTrips:      s.st.BreakerTrips(),
-		ControllerResets:  s.st.ControllerResets(),
-		CommandsReplayed:  s.st.CommandsReplayed(),
-		RecoveryTimeNs:    int64(s.st.RecoveryTime()),
-		ControllerDead:    s.st.Dead(),
-		DoorbellWrites:    s.st.DoorbellWrites(),
-		CQBatches:         s.st.CQBatches(),
-		IOQueueDepthPeak:  s.st.QueueDepthHighWater(),
-		SpansOpened:       s.tracer.Opened(),
-		SpansClosed:       s.tracer.Closed(),
-		SpansDropped:      s.tracer.Dropped(),
-		TraceLateEvents:   s.tracer.LateEvents(),
-		BytesToPE:         s.st.BytesToPE(),
-		BytesFromPE:       s.st.BytesFromPE(),
-		PCIeCardRx:        s.plat.Card.PayloadRx(),
-		PCIeSSDRx:         s.dev.Port().PayloadRx(),
-		PCIeHostRx:        s.plat.Host.Port.PayloadRx(),
-		SimTime:           int64(s.kernel.Now()),
-		SimEvents:         s.kernel.EventsExecuted(),
-		Tenants:           s.TenantStats(),
-	}
-}
-
-// clusterStats maps the cluster's counters onto the system snapshot,
-// summing the per-node Streamer counters into the shared fields.
-func (s *System) clusterStats() Stats {
-	cs := s.cluster.Stats()
 	out := Stats{
-		NodeDeaths:            cs.NodeDeaths,
-		NodeRejoins:           cs.Rejoins,
-		Failovers:             cs.Failovers,
-		ReReplicatedBytes:     cs.ReReplicatedBytes,
-		DegradedWindowNs:      cs.DegradedWindowNs,
-		UnderReplicatedChunks: cs.UnderReplicatedChunks,
-		DeadNodes:             cs.DeadNodes,
-		SimTime:               cs.SimTime,
-		SimEvents:             cs.SimEvents,
+		SimTime:   int64(s.eng.Now()),
+		SimEvents: s.eng.EventsExecuted(),
+		Tenants:   s.TenantStats(),
 	}
-	for i := 0; i < s.cluster.Nodes(); i++ {
-		st := s.cluster.Node(i)
+	for _, c := range s.cards {
+		if c.injector != nil {
+			out.FaultsInjected += c.injector.Injected()
+		}
+		st := c.Streamer
 		out.CommandsSubmitted += st.CommandsSubmitted()
 		out.CommandsRetired += st.CommandsRetired()
 		out.CommandErrors += st.CommandErrors()
@@ -1091,11 +1014,34 @@ func (s *System) clusterStats() Stats {
 		out.ControllerResets += st.ControllerResets()
 		out.CommandsReplayed += st.CommandsReplayed()
 		out.RecoveryTimeNs += int64(st.RecoveryTime())
+		out.ControllerDead = out.ControllerDead || st.Dead()
+		out.DoorbellWrites += st.DoorbellWrites()
+		out.CQBatches += st.CQBatches()
+		for q, peak := range st.QueueDepthHighWater() {
+			if q == len(out.IOQueueDepthPeak) {
+				out.IOQueueDepthPeak = append(out.IOQueueDepthPeak, peak)
+			}
+			out.IOQueueDepthPeak[q] = max(out.IOQueueDepthPeak[q], peak)
+		}
+		out.SpansOpened += c.Tracer.Opened()
+		out.SpansClosed += c.Tracer.Closed()
+		out.SpansDropped += c.Tracer.Dropped()
+		out.TraceLateEvents += c.Tracer.LateEvents()
 		out.BytesToPE += st.BytesToPE()
 		out.BytesFromPE += st.BytesFromPE()
-		if st.Dead() {
-			out.ControllerDead = true
-		}
+		out.PCIeCardRx += c.Platform.Card.PayloadRx()
+		out.PCIeSSDRx += c.Dev.Port().PayloadRx()
+		out.PCIeHostRx += c.Platform.Host.Port.PayloadRx()
+	}
+	if s.cluster != nil {
+		cs := s.cluster.Stats()
+		out.NodeDeaths = cs.NodeDeaths
+		out.NodeRejoins = cs.Rejoins
+		out.Failovers = cs.Failovers
+		out.ReReplicatedBytes = cs.ReReplicatedBytes
+		out.DegradedWindowNs = cs.DegradedWindowNs
+		out.UnderReplicatedChunks = cs.UnderReplicatedChunks
+		out.DeadNodes = cs.DeadNodes
 	}
 	return out
 }
@@ -1129,30 +1075,18 @@ func (s *System) TenantWriteLatency(i int) LatencyHist {
 	return s.hub.WriteLatency(i)
 }
 
-// FaultsInjected returns the number of faults the injector has fired, or 0
-// when the system was built without Options.Faults.
-func (s *System) FaultsInjected() int64 {
-	if s.injector == nil {
-		return 0
-	}
-	return s.injector.Injected()
-}
+// FaultsInjected returns the number of faults the injectors have fired,
+// summed over the cluster's nodes (0 without Options.Faults or
+// ClusterOptions.NodeFaults).
+func (s *System) FaultsInjected() int64 { return s.Stats().FaultsInjected }
 
 // Capacity returns the simulated SSD capacity in bytes (in cluster mode,
 // the cluster's logical capacity — one node's namespace, since replicas
 // store chunks at their logical addresses).
-func (s *System) Capacity() int64 {
-	if s.cluster != nil {
-		return s.cluster.Capacity()
-	}
-	return s.dev.Config().NamespaceBytes
-}
+func (s *System) Capacity() int64 { return s.cards[0].Dev.Config().NamespaceBytes }
 
 // Resources returns the Table 1 FPGA resource estimate for this system's
 // Streamer configuration (in cluster mode, for one node's Streamer).
 func (s *System) Resources() fpga.Resources {
-	if s.cluster != nil {
-		return fpga.EstimateStreamer(s.cluster.Node(0).Config())
-	}
-	return fpga.EstimateStreamer(s.st.Config())
+	return fpga.EstimateStreamer(s.cards[0].Streamer.Config())
 }

@@ -9,6 +9,23 @@ import (
 	"snacc/internal/sim"
 )
 
+// check fails t on a transfer error: every Handle transfer returns its
+// failures as an error.
+func check(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// mustRead is Handle.ReadErr failing t on an error.
+func mustRead(t testing.TB, h *Handle, addr uint64, n int64) []byte {
+	t.Helper()
+	got, err := h.ReadErr(addr, n)
+	check(t, err)
+	return got
+}
+
 func TestSystemWriteReadRoundTrip(t *testing.T) {
 	for _, v := range []Variant{URAM, OnboardDRAM, HostDRAM} {
 		t.Run(v.String(), func(t *testing.T) {
@@ -18,8 +35,8 @@ func TestSystemWriteReadRoundTrip(t *testing.T) {
 				want[i] = byte(i % 251)
 			}
 			sys.Execute(func(h *Handle) {
-				h.Write(0, want)
-				got := h.Read(0, int64(len(want)))
+				check(t, h.WriteErr(0, want))
+				got := mustRead(t, h, 0, int64(len(want)))
 				if !bytes.Equal(got, want) {
 					t.Error("round trip corrupted data")
 				}
@@ -42,12 +59,12 @@ func TestSystemMultipleExecutes(t *testing.T) {
 	sys.Execute(func(h *Handle) {
 		block := make([]byte, 512)
 		copy(block, "persist me across executes")
-		h.Write(0, block)
+		check(t, h.WriteErr(0, block))
 		t1 = h.Now()
 	})
 	sys.Execute(func(h *Handle) {
 		t2 = h.Now()
-		got := h.Read(0, 512)
+		got := mustRead(t, h, 0, 512)
 		if string(got[:10]) != "persist me" {
 			t.Error("data did not survive across Execute calls")
 		}
@@ -62,12 +79,12 @@ func TestSystemTimedOpsAdvanceTime(t *testing.T) {
 	sys := MustNewSystem(Options{Variant: HostDRAM, Functional: &f})
 	sys.Execute(func(h *Handle) {
 		start := h.Now()
-		h.WriteTimed(0, 8<<20)
+		check(t, h.WriteTimed(0, 8<<20))
 		if h.Now() <= start {
 			t.Error("WriteTimed consumed no simulated time")
 		}
 		mid := h.Now()
-		h.ReadTimed(0, 8<<20)
+		check(t, h.ReadTimed(0, 8<<20))
 		if h.Now() <= mid {
 			t.Error("ReadTimed consumed no simulated time")
 		}
@@ -80,8 +97,8 @@ func TestSystemDeterminism(t *testing.T) {
 		sys := MustNewSystem(Options{Variant: OnboardDRAM, Functional: &f, Seed: 99})
 		var done int64
 		sys.Execute(func(h *Handle) {
-			h.WriteTimed(0, 32<<20)
-			h.ReadTimed(0, 32<<20)
+			check(t, h.WriteTimed(0, 32<<20))
+			check(t, h.ReadTimed(0, 32<<20))
 			done = h.Now()
 		})
 		return done, sys.Stats()
@@ -108,8 +125,8 @@ func TestSystemKernelWorkersIdentical(t *testing.T) {
 		}
 		var done int64
 		sys.Execute(func(h *Handle) {
-			h.WriteTimed(0, 16<<20)
-			h.ReadTimed(0, 16<<20)
+			check(t, h.WriteTimed(0, 16<<20))
+			check(t, h.ReadTimed(0, 16<<20))
 			done = h.Now()
 		})
 		return done, sys.Stats()
@@ -133,8 +150,8 @@ func TestSystemOutOfOrderOption(t *testing.T) {
 	sys := MustNewSystem(Options{Variant: OnboardDRAM, OutOfOrder: true})
 	want := bytes.Repeat([]byte{0xA5}, 128*1024)
 	sys.Execute(func(h *Handle) {
-		h.Write(4096, want)
-		if !bytes.Equal(h.Read(4096, int64(len(want))), want) {
+		check(t, h.WriteErr(4096, want))
+		if !bytes.Equal(mustRead(t, h, 4096, int64(len(want))), want) {
 			t.Error("OOO system corrupted data")
 		}
 	})
@@ -150,8 +167,8 @@ func TestSystemRoundTripProperty(t *testing.T) {
 		data := bytes.Repeat([]byte{fill}, int(n))
 		ok := false
 		sys.Execute(func(h *Handle) {
-			h.Write(addr, data)
-			ok = bytes.Equal(h.Read(addr, n), data)
+			check(t, h.WriteErr(addr, data))
+			ok = bytes.Equal(mustRead(t, h, addr, n), data)
 		})
 		return ok
 	}
@@ -197,7 +214,7 @@ func TestCaseStudySingleVariant(t *testing.T) {
 func TestStatsPCIeAccounting(t *testing.T) {
 	f := false
 	sys := MustNewSystem(Options{Variant: URAM, Functional: &f})
-	sys.Execute(func(h *Handle) { h.WriteTimed(0, 16*sim.MiB) })
+	sys.Execute(func(h *Handle) { check(t, h.WriteTimed(0, 16*sim.MiB)) })
 	st := sys.Stats()
 	// A URAM-variant write moves the payload over PCIe exactly once (SSD
 	// P2P fetch); host memory only sees queue/identify traffic.

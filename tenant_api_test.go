@@ -88,22 +88,8 @@ func TestTenantFacadeWindowRejection(t *testing.T) {
 }
 
 func TestTenantFacadeGuards(t *testing.T) {
-	mustPanic := func(name, want string, fn func()) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("%s did not panic", name)
-				return
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-				t.Errorf("%s panicked with %v, want substring %q", name, r, want)
-			}
-		}()
-		fn()
-	}
 	virt := MustNewSystem(twoTenantOpts())
 	virt.Execute(func(h *Handle) {
-		mustPanic("raw Read on virtualized system", "virtualized", func() { h.Read(0, 512) })
 		if _, err := h.ReadErr(0, 512); err == nil || !strings.Contains(err.Error(), "virtualized") {
 			t.Errorf("raw ReadErr on virtualized system: err = %v, want virtualized", err)
 		}

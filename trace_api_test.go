@@ -40,8 +40,8 @@ func TestSpanMonotoneAcrossKernelWorkers(t *testing.T) {
 		sys := MustNewSystem(Options{Variant: URAM, Functional: &f,
 			Trace: &TraceOptions{}, KernelWorkers: workers})
 		sys.Execute(func(h *Handle) {
-			h.WriteTimed(0, 4<<20)
-			h.ReadTimed(0, 4<<20)
+			check(t, h.WriteTimed(0, 4<<20))
+			check(t, h.ReadTimed(0, 4<<20))
 		})
 		st := sys.Stats()
 		if st.SpansOpened == 0 || st.SpansOpened != st.SpansClosed {
@@ -124,8 +124,8 @@ func TestClusterTraceHistograms(t *testing.T) {
 	sys := MustNewSystem(Options{Trace: &TraceOptions{},
 		Cluster: &ClusterOptions{Nodes: 3, Replication: 2, Quorum: 2}})
 	sys.Execute(func(h *Handle) {
-		h.Write(0, make([]byte, 4096))
-		h.Read(0, 4096)
+		check(t, h.WriteErr(0, make([]byte, 4096)))
+		mustRead(t, h, 0, 4096)
 	})
 	var writes, reads int64
 	for _, sp := range sys.Spans() {
@@ -173,8 +173,8 @@ func TestBoundaryTracePinned(t *testing.T) {
 		sys := MustNewSystem(Options{Variant: v, Functional: &f,
 			Trace: &TraceOptions{Boundary: true}})
 		sys.Execute(func(h *Handle) {
-			h.WriteTimed(0, 32*sim.MiB)
-			h.ReadTimed(0, 32*sim.MiB)
+			check(t, h.WriteTimed(0, 32*sim.MiB))
+			check(t, h.ReadTimed(0, 32*sim.MiB))
 		})
 		tr := sys.BoundaryTrace()
 		if tr == nil {

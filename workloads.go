@@ -25,10 +25,11 @@ const (
 	ZipfianPattern    = workload.Zipfian
 )
 
-// RunWorkload executes the workload on this system and returns its
-// throughput summary.
+// RunWorkload executes the workload on this system — through the
+// Streamer, or across the cluster's logical space — and returns its
+// throughput summary. A virtualized system reports an error.
 func (s *System) RunWorkload(spec WorkloadSpec) (WorkloadResult, error) {
-	c, err := s.raw()
+	c, err := s.rawLane()
 	if err != nil {
 		return WorkloadResult{}, err
 	}
@@ -53,11 +54,11 @@ func FormatTrace(w io.Writer, ops []TraceOp) error { return workload.FormatTrace
 // RecordTrace materializes a generated workload as a replayable trace.
 func RecordTrace(spec WorkloadSpec) ([]TraceOp, error) { return workload.RecordTrace(spec) }
 
-// ReplayTrace replays a recorded I/O trace through this system's Streamer,
-// honoring per-operation arrival gaps (open loop) or running closed-loop
-// when gaps are zero.
+// ReplayTrace replays a recorded I/O trace through this system's Streamer
+// or cluster, honoring per-operation arrival gaps (open loop) or running
+// closed-loop when gaps are zero.
 func (s *System) ReplayTrace(name string, ops []TraceOp) (WorkloadResult, error) {
-	c, err := s.raw()
+	c, err := s.rawLane()
 	if err != nil {
 		return WorkloadResult{}, err
 	}
