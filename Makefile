@@ -25,8 +25,12 @@ race:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'RandomizedDataIntegrity' .
 
+# go vet, then gofmt: any Go file gofmt would change (tracked, or new and not
+# ignored) fails the target and is listed.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Per-package statement coverage, with a ratchet on the packages whose test
 # suites this repo leans on hardest: the span tracer, the trace parser, and
@@ -50,11 +54,12 @@ cover:
 latency:
 	$(GO) run ./cmd/snaccbench -latency
 
-# Microbenchmarks: kernel scheduling (events/sec, allocs/op), end-to-end
-# streamer reads (4 KiB and 1 MiB) and the functional 4 MiB write + read
-# round trip (bytes allocated per trip).
+# Microbenchmarks: kernel scheduling (events/sec, allocs/op), process
+# hand-offs (Sleep, Chan ping-pong), end-to-end streamer reads (4 KiB and
+# 1 MiB) and the functional 4 MiB write + read round trip (bytes allocated
+# per trip).
 bench:
-	$(GO) test -run XXX -bench BenchmarkKernel -benchmem ./internal/sim/
+	$(GO) test -run XXX -bench 'BenchmarkKernel|BenchmarkProc' -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench BenchmarkStreamerRead -benchmem ./internal/bench/
 	$(GO) test -run XXX -bench BenchmarkFunctionalRoundTrip4M -benchmem .
 

@@ -47,6 +47,7 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 			NodeFaults:  map[int]*FaultOptions{2: {RemoveAtCommand: 6}},
 		},
 	})
+	defer sys.Close()
 
 	const span = 2 << 20 // 2 MiB working window (8 default chunks)
 	shadow := make([]byte, span)
@@ -54,9 +55,8 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 	const prime = 1099511628211
 	digest := uint64(14695981039346656037)
 
-	// Failures are collected and reported outside Execute: t.Fatalf inside
-	// a sim proc goroutine aborts it without unwinding the kernel and
-	// deadlocks the run.
+	// The first failure stops the run and is reported after Execute
+	// returns.
 	var failure string
 	sys.Execute(func(h *Handle) {
 		for op := 0; op < 70; op++ {

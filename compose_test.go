@@ -245,6 +245,7 @@ func fuzzRun(t *testing.T, mask, knobs uint8, workers int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer sys.Close()
 	var out strings.Builder
 	sys.Execute(func(h *Handle) {
 		for i := 0; i < 6; i++ {

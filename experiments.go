@@ -239,7 +239,9 @@ func AblationQueuePairs(counts []int, totalBytes int64) []AblationQPRow {
 }
 
 // RenderAblationQueuePairs formats A9 rows.
-func RenderAblationQueuePairs(rows []AblationQPRow) RenderedTable { return bench.RenderAblationQP(rows) }
+func RenderAblationQueuePairs(rows []AblationQPRow) RenderedTable {
+	return bench.RenderAblationQP(rows)
+}
 
 // StripedDegradedRow summarizes a striped set losing one member mid-stream.
 type StripedDegradedRow = bench.StripedDegradedRow

@@ -32,13 +32,13 @@ func runIntegrity(t *testing.T, opts Options) {
 	fn := true
 	opts.Functional = &fn
 	sys := MustNewSystem(opts)
+	defer sys.Close()
 	const span = 4 << 20 // 4 MiB working window
 	shadow := make([]byte, span)
 	rng := sim.NewRand(uint64(opts.Variant) + 99)
 
-	// Failures are collected and reported outside Execute: t.Fatalf
-	// inside a sim proc goroutine aborts it without unwinding the
-	// kernel and deadlocks the run.
+	// The first failure stops the run and is reported after Execute
+	// returns.
 	var failure string
 	sys.Execute(func(h *Handle) {
 		for op := 0; op < 120; op++ {

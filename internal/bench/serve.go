@@ -97,6 +97,7 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 		toSrv = shard.MustConnect(cliD, fpga, look)
 		toCli = shard.MustConnect(fpga, cliD, look)
 	}
+	defer eng.Close()
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	lanes := []serve.Lane{streamer.NewClient(st)}

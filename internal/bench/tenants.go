@@ -133,6 +133,7 @@ func noisyLoop(c *streamer.Client, ops int, elapsed *sim.Time) func(p *sim.Proc)
 // (victim first, then the neighbor when present).
 func runTenantRig(sched string, fifo, withNoisy bool, victimOps, noisyOps int) []TenantSweepRow {
 	rig := newTenantRig(fifo)
+	defer rig.eng.Close()
 	var vElapsed, nElapsed sim.Time
 	rig.k.Spawn("victim", victimLoop(rig.hub.Client(0), victimOps, &vElapsed))
 	if withNoisy {

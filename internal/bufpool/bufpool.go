@@ -28,6 +28,11 @@ const maxClass = 24
 
 var classes [maxClass + 1]sync.Pool
 
+// headers recycles the *[]byte boxes that carry buffers through the class
+// pools: Get empties the box it took a buffer out of and parks it here, and
+// Put refills one, so a steady-state Put allocates nothing.
+var headers sync.Pool
+
 // class returns the smallest power-of-two exponent c with 1<<c >= n.
 func class(n int) int {
 	if n <= 1 {
@@ -47,7 +52,10 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := classes[c].Get(); v != nil {
-		b := *(v.(*[]byte))
+		h := v.(*[]byte)
+		b := *h
+		*h = nil
+		headers.Put(h)
 		return b[:n]
 	}
 	return make([]byte, n, 1<<c)
@@ -81,7 +89,12 @@ func Put(b []byte) {
 			b[i] = poisonByte
 		}
 	}
-	classes[cl].Put(&b)
+	h, _ := headers.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b
+	classes[cl].Put(h)
 }
 
 // poisonByte is what race builds fill a buffer with when it is given back.

@@ -79,3 +79,16 @@ func TestOversize(t *testing.T) {
 	}
 	Put(b) // dropped: cap exceeds the largest class
 }
+
+// TestSteadyStateAllocs pins that a steady-state Get+Put round trip
+// allocates nothing: Put reuses the slice-header box an earlier Get
+// emptied instead of moving a fresh header to the heap.
+func TestSteadyStateAllocs(t *testing.T) {
+	if poisonOnPut {
+		t.Skip("race builds: sync.Pool drops items at random, so reuse is not guaranteed")
+	}
+	Put(Get(4096))
+	if a := testing.AllocsPerRun(1000, func() { Put(Get(4096)) }); a != 0 {
+		t.Fatalf("Get+Put allocates %.1f times per round trip, want 0", a)
+	}
+}

@@ -20,6 +20,7 @@ const gpuBAR = 0x40_0000_0000
 // keeps this variant below the SPDK reference in Figure 6.
 func RunGPU(cfg Config) Result {
 	k := sim.NewKernel()
+	defer k.Close()
 	f := pcie.NewFabric(k, pcie.DefaultConfig())
 	hostCfg := pcie.DefaultHostConfig()
 	hostCfg.MemSize = 24 * sim.GiB

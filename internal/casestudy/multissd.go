@@ -18,6 +18,7 @@ import (
 // with two or more SSDs the pipeline runs into the 100 G link itself.
 func RunSNAccStriped(n int, cfg Config) Result {
 	k := sim.NewKernel()
+	defer k.Close()
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	var sts []*streamer.Streamer
 	var devs []*nvme.Device

@@ -38,6 +38,7 @@ func runSNAcc(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Resul
 		txd = shard.AddDomain("txfpga")
 		k = shard.AddDomain("fpga").Kernel()
 	}
+	defer eng.Close()
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", caseSSDBAR)
 	devCfg.Functional = cfg.Functional

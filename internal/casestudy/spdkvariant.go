@@ -14,6 +14,7 @@ import (
 // buffered so classification overlaps both transfer legs.
 func RunSPDK(cfg Config) Result {
 	k := sim.NewKernel()
+	defer k.Close()
 	f := pcie.NewFabric(k, pcie.DefaultConfig())
 	hostCfg := pcie.DefaultHostConfig()
 	hostCfg.MemSize = 24 * sim.GiB

@@ -306,6 +306,7 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 		cfg.KernelWorkers = workers
 		cfg.NodeInjector = killNodeInjector(2, 5)
 		cl := MustNew(cfg)
+		defer cl.Engine().Close()
 		const ops = 16
 		const ioBytes = 32 * sim.KiB
 		digest := uint64(14695981039346656037)

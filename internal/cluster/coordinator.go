@@ -55,11 +55,11 @@ type arrival struct {
 // coordinator owns all front-domain cluster state: the request router,
 // chunk table, health ladder, and repair worker.
 type coordinator struct {
-	cl    *Cluster
-	cfg   *Config
-	k     *sim.Kernel
-	mac   *ethernet.MAC
-	ring  *Ring
+	cl     *Cluster
+	cfg    *Config
+	k      *sim.Kernel
+	mac    *ethernet.MAC
+	ring   *Ring
 	nextID uint64
 	// waiters routes response IDs to requester channels; entries are
 	// removed by whichever of response/watchdog fires first.

@@ -218,8 +218,8 @@ type Device struct {
 	// Failure model.
 	mode        CtrlMode
 	fatalReason string
-	resetGen    uint64 // invalidates ready/shutdown timers across resets
-	hangGen     uint64 // invalidates stale revive timers
+	resetGen    uint64   // invalidates ready/shutdown timers across resets
+	hangGen     uint64   // invalidates stale revive timers
 	hungWait    []func() // completions parked while hung
 
 	// faultInjector, when set, can force a failure status for an I/O

@@ -113,7 +113,7 @@ func TestPRPListScatteredPagesFunctional(t *testing.T) {
 		t.Fatalf("scattered write status %#x", c.Status)
 	}
 
-	dst := tb.host.Alloc(4 * PageSize, PageSize)
+	dst := tb.host.Alloc(4*PageSize, PageSize)
 	dlist := tb.host.Alloc(PageSize, PageSize)
 	dentries := make([]byte, 16)
 	binary.LittleEndian.PutUint64(dentries[0:], dst+PageSize)

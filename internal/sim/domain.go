@@ -364,6 +364,17 @@ func (s *Shard) Now() Time {
 	return t
 }
 
+// Close stops every live process of every domain and drops their pending
+// events and undelivered cross-domain sends (see Kernel.Close). Call it
+// after Run has returned; the shard must not be run again afterwards.
+func (s *Shard) Close() {
+	for _, d := range s.domains {
+		d.k.Close()
+		d.out = nil
+	}
+	s.inbox = nil
+}
+
 // Stop makes Run return after the current synchronization round.
 func (s *Shard) Stop() {
 	for _, d := range s.domains {

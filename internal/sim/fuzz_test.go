@@ -33,7 +33,7 @@ func FuzzShardSchedule(f *testing.F) {
 	// with turnarounds, and a 3-domain cycle with one muted edge.
 	f.Add([]byte{0})
 	f.Add([]byte{
-		2,                            // 3 domains
+		2,                                  // 3 domains
 		0x29, 0x00, 0x00, 0x45, 0x00, 0x00, // chain 0->1 (11ns), 1->2 (18ns)
 		5, 0, 9, // turnarounds
 		1, 10, 200, // dom0: 2 roots
@@ -41,7 +41,7 @@ func FuzzShardSchedule(f *testing.F) {
 		2, 0, 7, 99, // dom2: 3 roots
 	})
 	f.Add([]byte{
-		2,                            // 3 domains
+		2,                                  // 3 domains
 		0x29, 0x0a, 0x00, 0x45, 0x31, 0x00, // cycle 0->1->2->0, muted 0->2
 		0, 4, 0, // turnarounds
 		1, 3, 60, // dom0: 2 roots

@@ -169,6 +169,7 @@ type Kernel struct {
 	// exhausted while non-daemon processes are still parked. Daemons are
 	// service loops expected to idle forever.
 	nprocs        int
+	live          *Proc // head of the live-process list (Close stops them)
 	parked        int
 	daemons       int
 	parkedDaemons int
@@ -293,12 +294,13 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // Stop makes Run return after the event being processed completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Engine is an event loop a rig drains and reads the clock and event
-// count of: a serial *Kernel, or a *Shard of domain kernels.
+// Engine is an event loop a rig drains, reads the clock and event count
+// of, and closes once done: a serial *Kernel, or a *Shard of domain kernels.
 type Engine interface {
 	Run(horizon Time) Time
 	Now() Time
 	EventsExecuted() uint64
+	Close()
 }
 
 // Run executes events until the queue drains, Stop is called, or the

@@ -173,3 +173,46 @@ func BenchmarkShardedRing(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcSleep measures one process hand-off: a Sleep schedules the
+// process's resume closure, switches to the kernel, and the kernel switches
+// back. It must run at 0 allocs/op.
+func BenchmarkProcSleep(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	k.Run(1) // start the coroutine outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(k.Now() + Time(b.N))
+}
+
+// BenchmarkProcChanPingPong measures a round trip between two processes
+// over zero-capacity Chans: four Park/Wake hand-offs per op.
+func BenchmarkProcChanPingPong(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
+	k.Spawn("echo", func(p *Proc) {
+		p.SetDaemon(true)
+		for {
+			pong.Put(p, ping.Get(p))
+		}
+	})
+	n := b.N
+	k.Spawn("driver", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			ping.Put(p, i)
+			if pong.Get(p) != i {
+				panic("ping-pong out of order")
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(0)
+}

@@ -139,7 +139,7 @@ func TestStripedSubStripeRoundTrip(t *testing.T) {
 	// members at the right member offsets.
 	k, s, _ := stripedRig(t, 3, true)
 	const addr = uint64(sim.MiB/2 + 4096) // mid-stripe start
-	const n = 2*sim.MiB + 1024    // mid-stripe end, spans 3+ members
+	const n = 2*sim.MiB + 1024            // mid-stripe end, spans 3+ members
 	want := make([]byte, n)
 	for i := range want {
 		want[i] = byte(i * 7)

@@ -112,7 +112,9 @@ func TestServeFacadeWorkersIdentity(t *testing.T) {
 	for name, opts := range configs {
 		run := func(workers int) ServeReport {
 			opts.KernelWorkers = workers
-			rep, err := MustNewSystem(opts).Serve()
+			sys := MustNewSystem(opts)
+			defer sys.Close()
+			rep, err := sys.Serve()
 			if err != nil {
 				t.Fatal(err)
 			}

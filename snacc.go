@@ -405,7 +405,11 @@ type System struct {
 	lanes   []serve.Lane
 	cluster *cluster.Cluster // nil unless Options.Cluster was set
 	serve   *serve.Tier      // nil unless Options.Serve was set
+	closed  bool
 }
+
+// errClosed is what every transfer reports once the system is closed.
+var errClosed = fmt.Errorf("snacc: system is closed")
 
 // card is one SNAcc card of the system — the single card or a cluster
 // node — with its tracer (nil without Options.Trace) and fault injector.
@@ -714,9 +718,26 @@ type Handle struct {
 
 // Execute runs fn as a simulation process and advances simulated time
 // until it (and everything it triggered) completes, under whichever
-// scheduler Options.KernelWorkers selected.
+// scheduler Options.KernelWorkers selected. On a closed system fn runs
+// outside the simulation: every transfer returns an error, Sleep does
+// nothing and the clock stands still.
 func (s *System) Execute(fn func(h *Handle)) {
+	if s.closed {
+		fn(&Handle{sys: s})
+		return
+	}
 	s.exec(func(p *sim.Proc) { fn(&Handle{p: p, sys: s}) })
+}
+
+// Close stops every simulation process of the system — the card's service
+// loops, or every cluster node and the coordinator — and drops its pending
+// events, so a discarded System can be freed; without Close its suspended
+// processes keep it reachable for the life of the program. Statistics stay
+// readable. After Close every transfer returns an error, Serve reports one
+// and Execute no longer simulates. Close is idempotent.
+func (s *System) Close() {
+	s.closed = true
+	s.eng.Close()
 }
 
 // Serve runs the configured open-loop serving workload (Options.Serve) to
@@ -727,6 +748,9 @@ func (s *System) Execute(fn func(h *Handle)) {
 func (s *System) Serve() (ServeReport, error) {
 	if s.serve == nil {
 		return ServeReport{}, fmt.Errorf("snacc: Serve requires Options.Serve")
+	}
+	if s.closed {
+		return ServeReport{}, errClosed
 	}
 	if err := s.serve.Start(s.eng.Now()); err != nil {
 		return ServeReport{}, err
@@ -745,12 +769,20 @@ func (s *System) KernelWorkers() int {
 }
 
 // Now returns the current simulated time in nanoseconds.
-func (h *Handle) Now() int64 { return int64(h.p.Now()) }
+func (h *Handle) Now() int64 {
+	if h.p == nil {
+		return int64(h.sys.eng.Now())
+	}
+	return int64(h.p.Now())
+}
 
 // rawLane returns the system's untenanted lane: the Streamer's client or
 // the cluster. A virtualized system has none, since raw access would
 // bypass the tenant LBA windows.
 func (s *System) rawLane() (serve.Lane, error) {
+	if s.closed {
+		return nil, errClosed
+	}
 	if s.hub != nil {
 		return nil, fmt.Errorf("snacc: Streamer is virtualized (Options.Tenants); use TenantRead/TenantWrite")
 	}
@@ -770,6 +802,9 @@ func (h *Handle) raw(addr uint64, n int64, write bool) (serve.Lane, error) {
 // tenant returns tenant i's client, or an error when the system has no
 // tenants or the index is out of range.
 func (h *Handle) tenant(i int) (serve.Lane, error) {
+	if h.sys.closed {
+		return nil, errClosed
+	}
 	if h.sys.hub == nil {
 		return nil, fmt.Errorf("snacc: no tenants configured (set Options.Tenants)")
 	}
@@ -860,8 +895,13 @@ func (h *Handle) TenantRead(tenant int, addr uint64, n int64) ([]byte, error) {
 	return c.ReadErr(h.p, addr, n)
 }
 
-// Sleep advances this process by d nanoseconds of simulated time.
-func (h *Handle) Sleep(d int64) { h.p.Sleep(sim.Time(d)) }
+// Sleep advances this process by d nanoseconds of simulated time. It does
+// nothing once the system is closed.
+func (h *Handle) Sleep(d int64) {
+	if !h.sys.closed {
+		h.p.Sleep(sim.Time(d))
+	}
+}
 
 // Spans returns the completed command spans traced so far (nil without
 // Options.Trace).

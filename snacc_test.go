@@ -95,6 +95,7 @@ func TestSystemDeterminism(t *testing.T) {
 	run := func() (int64, Stats) {
 		f := false
 		sys := MustNewSystem(Options{Variant: OnboardDRAM, Functional: &f, Seed: 99})
+		defer sys.Close()
 		var done int64
 		sys.Execute(func(h *Handle) {
 			check(t, h.WriteTimed(0, 32<<20))
@@ -120,6 +121,7 @@ func TestSystemKernelWorkersIdentical(t *testing.T) {
 		f := false
 		sys := MustNewSystem(Options{Variant: OnboardDRAM, Functional: &f,
 			Seed: 99, KernelWorkers: workers})
+		defer sys.Close()
 		if got := sys.KernelWorkers(); workers > 1 && got != workers {
 			t.Fatalf("KernelWorkers() = %d, want %d", got, workers)
 		}
