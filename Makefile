@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke cover latency faults crash queues perfreport kernel tenants cluster serve
+.PHONY: build test race vet bench bench-smoke cover latency faults crash queues perfreport tenants cluster serve
 
 build:
 	$(GO) build ./...
@@ -12,16 +12,17 @@ test: vet
 	$(MAKE) race
 	$(MAKE) bench-smoke
 
-# Race-checks the worker pool, the kernel/buffer-pool hot paths it drives,
-# and the fault-injection/recovery machinery (including the controller
-# crash-recovery ladder and its multi-queue/ring-wrap variants). Race builds
-# poison every buffer given back to internal/bufpool, so the byte-checked
-# integrity tests here also catch a pooled buffer used after its return.
+# Race-checks the experiment engine's rig pool (internal/parallel), the
+# kernel/buffer-pool hot paths, and the fault-injection/recovery machinery
+# (including the controller crash-recovery ladder and its
+# multi-queue/ring-wrap variants). Race builds poison every buffer given
+# back to internal/bufpool, so the byte-checked integrity tests here also
+# catch a pooled buffer used after its return.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
-	$(GO) test -race -run 'KernelWorkers|TestServeFacade' ./internal/casestudy/ .
-	$(GO) test -race -run 'TestParallelDeterminism|TestKernelSweep' ./internal/bench/
+	$(GO) test -race -run 'TestServeFacade' .
+	$(GO) test -race -run 'TestParallelDeterminism' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'RandomizedDataIntegrity' .
 
@@ -63,22 +64,12 @@ bench:
 	$(GO) test -run XXX -bench BenchmarkStreamerRead -benchmem ./internal/bench/
 	$(GO) test -run XXX -bench BenchmarkFunctionalRoundTrip4M -benchmem .
 
-# One-iteration pass over the kernel micro-benchmarks under the race
-# detector: catches data races and bit-rot on the sharded hot paths without
-# the cost of a real measurement run. BenchmarkShardedRing runs the 4-domain
-# rig at workers 1, 2, and 4 and cross-checks every iteration's per-domain
-# digests against a serial reference, so this pass is also a determinism
-# check on the concurrent round loop. Wired into `make test`.
+# One-iteration pass over the kernel and process micro-benchmarks under the
+# race detector: catches data races and bit-rot on the scheduling and
+# hand-off hot paths without the cost of a real measurement run. Wired into
+# `make test`.
 bench-smoke: vet
-	$(GO) test -race -run XXX -bench 'BenchmarkKernel|BenchmarkSharded' -benchtime 1x -benchmem ./internal/sim/
-
-# Sharded-kernel worker sweep (events/s, determinism digests) -> BENCH_kernel.json
-# The ceiling test first: rounds-per-event on the ring rig must stay below
-# the pinned bound, so a regression in the per-domain safe-time sync fails
-# here instead of silently inflating the sweep's round counts.
-kernel:
-	$(GO) test -run 'TestShardRingRoundsCeiling' ./internal/sim/
-	$(GO) run ./cmd/snaccbench -kernelworkers 1,2,4
+	$(GO) test -race -run XXX -bench 'BenchmarkKernel|BenchmarkProc' -benchtime 1x -benchmem ./internal/sim/
 
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.

@@ -87,6 +87,7 @@ func main() {
 		}
 	})
 	k.Run(0)
+	k.Close()
 
 	fmt.Printf("workload: %s %s, %d MiB → %.2f GB/s\n\n", *variant, *op, *sizeMiB, bw)
 
@@ -134,6 +135,7 @@ func runSpans(v streamer.Variant, op string, sizeMiB int64, nspans int) {
 		// Retain every span: one command per MiB each way, plus slack.
 		Trace: &snacc.TraceOptions{SpanLimit: int(2*sizeMiB) + 16},
 	})
+	defer sys.Close()
 	var err error
 	sys.Execute(func(h *snacc.Handle) {
 		if err = h.WriteTimed(0, sizeMiB*sim.MiB); err == nil && op == "read" {

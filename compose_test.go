@@ -204,8 +204,8 @@ func TestServeFacadeCluster(t *testing.T) {
 // bits switch Serve, Tenants, Faults, Cluster, Trace and Functional; knobs
 // pick IOQueues (0..9, 9 past the bound), DoorbellBatch (0, 1, 4 or -1) and
 // the fault flavour (one of them rejected by NewSystem).
-func fuzzOptions(mask, knobs uint8, workers int) Options {
-	opts := Options{KernelWorkers: workers, Seed: uint64(knobs)}
+func fuzzOptions(mask, knobs uint8) Options {
+	opts := Options{Seed: uint64(knobs)}
 	if mask&1 != 0 {
 		so := serveOpts()
 		so.Requests = 200
@@ -240,8 +240,8 @@ func fuzzOptions(mask, knobs uint8, workers int) Options {
 
 // fuzzRun builds the combination and, if NewSystem accepts it, runs a short
 // Handle workload and the serving tier, and renders everything observable.
-func fuzzRun(t *testing.T, mask, knobs uint8, workers int) (string, error) {
-	sys, err := NewSystem(fuzzOptions(mask, knobs, workers))
+func fuzzRun(t *testing.T, mask, knobs uint8) (string, error) {
+	sys, err := NewSystem(fuzzOptions(mask, knobs))
 	if err != nil {
 		return "", err
 	}
@@ -266,17 +266,14 @@ func fuzzRun(t *testing.T, mask, knobs uint8, workers int) (string, error) {
 		rep, err := sys.Serve()
 		fmt.Fprintf(&out, "serve: %+v %v\n", rep, err)
 	}
-	st := sys.Stats()
-	// SimEvents measures simulator work, not the simulated system: a
-	// sharded run may execute a different number of delivery events.
-	st.SimEvents = 0
-	fmt.Fprintf(&out, "stats: %+v\n", st)
+	fmt.Fprintf(&out, "stats: %+v\n", sys.Stats())
 	return out.String(), nil
 }
 
 // FuzzOptions: every facade option combination either fails NewSystem with
-// an error or drains a short workload without panicking, with identical
-// results at one and two kernel workers.
+// an error or drains a short workload without panicking, and a second run
+// of the same combination reproduces the first exactly, event count
+// included.
 func FuzzOptions(f *testing.F) {
 	for _, seed := range [][2]uint8{
 		{0, 0},
@@ -296,16 +293,16 @@ func FuzzOptions(f *testing.F) {
 		f.Add(seed[0], seed[1])
 	}
 	f.Fuzz(func(t *testing.T, mask, knobs uint8) {
-		one, err1 := fuzzRun(t, mask, knobs, 1)
-		two, err2 := fuzzRun(t, mask, knobs, 2)
+		first, err1 := fuzzRun(t, mask, knobs)
+		again, err2 := fuzzRun(t, mask, knobs)
 		if err1 != nil {
 			t.Logf("rejected: %v", err1)
 		}
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("NewSystem disagrees across workers: %v vs %v", err1, err2)
+			t.Fatalf("NewSystem disagrees across runs: %v vs %v", err1, err2)
 		}
-		if one != two {
-			t.Fatalf("results diverged across workers:\n  w1: %s\n  w2: %s", one, two)
+		if first != again {
+			t.Fatalf("results diverged across runs:\n  first: %s\n  again: %s", first, again)
 		}
 	})
 }

@@ -28,6 +28,7 @@ func AblationQD(depths []int, totalBytes int64) []AblationQDRow {
 	return mapRows(len(depths), func(i int) AblationQDRow {
 		qd := depths[i]
 		k, _, drvC := buildSPDK(qd, nil)
+		defer k.Close()
 		var spdkGB float64
 		k.Spawn("bench", func(p *sim.Proc) {
 			d := awaitDriver(p, drvC)
@@ -36,6 +37,7 @@ func AblationQD(depths []int, totalBytes int64) []AblationQDRow {
 		k.Run(0)
 
 		rig := buildSNAcc(streamer.URAM, func(c *streamer.Config) { c.QueueDepth = qd }, nil)
+		defer rig.k.Close()
 		var snGB float64
 		rig.measure(func(p *sim.Proc) {
 			snGB = streamer.RandRead(p, rig.c, span, totalBytes, 4096, 13).GBps()
@@ -69,6 +71,7 @@ func AblationOOO(totalBytes int64) []AblationOOORow {
 				c.MaxCmdBytes = 64 * sim.KiB
 			}
 		}, nil)
+		defer rig.k.Close()
 		var rr, sr float64
 		rig.measure(func(p *sim.Proc) {
 			rr = streamer.RandRead(p, rig.c, span, totalBytes, 4096, 13).GBps()
@@ -159,6 +162,7 @@ func AblationGen5(totalBytes int64) []AblationGen5Row {
 			label = "Gen5 x4 (projected)"
 		}
 		rig := buildSNAcc(streamer.URAM, nil, mut)
+		defer rig.k.Close()
 		var rd, wr float64
 		rig.measure(func(p *sim.Proc) {
 			rd = streamer.SeqRead(p, rig.c, 0, totalBytes).GBps()

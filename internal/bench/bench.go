@@ -48,14 +48,14 @@ func buildSNAcc(v streamer.Variant, mutSt func(*streamer.Config), mutDev func(*n
 		mutSt(&stCfg)
 	}
 	st := node.AddStreamer(ssd, stCfg)
-	if err := node.Boot(k); err != nil {
+	if err := node.Boot(); err != nil {
 		panic(err)
 	}
 	return &snaccRig{k: k, node: node, dev: ssd.Dev, st: st, c: streamer.NewClient(st)}
 }
 
-// runInMain spawns "main", which brings node up and then runs fn, and
-// drains the node's kernel — for rigs whose timed work shares the
+// runInMain spawns "main", which brings node up and then runs fn, drains
+// the node's kernel and closes it — for rigs whose timed work shares the
 // bring-up's process.
 func runInMain(node *tapasco.Node, fn func(p *sim.Proc)) {
 	k := node.Platform.K
@@ -66,6 +66,7 @@ func runInMain(node *tapasco.Node, fn func(p *sim.Proc)) {
 		fn(p)
 	})
 	k.Run(0)
+	k.Close()
 }
 
 // measure runs fn in a fresh proc and drains the kernel.

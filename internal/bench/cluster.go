@@ -58,6 +58,8 @@ func ClusterSweep(grid [][3]int, totalBytes int64) []ClusterSweepRow {
 		shape := grid[i]
 		cfg := clusterEpisodeConfig(shape[0], shape[1], shape[2])
 		cl := cluster.MustNew(cfg)
+		defer cl.Kernel().Close()
+		defer cl.Kernel().Close()
 		const op = 64 * sim.KiB
 		span := 4 * sim.MiB
 		var start, end sim.Time
@@ -108,6 +110,7 @@ func ClusterTimeline(until, window sim.Time) ([]TimelinePoint, cluster.Stats) {
 		{Node: 1, Drop: true, From: until / 4, Until: until / 2},
 	}
 	cl := cluster.MustNew(cfg)
+	defer cl.Kernel().Close()
 	const op = 64 * sim.KiB
 	span := 4 * sim.MiB
 	var points []TimelinePoint

@@ -39,6 +39,7 @@ func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
 			panic("bench: CrashSweep period 1 can never make progress")
 		}
 		rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmLadder, nil)
+		defer rig.k.Close()
 		in := fault.NewInjector(faultSweepSeed)
 		if n > 0 {
 			in.Add(fault.Rule{Name: "ctrl-crash", Kind: fault.CrashCtrl,
@@ -68,6 +69,7 @@ func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
 // detect→reset→replay episodes the averaged sweep numbers hide.
 func CrashTimeline(everyN int64, totalBytes int64, window sim.Time) []TimelinePoint {
 	rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmLadder, nil)
+	defer rig.k.Close()
 	in := fault.NewInjector(faultSweepSeed)
 	if everyN > 0 {
 		in.Add(fault.Rule{Name: "ctrl-crash", Kind: fault.CrashCtrl,

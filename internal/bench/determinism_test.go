@@ -53,40 +53,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersDeterminism extends the guarantee to the second axis:
-// domain-level kernel sharding inside each rig must also leave the rendered
-// tables byte-identical, alone and composed with rig-level parallelism.
-func TestKernelWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates the case-study figures three times")
-	}
-	defer SetKernelWorkers(1)
-	defer SetParallelism(1)
-
-	sample := func() string {
-		return RenderFig6(Fig6(48)).String() +
-			RenderTenantSweep(TenantSweep(60, 360)).String() +
-			RenderServeSweep(ServeSweep([]int{10_000}, 400, nil)).String()
-	}
-	SetParallelism(1)
-	SetKernelWorkers(1)
-	serial := sample()
-
-	for _, w := range []int{2, 4} {
-		SetKernelWorkers(w)
-		SetParallelism(1)
-		if got := sample(); got != serial {
-			t.Fatalf("kernelworkers=%d output diverged from serial:\n--- serial ---\n%s\n--- w=%d ---\n%s",
-				w, serial, w, got)
-		}
-		SetParallelism(4)
-		if got := sample(); got != serial {
-			t.Fatalf("kernelworkers=%d -j 4 output diverged from serial:\n--- serial ---\n%s\n--- w=%d ---\n%s",
-				w, serial, w, got)
-		}
-	}
-}
-
 func TestSetParallelism(t *testing.T) {
 	defer SetParallelism(1)
 	SetParallelism(4)

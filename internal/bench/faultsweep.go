@@ -34,6 +34,7 @@ func FaultSweep(ratesPct []float64, totalBytes int64) []FaultSweepRow {
 	return mapRows(len(ratesPct), func(i int) FaultSweepRow {
 		rate := ratesPct[i]
 		rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmRetry, nil)
+		defer rig.k.Close()
 		in := fault.NewInjector(faultSweepSeed)
 		if rate > 0 {
 			in.Add(fault.Rule{Name: "read-errors", Kind: fault.StatusError,

@@ -34,6 +34,7 @@ func Fig4a(totalBytes int64) []Fig4aRow {
 	return mapRows(len(variants)+1, func(i int) Fig4aRow {
 		if i == len(variants) {
 			k, _, drvC := buildSPDK(64, epoch)
+			defer k.Close()
 			var rd float64
 			var writes []float64
 			k.Spawn("bench", func(p *sim.Proc) {
@@ -48,6 +49,7 @@ func Fig4a(totalBytes int64) []Fig4aRow {
 			return fig4aRow("SPDK", rd, writes)
 		}
 		rig := buildSNAcc(variants[i], nil, epoch)
+		defer rig.k.Close()
 		var rd float64
 		var writes []float64
 		rig.measure(func(p *sim.Proc) {
@@ -96,6 +98,7 @@ func Fig4b(totalBytes int64) []Fig4bRow {
 	return mapRows(len(variants)+1, func(i int) Fig4bRow {
 		if i == len(variants) {
 			k, _, drvC := buildSPDK(64, nil)
+			defer k.Close()
 			var rr, rw float64
 			k.Spawn("bench", func(p *sim.Proc) {
 				d := awaitDriver(p, drvC)
@@ -106,6 +109,7 @@ func Fig4b(totalBytes int64) []Fig4bRow {
 			return Fig4bRow{Label: "SPDK", RandReadGB: rr, RandWriteGB: rw}
 		}
 		rig := buildSNAcc(variants[i], nil, nil)
+		defer rig.k.Close()
 		var rr, rw float64
 		rig.measure(func(p *sim.Proc) {
 			rr = streamer.RandRead(p, rig.c, span, totalBytes, 4096, 41).GBps()
@@ -136,6 +140,7 @@ func Fig4c(samples int) []Fig4cRow {
 		if i == len(variants) {
 			label = "SPDK"
 			k, _, drvC := buildSPDK(64, nil)
+			defer k.Close()
 			k.Spawn("bench", func(p *sim.Proc) {
 				d := awaitDriver(p, drvC)
 				rd = spdk.Latency(p, d, nvme.OpRead, 4096, samples, 31)
@@ -145,6 +150,7 @@ func Fig4c(samples int) []Fig4cRow {
 		} else {
 			label = variants[i].String()
 			rig := buildSNAcc(variants[i], nil, nil)
+			defer rig.k.Close()
 			rig.measure(func(p *sim.Proc) {
 				rd = streamer.LatencyRead(p, rig.c, span, 4096, samples, 5)
 				wr = streamer.LatencyWrite(p, rig.c, span, 4096, samples, 6)
@@ -184,7 +190,6 @@ func Fig6(images int) []casestudy.Result {
 		cfg.Images = images
 		cfg.Source.Count = images
 	}
-	cfg.KernelWorkers = kernelWorkers
 	variants := Variants()
 	return mapRows(len(variants)+2, func(i int) casestudy.Result {
 		switch {
@@ -237,6 +242,7 @@ func SweepTransferSize(v streamer.Variant, sizes []int64) []SweepRow {
 	return mapRows(len(sizes), func(i int) SweepRow {
 		size := sizes[i]
 		rig := buildSNAcc(v, nil, nil)
+		defer rig.k.Close()
 		var wr, rd float64
 		rig.measure(func(p *sim.Proc) {
 			wr = streamer.SeqWrite(p, rig.c, 0, size).GBps()

@@ -35,6 +35,7 @@ func LatencyBreakdown(totalBytes int64) []LatencyRow {
 	perVariant := mapRows(len(vs), func(i int) []LatencyRow {
 		v := vs[i]
 		rig := buildSNAcc(v, nil, nil)
+		defer rig.k.Close()
 		// Retain every span: one command per MiB each way, plus slack.
 		tr := obs.NewTracer(int(2*totalBytes/sim.MiB) + 16)
 		rig.node.Trace(tr)

@@ -45,6 +45,7 @@ func QueueSweep(queues, batches []int, totalBytes int64) []QueueSweepRow {
 			cfg.IOQueues = c.q
 			cfg.DoorbellBatch = c.b
 		}, nil)
+		defer rig.k.Close()
 		var res streamer.PerfResult
 		rig.measure(func(p *sim.Proc) {
 			res = streamer.RandRead(p, rig.c, 64*sim.GiB, totalBytes, queueSweepIO, 42)

@@ -159,21 +159,6 @@ func TestRenderGolden(t *testing.T) {
 				P50: 500 * sim.Microsecond, P90: 700 * sim.Microsecond,
 				P99: 900 * sim.Microsecond, P999: sim.Millisecond, Max: 2 * sim.Millisecond},
 		}).String()},
-		{"kernelsweep", RenderKernelSweep(KernelReport{
-			Deterministic: true,
-			Points: []KernelPoint{
-				{Workers: 1, EffectiveWorkers: 1, Events: 263334, CrossEvents: 60003,
-					Rounds: 13337, EventsPerRound: 19.7, ElidedDomainRounds: 21804,
-					UnboundedWindows: 3, WidestWindowNs: int64(8 * sim.Microsecond),
-					NarrowestWindowNs: 150, EventsPerSec: 7.24e6, Speedup: 1,
-					Digest: "0123456789abcdef"},
-				{Workers: 4, EffectiveWorkers: 1, Events: 263334, CrossEvents: 60003,
-					Rounds: 13337, EventsPerRound: 19.7, ElidedDomainRounds: 21804,
-					UnboundedWindows: 3, WidestWindowNs: int64(8 * sim.Microsecond),
-					NarrowestWindowNs: 150, EventsPerSec: 7.01e6, Speedup: 0.97,
-					Digest: "0123456789abcdef"},
-			},
-		}).String()},
 		{"timeline", RenderTimeline("URAM", []TimelinePoint{
 			{At: 2 * sim.Millisecond, GBps: 7.9},
 			{At: 4 * sim.Millisecond, GBps: 5.6},

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"snacc/internal/ethernet"
 	"snacc/internal/nvme"
 	"snacc/internal/serve"
 	"snacc/internal/sim"
@@ -75,58 +74,30 @@ func serveSpec(clients int, ops int, phases []workload.PhaseSpec) workload.OpenL
 
 // runServeRig builds a full-stack serving rig — platform, NVMe, URAM
 // streamer, serving tier over the Ethernet link — runs it to quiescence and
-// returns the tier's report. With domain-level workers configured the
-// client fleet and the FPGA side run in separate shard domains joined by
-// wire-latency edges, exactly like the case study's front end; results are
-// byte-identical either way.
+// returns the tier's report.
 func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 	k := sim.NewKernel()
-	var (
-		eng          sim.Engine = k
-		cliK         *sim.Kernel
-		toSrv, toCli *sim.Edge
-	)
-	if kernelWorkers > 1 {
-		shard := sim.NewShard(kernelWorkers)
-		eng = shard
-		cliD := shard.AddDomain("clients")
-		fpga := shard.AddDomain("fpga")
-		k = fpga.Kernel()
-		cliK = cliD.Kernel()
-		look := ethernet.DefaultConfig().EdgeLookahead()
-		toSrv = shard.MustConnect(cliD, fpga, look)
-		toCli = shard.MustConnect(fpga, cliD, look)
-	}
-	defer eng.Close()
+	defer k.Close()
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	lanes := []serve.Lane{streamer.NewClient(st)}
-
-	var tier *serve.Tier
-	var err error
-	if cliK != nil {
-		tier, err = serve.NewCross(cliK, k, toSrv, toCli, cfg, spec, lanes)
-	} else {
-		tier, err = serve.New(k, cfg, spec, lanes)
-	}
+	tier, err := serve.New(k, cfg, spec, []serve.Lane{streamer.NewClient(st)})
 	if err != nil {
 		panic(err)
 	}
-
-	if err := node.Boot(eng); err != nil {
+	if err := node.Boot(); err != nil {
 		panic(err)
 	}
-	if err := tier.Start(eng.Now()); err != nil {
+	if err := tier.Start(k.Now()); err != nil {
 		panic(err)
 	}
-	eng.Run(0)
+	k.Run(0)
 	return tier.Report()
 }
 
 // ServeSweep runs the open-loop serving experiment at each client
 // population. Zero/nil arguments select the defaults (10k/100k/1M clients,
 // 4000 requests, the burst schedule). Rigs shard across the experiment
-// engine; rows are deterministic at any parallelism and worker count.
+// engine; rows are deterministic at any parallelism.
 func ServeSweep(clients []int, ops int, phases []workload.PhaseSpec) []ServeSweepRow {
 	if len(clients) == 0 {
 		clients = DefaultServeClients

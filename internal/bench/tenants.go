@@ -47,25 +47,14 @@ const (
 	noisyGap          = 20 * sim.Microsecond
 )
 
-// tenantRig is one URAM streamer fronted by a two-tenant hub, optionally
-// wrapped in a single-domain shard so the rig exercises the sharded-kernel
-// run path when domain-level workers are configured (results are identical
-// either way; the determinism tests sweep both axes).
+// tenantRig is one URAM streamer fronted by a two-tenant hub.
 type tenantRig struct {
 	k   *sim.Kernel
-	eng sim.Engine
 	hub *streamer.TenantHub
 }
 
 func newTenantRig(fifo bool) *tenantRig {
-	r := &tenantRig{}
-	r.k = sim.NewKernel()
-	r.eng = r.k
-	if kernelWorkers > 1 {
-		shard := sim.NewShard(kernelWorkers)
-		r.eng = shard
-		r.k = shard.AddDomain("fpga").Kernel()
-	}
+	r := &tenantRig{k: sim.NewKernel()}
 	node := tapasco.NewNode(r.k, tapasco.DefaultU280())
 	st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	hub, err := streamer.NewTenantHub(r.k, st, []streamer.TenantConfig{
@@ -76,7 +65,7 @@ func newTenantRig(fifo bool) *tenantRig {
 		panic(err)
 	}
 	r.hub = hub
-	if err := node.Boot(r.eng); err != nil {
+	if err := node.Boot(); err != nil {
 		panic(err)
 	}
 	return r
@@ -133,13 +122,13 @@ func noisyLoop(c *streamer.Client, ops int, elapsed *sim.Time) func(p *sim.Proc)
 // (victim first, then the neighbor when present).
 func runTenantRig(sched string, fifo, withNoisy bool, victimOps, noisyOps int) []TenantSweepRow {
 	rig := newTenantRig(fifo)
-	defer rig.eng.Close()
+	defer rig.k.Close()
 	var vElapsed, nElapsed sim.Time
 	rig.k.Spawn("victim", victimLoop(rig.hub.Client(0), victimOps, &vElapsed))
 	if withNoisy {
 		rig.k.Spawn("noisy", noisyLoop(rig.hub.Client(1), noisyOps, &nElapsed))
 	}
-	rig.eng.Run(0)
+	rig.k.Run(0)
 
 	row := func(tenant int, elapsed sim.Time) TenantSweepRow {
 		st := rig.hub.Stats()[tenant]
@@ -167,8 +156,8 @@ func runTenantRig(sched string, fifo, withNoisy bool, victimOps, noisyOps int) [
 // alone (control), then victim + neighbor under the weighted DRR scheduler,
 // then the same pair under the FIFO baseline. Rigs are independent and
 // deterministic, so the sweep replays byte-identically at any rig-level
-// parallelism and any kernel worker count. victimOps/noisyOps <= 0 select
-// the CLI defaults (400 / 2400).
+// parallelism. victimOps/noisyOps <= 0 select the CLI defaults
+// (400 / 2400).
 func TenantSweep(victimOps, noisyOps int) []TenantSweepRow {
 	if victimOps <= 0 {
 		victimOps = 400

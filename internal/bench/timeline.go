@@ -23,6 +23,7 @@ type TimelinePoint struct {
 // bandwidth" bars.
 func Timeline(v streamer.Variant, totalBytes int64, window sim.Time) []TimelinePoint {
 	rig := buildSNAcc(v, nil, func(c *nvme.Config) { c.NAND.EpochBytes = totalBytes / 4 })
+	defer rig.k.Close()
 	var points []TimelinePoint
 	done := false
 	rig.k.Spawn("sampler", func(p *sim.Proc) {

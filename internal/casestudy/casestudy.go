@@ -51,17 +51,6 @@ type Config struct {
 	// GPU reference parameters.
 	GPUScaleCPUPerImage sim.Time // CPU downscale cost per image
 	GPUKernelPerBatch   sim.Time // A100 inference latency per batch
-	// KernelWorkers runs the SNAcc variants under the sharded
-	// conservative-parallel scheduler (sim.Shard): the transmitter FPGA
-	// (and the switch, when UseSwitch is set) becomes its own domain,
-	// linked to the receive-side FPGA+SSD domain across the 100 G wire —
-	// the one boundary in this topology with a declared minimum latency.
-	// Each domain advances by its own safe time (per-inbound-edge earliest
-	// output times, not a global lockstep window; see sim.Shard and
-	// Shard.SyncStats for the overhead counters). 0 or 1 keeps the single
-	// serial kernel. Results are identical either way (pinned by
-	// TestSNAccKernelWorkersIdentical).
-	KernelWorkers int
 	// Functional moves real pixel bytes end to end (slow; tests only).
 	Functional bool
 	// Seed for deterministic content.

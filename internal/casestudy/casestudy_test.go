@@ -3,7 +3,6 @@ package casestudy
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"snacc/internal/imagestream"
@@ -276,48 +275,4 @@ func TestImageLatencyAccounting(t *testing.T) {
 	if res.ImageLatency.Percentile(99) < mean {
 		t.Fatal("p99 below mean")
 	}
-}
-
-// TestSNAccKernelWorkersIdentical pins the tentpole determinism guarantee
-// on the real rig: splitting the transmitter FPGA into its own shard
-// domain must not change a single observable — end time, image-latency
-// histogram, PCIe accounting, pause counts — at any worker count,
-// with and without the intermediary switch.
-func TestSNAccKernelWorkersIdentical(t *testing.T) {
-	for _, useSwitch := range []bool{false, true} {
-		name := "direct"
-		if useSwitch {
-			name = "switch"
-		}
-		t.Run(name, func(t *testing.T) {
-			run := func(workers int) Result {
-				cfg := smallConfig(24)
-				cfg.UseSwitch = useSwitch
-				cfg.KernelWorkers = workers
-				return RunSNAcc(streamer.URAM, cfg)
-			}
-			serial := run(0)
-			if serial.Errors != 0 || serial.FramesDropped != 0 {
-				t.Fatalf("serial run unhealthy: %+v", serial)
-			}
-			for _, w := range []int{2, 4} {
-				got := run(w)
-				if !reflect.DeepEqual(got, serial) {
-					t.Errorf("KernelWorkers=%d diverged from serial:\n%+v\nvs\n%+v", w, got, serial)
-				}
-			}
-		})
-	}
-}
-
-// TestSNAccKernelWorkersFunctional moves real pixel bytes across the
-// domain boundary: content integrity must survive the sharded scheduler.
-func TestSNAccKernelWorkersFunctional(t *testing.T) {
-	cfg := smallConfig(6)
-	cfg.Functional = true
-	cfg.Source.Width = 512
-	cfg.Source.Height = 256
-	cfg.Source.Channels = 3
-	cfg.KernelWorkers = 2
-	verifySNAccContent(t, cfg, streamer.URAM)
 }

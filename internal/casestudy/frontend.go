@@ -15,9 +15,8 @@ type dbItem struct {
 	data   []byte // original pixels (functional runs)
 	record []byte
 	// sentAt is when the image's last frame entered the transmit queue,
-	// carried through the pipeline for end-to-end latency accounting. It
-	// rides the frame metadata rather than a shared slice so the
-	// transmitter can live in a different shard domain than the consumer.
+	// carried through the pipeline on the frame metadata for end-to-end
+	// latency accounting.
 	sentAt sim.Time
 }
 
@@ -220,43 +219,6 @@ func newFrontEndNICOnly(k *sim.Kernel, cfg Config) *frontEnd {
 			}
 		}
 	})
-	return fe
-}
-
-// newFrontEndCross is newFrontEnd with the transmitter FPGA in its own
-// shard domain: the tx MAC (and the intermediary switch, when configured)
-// lives on txk, the receive pipeline on k, and all wire traffic — frames
-// one way, 802.3x pause/resume the other — rides the toRx/toTx edges. The
-// Ethernet wire is the one boundary in this rig's topology with a declared
-// minimum latency (ethernet.Config.EdgeLookahead), which is exactly why the
-// cut goes here and not through the synchronously-coupled PCIe complex.
-func newFrontEndCross(txk, k *sim.Kernel, toRx, toTx *sim.Edge, cfg Config) *frontEnd {
-	ecfg := ethernetConfig(cfg)
-	fe := &frontEnd{
-		k:          k,
-		cfg:        cfg,
-		tx:         ethernet.NewMAC(txk, "txfpga", ecfg),
-		rx:         ethernet.NewMAC(k, "rxfpga", ecfg),
-		out:        sim.NewChan[dbItem](k, 4),
-		scaler:     sim.NewServer(k),
-		classifier: sim.NewServer(k),
-	}
-	if cfg.UseSwitch {
-		sw := ethernet.NewSwitch(txk, "torswitch", ecfg, 2, sim.MiB)
-		sw.Attach(0, fe.tx)
-		if err := sw.AttachCross(1, fe.rx, toRx, toTx); err != nil {
-			panic(err)
-		}
-		fe.viaSwitch = true
-	} else if err := ethernet.ConnectCross(fe.tx, fe.rx, toRx, toTx); err != nil {
-		panic(err)
-	}
-	txk.Spawn("sender", fe.senderLoop)
-	toScaler := sim.NewChan[dbItem](k, 2)
-	toClassifier := sim.NewChan[dbItem](k, 2)
-	k.Spawn("rxpe", func(p *sim.Proc) { fe.rxLoop(p, toScaler) })
-	k.Spawn("scaler", func(p *sim.Proc) { fe.scalerLoop(p, toScaler, toClassifier) })
-	k.Spawn("classifier", func(p *sim.Proc) { fe.classifierLoop(p, toClassifier) })
 	return fe
 }
 

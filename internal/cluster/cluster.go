@@ -1,12 +1,12 @@
 // Package cluster scales the single-node SNAcc system out over the
 // simulated network: M streamer nodes — each a full TaPaSCo platform with
-// its own NVMe SSD and Streamer, living in its own conservative-parallel
-// DES domain — sit behind the internal/ethernet switch, and a coordinator
-// in the "front" domain speaks an NVMe-oF-style capsule protocol to them
-// (protocol.go). A consistent-hash ring (ring.go) shards the logical byte
-// space in chunks with replication factor R: writes fan out to R replicas
-// and acknowledge at a configurable quorum, reads prefer the primary
-// replica and fail over on error or timeout.
+// its own NVMe SSD and Streamer — sit behind the internal/ethernet switch,
+// and a coordinator speaks an NVMe-oF-style capsule protocol to them
+// (protocol.go); all of them run on one simulation kernel. A
+// consistent-hash ring (ring.go) shards the logical byte space in chunks
+// with replication factor R: writes fan out to R replicas and acknowledge
+// at a configurable quorum, reads prefer the primary replica and fail over
+// on error or timeout.
 //
 // The robustness core reuses the existing recovery ladder end to end: node
 // death (controller crash/hang/removal via internal/fault, or a link
@@ -73,12 +73,6 @@ type Config struct {
 	// VNodes is the ring's virtual-node count per node (DefaultVNodes
 	// when 0).
 	VNodes int
-	// KernelWorkers is the shard worker budget (min 1; results are
-	// identical at any count). Domains synchronize by per-domain safe
-	// times, so a node whose inbound links are quiet advances past the
-	// global minimum lookahead; sim.Shard.SyncStats exposes the round
-	// counters.
-	KernelWorkers int
 	// Functional moves real payload bytes end to end.
 	Functional bool
 	// Seed derives each node's NAND jitter seed and the link injectors'
@@ -112,7 +106,7 @@ type Config struct {
 
 	// NodeInjector, when set, supplies a per-node NVMe fault injector
 	// (nil for healthy nodes) — built per node, never shared, so each
-	// node domain owns its PRNG stream.
+	// node owns its PRNG stream.
 	NodeInjector func(node int) *fault.Injector
 	// StreamerTune, when set, adjusts a node's Streamer config after the
 	// recovery ladder is armed (streamer.Config.ArmLadder).
@@ -148,9 +142,6 @@ func (cfg *Config) validate() error {
 	if cfg.ChunkBytes <= 0 || cfg.ChunkBytes%4096 != 0 || cfg.ChunkBytes > 4*sim.MiB {
 		return fmt.Errorf("cluster: ChunkBytes must be a positive multiple of 4 KiB up to 4 MiB, got %d", cfg.ChunkBytes)
 	}
-	if cfg.KernelWorkers < 1 {
-		cfg.KernelWorkers = 1
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * sim.Millisecond
 	}
@@ -171,33 +162,11 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// Plan maps an M-node cluster onto a conservative-parallel shard
-// partition: the switch and coordinator share the "front" domain, each
-// node is its own domain, and every front<->node edge declares the
-// Ethernet wire propagation delay as lookahead (every delivery a MAC or
-// switch port schedules is at least that far in the future).
-func Plan(nodes int, eth ethernet.Config) sim.Plan {
-	p := sim.Plan{Domains: []string{"front"}}
-	wire := eth.EdgeLookahead()
-	for i := 0; i < nodes; i++ {
-		name := nodeDomain(i)
-		p.Domains = append(p.Domains, name)
-		p.Edges = append(p.Edges,
-			sim.EdgeSpec{Src: "front", Dst: name, Lookahead: wire},
-			sim.EdgeSpec{Src: name, Dst: "front", Lookahead: wire},
-		)
-	}
-	return p
-}
-
-func nodeDomain(i int) string { return fmt.Sprintf("node%d", i) }
-
 // Cluster is an assembled multi-node system.
 type Cluster struct {
 	cfg   Config
 	eth   ethernet.Config
-	shard *sim.Shard
-	front *sim.Kernel
+	k     *sim.Kernel
 	sw    *ethernet.Switch
 	nodes []*node
 	co    *coordinator
@@ -205,9 +174,9 @@ type Cluster struct {
 	reads, writes []pending
 }
 
-// New builds and initializes a cluster: shard topology per Plan, one full
-// platform stack per node, the switch fabric, and the coordinator's
-// daemons (response router, repair worker, node serve loops).
+// New builds and initializes a cluster: one full platform stack per node,
+// the switch fabric, and the coordinator's daemons (response router,
+// repair worker, node serve loops).
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -223,31 +192,20 @@ func New(cfg Config) (*Cluster, error) {
 		ecfg.RxFIFOBytes = minFIFO
 	}
 
-	cl := &Cluster{cfg: cfg, eth: ecfg}
-	cl.shard = sim.NewShard(cfg.KernelWorkers)
-	plan := Plan(cfg.Nodes, ecfg)
-	domains, edges, err := plan.Build(cl.shard)
-	if err != nil {
-		return nil, err
-	}
-	cl.front = domains["front"].Kernel()
-	cl.sw = ethernet.NewSwitch(cl.front, "cluster-sw", ecfg, cfg.Nodes+1, 8*(cfg.ChunkBytes+capsuleBytes))
-	comac := ethernet.NewMAC(cl.front, "coord", ecfg)
+	cl := &Cluster{cfg: cfg, eth: ecfg, k: sim.NewKernel()}
+	cl.sw = ethernet.NewSwitch(cl.k, "cluster-sw", ecfg, cfg.Nodes+1, 8*(cfg.ChunkBytes+capsuleBytes))
+	comac := ethernet.NewMAC(cl.k, "coord", ecfg)
 	cl.sw.Attach(0, comac)
 
 	for i := 0; i < cfg.Nodes; i++ {
-		n := newNode(cfg, ecfg, i, domains[nodeDomain(i)].Kernel())
+		n := newNode(cfg, ecfg, i, cl.k)
 		cl.nodes = append(cl.nodes, n)
-		toNode := edges[fmt.Sprintf("front->%s", nodeDomain(i))]
-		fromNode := edges[fmt.Sprintf("%s->front", nodeDomain(i))]
-		if err := cl.sw.AttachCross(i+1, n.mac, toNode, fromNode); err != nil {
-			return nil, err
-		}
+		cl.sw.Attach(i+1, n.mac)
 	}
 
 	// Drain node initialization (admin bring-up, queue creation) before
 	// any traffic.
-	cl.shard.Run(0)
+	cl.k.Run(0)
 	for _, n := range cl.nodes {
 		if n.initErr != nil {
 			return nil, fmt.Errorf("cluster: node %d init: %w", n.id, n.initErr)
@@ -271,18 +229,11 @@ func MustNew(cfg Config) *Cluster {
 	return cl
 }
 
-// Execute runs fn as a coordinator-domain process and advances the whole
-// shard until everything it triggered drains.
-//
-// Run leaves each domain kernel at its own last-event time, so after a
-// drain the front domain can lag the node domains. The app is therefore
-// started at the shard-wide maximum: a send from an earlier clock would
-// otherwise ride an edge into a faster domain's past and violate the
-// conservative delivery invariant.
+// Execute runs fn as a coordinator process and runs the kernel until
+// everything it triggered drains.
 func (cl *Cluster) Execute(fn func(p *sim.Proc)) {
-	at := cl.shard.Now()
-	cl.front.At(at, func() { cl.front.Spawn("app", fn) })
-	cl.shard.Run(0)
+	cl.k.At(cl.k.Now(), func() { cl.k.Spawn("app", fn) })
+	cl.k.Run(0)
 }
 
 // checkRange rejects a transfer that does not fit the logical capacity
@@ -298,7 +249,7 @@ func (cl *Cluster) checkRange(addr uint64, n int64) error {
 // WriteErr replicates n bytes of data (nil for timing-only; address and
 // length multiples of 512) at the cluster's logical byte address,
 // acknowledging at the configured quorum. Like every I/O method it must be
-// called from a front-domain process (see Execute).
+// called from a process on the cluster's kernel (see Execute).
 func (cl *Cluster) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
 	if err := cl.checkRange(addr, n); err != nil {
 		return err
@@ -316,11 +267,11 @@ func (cl *Cluster) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 	return cl.co.read(p, addr, n)
 }
 
-// WriteAsync issues WriteErr in a front-domain process of its own and
-// returns at once; data must stay unmodified until WaitWriteErr reports
-// the write. Together with ReadAsync, DrainRead and WaitWriteErr it makes
-// the cluster a workload and serving lane: completions return in issue
-// order per direction.
+// WriteAsync issues WriteErr in a process of its own and returns at once;
+// data must stay unmodified until WaitWriteErr reports the write. Together
+// with ReadAsync, DrainRead and WaitWriteErr it makes the cluster a
+// workload and serving lane: completions return in issue order per
+// direction.
 func (cl *Cluster) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
 	cl.writes = append(cl.writes, cl.async(n, func(ap *sim.Proc) error {
 		return cl.WriteErr(ap, addr, n, data)
@@ -352,10 +303,10 @@ type pending struct {
 	done *sim.Chan[error]
 }
 
-// async runs op as a front-domain process of its own.
+// async runs op as a process of its own.
 func (cl *Cluster) async(n int64, op func(p *sim.Proc) error) pending {
-	done := sim.NewChan[error](cl.front, 1)
-	cl.front.Spawn("cluster.io", func(p *sim.Proc) { done.TryPut(op(p)) })
+	done := sim.NewChan[error](cl.k, 1)
+	cl.k.Spawn("cluster.io", func(p *sim.Proc) { done.TryPut(op(p)) })
 	return pending{n, done}
 }
 
@@ -370,12 +321,9 @@ func await(p *sim.Proc, q *[]pending) (int64, error) {
 	return op.n, nil
 }
 
-// Engine returns the shard that drives every domain of the cluster.
-func (cl *Cluster) Engine() *sim.Shard { return cl.shard }
-
-// Front returns the front domain's kernel: the coordinator's, and the one
-// every caller of the I/O methods must run on.
-func (cl *Cluster) Front() *sim.Kernel { return cl.front }
+// Kernel returns the kernel the coordinator, the switch and every node run
+// on; callers of the I/O methods must run on it too.
+func (cl *Cluster) Kernel() *sim.Kernel { return cl.k }
 
 // Capacity returns the cluster's logical byte capacity: one node's
 // namespace (replicas store chunks at their logical addresses).

@@ -291,22 +291,23 @@ func TestClusterPartitionRejoin(t *testing.T) {
 	}
 }
 
-// TestClusterDeterminismAcrossWorkers pins byte-identical behavior at any
-// shard worker count for the node-death scenario.
-func TestClusterDeterminismAcrossWorkers(t *testing.T) {
+// TestClusterDeterministic pins byte-identical behavior across repeated
+// runs of the node-death scenario: end time, event count, read-back digest
+// and statistics.
+func TestClusterDeterministic(t *testing.T) {
 	type fingerprint struct {
 		stats  Stats
 		digest uint64
 		now    sim.Time
 		events uint64
 	}
-	run := func(workers int) fingerprint {
+	run := func() fingerprint {
 		cfg := DefaultConfig(4, 2, 1)
 		cfg.Seed = 3
-		cfg.KernelWorkers = workers
 		cfg.NodeInjector = killNodeInjector(2, 5)
 		cl := MustNew(cfg)
-		defer cl.Engine().Close()
+		k := cl.Kernel()
+		defer k.Close()
 		const ops = 16
 		const ioBytes = 32 * sim.KiB
 		digest := uint64(14695981039346656037)
@@ -331,24 +332,21 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 				digest *= 1099511628211
 			}
 		})
-		eng := cl.Engine()
-		return fingerprint{stats: cl.Stats(), digest: digest, now: eng.Now(), events: eng.EventsExecuted()}
+		return fingerprint{stats: cl.Stats(), digest: digest, now: k.Now(), events: k.EventsExecuted()}
 	}
-	base := run(1)
+	base := run()
 	if base.stats.NodeDeaths != 1 {
 		t.Fatalf("scenario did not kill the node: %+v", base.stats)
 	}
-	for _, w := range []int{2, 4} {
-		got := run(w)
-		if got.now != base.now || got.events != base.events {
-			t.Errorf("workers=%d ended at %v after %d events, workers=1 at %v after %d", w, got.now, got.events, base.now, base.events)
-		}
-		if got.digest != base.digest {
-			t.Errorf("workers=%d digest %x != workers=1 digest %x", w, got.digest, base.digest)
-		}
-		if fmt.Sprintf("%+v", got.stats) != fmt.Sprintf("%+v", base.stats) {
-			t.Errorf("workers=%d stats diverged:\n  w1: %+v\n  w%d: %+v", w, base.stats, w, got.stats)
-		}
+	got := run()
+	if got.now != base.now || got.events != base.events {
+		t.Errorf("repeat ended at %v after %d events, first run at %v after %d", got.now, got.events, base.now, base.events)
+	}
+	if got.digest != base.digest {
+		t.Errorf("repeat digest %x != first digest %x", got.digest, base.digest)
+	}
+	if fmt.Sprintf("%+v", got.stats) != fmt.Sprintf("%+v", base.stats) {
+		t.Errorf("repeat stats diverged:\n  first:  %+v\n  repeat: %+v", base.stats, got.stats)
 	}
 }
 

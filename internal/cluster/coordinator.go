@@ -52,7 +52,7 @@ type arrival struct {
 	data []byte
 }
 
-// coordinator owns all front-domain cluster state: the request router,
+// coordinator owns the cluster state on the coordinator side: the request router,
 // chunk table, health ladder, and repair worker.
 type coordinator struct {
 	cl     *Cluster
@@ -64,8 +64,7 @@ type coordinator struct {
 	// waiters routes response IDs to requester channels; entries are
 	// removed by whichever of response/watchdog fires first.
 	waiters map[uint64]*sim.Chan[arrival]
-	// linkRx holds the from-node link injectors (one per node, each
-	// consulted only from the front domain).
+	// linkRx holds the from-node link injectors, one per node.
 	linkRx []*fault.LinkInjector
 	health []nodeHealth
 	chunks map[int64]*chunkMeta
@@ -92,13 +91,13 @@ func newCoordinator(cl *Cluster, mac *ethernet.MAC) *coordinator {
 	co := &coordinator{
 		cl:         cl,
 		cfg:        &cl.cfg,
-		k:          cl.front,
+		k:          cl.k,
 		mac:        mac,
 		ring:       NewRing(cl.cfg.Nodes, cl.cfg.VNodes),
 		waiters:    make(map[uint64]*sim.Chan[arrival]),
 		health:     make([]nodeHealth, cl.cfg.Nodes),
 		chunks:     make(map[int64]*chunkMeta),
-		repairKick: sim.NewChan[struct{}](cl.front, 1),
+		repairKick: sim.NewChan[struct{}](cl.k, 1),
 	}
 	for i := 0; i < cl.cfg.Nodes; i++ {
 		li := fault.NewLinkInjector(splitmix64(cl.cfg.Seed + uint64(i) + 0x66726f))

@@ -24,7 +24,7 @@ type Card struct {
 
 // node is one cluster member: a tapasco.Node built exactly like the
 // facade's single system (its own platform and PCIe fabric, one NVMe SSD,
-// one Streamer) plus a MAC — all owned by the node's shard domain. The
+// one Streamer) plus a MAC. The
 // serve loop applies capsules strictly in arrival order, which together
 // with the switch's per-egress FIFO gives each node read-your-writes
 // ordering without any protocol-level sequencing.
@@ -35,7 +35,7 @@ type node struct {
 	mac *ethernet.MAC
 	c   *streamer.Client
 	// rx drops/delays frames this node receives (the to-node side of a
-	// Partition); owned by the node domain.
+	// Partition).
 	rx *fault.LinkInjector
 
 	// initErr is the outcome of the node's init process: nil once the
@@ -43,7 +43,7 @@ type node struct {
 	initErr error
 }
 
-// newNode assembles node id on its domain kernel and spawns its init
+// newNode assembles node id on kernel k and spawns its init
 // process (drained by New before traffic starts).
 func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	n := &node{id: id, k: k}
@@ -103,7 +103,7 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	return n
 }
 
-// spawnServe starts the capsule serve loop (a daemon of the node domain).
+// spawnServe starts the capsule serve loop (a daemon).
 func (n *node) spawnServe() {
 	n.k.Spawn(fmt.Sprintf("node%d.serve", n.id), n.serve)
 }

@@ -6,8 +6,7 @@ package cluster
 // payload with the command, read payload with the response), so a transfer
 // pays real store-and-forward, serialization, and 802.3x backpressure in
 // the MAC/switch models. The switch's per-egress FIFO gives per-node
-// in-order delivery, and every frame crosses shard domains over an edge
-// whose lookahead is the declared wire latency.
+// in-order delivery.
 
 // op selects a capsule's operation.
 type op uint8
@@ -57,8 +56,8 @@ type response struct {
 	ID   uint64
 	Node int // responding node
 	OK   bool
-	// Err carries the node-side failure rendered to a string — capsules
-	// cross shard domains, so they carry plain data, not live error values.
+	// Err carries the node-side failure rendered to a string: capsules
+	// carry plain data, not live error values.
 	Err string
 	// Timeout marks a synthesized response: the coordinator's watchdog
 	// expired before the node answered (the node never sent this).

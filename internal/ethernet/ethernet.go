@@ -10,11 +10,7 @@
 // modeled so the tests can demonstrate why the extension exists.
 package ethernet
 
-import (
-	"fmt"
-
-	"snacc/internal/sim"
-)
+import "snacc/internal/sim"
 
 // Frame is one Ethernet frame (or, for efficiency, an aggregate of
 // back-to-back frames totalling Bytes of payload — the wire overhead is
@@ -74,13 +70,6 @@ func DefaultConfig() Config {
 // BytesPerSec returns the payload-agnostic line rate in bytes.
 func (c Config) BytesPerSec() float64 { return c.BitsPerSec / 8 }
 
-// EdgeLookahead returns the conservative-sync lookahead a link with this
-// config sustains: the wire propagation delay. Every delivery a MAC (or
-// switch port) schedules toward its peer — data after store-and-forward,
-// 802.3x pause/resume control frames — is at least WireLatency in the
-// future, so a cross-domain edge declared with this lookahead is safe.
-func (c Config) EdgeLookahead() sim.Time { return c.WireLatency }
-
 // WireBytes returns the on-wire cost of n payload bytes, charging per-frame
 // overhead once per MTU.
 func (c Config) WireBytes(n int64) int64 {
@@ -99,9 +88,6 @@ type MAC struct {
 
 	// peer receives what we transmit.
 	peer receiver
-	// crossOut, when set, is the shard edge toward the peer's domain; all
-	// peer deliveries ride it instead of the local kernel (ConnectCross).
-	crossOut *sim.Edge
 
 	// txq holds frames awaiting transmission; the transmitter process
 	// fully buffers each frame before serialization (§4.7 store-and-
@@ -154,47 +140,6 @@ func (m *MAC) wireBytes(n int64) int64 { return m.cfg.WireBytes(n) }
 func Connect(a, b *MAC) {
 	a.peer = b
 	b.peer = a
-}
-
-// ConnectCross links two MACs full duplex across shard domains: frames a
-// transmits ride edge ab into b's domain and vice versa. Each edge must run
-// from the sender's domain kernel to the receiver's, and its lookahead must
-// not exceed the sender's WireLatency — the minimum lead time of every
-// delivery the MAC schedules (see Config.EdgeLookahead).
-func ConnectCross(a, b *MAC, ab, ba *sim.Edge) error {
-	if ab == nil || ba == nil {
-		return fmt.Errorf("ethernet: ConnectCross %s<->%s with nil edge", a.name, b.name)
-	}
-	if ab.From().Kernel() != a.k || ab.To().Kernel() != b.k {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge does not run from %s's domain to %s's",
-			a.name, b.name, a.name, b.name)
-	}
-	if ba.From().Kernel() != b.k || ba.To().Kernel() != a.k {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge does not run from %s's domain to %s's",
-			b.name, a.name, b.name, a.name)
-	}
-	if ab.Lookahead() > a.cfg.EdgeLookahead() {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge lookahead %v exceeds wire latency %v",
-			a.name, b.name, ab.Lookahead(), a.cfg.EdgeLookahead())
-	}
-	if ba.Lookahead() > b.cfg.EdgeLookahead() {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge lookahead %v exceeds wire latency %v",
-			b.name, a.name, ba.Lookahead(), b.cfg.EdgeLookahead())
-	}
-	a.peer, b.peer = b, a
-	a.crossOut, b.crossOut = ab, ba
-	return nil
-}
-
-// schedDeliver schedules a peer delivery at absolute time t, routing over
-// the cross-domain edge when the peer lives in another domain. The closure
-// must touch only the peer's state (it executes in the peer's kernel).
-func (m *MAC) schedDeliver(t sim.Time, fn func()) {
-	if m.crossOut != nil {
-		m.crossOut.At(t, fn)
-		return
-	}
-	m.k.At(t, fn)
 }
 
 // Send queues a frame for transmission, blocking p when the TX queue is
@@ -252,7 +197,7 @@ func (m *MAC) txLoop(p *sim.Proc) {
 			panic("ethernet: MAC " + m.name + " transmitting with no peer")
 		}
 		frame := f
-		m.schedDeliver(delivered+storeDelay, func() { m.peer.deliver(frame) })
+		m.k.At(delivered+storeDelay, func() { m.peer.deliver(frame) })
 		// Block for serialization only; latency and buffering pipeline.
 		p.Sleep(delivered - m.cfg.WireLatency - p.Now())
 	}
@@ -264,7 +209,7 @@ func (m *MAC) txLoop(p *sim.Proc) {
 func (m *MAC) sendPause(quanta sim.Time) {
 	m.pausesSent++
 	f := Frame{pause: true, quanta: quanta}
-	m.schedDeliver(m.k.Now()+m.cfg.WireLatency, func() {
+	m.k.At(m.k.Now()+m.cfg.WireLatency, func() {
 		if m.peer != nil {
 			m.peer.deliver(f)
 		}

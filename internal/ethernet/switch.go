@@ -33,10 +33,6 @@ type switchPort struct {
 	sw   *Switch
 	idx  int
 	peer *MAC
-	// crossOut, when set, is the shard edge toward the attached MAC's
-	// domain; peer deliveries ride it instead of the switch kernel
-	// (AttachCross).
-	crossOut *sim.Edge
 
 	egress   *sim.Chan[Frame]
 	occupied int64
@@ -69,51 +65,6 @@ func (sw *Switch) Attach(idx int, m *MAC) {
 	p := sw.ports[idx]
 	p.peer = m
 	m.peer = p
-}
-
-// AttachCross connects a MAC in another shard domain to switch port idx.
-// toMAC runs from the switch's domain to the MAC's, fromMAC the reverse;
-// both lookaheads must fit within the respective sender's WireLatency
-// (Config.EdgeLookahead), exactly as in ConnectCross.
-func (sw *Switch) AttachCross(idx int, m *MAC, toMAC, fromMAC *sim.Edge) error {
-	if idx < 0 || idx >= len(sw.ports) {
-		return fmt.Errorf("ethernet: switch %s has no port %d", sw.name, idx)
-	}
-	if toMAC == nil || fromMAC == nil {
-		return fmt.Errorf("ethernet: AttachCross %s.port%d<->%s with nil edge", sw.name, idx, m.name)
-	}
-	if toMAC.From().Kernel() != sw.k || toMAC.To().Kernel() != m.k {
-		return fmt.Errorf("ethernet: AttachCross %s.port%d->%s: edge does not run from the switch's domain to the MAC's",
-			sw.name, idx, m.name)
-	}
-	if fromMAC.From().Kernel() != m.k || fromMAC.To().Kernel() != sw.k {
-		return fmt.Errorf("ethernet: AttachCross %s->%s.port%d: edge does not run from the MAC's domain to the switch's",
-			m.name, sw.name, idx)
-	}
-	if toMAC.Lookahead() > sw.cfg.EdgeLookahead() {
-		return fmt.Errorf("ethernet: AttachCross %s.port%d->%s: edge lookahead %v exceeds wire latency %v",
-			sw.name, idx, m.name, toMAC.Lookahead(), sw.cfg.EdgeLookahead())
-	}
-	if fromMAC.Lookahead() > m.cfg.EdgeLookahead() {
-		return fmt.Errorf("ethernet: AttachCross %s->%s.port%d: edge lookahead %v exceeds wire latency %v",
-			m.name, sw.name, idx, fromMAC.Lookahead(), m.cfg.EdgeLookahead())
-	}
-	p := sw.ports[idx]
-	p.peer = m
-	p.crossOut = toMAC
-	m.peer = p
-	m.crossOut = fromMAC
-	return nil
-}
-
-// schedDeliver schedules a delivery toward the attached MAC at absolute
-// time t, routing over the cross-domain edge when one is attached.
-func (p *switchPort) schedDeliver(t sim.Time, fn func()) {
-	if p.crossOut != nil {
-		p.crossOut.At(t, fn)
-		return
-	}
-	p.sw.k.At(t, fn)
 }
 
 // deliver implements receiver for ingress traffic arriving at any port: the
@@ -175,7 +126,7 @@ func (p *switchPort) renewUpstream(out *switchPort) {
 	}
 	quanta := p.sw.cfg.PauseQuanta
 	peer := p.peer
-	p.schedDeliver(p.sw.k.Now()+p.sw.cfg.WireLatency, func() {
+	p.sw.k.At(p.sw.k.Now()+p.sw.cfg.WireLatency, func() {
 		if peer != nil {
 			peer.deliver(Frame{pause: true, quanta: quanta})
 		}
@@ -204,17 +155,10 @@ func (p *switchPort) txLoop(proc *sim.Proc) {
 		storeDelay := sim.TransferTime(minI64(f.Bytes, p.sw.cfg.MTU), p.sw.cfg.BytesPerSec())
 		delivered := p.wire.Reserve(p.sw.cfg.WireBytes(f.Bytes))
 		frame, peer := f, p.peer
-		if p.crossOut == nil {
-			p.sw.k.At(delivered+storeDelay, func() {
-				p.occupied -= frame.Bytes
-				peer.deliver(frame)
-			})
-		} else {
-			// Split the delivery: egress accounting stays in the switch's
-			// domain, the frame itself rides the edge into the MAC's.
-			p.sw.k.At(delivered+storeDelay, func() { p.occupied -= frame.Bytes })
-			p.crossOut.At(delivered+storeDelay, func() { peer.deliver(frame) })
-		}
+		p.sw.k.At(delivered+storeDelay, func() {
+			p.occupied -= frame.Bytes
+			peer.deliver(frame)
+		})
 		proc.Sleep(delivered - p.sw.cfg.WireLatency - proc.Now())
 	}
 }

@@ -47,10 +47,9 @@ type LinkFate struct {
 }
 
 // LinkInjector evaluates LinkRules against one receive site of a simulated
-// link. Each instance must be consulted from exactly one shard domain — its
-// PRNG and counters are consumed in that domain's event order, which keeps
-// sharded runs byte-identical; model a bidirectional partition with one
-// injector per direction, each owned by the receiving side.
+// link; its PRNG and counters are consumed in event order. Model a
+// bidirectional partition with one injector per direction, each owned by
+// the receiving side.
 type LinkInjector struct {
 	rng     *sim.Rand
 	rules   []*LinkRule

@@ -83,42 +83,6 @@ func DefaultConfig(name string, barBase uint64) Config {
 	}
 }
 
-// EdgeLookahead returns the conservative-sync lookahead a domain boundary
-// at this controller's PCIe attachment sustains: the link's one-way
-// propagation latency. No observable effect of a host doorbell or a device
-// DMA crosses the link faster than one traversal, so a shard edge between
-// the fabric-side domain and a per-controller domain may declare this
-// value. (With the stock pcie.Fabric the coupling is synchronous and the
-// controller stays in the fabric's domain; this declaration serves rigs
-// that model the attachment as an explicit latency edge, as the bench
-// kernel sweep does.)
-func (c Config) EdgeLookahead() sim.Time {
-	link := c.Link
-	if link.PropagationLatency == 0 {
-		link.PropagationLatency = 150 * sim.Nanosecond
-	}
-	return link.PropagationLatency
-}
-
-// EdgeTurnaround returns the arrival-to-send floor a per-controller domain
-// may declare (sim.Domain.SetTurnaround) when its cross-domain traffic is
-// command-level — an inbound command cannot produce a completion before the
-// firmware front end has serialized it, so the smaller of the two front-end
-// costs bounds the controller's earliest response. Zero (promise nothing)
-// when either cost is unset, or for rigs whose boundary also carries
-// sub-command traffic (doorbell-triggered fetch DMA), where no such floor
-// exists.
-func (c Config) EdgeTurnaround() sim.Time {
-	min := c.FrontEndReadCost
-	if c.FrontEndWriteCost < min {
-		min = c.FrontEndWriteCost
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
 // queuePair tracks one SQ/CQ pair from the controller's perspective.
 type queuePair struct {
 	id      uint16

@@ -75,19 +75,6 @@ func (lc LinkConfig) BytesPerSec() float64 {
 	return lc.Gen.laneGBps() * float64(lc.Lanes)
 }
 
-// EdgeLookahead returns the conservative-sync lookahead of one minimum-cost
-// hop through a fabric with this config and the given link: propagation at
-// each end plus the root-complex traversal every transaction pays (450 ns
-// with defaults). The fabric couples its ports synchronously — a write
-// books serialization time on the destination link directly — so the
-// pcie complex itself is one shard domain; this value describes a domain
-// boundary drawn *around* it (e.g. between the Ethernet ingress domain and
-// the pcie+nvme complex in streamer.DomainPlan).
-func (c Config) EdgeLookahead(link LinkConfig) sim.Time {
-	link = link.withDefaults()
-	return 2*link.PropagationLatency + c.RootComplexLatency
-}
-
 // withDefaults fills unset fields with standards-typical values.
 func (lc LinkConfig) withDefaults() LinkConfig {
 	if lc.MaxPayload == 0 {

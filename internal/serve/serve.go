@@ -96,23 +96,22 @@ type pending struct {
 }
 
 // Tier wires an open-loop client population to a storage backend over one
-// simulated Ethernet link. The client side (its own shard domain under
-// NewCross) generates timed arrivals, coalesces request capsules into
-// frames, and sheds load once the paused link backs its bounded backlog up;
-// the server side decodes frames, tracks connections, and batches requests
-// into the backend, blocking — and therefore pausing the wire — when the
-// dispatch queue fills. All state is partitioned by side: client processes
-// touch only client fields, server processes only server fields, and the
-// two communicate exclusively through encoded frames, which is what keeps
-// the sharded rig race-free and deterministic.
+// simulated Ethernet link. The client side generates timed arrivals,
+// coalesces request capsules into frames, and sheds load once the paused
+// link backs its bounded backlog up; the server side decodes frames, tracks
+// connections, and batches requests into the backend, blocking — and
+// therefore pausing the wire — when the dispatch queue fills. All state is
+// partitioned by side: client processes touch only client fields, server
+// processes only server fields, and the two communicate exclusively through
+// encoded frames.
 type Tier struct {
 	cfg   Config
 	spec  workload.OpenLoopSpec
 	lanes []Lane
 
-	cliK, srvK *sim.Kernel
-	cliMAC     *ethernet.MAC
-	srvMAC     *ethernet.MAC
+	k      *sim.Kernel
+	cliMAC *ethernet.MAC
+	srvMAC *ethernet.MAC
 
 	// Client-side state.
 	gen         *workload.OpenLoop
@@ -142,25 +141,9 @@ type Tier struct {
 	rejected  int64
 }
 
-// New builds a serving tier with both sides on one kernel. With one lane
-// every request goes to it; with more, a request goes to the lane of its
-// tenant.
+// New builds a serving tier on kernel k. With one lane every request goes
+// to it; with more, a request goes to the lane of its tenant.
 func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
-	return build(k, k, nil, nil, cfg, spec, lanes)
-}
-
-// NewCross builds a serving tier whose client side lives on cliK and server
-// side on srvK, in different shard domains connected by the toSrv/toCli
-// edges (lookahead at least the wire latency). The two sides exchange only
-// encoded frames, so the sharded run is byte-identical to the serial one.
-func NewCross(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
-	if toSrv == nil || toCli == nil {
-		return nil, fmt.Errorf("serve: cross-domain tier needs both edges")
-	}
-	return build(cliK, srvK, toSrv, toCli, cfg, spec, lanes)
-}
-
-func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -185,52 +168,45 @@ func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec work
 		cfg:         cfg,
 		spec:        spec,
 		lanes:       lanes,
-		cliK:        cliK,
-		srvK:        srvK,
+		k:           k,
 		gen:         gen,
 		outstanding: make(map[uint64]sim.Time),
 		table:       table,
-		dispatchQ:   sim.NewChan[Request](srvK, cfg.DispatchDepth),
-		respQ:       sim.NewChan[Response](srvK, cfg.DispatchDepth),
+		dispatchQ:   sim.NewChan[Request](k, cfg.DispatchDepth),
+		respQ:       sim.NewChan[Response](k, cfg.DispatchDepth),
 	}
-	t.cliMAC = ethernet.NewMAC(cliK, "serve.cli", cfg.Ethernet)
-	t.srvMAC = ethernet.NewMAC(srvK, "serve.srv", cfg.Ethernet)
-	if toSrv != nil {
-		if err := ethernet.ConnectCross(t.cliMAC, t.srvMAC, toSrv, toCli); err != nil {
-			return nil, err
-		}
-	} else {
-		ethernet.Connect(t.cliMAC, t.srvMAC)
-	}
+	t.cliMAC = ethernet.NewMAC(k, "serve.cli", cfg.Ethernet)
+	t.srvMAC = ethernet.NewMAC(k, "serve.srv", cfg.Ethernet)
+	ethernet.Connect(t.cliMAC, t.srvMAC)
 
 	t.pendRead = make([]*sim.Chan[Request], len(lanes))
 	t.pendWrite = make([]*sim.Chan[Request], len(lanes))
 	for i := range lanes {
-		t.pendRead[i] = sim.NewChan[Request](srvK, cfg.LaneWindow)
-		t.pendWrite[i] = sim.NewChan[Request](srvK, cfg.LaneWindow)
+		t.pendRead[i] = sim.NewChan[Request](k, cfg.LaneWindow)
+		t.pendWrite[i] = sim.NewChan[Request](k, cfg.LaneWindow)
 		lane := i
-		srvK.Spawn(fmt.Sprintf("serve.rdrain%d", lane), func(p *sim.Proc) {
+		k.Spawn(fmt.Sprintf("serve.rdrain%d", lane), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			t.drainLoop(p, lane, true)
 		})
-		srvK.Spawn(fmt.Sprintf("serve.wdrain%d", lane), func(p *sim.Proc) {
+		k.Spawn(fmt.Sprintf("serve.wdrain%d", lane), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			t.drainLoop(p, lane, false)
 		})
 	}
-	srvK.Spawn("serve.rx", func(p *sim.Proc) {
+	k.Spawn("serve.rx", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.serverRxLoop(p)
 	})
-	srvK.Spawn("serve.dispatch", func(p *sim.Proc) {
+	k.Spawn("serve.dispatch", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.dispatchLoop(p)
 	})
-	srvK.Spawn("serve.resptx", func(p *sim.Proc) {
+	k.Spawn("serve.resptx", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.respTxLoop(p)
 	})
-	cliK.Spawn("serve.clirx", func(p *sim.Proc) {
+	k.Spawn("serve.clirx", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.clientRxLoop(p)
 	})
@@ -247,8 +223,8 @@ func (t *Tier) Start(at sim.Time) error {
 	t.started = true
 	t.startAt = at
 	t.lastResp = at
-	t.cliK.At(at, func() {
-		t.cliK.Spawn("serve.sender", t.senderLoop)
+	t.k.At(at, func() {
+		t.k.Spawn("serve.sender", t.senderLoop)
 	})
 	return nil
 }

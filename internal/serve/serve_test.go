@@ -60,26 +60,6 @@ func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) R
 	return tier.Report()
 }
 
-// runCross builds and runs the tier across two shard domains.
-func runCross(t *testing.T, workers int, cfg Config, spec workload.OpenLoopSpec, b []Lane) Report {
-	t.Helper()
-	shard := sim.NewShard(workers)
-	cli := shard.AddDomain("clients")
-	srv := shard.AddDomain("server")
-	look := ethernet.DefaultConfig().EdgeLookahead()
-	toSrv := shard.MustConnect(cli, srv, look)
-	toCli := shard.MustConnect(srv, cli, look)
-	tier, err := NewCross(cli.Kernel(), srv.Kernel(), toSrv, toCli, cfg, spec, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tier.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	shard.Run(0)
-	return tier.Report()
-}
-
 // checkConservation asserts the request-accounting invariants every run
 // must satisfy once quiescent: every arrival was sent or shed, and every
 // sent capsule came back exactly once.
@@ -165,61 +145,44 @@ func TestBackpressureBounds(t *testing.T) {
 	}
 	slow := stubLanes(1, 100*sim.Microsecond)
 
-	for _, tc := range []struct {
-		name string
-		run  func() Report
-	}{
-		{"serial", func() Report { return runSerial(t, cfg, spec, slow) }},
-		{"sharded", func() Report { return runCross(t, 2, cfg, spec, slow) }},
-	} {
-		r := tc.run()
-		if r.Generated != r.Sent+r.Dropped {
-			t.Fatalf("%s: conservation: generated %d != sent %d + dropped %d",
-				tc.name, r.Generated, r.Sent, r.Dropped)
-		}
-		if r.Sent != r.Completed+r.Failed+r.Unmatched {
-			t.Fatalf("%s: conservation: sent %d != completed %d + failed %d + unmatched %d",
-				tc.name, r.Sent, r.Completed, r.Failed, r.Unmatched)
-		}
-		if r.PeakDispatch > r.DispatchCap {
-			t.Fatalf("%s: dispatch queue peaked at %d, bound %d", tc.name, r.PeakDispatch, r.DispatchCap)
-		}
-		if r.PeakConns > r.ConnCapacity {
-			t.Fatalf("%s: connection table peaked at %d, capacity %d", tc.name, r.PeakConns, r.ConnCapacity)
-		}
-		if r.PausesSent == 0 {
-			t.Fatalf("%s: overload never tripped a pause frame", tc.name)
-		}
-		if r.PausesHonored == 0 {
-			t.Fatalf("%s: client never honored a pause", tc.name)
-		}
-		if r.Dropped == 0 {
-			t.Fatalf("%s: overload shed nothing — backlog must have grown unboundedly", tc.name)
-		}
-		if r.FramesDropped != 0 {
-			t.Fatalf("%s: %d frames dropped in the MACs — shedding must happen above the link", tc.name, r.FramesDropped)
-		}
+	r := runSerial(t, cfg, spec, slow)
+	if r.Generated != r.Sent+r.Dropped {
+		t.Fatalf("conservation: generated %d != sent %d + dropped %d", r.Generated, r.Sent, r.Dropped)
+	}
+	if r.Sent != r.Completed+r.Failed+r.Unmatched {
+		t.Fatalf("conservation: sent %d != completed %d + failed %d + unmatched %d",
+			r.Sent, r.Completed, r.Failed, r.Unmatched)
+	}
+	if r.PeakDispatch > r.DispatchCap {
+		t.Fatalf("dispatch queue peaked at %d, bound %d", r.PeakDispatch, r.DispatchCap)
+	}
+	if r.PeakConns > r.ConnCapacity {
+		t.Fatalf("connection table peaked at %d, capacity %d", r.PeakConns, r.ConnCapacity)
+	}
+	if r.PausesSent == 0 {
+		t.Fatal("overload never tripped a pause frame")
+	}
+	if r.PausesHonored == 0 {
+		t.Fatal("client never honored a pause")
+	}
+	if r.Dropped == 0 {
+		t.Fatal("overload shed nothing — backlog must have grown unboundedly")
+	}
+	if r.FramesDropped != 0 {
+		t.Fatalf("%d frames dropped in the MACs — shedding must happen above the link", r.FramesDropped)
 	}
 }
 
-// TestTierShardIdentity pins the determinism contract: the same spec run
-// serially and across shard domains at several worker counts yields
-// bit-identical reports (Report is comparable, so == covers every field
-// including the latency histogram).
-func TestTierShardIdentity(t *testing.T) {
+// TestTierDeterministic pins the determinism contract: the same spec run
+// twice yields bit-identical reports (Report is comparable, so == covers
+// every field including the latency histogram).
+func TestTierDeterministic(t *testing.T) {
 	spec := fastSpec(300)
 	b := stubLanes(1, 2*sim.Microsecond)
-	serial := runSerial(t, Config{}, spec, b)
-	checkConservation(t, serial)
-	for _, w := range []int{1, 2, 4} {
-		cross := runCross(t, w, Config{}, spec, b)
-		if cross != serial {
-			t.Fatalf("workers=%d report diverged:\nserial: %+v\ncross:  %+v", w, serial, cross)
-		}
-	}
-	again := runSerial(t, Config{}, spec, b)
-	if again != serial {
-		t.Fatalf("repeat serial run diverged:\n%+v\n%+v", serial, again)
+	first := runSerial(t, Config{}, spec, b)
+	checkConservation(t, first)
+	if again := runSerial(t, Config{}, spec, b); again != first {
+		t.Fatalf("repeat run diverged:\n%+v\n%+v", first, again)
 	}
 }
 
@@ -258,9 +221,6 @@ func TestTierConfigErrors(t *testing.T) {
 	}
 	if _, err := New(k, Config{DispatchDepth: -1}, good, b); err == nil {
 		t.Fatal("negative depth accepted")
-	}
-	if _, err := NewCross(k, k, nil, nil, Config{}, good, b); err == nil {
-		t.Fatal("cross tier without edges accepted")
 	}
 
 	tier, err := New(k, Config{}, good, b)

@@ -60,18 +60,11 @@ func TransferTime(n int64, bytesPerSec float64) Time {
 }
 
 // event is one scheduled callback. seq breaks timestamp ties so scheduling
-// order is execution order. arrival marks events delivered from another
-// domain at a shard barrier; the conservative scheduler bounds their
-// earliest possible cross-send by the domain's turnaround. silent marks
-// locally scheduled events that promise to perform no cross-domain send,
-// so they never constrain the earliest-output-time bound; an unmarked
-// local event may send the moment it runs (see Kernel.earliestSend).
+// order is execution order.
 type event struct {
-	at      Time
-	seq     uint64
-	arrival bool
-	silent  bool
-	fn      func()
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // eventLess orders events by timestamp, then by scheduling sequence.
@@ -173,24 +166,10 @@ type Kernel struct {
 	parked        int
 	daemons       int
 	parkedDaemons int
-	// localPending counts pending events that were scheduled locally (not
-	// barrier-delivered arrivals), and minLocal is a monotone lower bound on
-	// the earliest such event (maxTime when none are pending). Together they
-	// let a shard bound the kernel's next possible cross-domain send by
-	// head+turnaround whenever everything pending is an inbound arrival —
-	// the common state right after a barrier (see earliestSend).
-	localPending int
-	minLocal     Time
-	// inArrival flags that the event currently executing is a cross-domain
-	// arrival, so Edge.At can reject a direct send that would break the
-	// domain's declared turnaround; inSilent does the same for events
-	// scheduled with AtSilent, which promise no cross-domain sends at all.
-	inArrival bool
-	inSilent  bool
 }
 
 // NewKernel returns a kernel with simulated time at zero.
-func NewKernel() *Kernel { return &Kernel{minLocal: maxTime} }
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -206,86 +185,7 @@ func (k *Kernel) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
-	k.localPending++
-	if t < k.minLocal {
-		k.minLocal = t
-	}
 	k.queue.push(event{at: t, seq: k.seq, fn: fn})
-}
-
-// AtSilent schedules fn at absolute time t with the promise that fn performs
-// no cross-domain send (Edge.At/After panic if it tries; scheduling further
-// local events is fine). Models mark computation-only work — statistics
-// folds, firmware pipeline stages, counter updates — so the conservative
-// scheduler's earliest-output-time bound skips them entirely: a domain whose
-// only pending locals are silent advertises its next send as far out as its
-// turnaround allows, instead of pessimistically assuming every queued event
-// might transmit. On a flat kernel AtSilent behaves exactly like At.
-func (k *Kernel) AtSilent(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	k.seq++
-	k.queue.push(event{at: t, seq: k.seq, silent: true, fn: fn})
-}
-
-// AfterSilent schedules fn d after the current time with AtSilent's
-// no-cross-send promise.
-func (k *Kernel) AfterSilent(d Time, fn func()) { k.AtSilent(k.now+d, fn) }
-
-// atArrival schedules a barrier-delivered cross-domain event. It shares At's
-// ordering semantics (seq assignment order is delivery order) but is exempt
-// from the local-event accounting: an arrival's earliest transitive send is
-// bounded by the domain's turnaround, not by its timestamp alone.
-func (k *Kernel) atArrival(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	k.seq++
-	k.queue.push(event{at: t, seq: k.seq, arrival: true, fn: fn})
-}
-
-// finishPop maintains the local-event accounting after an event is popped
-// for execution. Only plain local events participate: arrivals are bounded
-// by the turnaround contract and silent events by their no-send promise.
-func (k *Kernel) finishPop(e *event) {
-	if !e.arrival && !e.silent {
-		k.localPending--
-		if k.localPending == 0 {
-			k.minLocal = maxTime
-		}
-	}
-}
-
-// earliestSend returns a lower bound on the kernel clock value at which the
-// domain could next perform a cross-domain send, given its declared
-// turnaround. With no turnaround (or any locally scheduled event pending at
-// the head) that is just the queue head: the head event may send the moment
-// it runs. When everything pending up to the head is a barrier-delivered
-// arrival, the turnaround contract pushes the bound to head+turnaround —
-// the earliest-output-time refinement that keeps tightly coupled domains
-// from throttling each other's windows to the raw link lookahead.
-func (k *Kernel) earliestSend(turn Time) Time {
-	if k.queue.len() == 0 {
-		return maxTime
-	}
-	head := k.queue.ev[0].at
-	if turn == 0 {
-		return head
-	}
-	bound := head + turn
-	if bound < head { // saturate on overflow
-		bound = maxTime
-	}
-	if k.localPending > 0 {
-		if k.minLocal <= head {
-			return head
-		}
-		if k.minLocal < bound {
-			return k.minLocal
-		}
-	}
-	return bound
 }
 
 // After schedules fn to run d after the current time.
@@ -293,15 +193,6 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // Stop makes Run return after the event being processed completes.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// Engine is an event loop a rig drains, reads the clock and event count
-// of, and closes once done: a serial *Kernel, or a *Shard of domain kernels.
-type Engine interface {
-	Run(horizon Time) Time
-	Now() Time
-	EventsExecuted() uint64
-	Close()
-}
 
 // Run executes events until the queue drains, Stop is called, or the
 // optional horizon is reached (horizon <= 0 means no horizon). It returns
@@ -319,7 +210,6 @@ func (k *Kernel) Run(horizon Time) Time {
 			return k.now
 		}
 		e := k.queue.pop()
-		k.finishPop(&e)
 		k.now = e.at
 		k.executed++
 		e.fn()

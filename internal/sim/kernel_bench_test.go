@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkKernelSchedule measures the push/pop hot path: schedule a batch
 // of events at staggered timestamps and drain them. The inlined 4-ary heap
@@ -48,7 +45,6 @@ func BenchmarkKernelScheduleDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Pop one event, push a replacement: constant-depth churn.
 		e := k.queue.pop()
-		k.finishPop(&e)
 		k.now = e.at
 		k.executed++
 		k.At(k.now+Time(i%61)+1, nop)
@@ -67,110 +63,6 @@ func BenchmarkKernelHorizon(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Run(k.Now() + 10)
-	}
-}
-
-// BenchmarkKernelCrossDomain measures the inter-domain handoff: one event
-// sent over an edge, merged at the barrier, and executed in the destination
-// kernel. The reported allocs/op are the cross-domain send cost (the
-// closure plus outbox bookkeeping); the intra-domain path stays at 0 (see
-// BenchmarkKernelSchedule and BenchmarkShardedIntraDomain).
-func BenchmarkKernelCrossDomain(b *testing.B) {
-	s := NewShard(1)
-	a := s.AddDomain("a")
-	c := s.AddDomain("b")
-	ab := s.MustConnect(a, c, 10)
-	ba := s.MustConnect(c, a, 10)
-	const (
-		batch = 256
-		hops  = 4
-	)
-	n := 0
-	left := 0
-	var ping, pong func()
-	start := func() { left = hops; ping() }
-	ping = func() {
-		n++
-		if left--; left > 0 {
-			ab.After(10, pong)
-		}
-	}
-	pong = func() { n++; ba.After(10, ping) }
-	// Warm the outboxes, inbox and queues to their high-water marks.
-	for j := 0; j < batch; j++ {
-		a.Kernel().At(Time(j), start)
-	}
-	s.Run(0)
-	warmCross := s.CrossEvents()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := a.Kernel().Now()
-		for j := 0; j < batch; j++ {
-			a.Kernel().At(base+Time(j), start)
-		}
-		s.Run(0)
-	}
-	b.StopTimer()
-	if n == 0 {
-		b.Fatal("no cross-domain events executed")
-	}
-	crossed := s.CrossEvents() - warmCross
-	if crossed == 0 {
-		b.Fatal("no cross-domain handoffs during timed region")
-	}
-	b.ReportMetric(float64(crossed)/b.Elapsed().Seconds(), "crossevents/s")
-}
-
-// BenchmarkShardedIntraDomain extends the 0 allocs/op guarantee to the
-// sharded scheduler: steady-state local scheduling inside a domain, with
-// edges declared and the conservative window loop active.
-func BenchmarkShardedIntraDomain(b *testing.B) {
-	s := NewShard(1)
-	a := s.AddDomain("a")
-	c := s.AddDomain("b")
-	s.MustConnect(a, c, 1000)
-	k := a.Kernel()
-	nop := func() {}
-	const batch = 256
-	for j := 0; j < batch; j++ {
-		k.At(k.Now()+Time(j%17), nop)
-	}
-	s.Run(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := k.Now()
-		for j := 0; j < batch; j++ {
-			k.At(base+Time(j%17), nop)
-		}
-		s.Run(0)
-	}
-}
-
-// BenchmarkShardedRing drives the 4-domain determinism rig shape at each
-// worker count so `go test -bench ShardedRing` shows the raw conservative-
-// sync scaling on the host (see bench.KernelSweep for the calibrated chain).
-// Every iteration's per-domain digests are cross-checked against a serial
-// reference run, so the race-detector smoke pass (`make bench-smoke`) doubles
-// as a determinism check on the concurrent round loop.
-func BenchmarkShardedRing(b *testing.B) {
-	want, _, _ := ringRig(1)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				digests, n, _ := ringRig(w)
-				events += n
-				for d, got := range digests {
-					if got != want[d] {
-						b.Fatalf("workers=%d domain %d digest %016x != serial %016x (determinism violation)",
-							w, d, got, want[d])
-					}
-				}
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
 	}
 }
 

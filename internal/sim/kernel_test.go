@@ -1,25 +1,39 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestKernelEventOrdering pins the tie-break every model relies on: events
+// run in timestamp order, and events at one timestamp in the order they
+// were scheduled, including those an event schedules for its own
+// timestamp, which run after every same-time event queued before them.
 func TestKernelEventOrdering(t *testing.T) {
 	k := NewKernel()
-	var got []int
-	k.At(10, func() { got = append(got, 1) })
-	k.At(5, func() { got = append(got, 0) })
-	k.At(10, func() { got = append(got, 2) }) // same time: scheduling order
+	var got []string
+	add := func(s string) func() { return func() { got = append(got, s) } }
+	k.At(20, add("a"))
+	k.At(10, func() {
+		got = append(got, "first")
+		k.At(20, add("c"))
+		k.At(10, add("now2"))
+	})
+	k.At(20, add("b"))
+	k.At(10, add("now1"))
+	k.Spawn("p", func(p *Proc) {
+		got = append(got, "p")
+		p.Sleep(20)
+		got = append(got, "p20")
+	})
 	k.Run(0)
-	want := []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event order = %v, want %v", got, want)
-		}
+	want := "p,first,now1,now2,a,b,p20,c"
+	if s := strings.Join(got, ","); s != want {
+		t.Fatalf("order %q, want %q", s, want)
 	}
-	if k.Now() != 10 {
-		t.Fatalf("Now() = %v, want 10", k.Now())
+	if k.Now() != 20 {
+		t.Fatalf("Now() = %v, want 20", k.Now())
 	}
 }
 

@@ -147,7 +147,6 @@ func (k *Kernel) Close() {
 		p.stop()
 	}
 	k.queue.ev = nil
-	k.localPending, k.minLocal = 0, maxTime
 	k.parked, k.parkedDaemons = 0, 0
 }
 

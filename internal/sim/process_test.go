@@ -125,39 +125,6 @@ func TestKernelCloseReleasesProcesses(t *testing.T) {
 	}
 }
 
-// TestShardClose pins Shard.Close: processes on every domain stop.
-func TestShardClose(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		s := NewShard(2)
-		a, b := s.AddDomain("a"), s.AddDomain("b")
-		e := s.MustConnect(a, b, 10)
-		ch := NewChan[int](b.Kernel(), 0)
-		b.Kernel().Spawn("consumer", func(p *Proc) {
-			p.SetDaemon(true)
-			for {
-				ch.Get(p)
-			}
-		})
-		a.Kernel().Spawn("producer", func(p *Proc) {
-			for j := 0; j < 3; j++ {
-				p.Sleep(5)
-				e.After(10, func() { ch.TryPut(j) })
-			}
-		})
-		s.Run(0)
-		s.Close()
-		for _, d := range s.Domains() {
-			if d.Kernel().nprocs != 0 {
-				t.Fatalf("domain %s: %d processes live after Close", d.Name(), d.Kernel().nprocs)
-			}
-		}
-	}
-	if n := settledGoroutines(base); n > base {
-		t.Fatalf("%d goroutines after 10 closed shards, baseline %d", n, base)
-	}
-}
-
 // TestProcGoexitUnwindsRun pins that runtime.Goexit inside a process — what
 // t.Fatal does — ends the goroutine that called Run instead of leaving it
 // blocked on a process that will never hand control back.

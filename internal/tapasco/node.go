@@ -110,12 +110,13 @@ func (n *Node) Init(p *sim.Proc) error {
 	return nil
 }
 
-// Boot spawns Init as the node kernel's "init" process and drains eng (the
-// node's kernel, or the shard it is a domain of).
-func (n *Node) Boot(eng sim.Engine) error {
+// Boot spawns Init as the node kernel's "init" process and drains the
+// kernel.
+func (n *Node) Boot() error {
 	err := errors.New("tapasco: initialization stalled")
-	n.Platform.K.Spawn("init", func(p *sim.Proc) { err = n.Init(p) })
-	eng.Run(0)
+	k := n.Platform.K
+	k.Spawn("init", func(p *sim.Proc) { err = n.Init(p) })
+	k.Run(0)
 	return err
 }
 

@@ -42,7 +42,7 @@ func bootNode(shape []int) (*sim.Kernel, []*streamer.Streamer, error) {
 			sts = append(sts, n.AddStreamer(ssd, shapeStreamer(i, j)))
 		}
 	}
-	return k, sts, n.Boot(k)
+	return k, sts, n.Boot()
 }
 
 // bootPrimitives brings shape up by hand, the way a rig built from the

@@ -101,9 +101,8 @@ func TestServeFacadeTenants(t *testing.T) {
 }
 
 // TestServeFacadeWorkersIdentity pins the public-API determinism contract:
-// the serving report is identical whether the system runs on the serial
-// kernel or with the client fleet in its own shard domain, both on the plain
-// Streamer and through the two-tenant hub.
+// the serving report is identical at every accepted KernelWorkers value,
+// both on the plain Streamer and through the two-tenant hub.
 func TestServeFacadeWorkersIdentity(t *testing.T) {
 	configs := map[string]Options{
 		"plain":   {Serve: serveOpts()},

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"snacc/internal/cluster"
-	"snacc/internal/ethernet"
 	"snacc/internal/fault"
 	"snacc/internal/fpga"
 	"snacc/internal/nvme"
@@ -84,17 +83,9 @@ type Options struct {
 	DoorbellBatch int
 	// OutOfOrder enables the §7 out-of-order retirement extension.
 	OutOfOrder bool
-	// KernelWorkers selects the event-loop scheduler. 0 or 1 runs the plain
-	// serial kernel — the exact paper timeline, byte for byte. Values above
-	// 1 run the system under the sharded conservative-parallel scheduler
-	// (sim.Shard) with that many workers. A single System is one
-	// synchronously-coupled PCIe fabric and therefore one shard domain, so
-	// extra workers cannot speed it up; the knob exists so rig-level
-	// parallelism (bench.SetParallelism, sharding *across* systems) and
-	// domain-level workers (sharding *within* a rig's event loop) compose,
-	// and rigs with genuinely partitionable topology — the casestudy's
-	// network front end, bench.KernelSweep's ethernet→pcie→nvme chain — get
-	// real concurrency. Results are identical at any worker count.
+	// KernelWorkers has no effect: every system runs on one serial event
+	// loop. It stays accepted so existing callers keep compiling; a negative
+	// value is still rejected.
 	KernelWorkers int
 	// Functional moves real payload bytes through the whole stack
 	// (Ethernet frames, PCIe TLPs, PRP lists, NAND media). Default true —
@@ -134,10 +125,7 @@ type Options struct {
 	// quiescence and returns the fleet-side report. With Options.Tenants
 	// set, requests are stamped with tenant IDs and dispatched through the
 	// virtualized hub, one lane per tenant; with Options.Cluster, into the
-	// cluster's front domain, the cluster being the one lane. On a single
-	// card under KernelWorkers > 1 the fleet runs in its own shard domain
-	// joined to the FPGA side by wire-latency edges; reports are identical
-	// at any worker count.
+	// cluster, the cluster being the one lane.
 	Serve *ServeOptions
 }
 
@@ -393,8 +381,8 @@ func (f *FaultOptions) wantsBreaker() bool {
 // programmed) — or, with Options.Cluster, a replicated cluster of such
 // cards.
 type System struct {
-	eng  sim.Engine                 // the serial kernel, or the shard driving every domain
-	exec func(fn func(p *sim.Proc)) // runs fn as the app process and drains eng
+	k    *sim.Kernel                // the kernel every model of the system runs on
+	exec func(fn func(p *sim.Proc)) // runs fn as the app process and drains k
 	// cards holds the system's card, or one per cluster node in node order.
 	cards    []card
 	boundary *pcie.Tracer        // nil unless Options.Trace.Boundary was set
@@ -439,47 +427,17 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, fmt.Errorf("snacc: KernelWorkers must be non-negative, got %d", opts.KernelWorkers)
 	}
 	sys := &System{}
-	var (
-		srvK, fleetK      *sim.Kernel // serving tier's server side; client fleet's own domain (sharded card)
-		toServer, toFleet *sim.Edge
-	)
 	if opts.Cluster != nil {
 		if err := sys.buildCluster(opts, functional); err != nil {
 			return nil, err
 		}
-		srvK = sys.cluster.Front()
-	} else {
-		srvK = sim.NewKernel()
-		sys.eng = srvK
-		if opts.KernelWorkers > 1 {
-			shard := sim.NewShard(opts.KernelWorkers)
-			sys.eng = shard
-			sysD := shard.AddDomain("system")
-			srvK = sysD.Kernel()
-			if opts.Serve != nil {
-				// The client fleet only talks to the FPGA side through the
-				// Ethernet link, so it gets its own domain with wire-latency
-				// lookahead on both edges.
-				fleet := shard.AddDomain("clients")
-				fleetK = fleet.Kernel()
-				look := ethernet.DefaultConfig().EdgeLookahead()
-				toServer = shard.MustConnect(fleet, sysD, look)
-				toFleet = shard.MustConnect(sysD, fleet, look)
-			}
-		}
-		if err := sys.buildCard(srvK, opts, functional); err != nil {
-			return nil, err
-		}
+	} else if err := sys.buildCard(sim.NewKernel(), opts, functional); err != nil {
+		return nil, err
 	}
 	if opts.Serve != nil {
 		spec, cfg := opts.Serve.build(len(opts.Tenants))
 		var err error
-		if fleetK != nil {
-			sys.serve, err = serve.NewCross(fleetK, srvK, toServer, toFleet, cfg, spec, sys.lanes)
-		} else {
-			sys.serve, err = serve.New(srvK, cfg, spec, sys.lanes)
-		}
-		if err != nil {
+		if sys.serve, err = serve.New(sys.k, cfg, spec, sys.lanes); err != nil {
 			return nil, err
 		}
 	}
@@ -519,13 +477,13 @@ func (s *System) buildCard(k *sim.Kernel, opts Options, functional bool) error {
 			s.boundary = node.Platform.AttachBoundaryTracer(c.Streamer)
 		}
 	}
-	if err := node.Boot(s.eng); err != nil {
+	if err := node.Boot(); err != nil {
 		return err
 	}
-	s.cards = []card{c}
+	s.k, s.cards = k, []card{c}
 	s.exec = func(fn func(p *sim.Proc)) {
 		k.Spawn("app", fn)
-		s.eng.Run(0)
+		k.Run(0)
 	}
 	if len(opts.Tenants) == 0 {
 		s.lanes = []serve.Lane{streamer.NewClient(c.Streamer)}
@@ -647,7 +605,6 @@ func (s *System) buildCluster(opts Options, functional bool) error {
 	}
 	ccfg := cluster.DefaultConfig(co.Nodes, co.Replication, co.Quorum)
 	ccfg.ChunkBytes = co.ChunkBytes
-	ccfg.KernelWorkers = opts.KernelWorkers
 	ccfg.Functional = functional
 	ccfg.Seed = opts.Seed
 	ccfg.Variant = opts.Variant
@@ -693,7 +650,7 @@ func (s *System) buildCluster(opts Options, functional bool) error {
 	if err != nil {
 		return err
 	}
-	s.eng, s.exec, s.cluster, s.lanes = cl.Engine(), cl.Execute, cl, []serve.Lane{cl}
+	s.k, s.exec, s.cluster, s.lanes = cl.Kernel(), cl.Execute, cl, []serve.Lane{cl}
 	for i := 0; i < cl.Nodes(); i++ {
 		s.cards = append(s.cards, card{cl.Card(i), injectors[i]})
 	}
@@ -717,9 +674,8 @@ type Handle struct {
 }
 
 // Execute runs fn as a simulation process and advances simulated time
-// until it (and everything it triggered) completes, under whichever
-// scheduler Options.KernelWorkers selected. On a closed system fn runs
-// outside the simulation: every transfer returns an error, Sleep does
+// until it (and everything it triggered) completes. On a closed system fn
+// runs outside the simulation: every transfer returns an error, Sleep does
 // nothing and the clock stands still.
 func (s *System) Execute(fn func(h *Handle)) {
 	if s.closed {
@@ -737,7 +693,7 @@ func (s *System) Execute(fn func(h *Handle)) {
 // and Execute no longer simulates. Close is idempotent.
 func (s *System) Close() {
 	s.closed = true
-	s.eng.Close()
+	s.k.Close()
 }
 
 // Serve runs the configured open-loop serving workload (Options.Serve) to
@@ -752,26 +708,17 @@ func (s *System) Serve() (ServeReport, error) {
 	if s.closed {
 		return ServeReport{}, errClosed
 	}
-	if err := s.serve.Start(s.eng.Now()); err != nil {
+	if err := s.serve.Start(s.k.Now()); err != nil {
 		return ServeReport{}, err
 	}
-	s.eng.Run(0)
+	s.k.Run(0)
 	return s.serve.Report(), nil
-}
-
-// KernelWorkers returns the sharded scheduler's worker budget, or 1 when
-// the system runs on the plain serial kernel.
-func (s *System) KernelWorkers() int {
-	if shard, ok := s.eng.(*sim.Shard); ok {
-		return shard.Workers()
-	}
-	return 1
 }
 
 // Now returns the current simulated time in nanoseconds.
 func (h *Handle) Now() int64 {
 	if h.p == nil {
-		return int64(h.sys.eng.Now())
+		return int64(h.sys.k.Now())
 	}
 	return int64(h.p.Now())
 }
@@ -1034,8 +981,8 @@ type Stats struct {
 // nodes; IOQueueDepthPeak takes each queue's maximum.
 func (s *System) Stats() Stats {
 	out := Stats{
-		SimTime:   int64(s.eng.Now()),
-		SimEvents: s.eng.EventsExecuted(),
+		SimTime:   int64(s.k.Now()),
+		SimEvents: s.k.EventsExecuted(),
 		Tenants:   s.TenantStats(),
 	}
 	for _, c := range s.cards {

@@ -31,9 +31,9 @@ func TestReplayTraceAPI(t *testing.T) {
 }
 
 // TestSpanMonotoneAcrossKernelWorkers extends the span-invariant property
-// tests to multi-worker kernel runs: under the sharded scheduler, every
-// traced command must still close exactly once with monotone stage
-// timestamps, and the span set must match the serial run exactly.
+// tests across KernelWorkers values: every traced command must close
+// exactly once with monotone stage timestamps, and the span set must match
+// the default run exactly.
 func TestSpanMonotoneAcrossKernelWorkers(t *testing.T) {
 	f := false
 	run := func(workers int) []Span {
