@@ -1,6 +1,17 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke cover latency faults crash queues perfreport tenants cluster serve
+# snaccbench arguments that regenerate each committed, deterministic
+# BENCH_<name>.json. The sweep targets below and bench-check share them.
+# BENCH_parallel.json is left out: it records host wall time.
+BENCH_FILES = crash tenants serve latency cluster queues
+BENCH_ARGS_crash = -run crash
+BENCH_ARGS_tenants = -run tenants
+BENCH_ARGS_serve = -run serve
+BENCH_ARGS_latency = -run latency
+BENCH_ARGS_cluster = -run cluster -size 64
+BENCH_ARGS_queues = -run queues
+
+.PHONY: build test race vet bench bench-smoke bench-check cover latency faults crash queues perfreport tenants cluster serve
 
 build:
 	$(GO) build ./...
@@ -11,6 +22,7 @@ test: vet
 	$(GO) test ./...
 	$(MAKE) race
 	$(MAKE) bench-smoke
+	$(MAKE) bench-check
 
 # Race-checks the experiment engine's rig pool (internal/parallel), the
 # kernel/buffer-pool hot paths, and the fault-injection/recovery machinery
@@ -53,7 +65,7 @@ cover:
 
 # Per-stage latency percentiles from span tracing -> BENCH_latency.json
 latency:
-	$(GO) run ./cmd/snaccbench -latency
+	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_latency)
 
 # Microbenchmarks: kernel scheduling (events/sec, allocs/op), process
 # hand-offs (Sleep, Chan ping-pong), end-to-end streamer reads (4 KiB and
@@ -71,30 +83,40 @@ bench:
 bench-smoke: vet
 	$(GO) test -race -run XXX -bench 'BenchmarkKernel|BenchmarkProc' -benchtime 1x -benchmem ./internal/sim/
 
+# Regenerates every deterministic BENCH file into a temp dir with the sweep
+# targets' arguments and compares each byte for byte with the committed
+# copy: a change that shifts a committed number fails here until the file
+# is regenerated and committed with it. Wired into `make test`.
+bench-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/snaccbench" ./cmd/snaccbench && \
+	$(foreach n,$(BENCH_FILES),(cd "$$tmp" && ./snaccbench $(BENCH_ARGS_$(n)) > /dev/null) && \
+		cmp BENCH_$(n).json "$$tmp/BENCH_$(n).json" && echo "BENCH_$(n).json matches" && ) true
+
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.
 faults:
 	$(GO) test -run 'Fault|Retry|Timeout|CQE|InvalidCompletion' ./internal/fault/ ./internal/streamer/ ./internal/bench/ .
-	$(GO) run ./cmd/snaccbench -faults
+	$(GO) run ./cmd/snaccbench -run faults
 
 # Controller-crash suite: recovery-ladder unit tests (breaker, reset,
 # replay, degraded striping, crash data integrity) and the goodput/MTTR
 # sweep -> BENCH_crash.json
 crash:
 	$(GO) test -run 'Crash|Breaker|Death|CFS|Degraded|Removal' ./internal/nvme/ ./internal/streamer/ ./internal/bench/ .
-	$(GO) run ./cmd/snaccbench -crash
+	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_crash)
 
 # Multi-queue submission suite: ring-wrap and crash/integrity tests at
 # IOQueues > 1, then the IOPS-vs-queues×batch sweep -> BENCH_queues.json
 queues:
 	$(GO) test -run 'Wrap|MultiQueue|RandomizedDataIntegrity' ./internal/streamer/ .
-	$(GO) run ./cmd/snaccbench -queues 1,2,4,8
+	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_queues)
 
 # Multi-tenant QoS suite: hub scheduling/isolation unit tests plus the
 # noisy-neighbor sweep (victim vs aggressor, DRR vs FIFO) -> BENCH_tenants.json
 tenants:
 	$(GO) test -run 'Tenant' ./internal/streamer/ ./internal/bench/ .
-	$(GO) run ./cmd/snaccbench -tenants
+	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_tenants)
 
 # Serving-tier suite: frame-codec/conn-table/backpressure unit tests (the
 # invariant test also runs under -race via the race target), the open-loop
@@ -102,7 +124,7 @@ tenants:
 serve:
 	$(GO) test ./internal/serve/ ./internal/workload/
 	$(GO) test -run 'TestServe' ./internal/bench/ .
-	$(GO) run ./cmd/snaccbench -serve
+	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_serve)
 
 # Replicated-cluster suite: failover/re-replication/rejoin unit tests, the
 # kill-a-node data-integrity property, and the nodes×R×quorum sweep plus
@@ -110,8 +132,8 @@ serve:
 cluster:
 	$(GO) test ./internal/cluster/
 	$(GO) test -run 'TestClusterRandomizedDataIntegrity' .
-	$(GO) run ./cmd/snaccbench -cluster -size 64
+	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_cluster)
 
 # Serial-vs-parallel suite wall time + kernel throughput -> BENCH_parallel.json
 perfreport:
-	$(GO) run ./cmd/snaccbench -perfreport
+	$(GO) run ./cmd/snaccbench -run perfreport

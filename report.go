@@ -21,9 +21,10 @@ type ReportOptions struct {
 	Ablations bool
 }
 
-// Report regenerates the paper's entire evaluation and returns it as one
-// formatted text document — the programmatic equivalent of
-// `snaccbench -all`.
+// Report regenerates the paper's evaluation (§5, §6, and the §7 ablations
+// when opts.Ablations is set) and returns it as one formatted text
+// document: the tables `snaccbench -run all` prints for those sections, in
+// the same order.
 func Report(opts ReportOptions) string {
 	if opts.TransferMiB <= 0 {
 		opts.TransferMiB = 256
@@ -34,27 +35,17 @@ func Report(opts ReportOptions) string {
 	if opts.LatencySamples <= 0 {
 		opts.LatencySamples = 150
 	}
-	size := opts.TransferMiB * sim.MiB
+	s := bench.DefaultScale()
+	s.Size, s.Images, s.Samples = opts.TransferMiB*sim.MiB, opts.Images, opts.LatencySamples
 
 	var b strings.Builder
 	b.WriteString("SNAcc evaluation report (simulated; see EXPERIMENTS.md for calibration)\n\n")
-	fmt.Fprintln(&b, bench.RenderFig4a(bench.Fig4a(size)))
-	fmt.Fprintln(&b, bench.RenderFig4b(bench.Fig4b(size/4)))
-	fmt.Fprintln(&b, bench.RenderFig4c(bench.Fig4c(opts.LatencySamples)))
-	fmt.Fprintln(&b, bench.RenderTable1(bench.Table1()))
-	caseRows := bench.Fig6(opts.Images)
-	fmt.Fprintln(&b, bench.RenderFig6(caseRows))
-	fmt.Fprintln(&b, bench.RenderFig7(caseRows))
-	if opts.Ablations {
-		fmt.Fprintln(&b, bench.RenderAblationQD(bench.AblationQD([]int{16, 64, 256}, size/8)))
-		fmt.Fprintln(&b, bench.RenderAblationOOO(bench.AblationOOO(size/8)))
-		fmt.Fprintln(&b, bench.RenderAblationMultiSSD(bench.AblationMultiSSD([]int{1, 2, 4}, size/2)))
-		fmt.Fprintln(&b, bench.RenderAblationGen5(bench.AblationGen5(size)))
-		fmt.Fprintln(&b, bench.RenderAblationDRAM(bench.AblationDRAM(size)))
-		fmt.Fprintln(&b, bench.RenderAblationHBM(bench.AblationHBM(size)))
-		fmt.Fprintln(&b, bench.RenderFig6Striped(bench.Fig6Striped([]int{1, 2, 3}, opts.Images)))
-		fmt.Fprintln(&b, bench.RenderAblationQP(bench.AblationQP([]int{1, 2, 4}, size/8)))
-		fmt.Fprintln(&b, bench.RenderAblationMTU(bench.AblationMTU([]int64{1500, 4096, 9000}, opts.Images)))
+	for _, e := range bench.Experiments {
+		if e.Group == bench.Paper || opts.Ablations && e.Group == bench.Ablation {
+			for _, t := range e.Run(s) {
+				fmt.Fprintln(&b, t)
+			}
+		}
 	}
 	return b.String()
 }

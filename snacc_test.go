@@ -2,10 +2,13 @@ package snacc
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"snacc/internal/bench"
 	"snacc/internal/sim"
 )
 
@@ -226,10 +229,28 @@ func TestStatsPCIeAccounting(t *testing.T) {
 }
 
 func TestReportProducesAllSections(t *testing.T) {
-	out := Report(ReportOptions{TransferMiB: 64, Images: 32, LatencySamples: 40})
-	for _, want := range []string{"Figure 4a", "Figure 4b", "Figure 4c", "Table 1", "Figure 6", "Figure 7"} {
+	out := Report(ReportOptions{TransferMiB: 64, Images: 32, LatencySamples: 40, Ablations: true})
+	for _, want := range []string{"Figure 4a", "Figure 4b", "Figure 4c", "Table 1", "Figure 6", "Figure 7",
+		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A4", "Ablation A5",
+		"Ablation A6", "Ablation A7", "Ablation A8", "Ablation A9"} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("report missing section %q", want)
 		}
+	}
+	// The report prints exactly the paper and ablation tables the registry
+	// renders at the same scale, in registry order.
+	s := bench.DefaultScale()
+	s.Size, s.Images, s.Samples = 64*sim.MiB, 32, 40
+	var want strings.Builder
+	want.WriteString("SNAcc evaluation report (simulated; see EXPERIMENTS.md for calibration)\n\n")
+	for _, e := range bench.Experiments {
+		if e.Group == bench.Paper || e.Group == bench.Ablation {
+			for _, tb := range e.Run(s) {
+				fmt.Fprintln(&want, tb)
+			}
+		}
+	}
+	if out != want.String() {
+		t.Errorf("report differs from the registry's paper and ablation tables:\n--- report ---\n%s\n--- registry ---\n%s", out, want.String())
 	}
 }
