@@ -25,13 +25,15 @@ test: vet
 	$(MAKE) bench-check
 
 # Race-checks the experiment engine's rig pool (internal/parallel), the
-# kernel/buffer-pool hot paths, and the fault-injection/recovery machinery
-# (including the controller crash-recovery ladder and its
-# multi-queue/ring-wrap variants). Race builds poison every buffer given
-# back to internal/bufpool, so the byte-checked integrity tests here also
-# catch a pooled buffer used after its return.
+# kernel/buffer-pool hot paths, the payload packages (page payloads,
+# staging memories, the controller's DMA staging), and the
+# fault-injection/recovery machinery (including the controller
+# crash-recovery ladder and its multi-queue/ring-wrap variants). Race builds
+# poison every buffer given back to internal/bufpool and every payload page
+# whose last reference is released, so the byte-checked integrity tests
+# here also catch a buffer or page used after its return.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
+	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/... ./internal/pcie/... ./internal/memmodel/... ./internal/nvme/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
 	$(GO) test -race -run 'TestServeFacade' .
 	$(GO) test -race -run 'TestParallelDeterminism' ./internal/bench/

@@ -9,6 +9,7 @@
 package axis
 
 import (
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -19,8 +20,11 @@ type Packet struct {
 	Bytes int64
 	// Last mirrors TLAST, delimiting application-level messages.
 	Last bool
-	// Data optionally carries real content in functional simulations.
-	Data []byte
+	// Data optionally carries real content in functional simulations: a
+	// byte view of what a PE streams in, or page references a Streamer
+	// drains out of its staging memory (see pcie.Payload). Whoever receives
+	// the packet owns its Data and releases it once done.
+	Data pcie.Payload
 	// Meta carries typed side-band information (TUSER), e.g. a command
 	// header.
 	Meta any

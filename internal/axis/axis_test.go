@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -75,12 +76,12 @@ func TestStreamDataAndMetaIntegrity(t *testing.T) {
 	s := New(k, "s", DefaultConfig())
 	want := []byte("axi stream payload")
 	k.Spawn("tx", func(p *sim.Proc) {
-		s.Send(p, Packet{Bytes: int64(len(want)), Data: want, Meta: 7})
+		s.Send(p, Packet{Bytes: int64(len(want)), Data: pcie.Bytes(want), Meta: 7})
 	})
 	var got Packet
 	k.Spawn("rx", func(p *sim.Proc) { got = s.Recv(p) })
 	k.Run(0)
-	if !bytes.Equal(got.Data, want) || got.Meta != 7 {
+	if !bytes.Equal(got.Data.Bytes(), want) || got.Meta != 7 {
 		t.Fatal("payload or metadata corrupted")
 	}
 }

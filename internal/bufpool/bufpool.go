@@ -1,8 +1,9 @@
-// Package bufpool recycles the payload byte slices the simulation's hot
-// paths would otherwise allocate per message: staged write payloads and
-// drain chunks in the NVMe Streamer; SQE fetch batches, PRP lists, CQEs and
-// the per-command DMA staging buffers of reads and writes in the controller
-// model; and the 4-byte doorbell writes of the Streamer.
+// Package bufpool recycles the control-path byte slices the simulation's
+// hot paths would otherwise allocate per message: SQE fetch batches, PRP
+// lists and CQEs in the controller model, and the 4-byte doorbell writes
+// and status polls of the Streamer. Bulk payload does not come from here:
+// it travels as copy-on-write pages (pcie.Payload), pooled in internal/pcie
+// the same way.
 //
 // Buffers are pooled in power-of-two size classes backed by sync.Pool, so
 // the pools are safe to share between the parallel experiment engine's

@@ -52,15 +52,13 @@ func (c *BurstCoalescer) Hits() int64 { return c.hits }
 func (c *BurstCoalescer) Fills() int64 { return c.fills }
 
 // ReadAccess implements the Memory read side with coalescing.
-func (c *BurstCoalescer) ReadAccess(addr uint64, n int64, buf []byte, done func()) {
+func (c *BurstCoalescer) ReadAccess(addr uint64, n int64, dst pcie.Payload, done func()) {
 	end := addr + uint64(n)
 	if addr >= c.burstBase && end <= c.burstEnd {
 		// Hit in the open burst: serve from the BRAM buffer once the fill
 		// that produced it has landed.
 		c.hits++
-		if buf != nil {
-			c.mem.Store().ReadBytes(addr, buf)
-		}
+		c.mem.Store().Share(addr, dst)
 		at := c.k.Now() + c.HitLatency
 		if c.burstReadyAt > at {
 			at = c.burstReadyAt
@@ -79,18 +77,16 @@ func (c *BurstCoalescer) ReadAccess(addr uint64, n int64, buf []byte, done func(
 	}
 	c.burstBase = addr
 	c.burstEnd = addr + uint64(burstLen)
-	c.mem.ReadAccess(addr, burstLen, nil, func() {
+	c.mem.ReadAccess(addr, burstLen, pcie.Payload{}, func() {
 		c.burstReadyAt = c.k.Now()
-		if buf != nil {
-			c.mem.Store().ReadBytes(addr, buf)
-		}
+		c.mem.Store().Share(addr, dst)
 		c.k.At(c.k.Now()+c.HitLatency, done)
 	})
 }
 
 // WriteAccess forwards to the underlying memory, invalidating the burst if
 // it overlaps.
-func (c *BurstCoalescer) WriteAccess(addr uint64, n int64, data []byte, done func()) {
+func (c *BurstCoalescer) WriteAccess(addr uint64, n int64, data pcie.Payload, done func()) {
 	if addr < c.burstEnd && c.burstBase < addr+uint64(n) {
 		c.burstBase, c.burstEnd = 0, 0
 	}

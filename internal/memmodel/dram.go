@@ -144,19 +144,15 @@ func (d *DRAM) access(dir dramDir, addr uint64, n int64, done func()) {
 }
 
 // ReadAccess implements Memory.
-func (d *DRAM) ReadAccess(addr uint64, n int64, buf []byte, done func()) {
+func (d *DRAM) ReadAccess(addr uint64, n int64, dst pcie.Payload, done func()) {
 	d.check(addr, n)
-	if buf != nil {
-		d.store.ReadBytes(addr, buf)
-	}
+	d.store.Share(addr, dst)
 	d.access(dirRead, addr, n, done)
 }
 
 // WriteAccess implements Memory.
-func (d *DRAM) WriteAccess(addr uint64, n int64, data []byte, done func()) {
+func (d *DRAM) WriteAccess(addr uint64, n int64, data pcie.Payload, done func()) {
 	d.check(addr, n)
-	if data != nil {
-		d.store.WriteBytes(addr, data)
-	}
+	d.store.Install(addr, data)
 	d.access(dirWrite, addr, n, done)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -67,11 +68,11 @@ func TestDRAMRowMissAccounting(t *testing.T) {
 	d := NewDRAM(k, DefaultDRAMConfig())
 	done := func() {}
 	// Same row twice: at most one miss. Distant rows: misses accumulate.
-	d.ReadAccess(0, 64, nil, done)
-	d.ReadAccess(64, 64, nil, done)
+	d.ReadAccess(0, 64, pcie.Payload{}, done)
+	d.ReadAccess(64, 64, pcie.Payload{}, done)
 	sameRow := d.RowMisses()
-	d.ReadAccess(uint64(d.Size()/2), 64, nil, done)
-	d.ReadAccess(0, 64, nil, done)
+	d.ReadAccess(uint64(d.Size()/2), 64, pcie.Payload{}, done)
+	d.ReadAccess(0, 64, pcie.Payload{}, done)
 	k.Run(0)
 	if d.RowMisses() < sameRow+2 {
 		t.Fatalf("row misses %d after two far jumps (was %d)", d.RowMisses(), sameRow)
@@ -84,9 +85,9 @@ func TestDRAMRowMissAccounting(t *testing.T) {
 func TestDRAMTurnaroundAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDRAM(k, DefaultDRAMConfig())
-	d.ReadAccess(0, 4096, nil, func() {})
-	d.WriteAccess(0, 4096, nil, func() {})
-	d.ReadAccess(0, 4096, nil, func() {})
+	d.ReadAccess(0, 4096, pcie.Payload{}, func() {})
+	d.WriteAccess(0, 4096, pcie.Payload{}, func() {})
+	d.ReadAccess(0, 4096, pcie.Payload{}, func() {})
 	k.Run(0)
 	if d.Turnarounds() < 2 {
 		t.Fatalf("turnarounds = %d, want >= 2 (R->W->R)", d.Turnarounds())
@@ -101,7 +102,7 @@ func TestDRAMBoundsPanic(t *testing.T) {
 			t.Error("out-of-bounds DRAM access accepted")
 		}
 	}()
-	d.ReadAccess(uint64(d.Size()), 64, nil, func() {})
+	d.ReadAccess(uint64(d.Size()), 64, pcie.Payload{}, func() {})
 }
 
 func TestCoalescerStoreAndSize(t *testing.T) {

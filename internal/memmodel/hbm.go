@@ -107,9 +107,9 @@ func (h *HBM) access(write bool, addr uint64, n int64, done func()) {
 		ch, local := h.route(addr)
 		outstanding++
 		if write {
-			h.channels[ch].WriteAccess(local, granule, nil, one)
+			h.channels[ch].WriteAccess(local, granule, pcie.Payload{}, one)
 		} else {
-			h.channels[ch].ReadAccess(local, granule, nil, one)
+			h.channels[ch].ReadAccess(local, granule, pcie.Payload{}, one)
 		}
 		addr += uint64(granule)
 		n -= granule
@@ -121,17 +121,13 @@ func (h *HBM) access(write bool, addr uint64, n int64, done func()) {
 }
 
 // ReadAccess implements Memory.
-func (h *HBM) ReadAccess(addr uint64, n int64, buf []byte, done func()) {
-	if buf != nil {
-		h.store.ReadBytes(addr, buf)
-	}
+func (h *HBM) ReadAccess(addr uint64, n int64, dst pcie.Payload, done func()) {
+	h.store.Share(addr, dst)
 	h.access(false, addr, n, done)
 }
 
 // WriteAccess implements Memory.
-func (h *HBM) WriteAccess(addr uint64, n int64, data []byte, done func()) {
-	if data != nil {
-		h.store.WriteBytes(addr, data)
-	}
+func (h *HBM) WriteAccess(addr uint64, n int64, data pcie.Payload, done func()) {
+	h.store.Install(addr, data)
 	h.access(true, addr, n, done)
 }

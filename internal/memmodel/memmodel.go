@@ -6,9 +6,10 @@
 // (§4.3).
 //
 // All models share the Memory interface: callback-style accesses carrying
-// optional content, with timing produced by the model. Content lives in a
-// pcie.SparseMem so functional tests can verify data end to end while bulk
-// benchmarks run timing-only.
+// optional content as a pcie.Payload, with timing produced by the model.
+// Content lives in a pcie.SparseMem so functional tests can verify data end
+// to end while bulk benchmarks run timing-only; page-view payloads move in
+// and out of it by reference.
 package memmodel
 
 import (
@@ -19,33 +20,37 @@ import (
 // Memory is a byte-addressable staging memory with modeled access timing.
 // Addresses are local to the memory (zero-based).
 type Memory interface {
-	// ReadAccess fetches n bytes at addr, filling buf when non-nil, and
-	// calls done when the data is available.
-	ReadAccess(addr uint64, n int64, buf []byte, done func())
-	// WriteAccess deposits n bytes at addr (content from data when
-	// non-nil) and calls done when the memory has absorbed them.
-	WriteAccess(addr uint64, n int64, data []byte, done func())
+	// ReadAccess fetches n bytes at addr, filling dst unless it is empty,
+	// and calls done when the data is available. dst snapshots the content
+	// at the call (SparseMem.Share).
+	ReadAccess(addr uint64, n int64, dst pcie.Payload, done func())
+	// WriteAccess deposits n bytes at addr (content from data unless it is
+	// empty) and calls done when the memory has absorbed them. The content
+	// lands at the call (SparseMem.Install); the memory takes its own
+	// references to data's pages.
+	WriteAccess(addr uint64, n int64, data pcie.Payload, done func())
 	// Size returns the capacity in bytes.
 	Size() int64
 	// Store exposes the content backing store.
 	Store() *pcie.SparseMem
 }
 
-// blockingMemory adds process-model helpers shared by the implementations.
-func readB(p *sim.Proc, m Memory, addr uint64, n int64, buf []byte) {
-	ch := sim.NewChan[struct{}](p.Kernel(), 1)
-	m.ReadAccess(addr, n, buf, func() { ch.TryPut(struct{}{}) })
-	ch.Get(p)
+// ReadB performs a blocking read on any Memory, filling buf (nil for
+// timing-only).
+func ReadB(p *sim.Proc, m Memory, addr uint64, n int64, buf []byte) {
+	done := false
+	m.ReadAccess(addr, n, pcie.Bytes(buf), func() { done = true; p.Wake() })
+	for !done {
+		p.Park()
+	}
 }
 
-func writeB(p *sim.Proc, m Memory, addr uint64, n int64, data []byte) {
-	ch := sim.NewChan[struct{}](p.Kernel(), 1)
-	m.WriteAccess(addr, n, data, func() { ch.TryPut(struct{}{}) })
-	ch.Get(p)
+// WriteB performs a blocking write on any Memory of data (nil for
+// timing-only).
+func WriteB(p *sim.Proc, m Memory, addr uint64, n int64, data []byte) {
+	done := false
+	m.WriteAccess(addr, n, pcie.Bytes(data), func() { done = true; p.Wake() })
+	for !done {
+		p.Park()
+	}
 }
-
-// ReadB performs a blocking read on any Memory.
-func ReadB(p *sim.Proc, m Memory, addr uint64, n int64, buf []byte) { readB(p, m, addr, n, buf) }
-
-// WriteB performs a blocking write on any Memory.
-func WriteB(p *sim.Proc, m Memory, addr uint64, n int64, data []byte) { writeB(p, m, addr, n, data) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -49,7 +50,7 @@ func TestURAMOutOfBoundsPanics(t *testing.T) {
 			t.Error("out-of-bounds URAM access did not panic")
 		}
 	}()
-	u.ReadAccess(uint64(u.Size())-100, 200, nil, func() {})
+	u.ReadAccess(uint64(u.Size())-100, 200, pcie.Payload{}, func() {})
 }
 
 func TestURAMContentRoundTrip(t *testing.T) {
@@ -387,5 +388,5 @@ func TestHBMOutOfRangePanics(t *testing.T) {
 			t.Error("out-of-range HBM access accepted")
 		}
 	}()
-	h.ReadAccess(uint64(h.Size())-100, 200, nil, func() {})
+	h.ReadAccess(uint64(h.Size())-100, 200, pcie.Payload{}, func() {})
 }

@@ -70,21 +70,17 @@ func (u *URAM) check(addr uint64, n int64) {
 }
 
 // ReadAccess implements Memory.
-func (u *URAM) ReadAccess(addr uint64, n int64, buf []byte, done func()) {
+func (u *URAM) ReadAccess(addr uint64, n int64, dst pcie.Payload, done func()) {
 	u.check(addr, n)
-	if buf != nil {
-		u.store.ReadBytes(addr, buf)
-	}
+	u.store.Share(addr, dst)
 	ready := u.readPort.Reserve(n) + u.latency
 	u.k.At(ready, done)
 }
 
 // WriteAccess implements Memory.
-func (u *URAM) WriteAccess(addr uint64, n int64, data []byte, done func()) {
+func (u *URAM) WriteAccess(addr uint64, n int64, data pcie.Payload, done func()) {
 	u.check(addr, n)
-	if data != nil {
-		u.store.WriteBytes(addr, data)
-	}
+	u.store.Install(addr, data)
 	ready := u.writePort.Reserve(n) + u.latency
 	u.k.At(ready, done)
 }

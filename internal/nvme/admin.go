@@ -1,6 +1,10 @@
 package nvme
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"snacc/internal/pcie"
+)
 
 // pendingCQs tracks CQs created before their paired SQ arrives. The model
 // pairs SQ y with CQ y (the layout both our drivers use); mismatched
@@ -64,7 +68,7 @@ func (d *Device) adminIdentify(q *queuePair, cmd Command) {
 		d.complete(q, cmd, StatusInvalidField, 0)
 		return
 	}
-	d.port.Write(cmd.PRP1, PageSize, data, func() {
+	d.port.Write(cmd.PRP1, PageSize, pcie.Bytes(data), func() {
 		d.complete(q, cmd, StatusSuccess, 0)
 	})
 }

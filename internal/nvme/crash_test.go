@@ -3,6 +3,7 @@ package nvme
 import (
 	"testing"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -13,7 +14,7 @@ import (
 // csts reads the controller status register.
 func (tb *testbench) csts() uint32 {
 	buf := make([]byte, 4)
-	tb.host.Port.Read(tb.bar+RegCSTS, 4, buf, nil)
+	tb.host.Port.Read(tb.bar+RegCSTS, 4, pcie.Bytes(buf), nil)
 	tb.k.Run(0)
 	return le32(buf)
 }
@@ -24,7 +25,7 @@ func (tb *testbench) ioNoWait(cmd Command) int {
 	tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), cmd.Marshal())
 	tb.ioTail = (tb.ioTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, le32b(uint32(tb.ioTail)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(le32b(uint32(tb.ioTail))), nil)
 	tb.k.Run(0)
 	return len(tb.completions) - before
 }
@@ -40,7 +41,7 @@ func (tb *testbench) rebuild() {
 func TestCrashUnmodeledRegisterWriteLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
-	tb.host.Port.Write(tb.bar+0xF0, 4, le32b(0xDEAD), nil)
+	tb.host.Port.Write(tb.bar+0xF0, 4, pcie.Bytes(le32b(0xDEAD)), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal == 0 {
 		t.Fatal("unmodeled register write did not latch CSTS.CFS")
@@ -49,7 +50,7 @@ func TestCrashUnmodeledRegisterWriteLatchesCFS(t *testing.T) {
 		t.Fatalf("mode = %d, want crashed", tb.dev.Mode())
 	}
 	// A controller reset clears the fatal status and revives the device.
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(0), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal != 0 {
 		t.Fatal("CSTS.CFS survived a controller reset")
@@ -66,7 +67,7 @@ func TestCrashUnmodeledRegisterReadLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
 	buf := []byte{0xAA, 0xAA, 0xAA, 0xAA}
-	tb.host.Port.Read(tb.bar+0xF0, 4, buf, nil)
+	tb.host.Port.Read(tb.bar+0xF0, 4, pcie.Bytes(buf), nil)
 	tb.k.Run(0)
 	for i, b := range buf {
 		if b != 0 {
@@ -82,7 +83,7 @@ func TestCrashUnknownQueueDoorbellLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
 	// SQ tail doorbell for queue 5, which was never created.
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*5*4), 4, le32b(1), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*5*4), 4, pcie.Bytes(le32b(1)), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal == 0 {
 		t.Fatal("unknown-queue doorbell did not latch CSTS.CFS")
@@ -92,7 +93,7 @@ func TestCrashUnknownQueueDoorbellLatchesCFS(t *testing.T) {
 func TestCrashDoorbellOutOfRangeLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
-	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, le32b(uint32(tbDepth+5)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, pcie.Bytes(le32b(uint32(tbDepth+5))), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal == 0 {
 		t.Fatal("out-of-range doorbell did not latch CSTS.CFS")
@@ -119,7 +120,7 @@ func TestCrashInjectedAtCommandStopsCompletions(t *testing.T) {
 	}
 	// Recover: reset, rebuild, clear the injector, run a command.
 	tb.dev.SetCtrlFaultInjector(nil)
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(0), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
 	tb.k.Run(0)
 	tb.rebuild()
 	cmd.CID = 61
@@ -175,8 +176,8 @@ func TestCrashSurpriseRemovalFloatsAllOnes(t *testing.T) {
 		t.Fatalf("removed controller posted %d completions", n)
 	}
 	// No reset can bring it back.
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(0), nil)
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(CCEnable), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(CCEnable)), nil)
 	tb.k.Run(0)
 	if v := tb.csts(); v != ^uint32(0) {
 		t.Fatalf("removed controller answered a reset: CSTS = %#x", v)
@@ -188,7 +189,7 @@ func TestCrashShutdownHandshake(t *testing.T) {
 	tb.enable()
 	tb.createIOQueues()
 	// CC.SHN = normal shutdown; keep EN set per spec.
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(CCEnable|CCShutdownNormal), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(CCEnable|CCShutdownNormal)), nil)
 	// Poll without draining the event queue: processing must be visible
 	// before the ShutdownDelay elapses.
 	var seen uint32
@@ -212,7 +213,7 @@ func TestCrashShutdownHandshake(t *testing.T) {
 		t.Fatalf("shut-down controller posted %d completions", n)
 	}
 	// Reset + rebuild restarts it.
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(0), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
 	tb.k.Run(0)
 	tb.rebuild()
 	cmd.CID = 91
@@ -225,10 +226,12 @@ func TestCrashShutdownHandshake(t *testing.T) {
 // one run: nothing may escape sim.Kernel.Run as a panic.
 func TestCrashNoModeledFaultPanics(t *testing.T) {
 	abuses := []func(tb *testbench){
-		func(tb *testbench) { tb.host.Port.Write(tb.bar+0x48, 4, le32b(1), nil) },
-		func(tb *testbench) { tb.host.Port.Read(tb.bar+0x48, 4, make([]byte, 4), nil) },
-		func(tb *testbench) { tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*7*4), 4, le32b(1), nil) },
-		func(tb *testbench) { tb.host.Port.Write(tb.bar+RegDoorbellBase+4, 4, le32b(1<<20), nil) },
+		func(tb *testbench) { tb.host.Port.Write(tb.bar+0x48, 4, pcie.Bytes(le32b(1)), nil) },
+		func(tb *testbench) { tb.host.Port.Read(tb.bar+0x48, 4, pcie.Bytes(make([]byte, 4)), nil) },
+		func(tb *testbench) {
+			tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*7*4), 4, pcie.Bytes(le32b(1)), nil)
+		},
+		func(tb *testbench) { tb.host.Port.Write(tb.bar+RegDoorbellBase+4, 4, pcie.Bytes(le32b(1<<20)), nil) },
 		func(tb *testbench) { tb.dev.Crash() },
 		func(tb *testbench) { tb.dev.Remove() },
 		func(tb *testbench) { tb.dev.Hang(sim.Millisecond) },

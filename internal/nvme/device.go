@@ -425,8 +425,9 @@ func (d *Device) Errors() int64 { return d.errs }
 type deviceBAR Device
 
 // CompleteWrite decodes register and doorbell writes.
-func (b *deviceBAR) CompleteWrite(addr uint64, n int64, data []byte) {
+func (b *deviceBAR) CompleteWrite(addr uint64, n int64, payload pcie.Payload) {
 	d := (*Device)(b)
+	data := payload.Bytes()
 	off := addr - d.cfg.BARBase
 	if off >= RegDoorbellBase {
 		d.doorbell(off, data)
@@ -439,10 +440,12 @@ func (b *deviceBAR) CompleteWrite(addr uint64, n int64, data []byte) {
 }
 
 // CompleteRead serves register reads.
-func (b *deviceBAR) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (b *deviceBAR) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	d := (*Device)(b)
-	if buf != nil {
+	if !dst.IsNil() {
+		buf := make([]byte, n)
 		d.regRead(addr-d.cfg.BARBase, buf)
+		dst.WriteAt(buf, 0)
 	}
 	// Register access latency across the device's internal bus.
 	d.k.After(100*sim.Nanosecond, done)
@@ -866,7 +869,7 @@ func (d *Device) postCQE(q *queuePair, cmd Command, status uint16, dw0 uint32) {
 	// the entry synchronously at delivery, so the buffer recycles then.
 	cqeBuf := bufpool.Get(CQESize)
 	cqe.MarshalInto(cqeBuf)
-	d.port.Write(addr, CQESize, cqeBuf, func() { bufpool.Put(cqeBuf) })
+	d.port.Write(addr, CQESize, pcie.Bytes(cqeBuf), func() { bufpool.Put(cqeBuf) })
 }
 
 // callbackGate is a callback-style counting semaphore (same shape as the

@@ -5,6 +5,7 @@ import (
 
 	"snacc/internal/bufpool"
 	"snacc/internal/obs"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -161,26 +162,23 @@ func (d *Device) executeRead(q *queuePair, cmd Command) {
 			d.complete(q, cmd, status, 0)
 			return
 		}
-		// The DMA staging buffer comes from the pool: the NAND read fills
-		// all of it at issue, and the target copies each posted write out on
-		// delivery, so it goes back once the last write has landed.
-		var media []byte
+		// The DMA staging is a page list: the NAND read shares the media
+		// pages at issue, and the target installs each posted write's pages
+		// on delivery, so the list lets go once the last write has landed.
+		var media pcie.Payload
 		if d.cfg.Functional {
-			media = bufpool.Get(int(total))
+			media = pcie.NewPages(int(off%PageSize), int(total))
 		}
 		d.nand.Read(off, total, media, func() {
 			outstanding := len(runs)
 			var pos int64
 			for _, r := range runs {
-				var data []byte
-				if media != nil {
-					data = media[pos : pos+r.len]
-				}
+				data := media.Slice(int(pos), int(r.len))
 				pos += r.len
 				d.port.Write(r.addr, r.len, data, func() {
 					outstanding--
 					if outstanding == 0 {
-						bufpool.Put(media)
+						media.Release()
 						d.complete(q, cmd, StatusSuccess, 0)
 					}
 				})
@@ -206,25 +204,23 @@ func (d *Device) executeWrite(q *queuePair, cmd Command) {
 			return
 		}
 		d.nand.ReserveBuffer(total, func() {
-			// Pooled like the read side: the PRP reads fill every byte,
-			// and Program copies the buffer into the media store.
-			var media []byte
+			// A page list like the read side: each PRP read chunk shares
+			// the staging pages at its completer, and Program installs
+			// them in the media store.
+			var media pcie.Payload
 			if d.cfg.Functional {
-				media = bufpool.Get(int(total))
+				media = pcie.NewPages(int(off%PageSize), int(total))
 			}
 			outstanding := len(runs)
 			var pos int64
 			for _, r := range runs {
-				var buf []byte
-				if media != nil {
-					buf = media[pos : pos+r.len]
-				}
+				buf := media.Slice(int(pos), int(r.len))
 				pos += r.len
 				d.port.Read(r.addr, r.len, buf, func() {
 					outstanding--
 					if outstanding == 0 {
 						d.nand.Program(off, total, media)
-						bufpool.Put(media)
+						media.Release()
 						d.complete(q, cmd, StatusSuccess, 0)
 					}
 				})

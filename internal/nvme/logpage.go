@@ -1,6 +1,10 @@
 package nvme
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"snacc/internal/pcie"
+)
 
 // Get Log Page support (admin opcode 0x02): the error-information log and
 // the SMART/health log, the two pages every NVMe tool reads first. The
@@ -109,7 +113,7 @@ func (d *Device) adminGetLogPage(q *queuePair, cmd Command) {
 		d.complete(q, cmd, StatusInvalidField, 0)
 		return
 	}
-	d.port.Write(cmd.PRP1, n, page[:n], func() {
+	d.port.Write(cmd.PRP1, n, pcie.Bytes(page[:n]), func() {
 		d.complete(q, cmd, StatusSuccess, 0)
 	})
 }

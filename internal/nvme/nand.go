@@ -125,15 +125,14 @@ func (nd *NAND) DieReads() int64     { return nd.dieReads }
 func (nd *NAND) StripedReads() int64 { return nd.stripedReads }
 func (nd *NAND) Programs() int64     { return nd.programs }
 
-// Read retrieves n media bytes starting at byte offset off, calling done
-// when the data has left the array. Small accesses occupy a single die
+// Read retrieves n media bytes starting at byte offset off into dst (unless
+// empty), calling done when the data has left the array. dst snapshots the
+// media at issue, sharing its pages. Small accesses occupy a single die
 // (queueing behind other accesses to the same die — the source of the
 // out-of-order completion the paper's random-read experiment exercises);
 // large accesses stripe across the array.
-func (nd *NAND) Read(off uint64, n int64, buf []byte, done func()) {
-	if buf != nil {
-		nd.store.ReadBytes(off, buf)
-	}
+func (nd *NAND) Read(off uint64, n int64, dst pcie.Payload, done func()) {
+	nd.store.Share(off, dst)
 	if n <= nd.cfg.StripeBytes {
 		nd.dieReads++
 		die := int((off / uint64(nd.cfg.StripeBytes))) % nd.cfg.Dies
@@ -178,13 +177,12 @@ func (nd *NAND) releaseBuffer(n int64) {
 	}
 }
 
-// Program schedules n buffered bytes (content data, may be nil) at media
-// offset off for programming. The reserved buffer space is released when the
+// Program schedules n buffered bytes (content data, may be empty) at media
+// offset off for programming. The media store installs data's pages by
+// reference at the call. The reserved buffer space is released when the
 // array absorbs the data. Call after ReserveBuffer granted the space.
-func (nd *NAND) Program(off uint64, n int64, data []byte) {
-	if data != nil {
-		nd.store.WriteBytes(off, data)
-	}
+func (nd *NAND) Program(off uint64, n int64, data pcie.Payload) {
+	nd.store.Install(off, data)
 	nd.programs++
 	rate := nd.cfg.ProgramBWFast
 	if nd.epochSlow {

@@ -90,10 +90,10 @@ func (tb *testbench) enable() {
 	zero := make([]byte, tbDepth*CQESize)
 	h.Mem.Store().WriteBytes(tb.acq-h.Mem.Base, zero)
 	h.Mem.Store().WriteBytes(tb.ioCQ-h.Mem.Base, zero)
-	h.Port.Write(tb.bar+RegAQA, 4, le32b(uint32(tbDepth-1)|uint32(tbDepth-1)<<16), nil)
-	h.Port.Write(tb.bar+RegASQ, 8, le64b(tb.asq), nil)
-	h.Port.Write(tb.bar+RegACQ, 8, le64b(tb.acq), nil)
-	h.Port.Write(tb.bar+RegCC, 4, le32b(CCEnable), nil)
+	h.Port.Write(tb.bar+RegAQA, 4, pcie.Bytes(le32b(uint32(tbDepth-1)|uint32(tbDepth-1)<<16)), nil)
+	h.Port.Write(tb.bar+RegASQ, 8, pcie.Bytes(le64b(tb.asq)), nil)
+	h.Port.Write(tb.bar+RegACQ, 8, pcie.Bytes(le64b(tb.acq)), nil)
+	h.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(CCEnable)), nil)
 	tb.k.Run(0)
 }
 
@@ -102,7 +102,7 @@ func (tb *testbench) admin(cmd Command) Completion {
 	tb.host.Mem.Store().WriteBytes(tb.asq-tb.host.Mem.Base+uint64(tb.aTail*SQESize), cmd.Marshal())
 	tb.aTail = (tb.aTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, le32b(uint32(tb.aTail)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, pcie.Bytes(le32b(uint32(tb.aTail))), nil)
 	tb.k.Run(0)
 	if len(tb.completions) <= before {
 		tb.t.Fatalf("admin command %#x produced no completion", cmd.Opcode)
@@ -127,7 +127,7 @@ func (tb *testbench) io(cmd Command) Completion {
 	tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), cmd.Marshal())
 	tb.ioTail = (tb.ioTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, le32b(uint32(tb.ioTail)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(le32b(uint32(tb.ioTail))), nil)
 	tb.k.Run(0)
 	if len(tb.completions) <= before {
 		tb.t.Fatalf("I/O command %#x produced no completion", cmd.Opcode)
@@ -269,10 +269,10 @@ func TestProtocolControllerReset(t *testing.T) {
 	tb.enable()
 	tb.createIOQueues()
 	// CC.EN = 0 tears down all queues.
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(0), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
 	tb.k.Run(0)
 	csts := make([]byte, 4)
-	tb.host.Port.Read(tb.bar+RegCSTS, 4, csts, nil)
+	tb.host.Port.Read(tb.bar+RegCSTS, 4, pcie.Bytes(csts), nil)
 	tb.k.Run(0)
 	if csts[0]&1 != 0 {
 		t.Fatal("CSTS.RDY still set after disable")

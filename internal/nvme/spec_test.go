@@ -1,9 +1,11 @@
 package nvme
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -91,7 +93,7 @@ func TestNANDSeqReadBandwidth(t *testing.T) {
 	var done sim.Time
 	outstanding := int(total / sim.MiB)
 	for i := 0; i < int(total/sim.MiB); i++ {
-		nd.Read(uint64(int64(i)*sim.MiB), sim.MiB, nil, func() {
+		nd.Read(uint64(int64(i)*sim.MiB), sim.MiB, pcie.Payload{}, func() {
 			outstanding--
 			if outstanding == 0 {
 				done = k.Now()
@@ -114,7 +116,7 @@ func TestNANDDieConflictsQueue(t *testing.T) {
 	var sameDone, diffDone sim.Time
 	n := 0
 	for i := 0; i < 2; i++ {
-		nd.Read(0, 4096, nil, func() {
+		nd.Read(0, 4096, pcie.Payload{}, func() {
 			n++
 			if n == 2 {
 				sameDone = k.Now()
@@ -126,8 +128,8 @@ func TestNANDDieConflictsQueue(t *testing.T) {
 	k2 := sim.NewKernel()
 	nd2 := NewNAND(k2, cfg)
 	m := 0
-	nd2.Read(0, 4096, nil, func() { m++ })
-	nd2.Read(uint64(cfg.StripeBytes), 4096, nil, func() {
+	nd2.Read(0, 4096, pcie.Payload{}, func() { m++ })
+	nd2.Read(uint64(cfg.StripeBytes), 4096, pcie.Payload{}, func() {
 		m++
 		diffDone = k2.Now()
 	})
@@ -147,7 +149,7 @@ func TestNANDProgramEpochAlternates(t *testing.T) {
 	nd.OnEpochChange = func(slow bool) { flips++ }
 	for i := 0; i < 16; i++ {
 		off := uint64(int64(i) * sim.MiB)
-		nd.ReserveBuffer(sim.MiB, func() { nd.Program(off, sim.MiB, nil) })
+		nd.ReserveBuffer(sim.MiB, func() { nd.Program(off, sim.MiB, pcie.Payload{}) })
 	}
 	k.Run(0)
 	// 16 MiB programmed with 4 MiB epochs: epoch flips at 4, 8, 12, 16 MiB.
@@ -164,7 +166,7 @@ func TestNANDProgramRatesDiffer(t *testing.T) {
 		nd := NewNAND(k, cfg)
 		nd.epochSlow = slowFirst
 		var done sim.Time
-		nd.ReserveBuffer(32*sim.MiB, func() { nd.Program(0, 32*sim.MiB, nil) })
+		nd.ReserveBuffer(32*sim.MiB, func() { nd.Program(0, 32*sim.MiB, pcie.Payload{}) })
 		nd.Flush(func() { done = k.Now() })
 		k.Run(0)
 		return done
@@ -187,7 +189,7 @@ func TestNANDWriteBufferBackpressure(t *testing.T) {
 		i := i
 		nd.ReserveBuffer(sim.MiB, func() {
 			order = append(order, i)
-			nd.Program(uint64(int64(i)*sim.MiB), sim.MiB, nil)
+			nd.Program(uint64(int64(i)*sim.MiB), sim.MiB, pcie.Payload{})
 		})
 	}
 	if len(order) != 2 {
@@ -203,7 +205,7 @@ func TestNANDFlushWaits(t *testing.T) {
 	k := sim.NewKernel()
 	nd := NewNAND(k, DefaultNANDConfig())
 	var flushedAt sim.Time
-	nd.ReserveBuffer(16*sim.MiB, func() { nd.Program(0, 16*sim.MiB, nil) })
+	nd.ReserveBuffer(16*sim.MiB, func() { nd.Program(0, 16*sim.MiB, pcie.Payload{}) })
 	nd.Flush(func() { flushedAt = k.Now() })
 	k.Run(0)
 	want := sim.TransferTime(16*sim.MiB, sim.GBps(6.24))
@@ -216,12 +218,74 @@ func TestNANDContentPersists(t *testing.T) {
 	k := sim.NewKernel()
 	nd := NewNAND(k, DefaultNANDConfig())
 	data := []byte("hello flash")
-	nd.ReserveBuffer(int64(len(data)), func() { nd.Program(12345, int64(len(data)), data) })
+	nd.ReserveBuffer(int64(len(data)), func() { nd.Program(12345, int64(len(data)), pcie.Bytes(data)) })
 	got := make([]byte, len(data))
 	done := false
-	nd.Read(12345, int64(len(got)), got, func() { done = true })
+	nd.Read(12345, int64(len(got)), pcie.Bytes(got), func() { done = true })
 	k.Run(0)
 	if !done || string(got) != string(data) {
 		t.Fatalf("read back %q, want %q", got, data)
 	}
+}
+
+// TestNANDSharesPagesCopyOnWrite pins the controller's snapshot points on
+// page payloads: Program installs a staged payload's pages in the media by
+// reference, after which overwriting the staging page leaves the media
+// intact and overwriting the media leaves the staging page intact; and a
+// Read shares the media at issue, so a program that lands before the read
+// finishes does not reach it.
+func TestNANDSharesPagesCopyOnWrite(t *testing.T) {
+	k := sim.NewKernel()
+	nd := NewNAND(k, DefaultNANDConfig())
+	const off, n = 1 << 20, 4 * PageSize
+	pattern := func(seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = seed + byte(i*3+i>>12)
+		}
+		return b
+	}
+	media := func() []byte {
+		b := make([]byte, n)
+		nd.Store().ReadBytes(off, b)
+		return b
+	}
+	staging := pcie.NewSparseMem()
+	old := pattern(1)
+	staging.WriteBytes(0, old)
+	dma := pcie.NewPages(0, n)
+	staging.Share(0, dma)
+	nd.ReserveBuffer(n, func() { nd.Program(off, n, dma) })
+	dma.Release()
+	if byRef, copied := nd.Store().PageMoves(); byRef != n/PageSize || copied != 0 {
+		t.Fatalf("Program moved %d pages by reference and copied %d, want %d and 0", byRef, copied, n/PageSize)
+	}
+
+	staged := pattern(2)
+	staging.WriteBytes(0, staged[:PageSize])                       // a whole shared page
+	staging.WriteBytes(PageSize+9, staged[PageSize+9:PageSize+99]) // part of one
+	if !bytes.Equal(media(), old) {
+		t.Fatal("overwriting the staging memory reached the media")
+	}
+	wantStaged := bytes.Clone(old)
+	copy(wantStaged, staged[:PageSize])
+	copy(wantStaged[PageSize+9:], staged[PageSize+9:PageSize+99])
+	nd.Store().WriteBytes(off+2*PageSize+5, []byte{0xEE, 0xEE})
+	got := make([]byte, n)
+	staging.ReadBytes(0, got)
+	if !bytes.Equal(got, wantStaged) {
+		t.Fatal("overwriting the media reached the staging memory")
+	}
+
+	before := media()
+	rd := pcie.NewPages(0, n)
+	done := false
+	nd.Read(off, n, rd, func() { done = true })
+	nd.ReserveBuffer(n, func() { nd.Program(off, n, pcie.Bytes(pattern(3))) })
+	k.Run(0)
+	rd.ReadAt(got, 0)
+	if !done || !bytes.Equal(got, before) {
+		t.Fatal("a program after the read's issue reached the read's data")
+	}
+	rd.Release()
 }

@@ -11,19 +11,29 @@ import (
 // Methods run in kernel/event context (never concurrently); a Completer
 // models its internal access time by deferring the done callback.
 //
-// Transactions optionally carry real payload bytes: buf/data are non-nil
-// when the initiator moves content (queue entries, PRP lists, functional
-// data) and nil for timing-only traffic. A Completer must tolerate nil.
+// Transactions optionally carry content as a Payload: a byte view for
+// control traffic (queue entries, PRP lists, doorbells, registers), a page
+// view for bulk data, and the empty Payload for timing-only traffic, which
+// a Completer must tolerate.
+//
+// The calls are the snapshot points of functional data. A read's content is
+// what the target holds when CompleteRead runs, and a write's lands when
+// CompleteWrite runs. A memory target fills a page-view read with references
+// to its own pages (SparseMem.Share) and installs a page-view write's pages
+// by reference (SparseMem.Install); copy on write keeps both snapshots
+// intact when either side is written later. A Payload belongs to the
+// initiator: a completer that keeps its pages takes references of its own.
 type Completer interface {
 	// CompleteRead is invoked when a read request for [addr, addr+n)
-	// arrives. If buf is non-nil (length n) the implementation fills it
-	// with the data at addr. It must call done exactly once, at the
-	// simulated time the data is ready to be returned on the wire.
-	CompleteRead(addr uint64, n int64, buf []byte, done func())
+	// arrives. Unless dst is empty (it then has length n) the
+	// implementation fills it with the data at addr, before returning. It
+	// must call done exactly once, at the simulated time the data is ready
+	// to be returned on the wire.
+	CompleteRead(addr uint64, n int64, dst Payload, done func())
 	// CompleteWrite is invoked when the last byte of a posted write to
-	// [addr, addr+n) has been delivered. data is nil for timing-only
+	// [addr, addr+n) has been delivered. data is empty for timing-only
 	// writes.
-	CompleteWrite(addr uint64, n int64, data []byte)
+	CompleteWrite(addr uint64, n int64, data Payload)
 }
 
 // region maps an address range to its owning port.

@@ -109,12 +109,13 @@ func (w *WatchedMem) Watch(base uint64, size int64, fn func(addr uint64, n int64
 }
 
 // CompleteWrite implements Completer, forwarding to the base memory and
-// then notifying watchers.
-func (w *WatchedMem) CompleteWrite(addr uint64, n int64, data []byte) {
+// then notifying watchers, which see the content as bytes (nil for a
+// timing-only write).
+func (w *WatchedMem) CompleteWrite(addr uint64, n int64, data Payload) {
 	w.MemCompleter.CompleteWrite(addr, n, data)
 	for _, wa := range w.watches {
 		if addr < wa.base+uint64(wa.size) && wa.base < addr+uint64(n) {
-			wa.fn(addr, n, data)
+			wa.fn(addr, n, data.Bytes())
 		}
 	}
 }

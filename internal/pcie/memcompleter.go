@@ -43,21 +43,17 @@ func NewMemCompleter(k *sim.Kernel, bytesPerSec float64, accessLatency sim.Time)
 func (m *MemCompleter) Store() *SparseMem { return m.store }
 
 // CompleteRead implements Completer.
-func (m *MemCompleter) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (m *MemCompleter) CompleteRead(addr uint64, n int64, dst Payload, done func()) {
 	m.reads++
-	if buf != nil {
-		m.store.ReadBytes(addr-m.Base, buf)
-	}
+	m.store.Share(addr-m.Base, dst)
 	ready := m.internal.Reserve(n) + m.AccessLatency
 	m.k.At(ready, done)
 }
 
 // CompleteWrite implements Completer.
-func (m *MemCompleter) CompleteWrite(addr uint64, n int64, data []byte) {
+func (m *MemCompleter) CompleteWrite(addr uint64, n int64, data Payload) {
 	m.writes++
-	if data != nil {
-		m.store.WriteBytes(addr-m.Base, data)
-	}
+	m.store.Install(addr-m.Base, data)
 	m.internal.Reserve(n)
 }
 

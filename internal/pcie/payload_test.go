@@ -158,3 +158,95 @@ func TestSparseMemOverlappingWrites(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
+
+// overwritingMem serves a read like its MemCompleter, then overwrites the
+// bytes it served: the write lands after the read's snapshot (CompleteRead)
+// but before the completion has travelled back to the initiator.
+type overwritingMem struct{ *MemCompleter }
+
+func (m overwritingMem) CompleteRead(addr uint64, n int64, dst Payload, done func()) {
+	m.MemCompleter.CompleteRead(addr, n, dst, done)
+	m.Store().WriteBytes(addr-m.Base, bytes.Repeat([]byte{0xEE}, int(n)))
+}
+
+// TestDMAReadChunkKeepsSnapshot: a read's content is what the target held
+// at CompleteRead. With page-sized read requests each chunk shares the
+// target's page, and the overwrite copies on write; with 512-byte requests
+// each chunk is copied into the destination's own pages. Either way the
+// destination keeps the old bytes and the target holds the new ones.
+func TestDMAReadChunkKeepsSnapshot(t *testing.T) {
+	for _, mrrs := range []int64{PageSize, 512} {
+		k := sim.NewKernel()
+		f := NewFabric(k, DefaultConfig())
+		mem := overwritingMem{NewMemCompleter(k, 50e9, 90*sim.Nanosecond)}
+		host := f.AttachHostPort("host", LinkConfig{Gen: Gen4, Lanes: 16}, mem)
+		f.MapRange(host, 0, 1<<20)
+		dev := f.AttachPort("dev", LinkConfig{Gen: Gen4, Lanes: 4, MaxReadRequest: mrrs}, nil)
+		f.IOMMU().Grant("dev", 0, 1<<20)
+		want := make([]byte, 3*PageSize)
+		for i := range want {
+			want[i] = byte(i*7 + i>>12)
+		}
+		mem.Store().WriteBytes(0x2000, want)
+		dst := NewPages(0, len(want))
+		landed := false
+		dev.Read(0x2000, int64(len(want)), dst, func() { landed = true })
+		k.Run(0)
+		got := make([]byte, len(want))
+		dst.ReadAt(got, 0)
+		if !landed || !bytes.Equal(got, want) {
+			t.Fatalf("MRRS %d: the read lost the snapshot taken at CompleteRead", mrrs)
+		}
+		mem.Store().ReadBytes(0x2000, got)
+		if !bytes.Equal(got, bytes.Repeat([]byte{0xEE}, len(want))) {
+			t.Fatalf("MRRS %d: the target lost the overwrite", mrrs)
+		}
+		byRef, copied := mem.Store().PageMoves()
+		if wantRef := int64(len(want) / PageSize); mrrs == PageSize && (byRef != wantRef || copied != 0) {
+			t.Fatalf("MRRS %d: %d pages shared and %d pieces copied, want %d and 0", mrrs, byRef, copied, wantRef)
+		} else if mrrs != PageSize && byRef != 0 {
+			t.Fatalf("MRRS %d: %d sub-page chunks shared a page by reference", mrrs, byRef)
+		}
+		dst.Release()
+	}
+}
+
+// TestSparseMemZeroSharedPage: two stores sharing pages after a hand-over
+// stay independent under Zero. A partial Zero copies the page first; a
+// whole-page Zero drops only the zeroing store's reference.
+func TestSparseMemZeroSharedPage(t *testing.T) {
+	a, b := NewSparseMem(), NewSparseMem()
+	want := make([]byte, 2*PageSize)
+	for i := range want {
+		want[i] = byte(i%251 + 1)
+	}
+	a.WriteBytes(0, want)
+	p := NewPages(0, len(want))
+	a.Share(0, p)
+	b.Install(0, p)
+	p.Release()
+	a.Zero(100, 200)
+	b.Zero(PageSize, PageSize)
+
+	wantA := bytes.Clone(want)
+	clear(wantA[100:300])
+	wantB := bytes.Clone(want)
+	clear(wantB[PageSize:])
+	for _, c := range []struct {
+		name string
+		s    *SparseMem
+		want []byte
+	}{{"a", a, wantA}, {"b", b, wantB}} {
+		got := make([]byte, len(want))
+		c.s.ReadBytes(0, got)
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("store %s: Zero on the other owner's shared page leaked into this one", c.name)
+		}
+		if byRef, copied := c.s.PageMoves(); byRef != 2 || copied != 0 {
+			t.Errorf("store %s: PageMoves = %d by reference, %d copied, want 2 and 0", c.name, byRef, copied)
+		}
+	}
+	if a.Pages() != 2 || b.Pages() != 1 {
+		t.Errorf("Pages() = %d and %d, want 2 and 1", a.Pages(), b.Pages())
+	}
+}

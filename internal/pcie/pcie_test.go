@@ -210,7 +210,7 @@ func TestIOMMUFault(t *testing.T) {
 		}
 	}()
 	// Issue from kernel context so the fault panic is recoverable here.
-	dev.Write(0x1000, 4096, nil, nil)
+	dev.Write(0x1000, 4096, Payload{}, nil)
 	k.Run(0)
 }
 
@@ -269,7 +269,7 @@ func TestUnmappedAddressPanics(t *testing.T) {
 			t.Error("unmapped access did not panic")
 		}
 	}()
-	dev.Write(0xdead_0000_0000, 64, nil, nil)
+	dev.Write(0xdead_0000_0000, 64, Payload{}, nil)
 	k.Run(0)
 }
 
@@ -301,8 +301,8 @@ func TestWireBytesOverhead(t *testing.T) {
 func TestZeroLengthOps(t *testing.T) {
 	k, _, _, dev, _, _ := testFabric(t, DefaultConfig())
 	calls := 0
-	dev.Write(0, 0, nil, func() { calls++ })
-	dev.Read(0, 0, nil, func() { calls++ })
+	dev.Write(0, 0, Payload{}, func() { calls++ })
+	dev.Read(0, 0, Payload{}, func() { calls++ })
 	k.Run(0)
 	if calls != 2 {
 		t.Fatalf("zero-length op callbacks = %d, want 2", calls)

@@ -75,12 +75,13 @@ func (pt *Port) ResetStats() {
 // most a few microseconds of skew.
 const writeGranule = 32 * sim.KiB
 
-// Write issues a posted write of n payload bytes to addr. data, if non-nil,
-// is the content (length n) delivered to the target's completer. fn (may be
-// nil) runs when the last byte has been delivered into the target. Posted
-// writes consume no credits: the initiator's link is the only throttle,
-// which is what lets the SSD stream read data into any buffer at full rate.
-func (pt *Port) Write(addr uint64, n int64, data []byte, fn func()) {
+// Write issues a posted write of n payload bytes to addr. data, unless
+// empty, is the content (length n) delivered to the target's completer; the
+// initiator keeps its references until fn runs. fn (may be nil) runs when
+// the last byte has been delivered into the target. Posted writes consume
+// no credits: the initiator's link is the only throttle, which is what lets
+// the SSD stream read data into any buffer at full rate.
+func (pt *Port) Write(addr uint64, n int64, data Payload, fn func()) {
 	if n > writeGranule {
 		// Chain granule-sized sub-writes: the next granule books its TX
 		// slot when the previous granule finishes *serializing*, so the
@@ -95,10 +96,7 @@ func (pt *Port) Write(addr uint64, n int64, data []byte, fn func()) {
 				m = n - off
 				last = true
 			}
-			var d []byte
-			if data != nil {
-				d = data[off : off+m]
-			}
+			d := data.Slice(int(off), int(m))
 			cb := fn
 			if !last {
 				cb = nil
@@ -116,7 +114,7 @@ func (pt *Port) Write(addr uint64, n int64, data []byte, fn func()) {
 
 // writeOne books a single posted burst and returns when its TX
 // serialization completes.
-func (pt *Port) writeOne(addr uint64, n int64, data []byte, fn func()) (txDone sim.Time) {
+func (pt *Port) writeOne(addr uint64, n int64, data Payload, fn func()) (txDone sim.Time) {
 	if n <= 0 {
 		if fn != nil {
 			pt.f.k.After(0, fn)
@@ -156,74 +154,87 @@ func (pt *Port) writeOne(addr uint64, n int64, data []byte, fn func()) (txDone s
 
 // Read issues a non-posted read of n payload bytes from addr, split into
 // MaxReadRequest-sized requests each holding one outstanding-read credit.
-// buf, if non-nil (length n), receives the content. fn (may be nil) runs
+// dst, unless empty (length n), receives the content: each request fills its
+// slice of dst when the target's completer serves it. fn (may be nil) runs
 // when the final completion byte has arrived. The credit window divided by
 // the round-trip latency bounds read throughput — the mechanism behind the
 // paper's P2P write-bandwidth ceiling (§5.2).
-func (pt *Port) Read(addr uint64, n int64, buf []byte, fn func()) {
-	pt.read(addr, n, buf, fn, pt.credits)
+func (pt *Port) Read(addr uint64, n int64, dst Payload, fn func()) {
+	pt.read(addr, n, dst, fn, pt.credits)
 }
 
 // ReadCtrl issues a read through the control-transaction credit pool,
-// keeping queue-entry and PRP-list fetches off the data-path credits.
+// keeping queue-entry and PRP-list fetches off the data-path credits. buf,
+// if non-nil (length n), receives the content.
 func (pt *Port) ReadCtrl(addr uint64, n int64, buf []byte, fn func()) {
-	pt.read(addr, n, buf, fn, pt.ctrlCredits)
+	pt.read(addr, n, Bytes(buf), fn, pt.ctrlCredits)
 }
 
-func (pt *Port) read(addr uint64, n int64, buf []byte, fn func(), gate *creditGate) {
+func (pt *Port) read(addr uint64, n int64, buf Payload, fn func(), gate *creditGate) {
 	if n <= 0 {
 		if fn != nil {
 			pt.f.k.After(0, fn)
 		}
 		return
 	}
-	dst := pt.f.routeOrPanic(pt, addr, n)
-	remaining := n
-	pending := 0
-	finished := false
-	done := func() {
-		pending--
-		if finished && pending == 0 && fn != nil {
-			fn()
-		}
-	}
-	var issue func()
-	issue = func() {
-		if remaining <= 0 {
-			finished = true
-			if pending == 0 && fn != nil {
-				fn()
-			}
-			return
-		}
-		chunk := pt.cfg.MaxReadRequest
-		if chunk > remaining {
-			chunk = remaining
-		}
-		off := n - remaining
-		chunkAddr := addr + uint64(off)
-		var chunkBuf []byte
-		if buf != nil {
-			chunkBuf = buf[off : off+chunk]
-		}
-		remaining -= chunk
-		pending++
-		gate.acquire(func() {
-			pt.issueReadChunk(dst, chunkAddr, chunk, chunkBuf, func() {
-				gate.release()
-				done()
-			})
-			// Pipeline the next request as soon as this one is on the wire.
-			issue()
-		})
-	}
-	issue()
+	r := &readReq{pt: pt, dst: pt.f.routeOrPanic(pt, addr, n), addr: addr, n: n,
+		buf: buf, fn: fn, gate: gate, remaining: n}
+	r.issue()
 }
 
-// issueReadChunk performs one credit's worth of read: request TLP out,
-// target access, completion data back.
-func (pt *Port) issueReadChunk(dst *Port, addr uint64, n int64, buf []byte, fn func()) {
+// readReq is one Read in flight: MaxReadRequest-sized requests, each
+// holding a credit from gate while outstanding.
+type readReq struct {
+	pt, dst *Port
+	addr    uint64
+	n       int64
+	buf     Payload
+	fn      func()
+	gate    *creditGate
+
+	remaining int64 // bytes not yet requested
+	pending   int   // requests in flight
+	finished  bool  // every request issued
+}
+
+// issue requests the next chunk once a credit is free, or notes that every
+// chunk has been requested.
+func (r *readReq) issue() {
+	if r.remaining <= 0 {
+		r.finished = true
+		if r.pending == 0 && r.fn != nil {
+			r.fn()
+		}
+		return
+	}
+	chunk := min(r.pt.cfg.MaxReadRequest, r.remaining)
+	off := r.n - r.remaining
+	r.remaining -= chunk
+	r.pending++
+	r.gate.acquire(func() {
+		r.pt.issueReadChunk(r, off, chunk)
+		// Pipeline the next request as soon as this one is on the wire.
+		r.issue()
+	})
+}
+
+// chunkDone returns a completed request's credit, and runs fn after the
+// last one.
+func (r *readReq) chunkDone() {
+	r.gate.release()
+	r.pending--
+	if r.finished && r.pending == 0 && r.fn != nil {
+		r.fn()
+	}
+}
+
+// issueReadChunk performs one credit's worth of r: request TLP out, target
+// access, completion data back. The target fills bytes [off, off+n) of
+// r.buf when it serves the request.
+func (pt *Port) issueReadChunk(r *readReq, off, n int64) {
 	k := pt.f.k
+	dst := r.dst
+	addr := r.addr + uint64(off)
 	hdr := pt.f.cfg.TLPHeaderBytes
 	hopOut := pt.f.hopLatency(pt, dst)
 	pad := pt.readPadding
@@ -243,12 +254,12 @@ func (pt *Port) issueReadChunk(dst *Port, addr uint64, n int64, buf []byte, fn f
 					rxAt := pt.rx.Reserve(wire)
 					k.At(rxAt, func() {
 						pt.payloadRx += n
-						fn()
+						r.chunkDone()
 					})
 				})
 			}
 			if dst.completer != nil {
-				dst.completer.CompleteRead(addr, n, buf, complete)
+				dst.completer.CompleteRead(addr, n, r.buf.Slice(int(off), int(n)), complete)
 			} else {
 				complete()
 			}
@@ -256,18 +267,26 @@ func (pt *Port) issueReadChunk(dst *Port, addr uint64, n int64, buf []byte, fn f
 	})
 }
 
-// WriteB is a blocking wrapper around Write for process-model callers.
+// WriteB is a blocking wrapper around Write for process-model callers:
+// data (nil for timing-only) is the content, and p parks until the write
+// has been delivered.
 func (pt *Port) WriteB(p *sim.Proc, addr uint64, n int64, data []byte) {
-	doneC := sim.NewChan[struct{}](pt.f.k, 1)
-	pt.Write(addr, n, data, func() { doneC.TryPut(struct{}{}) })
-	doneC.Get(p)
+	done := false
+	pt.Write(addr, n, Bytes(data), func() { done = true; p.Wake() })
+	for !done {
+		p.Park()
+	}
 }
 
-// ReadB is a blocking wrapper around Read for process-model callers.
+// ReadB is a blocking wrapper around Read for process-model callers: buf
+// (nil for timing-only) receives the content, and p parks until the last
+// completion has arrived.
 func (pt *Port) ReadB(p *sim.Proc, addr uint64, n int64, buf []byte) {
-	doneC := sim.NewChan[struct{}](pt.f.k, 1)
-	pt.Read(addr, n, buf, func() { doneC.TryPut(struct{}{}) })
-	doneC.Get(p)
+	done := false
+	pt.Read(addr, n, Bytes(buf), func() { done = true; p.Wake() })
+	for !done {
+		p.Park()
+	}
 }
 
 // creditGate is a callback-style counting semaphore for outstanding reads.

@@ -54,11 +54,11 @@ func (r *RangeRouter) lookup(addr uint64, n int64) Completer {
 }
 
 // CompleteRead implements Completer.
-func (r *RangeRouter) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
-	r.lookup(addr, n).CompleteRead(addr, n, buf, done)
+func (r *RangeRouter) CompleteRead(addr uint64, n int64, dst Payload, done func()) {
+	r.lookup(addr, n).CompleteRead(addr, n, dst, done)
 }
 
 // CompleteWrite implements Completer.
-func (r *RangeRouter) CompleteWrite(addr uint64, n int64, data []byte) {
+func (r *RangeRouter) CompleteWrite(addr uint64, n int64, data Payload) {
 	r.lookup(addr, n).CompleteWrite(addr, n, data)
 }

@@ -12,12 +12,12 @@ type recCompleter struct {
 	writes []uint64
 }
 
-func (r *recCompleter) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (r *recCompleter) CompleteRead(addr uint64, n int64, buf Payload, done func()) {
 	r.reads = append(r.reads, addr)
 	r.k.After(1, done)
 }
 
-func (r *recCompleter) CompleteWrite(addr uint64, n int64, data []byte) {
+func (r *recCompleter) CompleteWrite(addr uint64, n int64, data Payload) {
 	r.writes = append(r.writes, addr)
 }
 
@@ -28,9 +28,9 @@ func TestRangeRouterDispatch(t *testing.T) {
 	var rr RangeRouter
 	rr.AddRange(0x1000, 0x1000, a)
 	rr.AddRange(0x8000, 0x2000, b)
-	rr.CompleteWrite(0x1800, 16, nil)
-	rr.CompleteWrite(0x9000, 16, nil)
-	rr.CompleteRead(0x8000, 8, nil, func() {})
+	rr.CompleteWrite(0x1800, 16, Payload{})
+	rr.CompleteWrite(0x9000, 16, Payload{})
+	rr.CompleteRead(0x8000, 8, Payload{}, func() {})
 	k.Run(0)
 	if len(a.writes) != 1 || a.writes[0] != 0x1800 {
 		t.Fatalf("a.writes = %v", a.writes)
@@ -59,7 +59,7 @@ func TestRangeRouterUndecodedPanics(t *testing.T) {
 			t.Error("undecoded address accepted")
 		}
 	}()
-	rr.CompleteWrite(0x5000, 4, nil)
+	rr.CompleteWrite(0x5000, 4, Payload{})
 }
 
 func TestRangeRouterCrossWindowPanics(t *testing.T) {
@@ -72,7 +72,7 @@ func TestRangeRouterCrossWindowPanics(t *testing.T) {
 			t.Error("window-crossing access accepted")
 		}
 	}()
-	rr.CompleteWrite(0x1ff0, 0x20, nil)
+	rr.CompleteWrite(0x1ff0, 0x20, Payload{})
 }
 
 func TestHostAllocAlignment(t *testing.T) {

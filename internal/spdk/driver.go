@@ -239,7 +239,7 @@ func (q *hostQueue) reap() {
 		q.cidFree = append(q.cidFree, cqe.CID)
 		// CQ head doorbell + completion processing on the data-path core.
 		q.d.cpu.OccupyAnd(q.d.cfg.CompleteCost, func() {
-			q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id+1)*4, 4, le32b(uint32(q.cqHead)), nil)
+			q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id+1)*4, 4, pcie.Bytes(le32b(uint32(q.cqHead))), nil)
 			if cb != nil {
 				cb(cqe)
 			}
@@ -269,7 +269,7 @@ func (q *hostQueue) submit(cmd nvme.Command, cb func(nvme.Completion)) {
 	q.sqTail = (q.sqTail + 1) % q.entries
 	tail := q.sqTail
 	q.d.cpu.OccupyAnd(q.d.cfg.SubmitCost, func() {
-		q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id)*4, 4, le32b(uint32(tail)), nil)
+		q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id)*4, 4, pcie.Bytes(le32b(uint32(tail))), nil)
 	})
 }
 

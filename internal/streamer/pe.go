@@ -2,7 +2,7 @@ package streamer
 
 import (
 	"snacc/internal/axis"
-	"snacc/internal/bufpool"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -73,7 +73,7 @@ func (c *Client) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data
 			d = data[off : off+m]
 		}
 		off += m
-		c.port.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
+		c.port.WriteIn.Send(p, axis.Packet{Bytes: m, Data: pcie.Bytes(d), Last: off == n})
 	}
 }
 
@@ -139,25 +139,24 @@ func (c *Client) ConsumeRead(p *sim.Proc) (int64, []byte) {
 // and the first error flagged on the stream. Failed pieces deliver no
 // payload, so on error the byte count falls short of the request.
 func (c *Client) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
-	return c.consumeRead(p, 0)
+	return c.consumeRead(p, true)
 }
 
 // DrainRead consumes one read's packets (until TLAST) like ConsumeReadErr
 // but recycles the payload instead of collecting it, so a caller that only
 // wants the timing allocates nothing, even on a functional system.
 func (c *Client) DrainRead(p *sim.Proc) (int64, error) {
-	total, _, err := c.consumeRead(p, -1)
+	total, _, err := c.consumeRead(p, false)
 	return total, err
 }
 
-// consumeRead drains one read's packets through TLAST. A caller that knows
-// the read's length passes it as want: the content buffer is then
-// allocated once, at the first packet carrying data, and never regrown.
-// want == 0 grows the buffer as packets arrive; want < 0 drops the content.
-// Every drain chunk goes back to the pool.
-func (c *Client) consumeRead(p *sim.Proc, want int64) (int64, []byte, error) {
+// consumeRead drains one read's packets through TLAST. It holds each
+// packet's payload until TLAST and then copies them all, once, into a
+// buffer of the read's exact length (pcie.Concat); keep == false drops the
+// content instead. Every packet's payload is released afterwards.
+func (c *Client) consumeRead(p *sim.Proc, keep bool) (int64, []byte, error) {
 	var total int64
-	var data []byte
+	var parts []pcie.Payload
 	var err error
 	for {
 		pkt := c.port.ReadData.Recv(p)
@@ -165,16 +164,16 @@ func (c *Client) consumeRead(p *sim.Proc, want int64) (int64, []byte, error) {
 			err = e
 		}
 		total += pkt.Bytes
-		if pkt.Data != nil {
-			if want >= 0 {
-				if data == nil && want > 0 && len(pkt.Data) > 0 {
-					data = make([]byte, 0, want)
-				}
-				data = append(data, pkt.Data...)
-			}
-			bufpool.Put(pkt.Data)
+		if keep && !pkt.Data.IsNil() {
+			parts = append(parts, pkt.Data)
+		} else {
+			pkt.Data.Release()
 		}
 		if pkt.Last {
+			data := pcie.Concat(parts)
+			for _, d := range parts {
+				d.Release()
+			}
 			return total, data, err
 		}
 	}
@@ -183,7 +182,7 @@ func (c *Client) consumeRead(p *sim.Proc, want int64) (int64, []byte, error) {
 // Read performs a blocking read of n bytes at device byte address addr.
 func (c *Client) Read(p *sim.Proc, addr uint64, n int64) []byte {
 	c.ReadAsync(p, addr, n)
-	got, data, _ := c.consumeRead(p, n)
+	got, data, _ := c.consumeRead(p, true)
 	if got != n {
 		panic("streamer: read returned unexpected length")
 	}
@@ -199,7 +198,7 @@ func (c *Client) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 // readErrT is ReadErr with the command attributed to a tenant.
 func (c *Client) readErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byte, error) {
 	c.readAsyncT(p, tenant, addr, n)
-	got, data, err := c.consumeRead(p, n)
+	got, data, err := c.consumeRead(p, true)
 	if err == nil && got != n {
 		panic("streamer: read returned unexpected length")
 	}

@@ -1,7 +1,6 @@
 package streamer
 
 import (
-	"snacc/internal/bufpool"
 	"snacc/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func SeqRead(p *sim.Proc, c *Client, startAddr uint64, total int64) PerfResult {
 	for got < total {
 		pkt := c.Streamer().ReadData.Recv(p)
 		got += pkt.Bytes
-		bufpool.Put(pkt.Data) // benchmark drops the payload; recycle it
+		pkt.Data.Release() // benchmark drops the payload; recycle it
 		if pkt.Last && got < total {
 			panic("streamer: early TLAST in sequential read")
 		}
@@ -59,7 +58,7 @@ func RandRead(p *sim.Proc, c *Client, spanBytes, total, ioBytes int64, seed uint
 		for got < total {
 			pkt := c.Streamer().ReadData.Recv(cp)
 			got += pkt.Bytes
-			bufpool.Put(pkt.Data)
+			pkt.Data.Release()
 		}
 		done.TryPut(struct{}{})
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snacc/internal/nvme"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -46,21 +47,22 @@ type prpWindow struct{ s *Streamer }
 
 const prpComputeLatency = 50 * sim.Nanosecond
 
-func (w *prpWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (w *prpWindow) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	s := w.s
 	if n%8 != 0 {
 		panic("streamer: PRP list read not entry-aligned")
 	}
 	lat := prpComputeLatency
-	if buf != nil {
+	if !dst.IsNil() {
+		var entry [8]byte
 		rel := int64(addr - s.cfg.WindowBase)
 		if s.cfg.Variant == URAM {
 			linear := rel &^ PRPShadowBit
 			secondPage := linear &^ (nvme.PageSize - 1)
 			first := (linear & (nvme.PageSize - 1)) / 8
 			for j := int64(0); j < n/8; j++ {
-				entry := s.cfg.WindowBase + uint64(secondPage+(first+j)*nvme.PageSize)
-				putLE64(buf[j*8:], entry)
+				putLE64(entry[:], s.cfg.WindowBase+uint64(secondPage+(first+j)*nvme.PageSize))
+				dst.WriteAt(entry[:], int(j*8))
 			}
 		} else {
 			winRel := rel - s.layout().prpOff
@@ -72,7 +74,8 @@ func (w *prpWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) 
 			}
 			for j := int64(0); j < n/8; j++ {
 				off := reg.secondPageOff + (first+j)*nvme.PageSize
-				putLE64(buf[j*8:], s.bufPhys(reg.isWrite, off))
+				putLE64(entry[:], s.bufPhys(reg.isWrite, off))
+				dst.WriteAt(entry[:], int(j*8))
 			}
 			if s.cfg.Variant == HostDRAM {
 				lat += s.cfg.AddressCalcOverhead
@@ -82,7 +85,7 @@ func (w *prpWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) 
 	s.k.After(lat, done)
 }
 
-func (w *prpWindow) CompleteWrite(addr uint64, n int64, data []byte) {
+func (w *prpWindow) CompleteWrite(addr uint64, n int64, data pcie.Payload) {
 	panic("streamer: PRP window is read-only")
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snacc/internal/nvme"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 	"snacc/internal/tapasco"
@@ -92,7 +93,7 @@ func TestPRPWindowBounds(t *testing.T) {
 	addr := st.Config().WindowBase + uint64(st.WindowSize())
 	buf := make([]byte, 8)
 	// Issue from kernel context so the panic is recoverable here.
-	pl.Host.Port.Read(addr, 8, buf, nil)
+	pl.Host.Port.Read(addr, 8, pcie.Bytes(buf), nil)
 	pl.K.Run(0)
 }
 

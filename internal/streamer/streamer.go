@@ -410,6 +410,9 @@ func (s *Streamer) OnDeviceEvent(cid uint16, stage obs.Stage, at sim.Time) {
 // Config returns the streamer configuration.
 func (s *Streamer) Config() Config { return s.cfg }
 
+// Resources returns the staging memories the streamer was built with.
+func (s *Streamer) Resources() Resources { return s.res }
+
 // WindowSize returns the BAR window span this streamer decodes.
 func (s *Streamer) WindowSize() int64 { return s.windowSize() }
 
@@ -794,7 +797,7 @@ func (s *Streamer) ringDoorbell(addr uint64, val uint32) {
 	s.tr.CountDoorbell()
 	b := bufpool.Get(4)
 	b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
-	s.port.Write(addr, 4, b, func() { bufpool.Put(b) })
+	s.port.Write(addr, 4, pcie.Bytes(b), func() { bufpool.Put(b) })
 }
 
 // readCmdLoop services the PE's read command stream.
@@ -853,23 +856,24 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 			// Collect the piece from the stream first — its exact size is
 			// known only at the 1 MiB boundary or TLAST — then reserve
 			// buffer space of that size and stage the data (posted).
-			// The staging slice comes from the buffer pool (up to
-			// MaxCmdBytes per in-flight command) and recycles once the
-			// payload has been consumed by the staging memory or, for the
-			// host-DRAM variant, delivered over PCIe.
+			// The PE's bytes are copied once, into fresh payload pages
+			// that the staging memory then takes by reference; the
+			// piece lets go of them once the staging memory holds them
+			// or, for the host-DRAM variant, they are delivered over PCIe.
 			pieceStart := p.Now()
 			var filled int64
-			var fnData []byte
-			if s.cfg.Functional {
-				fnData = bufpool.Get(int(s.cfg.MaxCmdBytes))[:0]
-			}
+			var piece pcie.Payload
 			for filled < s.cfg.MaxCmdBytes && !done {
 				pkt := s.WriteIn.Recv(p)
 				if pkt.Bytes <= 0 || filled+pkt.Bytes > s.cfg.MaxCmdBytes {
 					panic("streamer: write data packets must tile the 1 MiB piece")
 				}
-				if fnData != nil && pkt.Data != nil {
-					fnData = append(fnData, pkt.Data...)
+				if s.cfg.Functional && !pkt.Data.IsNil() {
+					if piece.IsNil() {
+						piece = pcie.NewPages(0, int(s.cfg.MaxCmdBytes))
+					}
+					piece.WriteAt(pkt.Data.Bytes(), int(filled))
+					pkt.Data.Release()
 				}
 				filled += pkt.Bytes
 				s.bytesFromPE += pkt.Bytes
@@ -882,12 +886,11 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 			occupy(p, s.submitFSM, s.cfg.SubmitOverhead)
 			slot := s.robAlloc(p)
 			bufOff := s.allocWriteBuf(p, filled)
-			var data []byte
+			var data pcie.Payload
 			var consumed func()
-			if fnData != nil {
-				data = fnData
-				recycled := fnData
-				consumed = func() { bufpool.Put(recycled) }
+			if !piece.IsNil() {
+				data = piece.Slice(0, int(filled))
+				consumed = piece.Release
 			}
 			s.bufWrite(p, true, bufOff, filled, data, consumed)
 			span.Mark(obs.StageBufReady, p.Now())
@@ -1324,7 +1327,7 @@ func (s *Streamer) cfsPoll() {
 		return
 	}
 	buf := bufpool.Get(4)
-	s.port.Read(s.cstsAddr, 4, buf, func() {
+	s.port.Read(s.cstsAddr, 4, pcie.Bytes(buf), func() {
 		v := uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
 		bufpool.Put(buf)
 		if v == ^uint32(0) || v&nvme.CSTSFatal != 0 {
@@ -1513,7 +1516,7 @@ func (s *Streamer) sendLoop(p *sim.Proc) {
 func (s *Streamer) drainAndSend(p *sim.Proc, it sendItem) {
 	type chunk struct {
 		m    int64
-		buf  []byte
+		buf  pcie.Payload
 		done *sim.Chan[struct{}]
 	}
 	var inflight []chunk
@@ -1528,12 +1531,13 @@ func (s *Streamer) drainAndSend(p *sim.Proc, it sendItem) {
 		}
 		off := it.bufOff + issued
 		issued += m
-		var buf []byte
+		var buf pcie.Payload
 		if s.cfg.Functional {
-			// Pooled chunk; ownership passes to the ReadData consumer,
-			// which may recycle it (Client.ConsumeRead does) or let it
-			// age out to the garbage collector.
-			buf = bufpool.Get(int(m))
+			// The chunk shares the staging pages at its read access;
+			// ownership passes to the ReadData consumer, which releases
+			// it (Client.ConsumeRead does) or lets it age out to the
+			// garbage collector.
+			buf = pcie.NewPages(int(off%pcie.PageSize), int(m))
 		}
 		c := chunk{m: m, buf: buf, done: sim.NewChan[struct{}](s.k, 1)}
 		inflight = append(inflight, c)

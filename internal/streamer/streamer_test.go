@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snacc/internal/nvme"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 	"snacc/internal/tapasco"
@@ -406,5 +407,38 @@ func TestConfigValidationPanics(t *testing.T) {
 			mut(&cfg)
 			pl.AddStreamer(cfg)
 		}()
+	}
+}
+
+// TestRoundTripMovesPagesByReference pins the page-payload mechanism: a
+// functional 4 MiB write and read-back through URAM moves its payload
+// between the staging URAM and the NAND media by handing over page
+// references, not by copying. Each 4 KiB page crosses six store
+// boundaries (staging install and share on the write, media install, media
+// share, staging install and share on the read); at least 90% of those
+// moves must be by reference, so a silent fallback to copying fails here
+// rather than only running slower.
+func TestRoundTripMovesPagesByReference(t *testing.T) {
+	k, c, dev := rig(t, streamer.URAM, true, nil)
+	want := make([]byte, 4*sim.MiB)
+	for i := range want {
+		want[i] = byte(i*13 + i>>12)
+	}
+	k.Spawn("pe", func(p *sim.Proc) {
+		c.Write(p, 0, int64(len(want)), want)
+		if got := c.Read(p, 0, int64(len(want))); !bytes.Equal(got, want) {
+			t.Error("round trip corrupted the payload")
+		}
+	})
+	k.Run(0)
+	var byRef, copied int64
+	for _, st := range []*pcie.SparseMem{c.Streamer().Resources().Local.Store(), dev.NAND().Store()} {
+		r, cp := st.PageMoves()
+		byRef, copied = byRef+r, copied+cp
+	}
+	pages := int64(len(want) / pcie.PageSize)
+	if byRef < 6*pages*9/10 || byRef*10 < (byRef+copied)*9 {
+		t.Fatalf("moved %d pages by reference and copied %d, want >= 90%% of %d page moves by reference",
+			byRef, copied, 6*pages)
 	}
 }

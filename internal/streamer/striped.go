@@ -5,6 +5,7 @@ import (
 
 	"snacc/internal/axis"
 	"snacc/internal/nvme"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -249,7 +250,7 @@ func (s *Striped) readAsyncT(p *sim.Proc, tenant int, addr uint64, n int64) {
 func (s *Striped) forwardRead(p *sim.Proc, out *axis.Stream) (int64, error) {
 	r := s.readQ.Get(p)
 	data, err := s.readErrT(p, r.tenant, r.addr, r.n)
-	pkt := axis.Packet{Data: data, Last: true}
+	pkt := axis.Packet{Data: pcie.Bytes(data), Last: true}
 	if data != nil || err == nil {
 		// A clean timing-only read delivers no payload but the full count.
 		pkt.Bytes = r.n

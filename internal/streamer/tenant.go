@@ -427,8 +427,9 @@ func (h *TenantHub) writeFront(t *Tenant) func(p *sim.Proc) {
 			done := head.Last
 			for !done {
 				pkt := t.WriteIn.Recv(p)
-				if pkt.Data != nil {
-					data = append(data, pkt.Data...)
+				if !pkt.Data.IsNil() {
+					data = append(data, pkt.Data.Bytes()...)
+					pkt.Data.Release()
 				}
 				n += pkt.Bytes
 				done = pkt.Last

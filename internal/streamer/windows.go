@@ -153,12 +153,12 @@ func (s *Streamer) bufPhys(isWrite bool, off int64) uint64 {
 // write is posted — the FSM moves on once the data has left its pipeline;
 // PCIe posted-write ordering guarantees the payload lands in host memory
 // before the doorbell (also a posted write on the same path) triggers the
-// controller's fetch. consumed (optional) fires once data has been copied
-// out of the caller's slice and the slice may be recycled: immediately for
-// the local variants (WriteAccess copies at call time), and after the last
-// PCIe delivery for the host-DRAM variant (the port retains the payload
-// until its completer has consumed it).
-func (s *Streamer) bufWrite(p *sim.Proc, isWrite bool, off, n int64, data []byte, consumed func()) {
+// controller's fetch. consumed (optional) fires once the staging memory
+// holds data and the caller may release it: immediately for the local
+// variants (WriteAccess installs at call time), and after the last PCIe
+// delivery for the host-DRAM variant (the port carries the payload until
+// its completer has installed it).
+func (s *Streamer) bufWrite(p *sim.Proc, isWrite bool, off, n int64, data pcie.Payload, consumed func()) {
 	if s.cfg.Variant == HostDRAM {
 		buf := s.res.HostRead
 		if isWrite {
@@ -168,10 +168,7 @@ func (s *Streamer) bufWrite(p *sim.Proc, isWrite bool, off, n int64, data []byte
 		pending := len(runs)
 		var pos int64
 		for _, run := range runs {
-			var d []byte
-			if data != nil {
-				d = data[pos : pos+run.Len]
-			}
+			d := data.Slice(int(pos), int(run.Len))
 			pos += run.Len
 			s.port.Write(run.Phys, run.Len, d, func() {
 				pending--
@@ -189,9 +186,9 @@ func (s *Streamer) bufWrite(p *sim.Proc, isWrite bool, off, n int64, data []byte
 	}
 }
 
-// bufReadAsync drains n bytes from the payload buffer at off, invoking done
-// when the data is available.
-func (s *Streamer) bufReadAsync(isWrite bool, off, n int64, buf []byte, done func()) {
+// bufReadAsync drains n bytes from the payload buffer at off into buf,
+// invoking done when the data is available.
+func (s *Streamer) bufReadAsync(isWrite bool, off, n int64, buf pcie.Payload, done func()) {
 	if s.cfg.Variant == HostDRAM {
 		cb := s.res.HostRead
 		if isWrite {
@@ -201,10 +198,7 @@ func (s *Streamer) bufReadAsync(isWrite bool, off, n int64, buf []byte, done fun
 		remaining := len(runs)
 		var pos int64
 		for _, run := range runs {
-			var d []byte
-			if buf != nil {
-				d = buf[pos : pos+run.Len]
-			}
+			d := buf.Slice(int(pos), int(run.Len))
 			pos += run.Len
 			s.port.Read(run.Phys, run.Len, d, func() {
 				remaining--
@@ -234,12 +228,12 @@ func (s *Streamer) localOff(isWrite bool, off int64) uint64 {
 // (arrows ③/④ in Figure 1).
 type dataWindow struct{ s *Streamer }
 
-func (w *dataWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (w *dataWindow) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	rel := addr - w.s.cfg.WindowBase
-	w.s.res.Local.ReadAccess(w.s.res.LocalBase+rel, n, buf, done)
+	w.s.res.Local.ReadAccess(w.s.res.LocalBase+rel, n, dst, done)
 }
 
-func (w *dataWindow) CompleteWrite(addr uint64, n int64, data []byte) {
+func (w *dataWindow) CompleteWrite(addr uint64, n int64, data pcie.Payload) {
 	rel := addr - w.s.cfg.WindowBase
 	w.s.res.Local.WriteAccess(w.s.res.LocalBase+rel, n, data, func() {})
 }
@@ -253,26 +247,26 @@ type sqWindow struct {
 
 const fifoReadLatency = 50 * sim.Nanosecond
 
-func (w *sqWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (w *sqWindow) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	s := w.s
 	q := s.queues[w.qi]
 	rel := int64(addr - s.cfg.WindowBase - uint64(s.layout().sqOffFor(w.qi)))
 	if rel%nvme.SQESize != 0 || n%nvme.SQESize != 0 {
 		panic("streamer: partial SQE fetch")
 	}
-	if buf != nil {
+	if !dst.IsNil() {
 		for off := int64(0); off < n; off += nvme.SQESize {
 			idx := int((rel + off) / nvme.SQESize)
 			if !q.sqFilled[idx] {
 				panic(fmt.Sprintf("streamer: controller fetched empty SQ slot %d", idx))
 			}
-			copy(buf[off:off+nvme.SQESize], q.sqRing[idx])
+			dst.WriteAt(q.sqRing[idx], int(off))
 		}
 	}
 	s.k.After(fifoReadLatency, done)
 }
 
-func (w *sqWindow) CompleteWrite(addr uint64, n int64, data []byte) {
+func (w *sqWindow) CompleteWrite(addr uint64, n int64, data pcie.Payload) {
 	panic("streamer: SQ window is read-only for the device")
 }
 
@@ -283,15 +277,15 @@ type cqWindow struct {
 	qi int
 }
 
-func (w *cqWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (w *cqWindow) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	panic("streamer: CQ window is write-only for the device")
 }
 
-func (w *cqWindow) CompleteWrite(addr uint64, n int64, data []byte) {
-	if data == nil || n != nvme.CQESize {
+func (w *cqWindow) CompleteWrite(addr uint64, n int64, data pcie.Payload) {
+	if data.IsNil() || n != nvme.CQESize {
 		panic("streamer: CQ write must carry one CQE")
 	}
-	cqe, err := nvme.UnmarshalCompletion(data)
+	cqe, err := nvme.UnmarshalCompletion(data.Bytes())
 	if err != nil {
 		panic(err)
 	}

@@ -3,6 +3,8 @@ package tapasco
 import (
 	"fmt"
 
+	"snacc/internal/memmodel"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -72,14 +74,10 @@ func (e *DMAEngine) loop(p *sim.Proc) {
 			// Host → card DRAM: non-posted reads of host memory, then the
 			// payload lands in DRAM.
 			e.pl.Card.ReadB(p, e.hostAddr, n, nil)
-			ch := sim.NewChan[struct{}](e.pl.K, 1)
-			e.pl.DRAM.WriteAccess(e.devOff, n, nil, func() { ch.TryPut(struct{}{}) })
-			ch.Get(p)
+			memmodel.WriteB(p, e.pl.DRAM, e.devOff, n, nil)
 		} else {
 			// Card DRAM → host: local read, posted writes toward the host.
-			ch := sim.NewChan[struct{}](e.pl.K, 1)
-			e.pl.DRAM.ReadAccess(e.devOff, n, nil, func() { ch.TryPut(struct{}{}) })
-			ch.Get(p)
+			memmodel.ReadB(p, e.pl.DRAM, e.devOff, n, nil)
 			e.pl.Card.WriteB(p, e.hostAddr, n, nil)
 		}
 		e.transfers++
@@ -93,8 +91,9 @@ func (e *DMAEngine) loop(p *sim.Proc) {
 type dmaRegs DMAEngine
 
 // CompleteWrite implements pcie.Completer.
-func (r *dmaRegs) CompleteWrite(addr uint64, n int64, data []byte) {
+func (r *dmaRegs) CompleteWrite(addr uint64, n int64, payload pcie.Payload) {
 	e := (*DMAEngine)(r)
+	data := payload.Bytes()
 	if data == nil {
 		panic("tapasco: DMA register write requires data")
 	}
@@ -127,17 +126,13 @@ func (r *dmaRegs) CompleteWrite(addr uint64, n int64, data []byte) {
 }
 
 // CompleteRead implements pcie.Completer.
-func (r *dmaRegs) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (r *dmaRegs) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	e := (*DMAEngine)(r)
-	if buf != nil {
-		var v uint32
-		if addr-e.base == dmaRegCtrl && e.busy {
-			v = 1
-		}
-		for i := 0; i < len(buf) && i < 4; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
+	var v uint32
+	if addr-e.base == dmaRegCtrl && e.busy {
+		v = 1
 	}
+	putReg(dst, v)
 	e.pl.K.After(100*sim.Nanosecond, done)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snacc/internal/nvme"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -76,7 +77,7 @@ func (d *Driver) reap() {
 			d.cqHead = 0
 			d.phase = !d.phase
 		}
-		d.pl.Host.Port.Write(d.bar+nvme.RegDoorbellBase+4, 4, le32b(uint32(d.cqHead)), nil)
+		d.pl.Host.Port.Write(d.bar+nvme.RegDoorbellBase+4, 4, pcie.Bytes(le32b(uint32(d.cqHead))), nil)
 		cb := d.pending[cqe.CID]
 		delete(d.pending, cqe.CID)
 		if cb == nil {

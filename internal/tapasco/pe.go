@@ -3,6 +3,7 @@ package tapasco
 import (
 	"fmt"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -106,8 +107,9 @@ func (s *peSlot) loop(p *sim.Proc) {
 type peSlotRegs peSlot
 
 // CompleteWrite implements pcie.Completer for register writes.
-func (r *peSlotRegs) CompleteWrite(addr uint64, n int64, data []byte) {
+func (r *peSlotRegs) CompleteWrite(addr uint64, n int64, payload pcie.Payload) {
 	s := (*peSlot)(r)
+	data := payload.Bytes()
 	off := addr - s.base
 	if data == nil {
 		panic("tapasco: PE register write requires data")
@@ -142,29 +144,31 @@ func (r *peSlotRegs) CompleteWrite(addr uint64, n int64, data []byte) {
 }
 
 // CompleteRead implements pcie.Completer for register reads.
-func (r *peSlotRegs) CompleteRead(addr uint64, n int64, buf []byte, done func()) {
+func (r *peSlotRegs) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	s := (*peSlot)(r)
-	off := addr - s.base
-	if buf != nil {
-		var v uint32
-		switch off {
-		case peRegCtrl:
-			if s.done {
-				v |= 2
-			}
-			if s.busy {
-				v |= 1
-			}
-		case peRegRetLo:
-			v = uint32(s.retVal)
-		case peRegRetHi:
-			v = uint32(s.retVal >> 32)
+	var v uint32
+	switch addr - s.base {
+	case peRegCtrl:
+		if s.done {
+			v |= 2
 		}
-		for i := 0; i < len(buf) && i < 4; i++ {
-			buf[i] = byte(v >> (8 * i))
+		if s.busy {
+			v |= 1
 		}
+	case peRegRetLo:
+		v = uint32(s.retVal)
+	case peRegRetHi:
+		v = uint32(s.retVal >> 32)
 	}
+	putReg(dst, v)
 	s.pl.K.After(100*sim.Nanosecond, done)
+}
+
+// putReg fills up to the first four bytes of a register read's dst (empty
+// for timing-only) with the little-endian bytes of the 32-bit value v.
+func putReg(dst pcie.Payload, v uint32) {
+	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	dst.WriteAt(b[:min(len(b), dst.Len())], 0)
 }
 
 // ---- interrupt controller ----
@@ -178,7 +182,7 @@ func (pl *Platform) raiseInterrupt(slot int) {
 	if pl.msiBase == 0 {
 		panic("tapasco: interrupt raised before a runtime attached")
 	}
-	pl.Card.Write(pl.msiBase+uint64(slot*msiBytes), msiBytes, le32b(1), nil)
+	pl.Card.Write(pl.msiBase+uint64(slot*msiBytes), msiBytes, pcie.Bytes(le32b(1)), nil)
 }
 
 // ---- runtime ----

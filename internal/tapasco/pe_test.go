@@ -3,6 +3,7 @@ package tapasco
 import (
 	"testing"
 
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -246,9 +247,9 @@ func TestDMADoubleStartPanics(t *testing.T) {
 		}
 	}()
 	regs := (*dmaRegs)(e)
-	regs.CompleteWrite(e.base+dmaRegLenLo, 4, []byte{0, 16, 0, 0})
-	regs.CompleteWrite(e.base+dmaRegCtrl, 4, []byte{1, 0, 0, 0})
-	regs.CompleteWrite(e.base+dmaRegCtrl, 4, []byte{1, 0, 0, 0})
+	regs.CompleteWrite(e.base+dmaRegLenLo, 4, pcie.Bytes([]byte{0, 16, 0, 0}))
+	regs.CompleteWrite(e.base+dmaRegCtrl, 4, pcie.Bytes([]byte{1, 0, 0, 0}))
+	regs.CompleteWrite(e.base+dmaRegCtrl, 4, pcie.Bytes([]byte{1, 0, 0, 0}))
 }
 
 func TestPlatformConfigAccessor(t *testing.T) {
