@@ -1,9 +1,9 @@
-// Package bufpool recycles the control-path byte slices the simulation's
-// hot paths would otherwise allocate per message: SQE fetch batches, PRP
-// lists and CQEs in the controller model, and the 4-byte doorbell writes
-// and status polls of the Streamer. Bulk payload does not come from here:
-// it travels as copy-on-write pages (pcie.Payload), pooled in internal/pcie
-// the same way.
+// Package bufpool recycles the variable-size control-path byte slices the
+// simulation's hot paths would otherwise allocate per message: SQE fetch
+// batches and PRP lists in the controller model, and the status polls of
+// the Streamer. Fixed-size control messages (CQEs, doorbell writes) travel
+// inline in the recycled request structs that carry them, and bulk payload
+// travels as copy-on-write pages (pcie.Payload), pooled in internal/pcie.
 //
 // Buffers are pooled in power-of-two size classes backed by sync.Pool, so
 // the pools are safe to share between the parallel experiment engine's

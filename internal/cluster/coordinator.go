@@ -39,7 +39,7 @@ type chunkMeta struct {
 	set     []int
 	written bool
 	locked  bool
-	waiters []*sim.Chan[struct{}]
+	waiters sim.FIFO[*sim.Proc]
 	// under mirrors this chunk's contribution to the degraded-window
 	// accounting.
 	under bool
@@ -286,19 +286,16 @@ func (co *coordinator) chunk(key int64) *chunkMeta {
 
 func (co *coordinator) lockChunk(p *sim.Proc, m *chunkMeta) {
 	for m.locked {
-		w := sim.NewChan[struct{}](co.k, 1)
-		m.waiters = append(m.waiters, w)
-		w.Get(p)
+		m.waiters.Push(p)
+		p.Park()
 	}
 	m.locked = true
 }
 
 func (co *coordinator) unlockChunk(m *chunkMeta) {
 	m.locked = false
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w.TryPut(struct{}{})
+	if m.waiters.Len() > 0 {
+		m.waiters.Pop().Wake()
 	}
 }
 

@@ -11,29 +11,30 @@ import (
 // pairings are rejected as invalid.
 //
 // executeAdmin runs one admin command to completion.
-func (d *Device) executeAdmin(q *queuePair, cmd Command) {
-	switch cmd.Opcode {
+func (d *Device) executeAdmin(c *command) {
+	switch c.cmd.Opcode {
 	case OpIdentify:
-		d.adminIdentify(q, cmd)
+		d.adminIdentify(c)
 	case OpGetLogPage:
-		d.adminGetLogPage(q, cmd)
+		d.adminGetLogPage(c)
 	case OpCreateIOCQ:
-		d.adminCreateIOCQ(q, cmd)
+		d.adminCreateIOCQ(c)
 	case OpCreateIOSQ:
-		d.adminCreateIOSQ(q, cmd)
+		d.adminCreateIOSQ(c)
 	case OpDeleteIOSQ, OpDeleteIOCQ:
-		d.adminDeleteQueue(q, cmd)
+		d.adminDeleteQueue(c)
 	case OpSetFeatures:
-		d.adminSetFeatures(q, cmd)
+		d.adminSetFeatures(c)
 	case OpGetFeatures:
-		d.adminGetFeatures(q, cmd)
+		d.adminGetFeatures(c)
 	default:
-		d.complete(q, cmd, StatusInvalidOpcode, 0)
+		d.complete(c, StatusInvalidOpcode, 0)
 	}
 }
 
 // adminIdentify writes a 4 KiB identify structure to PRP1.
-func (d *Device) adminIdentify(q *queuePair, cmd Command) {
+func (d *Device) adminIdentify(c *command) {
+	cmd := c.cmd
 	cns := cmd.CDW10 & 0xFF
 	data := make([]byte, PageSize)
 	switch uint32(cns) {
@@ -49,7 +50,7 @@ func (d *Device) adminIdentify(q *queuePair, cmd Command) {
 		binary.LittleEndian.PutUint32(data[516:], 1) // NN: one namespace
 	case CNSNamespace:
 		if cmd.NSID != 1 {
-			d.complete(q, cmd, StatusInvalidNSID, 0)
+			d.complete(c, StatusInvalidNSID, 0)
 			return
 		}
 		blocks := uint64(d.cfg.NamespaceBytes / d.cfg.LBASize)
@@ -65,11 +66,11 @@ func (d *Device) adminIdentify(q *queuePair, cmd Command) {
 		}
 		binary.LittleEndian.PutUint32(data[128:], lbads<<16)
 	default:
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	d.port.Write(cmd.PRP1, PageSize, pcie.Bytes(data), func() {
-		d.complete(q, cmd, StatusSuccess, 0)
+		d.complete(c, StatusSuccess, 0)
 	})
 }
 
@@ -90,30 +91,32 @@ func (d *Device) pendingCQs() map[uint16]cqPending {
 
 // adminCreateIOCQ records a completion queue (CDW10: QID | QSIZE<<16,
 // CDW11 bit 0: physically contiguous).
-func (d *Device) adminCreateIOCQ(q *queuePair, cmd Command) {
+func (d *Device) adminCreateIOCQ(c *command) {
+	cmd := c.cmd
 	qid := uint16(cmd.CDW10 & 0xFFFF)
 	size := int(cmd.CDW10>>16) + 1
 	if qid == 0 || int(qid) > d.cfg.MaxIOQueuePairs || cmd.CDW11&1 == 0 {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	if _, exists := d.queues[qid]; exists {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	d.pendingCQs()[qid] = cqPending{base: cmd.PRP1, entries: size}
-	d.complete(q, cmd, StatusSuccess, 0)
+	d.complete(c, StatusSuccess, 0)
 }
 
 // adminCreateIOSQ pairs a submission queue with its CQ (CDW11 bits 31:16).
 // The model requires SQ y ↔ CQ y with equal depths.
-func (d *Device) adminCreateIOSQ(q *queuePair, cmd Command) {
+func (d *Device) adminCreateIOSQ(c *command) {
+	cmd := c.cmd
 	qid := uint16(cmd.CDW10 & 0xFFFF)
 	size := int(cmd.CDW10>>16) + 1
 	cqid := uint16(cmd.CDW11 >> 16)
 	pend, ok := d.pendingCQs()[qid]
 	if !ok || cqid != qid || pend.entries != size || cmd.CDW11&1 == 0 {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	delete(d.cqPendingMap, qid)
@@ -124,28 +127,30 @@ func (d *Device) adminCreateIOSQ(q *queuePair, cmd Command) {
 		entries: size,
 		cqPhase: true,
 	}
-	d.complete(q, cmd, StatusSuccess, 0)
+	d.complete(c, StatusSuccess, 0)
 }
 
 // adminDeleteQueue tears down an I/O queue pair (either half removes both;
 // the model keeps them paired).
-func (d *Device) adminDeleteQueue(q *queuePair, cmd Command) {
+func (d *Device) adminDeleteQueue(c *command) {
+	cmd := c.cmd
 	qid := uint16(cmd.CDW10 & 0xFFFF)
 	if qid == 0 {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	delete(d.queues, qid)
 	delete(d.pendingCQs(), qid)
-	d.complete(q, cmd, StatusSuccess, 0)
+	d.complete(c, StatusSuccess, 0)
 }
 
 // adminSetFeatures handles Number of Queues (FID 0x07); the grant is echoed
 // in DW0 as (NCQA<<16)|NSQA, both zero-based.
-func (d *Device) adminSetFeatures(q *queuePair, cmd Command) {
+func (d *Device) adminSetFeatures(c *command) {
+	cmd := c.cmd
 	fid := uint8(cmd.CDW10 & 0xFF)
 	if fid != FeatureNumQueues {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	reqSQ := int(cmd.CDW11&0xFFFF) + 1
@@ -157,16 +162,17 @@ func (d *Device) adminSetFeatures(q *queuePair, cmd Command) {
 		return n
 	}
 	dw0 := uint32(grant(reqCQ)-1)<<16 | uint32(grant(reqSQ)-1)
-	d.complete(q, cmd, StatusSuccess, dw0)
+	d.complete(c, StatusSuccess, dw0)
 }
 
 // adminGetFeatures mirrors SetFeatures for Number of Queues.
-func (d *Device) adminGetFeatures(q *queuePair, cmd Command) {
+func (d *Device) adminGetFeatures(c *command) {
+	cmd := c.cmd
 	fid := uint8(cmd.CDW10 & 0xFF)
 	if fid != FeatureNumQueues {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	n := uint32(d.cfg.MaxIOQueuePairs - 1)
-	d.complete(q, cmd, StatusSuccess, n<<16|n)
+	d.complete(c, StatusSuccess, n<<16|n)
 }

@@ -99,7 +99,7 @@ type queuePair struct {
 
 	// cqWait holds completions stalled on CQ space; they drain when the
 	// host advances the CQ head doorbell.
-	cqWait []func()
+	cqWait sim.FIFO[*command]
 
 	// debugOutstanding tracks fetched-but-not-completed CIDs to catch
 	// protocol violations (duplicate fetch / double completion).
@@ -169,8 +169,12 @@ type Device struct {
 	queues       map[uint16]*queuePair // includes admin as qid 0 once enabled
 	cqPendingMap map[uint16]cqPending  // CQs awaiting their paired SQ
 
-	execGate     *callbackGate
+	execGate     *sim.Gate
 	frontEndBusy sim.Time
+
+	// Free lists of recycled commands and SQE fetches (command.go).
+	cmdFree   []*command
+	fetchFree []*sqeFetch
 
 	// Fetch scheduler state: the MaxFetchReads budget is device-global (not
 	// per queue), and fetchRR is the round-robin scan pointer that hands the
@@ -182,9 +186,9 @@ type Device struct {
 	// Failure model.
 	mode        CtrlMode
 	fatalReason string
-	resetGen    uint64   // invalidates ready/shutdown timers across resets
-	hangGen     uint64   // invalidates stale revive timers
-	hungWait    []func() // completions parked while hung
+	resetGen    uint64             // invalidates ready/shutdown timers across resets
+	hangGen     uint64             // invalidates stale revive timers
+	hungWait    sim.FIFO[*command] // completions parked while hung
 
 	// faultInjector, when set, can force a failure status for an I/O
 	// command before execution (tests and failure-injection experiments).
@@ -330,32 +334,26 @@ func (d *Device) revive(gen uint64) {
 		return
 	}
 	d.mode = ModeHealthy
-	w := d.hungWait
-	d.hungWait = nil
-	for _, fn := range w {
-		fn()
+	for n := d.hungWait.Len(); n > 0; n-- {
+		d.hungWait.Pop().resume()
 	}
 	// The scheduler scans qids numerically — deterministic, unlike ranging
 	// over the queue map would be.
 	d.kickAll()
 }
 
-// flushParked re-invokes every parked completion closure after a mode or
+// flushParked re-enters every parked completion after a mode or
 // queue-generation change. Each re-entry hits the discard path (the mode or
 // the stale-queue check), which releases the execution context the command
 // still holds — without this, repeated crashes leak exec contexts until the
 // controller wedges.
 func (d *Device) flushParked(old map[uint16]*queuePair) {
-	w := d.hungWait
-	d.hungWait = nil
-	for _, fn := range w {
-		fn()
+	for n := d.hungWait.Len(); n > 0; n-- {
+		d.hungWait.Pop().resume()
 	}
 	for _, q := range old {
-		cw := q.cqWait
-		q.cqWait = nil
-		for _, fn := range cw {
-			fn()
+		for n := q.cqWait.Len(); n > 0; n-- {
+			q.cqWait.Pop().resume()
 		}
 	}
 }
@@ -380,7 +378,7 @@ func New(k *sim.Kernel, f *pcie.Fabric, cfg Config) *Device {
 		cfg:      cfg,
 		nand:     NewNAND(k, cfg.NAND),
 		queues:   make(map[uint16]*queuePair),
-		execGate: newCallbackGate(cfg.ExecContexts),
+		execGate: sim.NewGate(cfg.ExecContexts),
 	}
 	d.port = f.AttachPort(cfg.Name, cfg.Link, (*deviceBAR)(d))
 	d.port.DeclareIdentity(pcie.Identity{
@@ -620,10 +618,8 @@ func (d *Device) doorbell(off uint64, data []byte) {
 	}
 	if isCQ {
 		q.cqHeadDB = val
-		for len(q.cqWait) > 0 && !q.cqFull() {
-			fn := q.cqWait[0]
-			q.cqWait = q.cqWait[1:]
-			fn()
+		for q.cqWait.Len() > 0 && !q.cqFull() {
+			q.cqWait.Pop().resume()
 		}
 		return
 	}
@@ -683,68 +679,81 @@ func (d *Device) fetchOne(q *queuePair) {
 		debugTrace("fetch", q.id, fetchHead, batch, q.sqTailDB)
 	}
 	// Fetch buffers recycle through the pool: the completer fills buf
-	// before the callback runs, and every SQE is decoded into a value
-	// before the buffer is released.
-	buf := bufpool.Get(batch * SQESize)
-	d.port.ReadCtrl(q.sqBase+uint64(fetchHead*SQESize), int64(len(buf)), buf, func() {
-		q.sqHead = (fetchHead + batch) % q.entries
-		d.fetchReads--
-		if d.mode == ModeCrashed || d.mode == ModeRemoved || d.stale(q) {
-			// The controller died (or was reset) while the fetch was
-			// on the wire: the entries are never dispatched.
-			bufpool.Put(buf)
-			return
-		}
-		for i := 0; i < batch; i++ {
-			cmd, err := UnmarshalCommand(buf[i*SQESize:])
-			if err != nil {
-				panic(err) // 64-byte slices by construction
-			}
-			if q.debugOutstanding == nil {
-				q.debugOutstanding = make(map[uint16]bool)
-			}
-			if q.debugOutstanding[cmd.CID] {
-				panic(fmt.Sprintf("nvme: duplicate fetch of CID %d on q%d (slot %d op %#x)", cmd.CID, q.id, fetchHead+i, cmd.Opcode))
-			}
-			q.debugOutstanding[cmd.CID] = true
-			if d.cmdObserver != nil {
-				d.cmdObserver(q.id, cmd.CID, obs.StageFetched, d.k.Now())
-			}
-			d.dispatch(q, cmd)
-		}
-		bufpool.Put(buf)
-		d.kickAll()
-	})
+	// before done runs, and every SQE is decoded into a value before the
+	// buffer is released.
+	f := d.getFetch()
+	f.q, f.head, f.batch, f.buf = q, fetchHead, batch, bufpool.Get(batch*SQESize)
+	d.port.ReadCtrl(q.sqBase+uint64(fetchHead*SQESize), int64(len(f.buf)), f.buf, f.doneFn)
 }
 
-// dispatch routes a fetched command through the execution gate and the
-// serializing firmware front end.
-func (d *Device) dispatch(q *queuePair, cmd Command) {
-	d.execGate.acquire(func() {
-		cost := d.cfg.FrontEndWriteCost
-		if cmd.Opcode == OpRead && q.id != 0 {
-			cost = d.cfg.FrontEndReadCost
-		}
-		start := d.k.Now()
-		if d.frontEndBusy > start {
-			start = d.frontEndBusy
-		}
-		d.frontEndBusy = start + cost
-		d.k.At(d.frontEndBusy, func() {
-			if q.id == 0 {
-				d.executeAdmin(q, cmd)
-			} else {
-				d.executeIO(q, cmd)
-			}
-		})
-	})
-}
-
-// complete finishes cmd: consult the CQE interceptor (fault injection),
-// then deliver the completion entry and release the execution context.
-func (d *Device) complete(q *queuePair, cmd Command, status uint16, dw0 uint32) {
+// done dispatches a fetch's entries once the read has returned.
+func (f *sqeFetch) done() {
+	d, q, fetchHead, batch, buf := f.d, f.q, f.head, f.batch, f.buf
+	f.release()
+	q.sqHead = (fetchHead + batch) % q.entries
+	d.fetchReads--
 	if d.mode == ModeCrashed || d.mode == ModeRemoved || d.stale(q) {
-		d.discard(q, cmd)
+		// The controller died (or was reset) while the fetch was
+		// on the wire: the entries are never dispatched.
+		bufpool.Put(buf)
+		return
+	}
+	for i := 0; i < batch; i++ {
+		cmd, err := UnmarshalCommand(buf[i*SQESize:])
+		if err != nil {
+			panic(err) // 64-byte slices by construction
+		}
+		if q.debugOutstanding == nil {
+			q.debugOutstanding = make(map[uint16]bool)
+		}
+		if q.debugOutstanding[cmd.CID] {
+			panic(fmt.Sprintf("nvme: duplicate fetch of CID %d on q%d (slot %d op %#x)", cmd.CID, q.id, fetchHead+i, cmd.Opcode))
+		}
+		q.debugOutstanding[cmd.CID] = true
+		if d.cmdObserver != nil {
+			d.cmdObserver(q.id, cmd.CID, obs.StageFetched, d.k.Now())
+		}
+		d.execGate.Acquire(d.getCommand(q, cmd))
+	}
+	bufpool.Put(buf)
+	d.kickAll()
+}
+
+// Grant runs once the command holds an execution context: it books the
+// serializing firmware front end, after which the command executes.
+func (c *command) Grant() {
+	c.check()
+	d := c.d
+	cost := d.cfg.FrontEndWriteCost
+	if c.cmd.Opcode == OpRead && c.q.id != 0 {
+		cost = d.cfg.FrontEndReadCost
+	}
+	start := d.k.Now()
+	if d.frontEndBusy > start {
+		start = d.frontEndBusy
+	}
+	d.frontEndBusy = start + cost
+	d.k.At(d.frontEndBusy, c.stage.execute)
+}
+
+func (c *command) execute() {
+	c.check()
+	if c.q.id == 0 {
+		c.d.executeAdmin(c)
+	} else {
+		c.d.executeIO(c)
+	}
+}
+
+// complete finishes c with status and dw0: consult the CQE interceptor
+// (fault injection), then deliver the completion entry and release the
+// execution context.
+func (d *Device) complete(c *command, status uint16, dw0 uint32) {
+	c.check()
+	c.status, c.dw0 = status, dw0
+	q, cmd := c.q, c.cmd
+	if d.mode == ModeCrashed || d.mode == ModeRemoved || d.stale(q) {
+		d.discard(c)
 		return
 	}
 	if d.ctrlInjector != nil && q.id != 0 {
@@ -756,11 +765,11 @@ func (d *Device) complete(q *queuePair, cmd Command, status uint16, dw0 uint32) 
 		switch {
 		case f.Remove:
 			d.Remove()
-			d.discard(q, cmd)
+			d.discard(c)
 			return
 		case f.Crash:
 			d.fatal("injected controller crash")
-			d.discard(q, cmd)
+			d.discard(c)
 			return
 		case f.Hang > 0:
 			// The command itself executed; its completion (and every other
@@ -774,90 +783,102 @@ func (d *Device) complete(q *queuePair, cmd Command, status uint16, dw0 uint32) 
 			// The command itself executed: finalize its bookkeeping and
 			// free the execution context now — only CQE delivery is
 			// faulted. A dropped CQE consumes no CQ slot.
-			d.account(q, cmd, status)
-			d.execGate.release()
+			d.account(c)
+			d.execGate.Release()
 			if fate.Drop {
 				d.cqesDropped++
+				c.release()
 				return
 			}
 			d.cqesDelayed++
-			d.k.After(fate.Delay, func() { d.postCQE(q, cmd, status, dw0) })
+			d.k.After(fate.Delay, c.stage.post)
 			return
 		}
 	}
-	d.deliver(q, cmd, status, dw0)
+	c.deliver()
 }
 
 // discard drops a completion whose controller died (or whose queue was
 // torn down) while the command executed: the host never sees a CQE, but the
 // execution context recycles and the outstanding-CID record clears.
-func (d *Device) discard(q *queuePair, cmd Command) {
-	delete(q.debugOutstanding, cmd.CID)
+func (d *Device) discard(c *command) {
+	delete(c.q.debugOutstanding, c.cmd.CID)
 	d.cqesLost++
-	d.execGate.release()
+	d.execGate.Release()
+	c.release()
 }
 
-// deliver posts a CQE for cmd on q's completion queue and releases the
-// execution context.
-func (d *Device) deliver(q *queuePair, cmd Command, status uint16, dw0 uint32) {
+// deliver posts c's CQE on its completion queue and releases the execution
+// context.
+func (c *command) deliver() {
+	c.check()
+	d, q := c.d, c.q
 	if d.mode == ModeCrashed || d.mode == ModeRemoved || d.stale(q) {
-		d.discard(q, cmd)
+		d.discard(c)
 		return
 	}
 	if d.mode == ModeHung {
 		// Frozen command engine: the completion parks (holding its
 		// execution context) until the controller revives, crashes or
 		// resets.
-		d.hungWait = append(d.hungWait, func() { d.deliver(q, cmd, status, dw0) })
+		c.resume = c.stage.deliver
+		d.hungWait.Push(c)
 		return
 	}
 	if q.cqFull() {
 		// Stall until the host frees CQ space — posting now would
 		// overwrite an unacknowledged completion.
-		q.cqWait = append(q.cqWait, func() { d.deliver(q, cmd, status, dw0) })
+		c.resume = c.stage.deliver
+		q.cqWait.Push(c)
 		return
 	}
-	d.account(q, cmd, status)
-	d.postCQE(q, cmd, status, dw0)
-	d.execGate.release()
+	d.account(c)
+	c.postCQE()
+	d.execGate.Release()
 }
 
 // account finalizes a command's bookkeeping at completion-decision time.
-func (d *Device) account(q *queuePair, cmd Command, status uint16) {
+func (d *Device) account(c *command) {
+	q, cmd := c.q, c.cmd
 	if !q.debugOutstanding[cmd.CID] {
 		panic(fmt.Sprintf("nvme: double completion of CID %d on q%d", cmd.CID, q.id))
 	}
 	delete(q.debugOutstanding, cmd.CID)
 	d.cmdsExecuted++
-	if status != StatusSuccess {
+	if c.status != StatusSuccess {
 		d.errs++
-		d.recordError(q, cmd, status)
+		d.recordError(q, cmd, c.status)
 	}
 }
 
 // postCQE marshals and posts the completion entry (command bookkeeping
 // already done). A late-posted CQE that finds the CQ full waits for
 // head-doorbell space like any other completion.
-func (d *Device) postCQE(q *queuePair, cmd Command, status uint16, dw0 uint32) {
+func (c *command) postCQE() {
+	c.check()
+	d, q := c.d, c.q
 	if d.mode == ModeCrashed || d.mode == ModeRemoved || d.stale(q) {
 		d.cqesLost++ // bookkeeping already done; only the entry is lost
+		c.release()
 		return
 	}
 	if d.mode == ModeHung {
-		d.hungWait = append(d.hungWait, func() { d.postCQE(q, cmd, status, dw0) })
+		c.resume = c.stage.post
+		d.hungWait.Push(c)
 		return
 	}
 	if q.cqFull() {
-		q.cqWait = append(q.cqWait, func() { d.postCQE(q, cmd, status, dw0) })
+		c.resume = c.stage.post
+		q.cqWait.Push(c)
 		return
 	}
 	cqe := Completion{
-		DW0:    dw0,
+		DW0:    c.dw0,
 		SQHead: uint16(q.sqHead),
 		SQID:   q.id,
-		CID:    cmd.CID,
+		CID:    c.cmd.CID,
 		Phase:  q.cqPhase,
-		Status: status,
+		Status: c.status,
 	}
 	addr := q.cqBase + uint64(q.cqTail*CQESize)
 	q.cqTail++
@@ -866,38 +887,15 @@ func (d *Device) postCQE(q *queuePair, cmd Command, status uint16, dw0 uint32) {
 		q.cqPhase = !q.cqPhase
 	}
 	// The CQ completer (streamer reorder buffer or host memory) consumes
-	// the entry synchronously at delivery, so the buffer recycles then.
-	cqeBuf := bufpool.Get(CQESize)
-	cqe.MarshalInto(cqeBuf)
-	d.port.Write(addr, CQESize, pcie.Bytes(cqeBuf), func() { bufpool.Put(cqeBuf) })
+	// the entry synchronously at delivery, so the command recycles then.
+	cqe.MarshalInto(c.cqe[:])
+	d.port.Write(addr, CQESize, pcie.Bytes(c.cqe[:]), c.stage.cqeSent)
 }
 
-// callbackGate is a callback-style counting semaphore (same shape as the
-// PCIe credit gate, duplicated to keep the packages independent).
-type callbackGate struct {
-	avail int
-	q     []func()
-}
-
-func newCallbackGate(n int) *callbackGate { return &callbackGate{avail: n} }
-
-func (g *callbackGate) acquire(fn func()) {
-	if g.avail > 0 {
-		g.avail--
-		fn()
-		return
-	}
-	g.q = append(g.q, fn)
-}
-
-func (g *callbackGate) release() {
-	if len(g.q) > 0 {
-		fn := g.q[0]
-		g.q = g.q[1:]
-		fn()
-		return
-	}
-	g.avail++
+// cqeSent ends c once its completion entry has been delivered.
+func (c *command) cqeSent() {
+	c.check()
+	c.release()
 }
 
 // SetDebugTrace installs a fetch-trace hook (tests only).

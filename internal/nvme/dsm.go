@@ -36,10 +36,11 @@ func MarshalDSMRanges(ranges []DSMRange) []byte {
 }
 
 // executeWriteZeroes clears [SLBA, SLBA+NLB] without a data transfer.
-func (d *Device) executeWriteZeroes(q *queuePair, cmd Command) {
+func (d *Device) executeWriteZeroes(c *command) {
+	cmd := c.cmd
 	total, off, status := d.validateRange(cmd)
 	if status != StatusSuccess {
-		d.complete(q, cmd, status, 0)
+		d.complete(c, status, 0)
 		return
 	}
 	if d.cfg.Functional {
@@ -47,23 +48,24 @@ func (d *Device) executeWriteZeroes(q *queuePair, cmd Command) {
 	}
 	// Metadata-only on the device: a mapping-table update.
 	d.k.After(2*d.cfg.FrontEndWriteCost, func() {
-		d.complete(q, cmd, StatusSuccess, 0)
+		d.complete(c, StatusSuccess, 0)
 	})
 }
 
 // executeDatasetMgmt handles deallocate: CDW10 holds the 0-based range
 // count; CDW11 bit 2 (AD) requests deallocation; the range list arrives via
 // PRP1.
-func (d *Device) executeDatasetMgmt(q *queuePair, cmd Command) {
+func (d *Device) executeDatasetMgmt(c *command) {
+	cmd := c.cmd
 	if cmd.NSID != 1 {
-		d.complete(q, cmd, StatusInvalidNSID, 0)
+		d.complete(c, StatusInvalidNSID, 0)
 		return
 	}
 	nr := int(cmd.CDW10&0xFF) + 1
 	if cmd.CDW11&(1<<2) == 0 {
 		// Only the deallocate attribute is modeled; hints are accepted and
 		// ignored, as real firmware does.
-		d.complete(q, cmd, StatusSuccess, 0)
+		d.complete(c, StatusSuccess, 0)
 		return
 	}
 	buf := make([]byte, nr*dsmRangeBytes)
@@ -75,7 +77,7 @@ func (d *Device) executeDatasetMgmt(q *queuePair, cmd Command) {
 			// Compare in LBA space so huge SLBAs cannot overflow the byte
 			// arithmetic.
 			if slba >= maxLBA || uint64(nlb) > maxLBA-slba {
-				d.complete(q, cmd, StatusLBAOutOfRange, 0)
+				d.complete(c, StatusLBAOutOfRange, 0)
 				return
 			}
 			bytes := int64(nlb) * d.cfg.LBASize
@@ -86,7 +88,7 @@ func (d *Device) executeDatasetMgmt(q *queuePair, cmd Command) {
 			d.deallocated += bytes
 		}
 		d.k.After(d.cfg.FrontEndWriteCost, func() {
-			d.complete(q, cmd, StatusSuccess, 0)
+			d.complete(c, StatusSuccess, 0)
 		})
 	})
 }

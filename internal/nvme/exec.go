@@ -24,34 +24,40 @@ type extent struct {
 // could fire before ANY command of a replayed window retires and a
 // recurring crash rule would livelock the recovery ladder. Counting
 // completions guarantees N-1 commands survive each crash-every-N episode.
-func (d *Device) executeIO(q *queuePair, cmd Command) {
+func (d *Device) executeIO(c *command) {
+	cmd := c.cmd
 	if d.cmdObserver != nil {
-		d.cmdObserver(q.id, cmd.CID, obs.StageTransfer, d.k.Now())
+		d.cmdObserver(c.q.id, cmd.CID, obs.StageTransfer, d.k.Now())
 	}
 	if cmd.PSDT != 0 {
 		// SGL data pointers are not implemented (nor used by SNAcc).
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	if d.faultInjector != nil {
 		if status := d.faultInjector(cmd); status != StatusSuccess {
-			d.complete(q, cmd, status, 0)
+			d.complete(c, status, 0)
 			return
 		}
 	}
 	switch cmd.Opcode {
 	case OpFlush:
-		d.nand.Flush(func() { d.complete(q, cmd, StatusSuccess, 0) })
-	case OpRead:
-		d.executeRead(q, cmd)
-	case OpWrite:
-		d.executeWrite(q, cmd)
+		d.nand.Flush(func() { d.complete(c, StatusSuccess, 0) })
+	case OpRead, OpWrite:
+		total, off, status := d.validateRange(cmd)
+		if status != StatusSuccess {
+			d.complete(c, status, 0)
+			return
+		}
+		d.accountIO(cmd.Opcode, total)
+		c.total, c.off = total, off
+		c.resolvePRPs()
 	case OpWriteZeroes:
-		d.executeWriteZeroes(q, cmd)
+		d.executeWriteZeroes(c)
 	case OpDatasetMgmt:
-		d.executeDatasetMgmt(q, cmd)
+		d.executeDatasetMgmt(c)
 	default:
-		d.complete(q, cmd, StatusInvalidOpcode, 0)
+		d.complete(c, StatusInvalidOpcode, 0)
 	}
 }
 
@@ -75,25 +81,29 @@ func (d *Device) validateRange(cmd Command) (total int64, off uint64, status uin
 	return total, slba * uint64(d.cfg.LBASize), StatusSuccess
 }
 
-// resolvePRPs produces the bus extents for a transfer of total bytes
+// resolvePRPs produces the bus extents for the c.total-byte transfer
 // described by PRP1/PRP2, fetching the PRP list over the fabric when the
-// transfer spans more than two pages. This fetch is the transaction the
-// SNAcc Streamer answers with on-the-fly computed entries (paper Figs. 2/3).
-func (d *Device) resolvePRPs(cmd Command, total int64, fn func(runs []extent, status uint16)) {
+// transfer spans more than two pages, and hands them to prpsResolved. This
+// fetch is the transaction the SNAcc Streamer answers with on-the-fly
+// computed entries (paper Figs. 2/3).
+func (c *command) resolvePRPs() {
+	cmd, total := c.cmd, c.total
 	first := extent{addr: cmd.PRP1, len: PageSize - int64(cmd.PRP1%PageSize)}
 	if first.len >= total {
 		first.len = total
-		fn(coalesce([]extent{first}), StatusSuccess)
+		c.runs = append(c.runs[:0], first)
+		c.prpsResolved(StatusSuccess)
 		return
 	}
 	remaining := total - first.len
 	if remaining <= PageSize {
 		// PRP2 points directly at the second (final) page.
 		if cmd.PRP2%PageSize != 0 {
-			fn(nil, StatusInvalidField)
+			c.prpsResolved(StatusInvalidField)
 			return
 		}
-		fn(coalesce([]extent{first, {addr: cmd.PRP2, len: remaining}}), StatusSuccess)
+		c.runs = coalesce(append(c.runs[:0], first, extent{addr: cmd.PRP2, len: remaining}))
+		c.prpsResolved(StatusSuccess)
 		return
 	}
 	// PRP2 is a pointer to a PRP list. Entry count is bounded by MDTS
@@ -103,32 +113,38 @@ func (d *Device) resolvePRPs(cmd Command, total int64, fn func(runs []extent, st
 	// one 255-entry list.
 	entries := int((remaining + PageSize - 1) / PageSize)
 	if cmd.PRP2%8 != 0 || int64(cmd.PRP2%PageSize)+int64(entries*8) > PageSize {
-		fn(nil, StatusInvalidField)
+		c.prpsResolved(StatusInvalidField)
 		return
 	}
 	// The list buffer recycles through the pool: the completer fills it
-	// before the callback runs, and the extents below copy the addresses out.
-	listBuf := bufpool.Get(entries * 8)
-	d.port.ReadCtrl(cmd.PRP2, int64(len(listBuf)), listBuf, func() {
-		defer bufpool.Put(listBuf)
-		runs := make([]extent, 0, entries+1)
-		runs = append(runs, first)
-		left := remaining
-		for i := 0; i < entries; i++ {
-			addr := binary.LittleEndian.Uint64(listBuf[i*8:])
-			if addr%PageSize != 0 {
-				fn(nil, StatusInvalidField)
-				return
-			}
-			n := int64(PageSize)
-			if n > left {
-				n = left
-			}
-			runs = append(runs, extent{addr: addr, len: n})
-			left -= n
+	// before prpList runs, and the extents copy the addresses out.
+	c.runs = append(c.runs[:0], first)
+	c.listBuf = bufpool.Get(entries * 8)
+	c.d.port.ReadCtrl(cmd.PRP2, int64(len(c.listBuf)), c.listBuf, c.stage.prpList)
+}
+
+// prpList turns the fetched PRP list into extents after the first page.
+func (c *command) prpList() {
+	c.check()
+	listBuf := c.listBuf
+	c.listBuf = nil
+	defer bufpool.Put(listBuf)
+	left := c.total - c.runs[0].len
+	for i := 0; i < len(listBuf)/8; i++ {
+		addr := binary.LittleEndian.Uint64(listBuf[i*8:])
+		if addr%PageSize != 0 {
+			c.prpsResolved(StatusInvalidField)
+			return
 		}
-		fn(coalesce(runs), StatusSuccess)
-	})
+		n := int64(PageSize)
+		if n > left {
+			n = left
+		}
+		c.runs = append(c.runs, extent{addr: addr, len: n})
+		left -= n
+	}
+	c.runs = coalesce(c.runs)
+	c.prpsResolved(StatusSuccess)
 }
 
 // coalesce merges bus-adjacent extents so the DMA engine issues long
@@ -146,85 +162,78 @@ func coalesce(runs []extent) []extent {
 	return out
 }
 
-// executeRead services an NVMe read: NAND array read, then posted writes of
-// the data into the PRP extents. Posted writes stream at link rate, which is
-// why every SNAcc buffer variant reaches the full 6.9 GB/s sequential read
-// bandwidth (§5.2).
-func (d *Device) executeRead(q *queuePair, cmd Command) {
-	total, off, status := d.validateRange(cmd)
+// prpsResolved starts the data transfer once the extents are known.
+//
+// A read is a NAND array read, then posted writes of the data into the PRP
+// extents. Posted writes stream at link rate, which is why every SNAcc
+// buffer variant reaches the full 6.9 GB/s sequential read bandwidth
+// (§5.2).
+//
+// A write reserves write-buffer space, pulls the payload from the PRP
+// extents with credit-limited reads (the P2P-sensitive path), then
+// completes once buffered while the NAND array programs in the background.
+func (c *command) prpsResolved(status uint16) {
+	d := c.d
 	if status != StatusSuccess {
-		d.complete(q, cmd, status, 0)
+		d.complete(c, status, 0)
 		return
 	}
-	d.accountIO(OpRead, total)
-	d.resolvePRPs(cmd, total, func(runs []extent, status uint16) {
-		if status != StatusSuccess {
-			d.complete(q, cmd, status, 0)
-			return
-		}
-		// The DMA staging is a page list: the NAND read shares the media
-		// pages at issue, and the target installs each posted write's pages
-		// on delivery, so the list lets go once the last write has landed.
-		var media pcie.Payload
-		if d.cfg.Functional {
-			media = pcie.NewPages(int(off%PageSize), int(total))
-		}
-		d.nand.Read(off, total, media, func() {
-			outstanding := len(runs)
-			var pos int64
-			for _, r := range runs {
-				data := media.Slice(int(pos), int(r.len))
-				pos += r.len
-				d.port.Write(r.addr, r.len, data, func() {
-					outstanding--
-					if outstanding == 0 {
-						media.Release()
-						d.complete(q, cmd, StatusSuccess, 0)
-					}
-				})
-			}
-		})
-	})
+	if c.cmd.Opcode == OpWrite {
+		d.nand.ReserveBuffer(c.total, c.stage.buffered)
+		return
+	}
+	// The DMA staging is a page list: the NAND read shares the media
+	// pages at issue, and the target installs each posted write's pages
+	// on delivery, so the list lets go once the last write has landed.
+	if d.cfg.Functional {
+		c.media = pcie.NewPages(int(c.off%PageSize), int(c.total))
+	}
+	d.nand.Read(c.off, c.total, c.media, c.stage.nandRead)
 }
 
-// executeWrite services an NVMe write: reserve write-buffer space, pull the
-// payload from the PRP extents with credit-limited reads (the P2P-sensitive
-// path), then complete once buffered while the NAND array programs in the
-// background.
-func (d *Device) executeWrite(q *queuePair, cmd Command) {
-	total, off, status := d.validateRange(cmd)
-	if status != StatusSuccess {
-		d.complete(q, cmd, status, 0)
+// nandRead posts the read data into the PRP extents once it has left the
+// array.
+func (c *command) nandRead() {
+	c.check()
+	c.outstanding = len(c.runs)
+	var pos int64
+	for _, r := range c.runs {
+		data := c.media.Slice(int(pos), int(r.len))
+		pos += r.len
+		c.d.port.Write(r.addr, r.len, data, c.stage.extentDone)
+	}
+}
+
+// buffered pulls the write payload from the PRP extents once write-buffer
+// space is reserved. A page list like the read side: each PRP read chunk
+// shares the staging pages at its completer, and Program installs them in
+// the media store.
+func (c *command) buffered() {
+	c.check()
+	if c.d.cfg.Functional {
+		c.media = pcie.NewPages(int(c.off%PageSize), int(c.total))
+	}
+	c.outstanding = len(c.runs)
+	var pos int64
+	for _, r := range c.runs {
+		buf := c.media.Slice(int(pos), int(r.len))
+		pos += r.len
+		c.d.port.Read(r.addr, r.len, buf, c.stage.extentDone)
+	}
+}
+
+// extentDone completes the command after its last extent has moved.
+func (c *command) extentDone() {
+	c.check()
+	c.outstanding--
+	if c.outstanding > 0 {
 		return
 	}
-	d.accountIO(OpWrite, total)
-	d.resolvePRPs(cmd, total, func(runs []extent, status uint16) {
-		if status != StatusSuccess {
-			d.complete(q, cmd, status, 0)
-			return
-		}
-		d.nand.ReserveBuffer(total, func() {
-			// A page list like the read side: each PRP read chunk shares
-			// the staging pages at its completer, and Program installs
-			// them in the media store.
-			var media pcie.Payload
-			if d.cfg.Functional {
-				media = pcie.NewPages(int(off%PageSize), int(total))
-			}
-			outstanding := len(runs)
-			var pos int64
-			for _, r := range runs {
-				buf := media.Slice(int(pos), int(r.len))
-				pos += r.len
-				d.port.Read(r.addr, r.len, buf, func() {
-					outstanding--
-					if outstanding == 0 {
-						d.nand.Program(off, total, media)
-						media.Release()
-						d.complete(q, cmd, StatusSuccess, 0)
-					}
-				})
-			}
-		})
-	})
+	d := c.d
+	if c.cmd.Opcode == OpWrite {
+		d.nand.Program(c.off, c.total, c.media)
+	}
+	c.media.Release()
+	c.media = pcie.Payload{}
+	d.complete(c, StatusSuccess, 0)
 }

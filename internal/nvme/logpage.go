@@ -76,14 +76,15 @@ func (d *Device) ErrorLog() []ErrorLogEntry {
 }
 
 // adminGetLogPage serves the error and SMART pages.
-func (d *Device) adminGetLogPage(q *queuePair, cmd Command) {
+func (d *Device) adminGetLogPage(c *command) {
+	cmd := c.cmd
 	lid := uint8(cmd.CDW10 & 0xFF)
 	// NUMD (number of dwords, 0-based) spans CDW10 31:16 (+ CDW11 low in
 	// NVMe 1.3+; the model supports one-page reads).
 	numd := int64(cmd.CDW10>>16) + 1
 	n := numd * 4
 	if n > PageSize {
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	page := make([]byte, PageSize)
@@ -110,11 +111,11 @@ func (d *Device) adminGetLogPage(q *queuePair, cmd Command) {
 		// Number of error log entries at offset 176.
 		putUint128(page[176:], d.errorCount)
 	default:
-		d.complete(q, cmd, StatusInvalidField, 0)
+		d.complete(c, StatusInvalidField, 0)
 		return
 	}
 	d.port.Write(cmd.PRP1, n, pcie.Bytes(page[:n]), func() {
-		d.complete(q, cmd, StatusSuccess, 0)
+		d.complete(c, StatusSuccess, 0)
 	})
 }
 

@@ -71,13 +71,18 @@ type NAND struct {
 
 	// Write buffer admission (bytes) with FIFO waiters.
 	bufAvail int64
-	bufQ     []nandBufWaiter
+	bufQ     sim.FIFO[nandBufWaiter]
 
 	// Program pipeline.
 	programBusyUntil sim.Time
 	bytesProgrammed  int64
 	outstandingProg  int
 	flushWaiters     []func()
+	// progQ holds the sizes of scheduled programs. Their completion times
+	// never decrease, so they finish in scheduling order and one bound
+	// callback, programDoneFn, retires the head.
+	progQ         sim.FIFO[int64]
+	programDoneFn func()
 
 	// OnEpochChange fires when the banding epoch flips; the device uses it
 	// to adjust its PCIe fetch pacing (§5.2's alternating bandwidth).
@@ -95,7 +100,7 @@ func NewNAND(k *sim.Kernel, cfg NANDConfig) *NAND {
 	if cfg.Dies <= 0 {
 		panic("nvme: NAND needs at least one die")
 	}
-	return &NAND{
+	nd := &NAND{
 		k:        k,
 		cfg:      cfg,
 		rng:      sim.NewRand(cfg.Seed),
@@ -104,6 +109,8 @@ func NewNAND(k *sim.Kernel, cfg NANDConfig) *NAND {
 		bufAvail: cfg.WriteBufferBytes,
 		store:    pcie.NewSparseMem(),
 	}
+	nd.programDoneFn = nd.programDone
+	return nd
 }
 
 type nandBufWaiter struct {
@@ -159,19 +166,18 @@ func (nd *NAND) ReserveBuffer(n int64, fn func()) {
 	if n > nd.cfg.WriteBufferBytes {
 		panic("nvme: write larger than the entire write buffer")
 	}
-	if len(nd.bufQ) == 0 && nd.bufAvail >= n {
+	if nd.bufQ.Len() == 0 && nd.bufAvail >= n {
 		nd.bufAvail -= n
 		fn()
 		return
 	}
-	nd.bufQ = append(nd.bufQ, nandBufWaiter{n: n, fn: fn})
+	nd.bufQ.Push(nandBufWaiter{n: n, fn: fn})
 }
 
 func (nd *NAND) releaseBuffer(n int64) {
 	nd.bufAvail += n
-	for len(nd.bufQ) > 0 && nd.bufAvail >= nd.bufQ[0].n {
-		w := nd.bufQ[0]
-		nd.bufQ = nd.bufQ[1:]
+	for nd.bufQ.Len() > 0 && nd.bufAvail >= nd.bufQ.Peek().n {
+		w := nd.bufQ.Pop()
 		nd.bufAvail -= w.n
 		w.fn()
 	}
@@ -204,17 +210,22 @@ func (nd *NAND) Program(off uint64, n int64, data pcie.Payload) {
 			}
 		}
 	}
-	nd.k.At(nd.programBusyUntil, func() {
-		nd.releaseBuffer(n)
-		nd.outstandingProg--
-		if nd.outstandingProg == 0 {
-			ws := nd.flushWaiters
-			nd.flushWaiters = nil
-			for _, w := range ws {
-				w()
-			}
+	nd.progQ.Push(n)
+	nd.k.At(nd.programBusyUntil, nd.programDoneFn)
+}
+
+// programDone retires the oldest scheduled program: its buffer space frees
+// and, once nothing is left programming, the flush waiters run.
+func (nd *NAND) programDone() {
+	nd.releaseBuffer(nd.progQ.Pop())
+	nd.outstandingProg--
+	if nd.outstandingProg == 0 {
+		ws := nd.flushWaiters
+		nd.flushWaiters = nil
+		for _, w := range ws {
+			w()
 		}
-	})
+	}
 }
 
 // Flush calls fn once every scheduled program operation has completed.

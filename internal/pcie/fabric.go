@@ -85,8 +85,8 @@ func (f *Fabric) AttachPort(name string, lc LinkConfig, c Completer) *Port {
 		// pure serialization; this keeps cut-through forwarding simple.
 		tx:          sim.NewPipe(f.k, bw, 0),
 		rx:          sim.NewPipe(f.k, bw, 0),
-		credits:     newCreditGate(lc.ReadCredits),
-		ctrlCredits: newCreditGate(4),
+		credits:     sim.NewGate(lc.ReadCredits),
+		ctrlCredits: sim.NewGate(4),
 	}
 	f.ports = append(f.ports, pt)
 	return pt

@@ -16,12 +16,18 @@ type Port struct {
 	// rx serializes traffic arriving at this port.
 	tx, rx *sim.Pipe
 
-	credits *creditGate
+	credits *sim.Gate
 	// ctrlCredits is a separate outstanding-read pool for small control
 	// transactions (queue-entry and PRP-list fetches). Real controllers
 	// run command fetch and data DMA from separate tag pools, so control
 	// reads must not steal data-path read credits.
-	ctrlCredits *creditGate
+	ctrlCredits *sim.Gate
+
+	// Free lists of this port's in-flight request structs (see pool.go):
+	// posted writes and their granule chains, reads, and read chunks.
+	writeFree []*writeReq
+	readFree  []*readReq
+	chunkFree []*readChunk
 
 	// readPadding is added to every read-chunk completion. The NVMe device
 	// model uses it to reproduce the SSD's firmware banding epochs (§5.2's
@@ -87,29 +93,31 @@ func (pt *Port) Write(addr uint64, n int64, data Payload, fn func()) {
 		// slot when the previous granule finishes *serializing*, so the
 		// burst still streams at link rate while competing small TLPs can
 		// slot in between granules.
-		k := pt.f.k
-		var step func(off int64)
-		step = func(off int64) {
-			m := int64(writeGranule)
-			last := false
-			if m >= n-off {
-				m = n - off
-				last = true
-			}
-			d := data.Slice(int(off), int(m))
-			cb := fn
-			if !last {
-				cb = nil
-			}
-			txDone := pt.writeOne(addr+uint64(off), m, d, cb)
-			if !last {
-				k.At(txDone, func() { step(off + m) })
-			}
-		}
-		step(0)
+		w := pt.getWriteReq()
+		w.addr, w.n, w.data, w.fn = addr, n, data, fn
+		w.step()
 		return
 	}
 	pt.writeOne(addr, n, data, fn)
+}
+
+// step books the burst's next granule and, unless it is the last, chains
+// the one after it to the end of its TX serialization. Only the last
+// granule carries the burst's callback.
+func (w *writeReq) step() {
+	w.check()
+	pt := w.pt
+	m := int64(writeGranule)
+	if m < w.n-w.off {
+		txDone := pt.writeOne(w.addr+uint64(w.off), m, w.data.Slice(int(w.off), int(m)), nil)
+		w.off += m
+		pt.f.k.At(txDone, w.stage.step)
+		return
+	}
+	m = w.n - w.off
+	addr, d, fn := w.addr+uint64(w.off), w.data.Slice(int(w.off), int(m)), w.fn
+	pt.putWriteReq(w)
+	pt.writeOne(addr, m, d, fn)
 }
 
 // writeOne books a single posted burst and returns when its TX
@@ -139,17 +147,25 @@ func (pt *Port) writeOne(addr uint64, n int64, data Payload, fn func()) (txDone 
 	if rxDone > delivered {
 		delivered = rxDone
 	}
-	k.At(delivered, func() {
-		dst.payloadRx += n
-		dst.tracer.record(TraceWriteIn, addr, n)
-		if dst.completer != nil {
-			dst.completer.CompleteWrite(addr, n, data)
-		}
-		if fn != nil {
-			fn()
-		}
-	})
+	w := pt.getWriteReq()
+	w.dst, w.addr, w.n, w.data, w.fn = dst, addr, n, data, fn
+	k.At(delivered, w.stage.deliver)
 	return txEnd
+}
+
+// deliver hands a posted burst to its target once the last byte is in.
+func (w *writeReq) deliver() {
+	w.check()
+	dst, addr, n, data, fn := w.dst, w.addr, w.n, w.data, w.fn
+	w.pt.putWriteReq(w)
+	dst.payloadRx += n
+	dst.tracer.record(TraceWriteIn, addr, n)
+	if dst.completer != nil {
+		dst.completer.CompleteWrite(addr, n, data)
+	}
+	if fn != nil {
+		fn()
+	}
 }
 
 // Read issues a non-posted read of n payload bytes from addr, split into
@@ -170,61 +186,60 @@ func (pt *Port) ReadCtrl(addr uint64, n int64, buf []byte, fn func()) {
 	pt.read(addr, n, Bytes(buf), fn, pt.ctrlCredits)
 }
 
-func (pt *Port) read(addr uint64, n int64, buf Payload, fn func(), gate *creditGate) {
+func (pt *Port) read(addr uint64, n int64, buf Payload, fn func(), gate *sim.Gate) {
 	if n <= 0 {
 		if fn != nil {
 			pt.f.k.After(0, fn)
 		}
 		return
 	}
-	r := &readReq{pt: pt, dst: pt.f.routeOrPanic(pt, addr, n), addr: addr, n: n,
-		buf: buf, fn: fn, gate: gate, remaining: n}
+	r := pt.getReadReq()
+	r.dst, r.addr, r.n, r.buf, r.fn, r.gate, r.remaining = pt.f.routeOrPanic(pt, addr, n), addr, n, buf, fn, gate, n
 	r.issue()
 }
 
-// readReq is one Read in flight: MaxReadRequest-sized requests, each
-// holding a credit from gate while outstanding.
-type readReq struct {
-	pt, dst *Port
-	addr    uint64
-	n       int64
-	buf     Payload
-	fn      func()
-	gate    *creditGate
-
-	remaining int64 // bytes not yet requested
-	pending   int   // requests in flight
-	finished  bool  // every request issued
-}
-
-// issue requests the next chunk once a credit is free, or notes that every
-// chunk has been requested.
+// issue queues the next chunk for a credit, or notes that every chunk has
+// been requested.
 func (r *readReq) issue() {
 	if r.remaining <= 0 {
 		r.finished = true
-		if r.pending == 0 && r.fn != nil {
-			r.fn()
+		if r.pending == 0 {
+			r.finish()
 		}
 		return
 	}
-	chunk := min(r.pt.cfg.MaxReadRequest, r.remaining)
-	off := r.n - r.remaining
-	r.remaining -= chunk
+	r.chunk = min(r.pt.cfg.MaxReadRequest, r.remaining)
+	r.off = r.n - r.remaining
+	r.remaining -= r.chunk
 	r.pending++
-	r.gate.acquire(func() {
-		r.pt.issueReadChunk(r, off, chunk)
-		// Pipeline the next request as soon as this one is on the wire.
-		r.issue()
-	})
+	r.gate.Acquire(r)
 }
 
-// chunkDone returns a completed request's credit, and runs fn after the
+// Grant issues the queued chunk once it holds a credit, then pipelines the
+// next request as soon as this one is on the wire.
+func (r *readReq) Grant() {
+	r.check()
+	r.pt.issueReadChunk(r, r.off, r.chunk)
+	r.issue()
+}
+
+// chunkDone returns a completed request's credit, and finishes r after the
 // last one.
 func (r *readReq) chunkDone() {
-	r.gate.release()
+	r.check()
+	r.gate.Release()
 	r.pending--
-	if r.finished && r.pending == 0 && r.fn != nil {
-		r.fn()
+	if r.finished && r.pending == 0 {
+		r.finish()
+	}
+}
+
+// finish releases r and runs its callback.
+func (r *readReq) finish() {
+	fn := r.fn
+	r.pt.putReadReq(r)
+	if fn != nil {
+		fn()
 	}
 }
 
@@ -232,39 +247,56 @@ func (r *readReq) chunkDone() {
 // access, completion data back. The target fills bytes [off, off+n) of
 // r.buf when it serves the request.
 func (pt *Port) issueReadChunk(r *readReq, off, n int64) {
-	k := pt.f.k
-	dst := r.dst
-	addr := r.addr + uint64(off)
-	hdr := pt.f.cfg.TLPHeaderBytes
-	hopOut := pt.f.hopLatency(pt, dst)
-	pad := pt.readPadding
-	reqAt := pt.tx.Reserve(hdr)
-	k.At(reqAt+hopOut, func() {
-		arriveAt := dst.rx.Reserve(hdr)
-		k.At(arriveAt, func() {
-			dst.tracer.record(TraceReadReq, addr, n)
-			complete := func() {
-				// Completion data returns over the target's TX link.
-				wire := pt.f.wireBytes(n, dst.cfg.MaxPayload)
-				dst.payloadTx += n
-				dst.tracer.record(TraceReadCpl, addr, n)
-				cplAt := dst.tx.Reserve(wire)
-				hopBack := pt.f.hopLatency(dst, pt)
-				k.At(cplAt+hopBack+pad, func() {
-					rxAt := pt.rx.Reserve(wire)
-					k.At(rxAt, func() {
-						pt.payloadRx += n
-						r.chunkDone()
-					})
-				})
-			}
-			if dst.completer != nil {
-				dst.completer.CompleteRead(addr, n, r.buf.Slice(int(off), int(n)), complete)
-			} else {
-				complete()
-			}
-		})
-	})
+	c := pt.getReadChunk()
+	c.r, c.off, c.n, c.addr, c.pad = r, off, n, r.addr+uint64(off), pt.readPadding
+	reqAt := pt.tx.Reserve(pt.f.cfg.TLPHeaderBytes)
+	pt.f.k.At(reqAt+pt.f.hopLatency(pt, r.dst), c.stage.arrive)
+}
+
+// arrive books the request TLP onto the target's RX link.
+func (c *readChunk) arrive() {
+	c.check()
+	at := c.r.dst.rx.Reserve(c.pt.f.cfg.TLPHeaderBytes)
+	c.pt.f.k.At(at, c.stage.serve)
+}
+
+// serve hands the request to the target's completer.
+func (c *readChunk) serve() {
+	c.check()
+	dst := c.r.dst
+	dst.tracer.record(TraceReadReq, c.addr, c.n)
+	if dst.completer != nil {
+		dst.completer.CompleteRead(c.addr, c.n, c.r.buf.Slice(int(c.off), int(c.n)), c.stage.complete)
+	} else {
+		c.complete()
+	}
+}
+
+// complete returns the completion data over the target's TX link.
+func (c *readChunk) complete() {
+	c.check()
+	pt, dst := c.pt, c.r.dst
+	c.wire = pt.f.wireBytes(c.n, dst.cfg.MaxPayload)
+	dst.payloadTx += c.n
+	dst.tracer.record(TraceReadCpl, c.addr, c.n)
+	cplAt := dst.tx.Reserve(c.wire)
+	pt.f.k.At(cplAt+pt.f.hopLatency(dst, pt)+c.pad, c.stage.ret)
+}
+
+// ret books the completion onto the initiator's RX link.
+func (c *readChunk) ret() {
+	c.check()
+	rxAt := c.pt.rx.Reserve(c.wire)
+	c.pt.f.k.At(rxAt, c.stage.land)
+}
+
+// land counts the completion in and returns the chunk's credit.
+func (c *readChunk) land() {
+	c.check()
+	pt, r, n := c.pt, c.r, c.n
+	pt.putReadChunk(c)
+	pt.payloadRx += n
+	r.chunkDone()
 }
 
 // WriteB is a blocking wrapper around Write for process-model callers:
@@ -287,31 +319,4 @@ func (pt *Port) ReadB(p *sim.Proc, addr uint64, n int64, buf []byte) {
 	for !done {
 		p.Park()
 	}
-}
-
-// creditGate is a callback-style counting semaphore for outstanding reads.
-type creditGate struct {
-	avail int
-	q     []func()
-}
-
-func newCreditGate(n int) *creditGate { return &creditGate{avail: n} }
-
-func (c *creditGate) acquire(fn func()) {
-	if c.avail > 0 {
-		c.avail--
-		fn()
-		return
-	}
-	c.q = append(c.q, fn)
-}
-
-func (c *creditGate) release() {
-	if len(c.q) > 0 {
-		fn := c.q[0]
-		c.q = c.q[1:]
-		fn()
-		return
-	}
-	c.avail++
 }

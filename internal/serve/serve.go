@@ -115,7 +115,7 @@ type Tier struct {
 
 	// Client-side state.
 	gen         *workload.OpenLoop
-	pendq       []pending
+	pendq       sim.FIFO[pending]
 	outstanding map[uint64]sim.Time
 	started     bool
 	startAt     sim.Time
@@ -248,7 +248,7 @@ func (t *Tier) senderLoop(p *sim.Proc) {
 				// release is noticed promptly; sleep straight to the
 				// due time otherwise.
 				step := wait
-				if len(t.pendq) > 0 && t.cfg.RetryTick < step {
+				if t.pendq.Len() > 0 && t.cfg.RetryTick < step {
 					step = t.cfg.RetryTick
 				}
 				p.Sleep(step)
@@ -262,7 +262,7 @@ func (t *Tier) senderLoop(p *sim.Proc) {
 	// Drain the tail: everything still backlogged either goes out or is
 	// shed by later arrivals — and no arrivals remain, so only the link
 	// reopening empties it.
-	for len(t.pendq) > 0 {
+	for t.pendq.Len() > 0 {
 		if !t.flush() {
 			p.Sleep(t.cfg.RetryTick)
 		}
@@ -286,9 +286,9 @@ func (t *Tier) enqueue(a workload.Arrival, due sim.Time) {
 	if a.Fin {
 		req.Flags |= FlagFin
 	}
-	t.pendq = append(t.pendq, pending{req: req, due: due})
-	for len(t.pendq) > t.cfg.ClientBacklog {
-		t.pendq = t.pendq[1:]
+	t.pendq.Push(pending{req: req, due: due})
+	for t.pendq.Len() > t.cfg.ClientBacklog {
+		t.pendq.Pop()
 		t.dropped++
 	}
 }
@@ -298,24 +298,22 @@ func (t *Tier) enqueue(a workload.Arrival, due sim.Time) {
 // backlog empties. It reports whether any frame was accepted.
 func (t *Tier) flush() bool {
 	progress := false
-	for len(t.pendq) > 0 {
-		n := len(t.pendq)
-		if n > t.cfg.FrameBatch {
-			n = t.cfg.FrameBatch
-		}
+	for t.pendq.Len() > 0 {
+		n := min(t.pendq.Len(), t.cfg.FrameBatch)
 		var f ethernet.Frame
-		for _, pe := range t.pendq[:n] {
-			f.Data = AppendRequest(f.Data, pe.req)
-			f.Bytes += pe.req.WireBytes()
+		for i := 0; i < n; i++ {
+			req := t.pendq.At(i).req
+			f.Data = AppendRequest(f.Data, req)
+			f.Bytes += req.WireBytes()
 		}
 		if !t.cliMAC.TrySend(f) {
 			return progress
 		}
-		for _, pe := range t.pendq[:n] {
+		for i := 0; i < n; i++ {
+			pe := t.pendq.Pop()
 			t.outstanding[pe.req.ID] = pe.due
 		}
 		t.sent += int64(n)
-		t.pendq = t.pendq[n:]
 		progress = true
 	}
 	return progress

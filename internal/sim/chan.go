@@ -10,13 +10,16 @@ package sim
 type Chan[T any] struct {
 	k        *Kernel
 	capacity int
-	buf      []T
+	buf      FIFO[T]
 
 	// putq holds blocked producers together with the value each carries;
-	// getq holds blocked consumers together with the slot the value is
-	// delivered into.
-	putq []*putWaiter[T]
-	getq []*getWaiter[T]
+	// getq holds blocked consumers, each with the node its value is
+	// delivered into. A consumer's node goes back to free once it has
+	// read its value, so a blocking Get allocates only when more
+	// consumers block at once than ever before.
+	putq FIFO[putWaiter[T]]
+	getq FIFO[*getWaiter[T]]
+	free []*getWaiter[T]
 }
 
 type putWaiter[T any] struct {
@@ -39,42 +42,32 @@ func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 }
 
 // Len reports the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.Len() }
 
 // Cap reports the channel capacity.
 func (c *Chan[T]) Cap() int { return c.capacity }
 
 // Put delivers v into the channel, blocking p while the channel is full.
 func (c *Chan[T]) Put(p *Proc, v T) {
-	// Fast path: a consumer is already waiting and nothing is buffered
-	// ahead of us, so hand the value over directly.
-	if len(c.getq) > 0 && len(c.buf) == 0 {
-		g := c.getq[0]
-		c.getq = c.getq[1:]
-		g.v, g.valid = v, true
-		g.p.Wake()
+	if c.TryPut(v) {
 		return
 	}
-	if len(c.buf) < c.capacity {
-		c.buf = append(c.buf, v)
-		return
-	}
-	w := &putWaiter[T]{p: p, v: v}
-	c.putq = append(c.putq, w)
+	c.putq.Push(putWaiter[T]{p: p, v: v})
 	p.Park()
 }
 
 // TryPut delivers v without blocking and reports whether it succeeded.
 func (c *Chan[T]) TryPut(v T) bool {
-	if len(c.getq) > 0 && len(c.buf) == 0 {
-		g := c.getq[0]
-		c.getq = c.getq[1:]
+	// Fast path: a consumer is already waiting and nothing is buffered
+	// ahead of us, so hand the value over directly.
+	if c.getq.Len() > 0 && c.buf.Len() == 0 {
+		g := c.getq.Pop()
 		g.v, g.valid = v, true
 		g.p.Wake()
 		return true
 	}
-	if len(c.buf) < c.capacity {
-		c.buf = append(c.buf, v)
+	if c.buf.Len() < c.capacity {
+		c.buf.Push(v)
 		return true
 	}
 	return false
@@ -86,33 +79,40 @@ func (c *Chan[T]) Get(p *Proc) T {
 	if v, ok := c.TryGet(); ok {
 		return v
 	}
-	w := &getWaiter[T]{p: p}
-	c.getq = append(c.getq, w)
+	var w *getWaiter[T]
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w = new(getWaiter[T])
+	}
+	w.p = p
+	c.getq.Push(w)
 	p.Park()
 	if !w.valid {
 		panic("sim: Chan.Get woken without a value")
 	}
-	return w.v
+	v := w.v
+	*w = getWaiter[T]{}
+	c.free = append(c.free, w)
+	return v
 }
 
 // TryGet removes and returns the oldest value without blocking.
 func (c *Chan[T]) TryGet() (T, bool) {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.Len() > 0 {
+		v := c.buf.Pop()
 		// A freed slot admits the oldest blocked producer.
-		if len(c.putq) > 0 {
-			w := c.putq[0]
-			c.putq = c.putq[1:]
-			c.buf = append(c.buf, w.v)
+		if c.putq.Len() > 0 {
+			w := c.putq.Pop()
+			c.buf.Push(w.v)
 			w.p.Wake()
 		}
 		return v, true
 	}
 	// Rendezvous: take directly from a blocked producer.
-	if len(c.putq) > 0 {
-		w := c.putq[0]
-		c.putq = c.putq[1:]
+	if c.putq.Len() > 0 {
+		w := c.putq.Pop()
 		w.p.Wake()
 		return w.v, true
 	}
@@ -122,11 +122,11 @@ func (c *Chan[T]) TryGet() (T, bool) {
 
 // Peek returns the oldest value without removing it.
 func (c *Chan[T]) Peek() (T, bool) {
-	if len(c.buf) > 0 {
-		return c.buf[0], true
+	if c.buf.Len() > 0 {
+		return c.buf.Peek(), true
 	}
-	if len(c.putq) > 0 {
-		return c.putq[0].v, true
+	if c.putq.Len() > 0 {
+		return c.putq.Peek().v, true
 	}
 	var zero T
 	return zero, false

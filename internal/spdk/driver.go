@@ -89,8 +89,13 @@ type hostQueue struct {
 	cidFree []uint16
 
 	inflight map[uint16]func(nvme.Completion)
-	// waiters park until a submission slot frees.
-	slotWaiters []func()
+	// slotWaiters hold submissions parked until a submission slot frees.
+	slotWaiters sim.FIFO[queuedSubmit]
+}
+
+type queuedSubmit struct {
+	cmd nvme.Command
+	cb  func(nvme.Completion)
 }
 
 // full reports whether another command may be submitted. Two limits apply:
@@ -244,10 +249,9 @@ func (q *hostQueue) reap() {
 				cb(cqe)
 			}
 			// A freed SQ slot may unblock a queued submitter.
-			if len(q.slotWaiters) > 0 && !q.full() {
-				w := q.slotWaiters[0]
-				q.slotWaiters = q.slotWaiters[1:]
-				w()
+			if q.slotWaiters.Len() > 0 && !q.full() {
+				w := q.slotWaiters.Pop()
+				q.submit(w.cmd, w.cb)
 			}
 		})
 	}
@@ -257,7 +261,7 @@ func (q *hostQueue) reap() {
 // completion. It blocks (via callback queuing) while the SQ is full.
 func (q *hostQueue) submit(cmd nvme.Command, cb func(nvme.Completion)) {
 	if q.full() {
-		q.slotWaiters = append(q.slotWaiters, func() { q.submit(cmd, cb) })
+		q.slotWaiters.Push(queuedSubmit{cmd: cmd, cb: cb})
 		return
 	}
 	cmd.CID = q.cidFree[len(q.cidFree)-1]

@@ -20,8 +20,8 @@ type byteRing struct {
 	live     int64 // bytes between head and tail (incl. padding)
 
 	// segments tracks allocation sizes (with padding) for FIFO free.
-	segments []ringSeg
-	waiters  []ringWaiter
+	segments sim.FIFO[ringSeg]
+	waiters  sim.FIFO[ringWaiter]
 	// maxLive records the occupancy high-water mark.
 	maxLive int64
 }
@@ -71,7 +71,7 @@ func (r *byteRing) tryAlloc(n int64) (off int64, ok bool) {
 	r.tail += pad
 	off = r.tail % r.capacity
 	r.tail += need
-	r.segments = append(r.segments, ringSeg{off: off, size: pad + need})
+	r.segments.Push(ringSeg{off: off, size: pad + need})
 	return off, true
 }
 
@@ -80,14 +80,14 @@ func (r *byteRing) tryAlloc(n int64) (off int64, ok bool) {
 // only the queue head may allocate, so a large request is never starved by
 // smaller ones behind it.
 func (r *byteRing) alloc(p *sim.Proc, n int64) int64 {
-	r.waiters = append(r.waiters, ringWaiter{p: p, n: n})
+	r.waiters.Push(ringWaiter{p: p, n: n})
 	for {
-		if r.waiters[0].p == p {
+		if r.waiters.Peek().p == p {
 			if off, ok := r.tryAlloc(n); ok {
-				r.waiters = r.waiters[1:]
+				r.waiters.Pop()
 				// The new head may also fit; let it try.
-				if len(r.waiters) > 0 {
-					r.waiters[0].p.Wake()
+				if r.waiters.Len() > 0 {
+					r.waiters.Peek().p.Wake()
 				}
 				return off
 			}
@@ -98,15 +98,14 @@ func (r *byteRing) alloc(p *sim.Proc, n int64) int64 {
 
 // free releases the oldest segment (FIFO) and lets the head waiter retry.
 func (r *byteRing) free() {
-	if len(r.segments) == 0 {
+	if r.segments.Len() == 0 {
 		panic("streamer: ring free without live segment")
 	}
-	seg := r.segments[0]
-	r.segments = r.segments[1:]
+	seg := r.segments.Pop()
 	r.head += seg.size
 	r.live -= seg.size
-	if len(r.waiters) > 0 {
-		r.waiters[0].p.Wake()
+	if r.waiters.Len() > 0 {
+		r.waiters.Peek().p.Wake()
 	}
 }
 
@@ -118,8 +117,8 @@ func (r *byteRing) liveBytes() int64 { return r.live }
 // ring.
 type slotPool struct {
 	slotBytes int64
-	free      []int64
-	waiters   []*sim.Proc
+	free      sim.FIFO[int64]
+	waiters   sim.FIFO[*sim.Proc]
 }
 
 func newSlotPool(capacity, slotBytes int64) *slotPool {
@@ -128,9 +127,9 @@ func newSlotPool(capacity, slotBytes int64) *slotPool {
 	}
 	p := &slotPool{slotBytes: slotBytes}
 	for off := int64(0); off+slotBytes <= capacity; off += slotBytes {
-		p.free = append(p.free, off)
+		p.free.Push(off)
 	}
-	if len(p.free) == 0 {
+	if p.free.Len() == 0 {
 		panic("streamer: slot pool smaller than one slot")
 	}
 	return p
@@ -140,14 +139,13 @@ func (sp *slotPool) alloc(p *sim.Proc, n int64) int64 {
 	if n > sp.slotBytes {
 		panic(fmt.Sprintf("streamer: request %d exceeds slot size %d", n, sp.slotBytes))
 	}
-	sp.waiters = append(sp.waiters, p)
+	sp.waiters.Push(p)
 	for {
-		if sp.waiters[0] == p && len(sp.free) > 0 {
-			sp.waiters = sp.waiters[1:]
-			off := sp.free[0]
-			sp.free = sp.free[1:]
-			if len(sp.waiters) > 0 && len(sp.free) > 0 {
-				sp.waiters[0].Wake()
+		if sp.waiters.Peek() == p && sp.free.Len() > 0 {
+			sp.waiters.Pop()
+			off := sp.free.Pop()
+			if sp.waiters.Len() > 0 && sp.free.Len() > 0 {
+				sp.waiters.Peek().Wake()
 			}
 			return off
 		}
@@ -156,8 +154,8 @@ func (sp *slotPool) alloc(p *sim.Proc, n int64) int64 {
 }
 
 func (sp *slotPool) release(off int64) {
-	sp.free = append(sp.free, off)
-	if len(sp.waiters) > 0 {
-		sp.waiters[0].Wake()
+	sp.free.Push(off)
+	if sp.waiters.Len() > 0 {
+		sp.waiters.Peek().Wake()
 	}
 }

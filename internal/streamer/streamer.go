@@ -106,8 +106,8 @@ type Streamer struct {
 	robHead    int
 	robTailIdx int
 	robLive    int
-	robFree    []int // OutOfOrder mode slot freelist
-	robWaiters []*sim.Proc
+	robFree    sim.FIFO[int] // OutOfOrder mode slot freelist
+	robWaiters sim.FIFO[*sim.Proc]
 
 	retireProc *sim.Proc
 	cqeSignal  *sim.Chan[struct{}]
@@ -115,12 +115,22 @@ type Streamer struct {
 	// drain latency pipelines across commands instead of throttling the
 	// retire FSM.
 	sendQ *sim.Chan[sendItem]
+	// drainQ holds the send stage's staging reads in flight, oldest first;
+	// drainFree and dbFree recycle drain reads and doorbell records.
+	drainQ    sim.FIFO[*drainRead]
+	drainFree []*drainRead
+	dbFree    []*doorbell
 	// retryQ feeds the recovery stage: slots whose command must be
 	// resubmitted after a retryable error or a completion timeout.
 	retryQ *sim.Chan[retryReq]
 	// cmdSeq stamps every (re)submission so stale watchdog timers and
 	// stale retry requests can be recognized and discarded.
 	cmdSeq uint64
+	// deadlines holds the armed completion watchdogs in arming order. Every
+	// watchdog runs CmdTimeout, so they fire in that order too, and one
+	// bound callback, deadlineFn, serves the head.
+	deadlines  sim.FIFO[deadline]
+	deadlineFn func()
 
 	// Payload buffers.
 	readRing  *byteRing
@@ -297,6 +307,7 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 		sendQ:     sim.NewChan[sendItem](k, 8),
 		lbaSize:   512,
 	}
+	s.deadlineFn = s.deadlineFired
 	// One SQ FIFO (full QueueDepth deep — the global in-flight gate bounds
 	// every queue's occupancy) per queue pair, all slots carved from one
 	// backing array. The flush closures are built once so arming a doorbell
@@ -320,7 +331,7 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 	}
 	if cfg.OutOfOrder {
 		for i := 0; i < cfg.QueueDepth; i++ {
-			s.robFree = append(s.robFree, i)
+			s.robFree.Push(i)
 		}
 		s.readPool = newSlotPool(cfg.ReadBufBytes, cfg.MaxCmdBytes)
 		if cfg.WriteBufBytes > 0 {
@@ -531,13 +542,13 @@ func (s *Streamer) robAlloc(p *sim.Proc) int {
 	// Strict FIFO admission: only the head waiter may claim a slot, so the
 	// slot sequence matches the order commands arrived from the PE ("all
 	// commands are retired in the order they are received", §4.2).
-	s.robWaiters = append(s.robWaiters, p)
+	s.robWaiters.Push(p)
 	for {
-		if s.robWaiters[0] == p && s.robAvailable() {
-			s.robWaiters = s.robWaiters[1:]
+		if s.robWaiters.Peek() == p && s.robAvailable() {
+			s.robWaiters.Pop()
 			slot := s.robClaim()
-			if len(s.robWaiters) > 0 && s.robAvailable() {
-				s.robWaiters[0].Wake()
+			if s.robWaiters.Len() > 0 && s.robAvailable() {
+				s.robWaiters.Peek().Wake()
 			}
 			return slot
 		}
@@ -550,7 +561,7 @@ func (s *Streamer) robAvailable() bool {
 	// or the SQ tail doorbell wraps onto the unfetched head and the
 	// controller sees an empty queue.
 	if s.cfg.OutOfOrder {
-		return len(s.robFree) > 1
+		return s.robFree.Len() > 1
 	}
 	return s.robLive < s.cfg.QueueDepth-1
 }
@@ -558,9 +569,7 @@ func (s *Streamer) robAvailable() bool {
 func (s *Streamer) robClaim() int {
 	s.robLive++
 	if s.cfg.OutOfOrder {
-		slot := s.robFree[0]
-		s.robFree = s.robFree[1:]
-		return slot
+		return s.robFree.Pop()
 	}
 	slot := s.robTailIdx
 	s.robTailIdx = (s.robTailIdx + 1) % s.cfg.QueueDepth
@@ -574,12 +583,12 @@ func (s *Streamer) robRelease(slot int) {
 	s.rob[slot] = robEntry{}
 	s.robLive--
 	if s.cfg.OutOfOrder {
-		s.robFree = append(s.robFree, slot)
+		s.robFree.Push(slot)
 	} else {
 		s.robHead = (s.robHead + 1) % s.cfg.QueueDepth
 	}
-	if len(s.robWaiters) > 0 {
-		s.robWaiters[0].Wake()
+	if s.robWaiters.Len() > 0 {
+		s.robWaiters.Peek().Wake()
 	}
 }
 
@@ -714,8 +723,8 @@ func (s *Streamer) encodeAndRing(slot int) {
 	s.cmdsSubmitted++
 	s.tr.CountCommand()
 	if s.cfg.CmdTimeout > 0 {
-		seq := e.seq
-		s.k.After(s.cfg.CmdTimeout, func() { s.onDeadline(slot, seq) })
+		s.deadlines.Push(deadline{slot: slot, seq: e.seq})
+		s.k.After(s.cfg.CmdTimeout, s.deadlineFn)
 	}
 	s.armCFSPoll()
 	if s.cfg.doorbellBatch() <= 1 {
@@ -789,16 +798,33 @@ func (s *Streamer) sqFlushTimer(qi int) {
 	s.flushSQ(qi)
 }
 
-// ringDoorbell posts a 4-byte doorbell write through a recycled buffer. The
-// device's register completer decodes the value synchronously at delivery,
-// after which the buffer returns to the pool.
+// ringDoorbell posts a 4-byte doorbell write from a recycled doorbell
+// record. The device's register completer decodes the value synchronously
+// at delivery, after which the record returns to the free list.
 func (s *Streamer) ringDoorbell(addr uint64, val uint32) {
 	s.doorbellWrites++
 	s.tr.CountDoorbell()
-	b := bufpool.Get(4)
-	b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
-	s.port.Write(addr, 4, pcie.Bytes(b), func() { bufpool.Put(b) })
+	var db *doorbell
+	if n := len(s.dbFree); n > 0 {
+		db = s.dbFree[n-1]
+		s.dbFree = s.dbFree[:n-1]
+	} else {
+		db = &doorbell{s: s}
+		db.sentFn = db.sent
+	}
+	db.val = [4]byte{byte(val), byte(val >> 8), byte(val >> 16), byte(val >> 24)}
+	s.port.Write(addr, 4, pcie.Bytes(db.val[:]), db.sentFn)
 }
+
+// doorbell is one doorbell write in flight: its value and the bound
+// delivery callback that recycles it.
+type doorbell struct {
+	s      *Streamer
+	val    [4]byte
+	sentFn func()
+}
+
+func (db *doorbell) sent() { db.s.dbFree = append(db.s.dbFree, db) }
 
 // readCmdLoop services the PE's read command stream.
 func (s *Streamer) readCmdLoop(p *sim.Proc) {
@@ -1013,6 +1039,19 @@ func (s *Streamer) cqFlushTimer(qi int) {
 		return
 	}
 	s.flushCQ(qi)
+}
+
+// deadline is one armed completion watchdog: the slot and the submission
+// it guards.
+type deadline struct {
+	slot int
+	seq  uint64
+}
+
+// deadlineFired runs the oldest armed watchdog.
+func (s *Streamer) deadlineFired() {
+	d := s.deadlines.Pop()
+	s.onDeadline(d.slot, d.seq)
 }
 
 // onDeadline is the watchdog: fired CmdTimeout after the (re)submission
@@ -1508,57 +1547,82 @@ func (s *Streamer) sendLoop(p *sim.Proc) {
 
 // drainAndSend reads the command's payload from the staging buffer in
 // chunks (two in flight) and serializes it onto the ReadData stream.
-// Forwarding is strictly in ISSUE order: each in-flight chunk carries its
-// own completion channel and the sender waits for the oldest one, because
-// staging reads can complete out of order (a host-DRAM piece that straddles
-// a pinned-chunk boundary splits into runs with different latencies) and
-// the PE's byte stream must not be reordered.
+// Forwarding is strictly in ISSUE order: the sender waits for the oldest
+// in-flight chunk, because staging reads can complete out of order (a
+// host-DRAM piece that straddles a pinned-chunk boundary splits into runs
+// with different latencies) and the PE's byte stream must not be
+// reordered.
 func (s *Streamer) drainAndSend(p *sim.Proc, it sendItem) {
-	type chunk struct {
-		m    int64
-		buf  pcie.Payload
-		done *sim.Chan[struct{}]
-	}
-	var inflight []chunk
-	var issued int64
-	issue := func() {
-		if issued >= it.length {
-			return
-		}
-		m := int64(drainChunk)
-		if m > it.length-issued {
-			m = it.length - issued
-		}
-		off := it.bufOff + issued
-		issued += m
-		var buf pcie.Payload
-		if s.cfg.Functional {
-			// The chunk shares the staging pages at its read access;
-			// ownership passes to the ReadData consumer, which releases
-			// it (Client.ConsumeRead does) or lets it age out to the
-			// garbage collector.
-			buf = pcie.NewPages(int(off%pcie.PageSize), int(m))
-		}
-		c := chunk{m: m, buf: buf, done: sim.NewChan[struct{}](s.k, 1)}
-		inflight = append(inflight, c)
-		s.bufReadAsync(false, off, m, buf, func() { c.done.TryPut(struct{}{}) })
-	}
-	issue()
-	issue()
+	issued := s.drainNext(&it, 0)
+	issued = s.drainNext(&it, issued)
 	var sent int64
 	for sent < it.length {
-		c := inflight[0]
-		inflight = inflight[1:]
-		c.done.Get(p)
-		issue()
+		c := s.drainQ.Pop()
+		for !c.landed {
+			c.waiter = p
+			p.Park()
+		}
+		issued = s.drainNext(&it, issued)
 		if d := it.readyAt - p.Now(); d > 0 {
 			p.Sleep(d)
 		}
-		sent += c.m
+		m, buf := c.m, c.buf
+		*c = drainRead{landFn: c.landFn}
+		s.drainFree = append(s.drainFree, c)
+		sent += m
 		s.ReadData.Send(p, axis.Packet{
-			Bytes: c.m,
+			Bytes: m,
 			Last:  it.last && sent == it.length,
-			Data:  c.buf,
+			Data:  buf,
 		})
+	}
+}
+
+// drainNext starts the staging read of the chunk of it at offset issued,
+// if any bytes are left, and returns the bytes issued so far.
+func (s *Streamer) drainNext(it *sendItem, issued int64) int64 {
+	if issued >= it.length {
+		return issued
+	}
+	m := min(int64(drainChunk), it.length-issued)
+	off := it.bufOff + issued
+	var c *drainRead
+	if n := len(s.drainFree); n > 0 {
+		c = s.drainFree[n-1]
+		s.drainFree = s.drainFree[:n-1]
+	} else {
+		c = &drainRead{}
+		c.landFn = c.land
+	}
+	c.m = m
+	if s.cfg.Functional {
+		// The chunk shares the staging pages at its read access;
+		// ownership passes to the ReadData consumer, which releases
+		// it (Client.ConsumeRead does) or lets it age out to the
+		// garbage collector.
+		c.buf = pcie.NewPages(int(off%pcie.PageSize), int(m))
+	}
+	s.drainQ.Push(c)
+	s.bufReadAsync(false, off, m, c.buf, c.landFn)
+	return issued + m
+}
+
+// drainRead is one staging-buffer read of the send stage in flight,
+// recycled through the Streamer's free list once forwarded.
+type drainRead struct {
+	m      int64
+	buf    pcie.Payload
+	landed bool
+	waiter *sim.Proc // the send stage, while it waits for this chunk
+	landFn func()
+}
+
+// land marks the chunk's data available and wakes the send stage if it is
+// waiting for this chunk.
+func (c *drainRead) land() {
+	c.landed = true
+	if w := c.waiter; w != nil {
+		c.waiter = nil
+		w.Wake()
 	}
 }

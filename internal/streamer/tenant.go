@@ -176,7 +176,7 @@ type Tenant struct {
 	idx     int
 	quantum int64 // QuantumBytes * Weight, precomputed
 
-	pending    []tenantJob
+	pending    sim.FIFO[tenantJob]
 	deficit    int64
 	bucket     tokenBucket
 	admitted   int
@@ -232,7 +232,7 @@ type TenantHub struct {
 	outstanding    int
 	maxOutstanding int
 	// fifoPending is the global arrival-order queue of the FIFO baseline.
-	fifoPending []tenantJob
+	fifoPending sim.FIFO[tenantJob]
 
 	dispatchQ    *sim.Chan[tenantJob]
 	readPending  *sim.Chan[tenantJob]
@@ -392,9 +392,9 @@ func (h *TenantHub) enqueue(p *sim.Proc, t *Tenant, j tenantJob) {
 		t.stats.Rejected++
 	}
 	if h.fifo {
-		h.fifoPending = append(h.fifoPending, j)
+		h.fifoPending.Push(j)
 	} else {
-		t.pending = append(t.pending, j)
+		t.pending.Push(j)
 	}
 	h.workSignal.TryPut(struct{}{})
 }
@@ -481,12 +481,12 @@ func (h *TenantHub) schedLoop(p *sim.Proc) {
 // fifoPass dispatches the baseline's global queue in arrival order, only
 // honoring the outstanding window.
 func (h *TenantHub) fifoPass(p *sim.Proc) (progress bool) {
-	for len(h.fifoPending) > 0 {
-		j := h.fifoPending[0]
+	for h.fifoPending.Len() > 0 {
+		j := h.fifoPending.Peek()
 		if !j.rejected && h.outstanding >= h.maxOutstanding {
 			break
 		}
-		h.fifoPending = h.fifoPending[1:]
+		h.fifoPending.Pop()
 		h.dispatch(p, j)
 		progress = true
 	}
@@ -502,19 +502,19 @@ func (h *TenantHub) schedulePass(p *sim.Proc) (progress, again bool, wait sim.Ti
 	n := len(h.tenants)
 	for i := 0; i < n; i++ {
 		t := h.tenants[(h.rr+i)%n]
-		if len(t.pending) == 0 {
+		if t.pending.Len() == 0 {
 			// An idle tenant keeps no credit: deficits only measure
 			// rounds spent backlogged, per classic DRR.
 			t.deficit = 0
 			continue
 		}
 		t.deficit += t.quantum
-		for len(t.pending) > 0 {
-			j := t.pending[0]
+		for t.pending.Len() > 0 {
+			j := t.pending.Peek()
 			if j.rejected {
 				// Rejections never reach the device; completing them
 				// costs no bandwidth, so they bypass window and meters.
-				t.pending = t.pending[1:]
+				t.pending.Pop()
 				h.dispatch(p, j)
 				progress = true
 				continue
@@ -535,11 +535,11 @@ func (h *TenantHub) schedulePass(p *sim.Proc) (progress, again bool, wait sim.Ti
 				break
 			}
 			t.deficit -= j.n
-			t.pending = t.pending[1:]
+			t.pending.Pop()
 			h.dispatch(p, j)
 			progress = true
 		}
-		if len(t.pending) == 0 {
+		if t.pending.Len() == 0 {
 			t.deficit = 0
 		}
 	}
