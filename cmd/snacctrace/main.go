@@ -109,7 +109,7 @@ func main() {
 			len(reqs), gap, 4096/gap.Seconds()/1e9)
 		svc := tr.ServiceLatency()
 		fmt.Printf("  our completer's service latency: mean %v, p99 %v (\"our end responds immediately\")\n",
-			svc.Mean(), svc.Percentile(99))
+			obs.Mean(svc), obs.NearestRank(svc, 99))
 	}
 	if wrs := tr.OfKind(pcie.TraceWriteIn); len(wrs) > 1 {
 		gap := tr.MeanGap(pcie.TraceWriteIn)

@@ -59,7 +59,6 @@ func ClusterSweep(grid [][3]int, totalBytes int64) []ClusterSweepRow {
 		cfg := clusterEpisodeConfig(shape[0], shape[1], shape[2])
 		cl := cluster.MustNew(cfg)
 		defer cl.Kernel().Close()
-		defer cl.Kernel().Close()
 		const op = 64 * sim.KiB
 		span := 4 * sim.MiB
 		var start, end sim.Time

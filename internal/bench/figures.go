@@ -4,6 +4,7 @@ import (
 	"snacc/internal/casestudy"
 	"snacc/internal/fpga"
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/spdk"
 	"snacc/internal/streamer"
@@ -136,7 +137,7 @@ func Fig4c(samples int) []Fig4cRow {
 	variants := Variants()
 	return mapRows(len(variants)+1, func(i int) Fig4cRow {
 		var label string
-		var rd, wr *sim.Histogram
+		var rd, wr []sim.Time
 		if i == len(variants) {
 			label = "SPDK"
 			k, _, drvC := buildSPDK(64, nil)
@@ -158,8 +159,8 @@ func Fig4c(samples int) []Fig4cRow {
 		}
 		return Fig4cRow{
 			Label:       label,
-			ReadLatency: rd.Mean(), ReadP99: rd.Percentile(99),
-			WriteLatency: wr.Mean(), WriteP99: wr.Percentile(99),
+			ReadLatency: obs.Mean(rd), ReadP99: obs.NearestRank(rd, 99),
+			WriteLatency: obs.Mean(wr), WriteP99: obs.NearestRank(wr, 99),
 		}
 	})
 }

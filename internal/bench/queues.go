@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -46,15 +47,28 @@ func QueueSweep(queues, batches []int, totalBytes int64) []QueueSweepRow {
 			cfg.DoorbellBatch = c.b
 		}, nil)
 		defer rig.k.Close()
+		// Retain every command's span: the p99 is an exact nearest rank
+		// over all of them. Tracing schedules no events, so the traced rig
+		// runs the same timeline as an untraced one.
+		tr := obs.NewTracer(int(totalBytes / queueSweepIO))
+		rig.node.Trace(tr)
 		var res streamer.PerfResult
 		rig.measure(func(p *sim.Proc) {
 			res = streamer.RandRead(p, rig.c, 64*sim.GiB, totalBytes, queueSweepIO, 42)
 		})
-		readLat, _ := rig.st.CommandLatencies()
+		if tr.Dropped() > 0 {
+			panic(fmt.Sprintf("bench: queue sweep dropped %d spans", tr.Dropped()))
+		}
+		var readLat []sim.Time
+		for _, sp := range tr.Spans() {
+			if !sp.Write {
+				readLat = append(readLat, sp.Stages[obs.StageRetired]-sp.Stages[obs.StageSubmitted])
+			}
+		}
 		row := QueueSweepRow{
 			Queues:        c.q,
 			DoorbellBatch: c.b,
-			P99Us:         float64(readLat.Percentile(99)) / 1e3,
+			P99Us:         float64(obs.NearestRank(readLat, 99)) / 1e3,
 		}
 		if res.Elapsed > 0 {
 			row.KIOPS = float64(res.Bytes/queueSweepIO) / res.Elapsed.Seconds() / 1e3

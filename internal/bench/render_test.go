@@ -9,6 +9,7 @@ import (
 	"snacc/internal/casestudy"
 	"snacc/internal/cluster"
 	"snacc/internal/fpga"
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 )
 
@@ -39,9 +40,9 @@ func checkGolden(t *testing.T, name, got string) {
 // regressions show up as a readable text diff instead of a downstream
 // determinism failure.
 func TestRenderGolden(t *testing.T) {
-	imgLat := &sim.Histogram{}
+	imgLat := &obs.Hist{}
 	for _, s := range []sim.Time{100 * sim.Microsecond, 200 * sim.Microsecond, 600 * sim.Microsecond} {
-		imgLat.Add(s)
+		imgLat.Record(s)
 	}
 	caseRows := []casestudy.Result{
 		{Variant: "URAM", Images: 16, Bytes: 3 << 30, Elapsed: sim.Time(600 * sim.Millisecond),

@@ -10,6 +10,7 @@ package casestudy
 
 import (
 	"snacc/internal/imagestream"
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -93,7 +94,7 @@ type Result struct {
 	BusyPolling bool
 	// ImageLatency holds per-image end-to-end latency (last frame queued
 	// at the transmitter → persistence acknowledged); SNAcc runs only.
-	ImageLatency *sim.Histogram
+	ImageLatency *obs.Hist
 	// EthernetPauses counts flow-control events at the transmitter.
 	EthernetPauses int64
 	FramesDropped  int64

@@ -262,7 +262,7 @@ func TestImageLatencyAccounting(t *testing.T) {
 	// under a second even with flow-control stalls.
 	cfg := smallConfig(48)
 	res, _ := runSNAcc(streamer.HostDRAM, cfg, nil)
-	if res.ImageLatency.Count() != cfg.Images {
+	if res.ImageLatency.Count() != int64(cfg.Images) {
 		t.Fatalf("latency samples = %d, want %d", res.ImageLatency.Count(), cfg.Images)
 	}
 	mean := res.ImageLatency.Mean()

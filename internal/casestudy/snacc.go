@@ -2,6 +2,7 @@ package casestudy
 
 import (
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
@@ -38,7 +39,7 @@ func runSNAcc(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Resul
 	fe := newFrontEnd(k, cfg)
 	perImage := cfg.imageWriteBytes()
 	var start, end sim.Time
-	lat := &sim.Histogram{}
+	lat := &obs.Hist{}
 	sentAt := make([]sim.Time, 0, cfg.Images)
 
 	k.Spawn("main", func(p *sim.Proc) {
@@ -59,7 +60,7 @@ func runSNAcc(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Resul
 			for i := 0; i < cfg.Images; i++ {
 				c.WaitWrite(tp)
 				if i < len(sentAt) {
-					lat.Add(tp.Now() - sentAt[i])
+					lat.Record(tp.Now() - sentAt[i])
 				}
 			}
 			end = tp.Now()

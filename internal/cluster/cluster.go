@@ -70,9 +70,6 @@ type Config struct {
 	// ChunkBytes is the placement/repair granule, a positive multiple of
 	// 4 KiB up to 4 MiB. Default DefaultChunkBytes.
 	ChunkBytes int64
-	// VNodes is the ring's virtual-node count per node (DefaultVNodes
-	// when 0).
-	VNodes int
 	// Functional moves real payload bytes end to end.
 	Functional bool
 	// Seed derives each node's NAND jitter seed and the link injectors'
@@ -99,10 +96,6 @@ type Config struct {
 	// node identity stamped); SpanLimit caps each node's retention.
 	TraceSpans bool
 	SpanLimit  int
-
-	// Ethernet overrides the link model config (DefaultConfig when
-	// zero). FIFO and switch buffers are widened to fit ChunkBytes.
-	Ethernet *ethernet.Config
 
 	// NodeInjector, when set, supplies a per-node NVMe fault injector
 	// (nil for healthy nodes) — built per node, never shared, so each
@@ -182,9 +175,6 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	ecfg := ethernet.DefaultConfig()
-	if cfg.Ethernet != nil {
-		ecfg = *cfg.Ethernet
-	}
 	// A whole-chunk capsule must fit the receive FIFOs with room for
 	// pause-reaction headroom, or large repair frames would drop even on
 	// an idle link.

@@ -93,7 +93,7 @@ func newCoordinator(cl *Cluster, mac *ethernet.MAC) *coordinator {
 		cfg:        &cl.cfg,
 		k:          cl.k,
 		mac:        mac,
-		ring:       NewRing(cl.cfg.Nodes, cl.cfg.VNodes),
+		ring:       NewRing(cl.cfg.Nodes),
 		waiters:    make(map[uint64]*sim.Chan[arrival]),
 		health:     make([]nodeHealth, cl.cfg.Nodes),
 		chunks:     make(map[int64]*chunkMeta),

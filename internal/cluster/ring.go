@@ -6,15 +6,14 @@ import (
 )
 
 // Ring is a consistent-hash ring sharding the cluster's logical byte space
-// across nodes. Each node projects VNodes points onto a 64-bit circle; a key
-// hashes onto the circle and its replica set is the first R *distinct live*
-// nodes walking clockwise from that point. Because a node's points depend
-// only on its own identity, adding or removing a node moves only the arcs
-// adjacent to its points — every other placement is stable, the property
-// FuzzRingPlacement pins.
+// across nodes. Each node projects DefaultVNodes points onto a 64-bit
+// circle; a key hashes onto the circle and its replica set is the first R
+// *distinct live* nodes walking clockwise from that point. Because a node's
+// points depend only on its own identity, adding or removing a node moves
+// only the arcs adjacent to its points — every other placement is stable,
+// the property FuzzRingPlacement pins.
 type Ring struct {
 	nodes  int
-	vnodes int
 	points []ringPoint // sorted by hash
 }
 
@@ -28,18 +27,15 @@ type ringPoint struct {
 // runs (a handful of nodes), small enough that lookups stay cheap.
 const DefaultVNodes = 64
 
-// NewRing builds the ring for nodes physical nodes with vnodes points each
-// (DefaultVNodes when vnodes <= 0).
-func NewRing(nodes, vnodes int) *Ring {
+// NewRing builds the ring for nodes physical nodes, DefaultVNodes points
+// each.
+func NewRing(nodes int) *Ring {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("cluster: ring needs at least one node, got %d", nodes))
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	r := &Ring{nodes: nodes, vnodes: vnodes}
+	r := &Ring{nodes: nodes}
 	for n := 0; n < nodes; n++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(n, v), node: n})
 		}
 	}

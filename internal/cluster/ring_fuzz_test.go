@@ -20,7 +20,7 @@ func FuzzRingPlacement(f *testing.F) {
 		nodes := int(nodesIn%16) + 2 // 2..17
 		want := int(wantIn%uint8(nodes)) + 1
 		dead := int(deadIn) % nodes
-		r := NewRing(nodes, 0)
+		r := NewRing(nodes)
 
 		// Property 1: exactly `want` distinct in-range nodes.
 		placed := r.Lookup(key, want, nil)
@@ -37,7 +37,7 @@ func FuzzRingPlacement(f *testing.F) {
 
 		// Property 2: growing the ring only moves placements onto the
 		// new node.
-		grownSet := NewRing(nodes+1, 0).Lookup(key, want, nil)
+		grownSet := NewRing(nodes+1).Lookup(key, want, nil)
 		for _, nd := range grownSet {
 			if nd != nodes && !seen[nd] {
 				t.Fatalf("nodes=%d key=%d: growth moved placement to old node %d (%v -> %v)",

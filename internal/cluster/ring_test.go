@@ -3,7 +3,7 @@ package cluster
 import "testing"
 
 func TestRingLookupDistinctAndFull(t *testing.T) {
-	r := NewRing(5, 0)
+	r := NewRing(5)
 	for key := uint64(0); key < 200; key++ {
 		got := r.Lookup(key, 3, nil)
 		if len(got) != 3 {
@@ -23,7 +23,7 @@ func TestRingLookupDistinctAndFull(t *testing.T) {
 }
 
 func TestRingLookupSkipsDeadNodes(t *testing.T) {
-	r := NewRing(4, 0)
+	r := NewRing(4)
 	dead := 2
 	live := func(nd int) bool { return nd != dead }
 	for key := uint64(0); key < 200; key++ {
@@ -44,7 +44,7 @@ func TestRingLookupSkipsDeadNodes(t *testing.T) {
 }
 
 func TestRingPlacementSpread(t *testing.T) {
-	r := NewRing(4, 0)
+	r := NewRing(4)
 	counts := make([]int, 4)
 	const keys = 4096
 	for key := uint64(0); key < keys; key++ {
@@ -63,8 +63,8 @@ func TestRingPlacementSpread(t *testing.T) {
 // fuzz target generalizes: adding a node only moves placements onto the
 // new node; every placement that changes at all gains only the new node.
 func TestRingStabilityUnderGrowth(t *testing.T) {
-	old := NewRing(4, 0)
-	grown := NewRing(5, 0)
+	old := NewRing(4)
+	grown := NewRing(5)
 	moved := 0
 	const keys = 2048
 	for key := uint64(0); key < keys; key++ {

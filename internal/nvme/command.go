@@ -13,7 +13,8 @@ import "snacc/internal/pcie"
 // it: the CQE write's delivery, or the discard, drop or loss that ends it
 // without one. It goes back to the free list there, zeroed, so no payload
 // view outlives it. Race builds check the contract: a stage firing on a
-// released command, and a second release, panic.
+// released command, and a second release, panic; and release poisons the
+// owned PRP-list buffer, so a stage that kept a view of it reads garbage.
 type command struct {
 	d   *Device
 	q   *queuePair
@@ -26,8 +27,8 @@ type command struct {
 	resume func()
 
 	// Data path: the transfer's size and media offset, its bus extents
-	// (the backing array is kept across recycling), the PRP list being
-	// fetched, the DMA staging pages and the extents still in flight.
+	// and the PRP list being fetched (both backing arrays are kept across
+	// recycling), the DMA staging pages and the extents still in flight.
 	total       int64
 	off         uint64
 	runs        []extent
@@ -66,7 +67,7 @@ func (c *command) release() {
 	if checkReleased && c.released {
 		panic("nvme: command released twice")
 	}
-	*c = command{d: c.d, runs: c.runs[:0], released: true, stage: c.stage}
+	*c = command{d: c.d, runs: c.runs[:0], listBuf: releaseBuf(c.listBuf), released: true, stage: c.stage}
 	c.d.cmdFree = append(c.d.cmdFree, c)
 }
 
@@ -76,12 +77,15 @@ func (c *command) check() {
 	}
 }
 
-// sqeFetch is one batched SQE fetch in flight, recycled like a command.
+// sqeFetch is one batched SQE fetch in flight, recycled like a command,
+// with the same race-build checks; its SQE buffer's backing array is kept
+// across recycling and poisoned on release.
 type sqeFetch struct {
 	d           *Device
 	q           *queuePair
 	head, batch int
 	buf         []byte
+	released    bool
 	doneFn      func()
 }
 
@@ -89,6 +93,7 @@ func (d *Device) getFetch() *sqeFetch {
 	if n := len(d.fetchFree); n > 0 {
 		f := d.fetchFree[n-1]
 		d.fetchFree = d.fetchFree[:n-1]
+		f.released = false
 		return f
 	}
 	f := &sqeFetch{d: d}
@@ -97,6 +102,41 @@ func (d *Device) getFetch() *sqeFetch {
 }
 
 func (f *sqeFetch) release() {
-	*f = sqeFetch{d: f.d, doneFn: f.doneFn}
+	if checkReleased && f.released {
+		panic("nvme: SQE fetch released twice")
+	}
+	*f = sqeFetch{d: f.d, buf: releaseBuf(f.buf), released: true, doneFn: f.doneFn}
 	f.d.fetchFree = append(f.d.fetchFree, f)
 }
+
+func (f *sqeFetch) check() {
+	if checkReleased && f.released {
+		panic("nvme: SQE fetch completed after its release")
+	}
+}
+
+// ownedBuf returns b resized to n bytes, reusing its backing array when it
+// is large enough. The contents are undefined; the caller overwrites them.
+func ownedBuf(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// releaseBuf empties a recycled struct's owned buffer, keeping its backing
+// array. Race builds fill the array with poisonByte first, so a reader that
+// kept a view of the buffer past the release reads garbage instead of
+// bytes that still happen to be right.
+func releaseBuf(b []byte) []byte {
+	b = b[:cap(b)]
+	if checkReleased {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	return b[:0]
+}
+
+// poisonByte is what race builds fill a released buffer with.
+const poisonByte = 0xA5

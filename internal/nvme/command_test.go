@@ -6,9 +6,10 @@ import (
 
 // TestCommandsRecycleZeroed runs reads and writes through both PRP forms
 // (one page, and a PRP list) plus an admin command, then checks that every
-// recycled command came back zeroed, keeping only its device, its extent
-// array and its bound stage callbacks, and that repeating the traffic
-// reuses the commands instead of building new ones.
+// recycled command came back zeroed, keeping only its device, the backing
+// arrays of its extents and PRP list, and its bound stage callbacks, and
+// that repeating the traffic reuses the commands instead of building new
+// ones.
 func TestCommandsRecycleZeroed(t *testing.T) {
 	tb := newTestbench(t, nil)
 	defer tb.k.Close()
@@ -47,7 +48,7 @@ func TestCommandsRecycleZeroed(t *testing.T) {
 	}
 	for _, c := range tb.dev.cmdFree {
 		if c.d != tb.dev || c.q != nil || c.cmd != (Command{}) || c.status != 0 || c.dw0 != 0 || c.resume != nil ||
-			c.total != 0 || c.off != 0 || len(c.runs) != 0 || c.listBuf != nil || !c.media.IsNil() ||
+			c.total != 0 || c.off != 0 || len(c.runs) != 0 || len(c.listBuf) != 0 || !c.media.IsNil() ||
 			c.outstanding != 0 || c.cqe != [CQESize]byte{} || !c.released {
 			t.Fatalf("released command not zeroed: %+v", *c)
 		}

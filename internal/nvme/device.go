@@ -3,7 +3,6 @@ package nvme
 import (
 	"fmt"
 
-	"snacc/internal/bufpool"
 	"snacc/internal/obs"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
@@ -627,9 +626,6 @@ func (d *Device) doorbell(off uint64, data []byte) {
 	d.kickAll()
 }
 
-// debugTrace, when set, receives fetch trace events (tests only).
-var debugTrace func(what string, qid uint16, head, batch, tail int)
-
 // kickAll runs the fetch scheduler: while the device-global fetch-read
 // budget has credit, scan the queue IDs round-robin from the persistent
 // pointer — numeric qid order, deterministic, never Go map iteration order —
@@ -675,27 +671,23 @@ func (d *Device) fetchOne(q *queuePair) {
 	fetchHead := q.issueHead
 	q.issueHead = (fetchHead + batch) % q.entries
 	d.fetchReads++
-	if debugTrace != nil {
-		debugTrace("fetch", q.id, fetchHead, batch, q.sqTailDB)
-	}
-	// Fetch buffers recycle through the pool: the completer fills buf
-	// before done runs, and every SQE is decoded into a value before the
-	// buffer is released.
+	// The fetch owns its buffer: the completer fills it before done runs,
+	// and done decodes every SQE into a value before releasing the fetch.
 	f := d.getFetch()
-	f.q, f.head, f.batch, f.buf = q, fetchHead, batch, bufpool.Get(batch*SQESize)
+	f.q, f.head, f.batch, f.buf = q, fetchHead, batch, ownedBuf(f.buf, batch*SQESize)
 	d.port.ReadCtrl(q.sqBase+uint64(fetchHead*SQESize), int64(len(f.buf)), f.buf, f.doneFn)
 }
 
 // done dispatches a fetch's entries once the read has returned.
 func (f *sqeFetch) done() {
+	f.check()
 	d, q, fetchHead, batch, buf := f.d, f.q, f.head, f.batch, f.buf
-	f.release()
 	q.sqHead = (fetchHead + batch) % q.entries
 	d.fetchReads--
 	if d.mode == ModeCrashed || d.mode == ModeRemoved || d.stale(q) {
 		// The controller died (or was reset) while the fetch was
 		// on the wire: the entries are never dispatched.
-		bufpool.Put(buf)
+		f.release()
 		return
 	}
 	for i := 0; i < batch; i++ {
@@ -715,7 +707,7 @@ func (f *sqeFetch) done() {
 		}
 		d.execGate.Acquire(d.getCommand(q, cmd))
 	}
-	bufpool.Put(buf)
+	f.release()
 	d.kickAll()
 }
 
@@ -897,6 +889,3 @@ func (c *command) cqeSent() {
 	c.check()
 	c.release()
 }
-
-// SetDebugTrace installs a fetch-trace hook (tests only).
-func SetDebugTrace(fn func(what string, qid uint16, head, batch, tail int)) { debugTrace = fn }

@@ -3,7 +3,6 @@ package nvme
 import (
 	"encoding/binary"
 
-	"snacc/internal/bufpool"
 	"snacc/internal/obs"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
@@ -116,22 +115,19 @@ func (c *command) resolvePRPs() {
 		c.prpsResolved(StatusInvalidField)
 		return
 	}
-	// The list buffer recycles through the pool: the completer fills it
-	// before prpList runs, and the extents copy the addresses out.
+	// The command owns the list buffer: the completer fills it before
+	// prpList runs, and the extents copy the addresses out.
 	c.runs = append(c.runs[:0], first)
-	c.listBuf = bufpool.Get(entries * 8)
+	c.listBuf = ownedBuf(c.listBuf, entries*8)
 	c.d.port.ReadCtrl(cmd.PRP2, int64(len(c.listBuf)), c.listBuf, c.stage.prpList)
 }
 
 // prpList turns the fetched PRP list into extents after the first page.
 func (c *command) prpList() {
 	c.check()
-	listBuf := c.listBuf
-	c.listBuf = nil
-	defer bufpool.Put(listBuf)
 	left := c.total - c.runs[0].len
-	for i := 0; i < len(listBuf)/8; i++ {
-		addr := binary.LittleEndian.Uint64(listBuf[i*8:])
+	for i := 0; i < len(c.listBuf)/8; i++ {
+		addr := binary.LittleEndian.Uint64(c.listBuf[i*8:])
 		if addr%PageSize != 0 {
 			c.prpsResolved(StatusInvalidField)
 			return

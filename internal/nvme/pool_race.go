@@ -2,6 +2,7 @@
 
 package nvme
 
-// Race builds check the recycled command structs (command.go): a stage that
-// fires on a released command, or a second release, panics.
+// Race builds check the recycled command and SQE-fetch structs
+// (command.go): a stage that fires on a released struct, or a second
+// release, panics, and release poisons the struct's owned buffer.
 const checkReleased = true

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"snacc/internal/sim"
 )
@@ -33,10 +34,12 @@ const (
 	histBuckets  = histSubCount * (64 - histSubBits + 1)
 )
 
-// Hist is a fixed-bucket, log-spaced latency histogram over non-negative
-// sim.Time values. The zero value is ready to use; Record never allocates.
-// Unlike sim.Histogram it does not retain samples, so its percentiles are
-// bucket-quantized (≈3% relative error) but its memory is constant.
+// Hist is the repository's one latency histogram: fixed-bucket, log-spaced,
+// over non-negative sim.Time values. The zero value is ready to use; Record
+// never allocates. It does not retain samples, so its percentiles are
+// bucket-quantized (≈3% relative error) but its memory is constant. Reports
+// that print exact order statistics over a bounded sample set keep the
+// samples themselves and ask NearestRank.
 type Hist struct {
 	counts [histBuckets]int64
 	n      int64
@@ -180,4 +183,33 @@ func (h *Hist) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v p999=%v max=%v",
 		h.n, h.Mean(), h.P50(), h.P90(), h.P99(), h.P999(), h.max)
+}
+
+// NearestRank returns the exact nearest-rank p-th percentile of samples, for
+// the reports that print exact order statistics over a bounded sample set
+// (Figure 4c, the queue sweep, snacctrace's service latency) instead of a
+// Hist's bucket-quantized ones. samples is not modified. p follows
+// Hist.Percentile's contract: clamped into [0, 100], NaN yields 0, and so
+// does an empty sample set.
+func NearestRank(samples []sim.Time, p float64) sim.Time {
+	if len(samples) == 0 || math.IsNaN(p) {
+		return 0
+	}
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	rank := int(math.Ceil(min(max(p, 0), 100)/100*float64(len(sorted)))) - 1
+	return sorted[max(rank, 0)]
+}
+
+// Mean returns the arithmetic mean of samples, truncated to whole
+// nanoseconds as Hist.Mean is (0 for no samples).
+func Mean(samples []sim.Time) sim.Time {
+	if len(samples) == 0 {
+		return 0
+	}
+	var sum sim.Time
+	for _, s := range samples {
+		sum += s
+	}
+	return sum / sim.Time(len(samples))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"snacc/internal/sim"
 )
@@ -168,5 +169,66 @@ func TestHistPercentileContract(t *testing.T) {
 	// In-range quantiles keep their ~3% bucket-quantization guarantee.
 	if got := multi.Percentile(50); float64(got) < 50 || float64(got) > 52 {
 		t.Errorf("p50 = %v, want within [50, 52]", got)
+	}
+}
+
+// sortedRank is the reference nearest-rank percentile NearestRank must
+// match: sort a copy, take the ceil(p/100·n)-th smallest value.
+func sortedRank(vals []sim.Time, p float64) sim.Time {
+	s := append([]sim.Time(nil), vals...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	return s[rank]
+}
+
+func TestNearestRank(t *testing.T) {
+	vals := make([]sim.Time, 0, 100)
+	for i := 100; i >= 1; i-- { // descending: NearestRank must sort
+		vals = append(vals, sim.Time(i))
+	}
+	for _, c := range []struct {
+		p    float64
+		want sim.Time
+	}{{50, 50}, {99, 99}, {100, 100}, {1, 1}, {0, 1}, {-3, 1}, {250, 100}} {
+		if got := NearestRank(vals, c.p); got != c.want {
+			t.Errorf("NearestRank(p%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if vals[0] != 100 {
+		t.Fatal("NearestRank reordered its input")
+	}
+	if m := Mean(vals); m != 50 { // 5050/100 truncated
+		t.Fatalf("Mean = %v, want 50", m)
+	}
+	if NearestRank(nil, 99) != 0 || NearestRank(vals, math.NaN()) != 0 || Mean(nil) != 0 {
+		t.Fatal("empty input and NaN must read as zero")
+	}
+}
+
+func TestNearestRankProperty(t *testing.T) {
+	f := func(raw []uint32) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		vals := make([]sim.Time, len(raw))
+		for i, v := range raw {
+			vals[i] = sim.Time(v)
+		}
+		// Exact against the sorted-slice reference and monotone in p.
+		prev := sim.Time(0)
+		for _, p := range []float64{1, 25, 50, 75, 90, 99, 99.9, 100} {
+			v := NearestRank(vals, p)
+			if v != sortedRank(vals, p) || v < prev {
+				return false
+			}
+			prev = v
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

@@ -3,6 +3,7 @@ package pcie
 import (
 	"testing"
 
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 )
 
@@ -130,7 +131,7 @@ func TestTracerMeanGapAndService(t *testing.T) {
 	if g := tr.MeanGap(TraceReadReq); g != 100 {
 		t.Fatalf("MeanGap = %v, want 100", g)
 	}
-	if m := tr.ServiceLatency().Mean(); m != 30 {
+	if m := obs.Mean(tr.ServiceLatency()); m != 30 {
 		t.Fatalf("service mean = %v, want 30", m)
 	}
 }

@@ -103,22 +103,22 @@ func (t *Tracer) MeanGap(k TraceKind) sim.Time {
 	return sim.Time(int64(ev[len(ev)-1].At-ev[0].At) / int64(len(ev)-1))
 }
 
-// ServiceLatency returns per-request response time statistics by pairing
-// read requests with completions in order.
-func (t *Tracer) ServiceLatency() *sim.Histogram {
+// ServiceLatency returns the per-request response times, pairing read
+// requests with completions in order.
+func (t *Tracer) ServiceLatency() []sim.Time {
 	reqs := t.OfKind(TraceReadReq)
 	cpls := t.OfKind(TraceReadCpl)
 	n := len(reqs)
 	if len(cpls) < n {
 		n = len(cpls)
 	}
-	h := &sim.Histogram{}
+	var lat []sim.Time
 	for i := 0; i < n; i++ {
 		if cpls[i].At >= reqs[i].At {
-			h.Add(cpls[i].At - reqs[i].At)
+			lat = append(lat, cpls[i].At-reqs[i].At)
 		}
 	}
-	return h
+	return lat
 }
 
 // AttachTracer installs tr at the port's completer boundary.

@@ -265,28 +265,6 @@ func TestMeterBandwidth(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Add(Time(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if h.Mean() != 50 { // (5050/100) truncated
-		t.Fatalf("Mean = %v, want 50", h.Mean())
-	}
-	if p := h.Percentile(50); p != 50 {
-		t.Fatalf("p50 = %v, want 50", p)
-	}
-	if p := h.Percentile(99); p != 99 {
-		t.Fatalf("p99 = %v, want 99", p)
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {

@@ -2,63 +2,8 @@ package sim
 
 import (
 	"math"
-	"sort"
-	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestHistogramPercentileProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var h Histogram
-		vals := make([]Time, len(raw))
-		for i, v := range raw {
-			vals[i] = Time(v)
-			h.Add(Time(v))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		// Order-statistic invariants: monotone in p, bounded by min/max,
-		// p100 == max, p50 is the nearest-rank median.
-		if h.Percentile(100) != vals[len(vals)-1] {
-			return false
-		}
-		prev := Time(0)
-		for _, p := range []float64{1, 25, 50, 75, 90, 99, 100} {
-			v := h.Percentile(p)
-			if v < prev || v < vals[0] || v > vals[len(vals)-1] {
-				return false
-			}
-			prev = v
-		}
-		rank := int(math.Ceil(50.0/100*float64(len(vals)))) - 1
-		return h.Percentile(50) == vals[rank]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramStddevAndString(t *testing.T) {
-	var h Histogram
-	for _, v := range []Time{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Add(v)
-	}
-	// Classic example: population stddev is exactly 2.
-	if sd := h.Stddev(); math.Abs(sd-2) > 1e-9 {
-		t.Errorf("stddev = %v, want 2", sd)
-	}
-	s := h.String()
-	if !strings.Contains(s, "n=8") || !strings.Contains(s, "p99") {
-		t.Errorf("summary %q missing fields", s)
-	}
-	var empty Histogram
-	if empty.Stddev() != 0 || empty.Percentile(99) != 0 {
-		t.Error("empty histogram must report zeros")
-	}
-}
 
 func TestMeterBytesAndUnits(t *testing.T) {
 	k := NewKernel()

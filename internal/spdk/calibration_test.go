@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 )
 
@@ -113,7 +114,7 @@ func TestCalibrationReadLatency(t *testing.T) {
 			t.Errorf("Attach: %v", err)
 			return
 		}
-		mean = Latency(p, d, nvme.OpRead, 4096, 200, 5).Mean()
+		mean = obs.Mean(Latency(p, d, nvme.OpRead, 4096, 200, 5))
 	})
 	k.Run(0)
 	if mean < 50*sim.Microsecond || mean > 64*sim.Microsecond {
@@ -130,7 +131,7 @@ func TestCalibrationWriteLatency(t *testing.T) {
 			t.Errorf("Attach: %v", err)
 			return
 		}
-		mean = Latency(p, d, nvme.OpWrite, 4096, 200, 5).Mean()
+		mean = obs.Mean(Latency(p, d, nvme.OpWrite, 4096, 200, 5))
 	})
 	k.Run(0)
 	if mean >= 9*sim.Microsecond {

@@ -120,13 +120,14 @@ func RandomIO(p *sim.Proc, d *Driver, op uint8, totalBytes, ioBytes int64, seed 
 	return PerfResult{Bytes: totalBytes, Elapsed: p.Now() - start}
 }
 
-// Latency measures per-command latency at queue depth 1.
-func Latency(p *sim.Proc, d *Driver, op uint8, ioBytes int64, samples int, seed uint64) *sim.Histogram {
+// Latency measures per-command latency at queue depth 1 and returns the
+// samples in measurement order.
+func Latency(p *sim.Proc, d *Driver, op uint8, ioBytes int64, samples int, seed uint64) []sim.Time {
 	rng := sim.NewRand(seed)
 	buf := d.AllocBuffer(ioBytes)
 	blocksPerIO := ioBytes / d.LBASize()
 	spanBlocks := int64(d.CapacityBlocks()) / 2
-	h := &sim.Histogram{}
+	lat := make([]sim.Time, 0, samples)
 	for s := 0; s < samples; s++ {
 		lba := uint64(rng.Int63n(spanBlocks/blocksPerIO)) * uint64(blocksPerIO)
 		start := p.Now()
@@ -144,7 +145,7 @@ func Latency(p *sim.Proc, d *Driver, op uint8, ioBytes int64, samples int, seed 
 		if op == nvme.OpRead {
 			p.Sleep(d.cfg.ReadObservationDelay)
 		}
-		h.Add(p.Now() - start)
+		lat = append(lat, p.Now()-start)
 	}
-	return h
+	return lat
 }

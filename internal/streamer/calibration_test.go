@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -124,7 +125,7 @@ func TestCalibrationReadLatency(t *testing.T) {
 			k, c, _ := rig(t, v, false, nil)
 			var mean sim.Time
 			k.Spawn("bench", func(p *sim.Proc) {
-				mean = streamer.LatencyRead(p, c, span, 4096, 200, 5).Mean()
+				mean = obs.Mean(streamer.LatencyRead(p, c, span, 4096, 200, 5))
 			})
 			k.Run(0)
 			lo, hi := want[v][0], want[v][1]
@@ -143,7 +144,7 @@ func TestCalibrationWriteLatency(t *testing.T) {
 			k, c, _ := rig(t, v, false, nil)
 			var mean sim.Time
 			k.Spawn("bench", func(p *sim.Proc) {
-				mean = streamer.LatencyWrite(p, c, span, 4096, 200, 6).Mean()
+				mean = obs.Mean(streamer.LatencyWrite(p, c, span, 4096, 200, 6))
 			})
 			k.Run(0)
 			if mean >= 9*sim.Microsecond {
@@ -160,7 +161,7 @@ func TestReadLatencyOrdering(t *testing.T) {
 		k, c, _ := rig(t, v, false, nil)
 		var mean sim.Time
 		k.Spawn("bench", func(p *sim.Proc) {
-			mean = streamer.LatencyRead(p, c, span, 4096, 100, 9).Mean()
+			mean = obs.Mean(streamer.LatencyRead(p, c, span, 4096, 100, 9))
 		})
 		k.Run(0)
 		means = append(means, mean)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
@@ -60,7 +61,7 @@ func TestILADiagnosisOfP2PWriteLimit(t *testing.T) {
 	}
 	// Observation 2: "our end responds immediately" — the URAM completer's
 	// service latency is a tiny fraction of the request gap.
-	svc := tr.ServiceLatency().Mean()
+	svc := obs.Mean(tr.ServiceLatency())
 	if svc > gap {
 		t.Errorf("streamer-side service latency %v exceeds request gap %v; the limit would be ours, not P2P", svc, gap)
 	}

@@ -94,30 +94,31 @@ func RandWrite(p *sim.Proc, c *Client, spanBytes, total, ioBytes int64, seed uin
 
 // LatencyRead measures queue-depth-1 read latency over `samples` random
 // ioBytes accesses: from the command entering the read-command stream to
-// the final data beat received (§5.3's measurement points).
-func LatencyRead(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int, seed uint64) *sim.Histogram {
+// the final data beat received (§5.3's measurement points). It returns the
+// samples in measurement order.
+func LatencyRead(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int, seed uint64) []sim.Time {
 	rng := sim.NewRand(seed)
-	h := &sim.Histogram{}
+	lat := make([]sim.Time, 0, samples)
 	for i := 0; i < samples; i++ {
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
 		start := p.Now()
 		c.ReadAsync(p, addr, ioBytes)
 		c.DrainRead(p)
-		h.Add(p.Now() - start)
+		lat = append(lat, p.Now()-start)
 	}
-	return h
+	return lat
 }
 
 // LatencyWrite measures queue-depth-1 write latency: command+data in,
-// response token out.
-func LatencyWrite(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int, seed uint64) *sim.Histogram {
+// response token out. It returns the samples in measurement order.
+func LatencyWrite(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int, seed uint64) []sim.Time {
 	rng := sim.NewRand(seed)
-	h := &sim.Histogram{}
+	lat := make([]sim.Time, 0, samples)
 	for i := 0; i < samples; i++ {
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
 		start := p.Now()
 		c.Write(p, addr, ioBytes, nil)
-		h.Add(p.Now() - start)
+		lat = append(lat, p.Now()-start)
 	}
-	return h
+	return lat
 }

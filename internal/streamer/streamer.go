@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snacc/internal/axis"
-	"snacc/internal/bufpool"
 	"snacc/internal/nvme"
 	"snacc/internal/obs"
 	"snacc/internal/pcie"
@@ -99,6 +98,10 @@ type Streamer struct {
 	resetFn        func(p *sim.Proc) error
 	cstsAddr       uint64 // controller status register bus address
 	cfsPollArmed   bool
+	// csts receives the CSTS poll read. At most one poll is in flight: the
+	// next is armed CFSPollInterval after the previous one was issued, far
+	// longer than a register read takes.
+	csts [4]byte
 
 	// Completion queue: a reorder buffer (§4.2, arrow ⑤). Entries are
 	// indexed by CID.
@@ -160,9 +163,6 @@ type Streamer struct {
 	recoveryTime   sim.Time
 	doorbellWrites int64
 	cqBatches      int64
-	// Per-command submit→retire latency, by direction.
-	readLat  sim.Histogram
-	writeLat sim.Histogram
 
 	// tr, when non-nil, traces every NVMe command as an obs.Span. All
 	// instrumentation sites go through nil-safe obs methods, so the
@@ -219,14 +219,13 @@ type ioQueue struct {
 
 // robEntry is one in-flight NVMe command.
 type robEntry struct {
-	used        bool
-	isWrite     bool
-	bufOff      int64
-	length      int64
-	last        bool // final piece of the PE-level request
-	done        bool
-	status      uint16
-	submittedAt sim.Time
+	used    bool
+	isWrite bool
+	bufOff  int64
+	length  int64
+	last    bool // final piece of the PE-level request
+	done    bool
+	status  uint16
 	// Recovery state: the opcode and device address are kept so the SQE
 	// can be rebuilt on resubmission; seq invalidates stale watchdog
 	// timers and retry requests; hasCQE distinguishes a received error
@@ -505,13 +504,6 @@ func (s *Streamer) QueueDepthHighWater() []int64 {
 // and future commands fail fast with nvme.StatusControllerUnavailable.
 func (s *Streamer) Dead() bool { return s.dead }
 
-// CommandLatencies returns the submit→retire latency distributions for
-// read and write NVMe commands — the device-level view beneath the
-// PE-level Figure 4c numbers.
-func (s *Streamer) CommandLatencies() (read, write *sim.Histogram) {
-	return &s.readLat, &s.writeLat
-}
-
 // BufferHighWater reports the peak occupancy of the read and write staging
 // buffers — never exceeding their capacities, per §4.2's "We only request
 // as much data as can fit in our available data buffer". For the shared
@@ -641,7 +633,6 @@ func (s *Streamer) submit(p *sim.Proc, slot int, op uint8, devAddr uint64, bufOf
 	s.gateSubmit(p)
 	e := &s.rob[slot]
 	e.used = true
-	e.submittedAt = s.k.Now()
 	e.isWrite = isWrite
 	e.bufOff = bufOff
 	e.length = n
@@ -1365,15 +1356,16 @@ func (s *Streamer) cfsPoll() {
 		s.armCFSPoll()
 		return
 	}
-	buf := bufpool.Get(4)
-	s.port.Read(s.cstsAddr, 4, pcie.Bytes(buf), func() {
-		v := uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
-		bufpool.Put(buf)
-		if v == ^uint32(0) || v&nvme.CSTSFatal != 0 {
-			s.tripBreaker()
-		}
-		s.armCFSPoll()
-	})
+	s.port.Read(s.cstsAddr, 4, pcie.Bytes(s.csts[:]), s.cfsPolled)
+}
+
+// cfsPolled acts on the CSTS value a poll read back.
+func (s *Streamer) cfsPolled() {
+	v := uint32(s.csts[0]) | uint32(s.csts[1])<<8 | uint32(s.csts[2])<<16 | uint32(s.csts[3])<<24
+	if v == ^uint32(0) || v&nvme.CSTSFatal != 0 {
+		s.tripBreaker()
+	}
+	s.armCFSPoll()
 }
 
 // nextRetirable returns a retirable slot, or -1. The out-of-order
@@ -1465,11 +1457,6 @@ func (s *Streamer) retireLoop(p *sim.Proc) {
 			devAddr: e.devAddr,
 			readyAt: p.Now() + s.cfg.DrainLatency,
 		})
-		if e.isWrite {
-			s.writeLat.Add(p.Now() - e.submittedAt)
-		} else {
-			s.readLat.Add(p.Now() - e.submittedAt)
-		}
 		s.tr.End(e.span, e.status, p.Now())
 		// Read the live entry: a replay while this retirement blocked
 		// moved its completion out of the current CQ.

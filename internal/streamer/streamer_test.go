@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
@@ -365,26 +366,33 @@ func TestSeparateBuffersForDRAMVariant(t *testing.T) {
 	}
 }
 
+// TestCommandLatencyHistograms checks the device-level view beneath the
+// PE-level Figure 4c numbers: each command's submit→retire latency, taken
+// from its span.
 func TestCommandLatencyHistograms(t *testing.T) {
 	k, c, _ := rig(t, streamer.URAM, false, nil)
+	tr := obs.NewTracer(0)
+	c.Streamer().SetTracer(tr)
 	k.Spawn("pe", func(p *sim.Proc) {
 		c.Write(p, 0, 64*1024, nil)
 		c.ReadAsync(p, 0, 64*1024)
 		c.ConsumeRead(p)
 	})
 	k.Run(0)
-	rd, wr := c.Streamer().CommandLatencies()
-	if rd.Count() != 1 || wr.Count() != 1 {
-		t.Fatalf("latency samples: %d reads, %d writes", rd.Count(), wr.Count())
+	spans := tr.Spans()
+	if len(spans) != 2 || !spans[0].Write || spans[1].Write {
+		t.Fatalf("want one write span then one read span, got %+v", spans)
 	}
+	lat := func(sp obs.Span) sim.Time { return sp.Stages[obs.StageRetired] - sp.Stages[obs.StageSubmitted] }
+	wr, rd := lat(spans[0]), lat(spans[1])
 	// The NVMe read must include a NAND tR (>15us); the 64 KiB write
 	// completes in the SSD buffer after its P2P fetch — faster than the
 	// read, but not free.
-	if rd.Mean() < 15*sim.Microsecond {
-		t.Errorf("read command latency %v below NAND tR", rd.Mean())
+	if rd < 15*sim.Microsecond {
+		t.Errorf("read command latency %v below NAND tR", rd)
 	}
-	if wr.Mean() >= rd.Mean() {
-		t.Errorf("write latency %v should undercut read latency %v (no tR)", wr.Mean(), rd.Mean())
+	if wr <= 0 || wr >= rd {
+		t.Errorf("write latency %v should be positive and undercut read latency %v (no tR)", wr, rd)
 	}
 }
 

@@ -185,7 +185,6 @@ type Tenant struct {
 	stats    TenantStats
 	readLat  obs.Hist
 	writeLat obs.Hist
-	queueLat obs.Hist
 }
 
 // release returns one admission slot and wakes blocked fronts.
@@ -445,9 +444,7 @@ func (h *TenantHub) dispatch(p *sim.Proc, j tenantJob) {
 	if !j.rejected {
 		h.outstanding++
 	}
-	t := h.tenants[j.tenant]
-	t.stats.Dispatched++
-	t.queueLat.Record(p.Now() - j.acceptedAt)
+	h.tenants[j.tenant].stats.Dispatched++
 	h.dispatchQ.Put(p, j)
 }
 
@@ -651,11 +648,6 @@ func (h *TenantHub) ReadLatency(i int) obs.Hist { return h.at(i).readLat }
 // WriteLatency returns a copy of tenant i's accept→complete write-latency
 // histogram (the zero histogram for an index outside the tenants).
 func (h *TenantHub) WriteLatency(i int) obs.Hist { return h.at(i).writeLat }
-
-// QueueWait returns a copy of tenant i's accept→dispatch wait histogram —
-// the time commands spent queued behind the scheduler (the zero histogram
-// for an index outside the tenants).
-func (h *TenantHub) QueueWait(i int) obs.Hist { return h.at(i).queueLat }
 
 // at returns tenant i, or an idle zero tenant for an index outside the
 // tenants.
