@@ -11,7 +11,7 @@ BENCH_ARGS_latency = -run latency
 BENCH_ARGS_cluster = -run cluster -size 64
 BENCH_ARGS_queues = -run queues
 
-.PHONY: build test race vet bench bench-smoke bench-check cover latency faults crash queues perfreport tenants cluster serve
+.PHONY: build test race vet bench bench-smoke bench-check cover loc latency faults crash queues perfreport tenants cluster serve
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,11 @@ cover:
 		$$2 == "snacc/internal/cluster"  && pct + 0 < 85 { bad = bad "  " $$2 ": " pct "% < 85%\n" } \
 		END { if (bad != "") { printf "coverage ratchet failed:\n%s", bad; exit 1 } }' cover.txt
 	@rm -f cover.txt
+
+# Non-test Go lines outside cmd/snaccperf: the size the ROADMAP tracks for
+# "the same behaviour from less code". Prints the number only.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/snaccperf/*' | xargs cat | wc -l
 
 # Per-stage latency percentiles from span tracing -> BENCH_latency.json
 latency:

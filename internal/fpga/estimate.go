@@ -1,9 +1,6 @@
 package fpga
 
-import (
-	"snacc/internal/sim"
-	"snacc/internal/streamer"
-)
+import "snacc/internal/streamer"
 
 // Component cost book, calibrated against the paper's Table 1 synthesis
 // results for queue depth 64. Entries that scale with configuration carry
@@ -80,15 +77,4 @@ func EstimateStreamer(cfg streamer.Config) Resources {
 		r.HostDRAMBytes += cfg.ReadBufBytes + cfg.WriteBufBytes
 	}
 	return r
-}
-
-// EstimateEthernet returns the rough cost of the 100 G Ethernet subsystem
-// with the flow-control extension (§4.7); used by the case-study resource
-// summaries, not by Table 1.
-func EstimateEthernet(bufferBytes int64) Resources {
-	return Resources{
-		LUT:  10400,
-		FF:   18800,
-		BRAM: float64(bufferBytes) / float64(4*sim.KiB),
-	}
 }

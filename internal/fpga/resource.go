@@ -62,18 +62,6 @@ func AlveoU280() Device {
 	}
 }
 
-// BittwareXUPVVH returns the second platform the TaPaSCo plugin supports
-// (§4.5), a VU37P-based card.
-func BittwareXUPVVH() Device {
-	return Device{
-		Name:       "Bittware XUP-VVH",
-		LUT:        1303680,
-		FF:         2607360,
-		BRAM:       2016,
-		URAMBlocks: 960,
-	}
-}
-
 // Utilization reports r as fractions of the device, matching Table 1's
 // percentage columns.
 type Utilization struct {

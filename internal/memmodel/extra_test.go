@@ -105,18 +105,6 @@ func TestDRAMBoundsPanic(t *testing.T) {
 	d.ReadAccess(uint64(d.Size()), 64, pcie.Payload{}, func() {})
 }
 
-func TestCoalescerStoreAndSize(t *testing.T) {
-	k := sim.NewKernel()
-	d := NewDRAM(k, DefaultDRAMConfig())
-	c := NewBurstCoalescer(k, d, 4096, 10)
-	if c.Size() != d.Size() {
-		t.Fatal("coalescer size must delegate")
-	}
-	if c.Store() != d.Store() {
-		t.Fatal("coalescer store must delegate")
-	}
-}
-
 func TestHBMAccessors(t *testing.T) {
 	k := sim.NewKernel()
 	h := NewHBM(k, DefaultHBMConfig())
@@ -130,7 +118,7 @@ func TestHBMAccessors(t *testing.T) {
 
 func TestURAMStore(t *testing.T) {
 	k := sim.NewKernel()
-	u := NewURAM(k, DefaultURAMConfig())
+	u := NewURAM(k, testURAMConfig())
 	if u.Store() == nil {
 		t.Fatal("nil URAM store")
 	}

@@ -1,9 +1,11 @@
 // Package memmodel provides timing models for the memories an NVMe Streamer
 // can stage payload data in: on-die URAM, on-board DRAM behind a single
-// memory controller, and pinned host DRAM reachable only in 4 MiB physically
-// contiguous chunks. It also provides the 4 KiB burst coalescer the paper's
-// on-board-DRAM variant uses to merge the NVMe controller's small PCIe reads
-// (§4.3).
+// memory controller, pinned host DRAM reachable only in 4 MiB physically
+// contiguous chunks, and the HBM stack of the multi-SSD extension. The
+// paper's on-board-DRAM variant coalesces the NVMe controller's PCIe reads
+// into 4 KiB bursts (§4.3); the model gets the same effect from the
+// controller's 4 KiB max read request, so no coalescer sits in front of
+// the DRAM.
 //
 // All models share the Memory interface: callback-style accesses carrying
 // optional content as a pcie.Payload, with timing produced by the model.
@@ -12,10 +14,7 @@
 // and out of it by reference.
 package memmodel
 
-import (
-	"snacc/internal/pcie"
-	"snacc/internal/sim"
-)
+import "snacc/internal/pcie"
 
 // Memory is a byte-addressable staging memory with modeled access timing.
 // Addresses are local to the memory (zero-based).
@@ -33,24 +32,4 @@ type Memory interface {
 	Size() int64
 	// Store exposes the content backing store.
 	Store() *pcie.SparseMem
-}
-
-// ReadB performs a blocking read on any Memory, filling buf (nil for
-// timing-only).
-func ReadB(p *sim.Proc, m Memory, addr uint64, n int64, buf []byte) {
-	done := false
-	m.ReadAccess(addr, n, pcie.Bytes(buf), func() { done = true; p.Wake() })
-	for !done {
-		p.Park()
-	}
-}
-
-// WriteB performs a blocking write on any Memory of data (nil for
-// timing-only).
-func WriteB(p *sim.Proc, m Memory, addr uint64, n int64, data []byte) {
-	done := false
-	m.WriteAccess(addr, n, pcie.Bytes(data), func() { done = true; p.Wake() })
-	for !done {
-		p.Park()
-	}
 }

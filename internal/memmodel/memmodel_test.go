@@ -9,13 +9,43 @@ import (
 	"snacc/internal/sim"
 )
 
+// readB performs a blocking read on any Memory, filling buf (nil for
+// timing-only).
+func readB(p *sim.Proc, m Memory, addr uint64, n int64, buf []byte) {
+	done := false
+	m.ReadAccess(addr, n, pcie.Bytes(buf), func() { done = true; p.Wake() })
+	for !done {
+		p.Park()
+	}
+}
+
+// writeB performs a blocking write on any Memory of data (nil for
+// timing-only).
+func writeB(p *sim.Proc, m Memory, addr uint64, n int64, data []byte) {
+	done := false
+	m.WriteAccess(addr, n, pcie.Bytes(data), func() { done = true; p.Wake() })
+	for !done {
+		p.Park()
+	}
+}
+
+// testURAMConfig is the paper's 4 MB buffer at 300 MHz × 64 B.
+func testURAMConfig() URAMConfig {
+	return URAMConfig{
+		Size:       4 * sim.MiB,
+		WidthBytes: 64,
+		ClockHz:    300e6,
+		Latency:    100 * sim.Nanosecond,
+	}
+}
+
 func TestURAMBandwidthPerPort(t *testing.T) {
 	k := sim.NewKernel()
-	u := NewURAM(k, DefaultURAMConfig())
+	u := NewURAM(k, testURAMConfig())
 	const total = 2 * sim.MiB
 	var done sim.Time
 	k.Spawn("reader", func(p *sim.Proc) {
-		ReadB(p, u, 0, total, nil)
+		readB(p, u, 0, total, nil)
 		done = p.Now()
 	})
 	k.Run(0)
@@ -30,11 +60,11 @@ func TestURAMDualPortIndependence(t *testing.T) {
 	// other: concurrent 1 MiB in each direction should take about one
 	// port-time, not two.
 	k := sim.NewKernel()
-	u := NewURAM(k, DefaultURAMConfig())
+	u := NewURAM(k, testURAMConfig())
 	const n = sim.MiB
 	var readDone, writeDone sim.Time
-	k.Spawn("reader", func(p *sim.Proc) { ReadB(p, u, 0, n, nil); readDone = p.Now() })
-	k.Spawn("writer", func(p *sim.Proc) { WriteB(p, u, uint64(2*sim.MiB), n, nil); writeDone = p.Now() })
+	k.Spawn("reader", func(p *sim.Proc) { readB(p, u, 0, n, nil); readDone = p.Now() })
+	k.Spawn("writer", func(p *sim.Proc) { writeB(p, u, uint64(2*sim.MiB), n, nil); writeDone = p.Now() })
 	k.Run(0)
 	onePort := sim.TransferTime(n, 19.2e9)
 	if readDone > onePort*5/4 || writeDone > onePort*5/4 {
@@ -44,7 +74,7 @@ func TestURAMDualPortIndependence(t *testing.T) {
 
 func TestURAMOutOfBoundsPanics(t *testing.T) {
 	k := sim.NewKernel()
-	u := NewURAM(k, DefaultURAMConfig())
+	u := NewURAM(k, testURAMConfig())
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-bounds URAM access did not panic")
@@ -55,12 +85,12 @@ func TestURAMOutOfBoundsPanics(t *testing.T) {
 
 func TestURAMContentRoundTrip(t *testing.T) {
 	k := sim.NewKernel()
-	u := NewURAM(k, DefaultURAMConfig())
+	u := NewURAM(k, testURAMConfig())
 	want := []byte("streaming network to storage")
 	got := make([]byte, len(want))
 	k.Spawn("p", func(p *sim.Proc) {
-		WriteB(p, u, 4096, int64(len(want)), want)
-		ReadB(p, u, 4096, int64(len(got)), got)
+		writeB(p, u, 4096, int64(len(want)), want)
+		readB(p, u, 4096, int64(len(got)), got)
 	})
 	k.Run(0)
 	if !bytes.Equal(got, want) {
@@ -79,9 +109,9 @@ func TestDRAMTurnaroundPenalty(t *testing.T) {
 			for i := 0; i < 256; i++ {
 				addr := uint64(i) * 4096
 				if alternate && i%2 == 1 {
-					WriteB(p, d, addr, 4096, nil)
+					writeB(p, d, addr, 4096, nil)
 				} else {
-					ReadB(p, d, addr, 4096, nil)
+					readB(p, d, addr, 4096, nil)
 				}
 			}
 			done = p.Now()
@@ -109,7 +139,7 @@ func TestDRAMSequentialFasterThanRandom(t *testing.T) {
 				} else {
 					addr = uint64(r.Int63n(d.Size()/512)) * 512
 				}
-				ReadB(p, d, addr, 512, nil)
+				readB(p, d, addr, 512, nil)
 			}
 			done = p.Now()
 		})
@@ -126,9 +156,9 @@ func TestDRAMStatsCount(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDRAM(k, DefaultDRAMConfig())
 	k.Spawn("p", func(p *sim.Proc) {
-		ReadB(p, d, 0, 4096, nil)
-		WriteB(p, d, 4096, 4096, nil)
-		ReadB(p, d, 8192, 4096, nil)
+		readB(p, d, 0, 4096, nil)
+		writeB(p, d, 4096, 4096, nil)
+		readB(p, d, 8192, 4096, nil)
 	})
 	k.Run(0)
 	if d.Accesses() != 3 {
@@ -136,96 +166,6 @@ func TestDRAMStatsCount(t *testing.T) {
 	}
 	if d.Turnarounds() != 2 {
 		t.Fatalf("Turnarounds = %d, want 2 (R→W, W→R)", d.Turnarounds())
-	}
-}
-
-func TestCoalescerMergesSequentialReads(t *testing.T) {
-	k := sim.NewKernel()
-	d := NewDRAM(k, DefaultDRAMConfig())
-	c := NewBurstCoalescer(k, d, 4096, 20*sim.Nanosecond)
-	k.Spawn("p", func(p *sim.Proc) {
-		// Eight sequential 512 B reads: one underlying 4 KiB fill.
-		for i := 0; i < 8; i++ {
-			ReadB(p, c, uint64(i*512), 512, nil)
-		}
-	})
-	k.Run(0)
-	if c.Fills() != 1 {
-		t.Fatalf("Fills = %d, want 1 (sequential 512B reads coalesce)", c.Fills())
-	}
-	if c.Hits() != 7 {
-		t.Fatalf("Hits = %d, want 7", c.Hits())
-	}
-	if d.Accesses() != 1 {
-		t.Fatalf("underlying DRAM accesses = %d, want 1", d.Accesses())
-	}
-}
-
-func TestCoalescerNonSequentialMisses(t *testing.T) {
-	k := sim.NewKernel()
-	d := NewDRAM(k, DefaultDRAMConfig())
-	c := NewBurstCoalescer(k, d, 4096, 20*sim.Nanosecond)
-	k.Spawn("p", func(p *sim.Proc) {
-		ReadB(p, c, 0, 512, nil)
-		ReadB(p, c, 1<<20, 512, nil) // jump: new burst
-		ReadB(p, c, 1<<20+512, 512, nil)
-	})
-	k.Run(0)
-	if c.Fills() != 2 || c.Hits() != 1 {
-		t.Fatalf("Fills/Hits = %d/%d, want 2/1", c.Fills(), c.Hits())
-	}
-}
-
-func TestCoalescerWriteInvalidatesBurst(t *testing.T) {
-	k := sim.NewKernel()
-	d := NewDRAM(k, DefaultDRAMConfig())
-	c := NewBurstCoalescer(k, d, 4096, 20*sim.Nanosecond)
-	k.Spawn("p", func(p *sim.Proc) {
-		ReadB(p, c, 0, 512, nil)    // opens burst [0,4096)
-		WriteB(p, c, 256, 512, nil) // overlaps: invalidates
-		ReadB(p, c, 512, 512, nil)  // must refill, not serve stale
-	})
-	k.Run(0)
-	if c.Fills() != 2 {
-		t.Fatalf("Fills = %d, want 2 (write must invalidate open burst)", c.Fills())
-	}
-}
-
-func TestCoalescerContentCorrect(t *testing.T) {
-	k := sim.NewKernel()
-	d := NewDRAM(k, DefaultDRAMConfig())
-	c := NewBurstCoalescer(k, d, 4096, 20*sim.Nanosecond)
-	want := make([]byte, 2048)
-	for i := range want {
-		want[i] = byte(i * 3)
-	}
-	got := make([]byte, len(want))
-	k.Spawn("p", func(p *sim.Proc) {
-		WriteB(p, c, 0, int64(len(want)), want)
-		for i := 0; i < 4; i++ {
-			ReadB(p, c, uint64(i*512), 512, got[i*512:(i+1)*512])
-		}
-	})
-	k.Run(0)
-	if !bytes.Equal(got, want) {
-		t.Fatal("coalesced reads returned wrong content")
-	}
-}
-
-func TestCoalescerEndOfMemory(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := DefaultDRAMConfig()
-	cfg.Size = 8192
-	d := NewDRAM(k, cfg)
-	c := NewBurstCoalescer(k, d, 4096, 20*sim.Nanosecond)
-	ok := false
-	k.Spawn("p", func(p *sim.Proc) {
-		ReadB(p, c, 6144, 2048, nil) // burst clipped at memory end
-		ok = true
-	})
-	k.Run(0)
-	if !ok {
-		t.Fatal("read near end of memory did not complete")
 	}
 }
 
@@ -309,7 +249,7 @@ func TestHBMAggregateBandwidth(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		base := uint64(int64(i) * 256 * sim.MiB)
 		k.Spawn("s", func(p *sim.Proc) {
-			ReadB(p, h, base, per, nil)
+			readB(p, h, base, per, nil)
 			remaining--
 			if remaining == 0 {
 				done = p.Now()
@@ -331,12 +271,12 @@ func TestHBMReadWriteIsolation(t *testing.T) {
 		h := NewHBM(k, DefaultHBMConfig())
 		var readDone sim.Time
 		k.Spawn("r", func(p *sim.Proc) {
-			ReadB(p, h, 0, 8*sim.MiB, nil)
+			readB(p, h, 0, 8*sim.MiB, nil)
 			readDone = p.Now()
 		})
 		if concurrent {
 			k.Spawn("w", func(p *sim.Proc) {
-				WriteB(p, h, uint64(1*sim.GiB), 8*sim.MiB, nil)
+				writeB(p, h, uint64(1*sim.GiB), 8*sim.MiB, nil)
 			})
 		}
 		k.Run(0)
@@ -357,8 +297,8 @@ func TestHBMContentRoundTrip(t *testing.T) {
 	}
 	got := make([]byte, len(want))
 	k.Spawn("p", func(p *sim.Proc) {
-		WriteB(p, h, 12345, int64(len(want)), want)
-		ReadB(p, h, 12345, int64(len(got)), got)
+		writeB(p, h, 12345, int64(len(want)), want)
+		readB(p, h, 12345, int64(len(got)), got)
 	})
 	k.Run(0)
 	if !bytes.Equal(got, want) {

@@ -31,16 +31,6 @@ type URAMConfig struct {
 	Latency    sim.Time // pipeline/arbiter latency per access
 }
 
-// DefaultURAMConfig returns the paper's 4 MB buffer at 300 MHz × 64 B.
-func DefaultURAMConfig() URAMConfig {
-	return URAMConfig{
-		Size:       4 * sim.MiB,
-		WidthBytes: 64,
-		ClockHz:    300e6,
-		Latency:    100 * sim.Nanosecond,
-	}
-}
-
 // NewURAM builds a URAM buffer.
 func NewURAM(k *sim.Kernel, cfg URAMConfig) *URAM {
 	if cfg.Size <= 0 {

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func TestCommandsRecycleZeroed(t *testing.T) {
 	buf := tb.host.Alloc(pages*PageSize, PageSize)
 	list := tb.host.Alloc(PageSize, PageSize)
 	for i := 1; i < pages; i++ {
-		tb.host.Mem.Store().WriteBytes(list-tb.host.Mem.Base+uint64(8*(i-1)), le64b(buf+uint64(i*PageSize)))
+		tb.host.Mem.Store().WriteBytes(list-tb.host.Mem.Base+uint64(8*(i-1)), binary.LittleEndian.AppendUint64(nil, buf+uint64(i*PageSize)))
 	}
 	traffic := func() {
 		for _, op := range []uint8{OpWrite, OpRead} {

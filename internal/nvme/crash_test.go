@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"snacc/internal/pcie"
@@ -16,7 +17,7 @@ func (tb *testbench) csts() uint32 {
 	buf := make([]byte, 4)
 	tb.host.Port.Read(tb.bar+RegCSTS, 4, pcie.Bytes(buf), nil)
 	tb.k.Run(0)
-	return le32(buf)
+	return binary.LittleEndian.Uint32(buf)
 }
 
 // ioNoWait submits one I/O SQE and returns how many completions arrived —
@@ -25,7 +26,7 @@ func (tb *testbench) ioNoWait(cmd Command) int {
 	tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), cmd.Marshal())
 	tb.ioTail = (tb.ioTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(le32b(uint32(tb.ioTail))), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tb.ioTail))), nil)
 	tb.k.Run(0)
 	return len(tb.completions) - before
 }
@@ -41,7 +42,7 @@ func (tb *testbench) rebuild() {
 func TestCrashUnmodeledRegisterWriteLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
-	tb.host.Port.Write(tb.bar+0xF0, 4, pcie.Bytes(le32b(0xDEAD)), nil)
+	tb.host.Port.Write(tb.bar+0xF0, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0xDEAD)), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal == 0 {
 		t.Fatal("unmodeled register write did not latch CSTS.CFS")
@@ -50,7 +51,7 @@ func TestCrashUnmodeledRegisterWriteLatchesCFS(t *testing.T) {
 		t.Fatalf("mode = %d, want crashed", tb.dev.Mode())
 	}
 	// A controller reset clears the fatal status and revives the device.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal != 0 {
 		t.Fatal("CSTS.CFS survived a controller reset")
@@ -83,7 +84,7 @@ func TestCrashUnknownQueueDoorbellLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
 	// SQ tail doorbell for queue 5, which was never created.
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*5*4), 4, pcie.Bytes(le32b(1)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*5*4), 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 1)), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal == 0 {
 		t.Fatal("unknown-queue doorbell did not latch CSTS.CFS")
@@ -93,7 +94,7 @@ func TestCrashUnknownQueueDoorbellLatchesCFS(t *testing.T) {
 func TestCrashDoorbellOutOfRangeLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
-	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, pcie.Bytes(le32b(uint32(tbDepth+5))), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tbDepth+5))), nil)
 	tb.k.Run(0)
 	if tb.csts()&CSTSFatal == 0 {
 		t.Fatal("out-of-range doorbell did not latch CSTS.CFS")
@@ -120,7 +121,7 @@ func TestCrashInjectedAtCommandStopsCompletions(t *testing.T) {
 	}
 	// Recover: reset, rebuild, clear the injector, run a command.
 	tb.dev.SetCtrlFaultInjector(nil)
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
 	tb.k.Run(0)
 	tb.rebuild()
 	cmd.CID = 61
@@ -176,8 +177,8 @@ func TestCrashSurpriseRemovalFloatsAllOnes(t *testing.T) {
 		t.Fatalf("removed controller posted %d completions", n)
 	}
 	// No reset can bring it back.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(CCEnable)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, CCEnable)), nil)
 	tb.k.Run(0)
 	if v := tb.csts(); v != ^uint32(0) {
 		t.Fatalf("removed controller answered a reset: CSTS = %#x", v)
@@ -189,7 +190,7 @@ func TestCrashShutdownHandshake(t *testing.T) {
 	tb.enable()
 	tb.createIOQueues()
 	// CC.SHN = normal shutdown; keep EN set per spec.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(CCEnable|CCShutdownNormal)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, CCEnable|CCShutdownNormal)), nil)
 	// Poll without draining the event queue: processing must be visible
 	// before the ShutdownDelay elapses.
 	var seen uint32
@@ -197,7 +198,7 @@ func TestCrashShutdownHandshake(t *testing.T) {
 		p.Sleep(sim.Microsecond)
 		buf := make([]byte, 4)
 		tb.host.Port.ReadB(p, tb.bar+RegCSTS, 4, buf)
-		seen = le32(buf)
+		seen = binary.LittleEndian.Uint32(buf)
 	})
 	tb.k.Run(0)
 	if seen&CSTSShutdownMask != CSTSShutdownProcessing {
@@ -213,7 +214,7 @@ func TestCrashShutdownHandshake(t *testing.T) {
 		t.Fatalf("shut-down controller posted %d completions", n)
 	}
 	// Reset + rebuild restarts it.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
 	tb.k.Run(0)
 	tb.rebuild()
 	cmd.CID = 91
@@ -226,12 +227,16 @@ func TestCrashShutdownHandshake(t *testing.T) {
 // one run: nothing may escape sim.Kernel.Run as a panic.
 func TestCrashNoModeledFaultPanics(t *testing.T) {
 	abuses := []func(tb *testbench){
-		func(tb *testbench) { tb.host.Port.Write(tb.bar+0x48, 4, pcie.Bytes(le32b(1)), nil) },
+		func(tb *testbench) {
+			tb.host.Port.Write(tb.bar+0x48, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 1)), nil)
+		},
 		func(tb *testbench) { tb.host.Port.Read(tb.bar+0x48, 4, pcie.Bytes(make([]byte, 4)), nil) },
 		func(tb *testbench) {
-			tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*7*4), 4, pcie.Bytes(le32b(1)), nil)
+			tb.host.Port.Write(tb.bar+RegDoorbellBase+uint64(2*7*4), 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 1)), nil)
 		},
-		func(tb *testbench) { tb.host.Port.Write(tb.bar+RegDoorbellBase+4, 4, pcie.Bytes(le32b(1<<20)), nil) },
+		func(tb *testbench) {
+			tb.host.Port.Write(tb.bar+RegDoorbellBase+4, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 1<<20)), nil)
+		},
 		func(tb *testbench) { tb.dev.Crash() },
 		func(tb *testbench) { tb.dev.Remove() },
 		func(tb *testbench) { tb.dev.Hang(sim.Millisecond) },

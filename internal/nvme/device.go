@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snacc/internal/obs"
@@ -448,30 +449,13 @@ func (b *deviceBAR) CompleteRead(addr uint64, n int64, dst pcie.Payload, done fu
 	d.k.After(100*sim.Nanosecond, done)
 }
 
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
-
-func put32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func put64(b []byte, v uint64) {
-	put32(b, uint32(v))
-	put32(b[4:], uint32(v>>32))
-}
-
 func (d *Device) regWrite(off uint64, data []byte) {
 	if d.mode == ModeRemoved {
 		return // writes to a removed device vanish (master abort)
 	}
 	switch off {
 	case RegCC:
-		d.cc = le32(data)
+		d.cc = binary.LittleEndian.Uint32(data)
 		if d.cc&CCShutdownMask != 0 && d.csts&CSTSShutdownMask == 0 {
 			d.beginShutdown()
 		}
@@ -482,11 +466,11 @@ func (d *Device) regWrite(off uint64, data []byte) {
 			d.reset()
 		}
 	case RegAQA:
-		d.aqa = le32(data)
+		d.aqa = binary.LittleEndian.Uint32(data)
 	case RegASQ:
-		d.asq = le64(data)
+		d.asq = binary.LittleEndian.Uint64(data)
 	case RegACQ:
-		d.acq = le64(data)
+		d.acq = binary.LittleEndian.Uint64(data)
 	default:
 		// Unmodeled register: a real controller treats this as an
 		// unrecoverable protocol violation — latch the fatal status the
@@ -510,20 +494,20 @@ func (d *Device) regRead(off uint64, buf []byte) {
 		// bits 31:24 (units of 500 ms — report 1).
 		var cap64 uint64 = 1023 | 1<<24
 		tmp := make([]byte, 8)
-		put64(tmp, cap64)
+		binary.LittleEndian.PutUint64(tmp, cap64)
 		copy(buf, tmp)
 	case RegVS:
 		// NVMe 1.4.0: major 1, minor 4.
 		tmp := make([]byte, 4)
-		put32(tmp, 1<<16|4<<8)
+		binary.LittleEndian.PutUint32(tmp, 1<<16|4<<8)
 		copy(buf, tmp)
 	case RegCC:
 		tmp := make([]byte, 4)
-		put32(tmp, d.cc)
+		binary.LittleEndian.PutUint32(tmp, d.cc)
 		copy(buf, tmp)
 	case RegCSTS:
 		tmp := make([]byte, 4)
-		put32(tmp, d.csts)
+		binary.LittleEndian.PutUint32(tmp, d.csts)
 		copy(buf, tmp)
 	default:
 		// Unmodeled register: return zeros and latch the fatal status.
@@ -610,7 +594,7 @@ func (d *Device) doorbell(off uint64, data []byte) {
 		d.fatal(fmt.Sprintf("doorbell for unknown queue %d", qid))
 		return
 	}
-	val := int(le32(data))
+	val := int(binary.LittleEndian.Uint32(data))
 	if val < 0 || val >= q.entries {
 		d.fatal(fmt.Sprintf("doorbell value %d out of range for %d-entry queue", val, q.entries))
 		return

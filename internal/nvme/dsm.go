@@ -25,16 +25,6 @@ type DSMRange struct {
 	NLB  uint32
 }
 
-// MarshalDSMRanges encodes descriptors for the command's PRP buffer.
-func MarshalDSMRanges(ranges []DSMRange) []byte {
-	b := make([]byte, len(ranges)*dsmRangeBytes)
-	for i, r := range ranges {
-		binary.LittleEndian.PutUint32(b[i*dsmRangeBytes+4:], r.NLB)
-		binary.LittleEndian.PutUint64(b[i*dsmRangeBytes+8:], r.SLBA)
-	}
-	return b
-}
-
 // executeWriteZeroes clears [SLBA, SLBA+NLB] without a data transfer.
 func (d *Device) executeWriteZeroes(c *command) {
 	cmd := c.cmd

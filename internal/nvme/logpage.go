@@ -38,18 +38,6 @@ func marshalErrorEntry(e ErrorLogEntry, b []byte) {
 	binary.LittleEndian.PutUint64(b[16:], e.LBA)
 }
 
-// UnmarshalErrorEntry decodes one 64-byte error-information entry; the
-// inverse of the device's page encoding.
-func UnmarshalErrorEntry(b []byte) ErrorLogEntry {
-	return ErrorLogEntry{
-		ErrorCount: binary.LittleEndian.Uint64(b[0:]),
-		SQID:       binary.LittleEndian.Uint16(b[8:]),
-		CID:        binary.LittleEndian.Uint16(b[10:]),
-		Status:     binary.LittleEndian.Uint16(b[12:]) >> 1,
-		LBA:        binary.LittleEndian.Uint64(b[16:]),
-	}
-}
-
 const errorLogEntries = 64
 
 // recordError appends to the error log ring (called from complete()).

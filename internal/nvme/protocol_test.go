@@ -1,6 +1,9 @@
 package nvme
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"snacc/internal/pcie"
@@ -73,13 +76,27 @@ func (tb *testbench) reap(head *int, phase *bool, cq uint64) {
 	}
 }
 
-func le32b(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
-func le64b(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
+// marshalDSMRanges encodes Dataset Management range descriptors the way a
+// host lays them out in the command's PRP buffer.
+func marshalDSMRanges(ranges []DSMRange) []byte {
+	b := make([]byte, len(ranges)*dsmRangeBytes)
+	for i, r := range ranges {
+		binary.LittleEndian.PutUint32(b[i*dsmRangeBytes+4:], r.NLB)
+		binary.LittleEndian.PutUint64(b[i*dsmRangeBytes+8:], r.SLBA)
 	}
 	return b
+}
+
+// unmarshalErrorEntry decodes one 64-byte error-information entry the way
+// a host reads the device's Get Log Page output.
+func unmarshalErrorEntry(b []byte) ErrorLogEntry {
+	return ErrorLogEntry{
+		ErrorCount: binary.LittleEndian.Uint64(b[0:]),
+		SQID:       binary.LittleEndian.Uint16(b[8:]),
+		CID:        binary.LittleEndian.Uint16(b[10:]),
+		Status:     binary.LittleEndian.Uint16(b[12:]) >> 1,
+		LBA:        binary.LittleEndian.Uint64(b[16:]),
+	}
 }
 
 // enable runs the register-level bring-up. Queue memory is zeroed first,
@@ -90,10 +107,10 @@ func (tb *testbench) enable() {
 	zero := make([]byte, tbDepth*CQESize)
 	h.Mem.Store().WriteBytes(tb.acq-h.Mem.Base, zero)
 	h.Mem.Store().WriteBytes(tb.ioCQ-h.Mem.Base, zero)
-	h.Port.Write(tb.bar+RegAQA, 4, pcie.Bytes(le32b(uint32(tbDepth-1)|uint32(tbDepth-1)<<16)), nil)
-	h.Port.Write(tb.bar+RegASQ, 8, pcie.Bytes(le64b(tb.asq)), nil)
-	h.Port.Write(tb.bar+RegACQ, 8, pcie.Bytes(le64b(tb.acq)), nil)
-	h.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(CCEnable)), nil)
+	h.Port.Write(tb.bar+RegAQA, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tbDepth-1)|uint32(tbDepth-1)<<16)), nil)
+	h.Port.Write(tb.bar+RegASQ, 8, pcie.Bytes(binary.LittleEndian.AppendUint64(nil, tb.asq)), nil)
+	h.Port.Write(tb.bar+RegACQ, 8, pcie.Bytes(binary.LittleEndian.AppendUint64(nil, tb.acq)), nil)
+	h.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, CCEnable)), nil)
 	tb.k.Run(0)
 }
 
@@ -102,7 +119,7 @@ func (tb *testbench) admin(cmd Command) Completion {
 	tb.host.Mem.Store().WriteBytes(tb.asq-tb.host.Mem.Base+uint64(tb.aTail*SQESize), cmd.Marshal())
 	tb.aTail = (tb.aTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, pcie.Bytes(le32b(uint32(tb.aTail))), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tb.aTail))), nil)
 	tb.k.Run(0)
 	if len(tb.completions) <= before {
 		tb.t.Fatalf("admin command %#x produced no completion", cmd.Opcode)
@@ -127,7 +144,7 @@ func (tb *testbench) io(cmd Command) Completion {
 	tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), cmd.Marshal())
 	tb.ioTail = (tb.ioTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(le32b(uint32(tb.ioTail))), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tb.ioTail))), nil)
 	tb.k.Run(0)
 	if len(tb.completions) <= before {
 		tb.t.Fatalf("I/O command %#x produced no completion", cmd.Opcode)
@@ -269,7 +286,7 @@ func TestProtocolControllerReset(t *testing.T) {
 	tb.enable()
 	tb.createIOQueues()
 	// CC.EN = 0 tears down all queues.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(le32b(0)), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
 	tb.k.Run(0)
 	csts := make([]byte, 4)
 	tb.host.Port.Read(tb.bar+RegCSTS, 4, pcie.Bytes(csts), nil)
@@ -320,11 +337,11 @@ func TestProtocolSMARTLogPage(t *testing.T) {
 	}
 	page := make([]byte, 512)
 	tb.host.Mem.Store().ReadBytes(logBuf-tb.host.Mem.Base, page)
-	writes := le64(page[80:88])
+	writes := binary.LittleEndian.Uint64(page[80:88])
 	if writes != 1 {
 		t.Fatalf("SMART host writes = %d, want 1", writes)
 	}
-	units := le64(page[48:56])
+	units := binary.LittleEndian.Uint64(page[48:56])
 	if units != 1 {
 		t.Fatalf("SMART data units written = %d, want 1", units)
 	}
@@ -360,10 +377,10 @@ func TestProtocolErrorLogPage(t *testing.T) {
 	page := make([]byte, 128)
 	tb.host.Mem.Store().ReadBytes(logBuf-tb.host.Mem.Base, page)
 	// Newest first: entry 0 is the CID-23 error.
-	if cid := le32(page[10:14]) & 0xFFFF; cid != 23 {
+	if cid := binary.LittleEndian.Uint32(page[10:14]) & 0xFFFF; cid != 23 {
 		t.Fatalf("newest log entry CID = %d, want 23", cid)
 	}
-	if cnt := le64(page[0:8]); cnt != 2 {
+	if cnt := binary.LittleEndian.Uint64(page[0:8]); cnt != 2 {
 		t.Fatalf("newest error count = %d, want 2", cnt)
 	}
 }
@@ -427,7 +444,7 @@ func TestProtocolDatasetManagementTrim(t *testing.T) {
 			t.Fatalf("write: %#x", c.Status)
 		}
 	}
-	ranges := MarshalDSMRanges([]DSMRange{{SLBA: 100, NLB: 1}, {SLBA: 5000, NLB: 1}})
+	ranges := marshalDSMRanges([]DSMRange{{SLBA: 100, NLB: 1}, {SLBA: 5000, NLB: 1}})
 	dsmBuf := tb.host.Alloc(PageSize, PageSize)
 	tb.host.Mem.Store().WriteBytes(dsmBuf-tb.host.Mem.Base, ranges)
 	dsm := Command{Opcode: OpDatasetMgmt, CID: 34, NSID: 1, PRP1: dsmBuf,
@@ -447,11 +464,69 @@ func TestProtocolDatasetManagementTrim(t *testing.T) {
 	}
 }
 
+// TestProtocolDSMLargeRangeStaysSparse pins that deallocate drops media
+// pages instead of writing zeros over the range: a 256 MiB trim allocates
+// almost nothing, never grows the media store, reads back as zeros, and
+// leaves the bytes just outside the range intact. The range starts and ends
+// one LBA into a 4 KiB page, so both boundary pages are cleared only in part.
+func TestProtocolDSMLargeRangeStaysSparse(t *testing.T) {
+	const (
+		slba = 2049                // one LBA into the page at LBA 2048
+		nlb  = 256 << 20 / 512     // 256 MiB
+		end  = slba + nlb          // first LBA past the range, one into its page
+		mid  = slba + nlb/2 + 1000 // a written page well inside the range
+	)
+	tb := newTestbench(t, nil)
+	tb.enable()
+	tb.createIOQueues()
+	store := tb.dev.NAND().Store()
+	buf := tb.host.Alloc(PageSize, PageSize)
+	tb.host.Mem.Store().WriteBytes(buf-tb.host.Mem.Base, bytes.Repeat([]byte{0xCD}, PageSize))
+	for i, lba := range []uint64{slba - 1, mid, end - 1} {
+		w := Command{Opcode: OpWrite, CID: uint16(40 + i), NSID: 1, PRP1: buf}
+		w.SetSLBA(lba)
+		w.SetNLB(7)
+		if c := tb.io(w); c.Status != StatusSuccess {
+			t.Fatalf("write at LBA %d: %#x", lba, c.Status)
+		}
+	}
+	dsmBuf := tb.host.Alloc(PageSize, PageSize)
+	tb.host.Mem.Store().WriteBytes(dsmBuf-tb.host.Mem.Base, marshalDSMRanges([]DSMRange{{SLBA: slba, NLB: nlb}}))
+	pagesBefore := store.Pages()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	c := tb.io(Command{Opcode: OpDatasetMgmt, CID: 43, NSID: 1, PRP1: dsmBuf, CDW11: 1 << 2 /* AD */})
+	runtime.ReadMemStats(&m1)
+	if c.Status != StatusSuccess {
+		t.Fatalf("dsm: %#x", c.Status)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a 256 MiB trim allocated %d bytes, want < 1 MiB", alloc)
+	}
+	if pagesAfter := store.Pages(); pagesAfter > pagesBefore {
+		t.Errorf("trim grew the media store from %d to %d pages", pagesBefore, pagesAfter)
+	}
+	got := make([]byte, PageSize)
+	check := func(lba uint64, want []byte) {
+		store.ReadBytes(lba*512, got)
+		if !bytes.Equal(got, want) {
+			t.Errorf("read-back of LBA %d after the trim is wrong", lba)
+		}
+	}
+	// Each boundary page keeps its one LBA outside the range.
+	check(slba-1, append(bytes.Repeat([]byte{0xCD}, 512), make([]byte, 3584)...))
+	check(end-1, append(make([]byte, 512), bytes.Repeat([]byte{0xCD}, 3584)...))
+	check(mid, make([]byte, PageSize))
+	if tb.dev.Errors() != 0 {
+		t.Fatalf("device errors: %d", tb.dev.Errors())
+	}
+}
+
 func TestProtocolDSMOutOfRange(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
 	tb.createIOQueues()
-	ranges := MarshalDSMRanges([]DSMRange{{SLBA: 1 << 60, NLB: 1}})
+	ranges := marshalDSMRanges([]DSMRange{{SLBA: 1 << 60, NLB: 1}})
 	dsmBuf := tb.host.Alloc(PageSize, PageSize)
 	tb.host.Mem.Store().WriteBytes(dsmBuf-tb.host.Mem.Base, ranges)
 	dsm := Command{Opcode: OpDatasetMgmt, CID: 35, NSID: 1, PRP1: dsmBuf,

@@ -170,7 +170,7 @@ func TestErrorEntryRoundTripProperty(t *testing.T) {
 			Status: status & 0x7FFF, LBA: lba}
 		b := make([]byte, 64)
 		marshalErrorEntry(e, b)
-		return UnmarshalErrorEntry(b) == e
+		return unmarshalErrorEntry(b) == e
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

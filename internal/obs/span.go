@@ -227,13 +227,6 @@ func NewTracer(limit int) *Tracer {
 	return &Tracer{limit: limit}
 }
 
-// Begin opens a span for one NVMe command, marking StageAccepted at `at`.
-// Equivalent to BeginTenant with tenant 0, so untenanted callers need no
-// change when tenancy is off.
-func (t *Tracer) Begin(op uint8, write bool, addr uint64, n int64, at sim.Time) *Span {
-	return t.BeginTenant(op, write, addr, n, at, 0)
-}
-
 // SetNode records the cluster node identity this tracer traces for; every
 // span it subsequently opens carries the id. Nil-receiver safe.
 func (t *Tracer) SetNode(id int) {

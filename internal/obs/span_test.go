@@ -8,7 +8,7 @@ import (
 
 func TestSpanLifecycle(t *testing.T) {
 	tr := NewTracer(8)
-	sp := tr.Begin(0x02, false, 0x1000, 4096, 10)
+	sp := tr.BeginTenant(0x02, false, 0x1000, 4096, 10, 0)
 	if sp.ID != 0 || sp.Stages[StageAccepted] != 10 {
 		t.Fatalf("Begin: id=%d accepted=%v", sp.ID, sp.Stages[StageAccepted])
 	}
@@ -54,7 +54,7 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestSpanResubmitClearsDevicePath(t *testing.T) {
 	tr := NewTracer(8)
-	sp := tr.Begin(0x01, true, 0, 512, 0)
+	sp := tr.BeginTenant(0x01, true, 0, 512, 0, 0)
 	sp.Mark(StageBufReady, 1)
 	sp.Mark(StageSubmitted, 2)
 	sp.Mark(StageDoorbell, 2)
@@ -95,7 +95,7 @@ func TestSpanMonotoneDetectsRegression(t *testing.T) {
 func TestTracerSpanLimitAndNilSafety(t *testing.T) {
 	tr := NewTracer(2)
 	for i := 0; i < 5; i++ {
-		sp := tr.Begin(0x02, false, 0, 512, sim.Time(i))
+		sp := tr.BeginTenant(0x02, false, 0, 512, sim.Time(i), 0)
 		tr.End(sp, 0, sim.Time(i+1))
 	}
 	if len(tr.Spans()) != 2 || tr.Dropped() != 3 {
@@ -111,7 +111,7 @@ func TestTracerSpanLimitAndNilSafety(t *testing.T) {
 
 	// A nil tracer and nil span must be inert at every call site.
 	var nilTr *Tracer
-	sp := nilTr.Begin(0, false, 0, 0, 0)
+	sp := nilTr.BeginTenant(0, false, 0, 0, 0, 0)
 	if sp != nil {
 		t.Fatal("nil tracer returned a span")
 	}
@@ -167,7 +167,7 @@ func TestTracerDoorbellCounters(t *testing.T) {
 // inert after close.
 func TestSpanSetQueue(t *testing.T) {
 	tr := NewTracer(4)
-	sp := tr.Begin(0x02, false, 0, 512, 0)
+	sp := tr.BeginTenant(0x02, false, 0, 512, 0, 0)
 	sp.SetQueue(2)
 	if sp.Queue != 2 {
 		t.Fatalf("Queue = %d, want 2", sp.Queue)
@@ -182,7 +182,7 @@ func TestSpanSetQueue(t *testing.T) {
 func TestBreakdown(t *testing.T) {
 	tr := NewTracer(8)
 	mk := func(write bool, base sim.Time) {
-		sp := tr.Begin(0x02, write, 0, 512, base)
+		sp := tr.BeginTenant(0x02, write, 0, 512, base, 0)
 		sp.Mark(StageSubmitted, base+2)
 		sp.Mark(StageCQE, base+10)
 		tr.End(sp, 0, base+11)
@@ -224,7 +224,7 @@ func TestTracerTenantCounters(t *testing.T) {
 	tr := NewTracer(8)
 	a := tr.BeginTenant(0x02, false, 0, 4096, 1, 0)
 	b := tr.BeginTenant(0x02, false, 0, 4096, 2, 2)
-	c := tr.Begin(0x01, true, 0, 4096, 3) // tenant 0
+	c := tr.BeginTenant(0x01, true, 0, 4096, 3, 0) // tenant 0
 	d := tr.BeginTenant(0x01, true, 0, 4096, 4, -7)
 	if b.Tenant != 2 || a.Tenant != 0 || c.Tenant != 0 || d.Tenant != 0 {
 		t.Fatalf("tenants = %d/%d/%d/%d", a.Tenant, b.Tenant, c.Tenant, d.Tenant)
@@ -267,7 +267,7 @@ func TestTracerTenantCounters(t *testing.T) {
 // its Annots) returned by Spans must not change what the next call returns.
 func TestSpansDeepCopy(t *testing.T) {
 	tr := NewTracer(8)
-	sp := tr.Begin(0x02, false, 0, 4096, 1)
+	sp := tr.BeginTenant(0x02, false, 0, 4096, 1, 0)
 	sp.Annotate(AnnotRetry, 5)
 	sp.Annotate(AnnotTimeout, 6)
 	tr.End(sp, 0, 10)
@@ -295,7 +295,7 @@ func TestSpanNodeAttribution(t *testing.T) {
 	if tr.Node() != 3 {
 		t.Fatalf("Node() = %d, want 3", tr.Node())
 	}
-	sp := tr.Begin(0x02, false, 0, 4096, 1)
+	sp := tr.BeginTenant(0x02, false, 0, 4096, 1, 0)
 	if sp.Node != 3 {
 		t.Fatalf("span opened with Node %d, want 3", sp.Node)
 	}

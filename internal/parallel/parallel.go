@@ -98,13 +98,3 @@ func Map[T any](e *Engine, n int, job func(i int) T) []T {
 	e.Run(n, func(i int) { out[i] = job(i) })
 	return out
 }
-
-// MapSlice maps job over the elements of in, preserving order.
-func MapSlice[S, T any](e *Engine, in []S, job func(S) T) []T {
-	return Map(e, len(in), func(i int) T { return job(in[i]) })
-}
-
-// Do runs a heterogeneous list of jobs to completion.
-func Do(e *Engine, jobs ...func()) {
-	e.Run(len(jobs), func(i int) { jobs[i]() })
-}

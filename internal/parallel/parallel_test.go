@@ -105,21 +105,4 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("New(-3).Workers() = %d", got)
 	}
 	New(2).Run(0, func(int) { t.Fatal("job ran for n=0") })
-	Do(New(4)) // empty job list is a no-op
-}
-
-func TestMapSliceAndDo(t *testing.T) {
-	e := New(4)
-	got := MapSlice(e, []string{"a", "bb", "ccc"}, func(s string) int { return len(s) })
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("MapSlice = %v", got)
-	}
-	var a, b int32
-	Do(e,
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-	)
-	if a != 1 || b != 2 {
-		t.Fatalf("Do did not run all jobs: a=%d b=%d", a, b)
-	}
 }

@@ -184,13 +184,7 @@ func TestResourceAccounting(t *testing.T) {
 		if r.InUse() != 3 || r.Available() != 2 {
 			t.Errorf("InUse=%d Available=%d, want 3/2", r.InUse(), r.Available())
 		}
-		if r.TryAcquire(3) {
-			t.Error("TryAcquire beyond capacity succeeded")
-		}
-		if !r.TryAcquire(2) {
-			t.Error("TryAcquire within capacity failed")
-		}
-		r.Release(5)
+		r.Release(3)
 		if r.InUse() != 0 {
 			t.Errorf("InUse=%d after full release", r.InUse())
 		}
@@ -238,31 +232,6 @@ func TestPipeIdleGap(t *testing.T) {
 		}
 	})
 	k.Run(0)
-}
-
-func TestPipeAsyncCallback(t *testing.T) {
-	k := NewKernel()
-	pp := NewPipe(k, 1e9, 100)
-	var at Time
-	pp.TransferAsync(1000, func() { at = k.Now() })
-	k.Run(0)
-	if at != 1100 {
-		t.Fatalf("callback at %v, want 1100", at)
-	}
-}
-
-func TestMeterBandwidth(t *testing.T) {
-	k := NewKernel()
-	m := NewMeter(k)
-	k.Spawn("p", func(p *Proc) {
-		m.Start()
-		p.Sleep(Second)
-		m.Add(2e9)
-	})
-	k.Run(0)
-	if got := m.GBps(); got < 1.999 || got > 2.001 {
-		t.Fatalf("GBps = %v, want 2", got)
-	}
 }
 
 func TestRandDeterminism(t *testing.T) {
@@ -354,10 +323,6 @@ func TestServerUtilization(t *testing.T) {
 	u := s.Utilization(0)
 	if u < 0.24 || u > 0.26 {
 		t.Fatalf("utilization = %.3f, want 0.25", u)
-	}
-	s.ResetBusyTime()
-	if s.BusyTime() != 0 {
-		t.Fatal("ResetBusyTime did not clear")
 	}
 }
 

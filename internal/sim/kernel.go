@@ -156,7 +156,6 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	queue    eventQueue
-	stopped  bool
 	executed uint64
 	// nprocs counts live processes so Run can detect a deadlock: events
 	// exhausted while non-daemon processes are still parked. Daemons are
@@ -191,18 +190,14 @@ func (k *Kernel) At(t Time, fn func()) {
 // After schedules fn to run d after the current time.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
-// Stop makes Run return after the event being processed completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until the queue drains, Stop is called, or the
-// optional horizon is reached (horizon <= 0 means no horizon). It returns
+// Run executes events until the queue drains or the optional horizon is
+// reached (horizon <= 0 means no horizon). It returns
 // the time of the last executed event.
 //
 // Run panics if the event queue drains while processes remain parked — that
 // is a deadlock in the modeled hardware and always a bug.
 func (k *Kernel) Run(horizon Time) Time {
-	k.stopped = false
-	for k.queue.len() > 0 && !k.stopped {
+	for k.queue.len() > 0 {
 		// Peek before popping: an over-horizon event stays where it is, so
 		// hitting the horizon costs no pop/re-push re-heapification.
 		if horizon > 0 && k.queue.ev[0].at > horizon {
@@ -214,7 +209,7 @@ func (k *Kernel) Run(horizon Time) Time {
 		k.executed++
 		e.fn()
 	}
-	if !k.stopped && k.queue.len() == 0 && k.parked-k.parkedDaemons > 0 && k.parked == k.nprocs {
+	if k.parked-k.parkedDaemons > 0 && k.parked == k.nprocs {
 		panic(fmt.Sprintf("sim: deadlock at %v: %d non-daemon processes parked with no pending events",
 			k.now, k.parked-k.parkedDaemons))
 	}

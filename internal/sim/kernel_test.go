@@ -64,17 +64,6 @@ func TestKernelHorizon(t *testing.T) {
 	}
 }
 
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	k.At(1, func() { fired++; k.Stop() })
-	k.At(2, func() { fired++ })
-	k.Run(0)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt the run)", fired)
-	}
-}
-
 func TestProcSleepAdvancesTime(t *testing.T) {
 	k := NewKernel()
 	var woke Time
@@ -128,50 +117,6 @@ func TestProcParkWake(t *testing.T) {
 	k.Run(0)
 	if wokeAt != 42 {
 		t.Fatalf("woke at %v, want 42", wokeAt)
-	}
-}
-
-func TestProcParkTimeout(t *testing.T) {
-	k := NewKernel()
-	var timedOut bool
-	k.Spawn("waiter", func(p *Proc) {
-		timedOut = p.ParkTimeout(100)
-	})
-	k.Run(0)
-	if !timedOut {
-		t.Fatal("ParkTimeout with no waker should time out")
-	}
-	if k.Now() != 100 {
-		t.Fatalf("timeout fired at %v, want 100", k.Now())
-	}
-}
-
-func TestProcParkTimeoutWokenFirst(t *testing.T) {
-	k := NewKernel()
-	var timedOut bool
-	var secondParkOK bool
-	var waiter *Proc
-	waiter = k.Spawn("waiter", func(p *Proc) {
-		timedOut = p.ParkTimeout(100)
-		// Re-park; the stale timer at t=100 must not wake this park.
-		p.Park()
-		secondParkOK = true
-	})
-	k.Spawn("waker", func(p *Proc) {
-		p.Sleep(10)
-		waiter.Wake()
-		p.Sleep(500)
-		waiter.Wake()
-	})
-	k.Run(0)
-	if timedOut {
-		t.Fatal("wait was woken at t=10 but reported timeout")
-	}
-	if !secondParkOK {
-		t.Fatal("second park never woke")
-	}
-	if k.Now() < 510 {
-		t.Fatalf("second park woke at %v; stale timeout must not wake it", k.Now())
 	}
 }
 

@@ -64,16 +64,6 @@ func (pp *Pipe) Transfer(p *Proc, n int64) {
 	p.Sleep(done - p.Now())
 }
 
-// TransferAsync moves n bytes and runs fn at delivery time, without
-// involving a process. fn may be nil.
-func (pp *Pipe) TransferAsync(n int64, fn func()) (delivered Time) {
-	done := pp.Reserve(n)
-	if fn != nil {
-		pp.k.At(done, fn)
-	}
-	return done
-}
-
 // BusyUntil returns the time the link finishes serializing queued traffic.
 func (pp *Pipe) BusyUntil() Time { return pp.busyUntil }
 

@@ -34,10 +34,8 @@ type Proc struct {
 	prevLive, nextLive *Proc
 
 	// parked is true while the process waits for an explicit wake rather
-	// than a timer. parkSeq distinguishes successive parks so a stale
-	// timeout cannot wake a later, unrelated park.
-	parked  bool
-	parkSeq uint64
+	// than a timer.
+	parked bool
 	// daemon marks a service loop that legitimately idles forever; parked
 	// daemons do not count toward deadlock detection.
 	daemon bool
@@ -174,7 +172,6 @@ func (p *Proc) Sleep(d Time) {
 // must be paired with exactly one Wake; the synchronization objects in this
 // package maintain that pairing.
 func (p *Proc) Park() {
-	p.parkSeq++
 	p.parked = true
 	p.k.parked++
 	if p.daemon {
@@ -196,20 +193,4 @@ func (p *Proc) Wake() {
 	}
 	k := p.k
 	k.At(k.now, p.run)
-}
-
-// ParkTimeout parks for at most d and reports whether the wait timed out
-// rather than being woken. On timeout the caller is responsible for removing
-// itself from whatever wait queue it joined.
-func (p *Proc) ParkTimeout(d Time) (timedOut bool) {
-	seq := p.parkSeq + 1
-	out := false
-	p.k.After(d, func() {
-		if p.parked && p.parkSeq == seq {
-			out = true
-			p.Wake()
-		}
-	})
-	p.Park()
-	return out
 }

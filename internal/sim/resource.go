@@ -50,19 +50,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	p.Park()
 }
 
-// TryAcquire obtains n units without blocking and reports success. It
-// respects FIFO ordering: it fails while earlier requests wait.
-func (r *Resource) TryAcquire(n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	if r.q.Len() == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and admits queued waiters in FIFO order.
 func (r *Resource) Release(n int64) {
 	if n <= 0 {

@@ -51,7 +51,3 @@ func (s *Server) Utilization(since Time) float64 {
 	}
 	return u
 }
-
-// ResetBusyTime zeroes the cumulative busy counter (for measurement
-// windows).
-func (s *Server) ResetBusyTime() { s.busyAccum = 0 }

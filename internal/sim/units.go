@@ -12,6 +12,3 @@ const (
 // GBps converts a decimal-gigabyte-per-second figure (the unit used
 // throughout the paper) to bytes per second.
 func GBps(v float64) float64 { return v * 1e9 }
-
-// ToGBps converts bytes per second to decimal gigabytes per second.
-func ToGBps(bytesPerSec float64) float64 { return bytesPerSec / 1e9 }

@@ -8,6 +8,7 @@
 package spdk
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snacc/internal/nvme"
@@ -161,7 +162,7 @@ func Attach(p *sim.Proc, host *pcie.Host, barBase uint64, cfg DriverConfig) (*Dr
 	}
 	ns := make([]byte, nvme.PageSize)
 	d.host.Mem.Store().ReadBytes(idBuf-hostMemBase(host), ns)
-	d.nsBlocks = le64(ns[0:])
+	d.nsBlocks = binary.LittleEndian.Uint64(ns[0:])
 	lbads := ns[130]
 	d.lbaSize = 1 << lbads
 
@@ -244,7 +245,7 @@ func (q *hostQueue) reap() {
 		q.cidFree = append(q.cidFree, cqe.CID)
 		// CQ head doorbell + completion processing on the data-path core.
 		q.d.cpu.OccupyAnd(q.d.cfg.CompleteCost, func() {
-			q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id+1)*4, 4, pcie.Bytes(le32b(uint32(q.cqHead))), nil)
+			q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id+1)*4, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(q.cqHead))), nil)
 			if cb != nil {
 				cb(cqe)
 			}
@@ -273,7 +274,7 @@ func (q *hostQueue) submit(cmd nvme.Command, cb func(nvme.Completion)) {
 	q.sqTail = (q.sqTail + 1) % q.entries
 	tail := q.sqTail
 	q.d.cpu.OccupyAnd(q.d.cfg.SubmitCost, func() {
-		q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id)*4, 4, pcie.Bytes(le32b(uint32(tail))), nil)
+		q.d.host.Port.Write(q.d.bar+nvme.RegDoorbellBase+uint64(2*q.id)*4, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tail))), nil)
 	})
 }
 
@@ -292,7 +293,7 @@ func (d *Driver) waitReady(p *sim.Proc) error {
 	for i := 0; i < 1000; i++ {
 		buf := make([]byte, 4)
 		d.regRead(p, nvme.RegCSTS, buf)
-		if le32(buf)&nvme.CSTSReady != 0 {
+		if binary.LittleEndian.Uint32(buf)&nvme.CSTSReady != 0 {
 			return nil
 		}
 		p.Sleep(10 * sim.Microsecond)
@@ -303,53 +304,15 @@ func (d *Driver) waitReady(p *sim.Proc) error {
 // Register access helpers.
 
 func (d *Driver) regWrite32(p *sim.Proc, off uint64, v uint32) {
-	d.host.Port.WriteB(p, d.bar+off, 4, le32b(v))
+	d.host.Port.WriteB(p, d.bar+off, 4, binary.LittleEndian.AppendUint32(nil, v))
 }
 
 func (d *Driver) regWrite64(p *sim.Proc, off uint64, v uint64) {
-	b := make([]byte, 8)
-	copy(b, le32b(uint32(v)))
-	copy(b[4:], le32b(uint32(v>>32)))
-	d.host.Port.WriteB(p, d.bar+off, 8, b)
+	d.host.Port.WriteB(p, d.bar+off, 8, binary.LittleEndian.AppendUint64(nil, v))
 }
 
 func (d *Driver) regRead(p *sim.Proc, off uint64, buf []byte) {
 	d.host.Port.ReadB(p, d.bar+off, int64(len(buf)), buf)
 }
 
-// Little-endian helpers (kept local; encoding/binary needs slices anyway).
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
-
-func le32b(v uint32) []byte {
-	return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-}
-
 func hostMemBase(h *pcie.Host) uint64 { return h.Mem.Base }
-
-// Detach tears the controller down cleanly: delete the I/O queues (SQ
-// before CQ, per spec), then disable the controller.
-func (d *Driver) Detach(p *sim.Proc) error {
-	for _, q := range d.ioQs {
-		if _, err := d.adminCmd(p, nvme.Command{Opcode: nvme.OpDeleteIOSQ, CDW10: uint32(q.id)}); err != nil {
-			return err
-		}
-	}
-	d.ioQs = nil
-	d.regWrite32(p, nvme.RegCC, 0)
-	for i := 0; i < 1000; i++ {
-		buf := make([]byte, 4)
-		d.regRead(p, nvme.RegCSTS, buf)
-		if le32(buf)&nvme.CSTSReady == 0 {
-			return nil
-		}
-		p.Sleep(10 * sim.Microsecond)
-	}
-	return fmt.Errorf("spdk: controller never cleared ready on disable")
-}

@@ -2,8 +2,6 @@ package spdk
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"snacc/internal/nvme"
@@ -241,182 +239,6 @@ func TestMultipleQueuePairs(t *testing.T) {
 	if !done {
 		t.Fatal("multi-QP test incomplete")
 	}
-	if dev.Errors() != 0 {
-		t.Fatalf("device errors: %d", dev.Errors())
-	}
-}
-
-func TestReadSMARTThroughDriver(t *testing.T) {
-	k, host, _ := rig(false)
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, DefaultDriverConfig())
-		if err != nil {
-			t.Errorf("Attach: %v", err)
-			return
-		}
-		buf := d.AllocBuffer(sim.MiB)
-		if err := d.Write(p, 0, 2048, buf, nil); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		sm, err := d.ReadSMART(p)
-		if err != nil {
-			t.Errorf("ReadSMART: %v", err)
-			return
-		}
-		if sm.HostWrites != 1 {
-			t.Errorf("HostWrites = %d, want 1", sm.HostWrites)
-		}
-		if sm.DataUnitsWritten == 0 {
-			t.Error("DataUnitsWritten = 0")
-		}
-		if sm.TemperatureK < 280 || sm.TemperatureK > 360 {
-			t.Errorf("temperature %d K implausible", sm.TemperatureK)
-		}
-	})
-	k.Run(0)
-}
-
-func TestWriteZeroesAndTrim(t *testing.T) {
-	k, host, dev := rig(true)
-	cfg := DefaultDriverConfig()
-	cfg.Functional = true
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, cfg)
-		if err != nil {
-			t.Errorf("Attach: %v", err)
-			return
-		}
-		buf := d.AllocBuffer(4096)
-		data := bytes.Repeat([]byte{0xCD}, 4096)
-		if err := d.Write(p, 0, 8, buf, data); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := d.WriteZeroes(p, 0, 4); err != nil {
-			t.Errorf("write zeroes: %v", err)
-		}
-		got := make([]byte, 4096)
-		if err := d.Read(p, 0, 8, buf, got); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if got[0] != 0 || got[2047] != 0 {
-			t.Error("zeroed range not zero")
-		}
-		if got[2048] != 0xCD {
-			t.Error("data beyond zeroed range clobbered")
-		}
-		if err := d.Trim(p, []nvme.DSMRange{{SLBA: 4, NLB: 4}}); err != nil {
-			t.Errorf("trim: %v", err)
-		}
-		if err := d.Read(p, 0, 8, buf, got); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if got[2048] != 0 {
-			t.Error("trimmed range still holds data")
-		}
-	})
-	k.Run(0)
-	if dev.Errors() != 0 {
-		t.Fatalf("device errors: %d", dev.Errors())
-	}
-}
-
-// TestTrimLargeRangeStaysSparse pins that deallocate drops media pages
-// instead of writing zeros over the range: a 256 MiB trim allocates almost
-// nothing, never grows the media store, reads back as zeros, and leaves the
-// bytes just outside the range intact. The range starts and ends one LBA
-// into a 4 KiB page, so both boundary pages are cleared only in part.
-func TestTrimLargeRangeStaysSparse(t *testing.T) {
-	const (
-		slba = 2049                // one LBA into the page at LBA 2048
-		nlb  = 256 << 20 / 512     // 256 MiB
-		end  = slba + nlb          // first LBA past the range, one into its page
-		mid  = slba + nlb/2 + 1000 // a written page well inside the range
-	)
-	k, host, dev := rig(true)
-	cfg := DefaultDriverConfig()
-	cfg.Functional = true
-	store := dev.NAND().Store()
-	var alloc uint64
-	var pagesBefore, pagesAfter int
-	var failure string
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, cfg)
-		if err != nil {
-			failure = "attach: " + err.Error()
-			return
-		}
-		buf := d.AllocBuffer(4096)
-		page := bytes.Repeat([]byte{0xCD}, 4096)
-		for _, lba := range []uint64{slba - 1, mid, end - 1} {
-			if err := d.Write(p, lba, 8, buf, page); err != nil {
-				failure = "write: " + err.Error()
-				return
-			}
-		}
-		pagesBefore = store.Pages()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		err = d.Trim(p, []nvme.DSMRange{{SLBA: slba, NLB: nlb}})
-		runtime.ReadMemStats(&m1)
-		alloc = m1.TotalAlloc - m0.TotalAlloc
-		pagesAfter = store.Pages()
-		if err != nil {
-			failure = "trim: " + err.Error()
-			return
-		}
-		got := make([]byte, 4096)
-		check := func(lba uint64, want []byte) {
-			if failure == "" && (d.Read(p, lba, 8, buf, got) != nil || !bytes.Equal(got, want)) {
-				failure = fmt.Sprintf("read-back of LBA %d after the trim is wrong", lba)
-			}
-		}
-		// Each boundary page keeps its one LBA outside the range.
-		check(slba-1, append(bytes.Repeat([]byte{0xCD}, 512), make([]byte, 3584)...))
-		check(end-1, append(make([]byte, 512), bytes.Repeat([]byte{0xCD}, 3584)...))
-		check(mid, make([]byte, 4096))
-	})
-	k.Run(0)
-	if failure != "" {
-		t.Fatal(failure)
-	}
-	if alloc >= 1<<20 {
-		t.Errorf("a 256 MiB trim allocated %d bytes, want < 1 MiB", alloc)
-	}
-	if pagesAfter > pagesBefore {
-		t.Errorf("trim grew the media store from %d to %d pages", pagesBefore, pagesAfter)
-	}
-	if dev.Errors() != 0 {
-		t.Fatalf("device errors: %d", dev.Errors())
-	}
-}
-
-func TestDetachAndReattach(t *testing.T) {
-	k, host, dev := rig(false)
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, DefaultDriverConfig())
-		if err != nil {
-			t.Errorf("attach: %v", err)
-			return
-		}
-		buf := d.AllocBuffer(4096)
-		if err := d.Write(p, 0, 8, buf, nil); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := d.Detach(p); err != nil {
-			t.Errorf("detach: %v", err)
-			return
-		}
-		// A fresh attach must bring the controller back.
-		d2, err := Attach(p, host, testBAR, DefaultDriverConfig())
-		if err != nil {
-			t.Errorf("re-attach: %v", err)
-			return
-		}
-		if err := d2.Write(p, 8, 8, buf, nil); err != nil {
-			t.Errorf("write after re-attach: %v", err)
-		}
-	})
-	k.Run(0)
 	if dev.Errors() != 0 {
 		t.Fatalf("device errors: %d", dev.Errors())
 	}

@@ -92,7 +92,8 @@ func TestIntermittentFaultsDoNotWedgeTheQueue(t *testing.T) {
 }
 
 func TestFaultsCountInErrorLog(t *testing.T) {
-	k, out := faultRig(t, func(cmd nvme.Command) uint16 {
+	k, _, dev, out := attach(t, false, 0)
+	dev.SetFaultInjector(func(cmd nvme.Command) uint16 {
 		if cmd.Opcode == nvme.OpWrite {
 			return nvme.StatusInternalError
 		}
@@ -109,12 +110,8 @@ func TestFaultsCountInErrorLog(t *testing.T) {
 				t.Fatal("injected fault not surfaced")
 			}
 		}
-		entries, err := d.ReadErrorLog(p, 4)
-		if err != nil {
-			t.Fatalf("ReadErrorLog: %v", err)
-		}
 		nonEmpty := 0
-		for _, e := range entries {
+		for _, e := range dev.ErrorLog() {
 			if e.Status != 0 {
 				nonEmpty++
 			}

@@ -1,6 +1,7 @@
 package spdk
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snacc/internal/nvme"
@@ -66,17 +67,11 @@ func (d *Driver) buildPRPs(cmd *nvme.Command, bufAddr uint64, n int64) uint64 {
 	list := d.allocPRPPage()
 	entries := make([]byte, (pages-1)*8)
 	for i := 1; i < pages; i++ {
-		putLE64(entries[(i-1)*8:], bufAddr+uint64(i)*nvme.PageSize)
+		binary.LittleEndian.PutUint64(entries[(i-1)*8:], bufAddr+uint64(i)*nvme.PageSize)
 	}
 	d.host.Mem.Store().WriteBytes(list-hostMemBase(d.host), entries)
 	cmd.PRP2 = list
 	return list
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // io submits one (possibly split) I/O and invokes cb once every piece has
@@ -183,100 +178,5 @@ func (d *Driver) Write(p *sim.Proc, slba uint64, blocks uint32, bufAddr uint64, 
 func (d *Driver) Flush(p *sim.Proc) error {
 	ch := sim.NewChan[error](d.k, 1)
 	d.FlushAsync(func(err error) { ch.TryPut(err) })
-	return ch.Get(p)
-}
-
-// ReadSMART fetches the SMART/health log page and decodes the counters the
-// model maintains.
-func (d *Driver) ReadSMART(p *sim.Proc) (SMART, error) {
-	buf := d.AllocBuffer(nvme.PageSize)
-	cmd := nvme.Command{
-		Opcode: nvme.OpGetLogPage,
-		PRP1:   buf,
-		CDW10:  uint32(nvme.LogPageSMART) | uint32(512/4-1)<<16,
-	}
-	ch := sim.NewChan[nvme.Completion](d.k, 1)
-	d.admin.submit(cmd, func(c nvme.Completion) { ch.TryPut(c) })
-	cpl := ch.Get(p)
-	if cpl.Status != nvme.StatusSuccess {
-		return SMART{}, &nvme.StatusError{Op: cmd.Opcode, CID: cpl.CID, Status: cpl.Status}
-	}
-	page := make([]byte, 512)
-	d.host.Mem.Store().ReadBytes(buf-hostMemBase(d.host), page)
-	return SMART{
-		TemperatureK:     uint16(page[1]) | uint16(page[2])<<8,
-		DataUnitsRead:    le64(page[32:40]),
-		DataUnitsWritten: le64(page[48:56]),
-		HostReads:        le64(page[64:72]),
-		HostWrites:       le64(page[80:88]),
-		ErrorLogEntries:  le64(page[176:184]),
-	}, nil
-}
-
-// ReadErrorLog fetches up to max entries of the error-information log page
-// (newest first); zero-valued entries mean the log holds fewer errors.
-func (d *Driver) ReadErrorLog(p *sim.Proc, max int) ([]nvme.ErrorLogEntry, error) {
-	if max <= 0 || max > int(nvme.PageSize/64) {
-		return nil, fmt.Errorf("spdk: error log supports 1..%d entries per read", nvme.PageSize/64)
-	}
-	n := int64(max) * 64
-	buf := d.AllocBuffer(nvme.PageSize)
-	cmd := nvme.Command{
-		Opcode: nvme.OpGetLogPage,
-		PRP1:   buf,
-		CDW10:  uint32(nvme.LogPageError) | uint32(n/4-1)<<16,
-	}
-	ch := sim.NewChan[nvme.Completion](d.k, 1)
-	d.admin.submit(cmd, func(c nvme.Completion) { ch.TryPut(c) })
-	cpl := ch.Get(p)
-	if cpl.Status != nvme.StatusSuccess {
-		return nil, &nvme.StatusError{Op: cmd.Opcode, CID: cpl.CID, Status: cpl.Status}
-	}
-	page := make([]byte, n)
-	d.host.Mem.Store().ReadBytes(buf-hostMemBase(d.host), page)
-	entries := make([]nvme.ErrorLogEntry, max)
-	for i := range entries {
-		entries[i] = nvme.UnmarshalErrorEntry(page[i*64:])
-	}
-	return entries, nil
-}
-
-// SMART is the decoded subset of the SMART/health log.
-type SMART struct {
-	TemperatureK     uint16
-	DataUnitsRead    uint64
-	DataUnitsWritten uint64
-	HostReads        uint64
-	HostWrites       uint64
-	ErrorLogEntries  uint64
-}
-
-// WriteZeroes clears blocks logical blocks starting at slba without a data
-// transfer.
-func (d *Driver) WriteZeroes(p *sim.Proc, slba uint64, blocks uint32) error {
-	cmd := nvme.Command{Opcode: nvme.OpWriteZeroes, NSID: 1}
-	cmd.SetSLBA(slba)
-	cmd.SetNLB(blocks - 1)
-	ch := sim.NewChan[error](d.k, 1)
-	d.io1(cmd, 0, func(err error) { ch.TryPut(err) })
-	return ch.Get(p)
-}
-
-// Trim deallocates the given ranges with one Dataset Management command.
-func (d *Driver) Trim(p *sim.Proc, ranges []nvme.DSMRange) error {
-	if len(ranges) == 0 || len(ranges) > 256 {
-		return fmt.Errorf("spdk: trim needs 1..256 ranges")
-	}
-	buf := d.AllocBuffer(nvme.PageSize)
-	d.host.Mem.Store().WriteBytes(buf-hostMemBase(d.host), nvme.MarshalDSMRanges(ranges))
-	cmd := nvme.Command{
-		Opcode: nvme.OpDatasetMgmt,
-		NSID:   1,
-		PRP1:   buf,
-		CDW10:  uint32(len(ranges) - 1),
-		CDW11:  1 << 2, // deallocate
-	}
-	ch := sim.NewChan[error](d.k, 1)
-	d.io1(cmd, 0, func(err error) { ch.TryPut(err) })
 	return ch.Get(p)
 }

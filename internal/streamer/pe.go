@@ -56,8 +56,8 @@ func (c *Client) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
 	c.writeAsyncT(p, 0, addr, n, data)
 }
 
-// writeAsyncT is WriteAsync with the command attributed to a tenant, so a
-// TenantHub's issue path keeps span ownership across striping. A write of
+// writeAsyncT is WriteAsync with the command attributed to a tenant, so
+// spans opened by a TenantHub's commands carry the tenant. A write of
 // n <= 0 is a bare header with TLAST: the Streamer acknowledges it as an
 // empty write and a hub rejects it, and neither waits for data.
 func (c *Client) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
@@ -192,12 +192,7 @@ func (c *Client) Read(p *sim.Proc, addr uint64, n int64) []byte {
 // ReadErr performs a blocking read of n bytes, surfacing stream error flags
 // instead of panicking on a short delivery.
 func (c *Client) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	return c.readErrT(p, 0, addr, n)
-}
-
-// readErrT is ReadErr with the command attributed to a tenant.
-func (c *Client) readErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byte, error) {
-	c.readAsyncT(p, tenant, addr, n)
+	c.ReadAsync(p, addr, n)
 	got, data, err := c.consumeRead(p, true)
 	if err == nil && got != n {
 		panic("streamer: read returned unexpected length")

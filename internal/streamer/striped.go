@@ -3,9 +3,6 @@ package streamer
 import (
 	"fmt"
 
-	"snacc/internal/axis"
-	"snacc/internal/nvme"
-	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -28,11 +25,6 @@ type Striped struct {
 	// completions delivers one token per finished WriteAsync call, in
 	// issue order, carrying the worst member error (nil on clean writes).
 	completions *sim.Chan[error]
-	// readQ holds reads a TenantHub issued (readAsyncT) until its
-	// completion proc executes them (forwardRead): striped reads block and
-	// must not overlap. Its capacity only has to exceed the hub's
-	// outstanding-command window.
-	readQ *sim.Chan[tenantJob]
 
 	// Degraded-operation counters: stripes that failed terminally on a
 	// member while the rest of the set kept streaming.
@@ -46,7 +38,6 @@ type stripeJob struct {
 	n       int64
 	data    []byte
 	tracker *stripeTracker
-	tenant  int
 }
 
 // stripeTracker counts a write call's outstanding runs and keeps the first
@@ -71,7 +62,6 @@ func NewStriped(k *sim.Kernel, streamers []*Streamer, stripeBytes int64) *Stripe
 		k:           k,
 		stripeBytes: stripeBytes,
 		completions: sim.NewChan[error](k, 1<<20),
-		readQ:       sim.NewChan[tenantJob](k, 1<<16),
 	}
 	for i, st := range streamers {
 		c := NewClient(st)
@@ -86,7 +76,7 @@ func NewStriped(k *sim.Kernel, streamers []*Streamer, stripeBytes int64) *Stripe
 			p.SetDaemon(true)
 			for {
 				j := jobs.Get(p)
-				c.writeAsyncT(p, j.tenant, j.devAddr, j.n, j.data)
+				c.WriteAsync(p, j.devAddr, j.n, j.data)
 				acks.Put(p, j.tracker)
 			}
 		})
@@ -175,12 +165,6 @@ func (s *Striped) byMember(runs []stripeRun) [][]stripeRun {
 // WaitWrite. Independent calls pipeline across images/requests while each
 // member's stream stays correctly framed.
 func (s *Striped) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
-	s.writeAsyncT(p, 0, addr, n, data)
-}
-
-// writeAsyncT is WriteAsync with the command's spans attributed to a tenant,
-// so per-tenant attribution survives striping across members.
-func (s *Striped) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
 	runs := s.mapRange(addr, n)
 	tr := &stripeTracker{remaining: len(runs), s: s}
 	for _, r := range runs {
@@ -188,7 +172,7 @@ func (s *Striped) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, dat
 		if data != nil {
 			d = data[r.off : r.off+r.n]
 		}
-		s.jobs[r.member].Put(p, stripeJob{devAddr: r.devAddr, n: r.n, data: d, tracker: tr, tenant: tenant})
+		s.jobs[r.member].Put(p, stripeJob{devAddr: r.devAddr, n: r.n, data: d, tracker: tr})
 	}
 }
 
@@ -236,34 +220,6 @@ func (s *Striped) Read(p *sim.Proc, addr uint64, n int64) []byte {
 // streaming theirs. On error the returned buffer still holds the survivors'
 // bytes (the dead member's runs read as zero).
 func (s *Striped) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	return s.readErrT(p, 0, addr, n)
-}
-
-// readAsyncT queues a hub read; forwardRead executes it.
-func (s *Striped) readAsyncT(p *sim.Proc, tenant int, addr uint64, n int64) {
-	s.readQ.Put(p, tenantJob{tenant: tenant, addr: addr, n: n})
-}
-
-// forwardRead executes the oldest queued hub read and delivers it to out as
-// one TLAST packet. A failed read carries a CmdError and, in functional
-// mode, the survivors' bytes.
-func (s *Striped) forwardRead(p *sim.Proc, out *axis.Stream) (int64, error) {
-	r := s.readQ.Get(p)
-	data, err := s.readErrT(p, r.tenant, r.addr, r.n)
-	pkt := axis.Packet{Data: pcie.Bytes(data), Last: true}
-	if data != nil || err == nil {
-		// A clean timing-only read delivers no payload but the full count.
-		pkt.Bytes = r.n
-	}
-	if err != nil {
-		pkt.Meta = CmdError{Status: nvme.StatusInternalError, Addr: r.addr, Len: r.n}
-	}
-	out.Send(p, pkt)
-	return pkt.Bytes, err
-}
-
-// readErrT is ReadErr with the command's spans attributed to a tenant.
-func (s *Striped) readErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byte, error) {
 	grouped := s.byMember(s.mapRange(addr, n))
 	out := make([]byte, n)
 	done := sim.NewChan[stripeReadResult](s.k, len(s.clients))
@@ -278,7 +234,7 @@ func (s *Striped) readErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byt
 		s.k.Spawn("stripe.r", func(rp *sim.Proc) {
 			res := stripeReadResult{}
 			for _, r := range runs {
-				d, err := c.readErrT(rp, tenant, r.devAddr, r.n)
+				d, err := c.ReadErr(rp, r.devAddr, r.n)
 				if err != nil {
 					s.degradedReads++
 					if res.err == nil {

@@ -10,14 +10,14 @@ import (
 	"snacc/internal/sim"
 )
 
-// This file virtualizes one streamer (or one striped set) for N tenants —
-// the UltraShare-style sharing layer the ROADMAP's serving north-star needs.
-// Each tenant gets its own PE-facing command/data stream pair and an
-// isolated LBA window; a weighted deficit-round-robin scheduler with
-// per-tenant token buckets and admission control multiplexes the tenants
-// onto the shared submission path (and from there across the PR 5 I/O queue
-// shards). Submissions outside a tenant's window are rejected with a
-// per-tenant CmdError instead of silently touching a neighbor's blocks.
+// This file virtualizes one streamer for N tenants — the UltraShare-style
+// sharing layer the ROADMAP's serving north-star needs. Each tenant gets
+// its own PE-facing command/data stream pair and an isolated LBA window; a
+// weighted deficit-round-robin scheduler with per-tenant token buckets and
+// admission control multiplexes the tenants onto the shared submission
+// path (and from there across the streamer's I/O queue pairs). Submissions
+// outside a tenant's window are rejected with a per-tenant CmdError instead
+// of silently touching a neighbor's blocks.
 
 // TenantConfig describes one tenant of a virtualized streamer.
 type TenantConfig struct {
@@ -199,28 +199,17 @@ func (t *Tenant) release() {
 	}
 }
 
-// tenantTarget is the backend under a hub, implemented by *Client (one
-// Streamer's port) and *Striped. readAsyncT/writeAsyncT run on the hub's
-// single issue proc, which keeps the backend's write stream framing and
-// per-direction completion order intact; forwardRead and WaitWriteErr run on
-// the per-direction completion procs and pair results in issue order.
-type tenantTarget interface {
-	readAsyncT(p *sim.Proc, tenant int, addr uint64, n int64)
-	// forwardRead forwards one read's result packets to out (ending with
-	// TLAST) and returns the successfully delivered payload bytes plus the
-	// first error flagged on the stream.
-	forwardRead(p *sim.Proc, out *axis.Stream) (int64, error)
-	writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte)
-	WaitWriteErr(p *sim.Proc) error
-}
-
-// TenantHub virtualizes one backend (a Streamer or a Striped set) for N
-// tenants. Create it once after the backend is initialized; drive tenants
-// through Client(i) or their exported streams. All hub procs are daemons,
-// so an idle hub never keeps the kernel alive.
+// TenantHub virtualizes one Streamer for N tenants. Create it once after
+// the Streamer is initialized; drive tenants through Client(i) or their
+// exported streams. All hub procs are daemons, so an idle hub never keeps
+// the kernel alive.
 type TenantHub struct {
-	k       *sim.Kernel
-	target  tenantTarget
+	k *sim.Kernel
+	// target drives the Streamer's port. Commands enter it on the hub's
+	// single issue proc, which keeps the write stream framed and makes
+	// per-direction completion order equal issue order; the completion
+	// procs pair results with jobs in that order.
+	target  *Client
 	tenants []*Tenant
 	quantum int64
 	fifo    bool
@@ -241,15 +230,6 @@ type TenantHub struct {
 
 // NewTenantHub virtualizes a single streamer for the given tenants.
 func NewTenantHub(k *sim.Kernel, st *Streamer, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
-	return newTenantHub(k, NewClient(st), st.cfg.StreamCfg, cfgs, opts)
-}
-
-// NewStripedTenantHub virtualizes a striped set for the given tenants.
-func NewStripedTenantHub(k *sim.Kernel, sp *Striped, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
-	return newTenantHub(k, sp, axis.DefaultConfig(), cfgs, opts)
-}
-
-func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("streamer: tenant hub needs at least one tenant")
 	}
@@ -269,7 +249,7 @@ func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfg
 	}
 	h := &TenantHub{
 		k:              k,
-		target:         target,
+		target:         NewClient(st),
 		quantum:        quantum,
 		fifo:           opts.FIFO,
 		maxOutstanding: maxOut,
@@ -311,7 +291,7 @@ func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfg
 		}
 		name := fmt.Sprintf("tenant%d.%s", i, cfg.Name)
 		t := &Tenant{
-			Port:    newPort(k, name, streamCfg),
+			Port:    newPort(k, name, st.cfg.StreamCfg),
 			cfg:     cfg,
 			idx:     i,
 			quantum: quantum * int64(cfg.Weight),

@@ -1,6 +1,7 @@
 package tapasco
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snacc/internal/nvme"
@@ -77,7 +78,7 @@ func (d *Driver) reap() {
 			d.cqHead = 0
 			d.phase = !d.phase
 		}
-		d.pl.Host.Port.Write(d.bar+nvme.RegDoorbellBase+4, 4, pcie.Bytes(le32b(uint32(d.cqHead))), nil)
+		d.pl.Host.Port.Write(d.bar+nvme.RegDoorbellBase+4, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(d.cqHead))), nil)
 		cb := d.pending[cqe.CID]
 		delete(d.pending, cqe.CID)
 		if cb == nil {
@@ -95,7 +96,7 @@ func (d *Driver) adminCmd(p *sim.Proc, cmd nvme.Command) (nvme.Completion, error
 	d.pending[cmd.CID] = func(c nvme.Completion) { ch.TryPut(c) }
 	d.pl.Host.Mem.Store().WriteBytes(d.hostOff(d.asq)+uint64(d.sqTail*nvme.SQESize), cmd.Marshal())
 	d.sqTail = (d.sqTail + 1) % d.adminEntries
-	d.pl.Host.Port.WriteB(p, d.bar+nvme.RegDoorbellBase, 4, le32b(uint32(d.sqTail)))
+	d.pl.Host.Port.WriteB(p, d.bar+nvme.RegDoorbellBase, 4, binary.LittleEndian.AppendUint32(nil, uint32(d.sqTail)))
 	cpl := ch.Get(p)
 	if cpl.Status != nvme.StatusSuccess {
 		return cpl, &nvme.StatusError{Op: cmd.Opcode, CID: cpl.CID, Status: cpl.Status}
@@ -107,11 +108,11 @@ func (d *Driver) adminCmd(p *sim.Proc, cmd nvme.Command) (nvme.Completion, error
 // namespace geometry.
 func (d *Driver) InitController(p *sim.Proc) error {
 	h := d.pl.Host
-	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(0))
-	h.Port.WriteB(p, d.bar+nvme.RegAQA, 4, le32b(uint32(adminDepth-1)|uint32(adminDepth-1)<<16))
-	h.Port.WriteB(p, d.bar+nvme.RegASQ, 8, le64b(d.asq))
-	h.Port.WriteB(p, d.bar+nvme.RegACQ, 8, le64b(d.acq))
-	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(nvme.CCEnable))
+	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, binary.LittleEndian.AppendUint32(nil, 0))
+	h.Port.WriteB(p, d.bar+nvme.RegAQA, 4, binary.LittleEndian.AppendUint32(nil, uint32(adminDepth-1)|uint32(adminDepth-1)<<16))
+	h.Port.WriteB(p, d.bar+nvme.RegASQ, 8, binary.LittleEndian.AppendUint64(nil, d.asq))
+	h.Port.WriteB(p, d.bar+nvme.RegACQ, 8, binary.LittleEndian.AppendUint64(nil, d.acq))
+	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, binary.LittleEndian.AppendUint32(nil, nvme.CCEnable))
 	if err := d.pollCSTS(p, false, "controller never became ready", ready); err != nil {
 		return err
 	}
@@ -124,7 +125,7 @@ func (d *Driver) InitController(p *sim.Proc) error {
 	}
 	ns := make([]byte, nvme.PageSize)
 	h.Mem.Store().ReadBytes(d.hostOff(idBuf), ns)
-	d.nsBlocks = le64(ns[0:8])
+	d.nsBlocks = binary.LittleEndian.Uint64(ns[0:8])
 	d.lbaSize = 1 << ns[130]
 	return nil
 }
@@ -204,7 +205,7 @@ func (d *Driver) createStreamerQueues(p *sim.Proc, st *streamer.Streamer, qid ui
 // floats all-1s), or never becomes ready again.
 func (d *Driver) ResetController(p *sim.Proc) error {
 	h := d.pl.Host
-	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(0))
+	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, binary.LittleEndian.AppendUint32(nil, 0))
 	if err := d.pollCSTS(p, true, "controller never left ready/fatal state", func(v uint32) bool {
 		return v&(nvme.CSTSReady|nvme.CSTSFatal) == 0
 	}); err != nil {
@@ -216,10 +217,10 @@ func (d *Driver) ResetController(p *sim.Proc) error {
 	d.sqTail, d.cqHead, d.phase = 0, 0, true
 	d.pending = make(map[uint16]func(nvme.Completion))
 	h.Mem.Store().WriteBytes(d.hostOff(d.acq), make([]byte, adminDepth*nvme.CQESize))
-	h.Port.WriteB(p, d.bar+nvme.RegAQA, 4, le32b(uint32(adminDepth-1)|uint32(adminDepth-1)<<16))
-	h.Port.WriteB(p, d.bar+nvme.RegASQ, 8, le64b(d.asq))
-	h.Port.WriteB(p, d.bar+nvme.RegACQ, 8, le64b(d.acq))
-	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, le32b(nvme.CCEnable))
+	h.Port.WriteB(p, d.bar+nvme.RegAQA, 4, binary.LittleEndian.AppendUint32(nil, uint32(adminDepth-1)|uint32(adminDepth-1)<<16))
+	h.Port.WriteB(p, d.bar+nvme.RegASQ, 8, binary.LittleEndian.AppendUint64(nil, d.asq))
+	h.Port.WriteB(p, d.bar+nvme.RegACQ, 8, binary.LittleEndian.AppendUint64(nil, d.acq))
+	h.Port.WriteB(p, d.bar+nvme.RegCC, 4, binary.LittleEndian.AppendUint32(nil, nvme.CCEnable))
 	return d.pollCSTS(p, true, "controller never became ready after reset", ready)
 }
 
@@ -232,7 +233,7 @@ func (d *Driver) pollCSTS(p *sim.Proc, absent bool, timeout string, done func(cs
 	for i := 0; ; i++ {
 		buf := make([]byte, 4)
 		d.pl.Host.Port.ReadB(p, d.bar+nvme.RegCSTS, 4, buf)
-		v := le32(buf)
+		v := binary.LittleEndian.Uint32(buf)
 		if absent && v == ^uint32(0) {
 			return fmt.Errorf("tapasco: controller absent (CSTS floats all-1s)")
 		}
@@ -256,26 +257,4 @@ func (d *Driver) ResetAndReattach(p *sim.Proc, st *streamer.Streamer, qid uint16
 		return err
 	}
 	return d.createStreamerQueues(p, st, qid)
-}
-
-// Little-endian helpers.
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
-
-func le32b(v uint32) []byte {
-	return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-}
-
-func le64b(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
 }

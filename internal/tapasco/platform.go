@@ -3,7 +3,9 @@
 // to the PCIe fabric, carves BAR windows for plugins such as the NVMe
 // Streamer, reserves card-DRAM regions behind the single memory controller,
 // and the host-side driver that initializes the NVMe controller and wires
-// its queues to the Streamer.
+// its queues to the Streamer. TaPaSCo's processing-element composition and
+// its host DMA engine are not modeled: every accelerator here sits on the
+// Streamer's AXI4-Stream interface, and no path moves data through a PE.
 package tapasco
 
 import (
@@ -53,17 +55,8 @@ func DefaultU280() PlatformConfig {
 	}
 }
 
-// DefaultXUPVVH returns the second platform the SNAcc plugin supports
-// (§4.5): the Bittware XUP-VVH (VU37P). Same PCIe attachment; its four
-// DDR4 DIMMs give the single TaPaSCo controller a deeper memory.
-func DefaultXUPVVH() PlatformConfig {
-	cfg := DefaultU280()
-	cfg.CardName = "xupvvh"
-	cfg.DRAM.Size = 4 * 16 * sim.GiB
-	return cfg
-}
-
-// Platform is an assembled system: host, fabric, FPGA card.
+// Platform is an assembled system: host, fabric, FPGA card. It hands out
+// BAR windows and card-DRAM regions to the Streamers it instantiates.
 type Platform struct {
 	K      *sim.Kernel
 	Fabric *pcie.Fabric
@@ -75,12 +68,6 @@ type Platform struct {
 	cfg     PlatformConfig
 	barBrk  uint64
 	dramBrk uint64
-
-	// PE composition (pe.go), DMA engine and interrupt plumbing.
-	slots    map[uint32][]*peSlot
-	allSlots []*peSlot
-	dma      *DMAEngine
-	msiBase  uint64
 }
 
 // NewPlatform assembles fabric, host and card.

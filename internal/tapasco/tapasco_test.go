@@ -165,7 +165,10 @@ func TestXUPVVHPlatformRunsTheStack(t *testing.T) {
 	// §4.5: the plugin is available for the U280 and the Bittware XUP-VVH;
 	// the whole stack must initialize and move data on the second platform.
 	k := sim.NewKernel()
-	pl := NewPlatform(k, DefaultXUPVVH())
+	cfg := DefaultU280()
+	cfg.CardName = "xupvvh"
+	cfg.DRAM.Size = 4 * 16 * sim.GiB // four DDR4 DIMMs behind one controller
+	pl := NewPlatform(k, cfg)
 	devCfg := nvme.DefaultConfig("ssd0", testBAR)
 	devCfg.Functional = true
 	nvme.New(k, pl.Fabric, devCfg)
@@ -262,5 +265,15 @@ func TestTwoStreamersOneSSD(t *testing.T) {
 	k.Run(0)
 	if failed {
 		t.Fatal("two-streamer run did not complete")
+	}
+}
+
+func TestPlatformConfigAccessor(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultU280()
+	cfg.CardName = "xupvvh"
+	pl := NewPlatform(k, cfg)
+	if pl.Config().CardName != cfg.CardName {
+		t.Fatal("Config accessor returned wrong config")
 	}
 }
