@@ -40,11 +40,14 @@ race:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'RandomizedDataIntegrity' .
 
-# go vet, then gofmt: any Go file gofmt would change (tracked, or new and not
-# ignored) fails the target and is listed.
+# go vet, then gofmt: any Go file gofmt would change (tracked and present, or
+# new and not ignored) fails the target and is listed, and so does any file
+# gofmt cannot read or parse (including files that go vet's build skips,
+# such as those behind a build tag).
 vet:
 	$(GO) vet ./...
-	@unformatted=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	@files=$$(git ls-files --cached --others --exclude-standard '*.go' | while read -r f; do [ -e "$$f" ] && echo "$$f"; done); \
+	unformatted=$$(gofmt -l $$files) || { echo "gofmt failed"; exit 1; }; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Per-package statement coverage, with a ratchet on the packages whose test

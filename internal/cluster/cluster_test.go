@@ -7,6 +7,7 @@ import (
 
 	"snacc/internal/fault"
 	"snacc/internal/obs"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -104,16 +105,7 @@ func TestClusterWriteFanout(t *testing.T) {
 	}
 	// Read the chunk straight off each replica over the wire.
 	for _, nd := range m.set {
-		nd := nd
-		var got []byte
-		cl.Execute(func(p *sim.Proc) {
-			a := cl.co.request(p, nd, capsule{Op: opRead, Addr: 0, Len: cfg.ChunkBytes}, nil)
-			if !a.rep.OK {
-				t.Errorf("replica %d read failed: %s", nd, a.rep.Err)
-			}
-			got = a.data
-		})
-		if !bytes.Equal(got, data) {
+		if got := readReplica(t, cl, nd, 0, cfg.ChunkBytes); !bytes.Equal(got, data) {
 			t.Fatalf("replica %d holds different bytes (first diff %d)", nd, firstDiff(got, data))
 		}
 	}
@@ -124,6 +116,66 @@ func TestClusterWriteFanout(t *testing.T) {
 	}
 	if want := 3 * cfg.ChunkBytes; fanout != want {
 		t.Fatalf("replica write fan-out moved %d bytes, want %d", fanout, want)
+	}
+}
+
+// readReplica reads n bytes at addr straight off one node over the wire.
+func readReplica(t *testing.T, cl *Cluster, nd int, addr uint64, n int64) []byte {
+	t.Helper()
+	var got []byte
+	cl.Execute(func(p *sim.Proc) {
+		rep := cl.co.request(p, nd, capsule{Op: opRead, Addr: addr, Len: n})
+		if !rep.OK {
+			t.Errorf("replica %d read failed: %s", nd, rep.Err)
+		}
+		got = rep.Data.Bytes()
+		rep.Data.Release()
+	})
+	return got
+}
+
+// TestClusterReplicaCopyOnWrite: the replicas of a chunk share its payload
+// pages copy on write, so a later write to one replica must not reach the
+// other. After an R=2 write, a direct write capsule goes to one replica
+// only; that replica must then serve the new bytes and the other the old.
+// The direct write starts and ends mid-page, so the media both replaces
+// whole shared pages and writes into partly covered ones.
+func TestClusterReplicaCopyOnWrite(t *testing.T) {
+	cl := MustNew(DefaultConfig(3, 2, 1))
+	n := cl.cfg.ChunkBytes
+	old := make([]byte, n)
+	fillPattern(old, 5)
+	cl.Execute(func(p *sim.Proc) {
+		if err := cl.WriteErr(p, 0, n, old); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	m := cl.co.chunks[0]
+	if m == nil || len(m.set) != 2 {
+		t.Fatalf("chunk 0 replica set = %+v, want 2 members", m)
+	}
+	a, b := m.set[0], m.set[1]
+	// Both replicas' media took the chunk's pages by reference.
+	for _, nd := range m.set {
+		if byRef, _ := cl.Card(nd).Dev.NAND().Store().PageMoves(); byRef < n/pcie.PageSize {
+			t.Errorf("replica %d installed %d pages by reference, want >= %d", nd, byRef, n/pcie.PageSize)
+		}
+	}
+	const at = 512
+	fresh := bytes.Clone(old)
+	fillPattern(fresh[at:n-at], 6)
+	cl.Execute(func(p *sim.Proc) {
+		data := pcie.NewPages(0, int(n-2*at))
+		data.WriteAt(fresh[at:n-at], 0)
+		if rep := cl.co.request(p, a, capsule{Op: opWrite, Addr: at, Len: n - 2*at, Data: data}); !rep.OK {
+			t.Errorf("direct write to replica %d failed: %s", a, rep.Err)
+		}
+	})
+	if got := readReplica(t, cl, a, 0, n); !bytes.Equal(got, fresh) {
+		t.Fatalf("written replica %d does not hold the new bytes (first diff %d)", a, firstDiff(got, fresh))
+	}
+	if got := readReplica(t, cl, b, 0, n); !bytes.Equal(got, old) {
+		t.Fatalf("the write to replica %d reached replica %d (first diff %d)", a, b, firstDiff(got, old))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"snacc/internal/ethernet"
 	"snacc/internal/fault"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -45,13 +46,6 @@ type chunkMeta struct {
 	under bool
 }
 
-// arrival pairs a response capsule with its frame payload on its way to a
-// waiting requester.
-type arrival struct {
-	rep  response
-	data []byte
-}
-
 // coordinator owns the cluster state on the coordinator side: the request router,
 // chunk table, health ladder, and repair worker.
 type coordinator struct {
@@ -63,7 +57,7 @@ type coordinator struct {
 	nextID uint64
 	// waiters routes response IDs to requester channels; entries are
 	// removed by whichever of response/watchdog fires first.
-	waiters map[uint64]*sim.Chan[arrival]
+	waiters map[uint64]*sim.Chan[response]
 	// linkRx holds the from-node link injectors, one per node.
 	linkRx []*fault.LinkInjector
 	health []nodeHealth
@@ -94,7 +88,7 @@ func newCoordinator(cl *Cluster, mac *ethernet.MAC) *coordinator {
 		k:          cl.k,
 		mac:        mac,
 		ring:       NewRing(cl.cfg.Nodes),
-		waiters:    make(map[uint64]*sim.Chan[arrival]),
+		waiters:    make(map[uint64]*sim.Chan[response]),
 		health:     make([]nodeHealth, cl.cfg.Nodes),
 		chunks:     make(map[int64]*chunkMeta),
 		repairKick: sim.NewChan[struct{}](cl.k, 1),
@@ -138,16 +132,15 @@ func (co *coordinator) rxLoop(p *sim.Proc) {
 		case fate.Drop:
 			continue
 		case fate.Delay > 0:
-			a := arrival{rep: rep, data: f.Data}
-			co.k.After(fate.Delay, func() { co.route(a) })
+			co.k.After(fate.Delay, func() { co.route(rep) })
 		default:
-			co.route(arrival{rep: rep, data: f.Data})
+			co.route(rep)
 		}
 	}
 }
 
-func (co *coordinator) route(a arrival) {
-	ch, ok := co.waiters[a.rep.ID]
+func (co *coordinator) route(rep response) {
+	ch, ok := co.waiters[rep.ID]
 	if !ok {
 		// The watchdog already resolved this request; the node's answer
 		// (possibly a completed write) is accounted but discarded — the
@@ -156,13 +149,13 @@ func (co *coordinator) route(a arrival) {
 		co.lateReplies++
 		return
 	}
-	delete(co.waiters, a.rep.ID)
-	ch.TryPut(a)
+	delete(co.waiters, rep.ID)
+	ch.TryPut(rep)
 }
 
 // sendReq frames one capsule toward a node and arms its watchdog; the
 // response (or a synthesized timeout) lands on respCh exactly once.
-func (co *coordinator) sendReq(p *sim.Proc, nd int, c capsule, payload []byte, respCh *sim.Chan[arrival]) {
+func (co *coordinator) sendReq(p *sim.Proc, nd int, c capsule, respCh *sim.Chan[response]) {
 	id := co.nextID
 	co.nextID++
 	c.ID = id
@@ -172,7 +165,7 @@ func (co *coordinator) sendReq(p *sim.Proc, nd int, c capsule, payload []byte, r
 	if c.Op == opWrite {
 		wire += c.Len
 	}
-	co.mac.Send(p, ethernet.Frame{Bytes: wire, Data: payload, Meta: c, DstPort: nd + 1})
+	co.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: c, DstPort: nd + 1})
 	co.k.After(co.cfg.RequestTimeout, func() {
 		ch, ok := co.waiters[id]
 		if !ok {
@@ -180,14 +173,14 @@ func (co *coordinator) sendReq(p *sim.Proc, nd int, c capsule, payload []byte, r
 		}
 		delete(co.waiters, id)
 		co.timeouts++
-		ch.TryPut(arrival{rep: response{ID: id, Node: nd, Timeout: true, Err: "request timeout"}})
+		ch.TryPut(response{ID: id, Node: nd, Timeout: true, Err: "request timeout"})
 	})
 }
 
 // request is the blocking single-capsule exchange.
-func (co *coordinator) request(p *sim.Proc, nd int, c capsule, payload []byte) arrival {
-	ch := sim.NewChan[arrival](co.k, 1)
-	co.sendReq(p, nd, c, payload, ch)
+func (co *coordinator) request(p *sim.Proc, nd int, c capsule) response {
+	ch := sim.NewChan[response](co.k, 1)
+	co.sendReq(p, nd, c, ch)
 	return ch.Get(p)
 }
 
@@ -263,8 +256,8 @@ func (co *coordinator) spawnProber(nd int) {
 		for i := 0; i < co.cfg.ProbeLimit; i++ {
 			p.Sleep(co.cfg.ProbeInterval)
 			co.probes++
-			a := co.request(p, nd, capsule{Op: opProbe}, nil)
-			if a.rep.OK && !a.rep.Timeout {
+			rep := co.request(p, nd, capsule{Op: opProbe})
+			if rep.OK && !rep.Timeout {
 				co.rejoin(nd)
 				return
 			}
@@ -402,21 +395,20 @@ func (co *coordinator) write(p *sim.Proc, addr uint64, n int64, data []byte) err
 type writeState struct {
 	co        *coordinator
 	m         *chunkMeta
-	key       int64
 	acked     int
 	remaining int
 	failed    []int
 }
 
-func (st *writeState) absorb(a arrival) {
+func (st *writeState) absorb(rep response) {
 	st.remaining--
-	if a.rep.OK && !a.rep.Timeout {
+	if rep.OK && !rep.Timeout {
 		st.acked++
-		st.co.noteSuccess(a.rep.Node)
+		st.co.noteSuccess(rep.Node)
 		return
 	}
-	st.failed = append(st.failed, a.rep.Node)
-	st.co.noteFailure(a.rep.Node)
+	st.failed = append(st.failed, rep.Node)
+	st.co.noteFailure(rep.Node)
 }
 
 // finalize applies the piece's outcomes to the chunk and releases it: a
@@ -431,7 +423,6 @@ func (st *writeState) finalize() {
 	if !st.m.written {
 		if st.acked > 0 {
 			st.m.written = true
-			co.chunksPlacedCheck(st.key)
 		} else {
 			st.m.set = nil
 		}
@@ -441,14 +432,6 @@ func (st *writeState) finalize() {
 		co.kickRepair()
 	}
 	co.unlockChunk(st.m)
-}
-
-// chunksPlacedCheck exists for debuggability symmetry; placement already
-// recorded the key in co.order.
-func (co *coordinator) chunksPlacedCheck(key int64) {
-	if _, ok := co.chunks[key]; !ok {
-		panic(fmt.Sprintf("cluster: chunk %d written but never placed", key))
-	}
 }
 
 func (co *coordinator) writePiece(p *sim.Proc, key int64, addr uint64, n int64, data []byte) error {
@@ -465,16 +448,24 @@ func (co *coordinator) writePiece(p *sim.Proc, key int64, addr uint64, n int64, 
 		co.unlockChunk(m)
 		return fmt.Errorf("cluster: chunk %d unavailable: no live replica", key)
 	}
-	// One payload copy per piece, shared read-only by every replica
-	// frame, decoupled from the caller's buffer.
-	var payload []byte
+	// The piece's one copy: the caller's bytes go into pages, and every
+	// replica's capsule takes references of its own to them, so the
+	// replicas share the pages copy on write.
+	var payload pcie.Payload
 	if data != nil {
-		payload = append([]byte(nil), data...)
+		payload = pcie.NewPages(0, int(n))
+		payload.WriteAt(data, 0)
 	}
-	respCh := sim.NewChan[arrival](co.k, len(targets))
+	respCh := sim.NewChan[response](co.k, len(targets))
 	for _, nd := range targets {
-		co.sendReq(p, nd, capsule{Op: opWrite, Addr: addr, Len: n}, payload, respCh)
+		c := capsule{Op: opWrite, Addr: addr, Len: n}
+		if data != nil {
+			c.Data = pcie.NewPages(0, int(n))
+			c.Data.Put(payload, 0)
+		}
+		co.sendReq(p, nd, c, respCh)
 	}
+	payload.Release()
 	needQ := co.cfg.Quorum
 	if needQ > len(targets) {
 		// Degraded mode: fewer live replicas than the quorum — accept
@@ -482,7 +473,7 @@ func (co *coordinator) writePiece(p *sim.Proc, key int64, addr uint64, n int64, 
 		// while repair catches up.
 		needQ = len(targets)
 	}
-	st := &writeState{co: co, m: m, key: key, remaining: len(targets)}
+	st := &writeState{co: co, m: m, remaining: len(targets)}
 	for st.remaining > 0 {
 		st.absorb(respCh.Get(p))
 		if st.acked >= needQ && st.remaining > 0 {
@@ -508,10 +499,13 @@ func (co *coordinator) writePiece(p *sim.Proc, key int64, addr uint64, n int64, 
 
 // --- read path ---
 
+// read gathers each piece's pages into one view of the request, by
+// reference where they line up, and copies it out once at the end; a piece
+// no replica served stays zeros.
 func (co *coordinator) read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	var out []byte
+	var view pcie.Payload
 	if co.cfg.Functional {
-		out = make([]byte, n)
+		view = pcie.NewPages(0, int(n))
 	}
 	var firstErr error
 	chunkB := uint64(co.cfg.ChunkBytes)
@@ -523,7 +517,7 @@ func (co *coordinator) read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 		if m > n-off {
 			m = n - off
 		}
-		if err := co.readPiece(p, key, pos, m, out, off); err != nil && firstErr == nil {
+		if err := co.readPiece(p, key, pos, m, view, off); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		off += m
@@ -531,10 +525,12 @@ func (co *coordinator) read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 	if firstErr == nil {
 		co.bytesRead += n
 	}
+	out := view.Bytes()
+	view.Release()
 	return out, firstErr
 }
 
-func (co *coordinator) readPiece(p *sim.Proc, key int64, addr uint64, n int64, out []byte, off int64) error {
+func (co *coordinator) readPiece(p *sim.Proc, key int64, addr uint64, n int64, view pcie.Payload, off int64) error {
 	m := co.chunk(key)
 	co.lockChunk(p, m)
 	var candidates []int
@@ -557,11 +553,12 @@ func (co *coordinator) readPiece(p *sim.Proc, key int64, addr uint64, n int64, o
 	}
 	var firstErr error
 	for _, nd := range candidates {
-		a := co.request(p, nd, capsule{Op: opRead, Addr: addr, Len: n}, nil)
-		if a.rep.OK && !a.rep.Timeout {
+		rep := co.request(p, nd, capsule{Op: opRead, Addr: addr, Len: n})
+		if rep.OK && !rep.Timeout {
 			co.noteSuccess(nd)
-			if out != nil && a.data != nil {
-				copy(out[off:off+n], a.data)
+			if !rep.Data.IsNil() {
+				view.Put(rep.Data, int(off))
+				rep.Data.Release()
 			}
 			co.unlockChunk(m)
 			return nil
@@ -569,7 +566,7 @@ func (co *coordinator) readPiece(p *sim.Proc, key int64, addr uint64, n int64, o
 		co.noteFailure(nd)
 		co.failovers++
 		if firstErr == nil {
-			firstErr = fmt.Errorf("cluster: chunk %d read from node %d: %s", key, nd, a.rep.Err)
+			firstErr = fmt.Errorf("cluster: chunk %d read from node %d: %s", key, nd, rep.Err)
 		}
 	}
 	co.unlockChunk(m)
@@ -648,15 +645,17 @@ func (co *coordinator) repairChunk(p *sim.Proc, key int64, m *chunkMeta) {
 	}
 	src := live[0]
 	base := uint64(key) * uint64(co.cfg.ChunkBytes)
-	rd := co.request(p, src, capsule{Op: opRead, Addr: base, Len: co.cfg.ChunkBytes}, nil)
-	if !rd.rep.OK || rd.rep.Timeout {
+	rd := co.request(p, src, capsule{Op: opRead, Addr: base, Len: co.cfg.ChunkBytes})
+	if !rd.OK || rd.Timeout {
 		co.noteFailure(src)
 		co.unlockChunk(m)
 		return
 	}
 	co.noteSuccess(src)
-	wr := co.request(p, target, capsule{Op: opWrite, Addr: base, Len: co.cfg.ChunkBytes}, rd.data)
-	if !wr.rep.OK || wr.rep.Timeout {
+	// The source's pages go straight into the target's capsule, whose
+	// node releases them.
+	wr := co.request(p, target, capsule{Op: opWrite, Addr: base, Len: co.cfg.ChunkBytes, Data: rd.Data})
+	if !wr.OK || wr.Timeout {
 		co.noteFailure(target)
 		co.unlockChunk(m)
 		return

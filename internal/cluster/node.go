@@ -123,7 +123,7 @@ func (n *node) serve(p *sim.Proc) {
 			// Delaying in the serve loop preserves in-order application.
 			p.Sleep(fate.Delay)
 		}
-		n.handle(p, c, f.Data)
+		n.handle(p, c)
 	}
 }
 
@@ -131,10 +131,11 @@ func (n *node) serve(p *sim.Proc) {
 // node whose controller died still answers — the simulated NIC outlives
 // the NVMe controller — with fail-fast errors (and probe replies saying
 // so), which is what lets the coordinator's ladder distinguish a dead
-// controller from a dead link.
-func (n *node) handle(p *sim.Proc, c capsule, data []byte) {
+// controller from a dead link. Payload crosses as page views: a write's
+// pages reach the device by reference, and a read answers with the pages
+// the streamer delivered.
+func (n *node) handle(p *sim.Proc, c capsule) {
 	rep := response{ID: c.ID, Node: n.id}
-	var payload []byte
 	switch c.Op {
 	case opProbe:
 		rep.OK = !n.Streamer.Dead()
@@ -142,25 +143,28 @@ func (n *node) handle(p *sim.Proc, c capsule, data []byte) {
 			rep.Err = "controller dead"
 		}
 	case opWrite:
-		if err := n.c.WriteErr(p, c.Addr, c.Len, data); err != nil {
+		err := n.c.WritePayload(p, c.Addr, c.Len, c.Data)
+		c.Data.Release()
+		if err != nil {
 			rep.Err = err.Error()
 		} else {
 			rep.OK = true
 			rep.Len = c.Len
 		}
 	case opRead:
-		d, err := n.c.ReadErr(p, c.Addr, c.Len)
+		d, err := n.c.ReadPayload(p, c.Addr, c.Len)
 		if err != nil {
+			d.Release()
 			rep.Err = err.Error()
 		} else {
 			rep.OK = true
 			rep.Len = c.Len
-			payload = d
+			rep.Data = d
 		}
 	}
 	wire := int64(capsuleBytes)
-	if payload != nil {
+	if !rep.Data.IsNil() {
 		wire += rep.Len
 	}
-	n.mac.Send(p, ethernet.Frame{Bytes: wire, Data: payload, Meta: rep, DstPort: 0})
+	n.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: rep, DstPort: 0})
 }

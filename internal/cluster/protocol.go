@@ -1,5 +1,7 @@
 package cluster
 
+import "snacc/internal/pcie"
+
 // The remote streaming protocol is NVMe-oF in miniature: the coordinator
 // frames command capsules onto the simulated Ethernet link and each node
 // answers with a response capsule; data rides the same frames (write
@@ -40,18 +42,24 @@ func (o op) String() string {
 // 64 bytes, the NVMe-oF submission-capsule floor.
 const capsuleBytes = 64
 
-// capsule is one command from the coordinator to a node, riding Frame.Meta;
-// write payload rides Frame.Data alongside it.
+// capsule is one command from the coordinator to a node, riding Frame.Meta.
+// A write's payload rides in it as a page view (Data): the capsule holds
+// its own references to the pages, and the node releases them once its
+// local write returns.
 type capsule struct {
 	Op   op
 	ID   uint64 // request id, echoed by the response
 	Node int    // destination node
 	Addr uint64 // node-local device byte address
 	Len  int64
+	Data pcie.Payload // write payload; zero when timing-only
 }
 
-// response answers one capsule, riding Frame.Meta on the way back; read
-// payload rides Frame.Data.
+// response answers one capsule, riding Frame.Meta on the way back. A
+// read's payload rides in it as the node's page view (Data), which the
+// requester releases once it has taken what it needs. A frame dropped on
+// the way, or a late reply the coordinator discards, leaves its pages to
+// the garbage collector.
 type response struct {
 	ID   uint64
 	Node int // responding node
@@ -63,4 +71,5 @@ type response struct {
 	// expired before the node answered (the node never sent this).
 	Timeout bool
 	Len     int64
+	Data    pcie.Payload // read payload; zero when timing-only or failed
 }

@@ -188,52 +188,66 @@ func (p Payload) WriteAt(src []byte, off int) {
 	}
 }
 
-// segPool recycles Concat's list of page segments.
+// Put copies src into p at byte off, as WriteAt does, but takes each whole,
+// aligned page of src by reference: a piece of src that covers one page of
+// p exactly makes that slot share src's page (a nil page stays nil, zeros),
+// copy on write from then on. Partial or misaligned pieces are copied into
+// pages p owns. When either side is a byte view, Put is a plain copy.
+func (p Payload) Put(src Payload, off int) {
+	if p.pages == nil {
+		src.ReadAt(p.b[off:off+src.Len()], 0)
+		return
+	}
+	if src.pages == nil {
+		p.WriteAt(src.b, off)
+		return
+	}
+	if off < 0 || off+src.n > p.n {
+		panic("pcie: payload put out of range")
+	}
+	for i := 0; i < src.n; {
+		pos, spos := p.off+off+i, src.off+i
+		po, so := pos%PageSize, spos%PageSize
+		n := min(PageSize-max(po, so), src.n-i)
+		slot, pg := &p.pages[pos/PageSize], src.pages[spos/PageSize]
+		if n == PageSize {
+			old := *slot
+			*slot = pg.share()
+			old.release()
+		} else {
+			copy(own(slot, true).data[po:po+n], pageBytes(pg)[so:])
+		}
+		i += n
+	}
+}
+
+// segPool recycles Bytes' list of page segments.
 var segPool sync.Pool
 
-// Concat returns the content of parts, in order, as one new slice of their
-// total length (nil when there is none): the one copy a reader takes out of
-// page payloads. It goes through bytes.Join because that allocates the
+// Bytes returns p's content as one slice: a byte view's own slice, or a
+// fresh copy of a page view, the one copy a reader takes out of page
+// payloads. The copy goes through bytes.Join because that allocates the
 // result without clearing it first, which for a multi-MiB read costs as
 // much as the copy.
-func Concat(parts []Payload) []byte {
+func (p Payload) Bytes() []byte {
+	if p.pages == nil {
+		return p.b
+	}
 	sp, _ := segPool.Get().(*[][]byte)
 	if sp == nil {
 		sp = new([][]byte)
 	}
 	segs := (*sp)[:0]
-	for _, p := range parts {
-		if p.pages == nil {
-			if len(p.b) > 0 {
-				segs = append(segs, p.b)
-			}
-			continue
-		}
-		for i, end := p.off, p.off+p.n; i < end; {
-			m := min(PageSize-i%PageSize, end-i)
-			segs = append(segs, pageBytes(p.pages[i/PageSize])[i%PageSize:][:m])
-			i += m
-		}
+	for i, end := p.off, p.off+p.n; i < end; {
+		m := min(PageSize-i%PageSize, end-i)
+		segs = append(segs, pageBytes(p.pages[i/PageSize])[i%PageSize:][:m])
+		i += m
 	}
-	var out []byte
-	if len(segs) > 0 {
-		out = bytes.Join(segs, nil)
-	}
+	out := bytes.Join(segs, nil)
 	clear(segs)
 	*sp = segs[:0]
 	segPool.Put(sp)
 	return out
-}
-
-// Bytes returns p's content as one slice: a byte view's own slice, or a
-// fresh copy of a page view. Control-path decoders use it.
-func (p Payload) Bytes() []byte {
-	if p.pages == nil {
-		return p.b
-	}
-	b := make([]byte, p.n)
-	p.ReadAt(b, 0)
-	return b
 }
 
 // Release gives back the references p holds. Call it once, on the Payload

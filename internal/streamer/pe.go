@@ -53,27 +53,23 @@ func (c *Client) Write(p *sim.Proc, addr uint64, n int64, data []byte) {
 
 // WriteAsync streams the write without waiting for the response token.
 func (c *Client) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
-	c.writeAsyncT(p, 0, addr, n, data)
+	c.writeAsyncT(p, 0, addr, n, pcie.Bytes(data))
 }
 
 // writeAsyncT is WriteAsync with the command attributed to a tenant, so
 // spans opened by a TenantHub's commands carry the tenant. A write of
 // n <= 0 is a bare header with TLAST: the Streamer acknowledges it as an
-// empty write and a hub rejects it, and neither waits for data.
-func (c *Client) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
+// empty write and a hub rejects it, and neither waits for data. The data
+// packets are slices of data: the receiver takes references of its own to
+// the pages it keeps, and the caller keeps data's until the response.
+func (c *Client) writeAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data pcie.Payload) {
 	c.port.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr, Tenant: tenant}, Last: n <= 0})
 	var off int64
 	for off < n {
-		m := c.PktBytes
-		if m > n-off {
-			m = n - off
-		}
-		var d []byte
-		if data != nil {
-			d = data[off : off+m]
-		}
+		m := min(c.PktBytes, n-off)
+		d := data.Slice(int(off), int(m))
 		off += m
-		c.port.WriteIn.Send(p, axis.Packet{Bytes: m, Data: pcie.Bytes(d), Last: off == n})
+		c.port.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
 	}
 }
 
@@ -92,7 +88,15 @@ func (c *Client) WaitWriteErr(p *sim.Proc) error {
 
 // WriteErr is Write returning the response token's error flag.
 func (c *Client) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
-	c.WriteAsync(p, addr, n, data)
+	return c.WritePayload(p, addr, n, pcie.Bytes(data))
+}
+
+// WritePayload is WriteErr for content already held as a payload: whole,
+// aligned pages of a page view reach the device by reference, so the
+// write copies none of them. data stays the caller's to release once
+// WritePayload returns.
+func (c *Client) WritePayload(p *sim.Proc, addr uint64, n int64, data pcie.Payload) error {
+	c.writeAsyncT(p, 0, addr, n, data)
 	return c.WaitWriteErr(p)
 }
 
@@ -137,9 +141,11 @@ func (c *Client) ConsumeRead(p *sim.Proc) (int64, []byte) {
 // ConsumeReadErr drains packets for one read request (until TLAST) and
 // returns the delivered bytes, the concatenated content (functional mode),
 // and the first error flagged on the stream. Failed pieces deliver no
-// payload, so on error the byte count falls short of the request.
+// payload, so on error the byte count falls short of the request and the
+// content holds only the delivered bytes, packed.
 func (c *Client) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
-	return c.consumeRead(p, true)
+	total, view, err := c.consumeRead(p, true)
+	return total, concat(view), err
 }
 
 // DrainRead consumes one read's packets (until TLAST) like ConsumeReadErr
@@ -151,12 +157,15 @@ func (c *Client) DrainRead(p *sim.Proc) (int64, error) {
 }
 
 // consumeRead drains one read's packets through TLAST. It holds each
-// packet's payload until TLAST and then copies them all, once, into a
-// buffer of the read's exact length (pcie.Concat); keep == false drops the
-// content instead. Every packet's payload is released afterwards.
-func (c *Client) consumeRead(p *sim.Proc, keep bool) (int64, []byte, error) {
+// packet's payload until TLAST and then puts them all, packed in order,
+// into one page view of the delivered length, which takes the packets'
+// whole, aligned pages by reference (pcie.Payload.Put) and is the
+// caller's to release; keep == false drops the content instead. Every
+// packet's payload is released.
+func (c *Client) consumeRead(p *sim.Proc, keep bool) (int64, pcie.Payload, error) {
 	var total int64
 	var parts []pcie.Payload
+	var kept int
 	var err error
 	for {
 		pkt := c.port.ReadData.Recv(p)
@@ -166,36 +175,59 @@ func (c *Client) consumeRead(p *sim.Proc, keep bool) (int64, []byte, error) {
 		total += pkt.Bytes
 		if keep && !pkt.Data.IsNil() {
 			parts = append(parts, pkt.Data)
+			kept += pkt.Data.Len()
 		} else {
 			pkt.Data.Release()
 		}
 		if pkt.Last {
-			data := pcie.Concat(parts)
+			var view pcie.Payload
+			if len(parts) > 0 {
+				view = pcie.NewPages(0, kept)
+			}
+			off := 0
 			for _, d := range parts {
+				view.Put(d, off)
+				off += d.Len()
 				d.Release()
 			}
-			return total, data, err
+			return total, view, err
 		}
 	}
+}
+
+// concat copies a read's page view out as one slice and releases it.
+func concat(view pcie.Payload) []byte {
+	data := view.Bytes()
+	view.Release()
+	return data
 }
 
 // Read performs a blocking read of n bytes at device byte address addr.
 func (c *Client) Read(p *sim.Proc, addr uint64, n int64) []byte {
 	c.ReadAsync(p, addr, n)
-	got, data, _ := c.consumeRead(p, true)
+	got, view, _ := c.consumeRead(p, true)
 	if got != n {
 		panic("streamer: read returned unexpected length")
 	}
-	return data
+	return concat(view)
 }
 
 // ReadErr performs a blocking read of n bytes, surfacing stream error flags
-// instead of panicking on a short delivery.
+// instead of panicking on a short delivery. On error the content holds only
+// the pieces that were delivered, packed, so it falls short of n.
 func (c *Client) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
+	view, err := c.ReadPayload(p, addr, n)
+	return concat(view), err
+}
+
+// ReadPayload is ReadErr returning the content as a page view, which the
+// caller releases: the pages the read shared out of the staging memory are
+// handed on by reference instead of copied out.
+func (c *Client) ReadPayload(p *sim.Proc, addr uint64, n int64) (pcie.Payload, error) {
 	c.ReadAsync(p, addr, n)
-	got, data, err := c.consumeRead(p, true)
+	got, view, err := c.consumeRead(p, true)
 	if err == nil && got != n {
 		panic("streamer: read returned unexpected length")
 	}
-	return data, err
+	return view, err
 }

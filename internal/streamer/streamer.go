@@ -874,9 +874,12 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 			// known only at the 1 MiB boundary or TLAST — then reserve
 			// buffer space of that size and stage the data (posted).
 			// The PE's bytes are copied once, into fresh payload pages
-			// that the staging memory then takes by reference; the
-			// piece lets go of them once the staging memory holds them
-			// or, for the host-DRAM variant, they are delivered over PCIe.
+			// that the staging memory then takes by reference; whole,
+			// aligned pages of a page-view packet are taken by reference
+			// instead (Put), and the packet stays its sender's. The
+			// piece lets go of its pages once the staging memory holds
+			// them or, for the host-DRAM variant, they are delivered
+			// over PCIe.
 			pieceStart := p.Now()
 			var filled int64
 			var piece pcie.Payload
@@ -889,8 +892,7 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 					if piece.IsNil() {
 						piece = pcie.NewPages(0, int(s.cfg.MaxCmdBytes))
 					}
-					piece.WriteAt(pkt.Data.Bytes(), int(filled))
-					pkt.Data.Release()
+					piece.Put(pkt.Data, int(filled))
 				}
 				filled += pkt.Bytes
 				s.bytesFromPE += pkt.Bytes

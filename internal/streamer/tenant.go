@@ -7,6 +7,7 @@ import (
 	"snacc/internal/axis"
 	"snacc/internal/nvme"
 	"snacc/internal/obs"
+	"snacc/internal/pcie"
 	"snacc/internal/sim"
 )
 
@@ -408,7 +409,6 @@ func (h *TenantHub) writeFront(t *Tenant) func(p *sim.Proc) {
 				pkt := t.WriteIn.Recv(p)
 				if !pkt.Data.IsNil() {
 					data = append(data, pkt.Data.Bytes()...)
-					pkt.Data.Release()
 				}
 				n += pkt.Bytes
 				done = pkt.Last
@@ -533,7 +533,7 @@ func (h *TenantHub) issueLoop(p *sim.Proc) {
 		j := h.dispatchQ.Get(p)
 		if !j.rejected {
 			if j.isWrite {
-				h.target.writeAsyncT(p, j.tenant, j.addr, j.n, j.data)
+				h.target.writeAsyncT(p, j.tenant, j.addr, j.n, pcie.Bytes(j.data))
 			} else {
 				h.target.readAsyncT(p, j.tenant, j.addr, j.n)
 			}

@@ -78,6 +78,41 @@ func TestFunctionalRoundTripAllocBudget(t *testing.T) {
 	}
 }
 
+// TestClusterRoundTripAllocBudget pins the cluster's page payload path: the
+// coordinator copies a write's bytes into pages once and the R replicas
+// share them, and a read's pages travel back by reference to one copy out.
+// So a 1 MiB WriteErr + ReadErr round trip on a functional 3-node, R=2
+// cluster allocates little beyond the 1 MiB buffer the read returns.
+func TestClusterRoundTripAllocBudget(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's instrumentation allocates and its sync.Pool drops buffers at random")
+	}
+	const rounds = 20
+	sys := MustNewSystem(Options{Cluster: &ClusterOptions{Nodes: 3, Replication: 2, Quorum: 1}})
+	data := roundTripPayload()[:1<<20]
+	var perTrip uint64
+	var failure error
+	sys.Execute(func(h *Handle) {
+		// Warm-up: materializes the stores and fills the buffer pools.
+		if failure = roundTrip(h, data); failure != nil {
+			return
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < rounds && failure == nil; i++ {
+			failure = roundTrip(h, data)
+		}
+		runtime.ReadMemStats(&m1)
+		perTrip = (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	})
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if perTrip > 3<<19 {
+		t.Errorf("a 1 MiB cluster round trip allocated %.2f MiB, want <= 1.5 MiB", float64(perTrip)/(1<<20))
+	}
+}
+
 // raceBuild reports whether the test binary was built with -race.
 func raceBuild() bool {
 	if bi, ok := debug.ReadBuildInfo(); ok {

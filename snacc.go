@@ -787,8 +787,11 @@ func (h *Handle) write(addr uint64, n int64, data []byte) error {
 // ReadErr returns n bytes from the given device byte address. In cluster
 // mode each chunk is served by its primary replica, failing over to the
 // others on error or timeout. It fails where WriteErr does, and with a
-// terminal NVMe error or, in cluster mode, a read no replica could serve;
-// the returned data then covers only the pieces that succeeded.
+// terminal NVMe error or, in cluster mode, a read no replica could serve.
+// What such a failed read returns differs by mode: a single system returns
+// the bytes of the pieces that succeeded, packed in order, so the buffer
+// falls short of n; a cluster returns all n bytes, with zeros where a
+// piece failed.
 func (h *Handle) ReadErr(addr uint64, n int64) ([]byte, error) {
 	l, err := h.raw(addr, n, false)
 	if err != nil {
