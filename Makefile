@@ -94,14 +94,15 @@ bench-smoke: vet
 	$(GO) test -race -run XXX -bench 'BenchmarkKernel|BenchmarkProc' -benchtime 1x -benchmem ./internal/sim/
 
 # Regenerates every deterministic BENCH file into a temp dir with the sweep
-# targets' arguments and compares each byte for byte with the committed
-# copy: a change that shifts a committed number fails here until the file
-# is regenerated and committed with it. Wired into `make test`.
+# targets' arguments and compares each with the committed copy: a change
+# that shifts a committed number fails here, printing a unified diff of the
+# committed file against the regenerated one, until the file is regenerated
+# and committed with it. Wired into `make test`.
 bench-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/snaccbench" ./cmd/snaccbench && \
 	$(foreach n,$(BENCH_FILES),(cd "$$tmp" && ./snaccbench $(BENCH_ARGS_$(n)) > /dev/null) && \
-		cmp BENCH_$(n).json "$$tmp/BENCH_$(n).json" && echo "BENCH_$(n).json matches" && ) true
+		diff -u BENCH_$(n).json "$$tmp/BENCH_$(n).json" && echo "BENCH_$(n).json matches" && ) true
 
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.

@@ -134,7 +134,7 @@ func RenderServeSweep(rows []ServeSweepRow) Table {
 		Columns: []string{"reqs", "done", "drop", "MB/s", "p50 µs", "p99 µs", "p999 µs", "conns", "state MiB", "queue", "pauses"},
 		Notes: []string{
 			"open-loop arrivals: zipfian keys, exponential gaps, burst phase schedule; drops are load shed at the paused client",
-			"state MiB is the server's connection-table footprint (32 B array slots + client index)",
+			"state MiB is the server's connection-table footprint (8 B open-addressed slots, at most half full: sized by peak conns, not clients)",
 		},
 	}
 	for _, r := range rows {

@@ -86,6 +86,41 @@ func TestClusterReadUnwrittenReturnsZeros(t *testing.T) {
 	}
 }
 
+// TestClusterReadWireTimeIgnoresFunctional: a read response carries its
+// payload on the wire whether or not the cluster moves real bytes, so the
+// same 256 KiB read takes the same simulated time on a functional and on a
+// timing-only cluster.
+func TestClusterReadWireTimeIgnoresFunctional(t *testing.T) {
+	const n = 256 * sim.KiB
+	elapsed := func(functional bool) (write, read sim.Time) {
+		cfg := DefaultConfig(3, 2, 1)
+		cfg.Functional = functional
+		cl := MustNew(cfg)
+		var data []byte
+		if functional {
+			data = make([]byte, n)
+			fillPattern(data, 3)
+		}
+		cl.Execute(func(p *sim.Proc) {
+			t0 := p.Now()
+			if err := cl.WriteErr(p, 0, n, data); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			t1 := p.Now()
+			if _, err := cl.ReadErr(p, 0, n); err != nil {
+				t.Errorf("read: %v", err)
+			}
+			write, read = t1-t0, p.Now()-t1
+		})
+		return write, read
+	}
+	fw, fr := elapsed(true)
+	tw, tr := elapsed(false)
+	if fw != tw || fr != tr {
+		t.Fatalf("functional write/read %v/%v, timing-only %v/%v: want equal", fw, fr, tw, tr)
+	}
+}
+
 // TestClusterWriteFanout verifies writes really land on R replicas: each
 // member of a chunk's set serves the chunk's bytes when read directly.
 func TestClusterWriteFanout(t *testing.T) {

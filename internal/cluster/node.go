@@ -162,8 +162,10 @@ func (n *node) handle(p *sim.Proc, c capsule) {
 			rep.Data = d
 		}
 	}
+	// A read's payload crosses the wire whether or not the cluster
+	// carries its bytes.
 	wire := int64(capsuleBytes)
-	if !rep.Data.IsNil() {
+	if c.Op == opRead && rep.OK {
 		wire += rep.Len
 	}
 	n.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: rep, DstPort: 0})

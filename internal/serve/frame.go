@@ -1,9 +1,9 @@
 // Package serve is the open-loop RPC serving tier over the simulated 100 G
 // link: a length-prefixed frame codec for request/response capsules, a
-// compact array-backed connection table sized for a million simulated
-// clients, and a front end that decodes arrivals off ethernet.MAC frames,
-// batches them into the NVMe Streamer (or a TenantHub), and closes the
-// backpressure loop — a full dispatch queue stalls the receiver, the MAC's
+// compact open-addressed connection table sized by open connections, not
+// by the client population, and a front end that decodes arrivals off
+// ethernet.MAC frames, batches them into the NVMe Streamer (or a
+// TenantHub), and closes the backpressure loop — a full dispatch queue stalls the receiver, the MAC's
 // 802.3x machinery pauses the transmitter, and the open-loop client sheds
 // load at its bound instead of buffering without limit.
 package serve

@@ -103,7 +103,9 @@ type pending struct {
 // therefore pausing the wire — when the dispatch queue fills. All state is
 // partitioned by side: client processes touch only client fields, server
 // processes only server fields, and the two communicate exclusively through
-// encoded frames.
+// encoded frames. The one shared field is the stack of spent frame buffers:
+// each receiver hands a frame's buffer back once it has parsed the frame,
+// and both transmitters build their next frames in them.
 type Tier struct {
 	cfg   Config
 	spec  workload.OpenLoopSpec
@@ -129,6 +131,9 @@ type Tier struct {
 	bytesRead   int64
 	bytesWrit   int64
 	latency     obs.Hist
+
+	// bufs holds the frame buffers the receivers are done with.
+	bufs [][]byte
 
 	// Server-side state.
 	table     *ConnTable
@@ -300,13 +305,14 @@ func (t *Tier) flush() bool {
 	progress := false
 	for t.pendq.Len() > 0 {
 		n := min(t.pendq.Len(), t.cfg.FrameBatch)
-		var f ethernet.Frame
+		f := ethernet.Frame{Data: t.frameBuf()}
 		for i := 0; i < n; i++ {
 			req := t.pendq.At(i).req
 			f.Data = AppendRequest(f.Data, req)
 			f.Bytes += req.WireBytes()
 		}
 		if !t.cliMAC.TrySend(f) {
+			t.recycle(f.Data)
 			return progress
 		}
 		for i := 0; i < n; i++ {
@@ -354,6 +360,7 @@ func (t *Tier) clientRxLoop(p *sim.Proc) {
 				t.lastResp = p.Now()
 			}
 		}
+		t.recycle(f.Data)
 	}
 }
 
@@ -372,7 +379,8 @@ func (t *Tier) serverRxLoop(p *sim.Proc) {
 				break
 			}
 			b = b[n:]
-			if !t.table.Touch(req.Conn, req.Tenant, req.ID, int64(p.Now())) {
+			req.Payload = nil // the frame's buffer is recycled once parsed
+			if !t.table.Touch(req.Conn) {
 				t.rejected++
 				continue
 			}
@@ -384,6 +392,7 @@ func (t *Tier) serverRxLoop(p *sim.Proc) {
 				t.peakDisp = d
 			}
 		}
+		t.recycle(f.Data)
 	}
 }
 
@@ -456,7 +465,7 @@ func (t *Tier) drainLoop(p *sim.Proc, lane int, read bool) {
 func (t *Tier) respTxLoop(p *sim.Proc) {
 	for {
 		resp := t.respQ.Get(p)
-		var f ethernet.Frame
+		f := ethernet.Frame{Data: t.frameBuf()}
 		for n := 0; ; n++ {
 			f.Data = AppendResponse(f.Data, resp)
 			f.Bytes += resp.WireBytes()
@@ -470,6 +479,25 @@ func (t *Tier) respTxLoop(p *sim.Proc) {
 			}
 		}
 		t.srvMAC.Send(p, f)
+	}
+}
+
+// frameBuf returns an empty buffer to build a frame in, reusing a spent
+// one when there is one.
+func (t *Tier) frameBuf() []byte {
+	n := len(t.bufs)
+	if n == 0 {
+		return nil
+	}
+	b := t.bufs[n-1]
+	t.bufs = t.bufs[:n-1]
+	return b
+}
+
+// recycle hands a frame buffer nothing references any more back for reuse.
+func (t *Tier) recycle(b []byte) {
+	if cap(b) > 0 {
+		t.bufs = append(t.bufs, b[:0])
 	}
 }
 

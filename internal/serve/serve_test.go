@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"snacc/internal/ethernet"
@@ -45,8 +47,8 @@ func fastSpec(ops int64) workload.OpenLoopSpec {
 	}
 }
 
-// runSerial builds and runs a single-kernel tier to quiescence.
-func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) Report {
+// runTier builds and runs a single-kernel tier to quiescence.
+func runTier(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) *Tier {
 	t.Helper()
 	k := sim.NewKernel()
 	tier, err := New(k, cfg, spec, b)
@@ -57,7 +59,13 @@ func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) R
 		t.Fatal(err)
 	}
 	k.Run(0)
-	return tier.Report()
+	return tier
+}
+
+// runSerial runs a tier to quiescence and returns its report.
+func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) Report {
+	t.Helper()
+	return runTier(t, cfg, spec, b).Report()
 }
 
 // checkConservation asserts the request-accounting invariants every run
@@ -115,13 +123,9 @@ func TestTierEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBackpressureBounds is the tier's load-shedding invariant: with a
-// backend orders of magnitude slower than the arrival rate, the dispatch
-// queue and the connection table stay under their configured bounds, pause
-// frames actually fire, and the overload is shed at the open-loop client —
-// counted as drops — instead of buffered without limit. Runs under -race
-// via the Makefile's race target.
-func TestBackpressureBounds(t *testing.T) {
+// overload is a tier whose backend is orders of magnitude slower than the
+// arrival rate, so pause frames fire and the client sheds.
+func overload() (Config, workload.OpenLoopSpec, []Lane) {
 	spec := workload.OpenLoopSpec{
 		Clients:      256,
 		RatePerSec:   1e8, // ~10 ns between arrivals: hopeless overload
@@ -143,8 +147,17 @@ func TestBackpressureBounds(t *testing.T) {
 		LaneWindow:    4,
 		Ethernet:      ecfg,
 	}
-	slow := stubLanes(1, 100*sim.Microsecond)
+	return cfg, spec, stubLanes(1, 100*sim.Microsecond)
+}
 
+// TestBackpressureBounds is the tier's load-shedding invariant: with a
+// backend orders of magnitude slower than the arrival rate, the dispatch
+// queue and the connection table stay under their configured bounds, pause
+// frames actually fire, and the overload is shed at the open-loop client —
+// counted as drops — instead of buffered without limit. Runs under -race
+// via the Makefile's race target.
+func TestBackpressureBounds(t *testing.T) {
+	cfg, spec, slow := overload()
 	r := runSerial(t, cfg, spec, slow)
 	if r.Generated != r.Sent+r.Dropped {
 		t.Fatalf("conservation: generated %d != sent %d + dropped %d", r.Generated, r.Sent, r.Dropped)
@@ -171,6 +184,75 @@ func TestBackpressureBounds(t *testing.T) {
 	if r.FramesDropped != 0 {
 		t.Fatalf("%d frames dropped in the MACs — shedding must happen above the link", r.FramesDropped)
 	}
+}
+
+// TestDrainLeavesNothingInflight: once a run quiesces, every connection
+// still open has had each of its requests answered — on a clean run and
+// on an overloaded one that sheds at the client.
+func TestDrainLeavesNothingInflight(t *testing.T) {
+	cfg, spec, slow := overload()
+	for _, tc := range []struct {
+		name string
+		tier *Tier
+	}{
+		{"clean", runTier(t, Config{}, fastSpec(400), stubLanes(1, sim.Microsecond))},
+		{"shedding", runTier(t, cfg, spec, slow)},
+	} {
+		tier := tc.tier
+		open := 0
+		for _, s := range tier.table.slots {
+			if s.key == 0 {
+				continue
+			}
+			open++
+			if s.inflight != 0 {
+				t.Errorf("%s: client %d has %d requests in flight at drain", tc.name, s.key-1, s.inflight)
+			}
+		}
+		if open == 0 || open != tier.table.Occupancy() {
+			t.Errorf("%s: %d open slots, occupancy %d, want equal and positive", tc.name, open, tier.table.Occupancy())
+		}
+	}
+}
+
+// TestTierAllocsPerRequest pins the tier's steady-state allocation cost:
+// the difference between a long and a short run, per extra request, so
+// set-up does not count. At this load every request and every response
+// rides its own frame. The tier recycles frame buffers, so what is left is
+// the Ethernet MAC's one delivery closure per frame: 2 allocations per
+// request (4 when each frame allocated its own buffer).
+func TestTierAllocsPerRequest(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const budget = 2.5
+	mallocs := func(ops int64) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		r := runSerial(t, Config{}, fastSpec(ops), stubLanes(1, sim.Microsecond))
+		runtime.ReadMemStats(&m1)
+		checkConservation(t, r)
+		return m1.Mallocs - m0.Mallocs
+	}
+	const short, long = 1000, 5000
+	perReq := float64(int64(mallocs(long))-int64(mallocs(short))) / (long - short)
+	if perReq > budget {
+		t.Errorf("a served request allocates %.2f times, budget %.1f", perReq, budget)
+	}
+	t.Logf("%.2f allocs per served request (budget %.1f)", perReq, budget)
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 // TestTierDeterministic pins the determinism contract: the same spec run

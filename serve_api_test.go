@@ -89,7 +89,7 @@ func TestServeFacadeTenants(t *testing.T) {
 		Clients: 500, Generated: 300, Sent: 300, Completed: 300,
 		BytesRead: 823296, BytesWritten: 405504, Elapsed: 885564,
 		PeakDispatch: 1, DispatchCap: 256,
-		PeakConns: 231, ConnCapacity: 500, ConnStateBytes: 10192, Opens: 231,
+		PeakConns: 231, ConnCapacity: 500, ConnStateBytes: 4096, Opens: 231,
 	}
 	if rep != want {
 		t.Errorf("report:\n got %+v\nwant %+v", rep, want)
