@@ -2,7 +2,6 @@ GO ?= go
 
 # snaccbench arguments that regenerate each committed, deterministic
 # BENCH_<name>.json. The sweep targets below and bench-check share them.
-# BENCH_parallel.json is left out: it records host wall time.
 BENCH_FILES = crash tenants serve latency cluster queues
 BENCH_ARGS_crash = -run crash
 BENCH_ARGS_tenants = -run tenants
@@ -11,7 +10,7 @@ BENCH_ARGS_latency = -run latency
 BENCH_ARGS_cluster = -run cluster -size 64
 BENCH_ARGS_queues = -run queues
 
-.PHONY: build test race vet bench bench-smoke bench-check cover loc latency faults crash queues perfreport tenants cluster serve
+.PHONY: build test race vet bench bench-smoke bench-check cover loc latency faults crash queues tenants cluster serve
 
 build:
 	$(GO) build ./...
@@ -95,14 +94,17 @@ bench-smoke: vet
 
 # Regenerates every deterministic BENCH file into a temp dir with the sweep
 # targets' arguments and compares each with the committed copy: a change
-# that shifts a committed number fails here, printing a unified diff of the
-# committed file against the regenerated one, until the file is regenerated
-# and committed with it. Wired into `make test`.
+# that shifts a committed number fails here, after printing a unified diff
+# of every committed file that differs from its regenerated copy, until the
+# files are regenerated and committed with it. Wired into `make test`.
 bench-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/snaccbench" ./cmd/snaccbench && \
+	bad= && \
 	$(foreach n,$(BENCH_FILES),(cd "$$tmp" && ./snaccbench $(BENCH_ARGS_$(n)) > /dev/null) && \
-		diff -u BENCH_$(n).json "$$tmp/BENCH_$(n).json" && echo "BENCH_$(n).json matches" && ) true
+		{ if diff -u BENCH_$(n).json "$$tmp/BENCH_$(n).json"; then echo "BENCH_$(n).json matches"; \
+		else bad="$$bad BENCH_$(n).json"; fi; } && ) \
+	if [ -n "$$bad" ]; then echo "bench-check: differs from the regenerated copy:$$bad"; exit 1; fi
 
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.
@@ -144,7 +146,3 @@ cluster:
 	$(GO) test ./internal/cluster/
 	$(GO) test -run 'TestClusterRandomizedDataIntegrity' .
 	$(GO) run ./cmd/snaccbench $(BENCH_ARGS_cluster)
-
-# Serial-vs-parallel suite wall time + kernel throughput -> BENCH_parallel.json
-perfreport:
-	$(GO) run ./cmd/snaccbench -run perfreport

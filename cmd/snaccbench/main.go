@@ -16,7 +16,7 @@
 //	snaccbench -run serve -clients 50000 -phases 1:200,8:25  # custom population and burst schedule
 //	snaccbench -run cluster -nodes 4 -replication 3 -quorum 2  # one custom cluster shape
 //	snaccbench -run all -j 8          # everything, rigs sharded over 8 workers
-//	snaccbench -run perfreport        # write BENCH_parallel.json
+//	snaccbench -run degraded          # a striped set losing one member mid-stream
 //
 // Selected entries run in registry order, whatever the order of -run. An
 // entry named explicitly also prints its detail output (the crash and
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -48,10 +47,6 @@ import (
 
 func main() {
 	scale := bench.DefaultScale()
-	names := make([]string, len(bench.Experiments))
-	for i, e := range bench.Experiments {
-		names[i] = e.Name
-	}
 	runArg := flag.String("run", "", "comma-separated experiments to run (listed above), or all")
 	format := flag.String("format", "text", "table format: text, csv or json")
 	sizeMiB := flag.Int64("size", scale.Size/sim.MiB, "transfer volume per bandwidth measurement (MiB)")
@@ -86,19 +81,15 @@ func main() {
 		os.Exit(2)
 	}
 	if *runArg == "" {
-		fail("missing -run (want all or a comma-separated list of: %s)", strings.Join(names, ", "))
+		fail("missing -run (want all or a comma-separated list of: %s)", strings.Join(bench.Names(), ", "))
 	}
-	all, named := false, map[string]bool{}
-	for _, name := range strings.Split(*runArg, ",") {
-		name = strings.TrimSpace(name)
-		if name == "all" {
-			all = true
-			continue
-		}
-		if !slices.Contains(names, name) {
-			fail("unknown experiment %q (want all or one of: %s)", name, strings.Join(names, ", "))
-		}
-		named[name] = true
+	selected, err := bench.Select(strings.Split(*runArg, ",")...)
+	if err != nil {
+		fail("%v", err)
+	}
+	named := map[string]bool{}
+	for _, e := range selected {
+		named[e.Name] = e.Named
 	}
 	switch *format {
 	case "text", "csv", "json":
@@ -107,18 +98,6 @@ func main() {
 	}
 	if *jobs < 1 {
 		fail("invalid -j %d (want >= 1)", *jobs)
-	}
-	// Scale flags feed transfer sizes and loop bounds directly; zero or
-	// negative values would silently produce empty tables (or spin), so they
-	// are usage errors too.
-	if *sizeMiB < 1 {
-		fail("invalid -size %d (want MiB >= 1)", *sizeMiB)
-	}
-	if *images < 1 {
-		fail("invalid -images %d (want >= 1)", *images)
-	}
-	if *samples < 1 {
-		fail("invalid -samples %d (want >= 1)", *samples)
 	}
 	scale.Size, scale.Images, scale.Samples = *sizeMiB*sim.MiB, *images, *samples
 
@@ -132,7 +111,7 @@ func main() {
 		scale.Queues = nil
 		for _, part := range strings.Split(*queuesArg, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 || n > streamer.MaxIOQueues {
+			if err != nil {
 				fail("invalid -queues entry %q (want integers 1..%d)", part, streamer.MaxIOQueues)
 			}
 			scale.Queues = append(scale.Queues, n)
@@ -152,23 +131,17 @@ func main() {
 			fail("%v", err)
 		}
 	}
-	// A custom cluster shape must be a valid replication arrangement:
-	// at least two nodes, and 1 <= quorum <= replication <= nodes.
 	if *clusterNodes != 0 || *clusterRepl != 0 || *clusterQuorum != 0 {
 		if !named["cluster"] {
 			fail("-nodes/-replication/-quorum require -run cluster")
 		}
-		n, r, q := *clusterNodes, *clusterRepl, *clusterQuorum
-		if n < 2 {
-			fail("invalid -nodes %d (want >= 2)", n)
-		}
-		if r < 1 || r > n {
-			fail("invalid -replication %d (want 1 <= replication <= nodes=%d)", r, n)
-		}
-		if q < 1 || q > r {
-			fail("invalid -quorum %d (want 1 <= quorum <= replication=%d)", q, r)
-		}
-		scale.Cluster = [][3]int{{n, r, q}}
+		scale.Cluster = [][3]int{{*clusterNodes, *clusterRepl, *clusterQuorum}}
+	}
+	// Scale values feed transfer sizes and loop bounds directly; zero or
+	// negative values would silently produce empty tables (or spin), so they
+	// are usage errors too.
+	if err := scale.Validate(); err != nil {
+		fail("%v", err)
 	}
 
 	bench.SetParallelism(*jobs)
@@ -182,11 +155,7 @@ func main() {
 			fmt.Println(t)
 		}
 	}
-	for _, e := range bench.Experiments {
-		explicit := named[e.Name]
-		if !explicit && !(all && e.InAll()) {
-			continue
-		}
+	for _, e := range selected {
 		fmt.Printf("running %s ...\n", e.Label)
 		var tables []bench.Table
 		if e.Run != nil {
@@ -195,7 +164,7 @@ func main() {
 		for _, t := range tables {
 			show(t)
 		}
-		if !explicit {
+		if !e.Named {
 			continue
 		}
 		var text string

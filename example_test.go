@@ -74,11 +74,16 @@ func ExampleSystem_RunWorkload() {
 	// mixed: true
 }
 
-// TableOne regenerates the paper's resource table programmatically.
-func ExampleTableOne() {
-	rows := snacc.TableOne()
-	for _, r := range rows {
-		fmt.Printf("%s: %d LUTs\n", r.Label, r.Resources.LUT)
+// Run regenerates any table of the paper's evaluation by its snaccbench
+// name; Table 1 reports each Streamer variant's FPGA resources.
+func ExampleRun() {
+	tables, err := snacc.Run(snacc.DefaultScale(), "table1")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, r := range tables[0].Rows {
+		fmt.Printf("%s: %s LUTs\n", r.Label, r.Cells[0])
 	}
 	// Output:
 	// URAM: 7260 LUTs

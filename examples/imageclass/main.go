@@ -3,7 +3,7 @@
 // FPGA, and the originals plus classifications are persisted to the NVMe
 // SSD — through each of the three SNAcc Streamer variants and through the
 // SPDK and GPU reference implementations. The output reproduces Figures 6
-// and 7.
+// and 7; Figure 6's CPU column carries §6.3's host-CPU consideration.
 //
 //	go run ./examples/imageclass [-images N]
 package main
@@ -11,25 +11,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"snacc"
 )
 
 func main() {
-	images := flag.Int("images", 192, "stream length (the paper uses 16384 ≈ 147 GB)")
+	s := snacc.DefaultScale()
+	flag.IntVar(&s.Images, "images", s.Images, "stream length (the paper uses 16384 ≈ 147 GB)")
 	flag.Parse()
 
-	fmt.Printf("streaming %d images (~9 MB each) through five pipelines...\n\n", *images)
-	results := snacc.Figure6(*images)
-	fmt.Println(snacc.RenderFigure6(results))
-	fmt.Println(snacc.RenderFigure7(results))
-
-	fmt.Println("§6.3 considerations beyond bandwidth:")
-	for _, r := range results {
-		cpu := "host CPU idle after setup (autonomous FPGA pipeline)"
-		if r.BusyPolling {
-			cpu = "one host core at 100% moving data"
-		}
-		fmt.Printf("  %-20s %s; Ethernet pauses honored: %d\n", r.Variant, cpu, r.EthernetPauses)
+	fmt.Printf("streaming %d images (~9 MB each) through five pipelines...\n\n", s.Images)
+	tables, err := snacc.Run(s, "fig6")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for _, t := range tables {
+		fmt.Println(t)
 	}
 }

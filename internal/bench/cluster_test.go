@@ -28,10 +28,10 @@ func TestClusterSweepRecovers(t *testing.T) {
 			t.Errorf("n=%d R=%d Q=%d: no goodput (%v GB/s)", r.Nodes, r.Replication, r.Quorum, r.WriteGB)
 		}
 	}
-	prev := Parallelism()
+	prev := engine
 	SetParallelism(4)
 	again := ClusterSweep(grid, 2*sim.MiB)
-	SetParallelism(prev)
+	engine = prev
 	if !reflect.DeepEqual(rows, again) {
 		t.Errorf("sweep diverged across parallelism levels:\nserial   %+v\nparallel %+v", rows, again)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"snacc/internal/parallel"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -20,13 +21,15 @@ func TestParallelDeterminism(t *testing.T) {
 	defer SetParallelism(1)
 	s := DefaultScale()
 	s.Size, s.Images, s.Samples = 16*sim.MiB, 16, 20
+	all, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
 	render := func() string {
 		var b strings.Builder
-		for _, e := range Experiments {
-			if e.InAll() {
-				for _, t := range e.Run(s) {
-					b.WriteString(t.String())
-				}
+		for _, e := range all {
+			for _, t := range e.Run(s) {
+				b.WriteString(t.String())
 			}
 		}
 		// The transfer-size sweep ignores Scale; run it at two small sizes.
@@ -49,11 +52,11 @@ func TestParallelDeterminism(t *testing.T) {
 func TestSetParallelism(t *testing.T) {
 	defer SetParallelism(1)
 	SetParallelism(4)
-	if got := Parallelism(); got != 4 {
-		t.Fatalf("Parallelism() = %d, want 4", got)
+	if *engine != *parallel.New(4) {
+		t.Fatalf("engine = %+v, want 4 workers", *engine)
 	}
 	SetParallelism(0)
-	if got := Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Parallelism() = %d, want GOMAXPROCS", got)
+	if *engine != *parallel.New(runtime.GOMAXPROCS(0)) {
+		t.Fatalf("engine = %+v, want GOMAXPROCS workers", *engine)
 	}
 }

@@ -204,10 +204,6 @@ func Fig6(images int) []casestudy.Result {
 	})
 }
 
-// Fig7 reports the PCIe traffic of each case-study configuration. It reuses
-// the Fig6 runs (traffic accounting is collected on the same pass).
-func Fig7(images int) []casestudy.Result { return Fig6(images) }
-
 // ---- SPDK measurement helpers (thin wrappers over internal/spdk) ----
 
 func spdkSeq(p *sim.Proc, d *spdk.Driver, op uint8, total int64) float64 {

@@ -16,9 +16,6 @@ var engine = parallel.New(1)
 // concurrently with a running experiment; set it once up front.
 func SetParallelism(n int) { engine = parallel.New(n) }
 
-// Parallelism reports the configured worker count.
-func Parallelism() int { return engine.Workers() }
-
 // mapRows runs job(0..n-1) on the experiment engine and returns the results
 // in index order.
 func mapRows[T any](n int, job func(i int) T) []T {

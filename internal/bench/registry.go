@@ -1,7 +1,13 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
 	"snacc/internal/sim"
+	"snacc/internal/streamer"
 	"snacc/internal/workload"
 )
 
@@ -28,6 +34,52 @@ func DefaultScale() Scale {
 		Phases:  DefaultServePhases,
 		Cluster: [][3]int{{3, 2, 1}, {3, 2, 2}, {3, 3, 2}, {4, 2, 1}, {4, 3, 2}, {5, 3, 2}},
 	}
+}
+
+// Validate rejects a Scale some experiment cannot run at: a transfer
+// volume that is not a whole number of MiB, no images or latency samples,
+// an I/O queue count outside 1..streamer.MaxIOQueues, a client population
+// or burst phase that is not positive, or a cluster shape outside
+// 2 <= nodes and 1 <= quorum <= replication <= nodes. The messages name
+// the snaccbench flags that set each field.
+func (s Scale) Validate() error {
+	switch {
+	case s.Size < sim.MiB:
+		return fmt.Errorf("invalid -size %d (want MiB >= 1)", s.Size/sim.MiB)
+	case s.Size%sim.MiB != 0:
+		return fmt.Errorf("invalid size %d bytes (want a whole number of MiB)", s.Size)
+	case s.Images < 1:
+		return fmt.Errorf("invalid -images %d (want >= 1)", s.Images)
+	case s.Samples < 1:
+		return fmt.Errorf("invalid -samples %d (want >= 1)", s.Samples)
+	}
+	for _, n := range s.Queues {
+		if n < 1 || n > streamer.MaxIOQueues {
+			return fmt.Errorf("invalid -queues entry %q (want integers 1..%d)", strconv.Itoa(n), streamer.MaxIOQueues)
+		}
+	}
+	for _, n := range s.Clients {
+		if n < 1 {
+			return fmt.Errorf("bench: -clients entry %d must be positive", n)
+		}
+	}
+	for i, ph := range s.Phases {
+		if !(ph.RateScale > 0) || ph.Duration <= 0 {
+			return fmt.Errorf("bench: -phases entry %d needs a positive scale and duration", i+1)
+		}
+	}
+	for _, c := range s.Cluster {
+		n, r, q := c[0], c[1], c[2]
+		switch {
+		case n < 2:
+			return fmt.Errorf("invalid -nodes %d (want >= 2)", n)
+		case r < 1 || r > n:
+			return fmt.Errorf("invalid -replication %d (want 1 <= replication <= nodes=%d)", r, n)
+		case q < 1 || q > r:
+			return fmt.Errorf("invalid -quorum %d (want 1 <= quorum <= replication=%d)", q, r)
+		}
+	}
+	return nil
 }
 
 // Group places an experiment in the evaluation.
@@ -58,6 +110,51 @@ type Experiment struct {
 
 // InAll reports whether e belongs to "all".
 func (e Experiment) InAll() bool { return e.Group != Tool }
+
+// Selected is an entry Select picked. Named is set when the entry was
+// named itself rather than reached through "all"; snaccbench then also
+// prints its detail output and writes its BENCH file.
+type Selected struct {
+	Experiment
+	Named bool
+}
+
+// Select resolves experiment names, and "all" for every entry in all, to
+// the entries they pick, in registry order whatever the order of names.
+// An unknown name, or no name, is an error.
+func Select(names ...string) ([]Selected, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no experiment named (want all or a comma-separated list of: %s)", strings.Join(Names(), ", "))
+	}
+	all, named := false, map[string]bool{}
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "all" {
+			all = true
+			continue
+		}
+		if !slices.Contains(Names(), name) {
+			return nil, fmt.Errorf("unknown experiment %q (want all or one of: %s)", name, strings.Join(Names(), ", "))
+		}
+		named[name] = true
+	}
+	var sel []Selected
+	for _, e := range Experiments {
+		if named[e.Name] || all && e.InAll() {
+			sel = append(sel, Selected{e, named[e.Name]})
+		}
+	}
+	return sel, nil
+}
+
+// Names lists every experiment name in registry order.
+func Names() []string {
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
+	}
+	return names
+}
 
 // Experiments is the evaluation in the order snaccbench prints it.
 var Experiments = []Experiment{
@@ -147,6 +244,7 @@ var Experiments = []Experiment{
 		sizes := []int64{32 * sim.MiB, 64 * sim.MiB, 128 * sim.MiB, 256 * sim.MiB, 512 * sim.MiB}
 		return []Table{RenderSweep("URAM", SweepTransferSize(0, sizes))}
 	}},
-	{Name: "perfreport", Label: "perf report (serial vs parallel)", Group: Tool, Bench: "BENCH_parallel.json",
-		Detail: func(Scale) (string, []Table) { return MeasurePerf(Parallelism()).JSON(), nil }},
+	{Name: "degraded", Label: "degraded striping", Group: Tool, Run: func(Scale) []Table {
+		return []Table{RenderStripedDegraded(StripedDegraded(3, 48*sim.MiB))}
+	}},
 }

@@ -37,9 +37,6 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the engine's concurrency budget.
-func (e *Engine) Workers() int { return e.workers }
-
 // Run executes job(0) … job(n-1), returning when all have completed. With
 // one worker (or one job) it runs inline on the caller's goroutine — the
 // exact serial code path, with no goroutines involved — so `-j 1` is a true

@@ -98,11 +98,11 @@ func TestPanicPropagates(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	if got := New(0).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := New(0).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(0).workers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := New(-3).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(-3).Workers() = %d", got)
+	if got := New(-3).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(-3).workers = %d", got)
 	}
 	New(2).Run(0, func(int) { t.Fatal("job ran for n=0") })
 }

@@ -15,8 +15,8 @@
 //     real bytes end to end through the NVMe protocol onto simulated
 //     flash, and reads bring them back.
 //
-//   - Figure4a … Figure7, TableOne, Ablation…: regenerate every table and
-//     figure of the paper's evaluation.
+//   - Run: regenerate any table or figure of the paper's evaluation, or
+//     all of them, by its `snaccbench` name.
 package snacc
 
 import (

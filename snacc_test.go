@@ -2,13 +2,10 @@ package snacc
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
-	"snacc/internal/bench"
 	"snacc/internal/sim"
 )
 
@@ -187,32 +184,6 @@ func TestResourcesMatchTable1(t *testing.T) {
 	}
 }
 
-func TestExperimentDefaults(t *testing.T) {
-	// The zero-value entry points must pick sane defaults and return full
-	// row sets. (Fast variants only; the full sweeps run in the benches.)
-	rows := Figure4c(40)
-	if len(rows) != 4 {
-		t.Fatalf("Figure4c rows = %d, want 4", len(rows))
-	}
-	t1 := TableOne()
-	if len(t1) != 3 {
-		t.Fatalf("TableOne rows = %d, want 3", len(t1))
-	}
-	if out := RenderTableOne(t1).String(); len(out) == 0 {
-		t.Fatal("render produced nothing")
-	}
-}
-
-func TestCaseStudySingleVariant(t *testing.T) {
-	r := CaseStudy(URAM, 24)
-	if r.GBps() < 4.5 || r.GBps() > 6.2 {
-		t.Errorf("URAM case study = %.2f GB/s", r.GBps())
-	}
-	if r.Errors != 0 || r.FramesDropped != 0 {
-		t.Errorf("errors=%d drops=%d", r.Errors, r.FramesDropped)
-	}
-}
-
 func TestStatsPCIeAccounting(t *testing.T) {
 	f := false
 	sys := MustNewSystem(Options{Variant: URAM, Functional: &f})
@@ -225,32 +196,5 @@ func TestStatsPCIeAccounting(t *testing.T) {
 	}
 	if st.PCIeHostRx > sim.MiB {
 		t.Errorf("host received %d bytes; URAM path should bypass host memory", st.PCIeHostRx)
-	}
-}
-
-func TestReportProducesAllSections(t *testing.T) {
-	out := Report(ReportOptions{TransferMiB: 64, Images: 32, LatencySamples: 40, Ablations: true})
-	for _, want := range []string{"Figure 4a", "Figure 4b", "Figure 4c", "Table 1", "Figure 6", "Figure 7",
-		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A4", "Ablation A5",
-		"Ablation A6", "Ablation A7", "Ablation A8", "Ablation A9"} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Errorf("report missing section %q", want)
-		}
-	}
-	// The report prints exactly the paper and ablation tables the registry
-	// renders at the same scale, in registry order.
-	s := bench.DefaultScale()
-	s.Size, s.Images, s.Samples = 64*sim.MiB, 32, 40
-	var want strings.Builder
-	want.WriteString("SNAcc evaluation report (simulated; see EXPERIMENTS.md for calibration)\n\n")
-	for _, e := range bench.Experiments {
-		if e.Group == bench.Paper || e.Group == bench.Ablation {
-			for _, tb := range e.Run(s) {
-				fmt.Fprintln(&want, tb)
-			}
-		}
-	}
-	if out != want.String() {
-		t.Errorf("report differs from the registry's paper and ablation tables:\n--- report ---\n%s\n--- registry ---\n%s", out, want.String())
 	}
 }
