@@ -16,8 +16,12 @@ build:
 	$(GO) build ./...
 
 # The default test path vets first and includes the targeted race pass, so
-# `make test` alone gives the full tier-1 signal.
+# `make test` alone gives the full tier-1 signal. cmd/snaccperf is its own
+# module and imports internal packages directly, so it is vetted here too
+# (vet, not build: `go build ./...` there writes a binary into the source
+# tree).
 test: vet
+	$(GO) -C cmd/snaccperf vet ./...
 	$(GO) test ./...
 	$(MAKE) race
 	$(MAKE) bench-smoke

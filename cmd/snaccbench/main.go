@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -98,6 +99,11 @@ func main() {
 	}
 	if *jobs < 1 {
 		fail("invalid -j %d (want >= 1)", *jobs)
+	}
+	// A -size whose byte count overflows int64 would wrap to some other
+	// size (2^44+1 MiB to 1 MiB) and run; Validate checks the rest.
+	if *sizeMiB > math.MaxInt64/sim.MiB || *sizeMiB < math.MinInt64/sim.MiB {
+		fail("invalid -size %d (want MiB >= 1, at most %d)", *sizeMiB, math.MaxInt64/sim.MiB)
 	}
 	scale.Size, scale.Images, scale.Samples = *sizeMiB*sim.MiB, *images, *samples
 

@@ -35,6 +35,8 @@ func TestFlagValidation(t *testing.T) {
 		{"no run", "-size 16", 2, "missing -run"},
 		{"unknown run name", "-run fig5", 2, "fig4a, fig4b"},
 		{"unknown format", "-run table1 -format xml", 2, "unknown -format"},
+		{"size overflows int64 bytes", "-run table1 -size 17592186044417", 2, "invalid -size"},
+		{"negative size wraps positive", "-run table1 -size -8796093022209", 2, "invalid -size"},
 		{"queues without queues", "-run serve -queues 1,2", 2, "-queues requires -run queues"},
 		{"queue count out of range", "-run queues -queues 9", 2, "invalid -queues entry"},
 		{"one node", "-run cluster -nodes 1", 2, "invalid -nodes"},

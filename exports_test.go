@@ -31,7 +31,6 @@ var testOracles = []struct {
 		"nvme.Device.CommandsExecuted", "nvme.Device.DeallocatedBytes",
 		"nvme.NAND.EpochSlow", "nvme.NAND.DieReads", "nvme.NAND.StripedReads", "nvme.NAND.Programs",
 		"obs.Hist.Sum", "obs.Tracer.OpenedByTenant", "obs.Tracer.ClosedByTenant", "obs.Tracer.DoubleCloses",
-		"obs.Tracer.Doorbells", "obs.Tracer.Commands",
 		"pcie.Port.PayloadTx", "pcie.SparseMem.Pages", "pcie.SparseMem.PageMoves",
 		"serve.ConnTable.Occupancy",
 		"sim.Chan.Cap", "sim.Pipe.BusyUntil", "sim.Pipe.BytesMoved", "sim.Pipe.Transfers",

@@ -264,7 +264,6 @@ func AblationMTU(mtus []int64, images int) []AblationMTURow {
 		mtu := mtus[i]
 		cfg := casestudy.DefaultConfig()
 		if images > 0 {
-			cfg.Images = images
 			cfg.Source.Count = images
 		}
 		cfg.EthernetMTU = mtu

@@ -188,7 +188,6 @@ func Table1() []Table1Row {
 func Fig6(images int) []casestudy.Result {
 	cfg := casestudy.DefaultConfig()
 	if images > 0 {
-		cfg.Images = images
 		cfg.Source.Count = images
 	}
 	variants := Variants()
@@ -256,7 +255,6 @@ func SweepTransferSize(v streamer.Variant, sizes []int64) []SweepRow {
 func Fig6Striped(counts []int, images int) []casestudy.Result {
 	cfg := casestudy.DefaultConfig()
 	if images > 0 {
-		cfg.Images = images
 		cfg.Source.Count = images
 	}
 	return mapRows(len(counts), func(i int) casestudy.Result {

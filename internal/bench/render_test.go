@@ -27,7 +27,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run go test -run TestRenderGolden -update ./internal/bench): %v", err)
+		t.Fatalf("missing golden file (run go test ./internal/bench -run TestRenderGolden -update): %v", err)
 	}
 	if got != string(want) {
 		t.Errorf("rendered output diverged from %s\n--- want ---\n%s\n--- got ---\n%s", path, want, got)

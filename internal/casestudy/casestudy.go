@@ -5,23 +5,28 @@
 // SSD — autonomously on the FPGA for the three SNAcc variants, through host
 // software for the SPDK reference, and through host+GPU for the A100
 // reference. Figure 6 (bandwidth) and Figure 7 (PCIe traffic) come from
-// these runs.
+// these runs; the §7 striped extension (ablations A7 and A8) persists
+// through several SSDs instead of one.
+//
+// Every run is assembled from three paths: one receive front end
+// (frontend.go), one SNAcc write path whose writer is a single Streamer's
+// client or a stripe over several (snacc.go), and one host-batch path
+// whose per-batch host step is the only part SPDK and GPU do not share
+// (host.go).
 package casestudy
 
 import (
 	"snacc/internal/imagestream"
 	"snacc/internal/obs"
 	"snacc/internal/sim"
-	"snacc/internal/streamer"
 )
 
 // Config parameterizes a case-study run.
 type Config struct {
-	// Images is the stream length. The paper uses 16384 (147 GB); the
-	// default here is smaller so tests and benches finish quickly —
-	// bandwidth reaches steady state within a few dozen frames.
-	Images int
-	// Source geometry (defaults reproduce the paper's ~9 MB frames).
+	// Source is the image stream: geometry (defaults reproduce the
+	// paper's ~9 MB frames) and length. The paper streams 16384 images
+	// (147 GB); the default here is shorter so tests and benches finish
+	// quickly — bandwidth reaches steady state within a few dozen frames.
 	Source imagestream.Config
 	// ScaledBytes is the classifier input size (224×224×3).
 	ScaledBytes int64
@@ -54,7 +59,7 @@ type Config struct {
 	GPUKernelPerBatch   sim.Time // A100 inference latency per batch
 	// Functional moves real pixel bytes end to end (slow; tests only).
 	Functional bool
-	// Seed for deterministic content.
+	// Seed for deterministic pixel content (functional runs).
 	Seed uint64
 }
 
@@ -63,7 +68,6 @@ func DefaultConfig() Config {
 	src := imagestream.DefaultConfig()
 	src.Count = 192
 	return Config{
-		Images:              src.Count,
 		Source:              src,
 		ScaledBytes:         224 * 224 * 3,
 		RecordBytes:         512,
@@ -93,7 +97,8 @@ type Result struct {
 	HostCPUBusy sim.Time
 	BusyPolling bool
 	// ImageLatency holds per-image end-to-end latency (last frame queued
-	// at the transmitter → persistence acknowledged); SNAcc runs only.
+	// at the transmitter → persistence acknowledged); SNAcc runs only,
+	// striped ones included, though only Figure 6 renders it.
 	ImageLatency *obs.Hist
 	// EthernetPauses counts flow-control events at the transmitter.
 	EthernetPauses int64
@@ -125,5 +130,15 @@ func (c Config) imageWriteBytes() int64 {
 	return padded + c.RecordBytes
 }
 
-// variantName labels SNAcc runs.
-func variantName(v streamer.Variant) string { return "SNAcc/" + v.String() }
+// payload is the bytes one image persists in a functional run — the frame
+// padded to perImage with its record in the last block — or nil when only
+// timing is modelled.
+func (c Config) payload(it dbItem, perImage int64) []byte {
+	if !c.Functional {
+		return nil
+	}
+	buf := make([]byte, perImage)
+	copy(buf, it.data)
+	copy(buf[perImage-c.RecordBytes:], it.record)
+	return buf
+}

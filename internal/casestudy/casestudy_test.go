@@ -2,10 +2,10 @@ package casestudy
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"snacc/internal/imagestream"
+	"snacc/internal/nvme"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -13,7 +13,6 @@ import (
 // smallConfig shrinks the stream for fast tests.
 func smallConfig(images int) Config {
 	cfg := DefaultConfig()
-	cfg.Images = images
 	cfg.Source.Count = images
 	return cfg
 }
@@ -70,7 +69,7 @@ func TestFigure7Shape(t *testing.T) {
 	host := RunSNAcc(streamer.HostDRAM, cfg)
 	spdk := RunSPDK(cfg)
 	gpu := RunGPU(cfg)
-	payload := cfg.imageWriteBytes() * int64(cfg.Images)
+	payload := cfg.imageWriteBytes() * int64(cfg.Source.Count)
 
 	for _, r := range []Result{uram, ob, host, spdk, gpu} {
 		t.Logf("%-16s pcie=%.2f GB (%.2fx payload)", r.Variant,
@@ -159,8 +158,6 @@ func TestExactFPSRelation(t *testing.T) {
 	}
 }
 
-var _ = fmt.Sprintf
-
 // verifySNAccContent runs a functional SNAcc case study and checks every
 // image and record on the SSD media byte for byte.
 func verifySNAccContent(t *testing.T, cfg Config, v streamer.Variant) {
@@ -170,19 +167,19 @@ func verifySNAccContent(t *testing.T, cfg Config, v streamer.Variant) {
 		t.Fatalf("%s: %d errors", v, res.Errors)
 	}
 	perImage := cfg.imageWriteBytes()
-	imgBytes := imagestreamAt(cfg, 0).Bytes()
-	for i := 0; i < cfg.Images; i++ {
-		img := imagestreamAt(cfg, i)
-		want := make([]byte, imgBytes)
+	gen := imagestream.NewGenerator(cfg.Source)
+	for img, ok := gen.Next(); ok; img, ok = gen.Next() {
+		i := img.ID
+		want := make([]byte, img.Bytes())
 		imagestream.Synthesize(img, cfg.Seed, want)
-		got := make([]byte, imgBytes)
+		got := make([]byte, img.Bytes())
 		dev.NAND().Store().ReadBytes(uint64(int64(i)*perImage), got)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: image %d corrupted on media", v, i)
 		}
 		rec := make([]byte, cfg.RecordBytes)
 		dev.NAND().Store().ReadBytes(uint64(int64(i+1)*perImage)-uint64(cfg.RecordBytes), rec)
-		wantRec := buildRecord(img, want, cfg.RecordBytes)
+		wantRec := buildRecord(img.ID, want, cfg.RecordBytes)
 		if !bytes.Equal(rec, wantRec) {
 			t.Fatalf("%s: record %d corrupted on media (%q vs %q)", v, i, rec[:32], wantRec[:32])
 		}
@@ -225,8 +222,8 @@ func TestCaseStudyWithDeviceFaults(t *testing.T) {
 	if dev.Errors() == 0 {
 		t.Fatal("device error counter untouched")
 	}
-	if res.Images != cfg.Images {
-		t.Fatalf("pipeline did not finish: %d of %d images", res.Images, cfg.Images)
+	if res.Images != cfg.Source.Count {
+		t.Fatalf("pipeline did not finish: %d of %d images", res.Images, cfg.Source.Count)
 	}
 }
 
@@ -262,8 +259,8 @@ func TestImageLatencyAccounting(t *testing.T) {
 	// under a second even with flow-control stalls.
 	cfg := smallConfig(48)
 	res, _ := runSNAcc(streamer.HostDRAM, cfg, nil)
-	if res.ImageLatency.Count() != int64(cfg.Images) {
-		t.Fatalf("latency samples = %d, want %d", res.ImageLatency.Count(), cfg.Images)
+	if res.ImageLatency.Count() != int64(cfg.Source.Count) {
+		t.Fatalf("latency samples = %d, want %d", res.ImageLatency.Count(), cfg.Source.Count)
 	}
 	mean := res.ImageLatency.Mean()
 	if mean < 2*sim.Millisecond {
@@ -275,4 +272,23 @@ func TestImageLatencyAccounting(t *testing.T) {
 	if res.ImageLatency.Percentile(99) < mean {
 		t.Fatal("p99 below mean")
 	}
+}
+
+// runSNAccWithFaults runs a SNAcc case study in which every Nth NVMe write
+// fails with an internal error, exercising error propagation through the
+// Streamer.
+func runSNAccWithFaults(cfg Config, v streamer.Variant, everyN int64) (Result, *nvme.Device) {
+	return runSNAcc(v, cfg, func(d *nvme.Device) {
+		n := int64(0)
+		d.SetFaultInjector(func(cmd nvme.Command) uint16 {
+			if cmd.Opcode != nvme.OpWrite {
+				return nvme.StatusSuccess
+			}
+			n++
+			if n%everyN == 0 {
+				return nvme.StatusInternalError
+			}
+			return nvme.StatusSuccess
+		})
+	})
 }

@@ -20,10 +20,10 @@ type dbItem struct {
 	sentAt sim.Time
 }
 
-// frontEnd is the FPGA-side receive pipeline shared by the SNAcc variants
-// and the SPDK reference: transmitter FPGA → 100 G Ethernet with flow
-// control → receive PE → downscaler PE → FINN classifier PE. Its output
-// channel delivers in-order dbItems; a bounded capacity propagates
+// frontEnd is the FPGA-side receive pipeline shared by every run:
+// transmitter FPGA → 100 G Ethernet with flow control → receive PE, then,
+// when the card classifies, → downscaler PE → FINN classifier PE. Its
+// output channel delivers in-order dbItems; a bounded capacity propagates
 // backpressure from the storage path all the way to the Ethernet
 // transmitter via pause frames.
 type frontEnd struct {
@@ -32,10 +32,6 @@ type frontEnd struct {
 
 	tx, rx *ethernet.MAC
 	out    *sim.Chan[dbItem]
-
-	scaler     *sim.Server
-	classifier *sim.Server
-	viaSwitch  bool
 }
 
 // imageEnd marks the final frame of an image on the wire, timestamped at
@@ -45,31 +41,31 @@ type imageEnd struct {
 	sentAt sim.Time
 }
 
-// ethernetConfig applies the case-study overrides to the 100 G defaults.
-func ethernetConfig(cfg Config) ethernet.Config {
+// newFrontEnd wires the pipeline and starts its processes. Without
+// classify the card is only a NIC (the GPU reference): reassembled images
+// go straight out, and scaling and classification move to the host.
+func newFrontEnd(k *sim.Kernel, cfg Config, classify bool) *frontEnd {
 	ecfg := ethernet.DefaultConfig()
 	if cfg.EthernetMTU > 0 {
 		ecfg.MTU = cfg.EthernetMTU
 	}
-	return ecfg
-}
-
-// newFrontEnd wires the pipeline and starts its processes.
-func newFrontEnd(k *sim.Kernel, cfg Config) *frontEnd {
-	ecfg := ethernetConfig(cfg)
 	fe := &frontEnd{
-		k:          k,
-		cfg:        cfg,
-		tx:         ethernet.NewMAC(k, "txfpga", ecfg),
-		rx:         ethernet.NewMAC(k, "rxfpga", ecfg),
-		out:        sim.NewChan[dbItem](k, 4),
-		scaler:     sim.NewServer(k),
-		classifier: sim.NewServer(k),
+		k:   k,
+		cfg: cfg,
+		tx:  ethernet.NewMAC(k, "txfpga", ecfg),
+		rx:  ethernet.NewMAC(k, "rxfpga", ecfg),
+		out: sim.NewChan[dbItem](k, 4),
 	}
 	fe.connect(ecfg)
 	k.Spawn("sender", fe.senderLoop)
+	if !classify {
+		k.Spawn("rxpe", func(p *sim.Proc) { fe.rxLoop(p, fe.out) })
+		return fe
+	}
 	// Separate processes per PE so reception, scaling and classification
-	// pipeline the way distinct hardware stages do (Figure 5).
+	// pipeline the way distinct hardware stages do (Figure 5). Each PE
+	// serves one image at a time in its own process, so it is busy exactly
+	// while that process sleeps.
 	toScaler := sim.NewChan[dbItem](k, 2)
 	toClassifier := sim.NewChan[dbItem](k, 2)
 	k.Spawn("rxpe", func(p *sim.Proc) { fe.rxLoop(p, toScaler) })
@@ -144,7 +140,7 @@ func (fe *frontEnd) scalerLoop(p *sim.Proc, in, out *sim.Chan[dbItem]) {
 	const scalerBytesPerSec = 19.2e9 // 64 B × 300 MHz streaming datapath
 	for {
 		it := in.Get(p)
-		occupyServer(p, fe.scaler, sim.TransferTime(it.img.Bytes(), scalerBytesPerSec))
+		p.Sleep(sim.TransferTime(it.img.Bytes(), scalerBytesPerSec))
 		out.Put(p, it)
 	}
 }
@@ -156,13 +152,13 @@ func (fe *frontEnd) classifierLoop(p *sim.Proc, in *sim.Chan[dbItem]) {
 	first := true
 	for {
 		it := in.Get(p)
-		occupyServer(p, fe.classifier, sim.Seconds(1/fe.cfg.ClassifierFPS))
+		p.Sleep(sim.Seconds(1 / fe.cfg.ClassifierFPS))
 		if first {
 			p.Sleep(fe.cfg.ClassifierLatency)
 			first = false
 		}
 		if fe.cfg.Functional {
-			it.record = buildRecord(it.img, it.data, fe.cfg.RecordBytes)
+			it.record = buildRecord(it.img.ID, it.data, fe.cfg.RecordBytes)
 		}
 		fe.out.Put(p, it)
 	}
@@ -170,66 +166,15 @@ func (fe *frontEnd) classifierLoop(p *sim.Proc, in *sim.Chan[dbItem]) {
 
 // buildRecord produces a deterministic classification record from the pixel
 // content so functional tests can verify end-to-end integrity.
-func buildRecord(img imagestream.Image, pixels []byte, size int64) []byte {
+func buildRecord(id int, pixels []byte, size int64) []byte {
 	rec := make([]byte, size)
 	var h uint64 = 1469598103934665603
 	for _, b := range pixels {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	copy(rec, []byte(fmt.Sprintf("img=%d class=%d conf=%d", img.ID, h%1000, h%97)))
+	copy(rec, []byte(fmt.Sprintf("img=%d class=%d conf=%d", id, h%1000, h%97)))
 	return rec
-}
-
-func occupyServer(p *sim.Proc, srv *sim.Server, d sim.Time) {
-	p.Sleep(srv.Occupy(d) - p.Now())
-}
-
-// newFrontEndNICOnly builds the GPU reference's receive path: the FPGA acts
-// purely as a NIC, so frames are reassembled into images and handed on with
-// no scaling or classification — those move to the host CPU and the GPU.
-func newFrontEndNICOnly(k *sim.Kernel, cfg Config) *frontEnd {
-	ecfg := ethernetConfig(cfg)
-	fe := &frontEnd{
-		k:   k,
-		cfg: cfg,
-		tx:  ethernet.NewMAC(k, "txfpga", ecfg),
-		rx:  ethernet.NewMAC(k, "nic", ecfg),
-		out: sim.NewChan[dbItem](k, 4),
-	}
-	fe.connect(ecfg)
-	k.Spawn("sender", fe.senderLoop)
-	k.Spawn("nicrx", func(p *sim.Proc) {
-		p.SetDaemon(true)
-		var buf []byte
-		var got int64
-		for {
-			f := fe.rx.Recv(p)
-			got += f.Bytes
-			if fe.cfg.Functional {
-				buf = append(buf, f.Data...)
-			}
-			if end, ok := f.Meta.(imageEnd); ok {
-				if got != end.img.Bytes() {
-					panic("casestudy: NIC reassembly mismatch")
-				}
-				fe.out.Put(p, dbItem{img: end.img, data: buf, sentAt: end.sentAt})
-				buf = nil
-				got = 0
-			}
-		}
-	})
-	return fe
-}
-
-// imagestreamAt reconstructs the image descriptor for stream position id.
-func imagestreamAt(cfg Config, id int) imagestream.Image {
-	return imagestream.Image{
-		ID:       id,
-		Width:    cfg.Source.Width,
-		Height:   cfg.Source.Height,
-		Channels: cfg.Source.Channels,
-	}
 }
 
 // connect wires transmitter to receiver, optionally through a switch so
@@ -242,5 +187,4 @@ func (fe *frontEnd) connect(ecfg ethernet.Config) {
 	sw := ethernet.NewSwitch(fe.k, "torswitch", ecfg, 2, sim.MiB)
 	sw.Attach(0, fe.tx)
 	sw.Attach(1, fe.rx)
-	fe.viaSwitch = true
 }

@@ -26,14 +26,12 @@ func (im Image) Bytes() int64 {
 type Config struct {
 	Width, Height, Channels int
 	Count                   int
-	// Seed drives any content synthesis (functional runs).
-	Seed uint64
 }
 
 // DefaultConfig reproduces the paper's geometry: 16384 frames of
 // 2048×1461×3 ≈ 8.98 MB each ≈ 147 GB total.
 func DefaultConfig() Config {
-	return Config{Width: 2048, Height: 1461, Channels: 3, Count: 16384, Seed: 0x51ACC}
+	return Config{Width: 2048, Height: 1461, Channels: 3, Count: 16384}
 }
 
 // Generator yields the image sequence.
@@ -49,17 +47,6 @@ func NewGenerator(cfg Config) *Generator {
 	}
 	return &Generator{cfg: cfg}
 }
-
-// Config returns the generator configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
-// ImageBytes returns the per-frame size.
-func (g *Generator) ImageBytes() int64 {
-	return Image{Width: g.cfg.Width, Height: g.cfg.Height, Channels: g.cfg.Channels}.Bytes()
-}
-
-// TotalBytes returns the whole stream's payload volume.
-func (g *Generator) TotalBytes() int64 { return g.ImageBytes() * int64(g.cfg.Count) }
 
 // Next returns the next image, or false when the stream ends.
 func (g *Generator) Next() (Image, bool) {

@@ -7,16 +7,16 @@ import (
 )
 
 func TestDefaultMatchesPaperVolume(t *testing.T) {
-	g := NewGenerator(DefaultConfig())
+	cfg := DefaultConfig()
 	// §6.2: 16384 images totalling 147 GB.
-	if g.Config().Count != 16384 {
-		t.Fatalf("count = %d", g.Config().Count)
+	if cfg.Count != 16384 {
+		t.Fatalf("count = %d", cfg.Count)
 	}
-	total := g.TotalBytes()
+	per := Image{Width: cfg.Width, Height: cfg.Height, Channels: cfg.Channels}.Bytes()
+	total := per * int64(cfg.Count)
 	if total < 146e9 || total > 148e9 {
 		t.Fatalf("total stream = %.1f GB, paper: 147 GB", float64(total)/1e9)
 	}
-	per := g.ImageBytes()
 	if per < 8.9e6 || per > 9.1e6 {
 		t.Fatalf("per-image = %.2f MB, want ~9", float64(per)/1e6)
 	}

@@ -197,8 +197,6 @@ type Tracer struct {
 	dropped     int64
 	late        int64
 	doubleClose int64
-	doorbells   int64
-	commands    int64
 
 	// openedT/closedT count spans per tenant, indexed by tenant and grown
 	// on demand; the multi-tenant invariant tests diff them per tenant the
@@ -441,48 +439,6 @@ func (t *Tracer) DoubleCloses() int64 {
 		return 0
 	}
 	return t.doubleClose
-}
-
-// CountDoorbell counts one posted doorbell write (SQ tail or CQ head).
-func (t *Tracer) CountDoorbell() {
-	if t != nil {
-		t.doorbells++
-	}
-}
-
-// CountCommand counts one NVMe command submission (including retries and
-// replays — each re-encoded SQE eventually needs its tail rung).
-func (t *Tracer) CountCommand() {
-	if t != nil {
-		t.commands++
-	}
-}
-
-// Doorbells returns posted doorbell writes counted so far.
-func (t *Tracer) Doorbells() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.doorbells
-}
-
-// Commands returns NVMe command submissions counted so far.
-func (t *Tracer) Commands() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.commands
-}
-
-// DoorbellRatio returns doorbell writes per submitted command — 2.0 without
-// coalescing (one tail ring plus one head update per command), approaching
-// 2/DoorbellBatch as coalescing amortizes both sides. 0 when nothing was
-// submitted or the tracer is nil.
-func (t *Tracer) DoorbellRatio() float64 {
-	if t == nil || t.commands == 0 {
-		return 0
-	}
-	return float64(t.doorbells) / float64(t.commands)
 }
 
 // Breakdown aggregates per-stage transition histograms from a span set the

@@ -122,44 +122,8 @@ func TestTracerSpanLimitAndNilSafety(t *testing.T) {
 	nilTr.End(sp, 0, 1)
 	nilTr.LateEvent()
 	nilTr.Event(AnnotReset, 1)
-	nilTr.CountDoorbell()
-	nilTr.CountCommand()
 	if nilTr.Opened() != 0 || nilTr.Spans() != nil || nilTr.StageHist(StageCQE) != nil || nilTr.E2E(true) != nil {
 		t.Fatal("nil tracer leaked state")
-	}
-	if nilTr.Doorbells() != 0 || nilTr.Commands() != 0 || nilTr.DoorbellRatio() != 0 {
-		t.Fatal("nil tracer leaked doorbell counters")
-	}
-}
-
-// TestTracerDoorbellCounters pins the doorbells-per-command accounting the
-// queue sweep reports: 2.0 for the uncoalesced protocol (one SQ tail ring
-// plus one CQ head update per command), dropping as batches coalesce, 0
-// before anything was submitted.
-func TestTracerDoorbellCounters(t *testing.T) {
-	tr := NewTracer(0)
-	if tr.DoorbellRatio() != 0 {
-		t.Fatalf("ratio with no commands = %v, want 0", tr.DoorbellRatio())
-	}
-	for i := 0; i < 4; i++ {
-		tr.CountCommand()
-		tr.CountDoorbell() // SQ tail ring
-		tr.CountDoorbell() // CQ head update
-	}
-	if tr.Commands() != 4 || tr.Doorbells() != 8 {
-		t.Fatalf("commands/doorbells = %d/%d, want 4/8", tr.Commands(), tr.Doorbells())
-	}
-	if tr.DoorbellRatio() != 2.0 {
-		t.Fatalf("uncoalesced ratio = %v, want 2.0", tr.DoorbellRatio())
-	}
-	// Four more commands coalesced into a single tail ring and head update.
-	for i := 0; i < 4; i++ {
-		tr.CountCommand()
-	}
-	tr.CountDoorbell()
-	tr.CountDoorbell()
-	if got := tr.DoorbellRatio(); got != 1.25 {
-		t.Fatalf("coalesced ratio = %v, want 1.25", got)
 	}
 }
 

@@ -712,7 +712,6 @@ func (s *Streamer) encodeAndRing(slot int) {
 	q.sqFilled[q.sqTail] = true
 	q.sqTail = (q.sqTail + 1) % s.cfg.QueueDepth
 	s.cmdsSubmitted++
-	s.tr.CountCommand()
 	if s.cfg.CmdTimeout > 0 {
 		s.deadlines.Push(deadline{slot: slot, seq: e.seq})
 		s.k.After(s.cfg.CmdTimeout, s.deadlineFn)
@@ -794,7 +793,6 @@ func (s *Streamer) sqFlushTimer(qi int) {
 // at delivery, after which the record returns to the free list.
 func (s *Streamer) ringDoorbell(addr uint64, val uint32) {
 	s.doorbellWrites++
-	s.tr.CountDoorbell()
 	var db *doorbell
 	if n := len(s.dbFree); n > 0 {
 		db = s.dbFree[n-1]

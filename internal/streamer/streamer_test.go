@@ -450,3 +450,32 @@ func TestRoundTripMovesPagesByReference(t *testing.T) {
 			byRef, copied, 6*pages)
 	}
 }
+
+// TestStreamerDoorbellCounters pins the doorbells-per-command accounting the
+// queue sweep reports: exactly two doorbell writes per command for the
+// uncoalesced protocol (one SQ tail ring plus one CQ head update), fewer
+// once DoorbellBatch coalesces both sides. Random 4 KiB reads keep many
+// commands outstanding, so a batch fills before its flush timer fires.
+func TestStreamerDoorbellCounters(t *testing.T) {
+	count := func(batch int) (doorbells, commands int64) {
+		k, c, _ := rig(t, streamer.URAM, false, func(cfg *streamer.Config) { cfg.DoorbellBatch = batch })
+		defer k.Close()
+		st := c.Streamer()
+		db0, cmd0 := st.DoorbellWrites(), st.CommandsSubmitted()
+		k.Spawn("pe", func(p *sim.Proc) { streamer.RandRead(p, c, 64*sim.GiB, sim.MiB, 4096, 42) })
+		k.Run(0)
+		return st.DoorbellWrites() - db0, st.CommandsSubmitted() - cmd0
+	}
+	db, cmds := count(1)
+	if cmds == 0 || db != 2*cmds {
+		t.Fatalf("DoorbellBatch 1: %d doorbells for %d commands, want exactly 2 per command", db, cmds)
+	}
+	db8, cmds8 := count(8)
+	if cmds8 != cmds {
+		t.Fatalf("DoorbellBatch 8 submitted %d commands, want %d", cmds8, cmds)
+	}
+	if db8 >= db {
+		t.Fatalf("DoorbellBatch 8: %d doorbells, want fewer than the uncoalesced %d", db8, db)
+	}
+	t.Logf("%d commands: %d doorbells uncoalesced, %d at batch 8", cmds, db, db8)
+}

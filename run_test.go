@@ -83,7 +83,7 @@ func TestExperimentDefaults(t *testing.T) {
 // sequential-write rate.
 func TestCaseStudySingleVariant(t *testing.T) {
 	cfg := casestudy.DefaultConfig()
-	cfg.Images, cfg.Source.Count = 24, 24
+	cfg.Source.Count = 24
 	r := casestudy.RunSNAcc(URAM, cfg)
 	if r.GBps() < 4.5 || r.GBps() > 6.2 {
 		t.Errorf("URAM case study = %.2f GB/s", r.GBps())
