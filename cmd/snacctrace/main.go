@@ -181,7 +181,7 @@ func runSpans(v streamer.Variant, op string, sizeMiB int64, nspans int) {
 	}
 
 	fmt.Println()
-	fmt.Println(bench.RenderLatencyBreakdown(bench.LatencyStages(v.String(), op, sel)))
+	fmt.Println(bench.LatencyStages(v.String(), op, sel))
 }
 
 // printWaterfall renders one span as a stage-by-stage timeline.

@@ -82,8 +82,8 @@ func ExampleRun() {
 		fmt.Println("error:", err)
 		return
 	}
-	for _, r := range tables[0].Rows {
-		fmt.Printf("%s: %s LUTs\n", r.Label, r.Cells[0])
+	for i, r := range tables[0].Rows {
+		fmt.Printf("%s: %s LUTs\n", r.Label, tables[0].Cell(i, 0))
 	}
 	// Output:
 	// URAM: 7260 LUTs

@@ -12,20 +12,13 @@ import (
 	"snacc/internal/tapasco"
 )
 
-// AblationQDRow compares random-read bandwidth across submission queue
-// depths — §5.2 observes that SPDK keeps scaling with queue size while the
-// Streamer's in-order retirement stays flat, and §7 proposes increasing the
-// queue as one mitigation.
-type AblationQDRow struct {
-	QueueDepth int
-	SPDKGB     float64
-	SNAccGB    float64
-}
-
-// AblationQD sweeps the queue depth for 4 KiB random reads.
-func AblationQD(depths []int, totalBytes int64) []AblationQDRow {
+// AblationQD sweeps the queue depth for 4 KiB random reads — §5.2 observes
+// that SPDK keeps scaling with queue size while the Streamer's in-order
+// retirement stays flat, and §7 proposes increasing the queue as one
+// mitigation.
+func AblationQD(depths []int, totalBytes int64) Table {
 	const span = 64 * sim.GiB
-	return mapRows(len(depths), func(i int) AblationQDRow {
+	rows := mapRows(len(depths), func(i int) Row {
 		qd := depths[i]
 		k, _, drvC := buildSPDK(qd, nil)
 		defer k.Close()
@@ -42,22 +35,21 @@ func AblationQD(depths []int, totalBytes int64) []AblationQDRow {
 		rig.measure(func(p *sim.Proc) {
 			snGB = streamer.RandRead(p, rig.c, span, totalBytes, 4096, 13).GBps()
 		})
-		return AblationQDRow{QueueDepth: qd, SPDKGB: spdkGB, SNAccGB: snGB}
+		return Row{Label: fmt.Sprintf("QD %d", qd), Values: []float64{spdkGB, snGB}}
 	})
-}
-
-// AblationOOORow compares in-order vs out-of-order retirement (§7).
-type AblationOOORow struct {
-	Label      string
-	RandReadGB float64
-	SeqReadGB  float64
+	return Table{
+		Title:   "Ablation A1 — random-read bandwidth vs queue depth (GB/s)",
+		Columns: cols(gb, "SPDK", "SNAcc URAM"),
+		Rows:    rows,
+		Notes:   []string{"§5.2: SPDK scales with queue size; in-order SNAcc stays flat"},
+	}
 }
 
 // AblationOOO measures the §7 out-of-order retirement extension against the
 // paper's in-order baseline on the on-board DRAM variant.
-func AblationOOO(totalBytes int64) []AblationOOORow {
+func AblationOOO(totalBytes int64) Table {
 	const span = 64 * sim.GiB
-	return mapRows(2, func(i int) AblationOOORow {
+	rows := mapRows(2, func(i int) Row {
 		ooo := i == 1
 		label := "in-order (paper)"
 		if ooo {
@@ -77,23 +69,22 @@ func AblationOOO(totalBytes int64) []AblationOOORow {
 			rr = streamer.RandRead(p, rig.c, span, totalBytes, 4096, 13).GBps()
 			sr = streamer.SeqRead(p, rig.c, 0, totalBytes).GBps()
 		})
-		return AblationOOORow{Label: label, RandReadGB: rr, SeqReadGB: sr}
+		return Row{Label: label, Values: []float64{rr, sr}}
 	})
-}
-
-// AblationMultiSSDRow is the §7 multi-SSD scaling experiment.
-type AblationMultiSSDRow struct {
-	SSDs        int
-	SeqWriteGB  float64
-	PerSSDWrite float64
+	return Table{
+		Title:   "Ablation A2 — in-order vs out-of-order retirement (GB/s)",
+		Columns: cols(gb, "rand-r", "seq-r"),
+		Rows:    rows,
+		Notes:   []string{"§7: out-of-order retirement recovers random-read bandwidth"},
+	}
 }
 
 // AblationMultiSSD attaches n Streamer+SSD pairs to one card and measures
 // aggregate sequential write bandwidth — §7: "Our design can easily be
 // extended to access multiple SSDs concurrently ... separate submission and
 // completion queues for each SSD".
-func AblationMultiSSD(counts []int, perSSDBytes int64) []AblationMultiSSDRow {
-	return mapRows(len(counts), func(ci int) AblationMultiSSDRow {
+func AblationMultiSSD(counts []int, perSSDBytes int64) Table {
+	rows := mapRows(len(counts), func(ci int) Row {
 		n := counts[ci]
 		k := sim.NewKernel()
 		node := tapasco.NewNode(k, tapasco.DefaultU280())
@@ -108,8 +99,14 @@ func AblationMultiSSD(counts []int, perSSDBytes int64) []AblationMultiSSDRow {
 			streamer.SeqWrite(p, clients[i], 0, perSSDBytes)
 		})
 		agg := float64(perSSDBytes*int64(n)) / elapsed.Seconds() / 1e9
-		return AblationMultiSSDRow{SSDs: n, SeqWriteGB: agg, PerSSDWrite: agg / float64(n)}
+		return Row{Label: fmt.Sprintf("%d SSD", n), Values: []float64{agg, agg / float64(n)}}
 	})
+	return Table{
+		Title:   "Ablation A3 — multi-SSD sequential write scaling",
+		Columns: cols(gb, "aggregate GB/s", "per-SSD GB/s"),
+		Rows:    rows,
+		Notes:   []string{"§7: separate queues per SSD hide single-SSD latency and fill PCIe"},
+	}
 }
 
 // timeParallel brings node up (runInMain), then runs work(p, i) for each i
@@ -134,17 +131,10 @@ func timeParallel(node *tapasco.Node, n int, work func(p *sim.Proc, i int)) sim.
 	return elapsed
 }
 
-// AblationGen5Row is the §7 PCIe 5.0 projection.
-type AblationGen5Row struct {
-	Label      string
-	SeqReadGB  float64
-	SeqWriteGB float64
-}
-
 // AblationGen5 swaps in a Gen5 x4 SSD profile ("Current NVMe SSDs support
 // PCIe Gen5 x4, doubling the bandwidth") and re-measures the URAM variant.
 // The Streamer needs no modification, exactly as §7 claims.
-func AblationGen5(totalBytes int64) []AblationGen5Row {
+func AblationGen5(totalBytes int64) Table {
 	gen5 := func(c *nvme.Config) {
 		c.Link.Gen = 5
 		c.NAND.SeqReadBW = sim.GBps(12.4)
@@ -155,7 +145,7 @@ func AblationGen5(totalBytes int64) []AblationGen5Row {
 		c.Link.ReadCredits = 8
 	}
 	muts := []func(*nvme.Config){nil, gen5}
-	return mapRows(len(muts), func(i int) AblationGen5Row {
+	rows := mapRows(len(muts), func(i int) Row {
 		mut := muts[i]
 		label := "Gen4 x4 (990 PRO)"
 		if mut != nil {
@@ -168,22 +158,22 @@ func AblationGen5(totalBytes int64) []AblationGen5Row {
 			rd = streamer.SeqRead(p, rig.c, 0, totalBytes).GBps()
 			wr = streamer.SeqWrite(p, rig.c, 0, totalBytes).GBps()
 		})
-		return AblationGen5Row{Label: label, SeqReadGB: rd, SeqWriteGB: wr}
+		return Row{Label: label, Values: []float64{rd, wr}}
 	})
+	return Table{
+		Title:   "Ablation A4 — PCIe 5.0 SSD projection (URAM variant, GB/s)",
+		Columns: cols(gb, "seq-r", "seq-w"),
+		Rows:    rows,
+		Notes:   []string{"§7: the implementation accommodates Gen5 SSDs without modification"},
+	}
 }
 
-// AblationDRAMRow quantifies the on-board DRAM turnaround penalty.
-type AblationDRAMRow struct {
-	Label      string
-	SeqWriteGB float64
-}
-
-// AblationDRAM compares the paper's single DRAM controller against the §5.2
+// AblationDRAM quantifies the on-board DRAM turnaround penalty: it compares the paper's single DRAM controller against the §5.2
 // remedy ("utilizing two DRAM controllers or distinct HBM memory banks"),
 // modeled as a controller without read/write turnaround and row-miss
 // penalties between the competing streams.
-func AblationDRAM(totalBytes int64) []AblationDRAMRow {
-	return mapRows(2, func(i int) AblationDRAMRow {
+func AblationDRAM(totalBytes int64) Table {
+	rows := mapRows(2, func(i int) Row {
 		dual := i == 1
 		label := "single controller (paper)"
 		if dual {
@@ -201,23 +191,22 @@ func AblationDRAM(totalBytes int64) []AblationDRAMRow {
 		runInMain(node, func(p *sim.Proc) {
 			wr = streamer.SeqWrite(p, streamer.NewClient(st), 0, totalBytes).GBps()
 		})
-		return AblationDRAMRow{Label: label, SeqWriteGB: wr}
+		return Row{Label: label, Values: []float64{wr}}
 	})
-}
-
-// AblationHBMRow compares the staging memory for the on-card variant.
-type AblationHBMRow struct {
-	Label      string
-	SeqWriteGB float64
-	SeqReadGB  float64
+	return Table{
+		Title:   "Ablation A5 — on-board DRAM controller contention (seq write, GB/s)",
+		Columns: cols(gb, "seq-w"),
+		Rows:    rows,
+		Notes:   []string{"§5.2: read/write turnaround between NVMe fetches and buffer fills costs bandwidth"},
+	}
 }
 
 // AblationHBM stages the on-card buffers in the U280's HBM stack instead of
 // the single DDR4 controller — §7: "we can leverage HBM and distribute data
 // buffers across different HBM controllers to maximize parallelism and
 // bandwidth".
-func AblationHBM(totalBytes int64) []AblationHBMRow {
-	return mapRows(2, func(i int) AblationHBMRow {
+func AblationHBM(totalBytes int64) Table {
+	rows := mapRows(2, func(i int) Row {
 		hbm := i == 1
 		label := "DDR4, single controller (paper)"
 		if hbm {
@@ -241,26 +230,23 @@ func AblationHBM(totalBytes int64) []AblationHBMRow {
 			wr = streamer.SeqWrite(p, c, 0, totalBytes).GBps()
 			rd = streamer.SeqRead(p, c, 0, totalBytes).GBps()
 		})
-		return AblationHBMRow{Label: label, SeqWriteGB: wr, SeqReadGB: rd}
+		return Row{Label: label, Values: []float64{wr, rd}}
 	})
-}
-
-// AblationMTURow compares the network-bound §7 striped configuration across
-// Ethernet frame payloads: per-frame overhead (preamble, header, FCS, IFG)
-// is fixed, so smaller MTUs lower the 100 G link's payload ceiling — and the
-// 3-SSD pipeline, which A7 shows is network-limited, tracks that ceiling.
-type AblationMTURow struct {
-	MTU int64
-	// CeilingGB is the analytic payload ceiling: 12.5 GB/s × MTU/(MTU+38).
-	CeilingGB float64
-	// CaseGB is the measured striped-3 case-study bandwidth.
-	CaseGB float64
-	FPS    float64
+	return Table{
+		Title:   "Ablation A6 — HBM staging for the on-card variant (GB/s)",
+		Columns: cols(gb, "seq-w", "seq-r"),
+		Rows:    rows,
+		Notes:   []string{"§7: HBM channel parallelism removes the DDR4 turnaround interplay"},
+	}
 }
 
 // AblationMTU sweeps the Ethernet MTU for the 3-SSD striped case study.
-func AblationMTU(mtus []int64, images int) []AblationMTURow {
-	return mapRows(len(mtus), func(i int) AblationMTURow {
+// Per-frame overhead (preamble, header, FCS, IFG) is fixed, so smaller MTUs
+// lower the 100 G link's payload ceiling, 12.5 GB/s × MTU/(MTU+38) — and
+// the 3-SSD pipeline, which A7 shows is network-limited, tracks that
+// ceiling.
+func AblationMTU(mtus []int64, images int) Table {
+	rows := mapRows(len(mtus), func(i int) Row {
 		mtu := mtus[i]
 		cfg := casestudy.DefaultConfig()
 		if images > 0 {
@@ -270,16 +256,16 @@ func AblationMTU(mtus []int64, images int) []AblationMTURow {
 		res := casestudy.RunSNAccStriped(3, cfg)
 		ecfg := ethernet.DefaultConfig()
 		ceiling := ecfg.BytesPerSec() * float64(mtu) / float64(mtu+ecfg.FrameOverheadBytes) / 1e9
-		return AblationMTURow{MTU: mtu, CeilingGB: ceiling, CaseGB: res.GBps(), FPS: res.FPS()}
+		return Row{Label: fmt.Sprintf("MTU %d", mtu), Values: []float64{ceiling, res.GBps(), res.FPS()}}
 	})
-}
-
-// AblationQPRow is one point of the queue-pair scaling sweep: n Streamers
-// sharing one SSD over n I/O queue pairs.
-type AblationQPRow struct {
-	Streamers  int
-	SeqWriteGB float64
-	RandReadGB float64
+	return Table{
+		Title:   "Ablation A8 — Ethernet MTU vs the network-bound striped pipeline (3 SSDs)",
+		Columns: []Column{{"link ceiling GB/s", gb}, {"measured GB/s", gb}, {"frames/s", count}},
+		Rows:    rows,
+		Notes: []string{
+			"per-frame overhead is fixed, so the payload ceiling — and the network-bound pipeline — tracks MTU/(MTU+38)",
+		},
+	}
 }
 
 // AblationQP attaches n Streamers to ONE controller (queue pairs 1..n) —
@@ -289,12 +275,12 @@ type AblationQPRow struct {
 // while 4 KiB random reads scale with the streamer count because each
 // streamer's in-order retirement FSM is a per-queue bottleneck, not a
 // device limit.
-func AblationQP(counts []int, totalBytes int64) []AblationQPRow {
+func AblationQP(counts []int, totalBytes int64) Table {
 	const span = 64 * sim.GiB
-	return mapRows(len(counts), func(ci int) AblationQPRow {
+	rows := mapRows(len(counts), func(ci int) Row {
 		n := counts[ci]
-		row := AblationQPRow{Streamers: n}
-		for _, random := range []bool{false, true} {
+		row := Row{Label: fmt.Sprintf("%d streamer(s)", n), Values: make([]float64, 2)}
+		for c, random := range []bool{false, true} {
 			k := sim.NewKernel()
 			node := tapasco.NewNode(k, tapasco.DefaultU280())
 			ssd := node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
@@ -312,13 +298,16 @@ func AblationQP(counts []int, totalBytes int64) []AblationQPRow {
 					streamer.SeqWrite(p, clients[i], uint64(i)*uint64(span/int64(n)), per)
 				}
 			})
-			gb := float64(totalBytes) / elapsed.Seconds() / 1e9
-			if random {
-				row.RandReadGB = gb
-			} else {
-				row.SeqWriteGB = gb
-			}
+			row.Values[c] = float64(totalBytes) / elapsed.Seconds() / 1e9
 		}
 		return row
 	})
+	return Table{
+		Title:   "Ablation A9 — multiple Streamers sharing one SSD (one queue pair each, §7)",
+		Columns: cols(gb, "seq-w GB/s", "rand-r GB/s"),
+		Rows:    rows,
+		Notes: []string{
+			"seq writes stay at the single-SSD NAND ceiling; rand reads scale because the in-order FSM is per-queue, not per-device",
+		},
+	}
 }

@@ -2,14 +2,10 @@
 // evaluation (§5, §6) plus the §7 ablations, as plain-Go experiment
 // runners shared by the root-level benchmarks and the snaccbench CLI.
 // Each runner builds a fresh simulated system, executes the paper's
-// workload, and returns the rows the paper plots.
+// workload, and returns its results as a Table of numbers.
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"strings"
-
 	"snacc/internal/nvme"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
@@ -99,102 +95,4 @@ func buildSPDK(qd int, mutDev func(*nvme.Config)) (*sim.Kernel, *pcie.Host, chan
 		out <- d
 	})
 	return k, host, out
-}
-
-// Table is a generic labelled result grid used by the CLI output.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    []TableRow
-	Notes   []string
-}
-
-// TableRow is one labelled row of cells.
-type TableRow struct {
-	Label string
-	Cells []string
-}
-
-// String renders an aligned text table.
-func (t Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	widths := make([]int, len(t.Columns)+1)
-	widths[0] = len("variant")
-	for _, r := range t.Rows {
-		if len(r.Label) > widths[0] {
-			widths[0] = len(r.Label)
-		}
-	}
-	for i, c := range t.Columns {
-		widths[i+1] = len(c)
-		for _, r := range t.Rows {
-			if i < len(r.Cells) && len(r.Cells[i]) > widths[i+1] {
-				widths[i+1] = len(r.Cells[i])
-			}
-		}
-	}
-	fmt.Fprintf(&b, "%-*s", widths[0]+2, "")
-	for i, c := range t.Columns {
-		fmt.Fprintf(&b, "%*s  ", widths[i+1], c)
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-*s", widths[0]+2, r.Label)
-		for i, c := range r.Cells {
-			fmt.Fprintf(&b, "%*s  ", widths[i+1], c)
-		}
-		b.WriteByte('\n')
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
-}
-
-func gb(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// CSV renders the table as comma-separated values with a header row, for
-// plotting outside the CLI.
-func (t Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("label")
-	for _, c := range t.Columns {
-		b.WriteByte(',')
-		b.WriteString(strings.ReplaceAll(c, ",", ";"))
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.ReplaceAll(r.Label, ",", ";"))
-		for _, c := range r.Cells {
-			b.WriteByte(',')
-			b.WriteString(strings.ReplaceAll(c, ",", ";"))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// JSON renders the table as a JSON object with title, columns, rows (label
-// plus cells) and notes, for machine consumption of regenerated results.
-func (t Table) JSON() string {
-	type jsonRow struct {
-		Label string   `json:"label"`
-		Cells []string `json:"cells"`
-	}
-	doc := struct {
-		Title   string    `json:"title"`
-		Columns []string  `json:"columns"`
-		Rows    []jsonRow `json:"rows"`
-		Notes   []string  `json:"notes,omitempty"`
-	}{Title: t.Title, Columns: t.Columns, Notes: t.Notes}
-	for _, r := range t.Rows {
-		doc.Rows = append(doc.Rows, jsonRow{Label: r.Label, Cells: r.Cells})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		// Strings and slices of strings cannot fail to marshal.
-		panic(err)
-	}
-	return string(out)
 }

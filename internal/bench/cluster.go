@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"snacc/internal/cluster"
 	"snacc/internal/fault"
@@ -10,22 +11,6 @@ import (
 
 // clusterSeed feeds every cluster rig so rows replay byte-identically.
 const clusterSeed = 0xC1057E4
-
-// ClusterSweepRow is one grid point of the replicated-cluster sweep: a
-// nodes x replication x quorum shape absorbing a node death mid-workload.
-type ClusterSweepRow struct {
-	Nodes       int
-	Replication int
-	Quorum      int
-	WriteGB     float64 // write goodput across the whole episode, GB/s
-	NodeDeaths  int64   // nodes declared dead (1: the injected kill landed)
-	Failovers   int64   // reads served by a non-primary replica
-	ReRepMiB    float64 // bytes re-replicated onto survivors, MiB
-	DegradedUs  float64 // time any chunk spent under-replicated, µs
-	Timeouts    int64   // capsule requests that hit the request timeout
-	FailedWr    int64   // writes refused for missing quorum during detection
-	UnderRep    int64   // chunks still under-replicated at drain (want 0)
-}
 
 // clusterEpisodeConfig is the shared rig shape: timing-mode replicas with
 // a tight request timeout so death detection costs µs, not the 10 ms
@@ -51,10 +36,16 @@ func clusterEpisodeConfig(nodes, replication, quorum int) cluster.Config {
 // ClusterSweep measures write goodput and recovery accounting across a
 // grid of cluster shapes, each losing node 1 mid-run. Writes quorum-ack
 // and re-home around the death; the background repairer restores full
-// replication before the run drains (UnderRep 0). Rows build independent
-// clusters with fixed seeds, so the sweep is deterministic at any -j.
-func ClusterSweep(grid [][3]int, totalBytes int64) []ClusterSweepRow {
-	return mapRows(len(grid), func(i int) ClusterSweepRow {
+// replication before the run drains. Each row, labelled "n=N R=R Q=Q",
+// reports the write goodput across the whole episode, the nodes declared
+// dead (1: the injected kill landed), the reads served by a non-primary
+// replica, the MiB re-replicated onto survivors, the time any chunk spent
+// under-replicated, the capsule requests that timed out, the writes
+// refused for missing quorum during detection, and the chunks still
+// under-replicated at drain (want 0). Rows build independent clusters with
+// fixed seeds, so the sweep is deterministic at any -j.
+func ClusterSweep(grid [][3]int, totalBytes int64) Table {
+	rows := mapRows(len(grid), func(i int) Row {
 		shape := grid[i]
 		cfg := clusterEpisodeConfig(shape[0], shape[1], shape[2])
 		cl := cluster.MustNew(cfg)
@@ -78,20 +69,25 @@ func ClusterSweep(grid [][3]int, totalBytes int64) []ClusterSweepRow {
 			end = p.Now()
 		})
 		st := cl.Stats()
-		return ClusterSweepRow{
-			Nodes:       shape[0],
-			Replication: shape[1],
-			Quorum:      shape[2],
-			WriteGB:     float64(okBytes) / (end - start).Seconds() / 1e9,
-			NodeDeaths:  st.NodeDeaths,
-			Failovers:   st.Failovers,
-			ReRepMiB:    float64(st.ReReplicatedBytes) / float64(sim.MiB),
-			DegradedUs:  float64(st.DegradedWindowNs) / 1e3,
-			Timeouts:    st.RequestTimeouts,
-			FailedWr:    failed,
-			UnderRep:    st.UnderReplicatedChunks,
-		}
+		return Row{Label: fmt.Sprintf("n=%d R=%d Q=%d", shape[0], shape[1], shape[2]), Values: []float64{
+			float64(okBytes) / (end - start).Seconds() / 1e9,
+			float64(st.NodeDeaths), float64(st.Failovers),
+			float64(st.ReReplicatedBytes) / float64(sim.MiB), float64(st.DegradedWindowNs) / 1e3,
+			float64(st.RequestTimeouts), float64(failed), float64(st.UnderReplicatedChunks),
+		}}
 	})
+	return Table{
+		Title: "Cluster sweep — node 1 surprise-removed mid-run, quorum writes re-home to survivors",
+		Columns: slices.Concat([]Column{{"write GB/s", gb}}, cols(count, "deaths", "failovers"),
+			[]Column{{"re-rep MiB", gb}, {"degraded µs", tenth}},
+			cols(count, "timeouts", "failed wr", "under-rep")),
+		Rows: rows,
+		Notes: []string{
+			"re-rep = bytes the background repairer copied to restore full replication",
+			"failed wr = writes refused while a strict quorum (Q = R) straddled the detection window",
+			"under-rep = chunks still below R replicas at drain; 0 means repair completed",
+		},
+	}
 }
 
 // ClusterTimeline runs the full availability arc on a 3-node R=2 cluster
@@ -132,47 +128,16 @@ func ClusterTimeline(until, window sim.Time) ([]TimelinePoint, cluster.Stats) {
 	return points, cl.Stats()
 }
 
-// RenderClusterSweep formats the replicated-cluster grid sweep.
-func RenderClusterSweep(rows []ClusterSweepRow) Table {
-	t := Table{
-		Title:   "Cluster sweep — node 1 surprise-removed mid-run, quorum writes re-home to survivors",
-		Columns: []string{"write GB/s", "deaths", "failovers", "re-rep MiB", "degraded µs", "timeouts", "failed wr", "under-rep"},
-		Notes: []string{
-			"re-rep = bytes the background repairer copied to restore full replication",
-			"failed wr = writes refused while a strict quorum (Q = R) straddled the detection window",
-			"under-rep = chunks still below R replicas at drain; 0 means repair completed",
-		},
+// clusterRecovery tabulates the timeline episode's recovery ledger.
+func clusterRecovery(st cluster.Stats) Table {
+	return Table{
+		Title: "Cluster recovery ledger — partition, death, heal, rejoin",
+		Columns: slices.Concat(cols(count, "deaths", "rejoins", "probes", "timeouts", "dropped frames"),
+			[]Column{{"re-rep MiB", gb}, {"under-rep", count}}),
+		Rows: []Row{{Label: "3 nodes R=2", Values: []float64{
+			float64(st.NodeDeaths), float64(st.Rejoins), float64(st.Probes),
+			float64(st.RequestTimeouts), float64(st.LinkFramesDropped),
+			float64(st.ReReplicatedBytes) / float64(sim.MiB), float64(st.UnderReplicatedChunks),
+		}}},
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, TableRow{
-			Label: fmt.Sprintf("n=%d R=%d Q=%d", r.Nodes, r.Replication, r.Quorum),
-			Cells: []string{
-				gb(r.WriteGB),
-				fmt.Sprintf("%d", r.NodeDeaths), fmt.Sprintf("%d", r.Failovers),
-				fmt.Sprintf("%.2f", r.ReRepMiB), fmt.Sprintf("%.1f", r.DegradedUs),
-				fmt.Sprintf("%d", r.Timeouts), fmt.Sprintf("%d", r.FailedWr),
-				fmt.Sprintf("%d", r.UnderRep),
-			},
-		})
-	}
-	return t
-}
-
-// RenderClusterRecovery summarizes the timeline episode's recovery ledger.
-func RenderClusterRecovery(st cluster.Stats) Table {
-	t := Table{
-		Title:   "Cluster recovery ledger — partition, death, heal, rejoin",
-		Columns: []string{"deaths", "rejoins", "probes", "timeouts", "dropped frames", "re-rep MiB", "under-rep"},
-	}
-	t.Rows = append(t.Rows, TableRow{
-		Label: "3 nodes R=2",
-		Cells: []string{
-			fmt.Sprintf("%d", st.NodeDeaths), fmt.Sprintf("%d", st.Rejoins),
-			fmt.Sprintf("%d", st.Probes), fmt.Sprintf("%d", st.RequestTimeouts),
-			fmt.Sprintf("%d", st.LinkFramesDropped),
-			fmt.Sprintf("%.2f", float64(st.ReReplicatedBytes)/float64(sim.MiB)),
-			fmt.Sprintf("%d", st.UnderReplicatedChunks),
-		},
-	})
-	return t
 }

@@ -13,27 +13,30 @@ import (
 // parallelism levels.
 func TestClusterSweepRecovers(t *testing.T) {
 	grid := [][3]int{{3, 2, 1}, {4, 3, 2}}
-	rows := ClusterSweep(grid, 2*sim.MiB)
-	for _, r := range rows {
-		if r.NodeDeaths != 1 {
-			t.Errorf("n=%d R=%d Q=%d: NodeDeaths = %d, want 1", r.Nodes, r.Replication, r.Quorum, r.NodeDeaths)
+	tb := ClusterSweep(grid, 2*sim.MiB)
+	if len(tb.Rows) != len(grid) {
+		t.Fatalf("%d rows for %d shapes", len(tb.Rows), len(grid))
+	}
+	for _, r := range tb.Rows {
+		if d := value(t, tb, r.Label, "deaths"); d != 1 {
+			t.Errorf("%s: NodeDeaths = %v, want 1", r.Label, d)
 		}
-		if r.UnderRep != 0 {
-			t.Errorf("n=%d R=%d Q=%d: %d chunks under-replicated at drain", r.Nodes, r.Replication, r.Quorum, r.UnderRep)
+		if u := value(t, tb, r.Label, "under-rep"); u != 0 {
+			t.Errorf("%s: %v chunks under-replicated at drain", r.Label, u)
 		}
-		if r.ReRepMiB == 0 {
-			t.Errorf("n=%d R=%d Q=%d: repair never ran", r.Nodes, r.Replication, r.Quorum)
+		if value(t, tb, r.Label, "re-rep MiB") == 0 {
+			t.Errorf("%s: repair never ran", r.Label)
 		}
-		if r.WriteGB <= 0 {
-			t.Errorf("n=%d R=%d Q=%d: no goodput (%v GB/s)", r.Nodes, r.Replication, r.Quorum, r.WriteGB)
+		if w := value(t, tb, r.Label, "write GB/s"); w <= 0 {
+			t.Errorf("%s: no goodput (%v GB/s)", r.Label, w)
 		}
 	}
 	prev := engine
 	SetParallelism(4)
 	again := ClusterSweep(grid, 2*sim.MiB)
 	engine = prev
-	if !reflect.DeepEqual(rows, again) {
-		t.Errorf("sweep diverged across parallelism levels:\nserial   %+v\nparallel %+v", rows, again)
+	if !reflect.DeepEqual(tb.Rows, again.Rows) {
+		t.Errorf("sweep diverged across parallelism levels:\nserial\n%s\nparallel\n%s", tb, again)
 	}
 }
 

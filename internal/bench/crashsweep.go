@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"snacc/internal/fault"
 	"snacc/internal/nvme"
@@ -10,20 +11,6 @@ import (
 	"snacc/internal/tapasco"
 )
 
-// CrashSweepRow is one point of the controller-crash sweep: sequential read
-// goodput and recovery-ladder accounting when the controller crashes every
-// Nth executed command.
-type CrashSweepRow struct {
-	CrashEveryN int64   // injected crash period in commands; 0 = baseline
-	GoodputGB   float64 // delivered bytes / elapsed, GB/s
-	Crashes     int64   // controller crashes the device recorded
-	Trips       int64   // circuit-breaker trips
-	Resets      int64   // controller resets issued
-	Replayed    int64   // in-flight commands replayed after resets
-	MTTRUs      float64 // mean time from trip to resumed submission, µs
-	Aborts      int64   // commands failed terminally (0 when recovery works)
-}
-
 // CrashSweep measures URAM sequential-read goodput and mean time to recover
 // as the injected controller-crash rate grows. Each row builds a fresh rig
 // whose controller fatally crashes (CSTS.CFS, no fetches, no completions)
@@ -31,9 +18,13 @@ type CrashSweepRow struct {
 // status poll, resets the controller, and replays the in-flight window.
 // Rows are independent and deterministic, so the sweep replays
 // byte-identically at any parallelism level. N must be 0 or >= 2: a
-// controller that crashes at every command never completes one.
-func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
-	return mapRows(len(everyN), func(i int) CrashSweepRow {
+// controller that crashes at every command never completes one. Each row,
+// labelled "none" or "every N", reports the delivered goodput, the crashes
+// the device recorded, the breaker trips, controller resets and replayed
+// in-flight commands, the mean trip-to-resumed-submission time, and the
+// commands failed terminally (0 when recovery works).
+func CrashSweep(everyN []int64, totalBytes int64) Table {
+	rows := mapRows(len(everyN), func(i int) Row {
 		n := everyN[i]
 		if n == 1 {
 			panic("bench: CrashSweep period 1 can never make progress")
@@ -51,17 +42,27 @@ func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
 		if trips := rig.st.BreakerTrips(); trips > 0 {
 			mttr = float64(rig.st.RecoveryTime()) / float64(trips) / 1e3
 		}
-		return CrashSweepRow{
-			CrashEveryN: n,
-			GoodputGB:   res.GBps(),
-			Crashes:     rig.dev.ControllerCrashes(),
-			Trips:       rig.st.BreakerTrips(),
-			Resets:      rig.st.ControllerResets(),
-			Replayed:    rig.st.CommandsReplayed(),
-			MTTRUs:      mttr,
-			Aborts:      rig.st.CommandAborts(),
+		label := "none"
+		if n > 0 {
+			label = fmt.Sprintf("every %d", n)
 		}
+		return Row{Label: label, Values: []float64{
+			res.GBps(), float64(rig.dev.ControllerCrashes()),
+			float64(rig.st.BreakerTrips()), float64(rig.st.ControllerResets()),
+			float64(rig.st.CommandsReplayed()), mttr, float64(rig.st.CommandAborts()),
+		}}
 	})
+	return Table{
+		Title: "Crash sweep — URAM sequential read goodput vs controller-crash rate",
+		Columns: slices.Concat([]Column{{"goodput GB/s", gb}},
+			cols(count, "crashes", "trips", "resets", "replayed"),
+			[]Column{{"MTTR µs", tenth}, {"abort", count}}),
+		Rows: rows,
+		Notes: []string{
+			"MTTR = mean breaker-trip-to-resumed-submission time (detection latency, bounded by the 1 ms status poll, is separate)",
+			"abort = 0 means every crashed in-flight window was replayed to completion",
+		},
+	}
 }
 
 // CrashTimeline samples instantaneous sequential-write bandwidth while the
@@ -97,22 +98,15 @@ func CrashTimeline(everyN int64, totalBytes int64, window sim.Time) []TimelinePo
 	return points
 }
 
-// StripedDegradedRow summarizes a striped set losing one member mid-stream.
-type StripedDegradedRow struct {
-	Members        int     // striped set size
-	DeadMember     int     // member that died (-1: none)
-	WriteGB        float64 // aggregate write goodput across the episode, GB/s
-	DegradedWrites int64   // stripe writes failed against the dead member
-	DegradedReads  int64   // stripe reads failed against the dead member
-	SurvivorBytes  int64   // bytes readable from surviving members afterwards
-}
-
 // StripedDegraded demonstrates degraded multi-SSD operation: members SSDs
 // consolidated into one address space, with member 1's controller removed
 // partway through a striped write. The dead member's stripes fail with
 // attributed errors while the survivors keep streaming; afterwards every
-// surviving stripe reads back.
-func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
+// surviving stripe reads back. The one row reports the aggregate write
+// goodput across the episode, the member that died (-1: none), the stripe
+// writes and reads failed against it, and the MiB readable from the
+// survivors afterwards.
+func StripedDegraded(members int, totalBytes int64) Table {
 	k := sim.NewKernel()
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	var sts []*streamer.Streamer
@@ -130,7 +124,8 @@ func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
 		stCfg.ArmLadder()
 		sts = append(sts, node.AddStreamer(ssd, stCfg))
 	}
-	row := StripedDegradedRow{Members: members, DeadMember: -1}
+	dead, survivor := -1, int64(0)
+	var degradedWr, degradedRd int64
 	var start, end sim.Time
 	runInMain(node, func(p *sim.Proc) {
 		s := streamer.NewStriped(k, sts, sim.MiB)
@@ -141,63 +136,24 @@ func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
 		end = p.Now()
 		for off := int64(0); off < totalBytes; off += sim.MiB {
 			if _, err := s.ReadErr(p, uint64(off), sim.MiB); err == nil {
-				row.SurvivorBytes += sim.MiB
+				survivor += sim.MiB
 			}
 		}
-		if dead := s.DeadMembers(); len(dead) > 0 {
-			row.DeadMember = dead[0]
+		if d := s.DeadMembers(); len(d) > 0 {
+			dead = d[0]
 		}
-		row.DegradedWrites = s.DegradedWrites()
-		row.DegradedReads = s.DegradedReads()
+		degradedWr, degradedRd = s.DegradedWrites(), s.DegradedReads()
 	})
-	row.WriteGB = float64(totalBytes) / (end - start).Seconds() / 1e9
-	return row
-}
-
-// RenderStripedDegraded formats the degraded-operation demo.
-func RenderStripedDegraded(r StripedDegradedRow) Table {
-	t := Table{
-		Title:   "Degraded striping — member 1 surprise-removed mid-stream",
-		Columns: []string{"write GB/s", "dead member", "degraded wr", "degraded rd", "survivor MiB"},
+	return Table{
+		Title: "Degraded striping — member 1 surprise-removed mid-stream",
+		Columns: slices.Concat([]Column{{"write GB/s", gb}},
+			cols(count, "dead member", "degraded wr", "degraded rd", "survivor MiB")),
+		Rows: []Row{{Label: fmt.Sprintf("%d SSDs", members), Values: []float64{
+			float64(totalBytes) / (end - start).Seconds() / 1e9, float64(dead),
+			float64(degradedWr), float64(degradedRd), float64(survivor / sim.MiB),
+		}}},
 		Notes: []string{
 			"the dead member's stripes fail with attributed errors; survivors keep streaming",
 		},
 	}
-	t.Rows = append(t.Rows, TableRow{
-		Label: fmt.Sprintf("%d SSDs", r.Members),
-		Cells: []string{
-			gb(r.WriteGB), fmt.Sprintf("%d", r.DeadMember),
-			fmt.Sprintf("%d", r.DegradedWrites), fmt.Sprintf("%d", r.DegradedReads),
-			fmt.Sprintf("%d", r.SurvivorBytes/sim.MiB),
-		},
-	})
-	return t
-}
-
-// RenderCrashSweep formats the controller-crash sweep.
-func RenderCrashSweep(rows []CrashSweepRow) Table {
-	t := Table{
-		Title:   "Crash sweep — URAM sequential read goodput vs controller-crash rate",
-		Columns: []string{"goodput GB/s", "crashes", "trips", "resets", "replayed", "MTTR µs", "abort"},
-		Notes: []string{
-			"MTTR = mean breaker-trip-to-resumed-submission time (detection latency, bounded by the 1 ms status poll, is separate)",
-			"abort = 0 means every crashed in-flight window was replayed to completion",
-		},
-	}
-	for _, r := range rows {
-		label := "none"
-		if r.CrashEveryN > 0 {
-			label = fmt.Sprintf("every %d", r.CrashEveryN)
-		}
-		t.Rows = append(t.Rows, TableRow{
-			Label: label,
-			Cells: []string{
-				gb(r.GoodputGB),
-				fmt.Sprintf("%d", r.Crashes), fmt.Sprintf("%d", r.Trips),
-				fmt.Sprintf("%d", r.Resets), fmt.Sprintf("%d", r.Replayed),
-				fmt.Sprintf("%.1f", r.MTTRUs), fmt.Sprintf("%d", r.Aborts),
-			},
-		})
-	}
-	return t
 }

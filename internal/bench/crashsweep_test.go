@@ -9,12 +9,14 @@ import (
 // TestCrashSweepBaselineRow pins the zero-rate row: no crash rule means a
 // cold recovery ladder and an ordinary sequential-read measurement.
 func TestCrashSweepBaselineRow(t *testing.T) {
-	r := CrashSweep([]int64{0}, 8*sim.MiB)[0]
-	if r.Crashes != 0 || r.Trips != 0 || r.Resets != 0 || r.Replayed != 0 || r.Aborts != 0 {
-		t.Errorf("baseline row has recovery activity: %+v", r)
+	tb := CrashSweep([]int64{0}, 8*sim.MiB)
+	for _, c := range []string{"crashes", "trips", "resets", "replayed", "abort"} {
+		if v := value(t, tb, "none", c); v != 0 {
+			t.Errorf("baseline row has recovery activity: %s = %v", c, v)
+		}
 	}
-	if r.GoodputGB <= 0 {
-		t.Errorf("baseline goodput = %.3f GB/s, want > 0", r.GoodputGB)
+	if g := value(t, tb, "none", "goodput GB/s"); g <= 0 {
+		t.Errorf("baseline goodput = %.3f GB/s, want > 0", g)
 	}
 }
 
@@ -22,26 +24,25 @@ func TestCrashSweepBaselineRow(t *testing.T) {
 // injected crash must resolve through reset-and-replay — full delivery, no
 // aborts — and cost measurable recovery time.
 func TestCrashSweepRecoversEveryWindow(t *testing.T) {
-	baseline := CrashSweep([]int64{0}, 32*sim.MiB)[0]
-	r := CrashSweep([]int64{8}, 32*sim.MiB)[0]
-	if r.Crashes == 0 || r.Trips == 0 {
-		t.Fatalf("crash-every-8 row crashed nothing: %+v", r)
+	tb := CrashSweep([]int64{0, 8}, 32*sim.MiB)
+	v := func(c string) float64 { return value(t, tb, "every 8", c) }
+	if v("crashes") == 0 || v("trips") == 0 {
+		t.Fatalf("crash-every-8 row crashed nothing:\n%s", tb)
 	}
-	if r.Resets != r.Trips {
-		t.Errorf("resets = %d for %d trips; a healthy reset path succeeds first try", r.Resets, r.Trips)
+	if v("resets") != v("trips") {
+		t.Errorf("resets = %v for %v trips; a healthy reset path succeeds first try", v("resets"), v("trips"))
 	}
-	if r.Replayed == 0 {
+	if v("replayed") == 0 {
 		t.Error("no in-flight commands replayed across crashes")
 	}
-	if r.Aborts != 0 {
-		t.Errorf("aborts = %d; recovery must replay every crashed window", r.Aborts)
+	if v("abort") != 0 {
+		t.Errorf("aborts = %v; recovery must replay every crashed window", v("abort"))
 	}
-	if r.MTTRUs <= 0 {
+	if v("MTTR µs") <= 0 {
 		t.Error("MTTR not accounted")
 	}
-	if r.GoodputGB <= 0 || r.GoodputGB >= baseline.GoodputGB {
-		t.Errorf("crash goodput = %.3f GB/s vs baseline %.3f; recovery episodes must cost bandwidth",
-			r.GoodputGB, baseline.GoodputGB)
+	if g, base := v("goodput GB/s"), value(t, tb, "none", "goodput GB/s"); g <= 0 || g >= base {
+		t.Errorf("crash goodput = %.3f GB/s vs baseline %.3f; recovery episodes must cost bandwidth", g, base)
 	}
 }
 
@@ -76,17 +77,18 @@ func TestCrashTimelineShowsOutage(t *testing.T) {
 func TestStripedDegradedDemo(t *testing.T) {
 	// 48 MiB across 3 members = 16 stripes each; member 1 is removed at its
 	// 8th completion, so some of its writes land but none of its reads do.
-	r := StripedDegraded(3, 48*sim.MiB)
-	if r.DeadMember != 1 {
-		t.Fatalf("dead member = %d, want 1", r.DeadMember)
+	tb := StripedDegraded(3, 48*sim.MiB)
+	v := func(c string) float64 { return value(t, tb, "3 SSDs", c) }
+	if v("dead member") != 1 {
+		t.Fatalf("dead member = %v, want 1", v("dead member"))
 	}
-	if r.DegradedWrites == 0 || r.DegradedReads == 0 {
-		t.Errorf("degraded ops = %d wr / %d rd, want both > 0", r.DegradedWrites, r.DegradedReads)
+	if v("degraded wr") == 0 || v("degraded rd") == 0 {
+		t.Errorf("degraded ops = %v wr / %v rd, want both > 0", v("degraded wr"), v("degraded rd"))
 	}
-	if r.SurvivorBytes != 32*sim.MiB {
-		t.Errorf("survivor bytes = %d, want the two live members' 32 MiB", r.SurvivorBytes)
+	if v("survivor MiB") != 32 {
+		t.Errorf("survivor MiB = %v, want the two live members' 32 MiB", v("survivor MiB"))
 	}
-	if r.WriteGB <= 0 {
+	if v("write GB/s") <= 0 {
 		t.Error("no write goodput recorded")
 	}
 }

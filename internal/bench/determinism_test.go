@@ -19,8 +19,7 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Skip("regenerates every experiment of all three times")
 	}
 	defer SetParallelism(1)
-	s := DefaultScale()
-	s.Size, s.Images, s.Samples = 16*sim.MiB, 16, 20
+	s := goldenScale()
 	all, err := Select("all")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +32,7 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 		}
 		// The transfer-size sweep ignores Scale; run it at two small sizes.
-		b.WriteString(RenderSweep("URAM", SweepTransferSize(streamer.URAM, []int64{32 * sim.MiB, 64 * sim.MiB})).String())
+		b.WriteString(SweepTransferSize(streamer.URAM, []int64{32 * sim.MiB, 64 * sim.MiB}).String())
 		return b.String()
 	}
 

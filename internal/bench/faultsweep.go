@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
+
 	"snacc/internal/fault"
 	"snacc/internal/nvme"
 	"snacc/internal/sim"
@@ -11,27 +14,17 @@ import (
 // determinism tests pinning it) replays byte-identically at any -j.
 const faultSweepSeed = 0x5EED
 
-// FaultSweepRow is one point of the fault-injection sweep: sequential read
-// goodput and recovery accounting at a given injected read-error rate.
-type FaultSweepRow struct {
-	RatePct       float64 // injected read-error probability, percent
-	GoodputGB     float64 // delivered (non-aborted) bytes / elapsed, GB/s
-	Injected      int64   // faults the injector fired
-	Errors        int64   // error CQEs observed by the streamer
-	Retries       int64   // bounded resubmissions
-	Timeouts      int64   // watchdog deadline expirations
-	Aborts        int64   // commands failed after exhausting retries
-	Amplification float64 // commands submitted / commands retired
-}
-
 // FaultSweep measures sequential read goodput and retry amplification of the
 // URAM variant as the injected NVMe read-error rate grows. Each rate builds a
 // fresh rig with a deterministic injector (retryable StatusDataTransferError
 // on reads with the given probability), so rows are independent and
 // reproducible. The zero-rate row doubles as the no-fault baseline: nothing
-// fires and the recovery path stays cold.
-func FaultSweep(ratesPct []float64, totalBytes int64) []FaultSweepRow {
-	return mapRows(len(ratesPct), func(i int) FaultSweepRow {
+// fires and the recovery path stays cold. Each row, labelled by its rate in
+// percent, reports the delivered (non-aborted) goodput, the faults the
+// injector fired, the error CQEs, retries, watchdog timeouts and aborts the
+// streamer counted, and the commands submitted per command retired.
+func FaultSweep(ratesPct []float64, totalBytes int64) Table {
+	rows := mapRows(len(ratesPct), func(i int) Row {
 		rate := ratesPct[i]
 		rig := buildSNAcc(streamer.URAM, (*streamer.Config).ArmRetry, nil)
 		defer rig.k.Close()
@@ -47,17 +40,22 @@ func FaultSweep(ratesPct []float64, totalBytes int64) []FaultSweepRow {
 		if rt := rig.st.CommandsRetired(); rt > 0 {
 			amp = float64(rig.st.CommandsSubmitted()) / float64(rt)
 		}
-		return FaultSweepRow{
-			RatePct:       rate,
-			GoodputGB:     res.GBps(),
-			Injected:      in.Injected(),
-			Errors:        rig.st.CommandErrors(),
-			Retries:       rig.st.CommandRetries(),
-			Timeouts:      rig.st.CommandTimeouts(),
-			Aborts:        rig.st.CommandAborts(),
-			Amplification: amp,
-		}
+		return Row{Label: fmt.Sprintf("%.2f%%", rate), Values: []float64{
+			res.GBps(), float64(in.Injected()),
+			float64(rig.st.CommandErrors()), float64(rig.st.CommandRetries()),
+			float64(rig.st.CommandTimeouts()), float64(rig.st.CommandAborts()), amp,
+		}}
 	})
+	return Table{
+		Title: "Fault sweep — URAM sequential read goodput vs injected NVMe error rate",
+		Columns: slices.Concat([]Column{{"goodput GB/s", gb}},
+			cols(count, "inject", "errs", "retry", "tmo", "abort"), []Column{{"amp", gb}}),
+		Rows: rows,
+		Notes: []string{
+			"amp = commands submitted / retired (retry amplification); 1.00 means no resubmissions",
+			"invariant: inject == errs == retry + abort — no error completion is silently swallowed",
+		},
+	}
 }
 
 // faultSeqRead measures one large sequential read under fault injection,

@@ -13,16 +13,17 @@ import (
 // nothing fires, nothing retries, and the sweep degenerates to an ordinary
 // sequential-read measurement.
 func TestFaultSweepBaselineRow(t *testing.T) {
-	rows := FaultSweep([]float64{0}, 8*sim.MiB)
-	r := rows[0]
-	if r.Injected != 0 || r.Errors != 0 || r.Retries != 0 || r.Timeouts != 0 || r.Aborts != 0 {
-		t.Errorf("zero-rate row has recovery activity: %+v", r)
+	tb := FaultSweep([]float64{0}, 8*sim.MiB)
+	for _, c := range []string{"inject", "errs", "retry", "tmo", "abort"} {
+		if v := value(t, tb, "0.00%", c); v != 0 {
+			t.Errorf("zero-rate row has recovery activity: %s = %v", c, v)
+		}
 	}
-	if r.Amplification != 1 {
-		t.Errorf("zero-rate amplification = %.3f, want exactly 1", r.Amplification)
+	if amp := value(t, tb, "0.00%", "amp"); amp != 1 {
+		t.Errorf("zero-rate amplification = %.3f, want exactly 1", amp)
 	}
-	if r.GoodputGB <= 0 {
-		t.Errorf("zero-rate goodput = %.3f GB/s, want > 0", r.GoodputGB)
+	if g := value(t, tb, "0.00%", "goodput GB/s"); g <= 0 {
+		t.Errorf("zero-rate goodput = %.3f GB/s, want > 0", g)
 	}
 }
 

@@ -159,54 +159,54 @@ func Names() []string {
 // Experiments is the evaluation in the order snaccbench prints it.
 var Experiments = []Experiment{
 	{Name: "fig4a", Label: "figure 4a", Group: Paper, Run: func(s Scale) []Table {
-		return []Table{RenderFig4a(Fig4a(s.Size))}
+		return []Table{Fig4a(s.Size)}
 	}},
 	{Name: "fig4b", Label: "figure 4b", Group: Paper, Run: func(s Scale) []Table {
-		return []Table{RenderFig4b(Fig4b(s.Size / 4))}
+		return []Table{Fig4b(s.Size / 4)}
 	}},
 	{Name: "fig4c", Label: "figure 4c", Group: Paper, Run: func(s Scale) []Table {
-		return []Table{RenderFig4c(Fig4c(s.Samples))}
+		return []Table{Fig4c(s.Samples)}
 	}},
 	{Name: "table1", Label: "table 1", Group: Paper, Run: func(Scale) []Table {
-		return []Table{RenderTable1(Table1())}
+		return []Table{Table1()}
 	}},
 	{Name: "fig6", Label: "figures 6 and 7 (shared case-study runs)", Group: Paper, Run: func(s Scale) []Table {
-		rows := Fig6(s.Images)
-		return []Table{RenderFig6(rows), RenderFig7(rows)}
+		fig6, fig7 := Fig6(s.Images)
+		return []Table{fig6, fig7}
 	}},
 	{Name: "qd", Label: "ablation A1 (queue depth)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationQD(AblationQD([]int{4, 16, 64, 256}, s.Size/8))}
+		return []Table{AblationQD([]int{4, 16, 64, 256}, s.Size/8)}
 	}},
 	{Name: "ooo", Label: "ablation A2 (out-of-order retirement)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationOOO(AblationOOO(s.Size / 8))}
+		return []Table{AblationOOO(s.Size / 8)}
 	}},
 	{Name: "multissd", Label: "ablation A3 (multi-SSD)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationMultiSSD(AblationMultiSSD([]int{1, 2, 4}, s.Size/2))}
+		return []Table{AblationMultiSSD([]int{1, 2, 4}, s.Size/2)}
 	}},
 	{Name: "gen5", Label: "ablation A4 (PCIe 5.0)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationGen5(AblationGen5(s.Size))}
+		return []Table{AblationGen5(s.Size)}
 	}},
 	{Name: "hbm", Label: "ablation A6 (HBM staging)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationHBM(AblationHBM(s.Size))}
+		return []Table{AblationHBM(s.Size)}
 	}},
 	{Name: "stripedcase", Label: "ablation A7 (striped multi-SSD case study)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderFig6Striped(Fig6Striped([]int{1, 2, 3}, s.Images))}
+		return []Table{Fig6Striped([]int{1, 2, 3}, s.Images)}
 	}},
 	{Name: "dram", Label: "ablation A5 (DRAM controller)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationDRAM(AblationDRAM(s.Size))}
+		return []Table{AblationDRAM(s.Size)}
 	}},
 	{Name: "qp", Label: "ablation A9 (queue pairs on one SSD)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationQP(AblationQP([]int{1, 2, 4}, s.Size/8))}
+		return []Table{AblationQP([]int{1, 2, 4}, s.Size/8)}
 	}},
 	{Name: "mtu", Label: "ablation A8 (Ethernet MTU)", Group: Ablation, Run: func(s Scale) []Table {
-		return []Table{RenderAblationMTU(AblationMTU([]int64{1500, 4096, 9000}, s.Images))}
+		return []Table{AblationMTU([]int64{1500, 4096, 9000}, s.Images)}
 	}},
 	{Name: "faults", Label: "fault-injection sweep", Group: Extension, Run: func(s Scale) []Table {
-		return []Table{RenderFaultSweep(FaultSweep([]float64{0, 0.1, 1, 5}, s.Size))}
+		return []Table{FaultSweep([]float64{0, 0.1, 1, 5}, s.Size)}
 	}},
 	{Name: "crash", Label: "controller-crash sweep", Group: Extension, Bench: "BENCH_crash.json",
 		Run: func(s Scale) []Table {
-			return []Table{RenderCrashSweep(CrashSweep([]int64{0, 64, 16, 4}, s.Size))}
+			return []Table{CrashSweep([]int64{0, 64, 16, 4}, s.Size)}
 		},
 		Detail: func(s Scale) (string, []Table) {
 			pts := CrashTimeline(16, s.Size/4, 2*sim.Millisecond)
@@ -214,37 +214,37 @@ var Experiments = []Experiment{
 		}},
 	{Name: "queues", Label: "multi-queue submission sweep", Group: Extension, Bench: "BENCH_queues.json",
 		Run: func(s Scale) []Table {
-			return []Table{RenderQueueSweep(QueueSweep(s.Queues, []int{1, 8}, s.Size/4))}
+			return []Table{QueueSweep(s.Queues, []int{1, 8}, s.Size/4)}
 		}},
 	{Name: "tenants", Label: "multi-tenant QoS sweep", Group: Extension, Bench: "BENCH_tenants.json",
 		Run: func(Scale) []Table {
-			return []Table{RenderTenantSweep(TenantSweep(0, 0))}
+			return []Table{TenantSweep(0, 0)}
 		}},
 	{Name: "serve", Label: "open-loop serving sweep", Group: Extension, Bench: "BENCH_serve.json",
 		Run: func(s Scale) []Table {
-			return []Table{RenderServeSweep(ServeSweep(s.Clients, 0, s.Phases))}
+			return []Table{ServeSweep(s.Clients, 0, s.Phases)}
 		}},
 	{Name: "cluster", Label: "replicated-cluster sweep", Group: Extension, Bench: "BENCH_cluster.json",
 		Run: func(s Scale) []Table {
-			return []Table{RenderClusterSweep(ClusterSweep(s.Cluster, s.Size/32))}
+			return []Table{ClusterSweep(s.Cluster, s.Size/32)}
 		},
 		Detail: func(Scale) (string, []Table) {
 			pts, st := ClusterTimeline(24*sim.Millisecond, 2*sim.Millisecond)
 			return RenderTimeline("3-node R=2 cluster, node 1 partitioned for a quarter of the run", pts, 8),
-				[]Table{RenderClusterRecovery(st)}
+				[]Table{clusterRecovery(st)}
 		}},
 	{Name: "latency", Label: "latency breakdown", Group: Extension, Bench: "BENCH_latency.json",
 		Run: func(s Scale) []Table {
-			return []Table{RenderLatencyBreakdown(LatencyBreakdown(s.Size / 4))}
+			return []Table{LatencyBreakdown(s.Size / 4)}
 		}},
 	{Name: "timeline", Label: "bandwidth timeline", Group: Tool, Detail: func(s Scale) (string, []Table) {
 		return RenderTimeline("URAM", Timeline(0, s.Size, 2*sim.Millisecond), 8), nil
 	}},
 	{Name: "sweep", Label: "transfer-size sweep", Group: Tool, Run: func(Scale) []Table {
 		sizes := []int64{32 * sim.MiB, 64 * sim.MiB, 128 * sim.MiB, 256 * sim.MiB, 512 * sim.MiB}
-		return []Table{RenderSweep("URAM", SweepTransferSize(0, sizes))}
+		return []Table{SweepTransferSize(streamer.URAM, sizes)}
 	}},
 	{Name: "degraded", Label: "degraded striping", Group: Tool, Run: func(Scale) []Table {
-		return []Table{RenderStripedDegraded(StripedDegraded(3, 48*sim.MiB))}
+		return []Table{StripedDegraded(3, 48*sim.MiB)}
 	}},
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,62 +9,41 @@ import (
 	"snacc/internal/workload"
 )
 
-// TestRenderServeSweepGolden pins the serve-sweep renderer against
-// synthetic rows (regenerate with -update).
-func TestRenderServeSweepGolden(t *testing.T) {
-	rows := []ServeSweepRow{
-		{
-			Clients: 10_000, Requests: 4000, Completed: 4000, Dropped: 0,
-			GoodMBps: 2236.31, P50Us: 1638.4, P99Us: 3276.8, P999Us: 3288.7,
-			PeakConns: 3103, StateMiB: 0.15, PeakQueue: 256, Pauses: 161,
-		},
-		{
-			Clients: 1_000_000, Requests: 4000, Completed: 3000, Dropped: 1000,
-			GoodMBps: 1677.2, P50Us: 1638.4, P99Us: 5300.5, P999Us: 8123.9,
-			PeakConns: 3770, StateMiB: 3.96, PeakQueue: 256, Pauses: 348,
-		},
-	}
-	checkGolden(t, "servesweep", RenderServeSweep(rows).String())
-}
-
 // TestServeSweepLive runs a scaled-down sweep end to end and checks the
 // row-level facts the table is meant to convey: everything generated is
 // accounted for, the connection-state footprint follows peak connections
 // whatever the population, and the sweep is deterministic run to run.
 func TestServeSweepLive(t *testing.T) {
 	clients := []int{2000, 20_000}
-	rows := ServeSweep(clients, 500, nil)
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
+	tb := ServeSweep(clients, 500, nil)
+	if len(tb.Rows) != 2 {
+		t.Fatalf("got %d rows", len(tb.Rows))
 	}
-	for i, r := range rows {
-		if r.Clients != clients[i] {
-			t.Fatalf("row %d clients %d, want %d", i, r.Clients, clients[i])
+	for i, n := range clients {
+		label := fmt.Sprintf("%dk clients", n/1000)
+		v := func(column string) float64 { return value(t, tb, label, column) }
+		if v("reqs") != 500 {
+			t.Fatalf("%s generated %v, want 500", label, v("reqs"))
 		}
-		if r.Requests != 500 {
-			t.Fatalf("row %d generated %d, want 500", i, r.Requests)
+		if v("done")+v("drop") != v("reqs") {
+			t.Fatalf("%s: completed %v + dropped %v != requests %v", label, v("done"), v("drop"), v("reqs"))
 		}
-		if r.Completed+r.Dropped != r.Requests {
-			t.Fatalf("row %d: completed %d + dropped %d != requests %d",
-				i, r.Completed, r.Dropped, r.Requests)
+		if v("MB/s") <= 0 || v("p50 µs") <= 0 || v("p99 µs") < v("p50 µs") || v("p999 µs") < v("p99 µs") {
+			t.Fatalf("%s: implausible goodput/latency %v", label, tb.Rows[i].Values)
 		}
-		if r.GoodMBps <= 0 || r.P50Us <= 0 || r.P99Us < r.P50Us || r.P999Us < r.P99Us {
-			t.Fatalf("row %d: implausible goodput/latency %+v", i, r)
+		peak := v("conns")
+		if peak < 1 || peak > float64(n) {
+			t.Fatalf("%s: peak conns %v outside (0, %d]", label, peak, n)
 		}
-		if r.PeakConns < 1 || r.PeakConns > clients[i] {
-			t.Fatalf("row %d: peak conns %d outside (0, %d]", i, r.PeakConns, clients[i])
-		}
-	}
-	// The table holds 8 B slots, at most half full and doubling, from 16
-	// slots: at most max(16, 4·peak) slots whatever the population.
-	for i, r := range rows {
-		bound := float64(max(16, 4*r.PeakConns)*8) / float64(sim.MiB)
-		if r.StateMiB <= 0 || r.StateMiB > bound {
-			t.Fatalf("row %d: conn state %.4f MiB for peak %d, want (0, %.4f]", i, r.StateMiB, r.PeakConns, bound)
+		// The table holds 8 B slots, at most half full and doubling, from
+		// 16 slots: at most max(16, 4·peak) slots whatever the population.
+		bound := max(16, 4*peak) * 8 / float64(sim.MiB)
+		if st := v("state MiB"); st <= 0 || st > bound {
+			t.Fatalf("%s: conn state %.4f MiB for peak %v, want (0, %.4f]", label, st, peak, bound)
 		}
 	}
-	if again := ServeSweep(clients, 500, nil); !reflect.DeepEqual(again, rows) {
-		t.Fatalf("repeat sweep diverged:\n%+v\n%+v", rows, again)
+	if again := ServeSweep(clients, 500, nil); !reflect.DeepEqual(again.Rows, tb.Rows) {
+		t.Fatalf("repeat sweep diverged:\n%s\n%s", tb, again)
 	}
 }
 

@@ -13,36 +13,29 @@ func TestTenantIsolationBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the three-rig tenant sweep")
 	}
-	rows := TenantSweep(0, 0)
-	byKey := map[string]TenantSweepRow{}
-	for _, r := range rows {
-		byKey[r.Sched+"/"+r.Tenant] = r
+	tb := TenantSweep(0, 0)
+	if solo, ok := tb.Value("solo/victim", "p99 µs"); !ok || solo <= 0 {
+		t.Fatalf("missing solo victim baseline:\n%s", tb)
 	}
-	solo, ok := byKey["solo/victim"]
-	if !ok || solo.P99Us <= 0 {
-		t.Fatalf("missing solo victim baseline: %+v", rows)
-	}
-	drr := byKey["drr/victim"]
-	fifo := byKey["fifo/victim"]
-	if drr.VsSolo <= 0 || drr.VsSolo > IsolationBound {
+	v := func(label, column string) float64 { return value(t, tb, label, column) }
+	if vs := v("drr/victim", "p99/solo"); vs <= 0 || vs > IsolationBound {
 		t.Errorf("drr victim p99 = %.1f µs, %.2fx solo — want within %.1fx",
-			drr.P99Us, drr.VsSolo, IsolationBound)
+			v("drr/victim", "p99 µs"), vs, IsolationBound)
 	}
-	if fifo.VsSolo <= IsolationBound {
+	if vs := v("fifo/victim", "p99/solo"); vs <= IsolationBound {
 		t.Errorf("fifo victim p99 = %.1f µs, %.2fx solo — expected the baseline to exceed %.1fx (is the neighbor still saturating?)",
-			fifo.P99Us, fifo.VsSolo, IsolationBound)
+			v("fifo/victim", "p99 µs"), vs, IsolationBound)
 	}
 	// The neighbor is the aggressor, not a victim: it must have kept the
 	// device busy for the whole victim run under both schedulers.
 	for _, sched := range []string{"drr", "fifo"} {
-		n := byKey[sched+"/noisy"]
-		if n.Reads == 0 || n.KIOPS == 0 {
-			t.Errorf("%s noisy neighbor idle: %+v", sched, n)
+		if n := sched + "/noisy"; v(n, "reads") == 0 || v(n, "kIOPS") == 0 {
+			t.Errorf("%s noisy neighbor idle:\n%s", sched, tb)
 		}
 	}
 	// Weighted sharing still serves the neighbor: DRR must not starve it
 	// relative to the FIFO baseline by more than half.
-	if d, f := byKey["drr/noisy"], byKey["fifo/noisy"]; d.KIOPS < f.KIOPS/2 {
-		t.Errorf("drr starves the noisy tenant: %.1f kIOPS vs fifo %.1f", d.KIOPS, f.KIOPS)
+	if d, f := v("drr/noisy", "kIOPS"), v("fifo/noisy", "kIOPS"); d < f/2 {
+		t.Errorf("drr starves the noisy tenant: %.1f kIOPS vs fifo %.1f", d, f)
 	}
 }

@@ -7,8 +7,9 @@ import "snacc/internal/bench"
 // the shapes of the extension sweeps. Start from DefaultScale.
 type Scale = bench.Scale
 
-// RenderedTable is a formatted text table.
-type RenderedTable = bench.Table
+// Table is one experiment's results: a number per labelled row and
+// column, read back with Value and rendered with String, CSV or JSON.
+type Table = bench.Table
 
 // DefaultScale is the scale `snaccbench` runs at by default (256 MiB per
 // bandwidth measurement, 192 case-study images; the paper uses 1 GB and
@@ -21,7 +22,7 @@ func DefaultScale() Scale { return bench.DefaultScale() }
 // lists ("fig4a", "fig6", "qd", …); an entry whose whole output is a
 // detail block, such as "timeline", adds no table. An unknown name, no name, or a scale
 // no experiment can run at is an error, reported before anything runs.
-func Run(s Scale, names ...string) ([]RenderedTable, error) {
+func Run(s Scale, names ...string) ([]Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,7 +30,7 @@ func Run(s Scale, names ...string) ([]RenderedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tables []RenderedTable
+	var tables []Table
 	for _, e := range selected {
 		if e.Run != nil {
 			tables = append(tables, e.Run(s)...)

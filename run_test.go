@@ -47,7 +47,7 @@ func TestReportProducesAllSections(t *testing.T) {
 	for _, want := range []string{"Figure 4a", "Figure 4b", "Figure 4c", "Table 1", "Figure 6", "Figure 7",
 		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A4", "Ablation A5",
 		"Ablation A6", "Ablation A7", "Ablation A8", "Ablation A9"} {
-		if !slices.ContainsFunc(got, func(tb RenderedTable) bool { return strings.HasPrefix(tb.Title, want+" ") }) {
+		if !slices.ContainsFunc(got, func(tb Table) bool { return strings.HasPrefix(tb.Title, want+" ") }) {
 			t.Errorf("Run(all) has no %q table", want)
 		}
 	}
@@ -64,7 +64,7 @@ func TestExperimentDefaults(t *testing.T) {
 	}
 	rows := map[string]int{"Figure 4c": 4, "Table 1": 3}
 	for want, n := range rows {
-		i := slices.IndexFunc(got, func(tb RenderedTable) bool { return strings.HasPrefix(tb.Title, want+" ") })
+		i := slices.IndexFunc(got, func(tb Table) bool { return strings.HasPrefix(tb.Title, want+" ") })
 		if i < 0 {
 			t.Errorf("Run(fig4c, table1) has no %q table", want)
 			continue
