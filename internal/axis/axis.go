@@ -70,9 +70,6 @@ func New(k *sim.Kernel, name string, cfg Config) *Stream {
 	}
 }
 
-// Name returns the stream name.
-func (s *Stream) Name() string { return s.name }
-
 // cost returns the FIFO bytes a packet occupies. Tokens still take a beat,
 // and a packet larger than the FIFO occupies it fully while its beats
 // trickle through (hardware never sees whole packets at once).

@@ -51,9 +51,6 @@ func NewRing(nodes int) *Ring {
 	return r
 }
 
-// Nodes returns the physical node count the ring was built for.
-func (r *Ring) Nodes() int { return r.nodes }
-
 // Lookup returns up to want distinct nodes for key, walking clockwise from
 // the key's hash and skipping nodes the live filter rejects (nil accepts
 // all). Fewer than want nodes come back only when fewer live nodes exist.

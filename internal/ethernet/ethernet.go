@@ -130,9 +130,6 @@ func NewMAC(k *sim.Kernel, name string, cfg Config) *MAC {
 	return m
 }
 
-// Name returns the MAC name.
-func (m *MAC) Name() string { return m.name }
-
 // wireBytes charges per-frame overhead once per MTU.
 func (m *MAC) wireBytes(n int64) int64 { return m.cfg.WireBytes(n) }
 

@@ -118,9 +118,6 @@ type nandBufWaiter struct {
 	fn func()
 }
 
-// Config returns the NAND configuration.
-func (nd *NAND) Config() NANDConfig { return nd.cfg }
-
 // Store exposes the media content store (byte offset = LBA × LBA size).
 func (nd *NAND) Store() *pcie.SparseMem { return nd.store }
 

@@ -172,13 +172,6 @@ type Completion struct {
 	Status uint16
 }
 
-// Marshal encodes the completion into a 16-byte CQE.
-func (c *Completion) Marshal() []byte {
-	b := make([]byte, CQESize)
-	c.MarshalInto(b)
-	return b
-}
-
 // MarshalInto encodes the completion into b, which must hold CQESize bytes.
 // The buffer may be reused: every byte of the entry is written.
 func (c *Completion) MarshalInto(b []byte) {

@@ -48,7 +48,7 @@ func TestCompletionRoundTrip(t *testing.T) {
 			DW0: dw0, SQHead: sqh, SQID: sqid, CID: cid,
 			Phase: phase, Status: status & 0x7FFF,
 		}
-		out, err := UnmarshalCompletion(in.Marshal())
+		out, err := UnmarshalCompletion(cqeBytes(in))
 		return err == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -288,4 +288,11 @@ func TestNANDSharesPagesCopyOnWrite(t *testing.T) {
 		t.Fatal("a program after the read's issue reached the read's data")
 	}
 	rd.Release()
+}
+
+// cqeBytes encodes c into a CQE the way the controller posts one.
+func cqeBytes(c Completion) []byte {
+	b := make([]byte, CQESize)
+	c.MarshalInto(b)
+	return b
 }

@@ -35,7 +35,7 @@ func TestCompletionStatusRoundTrip(t *testing.T) {
 				Phase:  phase,
 				Status: tc.status,
 			}
-			out, err := UnmarshalCompletion(in.Marshal())
+			out, err := UnmarshalCompletion(cqeBytes(in))
 			if err != nil {
 				t.Fatalf("%s: UnmarshalCompletion: %v", tc.name, err)
 			}
@@ -51,7 +51,7 @@ func TestCompletionStatusRoundTrip(t *testing.T) {
 // the neighboring fields.
 func TestCompletionStatusTruncation(t *testing.T) {
 	in := Completion{CID: 0x1234, Phase: true, Status: 0x8000}
-	out, err := UnmarshalCompletion(in.Marshal())
+	out, err := UnmarshalCompletion(cqeBytes(in))
 	if err != nil {
 		t.Fatalf("UnmarshalCompletion: %v", err)
 	}

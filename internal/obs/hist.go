@@ -173,9 +173,6 @@ func (h *Hist) Merge(other *Hist) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Hist) Reset() { *h = Hist{} }
-
 // String summarizes the distribution.
 func (h *Hist) String() string {
 	if h.n == 0 {

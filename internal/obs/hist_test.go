@@ -105,10 +105,6 @@ func TestHistMergeReset(t *testing.T) {
 	if a.Count() != 200 {
 		t.Fatal("merge(nil) changed the histogram")
 	}
-	a.Reset()
-	if a.Count() != 0 || a.Sum() != 0 {
-		t.Fatal("reset left state behind")
-	}
 }
 
 func BenchmarkHistRecord(b *testing.B) {

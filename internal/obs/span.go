@@ -161,9 +161,6 @@ func (sp *Span) Resubmit() {
 	}
 }
 
-// Closed reports whether the span has been ended.
-func (sp *Span) Closed() bool { return sp != nil && sp.closed }
-
 // Monotone reports whether the marked stages carry non-decreasing
 // timestamps in pipeline order — the core span invariant.
 func (sp *Span) Monotone() bool {
@@ -232,14 +229,6 @@ func (t *Tracer) SetNode(id int) {
 		return
 	}
 	t.node = id
-}
-
-// Node returns the tracer's node identity (0 unless SetNode was called).
-func (t *Tracer) Node() int {
-	if t == nil {
-		return 0
-	}
-	return t.node
 }
 
 // BeginTenant opens a span attributed to one tenant, marking StageAccepted

@@ -19,7 +19,7 @@ func TestSpanLifecycle(t *testing.T) {
 	sp.Mark(StageTransfer, 25)
 	sp.Mark(StageCQE, 40)
 	tr.End(sp, 0, 45)
-	if !sp.Closed() || sp.Stages[StageRetired] != 45 {
+	if !sp.closed || sp.Stages[StageRetired] != 45 {
 		t.Fatal("End did not close/mark the span")
 	}
 	if !sp.Monotone() {
@@ -256,9 +256,6 @@ func TestSpansDeepCopy(t *testing.T) {
 func TestSpanNodeAttribution(t *testing.T) {
 	tr := NewTracer(8)
 	tr.SetNode(3)
-	if tr.Node() != 3 {
-		t.Fatalf("Node() = %d, want 3", tr.Node())
-	}
 	sp := tr.BeginTenant(0x02, false, 0, 4096, 1, 0)
 	if sp.Node != 3 {
 		t.Fatalf("span opened with Node %d, want 3", sp.Node)
@@ -269,8 +266,5 @@ func TestSpanNodeAttribution(t *testing.T) {
 	}
 
 	var nilTr *Tracer
-	nilTr.SetNode(7)
-	if nilTr.Node() != 0 {
-		t.Fatalf("nil tracer Node() = %d, want 0", nilTr.Node())
-	}
+	nilTr.SetNode(7) // a nil tracer ignores the identity
 }

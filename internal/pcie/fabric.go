@@ -65,9 +65,6 @@ func NewFabric(k *sim.Kernel, cfg Config) *Fabric {
 // Kernel returns the simulation kernel.
 func (f *Fabric) Kernel() *sim.Kernel { return f.k }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // IOMMU returns the fabric's IOMMU for permission programming.
 func (f *Fabric) IOMMU() *IOMMU { return f.iommu }
 

@@ -53,9 +53,6 @@ func (pt *Port) Name() string { return pt.name }
 // Link returns the port's link configuration.
 func (pt *Port) Link() LinkConfig { return pt.cfg }
 
-// Fabric returns the owning fabric.
-func (pt *Port) Fabric() *Fabric { return pt.f }
-
 // SetReadPadding adds d to the completion path of every subsequent read
 // chunk issued by this port.
 func (pt *Port) SetReadPadding(d sim.Time) { pt.readPadding = d }
@@ -66,13 +63,6 @@ func (pt *Port) PayloadTx() int64 { return pt.payloadTx }
 
 // PayloadRx returns useful bytes delivered to this port.
 func (pt *Port) PayloadRx() int64 { return pt.payloadRx }
-
-// ResetStats zeroes the payload counters and the underlying pipe counters.
-func (pt *Port) ResetStats() {
-	pt.payloadTx, pt.payloadRx = 0, 0
-	pt.tx.ResetStats()
-	pt.rx.ResetStats()
-}
 
 // writeGranule bounds how much of a posted burst is booked onto the TX link
 // at once. Real PCIe arbitrates at TLP granularity, so a megabyte burst must

@@ -269,19 +269,6 @@ func TestRandJitterBounds(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(11)
-	out := make([]int, 32)
-	r.Perm(out)
-	seen := make([]bool, 32)
-	for _, v := range out {
-		if v < 0 || v >= 32 || seen[v] {
-			t.Fatalf("not a permutation: %v", out)
-		}
-		seen[v] = true
-	}
-}
-
 func TestServerSerializesWork(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k)

@@ -72,6 +72,3 @@ func (pp *Pipe) BytesMoved() int64 { return pp.bytesMoved }
 
 // Transfers returns the number of transfers booked onto the link.
 func (pp *Pipe) Transfers() int64 { return pp.transfers }
-
-// ResetStats zeroes the byte and transfer counters.
-func (pp *Pipe) ResetStats() { pp.bytesMoved, pp.transfers = 0, 0 }

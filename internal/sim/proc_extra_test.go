@@ -98,8 +98,8 @@ func TestEventsExecutedCounts(t *testing.T) {
 func TestProcNameAndKernelAccessors(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("named", func(p *Proc) {
-		if p.Name() != "named" {
-			t.Errorf("Name = %q", p.Name())
+		if p.name != "named" {
+			t.Errorf("name = %q", p.name)
 		}
 		if p.Kernel() != k {
 			t.Error("Kernel accessor wrong")

@@ -148,9 +148,6 @@ func (k *Kernel) Close() {
 	k.parked, k.parkedDaemons = 0, 0
 }
 
-// Name returns the name given at Spawn, for traces and panics.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 

@@ -52,14 +52,3 @@ func (r *Rand) Jitter(base Time, frac float64) Time {
 	f := 1 - frac + 2*frac*r.Float64()
 	return Time(float64(base)*f + 0.5)
 }
-
-// Perm fills out with a permutation of [0, len(out)).
-func (r *Rand) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}

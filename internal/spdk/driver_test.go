@@ -87,9 +87,6 @@ func TestFunctionalWriteReadRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Error("read data differs from written data")
 		}
-		if err := d.Flush(p); err != nil {
-			t.Errorf("Flush: %v", err)
-		}
 	})
 	k.Run(0)
 	if d == nil {

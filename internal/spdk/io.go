@@ -154,12 +154,6 @@ func (d *Driver) WriteAsync(slba uint64, blocks uint32, bufAddr uint64, data []b
 	d.io(nvme.OpWrite, slba, blocks, bufAddr, data, cb)
 }
 
-// FlushAsync issues an NVMe flush.
-func (d *Driver) FlushAsync(cb func(error)) {
-	cmd := nvme.Command{Opcode: nvme.OpFlush, NSID: 1}
-	d.io1(cmd, 0, cb)
-}
-
 // Read is the blocking form of ReadAsync.
 func (d *Driver) Read(p *sim.Proc, slba uint64, blocks uint32, bufAddr uint64, data []byte) error {
 	ch := sim.NewChan[error](d.k, 1)
@@ -171,12 +165,5 @@ func (d *Driver) Read(p *sim.Proc, slba uint64, blocks uint32, bufAddr uint64, d
 func (d *Driver) Write(p *sim.Proc, slba uint64, blocks uint32, bufAddr uint64, data []byte) error {
 	ch := sim.NewChan[error](d.k, 1)
 	d.WriteAsync(slba, blocks, bufAddr, data, func(err error) { ch.TryPut(err) })
-	return ch.Get(p)
-}
-
-// Flush is the blocking form of FlushAsync.
-func (d *Driver) Flush(p *sim.Proc) error {
-	ch := sim.NewChan[error](d.k, 1)
-	d.FlushAsync(func(err error) { ch.TryPut(err) })
 	return ch.Get(p)
 }

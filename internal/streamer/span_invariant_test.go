@@ -263,7 +263,7 @@ func TestSpanInvariantsHangRecovery(t *testing.T) {
 func TestSpanInvariantsDegradedStriping(t *testing.T) {
 	k, s, devs := stripedRig(t, 2, false, crashRecovery)
 	tr := obs.NewTracer(1 << 16)
-	for i := 0; i < s.Width(); i++ {
+	for i := range devs {
 		st := s.Member(i).Streamer()
 		st.SetTracer(tr)
 		dev := devs[i]

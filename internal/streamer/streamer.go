@@ -396,9 +396,6 @@ func (s *Streamer) SetResetHandler(fn func(p *sim.Proc) error) { s.resetFn = fn 
 // already in flight stay untraced.
 func (s *Streamer) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
-// Tracer returns the attached span tracer, or nil.
-func (s *Streamer) Tracer() *obs.Tracer { return s.tr }
-
 // OnDeviceEvent routes a device-side pipeline event (SQE fetch, execution
 // start) onto the owning command's span. The CID is the reorder-buffer slot
 // by construction; events naming an idle or already-done slot — the fetch of

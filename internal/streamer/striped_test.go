@@ -57,6 +57,24 @@ func stripedRig(t *testing.T, n int, functional bool, mut ...func(*streamer.Conf
 	return k, streamer.NewStriped(k, sts, sim.MiB), devs
 }
 
+// stripedWrite writes through s and fails the test on a member error.
+func stripedWrite(t *testing.T, p *sim.Proc, s *streamer.Striped, addr uint64, n int64, data []byte) {
+	t.Helper()
+	if err := s.WriteErr(p, addr, n, data); err != nil {
+		t.Errorf("striped write %d@%#x: %v", n, addr, err)
+	}
+}
+
+// stripedRead reads through s and fails the test on a member error.
+func stripedRead(t *testing.T, p *sim.Proc, s *streamer.Striped, addr uint64, n int64) []byte {
+	t.Helper()
+	data, err := s.ReadErr(p, addr, n)
+	if err != nil {
+		t.Errorf("striped read %d@%#x: %v", n, addr, err)
+	}
+	return data
+}
+
 func TestStripedRoundTrip(t *testing.T) {
 	k, s, devs := stripedRig(t, 3, true)
 	want := make([]byte, 5*sim.MiB+8192) // spans several stripes, uneven tail
@@ -64,8 +82,8 @@ func TestStripedRoundTrip(t *testing.T) {
 		want[i] = byte(i * 11)
 	}
 	k.Spawn("app", func(p *sim.Proc) {
-		s.Write(p, 0, int64(len(want)), want)
-		got := s.Read(p, 0, int64(len(want)))
+		stripedWrite(t, p, s, 0, int64(len(want)), want)
+		got := stripedRead(t, p, s, 0, int64(len(want)))
 		if !bytes.Equal(got, want) {
 			t.Error("striped round trip corrupted data")
 		}
@@ -84,7 +102,7 @@ func TestStripedRoundTrip(t *testing.T) {
 func TestStripedDistributesEvenly(t *testing.T) {
 	k, s, devs := stripedRig(t, 4, false)
 	k.Spawn("app", func(p *sim.Proc) {
-		s.Write(p, 0, 32*sim.MiB, nil)
+		stripedWrite(t, p, s, 0, 32*sim.MiB, nil)
 	})
 	k.Run(0)
 	var min, max int64 = 1 << 62, 0
@@ -108,7 +126,7 @@ func TestStripedAggregatesBandwidth(t *testing.T) {
 		var el sim.Time
 		k.Spawn("app", func(p *sim.Proc) {
 			start := p.Now()
-			s.Write(p, 0, 96*sim.MiB, nil)
+			stripedWrite(t, p, s, 0, 96*sim.MiB, nil)
 			el = p.Now() - start
 		})
 		k.Run(0)
@@ -131,7 +149,7 @@ func TestStripedUnalignedAddressPanics(t *testing.T) {
 	// mapRange validation fires synchronously on the test goroutine.
 	// Sub-sector alignment is the hard floor; stripe alignment is no
 	// longer required.
-	s.Write(nil, 100, sim.MiB, nil)
+	s.WriteAsync(nil, 100, sim.MiB, nil)
 }
 
 func TestStripedSubStripeRoundTrip(t *testing.T) {
@@ -146,8 +164,8 @@ func TestStripedSubStripeRoundTrip(t *testing.T) {
 	}
 	var got []byte
 	k.Spawn("main", func(p *sim.Proc) {
-		s.Write(p, addr, n, want)
-		got = s.Read(p, addr, n)
+		stripedWrite(t, p, s, addr, n, want)
+		got = stripedRead(t, p, s, addr, n)
 	})
 	k.Run(0)
 	if !bytes.Equal(got, want) {
@@ -175,17 +193,17 @@ func TestStripedRandomizedIntegrity(t *testing.T) {
 				for i := range data {
 					data[i] = byte(rng.Int63n(256))
 				}
-				s.Write(p, addr, n, data)
+				stripedWrite(t, p, s, addr, n, data)
 				copy(shadow[addr:], data)
 			} else {
-				got := s.Read(p, addr, n)
+				got := stripedRead(t, p, s, addr, n)
 				if !bytes.Equal(got, shadow[addr:addr+uint64(n)]) {
 					failure = fmt.Sprintf("op %d: read %d@%#x diverged", op, n, addr)
 					return
 				}
 			}
 		}
-		got := s.Read(p, 0, span)
+		got := stripedRead(t, p, s, 0, span)
 		if !bytes.Equal(got, shadow) {
 			for i := range got {
 				if got[i] != shadow[i] {

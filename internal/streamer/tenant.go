@@ -607,9 +607,6 @@ func (h *TenantHub) writeCompleteLoop(p *sim.Proc) {
 // Tenants returns the tenant count.
 func (h *TenantHub) Tenants() int { return len(h.tenants) }
 
-// Config returns a copy of tenant i's normalized configuration.
-func (h *TenantHub) Config(i int) TenantConfig { return h.tenants[i].cfg }
-
 // Stats returns a snapshot of every tenant's counters, in tenant order.
 // The returned slice and its elements are copies — mutating them cannot
 // touch hub state.
