@@ -227,6 +227,33 @@ func TestCaseStudyWithDeviceFaults(t *testing.T) {
 	}
 }
 
+// TestBytesCountStoredImagesOnly fails every NVMe write that lands in
+// images 1 and 3 of an 8-image stream: Result.Bytes must count the six
+// acknowledged images and nothing more than the SSD port received.
+func TestBytesCountStoredImagesOnly(t *testing.T) {
+	cfg := smallConfig(8)
+	perImage := cfg.imageWriteBytes()
+	res, dev := runSNAcc(streamer.URAM, cfg, func(d *nvme.Device) {
+		d.SetFaultInjector(func(cmd nvme.Command) uint16 {
+			if cmd.Opcode == nvme.OpWrite {
+				if img := int64(cmd.SLBA()) * 512 / perImage; img == 1 || img == 3 {
+					return nvme.StatusInternalError
+				}
+			}
+			return nvme.StatusSuccess
+		})
+	})
+	if res.Errors == 0 {
+		t.Fatal("injected faults not reported")
+	}
+	if want := 6 * perImage; res.Bytes != want {
+		t.Errorf("Bytes = %d, want %d (6 stored images of %d)", res.Bytes, want, perImage)
+	}
+	if rx := dev.Port().PayloadRx(); res.Bytes > rx {
+		t.Errorf("Bytes = %d exceeds the %d bytes the SSD received", res.Bytes, rx)
+	}
+}
+
 func TestStripedCaseStudySaturatesNetwork(t *testing.T) {
 	// §7's end goal: with multiple SSDs the storage side stops being the
 	// bottleneck and the case study pushes toward the 100 G line rate

@@ -65,10 +65,11 @@ func RunSNAccStriped(n int, cfg Config) Result {
 }
 
 // imageWriter is the database controller's handle on storage: one
-// Streamer's client, or a stripe over several.
+// Streamer's client, or a stripe over several. WaitWriteErr returns the
+// error a write's response token carries, nil once the image is stored.
 type imageWriter interface {
 	WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte)
-	WaitWrite(p *sim.Proc)
+	WaitWriteErr(p *sim.Proc) error
 }
 
 // snaccStorage is what one SNAcc run chooses: its Streamer variant, one
@@ -86,6 +87,7 @@ type snaccStorage struct {
 // runSNAccStorage is the SNAcc write path: the front end's images go, one
 // write each at a sequential cursor, from the database controller PE into
 // the writer — original frame (padded) followed by the record block.
+// Result.Bytes counts only the images whose write succeeded.
 func runSNAccStorage(cfg Config, s snaccStorage) (Result, []*nvme.Device) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -109,6 +111,7 @@ func runSNAccStorage(cfg Config, s snaccStorage) (Result, []*nvme.Device) {
 	images := cfg.Source.Count
 	perImage := cfg.imageWriteBytes()
 	var start, end sim.Time
+	stored := 0
 	lat := &obs.Hist{}
 	sentAt := make([]sim.Time, 0, images)
 
@@ -128,7 +131,9 @@ func runSNAccStorage(cfg Config, s snaccStorage) (Result, []*nvme.Device) {
 		doneC := sim.NewChan[struct{}](k, 1)
 		k.Spawn("dbtokens", func(tp *sim.Proc) {
 			for i := 0; i < images; i++ {
-				w.WaitWrite(tp)
+				if w.WaitWriteErr(tp) == nil {
+					stored++
+				}
 				if i < len(sentAt) {
 					lat.Record(tp.Now() - sentAt[i])
 				}
@@ -151,7 +156,7 @@ func runSNAccStorage(cfg Config, s snaccStorage) (Result, []*nvme.Device) {
 	res := Result{
 		Variant:        s.name,
 		Images:         images,
-		Bytes:          perImage * int64(images),
+		Bytes:          perImage * int64(stored),
 		Elapsed:        end - start,
 		PCIe:           map[string]int64{},
 		ImageLatency:   lat,
