@@ -10,7 +10,7 @@ BENCH_ARGS_latency = -run latency
 BENCH_ARGS_cluster = -run cluster -size 64
 BENCH_ARGS_queues = -run queues
 
-.PHONY: build test race vet bench bench-smoke bench-check cover loc latency faults crash queues tenants cluster serve
+.PHONY: build test race vet bench bench-smoke bench-check regen cover loc latency faults crash queues tenants cluster serve
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,18 @@ bench-check:
 		{ if diff -u BENCH_$(n).json "$$tmp/BENCH_$(n).json"; then echo "BENCH_$(n).json matches"; \
 		else bad="$$bad BENCH_$(n).json"; fi; } && ) \
 	if [ -n "$$bad" ]; then echo "bench-check: differs from the regenerated copy:$$bad"; exit 1; fi
+
+# Regenerates every pinned output after a deliberate model change: the
+# BENCH files (with the bench-check arguments), the internal/bench goldens
+# and the case-study results golden, then lists which of them moved.
+# Commit them with the change; bench-check stays the gate.
+regen:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/snaccbench" ./cmd/snaccbench && \
+	$(foreach n,$(BENCH_FILES),"$$tmp/snaccbench" $(BENCH_ARGS_$(n)) > /dev/null && ) true
+	$(GO) test -count=1 ./internal/bench -run TestRenderGolden -update
+	$(GO) test -count=1 ./internal/casestudy -run TestResultsPinned -update
+	@git diff --stat -- 'BENCH_*.json' internal/bench/testdata internal/casestudy/testdata
 
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.
