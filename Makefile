@@ -31,17 +31,18 @@ test: vet
 # kernel hot paths, the payload packages (page payloads, staging memories,
 # the controller's DMA staging), and the fault-injection/recovery machinery
 # (including the controller crash-recovery ladder and its
-# multi-queue/ring-wrap variants). Race builds poison every payload page
-# whose last reference is released and every SQE/PRP-list buffer a recycled
-# controller struct owns when that struct is released, so the byte-checked
-# integrity tests here also catch a buffer or page used after its return.
+# multi-queue/ring-wrap variants, and the drain audit of armed ladders).
+# Race builds poison every payload page whose last reference is released
+# and every SQE/PRP-list buffer a recycled controller struct owns when that
+# struct is released, so the byte-checked integrity tests here also catch a
+# buffer or page used after its return.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/... ./internal/pcie/... ./internal/memmodel/... ./internal/nvme/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
 	$(GO) test -race -run 'TestServeFacade' .
 	$(GO) test -race -run 'TestParallelDeterminism' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'RandomizedDataIntegrity' .
+	$(GO) test -race -run 'RandomizedDataIntegrity|DrainEndsAtLastOp' .
 
 # go vet, then gofmt: any Go file gofmt would change (tracked and present, or
 # new and not ignored) fails the target and is listed, and so does any file

@@ -229,7 +229,8 @@ func TestCaseStudyWithDeviceFaults(t *testing.T) {
 
 // TestBytesCountStoredImagesOnly fails every NVMe write that lands in
 // images 1 and 3 of an 8-image stream: Result.Bytes must count the six
-// acknowledged images and nothing more than the SSD port received.
+// acknowledged images and nothing more than the SSD port received, and
+// the image-latency histogram must hold one sample per stored image.
 func TestBytesCountStoredImagesOnly(t *testing.T) {
 	cfg := smallConfig(8)
 	perImage := cfg.imageWriteBytes()
@@ -251,6 +252,9 @@ func TestBytesCountStoredImagesOnly(t *testing.T) {
 	}
 	if rx := dev.Port().PayloadRx(); res.Bytes > rx {
 		t.Errorf("Bytes = %d exceeds the %d bytes the SSD received", res.Bytes, rx)
+	}
+	if n := res.ImageLatency.Count(); n != 6 {
+		t.Errorf("ImageLatency holds %d samples, want 6 (one per stored image)", n)
 	}
 }
 

@@ -131,10 +131,10 @@ func runSNAccStorage(cfg Config, s snaccStorage) (Result, []*nvme.Device) {
 		doneC := sim.NewChan[struct{}](k, 1)
 		k.Spawn("dbtokens", func(tp *sim.Proc) {
 			for i := 0; i < images; i++ {
+				// Only stored images count: a failed write's token
+				// says nothing about an image's end-to-end latency.
 				if w.WaitWriteErr(tp) == nil {
 					stored++
-				}
-				if i < len(sentAt) {
 					lat.Record(tp.Now() - sentAt[i])
 				}
 			}

@@ -165,6 +165,10 @@ type Cluster struct {
 	co    *coordinator
 	// reads/writes hold the outstanding async operations, oldest first.
 	reads, writes []pending
+	// capsules and responses recycle the records that carry them in
+	// Frame.Meta.
+	capsules  records[capsule]
+	responses records[response]
 }
 
 // New builds and initializes a cluster: one full platform stack per node,
@@ -188,7 +192,7 @@ func New(cfg Config) (*Cluster, error) {
 	cl.sw.Attach(0, comac)
 
 	for i := 0; i < cfg.Nodes; i++ {
-		n := newNode(cfg, ecfg, i, cl.k)
+		n := newNode(cl, ecfg, i)
 		cl.nodes = append(cl.nodes, n)
 		cl.sw.Attach(i+1, n.mac)
 	}

@@ -58,6 +58,11 @@ type coordinator struct {
 	// waiters routes response IDs to requester channels; entries are
 	// removed by whichever of response/watchdog fires first.
 	waiters map[uint64]*sim.Chan[response]
+	// reqTimers holds one RequestTimeout watchdog per capsule in flight;
+	// one whose response arrived first is dropped unrun.
+	reqTimers *sim.Timers[reqTimer]
+	// respFree recycles request's one-shot response channels.
+	respFree []*sim.Chan[response]
 	// linkRx holds the from-node link injectors, one per node.
 	linkRx []*fault.LinkInjector
 	health []nodeHealth
@@ -108,6 +113,7 @@ func newCoordinator(cl *Cluster, mac *ethernet.MAC) *coordinator {
 		}
 		co.linkRx = append(co.linkRx, li)
 	}
+	co.reqTimers = sim.NewTimers(cl.k, cl.cfg.RequestTimeout, co.awaited, co.requestTimedOut)
 	return co
 }
 
@@ -124,10 +130,11 @@ func (co *coordinator) rxLoop(p *sim.Proc) {
 	p.SetDaemon(true)
 	for {
 		f := co.mac.Recv(p)
-		rep, ok := f.Meta.(response)
+		r, ok := f.Meta.(*response)
 		if !ok {
 			continue
 		}
+		rep := co.cl.responses.take(r)
 		switch fate := co.linkRx[rep.Node].FrameFate(p.Now()); {
 		case fate.Drop:
 			continue
@@ -165,23 +172,48 @@ func (co *coordinator) sendReq(p *sim.Proc, nd int, c capsule, respCh *sim.Chan[
 	if c.Op == opWrite {
 		wire += c.Len
 	}
-	co.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: c, DstPort: nd + 1})
-	co.k.After(co.cfg.RequestTimeout, func() {
-		ch, ok := co.waiters[id]
-		if !ok {
-			return
-		}
-		delete(co.waiters, id)
-		co.timeouts++
-		ch.TryPut(response{ID: id, Node: nd, Timeout: true, Err: "request timeout"})
-	})
+	co.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: co.cl.capsules.box(c), DstPort: nd + 1})
+	co.reqTimers.Arm(reqTimer{id: id, node: nd})
 }
 
-// request is the blocking single-capsule exchange.
+// reqTimer is one capsule's RequestTimeout watchdog.
+type reqTimer struct {
+	id   uint64
+	node int
+}
+
+// awaited reports whether t's request still waits for its response; ids
+// are never reused, so once answered it stays answered.
+func (co *coordinator) awaited(t reqTimer) bool {
+	_, ok := co.waiters[t.id]
+	return ok
+}
+
+// requestTimedOut resolves an unanswered request with a synthesized
+// timeout response.
+func (co *coordinator) requestTimedOut(t reqTimer) {
+	ch := co.waiters[t.id]
+	delete(co.waiters, t.id)
+	co.timeouts++
+	ch.TryPut(response{ID: t.id, Node: t.node, Timeout: true, Err: "request timeout"})
+}
+
+// request is the blocking single-capsule exchange. Its channel carries
+// exactly one response (route and the watchdog each deliver only while the
+// request is in waiters, and the first removes it), so once that response
+// is taken the channel is empty and unreferenced, and is recycled.
 func (co *coordinator) request(p *sim.Proc, nd int, c capsule) response {
-	ch := sim.NewChan[response](co.k, 1)
+	var ch *sim.Chan[response]
+	if n := len(co.respFree); n > 0 {
+		ch = co.respFree[n-1]
+		co.respFree = co.respFree[:n-1]
+	} else {
+		ch = sim.NewChan[response](co.k, 1)
+	}
 	co.sendReq(p, nd, c, ch)
-	return ch.Get(p)
+	rep := ch.Get(p)
+	co.respFree = append(co.respFree, ch)
+	return rep
 }
 
 // --- health ladder ---

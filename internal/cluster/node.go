@@ -30,6 +30,7 @@ type Card struct {
 // ordering without any protocol-level sequencing.
 type node struct {
 	Card
+	cl  *Cluster
 	id  int
 	k   *sim.Kernel
 	mac *ethernet.MAC
@@ -43,10 +44,11 @@ type node struct {
 	initErr error
 }
 
-// newNode assembles node id on kernel k and spawns its init
-// process (drained by New before traffic starts).
-func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
-	n := &node{id: id, k: k}
+// newNode assembles node id of cl and spawns its init process (drained by
+// New before traffic starts).
+func newNode(cl *Cluster, ecfg ethernet.Config, id int) *node {
+	cfg, k := cl.cfg, cl.k
+	n := &node{cl: cl, id: id, k: k}
 	tn := tapasco.NewNode(k, tapasco.DefaultU280())
 	// BAR assigned by enumeration; each node is its own PCIe fabric.
 	devCfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", id), 0)
@@ -112,10 +114,11 @@ func (n *node) serve(p *sim.Proc) {
 	p.SetDaemon(true)
 	for {
 		f := n.mac.Recv(p)
-		c, ok := f.Meta.(capsule)
+		bc, ok := f.Meta.(*capsule)
 		if !ok {
 			continue
 		}
+		c := n.cl.capsules.take(bc)
 		switch fate := n.rx.FrameFate(p.Now()); {
 		case fate.Drop:
 			continue
@@ -168,5 +171,5 @@ func (n *node) handle(p *sim.Proc, c capsule) {
 	if c.Op == opRead && rep.OK {
 		wire += rep.Len
 	}
-	n.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: rep, DstPort: 0})
+	n.mac.Send(p, ethernet.Frame{Bytes: wire, Meta: n.cl.responses.box(rep), DstPort: 0})
 }

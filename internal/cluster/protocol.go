@@ -42,10 +42,10 @@ func (o op) String() string {
 // 64 bytes, the NVMe-oF submission-capsule floor.
 const capsuleBytes = 64
 
-// capsule is one command from the coordinator to a node, riding Frame.Meta.
-// A write's payload rides in it as a page view (Data): the capsule holds
-// its own references to the pages, and the node releases them once its
-// local write returns.
+// capsule is one command from the coordinator to a node, riding Frame.Meta
+// in a recycled record (records). A write's payload rides in it as a page
+// view (Data): the capsule holds its own references to the pages, and the
+// node releases them once its local write returns.
 type capsule struct {
 	Op   op
 	ID   uint64 // request id, echoed by the response
@@ -55,11 +55,11 @@ type capsule struct {
 	Data pcie.Payload // write payload; zero when timing-only
 }
 
-// response answers one capsule, riding Frame.Meta on the way back. A
-// read's payload rides in it as the node's page view (Data), which the
-// requester releases once it has taken what it needs. A frame dropped on
-// the way, or a late reply the coordinator discards, leaves its pages to
-// the garbage collector.
+// response answers one capsule, riding Frame.Meta on the way back in a
+// recycled record. A read's payload rides in it as the node's page view
+// (Data), which the requester releases once it has taken what it needs. A
+// frame dropped on the way, or a late reply the coordinator discards,
+// leaves its pages to the garbage collector.
 type response struct {
 	ID   uint64
 	Node int // responding node
@@ -72,4 +72,32 @@ type response struct {
 	Timeout bool
 	Len     int64
 	Data    pcie.Payload // read payload; zero when timing-only or failed
+}
+
+// records recycles the records that carry capsules and responses in
+// Frame.Meta: boxing a value there would allocate a copy per frame. The
+// receiver copies the value out and returns the record at once; a frame
+// lost on the way leaves its record to the garbage collector.
+type records[T any] struct{ free []*T }
+
+// box returns a record holding v.
+func (rs *records[T]) box(v T) *T {
+	var r *T
+	if n := len(rs.free); n > 0 {
+		r = rs.free[n-1]
+		rs.free = rs.free[:n-1]
+	} else {
+		r = new(T)
+	}
+	*r = v
+	return r
+}
+
+// take returns r's value and recycles r.
+func (rs *records[T]) take(r *T) T {
+	v := *r
+	var zero T
+	*r = zero
+	rs.free = append(rs.free, r)
+	return v
 }

@@ -92,9 +92,10 @@ type MAC struct {
 	// txq holds frames awaiting transmission; the transmitter process
 	// fully buffers each frame before serialization (§4.7 store-and-
 	// forward), pausing between frames when flow-controlled.
-	txq    *sim.Chan[Frame]
-	wire   *sim.Pipe
-	txProc *sim.Proc
+	txq      *sim.Chan[Frame]
+	wire     *sim.Pipe
+	txProc   *sim.Proc
+	inFlight flights
 
 	// pausedUntil implements received PAUSE state.
 	pausedUntil sim.Time
@@ -193,11 +194,50 @@ func (m *MAC) txLoop(p *sim.Proc) {
 		if m.peer == nil {
 			panic("ethernet: MAC " + m.name + " transmitting with no peer")
 		}
-		frame := f
-		m.k.At(delivered+storeDelay, func() { m.peer.deliver(frame) })
+		m.inFlight.send(m.k, delivered+storeDelay, m.peer, f, nil)
 		// Block for serialization only; latency and buffering pipeline.
 		p.Sleep(delivered - m.cfg.WireLatency - p.Now())
 	}
+}
+
+// flights recycles one transmitter's in-flight frame records.
+type flights struct{ free []*flight }
+
+// flight is one frame between its transmitter and the far end of the
+// link. Its callback is bound once and the record recycles when the frame
+// arrives, so a frame in flight allocates nothing.
+type flight struct {
+	tx *flights
+	to receiver
+	f  Frame
+	// egress, when set, is the switch egress occupancy the frame leaves
+	// on arrival.
+	egress *int64
+	arrive func()
+}
+
+// send schedules f's arrival at to at time at.
+func (fl *flights) send(k *sim.Kernel, at sim.Time, to receiver, f Frame, egress *int64) {
+	var d *flight
+	if n := len(fl.free); n > 0 {
+		d = fl.free[n-1]
+		fl.free = fl.free[:n-1]
+	} else {
+		d = &flight{tx: fl}
+		d.arrive = d.land
+	}
+	d.to, d.f, d.egress = to, f, egress
+	k.At(at, d.arrive)
+}
+
+func (d *flight) land() {
+	to, f := d.to, d.f
+	if d.egress != nil {
+		*d.egress -= f.Bytes
+	}
+	d.to, d.f, d.egress = nil, Frame{}, nil
+	d.tx.free = append(d.tx.free, d)
+	to.deliver(f)
 }
 
 // sendPause emits an 802.3x control frame ahead of the data queue (control

@@ -37,6 +37,7 @@ type switchPort struct {
 	egress   *sim.Chan[Frame]
 	occupied int64
 	wire     *sim.Pipe
+	inFlight flights
 	paused   sim.Time
 	// renewing marks an active upstream-pause renewal chain for this
 	// ingress port (pausing the attached MAC on behalf of a congested
@@ -154,11 +155,7 @@ func (p *switchPort) txLoop(proc *sim.Proc) {
 		}
 		storeDelay := sim.TransferTime(minI64(f.Bytes, p.sw.cfg.MTU), p.sw.cfg.BytesPerSec())
 		delivered := p.wire.Reserve(p.sw.cfg.WireBytes(f.Bytes))
-		frame, peer := f, p.peer
-		p.sw.k.At(delivered+storeDelay, func() {
-			p.occupied -= frame.Bytes
-			peer.deliver(frame)
-		})
+		p.inFlight.send(p.sw.k, delivered+storeDelay, p.peer, f, &p.occupied)
 		proc.Sleep(delivered - p.sw.cfg.WireLatency - proc.Now())
 	}
 }

@@ -99,7 +99,7 @@ func (d *Device) adminCreateIOCQ(c *command) {
 		d.complete(c, StatusInvalidField, 0)
 		return
 	}
-	if _, exists := d.queues[qid]; exists {
+	if d.queues[qid] != nil {
 		d.complete(c, StatusInvalidField, 0)
 		return
 	}
@@ -139,7 +139,9 @@ func (d *Device) adminDeleteQueue(c *command) {
 		d.complete(c, StatusInvalidField, 0)
 		return
 	}
-	delete(d.queues, qid)
+	if int(qid) < len(d.queues) {
+		d.queues[qid] = nil
+	}
 	delete(d.pendingCQs(), qid)
 	d.complete(c, StatusSuccess, 0)
 }

@@ -91,6 +91,46 @@ func TestCrashUnknownQueueDoorbellLatchesCFS(t *testing.T) {
 	}
 }
 
+// TestCrashDoorbellPastQueueTableLatchesCFS rings doorbells the queue table
+// has no entry for: qids past MaxIOQueuePairs (up to the last doorbell the
+// BAR holds) and a queue pair that was created and then deleted. Each is a
+// host protocol violation that must latch CSTS.CFS, never panic.
+func TestCrashDoorbellPastQueueTableLatchesCFS(t *testing.T) {
+	const maxPairs = 2
+	lastDoorbell := uint64(BARSize-4-RegDoorbellBase) / 4
+	cases := []struct {
+		name    string
+		deleted bool   // create and delete the qid-1 pair first
+		idx     uint64 // doorbell index: 2*qid for the SQ tail, 2*qid+1 for the CQ head
+	}{
+		{name: "sq-past-max", idx: 2 * (maxPairs + 1)},
+		{name: "cq-past-max", idx: 2*(maxPairs+1) + 1},
+		{name: "last-doorbell-in-bar", idx: lastDoorbell},
+		{name: "sq-deleted", deleted: true, idx: 2},
+		{name: "cq-deleted", deleted: true, idx: 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb := newTestbench(t, func(cfg *Config) { cfg.MaxIOQueuePairs = maxPairs })
+			tb.enable()
+			if c.deleted {
+				tb.createIOQueues()
+				if cqe := tb.admin(Command{Opcode: OpDeleteIOSQ, CID: 8, CDW10: 1}); cqe.Status != StatusSuccess {
+					t.Fatalf("delete SQ: %#x", cqe.Status)
+				}
+			}
+			tb.host.Port.Write(tb.bar+RegDoorbellBase+4*c.idx, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 1)), nil)
+			tb.k.Run(0)
+			if tb.csts()&CSTSFatal == 0 {
+				t.Fatalf("doorbell %d did not latch CSTS.CFS", c.idx)
+			}
+			if tb.dev.Mode() != ModeCrashed {
+				t.Fatalf("mode = %d, want crashed", tb.dev.Mode())
+			}
+		})
+	}
+}
+
 func TestCrashDoorbellOutOfRangeLatchesCFS(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()

@@ -166,8 +166,8 @@ type Device struct {
 	asq  uint64
 	acq  uint64
 
-	queues       map[uint16]*queuePair // includes admin as qid 0 once enabled
-	cqPendingMap map[uint16]cqPending  // CQs awaiting their paired SQ
+	queues       []*queuePair         // by qid, admin at 0 once enabled; nil where none exists
+	cqPendingMap map[uint16]cqPending // CQs awaiting their paired SQ
 
 	execGate     *sim.Gate
 	frontEndBusy sim.Time
@@ -347,11 +347,14 @@ func (d *Device) revive(gen uint64) {
 // the stale-queue check), which releases the execution context the command
 // still holds — without this, repeated crashes leak exec contexts until the
 // controller wedges.
-func (d *Device) flushParked(old map[uint16]*queuePair) {
+func (d *Device) flushParked(old []*queuePair) {
 	for n := d.hungWait.Len(); n > 0; n-- {
 		d.hungWait.Pop().resume()
 	}
 	for _, q := range old {
+		if q == nil {
+			continue
+		}
 		for n := q.cqWait.Len(); n > 0; n-- {
 			q.cqWait.Pop().resume()
 		}
@@ -377,7 +380,7 @@ func New(k *sim.Kernel, f *pcie.Fabric, cfg Config) *Device {
 		k:        k,
 		cfg:      cfg,
 		nand:     NewNAND(k, cfg.NAND),
-		queues:   make(map[uint16]*queuePair),
+		queues:   make([]*queuePair, cfg.MaxIOQueuePairs+1),
 		execGate: sim.NewGate(cfg.ExecContexts),
 	}
 	d.port = f.AttachPort(cfg.Name, cfg.Link, (*deviceBAR)(d))
@@ -547,7 +550,7 @@ func (d *Device) reset() {
 	d.csts &^= CSTSReady | CSTSFatal | CSTSShutdownMask
 	d.resetGen++
 	old := d.queues
-	d.queues = make(map[uint16]*queuePair)
+	d.queues = make([]*queuePair, len(old))
 	d.cqPendingMap = nil
 	if d.mode == ModeCrashed || d.mode == ModeHung {
 		d.mode = ModeHealthy
@@ -587,8 +590,11 @@ func (d *Device) doorbell(off uint64, data []byte) {
 	idx := (off - RegDoorbellBase) / 4
 	qid := uint16(idx / 2)
 	isCQ := idx%2 == 1
-	q, ok := d.queues[qid]
-	if !ok {
+	var q *queuePair
+	if idx < uint64(2*len(d.queues)) {
+		q = d.queues[qid]
+	}
+	if q == nil {
 		// Protocol violation by the host: latch the fatal status the host
 		// can observe rather than killing the simulation.
 		d.fatal(fmt.Sprintf("doorbell for unknown queue %d", qid))
@@ -628,8 +634,8 @@ func (d *Device) kickAll() {
 	for d.fetchReads < d.cfg.MaxFetchReads && scanned < n {
 		qid := uint16(d.fetchRR % n)
 		d.fetchRR = (d.fetchRR + 1) % n
-		q, ok := d.queues[qid]
-		if !ok || q.pending() == 0 {
+		q := d.queues[qid]
+		if q == nil || q.pending() == 0 {
 			scanned++
 			continue
 		}

@@ -152,11 +152,27 @@ func (q *eventQueue) siftDown(e event) {
 
 // Kernel is the simulation scheduler. The zero value is not usable; create
 // one with NewKernel.
+//
+// Pending work lives in three places. The event heap holds callbacks for
+// later times. The ready FIFO holds callbacks for the current time, which
+// need no sift: every heap event at the current time was scheduled before
+// the clock reached it, so it carries a lower sequence number and runs
+// first either way. Timer queues (Timers) hold same-delay timers whose
+// work may retire before they fire; a retired timer is dropped without
+// running and never moves the clock.
 type Kernel struct {
 	now      Time
 	seq      uint64
 	queue    eventQueue
+	ready    FIFO[func()]
 	executed uint64
+	// timers lists every timer queue; tq is the one whose head is due
+	// first (nil when all are empty), and tAt, tSeq are that head's time
+	// and sequence number.
+	timers []timerQueue
+	tq     timerQueue
+	tAt    Time
+	tSeq   uint64
 	// nprocs counts live processes so Run can detect a deadlock: events
 	// exhausted while non-daemon processes are still parked. Daemons are
 	// service loops expected to idle forever.
@@ -174,7 +190,8 @@ func NewKernel() *Kernel { return &Kernel{} }
 func (k *Kernel) Now() Time { return k.now }
 
 // EventsExecuted returns the number of events the kernel has run — the
-// simulator's work metric.
+// simulator's work metric. A retired timer that was dropped without
+// running is not an event.
 func (k *Kernel) EventsExecuted() uint64 { return k.executed }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -182,6 +199,10 @@ func (k *Kernel) EventsExecuted() uint64 { return k.executed }
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+	}
+	if t == k.now {
+		k.ready.Push(fn)
+		return
 	}
 	k.seq++
 	k.queue.push(event{at: t, seq: k.seq, fn: fn})
@@ -197,7 +218,33 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // Run panics if the event queue drains while processes remain parked — that
 // is a deadlock in the modeled hardware and always a bug.
 func (k *Kernel) Run(horizon Time) Time {
-	for k.queue.len() > 0 {
+	for {
+		// Ready events run once nothing scheduled earlier is due now.
+		if k.ready.Len() > 0 && !k.dueNow() {
+			k.executed++
+			k.ready.Pop()()
+			continue
+		}
+		if tq := k.tq; tq != nil && (k.queue.len() == 0 || k.tAt < k.queue.ev[0].at ||
+			k.tAt == k.queue.ev[0].at && k.tSeq < k.queue.ev[0].seq) {
+			// A retired head is dropped before it can move the clock,
+			// even past the horizon.
+			if !tq.headLive() {
+				tq.drop()
+				continue
+			}
+			if horizon > 0 && k.tAt > horizon {
+				k.now = horizon
+				return k.now
+			}
+			k.now = k.tAt
+			k.executed++
+			tq.fire()
+			continue
+		}
+		if k.queue.len() == 0 {
+			break
+		}
 		// Peek before popping: an over-horizon event stays where it is, so
 		// hitting the horizon costs no pop/re-push re-heapification.
 		if horizon > 0 && k.queue.ev[0].at > horizon {
@@ -214,4 +261,10 @@ func (k *Kernel) Run(horizon Time) Time {
 			k.now, k.parked-k.parkedDaemons))
 	}
 	return k.now
+}
+
+// dueNow reports whether a heap event or a timer is due at the current
+// time; it precedes every ready event.
+func (k *Kernel) dueNow() bool {
+	return k.queue.len() > 0 && k.queue.ev[0].at == k.now || k.tq != nil && k.tAt == k.now
 }

@@ -53,6 +53,39 @@ func BenchmarkKernelScheduleDeep(b *testing.B) {
 	k.queue.ev = nil // drop pending events; this kernel is not reused
 }
 
+// BenchmarkKernelTimers measures a watchdog per unit of work: each of a
+// batch of staggered events arms a timer, and three in four retire before
+// they come due, as a completion watchdog's work usually does. Retired
+// timers are dropped without an event; the steady state allocates nothing.
+func BenchmarkKernelTimers(b *testing.B) {
+	k := NewKernel()
+	const batch = 256
+	retired := make([]bool, batch)
+	tm := NewTimers(k, 40, func(i int) bool { return !retired[i] }, func(int) {})
+	arms := make([]func(), batch)
+	for j := range arms {
+		j := j
+		arms[j] = func() {
+			retired[j] = j%4 != 0
+			tm.Arm(j)
+		}
+	}
+	cycle := func() {
+		base := k.Now()
+		for j := range arms {
+			retired[j] = false
+			k.At(base+Time(j%17), arms[j])
+		}
+		k.Run(0)
+	}
+	cycle() // grow the queues to their high-water mark
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 // BenchmarkKernelHorizon measures repeated Run calls that hit the horizon:
 // the peek-before-pop path must not re-heapify the over-horizon event.
 func BenchmarkKernelHorizon(b *testing.B) {

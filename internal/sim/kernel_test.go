@@ -35,6 +35,55 @@ func TestKernelEventOrdering(t *testing.T) {
 	if k.Now() != 20 {
 		t.Fatalf("Now() = %v, want 20", k.Now())
 	}
+
+	// Events scheduled for the current time wait in the ready FIFO behind
+	// every heap event and timer due now: those were scheduled before the
+	// clock got here, the heap event at 15 even after the timer was armed.
+	k = NewKernel()
+	got = nil
+	tm := NewTimers(k, 10, func(string) bool { return true }, func(s string) { got = append(got, s) })
+	k.At(15, func() {
+		got = append(got, "heap1")
+		k.At(15, add("ready1"))
+		k.After(0, func() {
+			got = append(got, "ready2")
+			k.At(15, add("ready3"))
+		})
+	})
+	k.At(5, func() {
+		tm.Arm("timer")
+		k.At(15, add("heap2"))
+	})
+	k.At(15, add("heap0"))
+	k.Run(0)
+	want = "heap1,heap0,timer,heap2,ready1,ready2,ready3"
+	if s := strings.Join(got, ","); s != want {
+		t.Fatalf("same-time order %q, want %q", s, want)
+	}
+
+	// The horizon still holds: ready events at now run, what they schedule
+	// past the horizon waits for the next Run.
+	got = nil
+	k.At(k.Now(), func() {
+		got = append(got, "ready")
+		k.After(10, add("later"))
+	})
+	if end := k.Run(20); end != 20 || strings.Join(got, ",") != "ready" {
+		t.Fatalf("Run(20) ended at %v having run %v", end, got)
+	}
+	if end := k.Run(0); end != 25 || strings.Join(got, ",") != "ready,later" {
+		t.Fatalf("Run(0) ended at %v having run %v", end, got)
+	}
+
+	// Close drops the heap, the ready FIFO and the timers.
+	k.At(k.Now(), add("dropped"))
+	k.After(5, add("dropped"))
+	tm.Arm("dropped")
+	k.Close()
+	if k.queue.len() != 0 || k.ready.Len() != 0 || tm.q.Len() != 0 || k.tq != nil {
+		t.Fatalf("after Close: %d heap events, %d ready events, %d timers pending",
+			k.queue.len(), k.ready.Len(), tm.q.Len())
+	}
 }
 
 func TestKernelSchedulingInPastPanics(t *testing.T) {

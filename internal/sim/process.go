@@ -128,13 +128,13 @@ func (p *Proc) yield() {
 	}
 }
 
-// Close stops every live process and drops every pending event, releasing
-// the coroutines a finished simulation would otherwise keep suspended
-// forever (daemon service loops, processes parked on an idle Chan). A
-// suspended process unwinds from the call that blocked it, running only
-// its deferred calls; one that never ran is dropped. Call Close after Run
-// has returned, never from inside a process; the kernel must not be run
-// again afterwards. Close is idempotent.
+// Close stops every live process and drops every pending event and timer,
+// releasing the coroutines a finished simulation would otherwise keep
+// suspended forever (daemon service loops, processes parked on an idle
+// Chan). A suspended process unwinds from the call that blocked it,
+// running only its deferred calls; one that never ran is dropped. Call
+// Close after Run has returned, never from inside a process; the kernel
+// must not be run again afterwards. Close is idempotent.
 func (k *Kernel) Close() {
 	for k.live != nil {
 		p := k.live
@@ -145,6 +145,11 @@ func (k *Kernel) Close() {
 		p.stop()
 	}
 	k.queue.ev = nil
+	k.ready = FIFO[func()]{}
+	for _, tq := range k.timers {
+		tq.clear()
+	}
+	k.tq = nil
 	k.parked, k.parkedDaemons = 0, 0
 }
 

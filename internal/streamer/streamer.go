@@ -129,11 +129,11 @@ type Streamer struct {
 	// cmdSeq stamps every (re)submission so stale watchdog timers and
 	// stale retry requests can be recognized and discarded.
 	cmdSeq uint64
-	// deadlines holds the armed completion watchdogs in arming order. Every
-	// watchdog runs CmdTimeout, so they fire in that order too, and one
-	// bound callback, deadlineFn, serves the head.
-	deadlines  sim.FIFO[deadline]
-	deadlineFn func()
+	// deadlines holds the armed completion watchdogs (nil without a
+	// CmdTimeout). A watchdog whose submission completed or was superseded
+	// is dropped unrun, so it neither costs an event nor carries the clock
+	// past the last completion.
+	deadlines *sim.Timers[deadline]
 
 	// Payload buffers.
 	readRing  *byteRing
@@ -306,7 +306,9 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 		sendQ:     sim.NewChan[sendItem](k, 8),
 		lbaSize:   512,
 	}
-	s.deadlineFn = s.deadlineFired
+	if cfg.CmdTimeout > 0 {
+		s.deadlines = sim.NewTimers(k, cfg.CmdTimeout, s.deadlineLive, s.onDeadline)
+	}
 	// One SQ FIFO (full QueueDepth deep — the global in-flight gate bounds
 	// every queue's occupancy) per queue pair, all slots carved from one
 	// backing array. The flush closures are built once so arming a doorbell
@@ -709,9 +711,8 @@ func (s *Streamer) encodeAndRing(slot int) {
 	q.sqFilled[q.sqTail] = true
 	q.sqTail = (q.sqTail + 1) % s.cfg.QueueDepth
 	s.cmdsSubmitted++
-	if s.cfg.CmdTimeout > 0 {
-		s.deadlines.Push(deadline{slot: slot, seq: e.seq})
-		s.k.After(s.cfg.CmdTimeout, s.deadlineFn)
+	if s.deadlines != nil {
+		s.deadlines.Arm(deadline{slot: slot, seq: e.seq})
 	}
 	s.armCFSPoll()
 	if s.cfg.doorbellBatch() <= 1 {
@@ -1036,20 +1037,19 @@ type deadline struct {
 	seq  uint64
 }
 
-// deadlineFired runs the oldest armed watchdog.
-func (s *Streamer) deadlineFired() {
-	d := s.deadlines.Pop()
-	s.onDeadline(d.slot, d.seq)
+// deadlineLive reports whether d's submission is still outstanding: the
+// slot still holds it (a completion, a resubmission or a recycle changes
+// the slot's seq or marks it done, and seqs are never reused).
+func (s *Streamer) deadlineLive(d deadline) bool {
+	e := &s.rob[d.slot]
+	return e.used && e.seq == d.seq && !e.done
 }
 
 // onDeadline is the watchdog: fired CmdTimeout after the (re)submission
-// stamped seq. A slot that was since completed or recycled is recognized by
-// the stale seq and ignored.
-func (s *Streamer) onDeadline(slot int, seq uint64) {
+// stamped d.seq, while that submission is still outstanding.
+func (s *Streamer) onDeadline(d deadline) {
+	slot := d.slot
 	e := &s.rob[slot]
-	if !e.used || e.seq != seq || e.done {
-		return
-	}
 	if s.dead || s.breakerOpen {
 		// The breaker owns recovery: individual watchdogs stand down, which
 		// is what bounds the per-command retry storm against a dead
