@@ -336,6 +336,18 @@ func (co *coordinator) liveSet(m *chunkMeta) []int {
 	return out
 }
 
+// liveCount counts the chunk's members that are not dead, without
+// building liveSet's slice.
+func (co *coordinator) liveCount(m *chunkMeta) int {
+	n := 0
+	for _, nd := range m.set {
+		if co.alive(nd) {
+			n++
+		}
+	}
+	return n
+}
+
 // wantReplicas is the replication the cluster can currently sustain.
 func (co *coordinator) wantReplicas() int {
 	want := co.cfg.Replication
@@ -364,7 +376,7 @@ func (co *coordinator) setUnder(m *chunkMeta, under bool) {
 }
 
 func (co *coordinator) updateUnder(m *chunkMeta) {
-	co.setUnder(m, m.written && len(co.liveSet(m)) < co.wantReplicas())
+	co.setUnder(m, m.written && co.liveCount(m) < co.wantReplicas())
 }
 
 func (co *coordinator) recomputeUnder() {
@@ -565,7 +577,10 @@ func (co *coordinator) read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 func (co *coordinator) readPiece(p *sim.Proc, key int64, addr uint64, n int64, view pcie.Payload, off int64) error {
 	m := co.chunk(key)
 	co.lockChunk(p, m)
-	var candidates []int
+	// The candidates live in an array on this frame: the common replica
+	// counts never reach the heap.
+	var buf [8]int
+	candidates := buf[:0]
 	if m.written {
 		// Prefer healthy members (the set's head is the primary), fall
 		// back to suspects; dead members were pruned.
@@ -638,8 +653,7 @@ func (co *coordinator) nextRepair() (int64, *chunkMeta) {
 		if !m.written {
 			continue
 		}
-		live := co.liveSet(m)
-		if len(live) == 0 || len(live) >= want {
+		if live := co.liveCount(m); live == 0 || live >= want {
 			continue
 		}
 		if co.repairTarget(key, m) < 0 {

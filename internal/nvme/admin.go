@@ -127,6 +127,7 @@ func (d *Device) adminCreateIOSQ(c *command) {
 		entries: size,
 		cqPhase: true,
 	}
+	d.recountUnfetched()
 	d.complete(c, StatusSuccess, 0)
 }
 
@@ -141,6 +142,7 @@ func (d *Device) adminDeleteQueue(c *command) {
 	}
 	if int(qid) < len(d.queues) {
 		d.queues[qid] = nil
+		d.recountUnfetched()
 	}
 	delete(d.pendingCQs(), qid)
 	d.complete(c, StatusSuccess, 0)

@@ -179,9 +179,12 @@ type Device struct {
 	// Fetch scheduler state: the MaxFetchReads budget is device-global (not
 	// per queue), and fetchRR is the round-robin scan pointer that hands the
 	// next credit to the next qid with pending entries — one hot queue
-	// cannot monopolize the fetch engine.
+	// cannot monopolize the fetch engine. unfetched counts the rung but
+	// unfetched SQEs of every queue (the sum of pending()), so the scan
+	// stops as soon as nothing is left to fetch.
 	fetchReads int
 	fetchRR    int
+	unfetched  int
 
 	// Failure model.
 	mode        CtrlMode
@@ -531,6 +534,7 @@ func (d *Device) enable() {
 		entries: entries,
 		cqPhase: true,
 	}
+	d.recountUnfetched()
 	gen := d.resetGen
 	d.k.After(d.cfg.ReadyDelay, func() {
 		// A reset or crash between CC.EN and the ready deadline cancels
@@ -551,6 +555,7 @@ func (d *Device) reset() {
 	d.resetGen++
 	old := d.queues
 	d.queues = make([]*queuePair, len(old))
+	d.recountUnfetched()
 	d.cqPendingMap = nil
 	if d.mode == ModeCrashed || d.mode == ModeHung {
 		d.mode = ModeHealthy
@@ -612,8 +617,21 @@ func (d *Device) doorbell(off uint64, data []byte) {
 		}
 		return
 	}
+	d.unfetched -= q.pending()
 	q.sqTailDB = val
+	d.unfetched += q.pending()
 	d.kickAll()
+}
+
+// recountUnfetched recomputes unfetched after queues were created, deleted
+// or torn down.
+func (d *Device) recountUnfetched() {
+	d.unfetched = 0
+	for _, q := range d.queues {
+		if q != nil {
+			d.unfetched += q.pending()
+		}
+	}
 }
 
 // kickAll runs the fetch scheduler: while the device-global fetch-read
@@ -624,14 +642,16 @@ func (d *Device) doorbell(off uint64, data []byte) {
 // queue, a hot queue gets at most one fetch read per full scan while others
 // wait — the per-queue fairness the multi-queue streamer relies on. With a
 // single active queue every credit lands on it back to back, reproducing the
-// old per-queue loop exactly.
+// old per-queue loop exactly. The scan stops once no queue has an unfetched
+// entry: a scan that finds nothing moves the pointer a full cycle, back to
+// where it started, so stopping early leaves it where the full scan would.
 func (d *Device) kickAll() {
 	if !d.fetchAllowed() {
 		return
 	}
 	n := d.cfg.MaxIOQueuePairs + 1 // qid 0 (admin) .. MaxIOQueuePairs
 	scanned := 0
-	for d.fetchReads < d.cfg.MaxFetchReads && scanned < n {
+	for d.unfetched > 0 && d.fetchReads < d.cfg.MaxFetchReads && scanned < n {
 		qid := uint16(d.fetchRR % n)
 		d.fetchRR = (d.fetchRR + 1) % n
 		q := d.queues[qid]
@@ -660,6 +680,7 @@ func (d *Device) fetchOne(q *queuePair) {
 	}
 	fetchHead := q.issueHead
 	q.issueHead = (fetchHead + batch) % q.entries
+	d.unfetched -= batch
 	d.fetchReads++
 	// The fetch owns its buffer: the completer fills it before done runs,
 	// and done decodes every SQE into a value before releasing the fetch.

@@ -60,11 +60,23 @@ func TransferTime(n int64, bytesPerSec float64) Time {
 }
 
 // event is one scheduled callback. seq breaks timestamp ties so scheduling
-// order is execution order.
+// order is execution order: it is the kernel's sequence counter shifted left
+// by one, and the freed low bit (resumeBit) marks a process's resume.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+}
+
+// resumeBit tags the sequence number of a heap event that resumes a
+// process; the process keeps that sequence number (Proc.resumeSeq).
+const resumeBit = 1
+
+// readyEvent is one entry of the ready FIFO: the resume of process p, or
+// the plain callback fn when p is nil.
+type readyEvent struct {
+	fn func()
+	p  *Proc
 }
 
 // eventLess orders events by timestamp, then by scheduling sequence.
@@ -164,8 +176,16 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	queue    eventQueue
-	ready    FIFO[func()]
+	ready    FIFO[readyEvent]
 	executed uint64
+	// horizon is the horizon of the current Run; running is true while
+	// Run is on the stack, the only time a blocking process may step the
+	// kernel itself (Proc.yield), so a process unwinding from Close never
+	// does. inline is true while a callback or timer runs on a blocking
+	// process's stack.
+	horizon Time
+	running bool
+	inline  bool
 	// timers lists every timer queue; tq is the one whose head is due
 	// first (nil when all are empty), and tAt, tSeq are that head's time
 	// and sequence number.
@@ -201,11 +221,23 @@ func (k *Kernel) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	if t == k.now {
-		k.ready.Push(fn)
+		k.ready.Push(readyEvent{fn: fn})
 		return
 	}
 	k.seq++
-	k.queue.push(event{at: t, seq: k.seq, fn: fn})
+	k.queue.push(event{at: t, seq: k.seq << 1, fn: fn})
+}
+
+// resumeAt schedules p's resume at t (>= now), tagged as p's so that a
+// blocking process can tell its own resume from another's (resumeInline).
+func (k *Kernel) resumeAt(t Time, p *Proc) {
+	if t == k.now {
+		k.ready.Push(readyEvent{p: p})
+		return
+	}
+	k.seq++
+	p.resumeSeq = k.seq<<1 | resumeBit
+	k.queue.push(event{at: t, seq: p.resumeSeq, fn: p.run})
 }
 
 // After schedules fn to run d after the current time.
@@ -218,15 +250,20 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // Run panics if the event queue drains while processes remain parked — that
 // is a deadlock in the modeled hardware and always a bug.
 func (k *Kernel) Run(horizon Time) Time {
+	k.horizon, k.running = horizon, true
+	defer func() { k.running, k.inline = false, false }()
 	for {
 		// Ready events run once nothing scheduled earlier is due now.
 		if k.ready.Len() > 0 && !k.dueNow() {
 			k.executed++
-			k.ready.Pop()()
+			if r := k.ready.Pop(); r.p != nil {
+				r.p.dispatch()
+			} else {
+				r.fn()
+			}
 			continue
 		}
-		if tq := k.tq; tq != nil && (k.queue.len() == 0 || k.tAt < k.queue.ev[0].at ||
-			k.tAt == k.queue.ev[0].at && k.tSeq < k.queue.ev[0].seq) {
+		if tq := k.tq; tq != nil && k.timerFirst() {
 			// A retired head is dropped before it can move the clock,
 			// even past the horizon.
 			if !tq.headLive() {
@@ -261,6 +298,72 @@ func (k *Kernel) Run(horizon Time) Time {
 			k.now, k.parked-k.parkedDaemons))
 	}
 	return k.now
+}
+
+// resumeInline steps the kernel on the stack of p, which is blocking
+// (Proc.yield): it runs due callbacks and timers exactly as Run would, in
+// the same order and counted the same way, until p's own resume comes next.
+// It takes that resume as the one event the dispatch it replaces would have
+// counted and reports true, so p continues without a coroutine switch. It
+// reports false, leaving the queues as they are, when another process's
+// resume, the horizon or an empty queue comes next: those are Run's.
+func (k *Kernel) resumeInline(p *Proc) bool {
+	for {
+		if k.ready.Len() > 0 && !k.dueNow() {
+			r := k.ready.Peek()
+			if r.p != nil && r.p != p {
+				return false
+			}
+			k.ready.Pop()
+			k.executed++
+			if r.p == p {
+				return true
+			}
+			k.inline = true
+			r.fn()
+			k.inline = false
+			continue
+		}
+		if tq := k.tq; tq != nil && k.timerFirst() {
+			if !tq.headLive() {
+				tq.drop()
+				continue
+			}
+			if k.horizon > 0 && k.tAt > k.horizon {
+				return false
+			}
+			k.now = k.tAt
+			k.executed++
+			k.inline = true
+			tq.fire()
+			k.inline = false
+			continue
+		}
+		if k.queue.len() == 0 {
+			return false
+		}
+		head := &k.queue.ev[0]
+		if k.horizon > 0 && head.at > k.horizon || head.seq&resumeBit != 0 && head.seq != p.resumeSeq {
+			return false
+		}
+		e := k.queue.pop()
+		k.now = e.at
+		k.executed++
+		if e.seq == p.resumeSeq {
+			return true
+		}
+		k.inline = true
+		e.fn()
+		k.inline = false
+	}
+}
+
+// timerFirst reports whether the earliest timer (k.tq non-nil) is due
+// before the heap's head: earlier, or at the same time with a lower
+// sequence number.
+func (k *Kernel) timerFirst() bool {
+	return k.queue.len() == 0 || k.tAt < k.queue.ev[0].at ||
+		k.tAt == k.queue.ev[0].at && k.tSeq < k.queue.ev[0].seq
 }
 
 // dueNow reports whether a heap event or a timer is due at the current

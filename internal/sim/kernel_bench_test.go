@@ -99,9 +99,10 @@ func BenchmarkKernelHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSleep measures one process hand-off: a Sleep schedules the
-// process's resume closure, switches to the kernel, and the kernel switches
-// back. It must run at 0 allocs/op.
+// BenchmarkProcSleep measures one inline process hand-off: a lone sleeper's
+// own resume is always the next event, so its Sleep schedules the resume
+// and takes it back on its own stack, with no coroutine switch. It must run
+// at 0 allocs/op.
 func BenchmarkProcSleep(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
@@ -111,6 +112,27 @@ func BenchmarkProcSleep(b *testing.B) {
 		}
 	})
 	k.Run(1) // start the coroutine outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(k.Now() + Time(b.N))
+}
+
+// BenchmarkProcSleepPair measures one switching process hand-off: two
+// sleepers whose wakes alternate, so every Sleep finds the other process's
+// resume next and switches to the kernel, which switches to the other. It
+// must run at 0 allocs/op.
+func BenchmarkProcSleepPair(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	for i := 0; i < 2; i++ {
+		k.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(Time(i))
+			for {
+				p.Sleep(2)
+			}
+		})
+	}
+	k.Run(2) // start both coroutines outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run(k.Now() + Time(b.N))

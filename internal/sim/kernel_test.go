@@ -75,6 +75,55 @@ func TestKernelEventOrdering(t *testing.T) {
 		t.Fatalf("Run(0) ended at %v having run %v", end, got)
 	}
 
+	// A blocking process steps the kernel on its own stack (Proc.yield).
+	// Plain callbacks, a timer and Sleep(0) tokens due before, at and after
+	// its wake, and another process's resume, run in the same order and
+	// count the same as when Run dispatched every resume: q takes its own
+	// resume at 7 inline, but stops at p's resume at 10; p takes its
+	// Sleep(0) at 10 inline behind the callbacks queued ahead of it.
+	k2 := NewKernel()
+	got = nil
+	add2 := func(s string) func() { return func() { got = append(got, s) } }
+	tm2 := NewTimers(k2, 10, func(string) bool { return true }, func(s string) { got = append(got, s) })
+	k2.Spawn("p", func(p *Proc) {
+		got = append(got, "p0")
+		tm2.Arm("timer10")
+		k2.At(10, func() {
+			got = append(got, "cb10a")
+			k2.At(10, add2("ready10"))
+		})
+		p.Sleep(10)
+		got = append(got, "p10")
+		p.Sleep(0)
+		got = append(got, "p10b")
+		p.Sleep(20)
+		got = append(got, "p30")
+	})
+	k2.Spawn("q", func(q *Proc) {
+		got = append(got, "q0")
+		q.Sleep(7)
+		got = append(got, "q7")
+		q.Sleep(13)
+		got = append(got, "q20")
+	})
+	k2.At(5, func() {
+		got = append(got, "cb5")
+		k2.At(10, add2("cb10b"))
+		k2.At(5, add2("ready5"))
+	})
+	if end := k2.Run(0); end != 30 {
+		t.Fatalf("inline Run ended at %v, want 30", end)
+	}
+	want = "p0,q0,cb5,ready5,q7,timer10,cb10a,p10,cb10b,ready10,p10b,q20,p30"
+	if s := strings.Join(got, ","); s != want {
+		t.Fatalf("inline order %q, want %q", s, want)
+	}
+	// 2 spawns, cb5, ready5, q's resumes at 7 and 20, timer10, cb10a,
+	// cb10b, ready10, and p's resumes at 10, 10 (Sleep(0)) and 30.
+	if n := k2.EventsExecuted(); n != 13 {
+		t.Fatalf("inline EventsExecuted = %d, want 13", n)
+	}
+
 	// Close drops the heap, the ready FIFO and the timers.
 	k.At(k.Now(), add("dropped"))
 	k.After(5, add("dropped"))
@@ -97,6 +146,31 @@ func TestKernelSchedulingInPastPanics(t *testing.T) {
 		k.At(50, func() {})
 	})
 	k.Run(0)
+}
+
+// TestInlineResumeStopsAtHorizon pins that a blocking process steps the
+// kernel only up to Run's horizon: callbacks before it run, a wake past it
+// stays pending, and Run returns at the horizon.
+func TestInlineResumeStopsAtHorizon(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	k.At(40, func() { got = append(got, "cb40") })
+	k.Spawn("p", func(p *Proc) {
+		p.Sleep(100)
+		got = append(got, "p100")
+	})
+	if end := k.Run(50); end != 50 || strings.Join(got, ",") != "cb40" {
+		t.Fatalf("Run(50) ended at %v having run %v", end, got)
+	}
+	if n := k.EventsExecuted(); n != 2 {
+		t.Fatalf("EventsExecuted = %d after Run(50), want 2 (spawn, cb40)", n)
+	}
+	if end := k.Run(0); end != 100 || strings.Join(got, ",") != "cb40,p100" {
+		t.Fatalf("Run(0) ended at %v having run %v", end, got)
+	}
+	if n := k.EventsExecuted(); n != 3 {
+		t.Fatalf("EventsExecuted = %d, want 3", n)
+	}
 }
 
 func TestKernelHorizon(t *testing.T) {

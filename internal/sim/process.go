@@ -13,7 +13,9 @@ import (
 //
 // A hand-off is one direct coroutine switch (see coro.go): the kernel
 // resumes a process by running its resume closure, built once at Spawn, so
-// Sleep, Park and Wake schedule nothing that allocates.
+// Sleep, Park and Wake schedule nothing that allocates. A process whose own
+// resume is the next thing to run after it blocks needs no switch at all:
+// it steps the kernel on its own stack until then (yield).
 type Proc struct {
 	k    *Kernel
 	name string
@@ -25,9 +27,11 @@ type Proc struct {
 	next    func() (struct{}, bool)
 	suspend func(struct{}) bool
 	stop    func()
-	// run is the event callback that resumes the process.
-	run  func()
-	done bool
+	// run is the event callback that resumes the process, and resumeSeq
+	// the sequence number of its latest resume through the event heap.
+	run       func()
+	resumeSeq uint64
+	done      bool
 
 	// prevLive and nextLive link the kernel's live processes, so Close can
 	// stop them without an allocation per Spawn.
@@ -70,7 +74,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		k.live.prevLive = p
 	}
 	k.live = p
-	k.At(k.now, p.run)
+	k.resumeAt(k.now, p)
 	return p
 }
 
@@ -97,6 +101,12 @@ func (p *Proc) body(suspend func(struct{}) bool) {
 		if _, ok := r.(procStopped); r == nil || ok {
 			return
 		}
+		if p.k.inline {
+			// A callback or timer the kernel ran on this stack while the
+			// process blocked (yield) panicked: the panic is its own.
+			p.k.inline = false
+			panic(r)
+		}
 		panic(fmt.Sprintf("sim: process %q panicked at %v: %v\n\n%s", p.name, p.k.now, r, debug.Stack()))
 	}()
 	fn := p.fn
@@ -120,9 +130,16 @@ func (p *Proc) finish() {
 	p.prevLive, p.nextLive = nil, nil
 }
 
-// yield returns control to the kernel and blocks until redispatched. When
-// the kernel closes instead, it unwinds the process.
+// yield blocks p until its resume runs. Inside Run it first steps the
+// kernel on p's own stack (Kernel.resumeInline), running due callbacks and
+// timers in Run's order; when p's own resume comes next it returns without
+// a coroutine switch. It hands control back to the kernel only when another
+// process's resume, the horizon or an empty queue comes next, all of which
+// Run handles. When the kernel closes instead, it unwinds the process.
 func (p *Proc) yield() {
+	if k := p.k; k.running && k.resumeInline(p) {
+		return
+	}
 	if !p.suspend(struct{}{}) {
 		panic(procStopped{})
 	}
@@ -145,7 +162,7 @@ func (k *Kernel) Close() {
 		p.stop()
 	}
 	k.queue.ev = nil
-	k.ready = FIFO[func()]{}
+	k.ready = FIFO[readyEvent]{}
 	for _, tq := range k.timers {
 		tq.clear()
 	}
@@ -166,7 +183,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	k := p.k
-	k.At(k.now+d, p.run)
+	k.resumeAt(k.now+d, p)
 	p.yield()
 }
 
@@ -194,5 +211,5 @@ func (p *Proc) Wake() {
 		p.k.parkedDaemons--
 	}
 	k := p.k
-	k.At(k.now, p.run)
+	k.resumeAt(k.now, p)
 }

@@ -29,9 +29,55 @@ func TestProcPanicAttribution(t *testing.T) {
 	}
 }
 
+// TestInlineCallbackPanicIsItsOwn pins that a callback the kernel runs on a
+// blocking process's stack (Proc.yield) panics out of Run with its own
+// value, not wrapped as that process's panic, while a panic in process code
+// after an inline resume still names the process and the simulated time.
+func TestInlineCallbackPanicIsItsOwn(t *testing.T) {
+	type boom struct{ at Time }
+	k := NewKernel()
+	defer k.Close()
+	inline := false
+	k.Spawn("sleeper", func(p *Proc) { p.Sleep(10) })
+	k.At(5, func() {
+		inline = k.inline
+		panic(boom{k.Now()})
+	})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		k.Run(0)
+	}()
+	if !inline {
+		t.Fatal("the callback did not run on the sleeper's stack")
+	}
+	if r != (boom{5}) {
+		t.Fatalf("Run panicked with %#v, want boom{5}", r)
+	}
+
+	k2 := NewKernel()
+	k2.Spawn("exploder", func(p *Proc) {
+		p.Sleep(3) // resumes inline: nothing else is pending
+		p.Sleep(4)
+		panic("boom")
+	})
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		k2.Run(0)
+	}()
+	for _, want := range []string{`"exploder"`, "7ns", "boom"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, msg)
+		}
+	}
+}
+
 // TestProcHandoffAllocs pins the allocation-free hand-off: a Sleep and a
 // Park/Wake round trip each schedule the process's prebuilt resume closure
-// and switch coroutines without allocating.
+// without allocating, whether the process resumes inline on its own stack
+// (a lone sleeper) or through a coroutine switch (two sleepers whose wakes
+// alternate, and a parker woken from outside).
 func TestProcHandoffAllocs(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
@@ -44,10 +90,30 @@ func TestProcHandoffAllocs(t *testing.T) {
 	})
 	k.Run(1)
 	if a := testing.AllocsPerRun(100, func() { k.Run(k.Now() + 1) }); a != 0 {
-		t.Errorf("Sleep hand-off allocates %.1f times, want 0", a)
+		t.Errorf("inline Sleep hand-off allocates %.1f times, want 0", a)
 	}
 	if sleeps < 100 {
 		t.Fatalf("sleeper resumed %d times, want >= 100", sleeps)
+	}
+
+	kp := NewKernel()
+	defer kp.Close()
+	pairSleeps := 0
+	for i := 0; i < 2; i++ {
+		kp.Spawn("pair", func(p *Proc) {
+			p.Sleep(Time(i))
+			for {
+				p.Sleep(2)
+				pairSleeps++
+			}
+		})
+	}
+	kp.Run(2)
+	if a := testing.AllocsPerRun(100, func() { kp.Run(kp.Now() + 1) }); a != 0 {
+		t.Errorf("switching Sleep hand-off allocates %.1f times, want 0", a)
+	}
+	if pairSleeps < 100 {
+		t.Fatalf("sleeper pair resumed %d times, want >= 100", pairSleeps)
 	}
 
 	k2 := NewKernel()

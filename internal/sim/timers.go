@@ -68,7 +68,7 @@ func (t *Timers[T]) Arm(v T) {
 		t.q.Pop()
 		moved = true
 	}
-	t.q.Push(timer[T]{at: k.now + t.delay, seq: k.seq, v: v})
+	t.q.Push(timer[T]{at: k.now + t.delay, seq: k.seq << 1, v: v})
 	if moved || t.q.Len() == 1 {
 		k.timerHeadMoved(t)
 	}
