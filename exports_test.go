@@ -42,7 +42,7 @@ var testOracles = []struct {
 	{"state or geometry a test reads back to check what a model negotiated or recorded", []string{
 		"memmodel.ChunkedBuffer.ChunkSize", "memmodel.ChunkedBuffer.Chunks", "memmodel.HBM.Channels",
 		"nvme.Device.Mode", "nvme.Device.FatalReason", "nvme.Device.ErrorLog",
-		"pcie.Port.Identity", "pcie.Port.Link", "pcie.IOMMU.Enabled", "sim.Chan.Peek",
+		"pcie.Port.Identity", "pcie.Port.Link", "pcie.IOMMU.Enabled", "pcie.IOMMU.Check", "sim.Chan.Peek",
 		"spdk.Driver.MDTSBytes", "spdk.Driver.QueuePairs", "tapasco.Driver.LBASize", "tapasco.Driver.CapacityBlocks",
 		"tapasco.Platform.Config",
 	}},

@@ -100,11 +100,55 @@ func (s *Stream) Send(p *sim.Proc, pkt Packet) {
 	s.fifo.Put(p, pkt)
 }
 
+// SendStep is Send for a step process. It reports true once pkt is in the
+// FIFO. Otherwise p is blocked, and its next step must call SendStep again
+// with the same packet and phase. *phase records how far the send got: it
+// must be 0 at the first call, and it is 0 again once SendStep reports
+// true.
+func (s *Stream) SendStep(p *sim.Proc, phase *uint8, pkt Packet) bool {
+	switch *phase {
+	case 0:
+		*phase = 1
+		if !s.space.AcquireStep(p, s.cost(pkt)) {
+			return false
+		}
+		fallthrough
+	case 1:
+		beats := pkt.Bytes
+		if beats <= 0 {
+			beats = 1
+		}
+		*phase = 2
+		s.wire.TransferStep(p, beats)
+		return false
+	case 2:
+		s.bytesMoved += pkt.Bytes
+		s.packets++
+		*phase = 3
+		if !s.fifo.PutStep(p, pkt) {
+			return false
+		}
+	}
+	*phase = 0
+	return true
+}
+
 // Recv takes the next packet, blocking p while the stream is empty.
 func (s *Stream) Recv(p *sim.Proc) Packet {
 	pkt := s.fifo.Get(p)
 	s.space.Release(s.cost(pkt))
 	return pkt
+}
+
+// RecvStep is Recv for a step process: it takes the next packet and reports
+// true, or, while the stream is empty, blocks p and reports false; p's next
+// step must call RecvStep again, which returns the packet.
+func (s *Stream) RecvStep(p *sim.Proc) (Packet, bool) {
+	pkt, ok := s.fifo.GetStep(p)
+	if ok {
+		s.space.Release(s.cost(pkt))
+	}
+	return pkt, ok
 }
 
 // TryRecv takes the next packet without blocking.

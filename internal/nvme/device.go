@@ -101,9 +101,33 @@ type queuePair struct {
 	// host advances the CQ head doorbell.
 	cqWait sim.FIFO[*command]
 
-	// debugOutstanding tracks fetched-but-not-completed CIDs to catch
-	// protocol violations (duplicate fetch / double completion).
-	debugOutstanding map[uint16]bool
+	// outstanding tracks fetched-but-not-completed CIDs to catch protocol
+	// violations (duplicate fetch / double completion).
+	outstanding cidSet
+}
+
+// cidSet is a set of command identifiers: a bitset over the CID space,
+// grown only as far as the highest CID it has held, so a queue whose host
+// numbers CIDs by slot keeps a few words.
+type cidSet []uint64
+
+func (s cidSet) has(cid uint16) bool {
+	w := int(cid >> 6)
+	return w < len(s) && s[w]&(1<<(cid&63)) != 0
+}
+
+func (s *cidSet) add(cid uint16) {
+	w := int(cid >> 6)
+	for len(*s) <= w {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << (cid & 63)
+}
+
+func (s cidSet) remove(cid uint16) {
+	if w := int(cid >> 6); w < len(s) {
+		s[w] &^= 1 << (cid & 63)
+	}
 }
 
 // cqFull reports whether posting another CQE would overwrite an entry the
@@ -706,13 +730,10 @@ func (f *sqeFetch) done() {
 		if err != nil {
 			panic(err) // 64-byte slices by construction
 		}
-		if q.debugOutstanding == nil {
-			q.debugOutstanding = make(map[uint16]bool)
-		}
-		if q.debugOutstanding[cmd.CID] {
+		if q.outstanding.has(cmd.CID) {
 			panic(fmt.Sprintf("nvme: duplicate fetch of CID %d on q%d (slot %d op %#x)", cmd.CID, q.id, fetchHead+i, cmd.Opcode))
 		}
-		q.debugOutstanding[cmd.CID] = true
+		q.outstanding.add(cmd.CID)
 		if d.cmdObserver != nil {
 			d.cmdObserver(q.id, cmd.CID, obs.StageFetched, d.k.Now())
 		}
@@ -805,7 +826,7 @@ func (d *Device) complete(c *command, status uint16, dw0 uint32) {
 // torn down) while the command executed: the host never sees a CQE, but the
 // execution context recycles and the outstanding-CID record clears.
 func (d *Device) discard(c *command) {
-	delete(c.q.debugOutstanding, c.cmd.CID)
+	c.q.outstanding.remove(c.cmd.CID)
 	d.cqesLost++
 	d.execGate.Release()
 	c.release()
@@ -843,10 +864,10 @@ func (c *command) deliver() {
 // account finalizes a command's bookkeeping at completion-decision time.
 func (d *Device) account(c *command) {
 	q, cmd := c.q, c.cmd
-	if !q.debugOutstanding[cmd.CID] {
+	if !q.outstanding.has(cmd.CID) {
 		panic(fmt.Sprintf("nvme: double completion of CID %d on q%d", cmd.CID, q.id))
 	}
-	delete(q.debugOutstanding, cmd.CID)
+	q.outstanding.remove(cmd.CID)
 	d.cmdsExecuted++
 	if c.status != StatusSuccess {
 		d.errs++

@@ -84,6 +84,7 @@ func (f *Fabric) AttachPort(name string, lc LinkConfig, c Completer) *Port {
 		rx:          sim.NewPipe(f.k, bw, 0),
 		credits:     sim.NewGate(lc.ReadCredits),
 		ctrlCredits: sim.NewGate(4),
+		grants:      f.iommu.list(name),
 	}
 	f.ports = append(f.ports, pt)
 	return pt
@@ -143,7 +144,7 @@ func (f *Fabric) routeOrPanic(src *Port, addr uint64, n int64) *Port {
 		panic(fmt.Sprintf("pcie: %s accessed unmapped address %#x", src.name, addr))
 	}
 	if src != f.host {
-		if err := f.iommu.Check(src.name, addr, n); err != nil {
+		if err := f.iommu.check(src.grants, src.name, addr, n); err != nil {
 			panic(fmt.Sprintf("pcie: IOMMU fault: %v", err))
 		}
 	}

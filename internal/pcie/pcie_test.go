@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -212,6 +213,37 @@ func TestIOMMUFault(t *testing.T) {
 	// Issue from kernel context so the fault panic is recoverable here.
 	dev.Write(0x1000, 4096, Payload{}, nil)
 	k.Run(0)
+}
+
+// TestIOMMUGrantsFollowPort pins that a port's DMA is checked against the
+// grants of its name whenever they were made: before the port attached and
+// after it, and none once they are revoked, when its next access faults.
+func TestIOMMUGrantsFollowPort(t *testing.T) {
+	k := sim.NewKernel()
+	f := NewFabric(k, DefaultConfig())
+	host := f.AttachHostPort("host", LinkConfig{Gen: Gen4, Lanes: 16}, NewMemCompleter(k, 50e9, 90*sim.Nanosecond))
+	f.MapRange(host, 0, 1<<30)
+	f.IOMMU().Grant("dev", 0, 1<<20)
+	dev := f.AttachPort("dev", LinkConfig{Gen: Gen3, Lanes: 16}, nil)
+	f.IOMMU().Grant("dev", 1<<29, 1<<20)
+	writes := 0
+	for _, addr := range []uint64{0x1000, 1<<29 + 0x1000} {
+		dev.Write(addr, 4096, Payload{}, func() { writes++ })
+	}
+	k.Run(0)
+	if writes != 2 {
+		t.Fatalf("%d of 2 granted writes completed", writes)
+	}
+	f.IOMMU().Revoke("dev")
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		dev.Write(0x1000, 4096, Payload{}, nil)
+		k.Run(0)
+	}()
+	if !strings.Contains(msg, "IOMMU fault") || !strings.Contains(msg, "dev denied access to [0x1000,+0x1000)") {
+		t.Fatalf("revoked write panicked with %q, want an IOMMU fault for dev", msg)
+	}
 }
 
 func TestIOMMUDisabledAllowsAll(t *testing.T) {

@@ -10,6 +10,8 @@ type Port struct {
 	name      string
 	cfg       LinkConfig
 	completer Completer
+	// grants is this port's IOMMU allow-list, the one its name is granted.
+	grants *grantList
 
 	// tx serializes traffic this port sends toward the root complex
 	// (write payloads, read requests, read completions for its own BARs).

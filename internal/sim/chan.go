@@ -49,11 +49,21 @@ func (c *Chan[T]) Cap() int { return c.capacity }
 
 // Put delivers v into the channel, blocking p while the channel is full.
 func (c *Chan[T]) Put(p *Proc, v T) {
+	if !c.PutStep(p, v) {
+		p.yield()
+	}
+}
+
+// PutStep is Put for a step process: it delivers v now and reports true,
+// or queues p with v and reports false, and p's next step runs once a
+// consumer has taken v.
+func (c *Chan[T]) PutStep(p *Proc, v T) bool {
 	if c.TryPut(v) {
-		return
+		return true
 	}
 	c.putq.Push(putWaiter[T]{p: p, v: v})
-	p.Park()
+	p.ParkStep()
+	return false
 }
 
 // TryPut delivers v without blocking and reports whether it succeeded.
@@ -79,6 +89,31 @@ func (c *Chan[T]) Get(p *Proc) T {
 	if v, ok := c.TryGet(); ok {
 		return v
 	}
+	w := c.queueGetter(p)
+	p.yield()
+	return c.collect(w)
+}
+
+// GetStep is Get for a step process: it removes and returns the oldest
+// value and true, or, while the channel is empty, queues p and reports
+// false. The value a producer then hands over is p's: its next step must
+// call GetStep on this channel again, which returns that value.
+func (c *Chan[T]) GetStep(p *Proc) (T, bool) {
+	if w, ok := p.wait.(*getWaiter[T]); ok {
+		p.wait = nil
+		return c.collect(w), true
+	}
+	if v, ok := c.TryGet(); ok {
+		return v, true
+	}
+	p.wait = c.queueGetter(p)
+	var zero T
+	return zero, false
+}
+
+// queueGetter parks p as a consumer, returning the node a producer
+// delivers its value into.
+func (c *Chan[T]) queueGetter(p *Proc) *getWaiter[T] {
 	var w *getWaiter[T]
 	if n := len(c.free); n > 0 {
 		w = c.free[n-1]
@@ -88,7 +123,12 @@ func (c *Chan[T]) Get(p *Proc) T {
 	}
 	w.p = p
 	c.getq.Push(w)
-	p.Park()
+	p.ParkStep()
+	return w
+}
+
+// collect takes the value delivered into w and recycles the node.
+func (c *Chan[T]) collect(w *getWaiter[T]) T {
 	if !w.valid {
 		panic("sim: Chan.Get woken without a value")
 	}

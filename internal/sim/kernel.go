@@ -228,16 +228,23 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.queue.push(event{at: t, seq: k.seq << 1, fn: fn})
 }
 
-// resumeAt schedules p's resume at t (>= now), tagged as p's so that a
-// blocking process can tell its own resume from another's (resumeInline).
+// resumeAt schedules p's resume at t (>= now). A coroutine's heap resume
+// is tagged as p's so that a blocking process can tell its own resume from
+// another's (resumeInline); a step process's is left untagged, because it
+// runs on whatever stack takes it, like a plain callback.
 func (k *Kernel) resumeAt(t Time, p *Proc) {
+	p.blocked = true
 	if t == k.now {
 		k.ready.Push(readyEvent{p: p})
 		return
 	}
 	k.seq++
-	p.resumeSeq = k.seq<<1 | resumeBit
-	k.queue.push(event{at: t, seq: p.resumeSeq, fn: p.run})
+	seq := k.seq << 1
+	if p.step == nil {
+		seq |= resumeBit
+		p.resumeSeq = seq
+	}
+	k.queue.push(event{at: t, seq: seq, fn: p.run})
 }
 
 // After schedules fn to run d after the current time.
@@ -301,17 +308,18 @@ func (k *Kernel) Run(horizon Time) Time {
 }
 
 // resumeInline steps the kernel on the stack of p, which is blocking
-// (Proc.yield): it runs due callbacks and timers exactly as Run would, in
-// the same order and counted the same way, until p's own resume comes next.
-// It takes that resume as the one event the dispatch it replaces would have
-// counted and reports true, so p continues without a coroutine switch. It
-// reports false, leaving the queues as they are, when another process's
-// resume, the horizon or an empty queue comes next: those are Run's.
+// (Proc.yield): it runs due callbacks, timers and step-process resumes
+// exactly as Run would, in the same order and counted the same way, until
+// p's own resume comes next. It takes that resume as the one event the
+// dispatch it replaces would have counted and reports true, so p continues
+// without a coroutine switch. It reports false, leaving the queues as they
+// are, when another coroutine's resume, the horizon or an empty queue comes
+// next: those are Run's.
 func (k *Kernel) resumeInline(p *Proc) bool {
 	for {
 		if k.ready.Len() > 0 && !k.dueNow() {
 			r := k.ready.Peek()
-			if r.p != nil && r.p != p {
+			if r.p != nil && r.p != p && r.p.step == nil {
 				return false
 			}
 			k.ready.Pop()
@@ -320,7 +328,11 @@ func (k *Kernel) resumeInline(p *Proc) bool {
 				return true
 			}
 			k.inline = true
-			r.fn()
+			if r.p != nil {
+				r.p.dispatch()
+			} else {
+				r.fn()
+			}
 			k.inline = false
 			continue
 		}

@@ -138,6 +138,29 @@ func BenchmarkProcSleepPair(b *testing.B) {
 	k.Run(k.Now() + Time(b.N))
 }
 
+// BenchmarkProcStepSleepPair is BenchmarkProcSleepPair with step processes:
+// every hand-off runs the other process's step on the kernel's stack, with
+// no coroutine switch. It must run at 0 allocs/op.
+func BenchmarkProcStepSleepPair(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	for i := 0; i < 2; i++ {
+		started := false
+		k.SpawnStep("sleeper", func(p *Proc) {
+			if !started {
+				started = true
+				p.SleepStep(Time(i))
+				return
+			}
+			p.SleepStep(2)
+		})
+	}
+	k.Run(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(k.Now() + Time(b.N))
+}
+
 // BenchmarkProcChanPingPong measures a round trip between two processes
 // over zero-capacity Chans: four Park/Wake hand-offs per op.
 func BenchmarkProcChanPingPong(b *testing.B) {

@@ -60,8 +60,14 @@ func (pp *Pipe) ReserveFrom(earliest Time, n int64) (start, delivered Time) {
 
 // Transfer moves n bytes across the link, blocking p until delivery.
 func (pp *Pipe) Transfer(p *Proc, n int64) {
-	done := pp.Reserve(n)
-	p.Sleep(done - p.Now())
+	pp.TransferStep(p, n)
+	p.yield()
+}
+
+// TransferStep is Transfer for a step process: it books n bytes onto the
+// link, and p's next step runs at their delivery.
+func (pp *Pipe) TransferStep(p *Proc, n int64) {
+	p.SleepStep(pp.Reserve(n) - p.Now())
 }
 
 // BusyUntil returns the time the link finishes serializing queued traffic.

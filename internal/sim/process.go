@@ -16,6 +16,10 @@ import (
 // Sleep, Park and Wake schedule nothing that allocates. A process whose own
 // resume is the next thing to run after it blocks needs no switch at all:
 // it steps the kernel on its own stack until then (yield).
+//
+// A step process (SpawnStep) has no coroutine: each resume calls its step
+// function on the kernel's stack, and the function returns whenever the
+// process blocks.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -33,6 +37,15 @@ type Proc struct {
 	resumeSeq uint64
 	done      bool
 
+	// step is a step process's step function (nil for a coroutine). blocked
+	// is set when the process blocks (a resume is scheduled or it parks)
+	// and cleared when it resumes; a step that returns with it clear has
+	// ended the process. wait is the Chan getter node a blocked GetStep
+	// left, which the next GetStep collects.
+	step    func(p *Proc)
+	blocked bool
+	wait    any
+
 	// prevLive and nextLive link the kernel's live processes, so Close can
 	// stop them without an allocation per Spawn.
 	prevLive, nextLive *Proc
@@ -49,8 +62,8 @@ type Proc struct {
 // closing; the process body recovers exactly this value.
 type procStopped struct{}
 
-// SetDaemon marks the process as a daemon service loop. Call it from inside
-// the process before its first Park.
+// SetDaemon marks the process as a daemon service loop. Call it before the
+// process first parks: from inside it, or right after spawning it.
 func (p *Proc) SetDaemon(on bool) {
 	if p.daemon == on {
 		return
@@ -66,7 +79,26 @@ func (p *Proc) SetDaemon(on bool) {
 // Spawn starts fn as a new process. fn begins executing at the current
 // simulated time, after the caller yields back to the kernel.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, fn: fn}
+	return k.spawn(&Proc{k: k, name: name, fn: fn})
+}
+
+// SpawnStep starts a step process: an explicit state machine whose every
+// resume calls step on the kernel's stack, with no coroutine switch. step
+// runs until the process blocks, which it does only through the step forms
+// of the blocking calls (SleepStep, ParkStep, Chan.GetStep and PutStep,
+// Resource.AcquireStep, Pipe.TransferStep), and then returns; the process
+// keeps its own record of where to continue. A step that returns without
+// blocking ends the process. The blocking forms panic on a step process.
+//
+// Every block schedules exactly the event its blocking form would, so a
+// step process and a coroutine running the same code see the same
+// schedule. step first runs at the current simulated time, after the
+// caller yields back to the kernel.
+func (k *Kernel) SpawnStep(name string, step func(p *Proc)) *Proc {
+	return k.spawn(&Proc{k: k, name: name, step: step})
+}
+
+func (k *Kernel) spawn(p *Proc) *Proc {
 	p.run = p.dispatch
 	k.nprocs++
 	p.nextLive = k.live
@@ -78,16 +110,41 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// dispatch transfers control to p and returns once p yields or finishes.
-// Must only be called from kernel context.
+// dispatch resumes p: it runs a step process's step, or transfers control
+// to a coroutine and returns once it yields or finishes. Must only be
+// called from kernel context.
 func (p *Proc) dispatch() {
-	if p.done {
-		return
+	p.blocked = false
+	switch {
+	case p.done:
+	case p.step != nil:
+		p.runStep()
+	default:
+		if p.next == nil {
+			p.start()
+		}
+		p.next()
 	}
-	if p.next == nil {
-		p.start()
+}
+
+// runStep runs one step of a step process and ends the process if the step
+// returned without blocking. A model panic in the step is re-panicked with
+// the process's name and simulated time attached, as body does.
+func (p *Proc) runStep() {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(p.panicMessage(r))
+		}
+	}()
+	p.step(p)
+	if !p.blocked {
+		p.finish()
 	}
-	p.next()
+}
+
+// panicMessage attributes the model panic r to p.
+func (p *Proc) panicMessage(r any) string {
+	return fmt.Sprintf("sim: process %q panicked at %v: %v\n\n%s", p.name, p.k.now, r, debug.Stack())
 }
 
 // body is the coroutine's body: it runs the process function, retires the
@@ -107,7 +164,7 @@ func (p *Proc) body(suspend func(struct{}) bool) {
 			p.k.inline = false
 			panic(r)
 		}
-		panic(fmt.Sprintf("sim: process %q panicked at %v: %v\n\n%s", p.name, p.k.now, r, debug.Stack()))
+		panic(p.panicMessage(r))
 	}()
 	fn := p.fn
 	p.fn = nil
@@ -136,7 +193,12 @@ func (p *Proc) finish() {
 // a coroutine switch. It hands control back to the kernel only when another
 // process's resume, the horizon or an empty queue comes next, all of which
 // Run handles. When the kernel closes instead, it unwinds the process.
+//
+// A step process never yields: it panics instead.
 func (p *Proc) yield() {
+	if p.step != nil {
+		panic(fmt.Sprintf("sim: step process %q called a blocking operation", p.name))
+	}
 	if k := p.k; k.running && k.resumeInline(p) {
 		return
 	}
@@ -179,24 +241,39 @@ func (p *Proc) Now() Time { return p.k.now }
 // Sleep suspends the process for d. A non-positive d still yields, letting
 // already-scheduled same-time events run first.
 func (p *Proc) Sleep(d Time) {
+	p.SleepStep(d)
+	p.yield()
+}
+
+// SleepStep is Sleep for a step process: it schedules the process's next
+// step d from now, as the same event Sleep schedules, and returns. The
+// step must return next.
+func (p *Proc) SleepStep(d Time) {
 	if d < 0 {
 		d = 0
 	}
 	k := p.k
 	k.resumeAt(k.now+d, p)
-	p.yield()
 }
 
 // Park suspends the process until another component calls Wake. Every Park
 // must be paired with exactly one Wake; the synchronization objects in this
 // package maintain that pairing.
 func (p *Proc) Park() {
+	p.ParkStep()
+	p.yield()
+}
+
+// ParkStep is Park for a step process: it marks the process parked, so its
+// next step runs when Wake is called, and returns. The step must return
+// next.
+func (p *Proc) ParkStep() {
 	p.parked = true
+	p.blocked = true
 	p.k.parked++
 	if p.daemon {
 		p.k.parkedDaemons++
 	}
-	p.yield()
 }
 
 // Wake schedules a parked process to resume at the current simulated time.

@@ -36,18 +36,28 @@ func (r *Resource) Available() int64 { return r.capacity - r.inUse }
 // Acquire obtains n units, blocking p until they are available. Requests
 // larger than the capacity can never succeed and panic immediately.
 func (r *Resource) Acquire(p *Proc, n int64) {
+	if !r.AcquireStep(p, n) {
+		p.yield()
+	}
+}
+
+// AcquireStep is Acquire for a step process: it obtains n units now and
+// reports true, or queues p and reports false, and p's next step runs once
+// the units are granted.
+func (r *Resource) AcquireStep(p *Proc, n int64) bool {
 	if n <= 0 {
-		return
+		return true
 	}
 	if n > r.capacity {
 		panic("sim: Resource.Acquire request exceeds capacity")
 	}
 	if r.q.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
-		return
+		return true
 	}
 	r.q.Push(resWaiter{p: p, n: n})
-	p.Park()
+	p.ParkStep()
+	return false
 }
 
 // Release returns n units and admits queued waiters in FIFO order.

@@ -131,6 +131,53 @@ func TestCrashBreakerRecoversAndReplays(t *testing.T) {
 	}
 }
 
+// TestReplayWhileRetirementBlocked pins that a retirement blocked across a
+// controller reset does not acknowledge its pre-crash completion on the
+// rebuilt completion queue. The PE stalls, so the send stage and then the
+// retire FSM block holding completed reads; the controller crashes, and the
+// breaker resets it and replays the unfinished commands. When the PE drains,
+// the retirements resume: a stale CQ-head update would leave the device
+// seeing a full queue, and the next reads would stall into watchdog
+// timeouts and a second breaker trip.
+func TestReplayWhileRetirementBlocked(t *testing.T) {
+	k, c, dev := rig(t, streamer.URAM, false, func(cfg *streamer.Config) {
+		crashRecovery(cfg)
+		cfg.StreamCfg.DepthBytes = 8 * sim.KiB // two 4 KiB reads fill ReadData
+	})
+	inj := fault.NewInjector(7)
+	inj.Add(fault.Rule{Name: "crash-40th", Kind: fault.CrashCtrl, Opcode: fault.OpAny,
+		Nth: 40, Count: 1})
+	inj.Attach(dev)
+	done := false
+	k.Spawn("pe", func(p *sim.Proc) {
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 48; i++ {
+				c.ReadAsync(p, uint64(i)*4096, 4096)
+			}
+			if round == 0 {
+				p.Sleep(10 * sim.Millisecond)
+			}
+			for i := 0; i < 48; i++ {
+				if _, err := c.DrainRead(p); err != nil {
+					t.Fatalf("round %d read %d: %v", round, i, err)
+				}
+			}
+		}
+		done = true
+	})
+	k.Run(0)
+	if !done {
+		t.Fatal("PE never finished")
+	}
+	st := c.Streamer()
+	if st.BreakerTrips() != 1 || st.CommandsReplayed() == 0 {
+		t.Errorf("trips = %d, replayed = %d, want one trip that replayed commands", st.BreakerTrips(), st.CommandsReplayed())
+	}
+	if st.CommandTimeouts() != 0 {
+		t.Errorf("%d watchdog timeouts after the recovery", st.CommandTimeouts())
+	}
+}
+
 // TestCrashBreakerRecoversMultiQueue runs the same end-to-end ladder with
 // the submission path sharded over four coalescing queue pairs: the crash
 // strands an in-flight window spread across all four SQs with doorbell

@@ -21,7 +21,7 @@ type byteRing struct {
 
 	// segments tracks allocation sizes (with padding) for FIFO free.
 	segments sim.FIFO[ringSeg]
-	waiters  sim.FIFO[ringWaiter]
+	waiters  sim.FIFO[*sim.Proc]
 	// maxLive records the occupancy high-water mark.
 	maxLive int64
 }
@@ -29,11 +29,6 @@ type byteRing struct {
 type ringSeg struct {
 	off  int64 // offset within the buffer (wrapped)
 	size int64 // allocation including any wrap padding
-}
-
-type ringWaiter struct {
-	p *sim.Proc
-	n int64
 }
 
 const ringAlign = 4096
@@ -75,25 +70,31 @@ func (r *byteRing) tryAlloc(n int64) (off int64, ok bool) {
 	return off, true
 }
 
-// alloc blocks p until n bytes are available and returns the segment
-// offset. Admission is strictly FIFO: a request joins the wait queue and
+// alloc returns the offset of n bytes for step process p, or parks p and
+// reports false; p's next step must call alloc again. Admission is strictly
+// FIFO: a request that cannot be served at once joins the wait queue and
 // only the queue head may allocate, so a large request is never starved by
-// smaller ones behind it.
-func (r *byteRing) alloc(p *sim.Proc, n int64) int64 {
-	r.waiters.Push(ringWaiter{p: p, n: n})
-	for {
-		if r.waiters.Peek().p == p {
-			if off, ok := r.tryAlloc(n); ok {
+// smaller ones behind it. Only the head is ever woken, so a p found at the
+// head is one resuming, already queued.
+func (r *byteRing) alloc(p *sim.Proc, n int64) (int64, bool) {
+	head := r.waiters.Len() > 0 && r.waiters.Peek() == p
+	if head || r.waiters.Len() == 0 {
+		if off, ok := r.tryAlloc(n); ok {
+			if head {
 				r.waiters.Pop()
 				// The new head may also fit; let it try.
 				if r.waiters.Len() > 0 {
-					r.waiters.Peek().p.Wake()
+					r.waiters.Peek().Wake()
 				}
-				return off
 			}
+			return off, true
 		}
-		p.Park()
 	}
+	if !head {
+		r.waiters.Push(p)
+	}
+	p.ParkStep()
+	return 0, false
 }
 
 // free releases the oldest segment (FIFO) and lets the head waiter retry.
@@ -105,12 +106,9 @@ func (r *byteRing) free() {
 	r.head += seg.size
 	r.live -= seg.size
 	if r.waiters.Len() > 0 {
-		r.waiters.Peek().p.Wake()
+		r.waiters.Peek().Wake()
 	}
 }
-
-// liveBytes reports current occupancy (incl. padding).
-func (r *byteRing) liveBytes() int64 { return r.live }
 
 // slotPool is the fixed-slot allocator the out-of-order variant uses:
 // buffers free in completion order, so equal-size slots replace the FIFO
@@ -135,22 +133,28 @@ func newSlotPool(capacity, slotBytes int64) *slotPool {
 	return p
 }
 
-func (sp *slotPool) alloc(p *sim.Proc, n int64) int64 {
+// alloc returns a free slot for step process p, or parks p and reports
+// false, with byteRing.alloc's FIFO admission.
+func (sp *slotPool) alloc(p *sim.Proc, n int64) (int64, bool) {
 	if n > sp.slotBytes {
 		panic(fmt.Sprintf("streamer: request %d exceeds slot size %d", n, sp.slotBytes))
 	}
-	sp.waiters.Push(p)
-	for {
-		if sp.waiters.Peek() == p && sp.free.Len() > 0 {
+	head := sp.waiters.Len() > 0 && sp.waiters.Peek() == p
+	if (head || sp.waiters.Len() == 0) && sp.free.Len() > 0 {
+		if head {
 			sp.waiters.Pop()
-			off := sp.free.Pop()
-			if sp.waiters.Len() > 0 && sp.free.Len() > 0 {
-				sp.waiters.Peek().Wake()
-			}
-			return off
 		}
-		p.Park()
+		off := sp.free.Pop()
+		if sp.waiters.Len() > 0 && sp.free.Len() > 0 {
+			sp.waiters.Peek().Wake()
+		}
+		return off, true
 	}
+	if !head {
+		sp.waiters.Push(p)
+	}
+	p.ParkStep()
+	return 0, false
 }
 
 func (sp *slotPool) release(off int64) {

@@ -1,6 +1,7 @@
 package streamer
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,10 +128,16 @@ func TestByteRingBlockingFIFOWaiters(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		k.Spawn("w", func(p *sim.Proc) {
-			p.Sleep(sim.Time(i + 1)) // deterministic arrival order
-			r.alloc(p, 16*1024)
-			order = append(order, i)
+		slept := false
+		k.SpawnStep("w", func(p *sim.Proc) {
+			if !slept {
+				slept = true
+				p.SleepStep(sim.Time(i + 1)) // deterministic arrival order
+				return
+			}
+			if _, ok := r.alloc(p, 16*1024); ok {
+				order = append(order, i)
+			}
 		})
 	}
 	k.Spawn("freer", func(p *sim.Proc) {
@@ -147,12 +154,15 @@ func TestSlotPoolExhaustionAndReuse(t *testing.T) {
 	k := sim.NewKernel()
 	sp := newSlotPool(4*64*1024, 64*1024)
 	var got []int64
-	k.Spawn("a", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			got = append(got, sp.alloc(p, 4096))
+	k.SpawnStep("a", func(p *sim.Proc) {
+		// The pool holds four slots; the fifth blocks until a release.
+		for len(got) < 5 {
+			off, ok := sp.alloc(p, 4096)
+			if !ok {
+				return
+			}
+			got = append(got, off)
 		}
-		// Pool exhausted; the fifth blocks until a release.
-		got = append(got, sp.alloc(p, 4096))
 	})
 	k.Spawn("r", func(p *sim.Proc) {
 		p.Sleep(100)
@@ -164,6 +174,55 @@ func TestSlotPoolExhaustionAndReuse(t *testing.T) {
 	}
 	if got[4] != got[2] {
 		t.Fatalf("fifth allocation reused %d, want released slot %d", got[4], got[2])
+	}
+}
+
+// TestAllocatorsAdmitInOrder pins strict FIFO admission for step processes
+// on both payload allocators: a request that arrives while another waits
+// queues behind it even when space is free at that moment, so the waiter
+// woken by the release gets the space first.
+func TestAllocatorsAdmitInOrder(t *testing.T) {
+	ring := newByteRing(64 * 1024)
+	pool := newSlotPool(64*1024, 64*1024)
+	allocs := map[string]func(p *sim.Proc) (int64, bool){
+		"ring": func(p *sim.Proc) (int64, bool) { return ring.alloc(p, 64*1024) },
+		"pool": func(p *sim.Proc) (int64, bool) { return pool.alloc(p, 4096) },
+	}
+	frees := map[string]func(off int64){
+		"ring": func(int64) { ring.free() },
+		"pool": pool.release,
+	}
+	for name, alloc := range allocs {
+		free := frees[name]
+		k := sim.NewKernel()
+		held, _ := alloc(nil) // fills the allocator
+		var order []string
+		k.SpawnStep("first", func(p *sim.Proc) {
+			if off, ok := alloc(p); ok {
+				order = append(order, "first")
+				free(off)
+			}
+		})
+		late := false
+		k.SpawnStep("late", func(p *sim.Proc) {
+			if !late {
+				late = true
+				p.SleepStep(1)
+				return
+			}
+			if held >= 0 {
+				free(held) // wakes "first", then asks again at once
+				held = -1
+			}
+			if off, ok := alloc(p); ok {
+				order = append(order, "late")
+				free(off)
+			}
+		})
+		k.Run(0)
+		if got := strings.Join(order, ","); got != "first,late" {
+			t.Errorf("%s admitted %q, want first,late", name, got)
+		}
 	}
 }
 

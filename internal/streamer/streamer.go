@@ -112,8 +112,13 @@ type Streamer struct {
 	robFree    sim.FIFO[int] // OutOfOrder mode slot freelist
 	robWaiters sim.FIFO[*sim.Proc]
 
-	retireProc *sim.Proc
-	cqeSignal  *sim.Chan[struct{}]
+	// The datapath FSMs' own state between resumes (see readCmdStep).
+	rd  readCmdFSM
+	wr  writeFSM
+	ret retireFSM
+	snd sendFSM
+
+	cqeSignal *sim.Chan[struct{}]
 	// sendQ decouples retirement from data delivery so the per-variant
 	// drain latency pipelines across commands instead of throttling the
 	// retire FSM.
@@ -345,10 +350,10 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 		}
 	}
 	s.installWindows(router)
-	k.Spawn(cfg.Name+".readcmd", s.readCmdLoop)
-	k.Spawn(cfg.Name+".write", s.writeLoop)
-	s.retireProc = k.Spawn(cfg.Name+".retire", s.retireLoop)
-	k.Spawn(cfg.Name+".send", s.sendLoop)
+	k.SpawnStep(cfg.Name+".readcmd", s.readCmdStep).SetDaemon(true)
+	k.SpawnStep(cfg.Name+".write", s.writeStep).SetDaemon(true)
+	k.SpawnStep(cfg.Name+".retire", s.retireStep).SetDaemon(true)
+	k.SpawnStep(cfg.Name+".send", s.sendStep).SetDaemon(true)
 	if cfg.recoveryEnabled() {
 		s.retryQ = sim.NewChan[retryReq](k, cfg.QueueDepth)
 		k.Spawn(cfg.Name+".retry", s.retryLoop)
@@ -526,25 +531,32 @@ func occupy(p *sim.Proc, srv *sim.Server, d sim.Time) {
 	p.Sleep(srv.Occupy(d) - p.Now())
 }
 
-// robAlloc reserves a reorder-buffer slot, blocking while the in-flight
-// window is full — the in-order issue gate of §7 ("issues new commands only
-// after the first previous command is completed").
-func (s *Streamer) robAlloc(p *sim.Proc) int {
-	// Strict FIFO admission: only the head waiter may claim a slot, so the
-	// slot sequence matches the order commands arrived from the PE ("all
-	// commands are retired in the order they are received", §4.2).
-	s.robWaiters.Push(p)
-	for {
-		if s.robWaiters.Peek() == p && s.robAvailable() {
+// robAlloc reserves a reorder-buffer slot for step process p, or parks p
+// while the in-flight window is full and reports false; p's next step
+// calls robAlloc again. This is the in-order issue gate of §7 ("issues new
+// commands only after the first previous command is completed").
+//
+// Admission is strictly FIFO: only the head waiter may claim a slot, so
+// the slot sequence matches the order commands arrived from the PE ("all
+// commands are retired in the order they are received", §4.2). Only the
+// head is ever woken, so a p found at the head is one resuming.
+func (s *Streamer) robAlloc(p *sim.Proc) (int, bool) {
+	head := s.robWaiters.Len() > 0 && s.robWaiters.Peek() == p
+	if (head || s.robWaiters.Len() == 0) && s.robAvailable() {
+		if head {
 			s.robWaiters.Pop()
-			slot := s.robClaim()
-			if s.robWaiters.Len() > 0 && s.robAvailable() {
-				s.robWaiters.Peek().Wake()
-			}
-			return slot
 		}
-		p.Park()
+		slot := s.robClaim()
+		if s.robWaiters.Len() > 0 && s.robAvailable() {
+			s.robWaiters.Peek().Wake()
+		}
+		return slot, true
 	}
+	if !head {
+		s.robWaiters.Push(p)
+	}
+	p.ParkStep()
+	return 0, false
 }
 
 func (s *Streamer) robAvailable() bool {
@@ -583,22 +595,16 @@ func (s *Streamer) robRelease(slot int) {
 	}
 }
 
-// allocReadBuf / allocWriteBuf block until payload space is available.
-func (s *Streamer) allocReadBuf(p *sim.Proc, n int64) int64 {
+// allocBuf claims n bytes of payload space for step process p, or parks p
+// and reports false, as robAlloc does.
+func (s *Streamer) allocBuf(p *sim.Proc, isWrite bool, n int64) (int64, bool) {
 	if s.cfg.OutOfOrder {
-		return s.readPool.alloc(p, n)
-	}
-	return s.readRing.alloc(p, n)
-}
-
-func (s *Streamer) allocWriteBuf(p *sim.Proc, n int64) int64 {
-	if s.cfg.OutOfOrder {
-		if s.writePool != nil {
+		if isWrite && s.writePool != nil {
 			return s.writePool.alloc(p, n)
 		}
 		return s.readPool.alloc(p, n)
 	}
-	if s.writeRing != nil {
+	if isWrite && s.writeRing != nil {
 		return s.writeRing.alloc(p, n)
 	}
 	return s.readRing.alloc(p, n)
@@ -621,39 +627,77 @@ func (s *Streamer) freeBuf(isWrite bool, off int64) {
 	s.readRing.free()
 }
 
-// submit builds the SQE for one ≤MaxCmdBytes piece, stores it in the SQ
-// FIFO, and rings the device doorbell.
-func (s *Streamer) submit(p *sim.Proc, slot int, op uint8, devAddr uint64, bufOff, n int64, isWrite, last bool, wreq *writeTracker, rreq *readTracker, piece int, span *obs.Span) {
-	if !s.configured {
-		panic("streamer: command before Configure (host initialization missing)")
+// piece is one ≤MaxCmdBytes command on the submission path the read-command
+// and write FSMs share (submitPiece): e is the entry it installs in its
+// reorder-buffer slot, and data the write data it stages.
+type piece struct {
+	pc   int
+	e    robEntry
+	slot int
+	data pcie.Payload
+}
+
+// submitPiece moves c along the submission path: it books the submit FSM,
+// claims a reorder-buffer slot and then payload space, stages write data,
+// and submits once the breaker lets it. It reports true once the piece is
+// submitted; false means p blocked, and p's next step calls it again.
+func (s *Streamer) submitPiece(p *sim.Proc, c *piece) bool {
+	switch c.pc {
+	case 0:
+		c.pc = 1
+		p.SleepStep(s.submitFSM.Occupy(s.cfg.SubmitOverhead) - p.Now())
+		return false
+	case 1:
+		slot, ok := s.robAlloc(p)
+		if !ok {
+			return false
+		}
+		c.slot, c.pc = slot, 2
+		fallthrough
+	case 2:
+		off, ok := s.allocBuf(p, c.e.isWrite, c.e.length)
+		if !ok {
+			return false
+		}
+		c.e.bufOff = off
+		if c.e.isWrite {
+			var consumed func()
+			if !c.data.IsNil() {
+				consumed = c.data.Release
+			}
+			s.bufWrite(off, c.e.length, c.data.Slice(0, int(c.e.length)), consumed)
+			c.data = pcie.Payload{}
+			c.e.wreq.remaining++
+		}
+		c.e.span.Mark(obs.StageBufReady, p.Now())
+		c.pc = 3
 	}
 	// While the breaker holds the path quiesced the slot stays claimed but
 	// unused, so the replay pass (which walks used entries) skips it.
-	s.gateSubmit(p)
+	if s.quiesced(p) {
+		p.ParkStep()
+		return false
+	}
+	c.pc = 0
+	s.submit(c.slot, &c.e)
+	return true
+}
+
+// submit installs entry in its reorder-buffer slot, stores its SQE in the
+// SQ FIFO, and rings the device doorbell.
+func (s *Streamer) submit(slot int, entry *robEntry) {
+	if !s.configured {
+		panic("streamer: command before Configure (host initialization missing)")
+	}
 	e := &s.rob[slot]
+	*e = *entry
 	e.used = true
-	e.isWrite = isWrite
-	e.bufOff = bufOff
-	e.length = n
-	e.last = last
-	e.op = op
-	e.devAddr = devAddr
-	e.attempts = 0
-	e.hasCQE = false
-	e.timedOut = false
-	e.wreq = wreq
-	e.rreq = rreq
-	e.piece = piece
-	e.span = span
 	if s.dead {
 		// Terminal controller death: fail fast with the synthesized status
 		// instead of ringing a dead doorbell — the command never goes on
 		// the wire, so no watchdog, no retry, no CQ slot.
-		span.Annotate(obs.AnnotFailFast, s.k.Now())
-		e.done = true
-		e.timedOut = true
-		e.status = nvme.StatusControllerUnavailable
-		s.cqeSignal.TryPut(struct{}{})
+		e.span.Annotate(obs.AnnotFailFast, s.k.Now())
+		s.resolve(e, nvme.StatusControllerUnavailable)
 		return
 	}
 	// Round-robin queue placement, decided once per command: retries and
@@ -755,9 +799,15 @@ func (s *Streamer) flushSQ(qi int) {
 		q.dbSlots = q.dbSlots[:0]
 		return
 	}
-	if s.breakerOpen {
-		return
+	if !s.breakerOpen {
+		s.ringSQ(qi)
 	}
+}
+
+// ringSQ rings queue qi's SQ tail doorbell with the final tail and stamps
+// the doorbell on every command the ring covers.
+func (s *Streamer) ringSQ(qi int) {
+	q := s.queues[qi]
 	q.dbPending = 0
 	for _, slot := range q.dbSlots {
 		e := &s.rob[slot]
@@ -813,59 +863,104 @@ type doorbell struct {
 
 func (db *doorbell) sent() { db.s.dbFree = append(db.s.dbFree, db) }
 
-// readCmdLoop services the PE's read command stream.
-func (s *Streamer) readCmdLoop(p *sim.Proc) {
-	p.SetDaemon(true)
+// The four datapath FSMs (read command, write, retire, send) run as step
+// processes (sim.Kernel.SpawnStep): like the RTL state machines they model,
+// each is an explicit state machine, and a hand-off between two of them is
+// a plain call on the kernel's stack rather than a coroutine switch. Each
+// keeps its state in its own struct, whose pc names the point its next
+// resume continues from. The retry and breaker stages stay coroutines:
+// they are rare, and the breaker blocks across a controller reset.
+
+// readCmdFSM is the read-command FSM's state: the request it splits and
+// the piece in submission.
+type readCmdFSM struct {
+	pc      int // 0: take a request; 1: start the next piece; 2: submit it
+	req     ReadRequest
+	off     int64
+	tracker *readTracker
+	piece   piece
+}
+
+// readCmdStep services the PE's read command stream.
+func (s *Streamer) readCmdStep(p *sim.Proc) {
+	r := &s.rd
 	for {
-		pkt := s.ReadCmd.Recv(p)
-		req, ok := pkt.Meta.(ReadRequest)
-		if !ok {
-			panic("streamer: read command packet without ReadRequest metadata")
-		}
-		if req.Len <= 0 || req.Addr%uint64(s.lbaSize) != 0 || req.Len%s.lbaSize != 0 {
-			panic(fmt.Sprintf("streamer: misaligned read request %#x+%d", req.Addr, req.Len))
-		}
-		// Split at the MaxCmdBytes boundary (§4.2) and pipeline pieces.
-		tracker := &readTracker{}
-		var off int64
-		piece := 0
-		for off < req.Len {
-			n := s.cfg.MaxCmdBytes
-			if n > req.Len-off {
-				n = req.Len - off
+		switch r.pc {
+		case 0:
+			pkt, ok := s.ReadCmd.RecvStep(p)
+			if !ok {
+				return
 			}
-			span := s.tr.BeginTenant(nvme.OpRead, false, req.Addr+uint64(off), n, p.Now(), req.Tenant)
-			occupy(p, s.submitFSM, s.cfg.SubmitOverhead)
-			slot := s.robAlloc(p)
-			bufOff := s.allocReadBuf(p, n)
-			span.Mark(obs.StageBufReady, p.Now())
-			s.submit(p, slot, nvme.OpRead, req.Addr+uint64(off), bufOff, n, false, off+n == req.Len, nil, tracker, piece, span)
-			off += n
-			piece++
+			req, ok := pkt.Meta.(ReadRequest)
+			if !ok {
+				panic("streamer: read command packet without ReadRequest metadata")
+			}
+			if req.Len <= 0 || req.Addr%uint64(s.lbaSize) != 0 || req.Len%s.lbaSize != 0 {
+				panic(fmt.Sprintf("streamer: misaligned read request %#x+%d", req.Addr, req.Len))
+			}
+			r.req, r.off, r.tracker, r.pc = req, 0, &readTracker{}, 1
+		case 1:
+			// Split at the MaxCmdBytes boundary (§4.2) and pipeline pieces.
+			if r.off >= r.req.Len {
+				r.pc = 0
+				continue
+			}
+			n := min(s.cfg.MaxCmdBytes, r.req.Len-r.off)
+			addr := r.req.Addr + uint64(r.off)
+			r.piece.e = robEntry{op: nvme.OpRead, devAddr: addr, length: n, last: r.off+n == r.req.Len,
+				rreq: r.tracker, piece: int(r.off / s.cfg.MaxCmdBytes), span: s.tr.BeginTenant(nvme.OpRead, false, addr, n, p.Now(), r.req.Tenant)}
+			r.pc = 2
+			fallthrough
+		case 2:
+			if !s.submitPiece(p, &r.piece) {
+				return
+			}
+			r.off += r.piece.e.length
+			r.pc = 1
 		}
 	}
 }
 
-// writeLoop services the PE's write stream: buffer incoming data, issue a
+// writeFSM is the write FSM's state: the PE write it collects, the piece
+// it fills from the stream, and where that piece started.
+type writeFSM struct {
+	pc      int // 0: take a write header; 1: collect a piece; 2: submit it; 3: acknowledge an empty write
+	tenant  int
+	devAddr uint64
+	done    bool
+	tracker *writeTracker
+	start   sim.Time
+	filled  int64
+	piece   piece
+	ph      uint8
+}
+
+// writeStep services the PE's write stream: buffer incoming data, issue a
 // command at each MaxCmdBytes boundary ("Large write commands are split at
 // each 1 MB boundary", §4.2), and let the retire path send the response
 // token once every piece finished.
-func (s *Streamer) writeLoop(p *sim.Proc) {
-	p.SetDaemon(true)
+func (s *Streamer) writeStep(p *sim.Proc) {
+	w := &s.wr
 	for {
-		head := s.WriteIn.Recv(p)
-		req, ok := head.Meta.(WriteRequest)
-		if !ok {
-			panic("streamer: write stream must start with WriteRequest metadata")
-		}
-		if req.Addr%uint64(s.lbaSize) != 0 {
-			panic(fmt.Sprintf("streamer: misaligned write address %#x", req.Addr))
-		}
-		tracker := &writeTracker{}
-		devAddr := req.Addr
-		done := head.Last // a bare header with TLAST is an empty write
-		pieces := 0
-		for !done {
+		switch w.pc {
+		case 0:
+			head, ok := s.WriteIn.RecvStep(p)
+			if !ok {
+				return
+			}
+			req, ok := head.Meta.(WriteRequest)
+			if !ok {
+				panic("streamer: write stream must start with WriteRequest metadata")
+			}
+			if req.Addr%uint64(s.lbaSize) != 0 {
+				panic(fmt.Sprintf("streamer: misaligned write address %#x", req.Addr))
+			}
+			w.tenant, w.devAddr, w.tracker = req.Tenant, req.Addr, &writeTracker{}
+			w.done, w.start, w.filled, w.pc = false, p.Now(), 0, 1
+			if head.Last {
+				w.pc = 3 // a bare header with TLAST is an empty write
+			}
+		case 1:
 			// Collect the piece from the stream first — its exact size is
 			// known only at the 1 MiB boundary or TLAST — then reserve
 			// buffer space of that size and stage the data (posted).
@@ -876,47 +971,46 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 			// piece lets go of its pages once the staging memory holds
 			// them or, for the host-DRAM variant, they are delivered
 			// over PCIe.
-			pieceStart := p.Now()
-			var filled int64
-			var piece pcie.Payload
-			for filled < s.cfg.MaxCmdBytes && !done {
-				pkt := s.WriteIn.Recv(p)
-				if pkt.Bytes <= 0 || filled+pkt.Bytes > s.cfg.MaxCmdBytes {
-					panic("streamer: write data packets must tile the 1 MiB piece")
-				}
-				if s.cfg.Functional && !pkt.Data.IsNil() {
-					if piece.IsNil() {
-						piece = pcie.NewPages(0, int(s.cfg.MaxCmdBytes))
-					}
-					piece.Put(pkt.Data, int(filled))
-				}
-				filled += pkt.Bytes
-				s.bytesFromPE += pkt.Bytes
-				done = pkt.Last
+			pkt, ok := s.WriteIn.RecvStep(p)
+			if !ok {
+				return
 			}
-			if filled%s.lbaSize != 0 {
+			if pkt.Bytes <= 0 || w.filled+pkt.Bytes > s.cfg.MaxCmdBytes {
+				panic("streamer: write data packets must tile the 1 MiB piece")
+			}
+			if s.cfg.Functional && !pkt.Data.IsNil() {
+				if w.piece.data.IsNil() {
+					w.piece.data = pcie.NewPages(0, int(s.cfg.MaxCmdBytes))
+				}
+				w.piece.data.Put(pkt.Data, int(w.filled))
+			}
+			w.filled += pkt.Bytes
+			s.bytesFromPE += pkt.Bytes
+			w.done = pkt.Last
+			if w.filled < s.cfg.MaxCmdBytes && !w.done {
+				continue
+			}
+			if w.filled%s.lbaSize != 0 {
 				panic("streamer: write length must be a multiple of the LBA size")
 			}
-			span := s.tr.BeginTenant(nvme.OpWrite, true, devAddr, filled, pieceStart, req.Tenant)
-			occupy(p, s.submitFSM, s.cfg.SubmitOverhead)
-			slot := s.robAlloc(p)
-			bufOff := s.allocWriteBuf(p, filled)
-			var data pcie.Payload
-			var consumed func()
-			if !piece.IsNil() {
-				data = piece.Slice(0, int(filled))
-				consumed = piece.Release
+			w.piece.e = robEntry{op: nvme.OpWrite, isWrite: true, devAddr: w.devAddr, length: w.filled, last: w.done,
+				wreq: w.tracker, span: s.tr.BeginTenant(nvme.OpWrite, true, w.devAddr, w.filled, w.start, w.tenant)}
+			w.pc = 2
+			fallthrough
+		case 2:
+			if !s.submitPiece(p, &w.piece) {
+				return
 			}
-			s.bufWrite(p, true, bufOff, filled, data, consumed)
-			span.Mark(obs.StageBufReady, p.Now())
-			tracker.remaining++
-			pieces++
-			s.submit(p, slot, nvme.OpWrite, devAddr, bufOff, filled, true, done, tracker, nil, 0, span)
-			devAddr += uint64(filled)
-		}
-		if pieces == 0 {
-			// Empty write: acknowledge immediately.
-			s.WriteResp.Send(p, axis.Packet{Last: true})
+			w.devAddr += uint64(w.filled)
+			w.start, w.filled, w.pc = p.Now(), 0, 1
+			if w.done {
+				w.pc = 0
+			}
+		case 3:
+			if !s.WriteResp.SendStep(p, &w.ph, axis.Packet{Last: true}) {
+				return
+			}
+			w.pc = 0
 		}
 	}
 }
@@ -1066,22 +1160,21 @@ func (s *Streamer) onDeadline(d deadline) {
 	}
 	if e.attempts < s.cfg.MaxRetries {
 		e.attempts++
-		// Invalidate the expired generation so a straggling completion
-		// for it is dropped as a protocol error rather than racing the
-		// resubmission.
-		s.cmdSeq++
-		e.seq = s.cmdSeq
-		if !s.retryQ.TryPut(retryReq{slot: slot, seq: e.seq}) {
-			panic("streamer: retry queue overflow")
-		}
+		s.orderRetry(slot)
 		return
 	}
 	// Recovery exhausted: synthesize an abort completion so the command
 	// retires through the normal path and the error reaches the PE. No
 	// CQE was received, so the CQ head doorbell must not advance.
+	s.resolve(e, nvme.StatusAbortRequested)
+}
+
+// resolve ends e's command with the synthesized terminal status — no
+// completion was received for it — and nudges the retire FSM.
+func (s *Streamer) resolve(e *robEntry, status uint16) {
 	e.done = true
 	e.timedOut = true
-	e.status = nvme.StatusAbortRequested
+	e.status = status
 	s.cqeSignal.TryPut(struct{}{})
 }
 
@@ -1105,12 +1198,19 @@ func (s *Streamer) maybeRetry(slot int) bool {
 	}
 	e.done = false
 	e.status = nvme.StatusSuccess
+	s.orderRetry(slot)
+	return true
+}
+
+// orderRetry hands slot to the recovery stage under a fresh generation:
+// a straggling completion of the previous one is then dropped as a
+// protocol error rather than racing the resubmission.
+func (s *Streamer) orderRetry(slot int) {
 	s.cmdSeq++
-	e.seq = s.cmdSeq
-	if !s.retryQ.TryPut(retryReq{slot: slot, seq: e.seq}) {
+	s.rob[slot].seq = s.cmdSeq
+	if !s.retryQ.TryPut(retryReq{slot: slot, seq: s.cmdSeq}) {
 		panic("streamer: retry queue overflow")
 	}
-	return true
 }
 
 // retryLoop is the recovery stage: it paces resubmissions with exponential
@@ -1131,7 +1231,9 @@ func (s *Streamer) retryLoop(p *sim.Proc) {
 		if d := s.backoff(s.rob[rq.slot].attempts); d > 0 {
 			p.Sleep(d)
 		}
-		s.gateSubmit(p) // breaker quiesce
+		for s.quiesced(p) {
+			p.Park()
+		}
 		if stale(rq) {
 			continue
 		}
@@ -1140,10 +1242,7 @@ func (s *Streamer) retryLoop(p *sim.Proc) {
 			// terminally instead of ringing a dead doorbell.
 			e := &s.rob[rq.slot]
 			e.span.Annotate(obs.AnnotFailFast, p.Now())
-			e.done = true
-			e.timedOut = true
-			e.status = nvme.StatusControllerUnavailable
-			s.cqeSignal.TryPut(struct{}{})
+			s.resolve(e, nvme.StatusControllerUnavailable)
 			continue
 		}
 		occupy(p, s.submitFSM, s.cfg.SubmitOverhead)
@@ -1171,13 +1270,15 @@ func (s *Streamer) backoff(attempt int) sim.Time {
 
 // ---- controller-failure circuit breaker ----
 
-// gateSubmit parks p while the breaker holds the submission path quiesced.
-// A dead controller does not park: submissions proceed and fail fast.
-func (s *Streamer) gateSubmit(p *sim.Proc) {
-	for s.breakerOpen && !s.dead {
+// quiesced reports whether the breaker holds the submission path
+// quiesced, and then queues p to be woken when it closes; p must park. A
+// dead controller does not quiesce: submissions proceed and fail fast.
+func (s *Streamer) quiesced(p *sim.Proc) bool {
+	if s.breakerOpen && !s.dead {
 		s.breakerWaiters = append(s.breakerWaiters, p)
-		p.Park()
+		return true
 	}
+	return false
 }
 
 // tripBreaker opens the breaker and wakes the recovery proc. Idempotent
@@ -1268,18 +1369,9 @@ func (s *Streamer) replay(p *sim.Proc) {
 	// runs under the open breaker — force each queue's final tail out now so
 	// the rebuilt controller sees the whole replayed window.
 	for qi, q := range s.queues {
-		if q.dbPending == 0 {
-			continue
+		if q.dbPending > 0 {
+			s.ringSQ(qi)
 		}
-		q.dbPending = 0
-		for _, slot := range q.dbSlots {
-			e := &s.rob[slot]
-			if e.used && !e.done && e.enqueued && e.queue == qi {
-				e.span.Mark(obs.StageDoorbell, p.Now())
-			}
-		}
-		q.dbSlots = q.dbSlots[:0]
-		s.ringDoorbell(q.sqDoorbell, uint32(q.sqTail))
 	}
 }
 
@@ -1388,80 +1480,117 @@ func (s *Streamer) nextRetirable() int {
 	return -1
 }
 
-// retireLoop processes completions: strictly head-first in the in-order
+// retireFSM is the retire FSM's state: the slot it retires and a copy of
+// its entry (robRelease clears the slot), and the write response it sends.
+type retireFSM struct {
+	pc   int // 0: pick a slot; 1: wait for a completion; 2: retired; 3: send the write response; 4: hand over to the send stage; 5: release
+	slot int
+	e    robEntry
+	resp axis.Packet
+	ph   uint8
+}
+
+// retireStep processes completions: strictly head-first in the in-order
 // configuration ("While the completion bits may be set out-of-order, the
 // NVMe Streamer processes them in-order", §4.2). Data draining and buffer
 // release are delegated to the send stage so the retire FSM paces command
 // turnover while drains pipeline behind it.
-func (s *Streamer) retireLoop(p *sim.Proc) {
-	p.SetDaemon(true)
+func (s *Streamer) retireStep(p *sim.Proc) {
+	r := &s.ret
 	for {
-		slot := s.nextRetirable()
-		if slot < 0 {
-			// Nothing retirable: park. Coalesced CQ-head updates stay armed
-			// on their debounced timers and flush on their own.
-			s.cqeSignal.Get(p)
-			continue
-		}
-		if s.maybeRetry(slot) {
-			continue
-		}
-		e := s.rob[slot] // copy; robRelease clears the entry
-		if e.rreq != nil {
-			e.rreq.next++
-		}
-		cost := s.cfg.RetireWriteCost
-		if !e.isWrite {
-			cost = s.retireReadCost()
-			if s.cfg.OutOfOrder {
-				cost = s.cfg.OOORetireReadCost
+		switch r.pc {
+		case 0:
+			slot := s.nextRetirable()
+			if slot < 0 {
+				// Nothing retirable: park. Coalesced CQ-head updates stay
+				// armed on their debounced timers and flush on their own.
+				r.pc = 1
+				continue
 			}
-		}
-		occupy(p, s.retireFSM, cost)
-		if e.status != nvme.StatusSuccess {
-			s.aborts++
-		}
-		if e.isWrite && e.wreq != nil {
-			e.wreq.remaining--
-			if e.last {
-				e.wreq.sawLast = true
+			if s.maybeRetry(slot) {
+				continue
 			}
-			if statusSeverity(e.status) > statusSeverity(e.wreq.status) {
-				// The worst status seen across the write's pieces
-				// decides the response.
-				e.wreq.status = e.status
-				e.wreq.failAddr = e.devAddr
-				e.wreq.failLen = e.length
+			r.slot, r.e = slot, s.rob[slot]
+			e := &r.e
+			if e.rreq != nil {
+				e.rreq.next++
 			}
-			if e.wreq.remaining == 0 && e.wreq.sawLast {
-				// ⑥b: completion token for the whole PE write, carrying
-				// the worst status seen across the write's pieces.
-				pkt := axis.Packet{Last: true}
-				if e.wreq.status != nvme.StatusSuccess {
-					pkt.Meta = CmdError{Status: e.wreq.status, Addr: e.wreq.failAddr, Len: e.wreq.failLen}
+			cost := s.cfg.RetireWriteCost
+			if !e.isWrite {
+				cost = s.retireReadCost()
+				if s.cfg.OutOfOrder {
+					cost = s.cfg.OOORetireReadCost
 				}
-				s.WriteResp.Send(p, pkt)
 			}
-		}
-		// Buffer release stays strictly FIFO: the send stage frees write
-		// buffers immediately and read buffers once drained.
-		s.sendQ.Put(p, sendItem{
-			isWrite: e.isWrite,
-			bufOff:  e.bufOff,
-			length:  e.length,
-			last:    e.last,
-			status:  e.status,
-			devAddr: e.devAddr,
-			readyAt: p.Now() + s.cfg.DrainLatency,
-		})
-		s.tr.End(e.span, e.status, p.Now())
-		// Read the live entry: a replay while this retirement blocked
-		// moved its completion out of the current CQ.
-		hadCQE := s.rob[slot].hasCQE
-		s.robRelease(slot)
-		s.cmdsRetired++
-		if hadCQE {
-			s.consumeCQE(e.queue)
+			r.pc = 2
+			p.SleepStep(s.retireFSM.Occupy(cost) - p.Now())
+			return
+		case 1:
+			if _, ok := s.cqeSignal.GetStep(p); !ok {
+				return
+			}
+			r.pc = 0
+		case 2:
+			e := &r.e
+			if e.status != nvme.StatusSuccess {
+				s.aborts++
+			}
+			r.pc = 4
+			if e.isWrite && e.wreq != nil {
+				e.wreq.remaining--
+				if e.last {
+					e.wreq.sawLast = true
+				}
+				if statusSeverity(e.status) > statusSeverity(e.wreq.status) {
+					// The worst status seen across the write's pieces
+					// decides the response.
+					e.wreq.status = e.status
+					e.wreq.failAddr = e.devAddr
+					e.wreq.failLen = e.length
+				}
+				if e.wreq.remaining == 0 && e.wreq.sawLast {
+					// ⑥b: completion token for the whole PE write, carrying
+					// the worst status seen across the write's pieces.
+					r.resp = axis.Packet{Last: true}
+					if e.wreq.status != nvme.StatusSuccess {
+						r.resp.Meta = CmdError{Status: e.wreq.status, Addr: e.wreq.failAddr, Len: e.wreq.failLen}
+					}
+					r.pc = 3
+				}
+			}
+		case 3:
+			if !s.WriteResp.SendStep(p, &r.ph, r.resp) {
+				return
+			}
+			r.resp, r.pc = axis.Packet{}, 4
+		case 4:
+			// Buffer release stays strictly FIFO: the send stage frees write
+			// buffers immediately and read buffers once drained.
+			e := &r.e
+			r.pc = 5
+			if !s.sendQ.PutStep(p, sendItem{
+				isWrite: e.isWrite,
+				bufOff:  e.bufOff,
+				length:  e.length,
+				last:    e.last,
+				status:  e.status,
+				devAddr: e.devAddr,
+				readyAt: p.Now() + s.cfg.DrainLatency,
+			}) {
+				return
+			}
+		case 5:
+			e := &r.e
+			s.tr.End(e.span, e.status, p.Now())
+			// Read the live entry: a replay while this retirement blocked
+			// moved its completion out of the current CQ.
+			hadCQE := s.rob[r.slot].hasCQE
+			s.robRelease(r.slot)
+			s.cmdsRetired++
+			if hadCQE {
+				s.consumeCQE(e.queue)
+			}
+			r.e, r.pc = robEntry{}, 0
 		}
 	}
 }
@@ -1501,64 +1630,93 @@ type sendItem struct {
 // PE (⑥a in Figure 1).
 const drainChunk = 256 * sim.KiB
 
-// sendLoop is the output stage: it drains retired read data from the buffer
-// memory (adding the per-variant drain pipeline latency), streams it to the
-// PE in retirement order, and performs all buffer frees in FIFO order.
-func (s *Streamer) sendLoop(p *sim.Proc) {
-	p.SetDaemon(true)
-	for {
-		it := s.sendQ.Get(p)
-		if it.isWrite {
-			s.freeBuf(true, it.bufOff)
-			continue
-		}
-		if it.status != nvme.StatusSuccess {
-			// A failed read must not stream stale staging bytes as data:
-			// the PE gets a zero-byte packet flagged with CmdError in
-			// place of the payload, preserving TLAST framing.
-			s.ReadData.Send(p, axis.Packet{
-				Last: it.last,
-				Meta: CmdError{Status: it.status, Addr: it.devAddr, Len: it.length},
-			})
-			s.freeBuf(false, it.bufOff)
-			continue
-		}
-		s.drainAndSend(p, it)
-		s.freeBuf(false, it.bufOff)
-		s.bytesToPE += it.length
-	}
+// sendFSM is the send stage's state: the retired command it streams, its
+// drain progress, and the packet it sends the PE.
+type sendFSM struct {
+	pc     int // 0: take a retired command; 1: wait for the oldest chunk; 2: forward it; 3: send the packet
+	it     sendItem
+	issued int64
+	sent   int64
+	c      *drainRead
+	pkt    axis.Packet
+	ph     uint8
 }
 
-// drainAndSend reads the command's payload from the staging buffer in
-// chunks (two in flight) and serializes it onto the ReadData stream.
-// Forwarding is strictly in ISSUE order: the sender waits for the oldest
-// in-flight chunk, because staging reads can complete out of order (a
-// host-DRAM piece that straddles a pinned-chunk boundary splits into runs
-// with different latencies) and the PE's byte stream must not be
-// reordered.
-func (s *Streamer) drainAndSend(p *sim.Proc, it sendItem) {
-	issued := s.drainNext(&it, 0)
-	issued = s.drainNext(&it, issued)
-	var sent int64
-	for sent < it.length {
-		c := s.drainQ.Pop()
-		for !c.landed {
-			c.waiter = p
-			p.Park()
+// sendStep is the output stage: it drains retired read data from the
+// buffer memory (adding the per-variant drain pipeline latency), streams it
+// to the PE in retirement order, and performs all buffer frees in FIFO
+// order. A read's payload is read from the staging buffer in chunks (two in
+// flight) and serialized onto the ReadData stream. Forwarding is strictly
+// in ISSUE order: the stage waits for the oldest in-flight chunk, because
+// staging reads can complete out of order (a host-DRAM piece that straddles
+// a pinned-chunk boundary splits into runs with different latencies) and
+// the PE's byte stream must not be reordered.
+func (s *Streamer) sendStep(p *sim.Proc) {
+	d := &s.snd
+	for {
+		switch d.pc {
+		case 0:
+			it, ok := s.sendQ.GetStep(p)
+			if !ok {
+				return
+			}
+			if it.isWrite {
+				s.freeBuf(true, it.bufOff)
+				continue
+			}
+			d.it, d.sent = it, 0
+			if it.status != nvme.StatusSuccess {
+				// A failed read must not stream stale staging bytes as data:
+				// the PE gets a zero-byte packet flagged with CmdError in
+				// place of the payload, preserving TLAST framing.
+				d.pkt = axis.Packet{Last: it.last, Meta: CmdError{Status: it.status, Addr: it.devAddr, Len: it.length}}
+				d.sent, d.pc = it.length, 3
+				continue
+			}
+			d.issued = s.drainNext(&d.it, 0)
+			d.issued = s.drainNext(&d.it, d.issued)
+			d.pc = 1
+			fallthrough
+		case 1:
+			if d.c == nil {
+				d.c = s.drainQ.Pop()
+			}
+			if !d.c.landed {
+				d.c.waiter = p
+				p.ParkStep()
+				return
+			}
+			d.issued = s.drainNext(&d.it, d.issued)
+			d.pc = 2
+			if w := d.it.readyAt - p.Now(); w > 0 {
+				p.SleepStep(w)
+				return
+			}
+			fallthrough
+		case 2:
+			c := d.c
+			m, buf := c.m, c.buf
+			*c = drainRead{landFn: c.landFn}
+			s.drainFree = append(s.drainFree, c)
+			d.c = nil
+			d.sent += m
+			d.pkt = axis.Packet{Bytes: m, Last: d.it.last && d.sent == d.it.length, Data: buf}
+			d.pc = 3
+			fallthrough
+		case 3:
+			if !s.ReadData.SendStep(p, &d.ph, d.pkt) {
+				return
+			}
+			d.pkt, d.pc = axis.Packet{}, 1
+			if d.sent < d.it.length {
+				continue
+			}
+			s.freeBuf(false, d.it.bufOff)
+			if d.it.status == nvme.StatusSuccess {
+				s.bytesToPE += d.it.length
+			}
+			d.pc = 0
 		}
-		issued = s.drainNext(&it, issued)
-		if d := it.readyAt - p.Now(); d > 0 {
-			p.Sleep(d)
-		}
-		m, buf := c.m, c.buf
-		*c = drainRead{landFn: c.landFn}
-		s.drainFree = append(s.drainFree, c)
-		sent += m
-		s.ReadData.Send(p, axis.Packet{
-			Bytes: m,
-			Last:  it.last && sent == it.length,
-			Data:  buf,
-		})
 	}
 }
 
@@ -1587,7 +1745,7 @@ func (s *Streamer) drainNext(it *sendItem, issued int64) int64 {
 		c.buf = pcie.NewPages(int(off%pcie.PageSize), int(m))
 	}
 	s.drainQ.Push(c)
-	s.bufReadAsync(false, off, m, c.buf, c.landFn)
+	s.bufReadAsync(off, m, c.buf, c.landFn)
 	return issued + m
 }
 

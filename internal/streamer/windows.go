@@ -149,7 +149,7 @@ func (s *Streamer) bufPhys(isWrite bool, off int64) uint64 {
 	}
 }
 
-// bufWrite stores n bytes of PE data into the payload buffer at off. The
+// bufWrite stores n bytes of PE data into the write buffer at off. The
 // write is posted — the FSM moves on once the data has left its pipeline;
 // PCIe posted-write ordering guarantees the payload lands in host memory
 // before the doorbell (also a posted write on the same path) triggers the
@@ -158,13 +158,9 @@ func (s *Streamer) bufPhys(isWrite bool, off int64) uint64 {
 // variants (WriteAccess installs at call time), and after the last PCIe
 // delivery for the host-DRAM variant (the port carries the payload until
 // its completer has installed it).
-func (s *Streamer) bufWrite(p *sim.Proc, isWrite bool, off, n int64, data pcie.Payload, consumed func()) {
+func (s *Streamer) bufWrite(off, n int64, data pcie.Payload, consumed func()) {
 	if s.cfg.Variant == HostDRAM {
-		buf := s.res.HostRead
-		if isWrite {
-			buf = s.res.HostWrite
-		}
-		runs := buf.Runs(off, n)
+		runs := s.res.HostWrite.Runs(off, n)
 		pending := len(runs)
 		var pos int64
 		for _, run := range runs {
@@ -179,22 +175,17 @@ func (s *Streamer) bufWrite(p *sim.Proc, isWrite bool, off, n int64, data pcie.P
 		}
 		return
 	}
-	local := s.localOff(isWrite, off)
-	s.res.Local.WriteAccess(local, n, data, func() {})
+	s.res.Local.WriteAccess(s.localOff(true, off), n, data, func() {})
 	if consumed != nil {
 		consumed()
 	}
 }
 
-// bufReadAsync drains n bytes from the payload buffer at off into buf,
+// bufReadAsync drains n bytes from the read buffer at off into buf,
 // invoking done when the data is available.
-func (s *Streamer) bufReadAsync(isWrite bool, off, n int64, buf pcie.Payload, done func()) {
+func (s *Streamer) bufReadAsync(off, n int64, buf pcie.Payload, done func()) {
 	if s.cfg.Variant == HostDRAM {
-		cb := s.res.HostRead
-		if isWrite {
-			cb = s.res.HostWrite
-		}
-		runs := cb.Runs(off, n)
+		runs := s.res.HostRead.Runs(off, n)
 		remaining := len(runs)
 		var pos int64
 		for _, run := range runs {
@@ -209,8 +200,7 @@ func (s *Streamer) bufReadAsync(isWrite bool, off, n int64, buf pcie.Payload, do
 		}
 		return
 	}
-	local := s.localOff(isWrite, off)
-	s.res.Local.ReadAccess(local, n, buf, done)
+	s.res.Local.ReadAccess(s.localOff(false, off), n, buf, done)
 }
 
 // localOff maps a buffer offset to the local memory address space.
