@@ -99,19 +99,7 @@ func newCoordinator(cl *Cluster, mac *ethernet.MAC) *coordinator {
 		repairKick: sim.NewChan[struct{}](cl.k, 1),
 	}
 	for i := 0; i < cl.cfg.Nodes; i++ {
-		li := fault.NewLinkInjector(splitmix64(cl.cfg.Seed + uint64(i) + 0x66726f))
-		for _, pt := range cl.cfg.Partitions {
-			if pt.Node != i || (!pt.FromNode && pt.ToNode) {
-				continue
-			}
-			li.Add(fault.LinkRule{
-				Name: fmt.Sprintf("partition-from-node%d", i),
-				Drop: pt.Drop, Delay: pt.Delay,
-				From: pt.From, Until: pt.Until,
-				Probability: pt.Probability, Nth: pt.Nth, Count: pt.Count,
-			})
-		}
-		co.linkRx = append(co.linkRx, li)
+		co.linkRx = append(co.linkRx, partitionLink(splitmix64(cl.cfg.Seed+uint64(i)+0x66726f), cl.cfg.Partitions, i, false))
 	}
 	co.reqTimers = sim.NewTimers(cl.k, cl.cfg.RequestTimeout, co.awaited, co.requestTimedOut)
 	return co

@@ -86,18 +86,7 @@ func newNode(cl *Cluster, ecfg ethernet.Config, id int) *node {
 		tn.Trace(n.Tracer)
 	}
 
-	n.rx = fault.NewLinkInjector(splitmix64(cfg.Seed + uint64(id) + 0x746f))
-	for _, pt := range cfg.Partitions {
-		if pt.Node != id || (!pt.ToNode && pt.FromNode) {
-			continue
-		}
-		n.rx.Add(fault.LinkRule{
-			Name: fmt.Sprintf("partition-to-node%d", id),
-			Drop: pt.Drop, Delay: pt.Delay,
-			From: pt.From, Until: pt.Until,
-			Probability: pt.Probability, Nth: pt.Nth, Count: pt.Count,
-		})
-	}
+	n.rx = partitionLink(splitmix64(cfg.Seed+uint64(id)+0x746f), cfg.Partitions, id, true)
 
 	n.mac = ethernet.NewMAC(k, fmt.Sprintf("node%d", id), ecfg)
 	n.initErr = errors.New("initialization stalled")

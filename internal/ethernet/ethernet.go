@@ -80,36 +80,17 @@ func (c Config) WireBytes(n int64) int64 {
 	return n + frames*c.FrameOverheadBytes
 }
 
-// MAC is one Ethernet endpoint.
+// MAC is one Ethernet endpoint: a transmit link toward its peer plus a
+// bounded receive FIFO that sends PAUSE back over that link.
 type MAC struct {
-	k    *sim.Kernel
-	name string
-	cfg  Config
-
-	// peer receives what we transmit.
-	peer receiver
-
-	// txq holds frames awaiting transmission; the transmitter process
-	// fully buffers each frame before serialization (§4.7 store-and-
-	// forward), pausing between frames when flow-controlled.
-	txq      *sim.Chan[Frame]
-	wire     *sim.Pipe
-	txProc   *sim.Proc
-	inFlight flights
-
-	// pausedUntil implements received PAUSE state.
-	pausedUntil sim.Time
+	cfg Config
+	tx  link
 
 	// Receive side.
-	rxq         *sim.Chan[Frame]
-	rxOccupied  int64
-	pauseSent   bool
-	pauseActive bool
+	rxq        *sim.Chan[Frame]
+	rxOccupied int64
 
-	// Stats.
-	framesSent, framesDropped int64
-	bytesSent, bytesReceived  int64
-	pausesSent, pausesHonored int64
+	framesDropped, bytesReceived int64
 }
 
 // receiver is the far end of a link: another MAC or a switch port.
@@ -119,31 +100,21 @@ type receiver interface {
 
 // NewMAC creates an endpoint. Connect it before use.
 func NewMAC(k *sim.Kernel, name string, cfg Config) *MAC {
-	m := &MAC{
-		k:    k,
-		name: name,
-		cfg:  cfg,
-		txq:  sim.NewChan[Frame](k, 1024),
-		wire: sim.NewPipe(k, cfg.BytesPerSec(), cfg.WireLatency),
-		rxq:  sim.NewChan[Frame](k, 1<<20),
-	}
-	m.txProc = k.Spawn(name+".tx", m.txLoop)
+	m := &MAC{cfg: cfg, rxq: sim.NewChan[Frame](k, 1<<20)}
+	m.tx.start(k, name+".tx", &m.cfg, 1024, nil)
 	return m
 }
 
-// wireBytes charges per-frame overhead once per MTU.
-func (m *MAC) wireBytes(n int64) int64 { return m.cfg.WireBytes(n) }
-
 // Connect links two MACs full duplex.
 func Connect(a, b *MAC) {
-	a.peer = b
-	b.peer = a
+	a.tx.peer = b
+	b.tx.peer = a
 }
 
 // Send queues a frame for transmission, blocking p when the TX queue is
 // full.
 func (m *MAC) Send(p *sim.Proc, f Frame) {
-	m.txq.Put(p, f)
+	m.tx.txq.Put(p, f)
 }
 
 // TrySend queues a frame for transmission without blocking, reporting false
@@ -152,117 +123,29 @@ func (m *MAC) Send(p *sim.Proc, f Frame) {
 // pause frames stall the transmitter, the TX queue fills, TrySend starts
 // failing, and the caller decides what to drop.
 func (m *MAC) TrySend(f Frame) bool {
-	return m.txq.TryPut(f)
+	return m.tx.txq.TryPut(f)
 }
 
 // TxQueueLen reports the frames waiting in the TX queue (not yet begun
 // transmission).
-func (m *MAC) TxQueueLen() int { return m.txq.Len() }
+func (m *MAC) TxQueueLen() int { return m.tx.txq.Len() }
 
 // Recv takes the next received frame, blocking p while none is pending.
-// Consuming a frame frees FIFO space and may trigger a resume.
+// Consuming a frame frees FIFO space and, once the FIFO drains to the low
+// watermark after a pause, sends the resume frame.
 func (m *MAC) Recv(p *sim.Proc) Frame {
 	f := m.rxq.Get(p)
 	m.rxOccupied -= f.Bytes
-	if m.cfg.PauseEnabled && m.pauseSent && float64(m.rxOccupied) <= m.cfg.LoWater*float64(m.cfg.RxFIFOBytes) {
-		m.pauseSent = false
-		m.sendPause(0) // quanta 0: resume
+	if m.cfg.PauseEnabled && m.tx.pauseSent && float64(m.rxOccupied) <= m.cfg.LoWater*float64(m.cfg.RxFIFOBytes) {
+		m.tx.sendPause(0) // quanta 0: resume
 	}
 	return f
-}
-
-// txLoop transmits queued frames, honoring pause state. The sender blocks
-// only for wire serialization; store-and-forward buffering and propagation
-// add *latency* to delivery while back-to-back frames pipeline (§4.7 —
-// full buffering "increases latency", not throughput).
-func (m *MAC) txLoop(p *sim.Proc) {
-	p.SetDaemon(true)
-	for {
-		f := m.txq.Get(p)
-		for {
-			if wait := m.pausedUntil - p.Now(); wait > 0 && m.cfg.PauseEnabled {
-				m.pausesHonored++
-				p.Sleep(wait)
-				continue
-			}
-			break
-		}
-		storeDelay := sim.TransferTime(minI64(f.Bytes, m.cfg.MTU), m.cfg.BytesPerSec())
-		delivered := m.wire.Reserve(m.wireBytes(f.Bytes))
-		m.framesSent++
-		m.bytesSent += f.Bytes
-		if m.peer == nil {
-			panic("ethernet: MAC " + m.name + " transmitting with no peer")
-		}
-		m.inFlight.send(m.k, delivered+storeDelay, m.peer, f, nil)
-		// Block for serialization only; latency and buffering pipeline.
-		p.Sleep(delivered - m.cfg.WireLatency - p.Now())
-	}
-}
-
-// flights recycles one transmitter's in-flight frame records.
-type flights struct{ free []*flight }
-
-// flight is one frame between its transmitter and the far end of the
-// link. Its callback is bound once and the record recycles when the frame
-// arrives, so a frame in flight allocates nothing.
-type flight struct {
-	tx *flights
-	to receiver
-	f  Frame
-	// egress, when set, is the switch egress occupancy the frame leaves
-	// on arrival.
-	egress *int64
-	arrive func()
-}
-
-// send schedules f's arrival at to at time at.
-func (fl *flights) send(k *sim.Kernel, at sim.Time, to receiver, f Frame, egress *int64) {
-	var d *flight
-	if n := len(fl.free); n > 0 {
-		d = fl.free[n-1]
-		fl.free = fl.free[:n-1]
-	} else {
-		d = &flight{tx: fl}
-		d.arrive = d.land
-	}
-	d.to, d.f, d.egress = to, f, egress
-	k.At(at, d.arrive)
-}
-
-func (d *flight) land() {
-	to, f := d.to, d.f
-	if d.egress != nil {
-		*d.egress -= f.Bytes
-	}
-	d.to, d.f, d.egress = nil, Frame{}, nil
-	d.tx.free = append(d.tx.free, d)
-	to.deliver(f)
-}
-
-// sendPause emits an 802.3x control frame ahead of the data queue (control
-// frames bypass the data path in real MACs; the model delivers them with
-// wire latency only).
-func (m *MAC) sendPause(quanta sim.Time) {
-	m.pausesSent++
-	f := Frame{pause: true, quanta: quanta}
-	m.k.At(m.k.Now()+m.cfg.WireLatency, func() {
-		if m.peer != nil {
-			m.peer.deliver(f)
-		}
-	})
 }
 
 // deliver implements receiver.
 func (m *MAC) deliver(f Frame) {
 	if f.pause {
-		if f.quanta == 0 {
-			m.pausedUntil = m.k.Now()
-		} else {
-			m.pausedUntil = m.k.Now() + f.quanta
-		}
-		// Wake the transmitter in case it idles past the new state; the
-		// txLoop re-checks pausedUntil around each frame.
+		m.tx.pause(f.quanta)
 		return
 	}
 	if m.rxOccupied+f.Bytes > m.cfg.RxFIFOBytes {
@@ -270,7 +153,7 @@ func (m *MAC) deliver(f Frame) {
 		// congestion pause must still be renewed, or a stalled consumer
 		// would let the sender free-run once the first quanta lapses.
 		m.framesDropped++
-		m.maybePause()
+		m.tx.throttle(&m.rxOccupied, m.cfg.RxFIFOBytes)
 		return
 	}
 	m.rxOccupied += f.Bytes
@@ -278,58 +161,25 @@ func (m *MAC) deliver(f Frame) {
 	if !m.rxq.TryPut(f) {
 		panic("ethernet: rx queue overflow despite FIFO accounting")
 	}
-	m.maybePause()
-}
-
-// maybePause starts the congestion-pause machinery. While congestion
-// persists, pause frames are re-sent on a timer at half the quanta — a
-// fully stalled consumer must keep the sender stopped even though no new
-// arrivals trigger receive-side events (real 802.3x receivers refresh
-// pause state periodically for exactly this reason).
-func (m *MAC) maybePause() {
-	if !m.cfg.PauseEnabled || m.pauseActive ||
-		float64(m.rxOccupied) < m.cfg.HiWater*float64(m.cfg.RxFIFOBytes) {
-		return
-	}
-	m.pauseActive = true
-	m.renewPause()
-}
-
-func (m *MAC) renewPause() {
-	if float64(m.rxOccupied) < m.cfg.HiWater*float64(m.cfg.RxFIFOBytes) {
-		// Congestion cleared; the Recv path emits the resume frame when
-		// the low watermark is crossed.
-		m.pauseActive = false
-		return
-	}
-	m.pauseSent = true
-	m.sendPause(m.cfg.PauseQuanta)
-	m.k.After(m.cfg.PauseQuanta/2, m.renewPause)
+	m.tx.throttle(&m.rxOccupied, m.cfg.RxFIFOBytes)
 }
 
 // Stats accessors.
 
 // FramesSent returns transmitted data frames.
-func (m *MAC) FramesSent() int64 { return m.framesSent }
+func (m *MAC) FramesSent() int64 { return m.tx.framesSent }
 
 // FramesDropped returns frames lost to receive-FIFO overrun.
 func (m *MAC) FramesDropped() int64 { return m.framesDropped }
 
 // BytesSent returns transmitted payload bytes.
-func (m *MAC) BytesSent() int64 { return m.bytesSent }
+func (m *MAC) BytesSent() int64 { return m.tx.bytesSent }
 
 // BytesReceived returns accepted payload bytes.
 func (m *MAC) BytesReceived() int64 { return m.bytesReceived }
 
 // PausesSent returns emitted pause/resume control frames.
-func (m *MAC) PausesSent() int64 { return m.pausesSent }
+func (m *MAC) PausesSent() int64 { return m.tx.pausesSent }
 
 // PausesHonored counts transmissions delayed by received pause frames.
-func (m *MAC) PausesHonored() int64 { return m.pausesHonored }
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (m *MAC) PausesHonored() int64 { return m.tx.pausesHonored }

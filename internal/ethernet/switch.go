@@ -12,11 +12,10 @@ import (
 // ingress links — "intermediary switches ... will first pause locally
 // before propagating the pause request further" (§4.7).
 type Switch struct {
-	k     *sim.Kernel
 	name  string
 	cfg   Config
 	ports []*switchPort
-	// BufferBytes bounds each egress queue.
+	// bufferBytes bounds each egress queue.
 	bufferBytes int64
 	// framesDropped counts frames lost to egress-buffer overrun (only
 	// possible with flow control disabled).
@@ -27,36 +26,22 @@ type Switch struct {
 // ports.
 func (sw *Switch) FramesDropped() int64 { return sw.framesDropped }
 
-// switchPort is one switch port: an ingress receiver plus an egress queue
-// with its own transmitter toward the attached MAC.
+// switchPort is one switch port: an ingress receiver plus an egress link
+// toward the attached MAC. The link's PAUSE emission pauses that MAC on
+// behalf of whichever egress its traffic congests.
 type switchPort struct {
-	sw   *Switch
-	idx  int
-	peer *MAC
-
-	egress   *sim.Chan[Frame]
+	sw       *Switch
+	tx       link
 	occupied int64
-	wire     *sim.Pipe
-	inFlight flights
-	paused   sim.Time
-	// renewing marks an active upstream-pause renewal chain for this
-	// ingress port (pausing the attached MAC on behalf of a congested
-	// egress).
-	renewing bool
 }
 
 // NewSwitch creates a switch with n ports.
 func NewSwitch(k *sim.Kernel, name string, cfg Config, n int, bufferBytes int64) *Switch {
-	sw := &Switch{k: k, name: name, cfg: cfg, bufferBytes: bufferBytes}
+	sw := &Switch{name: name, cfg: cfg, bufferBytes: bufferBytes}
 	for i := 0; i < n; i++ {
-		p := &switchPort{
-			sw:     sw,
-			idx:    i,
-			egress: sim.NewChan[Frame](k, 1<<20),
-			wire:   sim.NewPipe(k, cfg.BytesPerSec(), cfg.WireLatency),
-		}
+		p := &switchPort{sw: sw}
+		p.tx.start(k, fmt.Sprintf("%s.port%d.tx", name, i), &sw.cfg, 1<<20, &p.occupied)
 		sw.ports = append(sw.ports, p)
-		k.Spawn(fmt.Sprintf("%s.port%d.tx", name, i), p.txLoop)
 	}
 	return sw
 }
@@ -64,8 +49,8 @@ func NewSwitch(k *sim.Kernel, name string, cfg Config, n int, bufferBytes int64)
 // Attach connects a MAC to switch port idx.
 func (sw *Switch) Attach(idx int, m *MAC) {
 	p := sw.ports[idx]
-	p.peer = m
-	m.peer = p
+	p.tx.peer = m
+	m.tx.peer = p
 }
 
 // deliver implements receiver for ingress traffic arriving at any port: the
@@ -73,11 +58,7 @@ func (sw *Switch) Attach(idx int, m *MAC) {
 // MAC land here and pause this port's egress.
 func (p *switchPort) deliver(f Frame) {
 	if f.pause {
-		if f.quanta == 0 {
-			p.paused = p.sw.k.Now()
-		} else {
-			p.paused = p.sw.k.Now() + f.quanta
-		}
+		p.tx.pause(f.quanta)
 		return
 	}
 	dst := f.DstPort
@@ -93,69 +74,12 @@ func (p *switchPort) deliver(f Frame) {
 	// real switch would have paused earlier via thresholds; a small elastic
 	// margin keeps the frame-level model simple.
 	out.occupied += f.Bytes
-	if !out.egress.TryPut(f) {
+	if !out.tx.txq.TryPut(f) {
 		panic("ethernet: switch egress queue overflow")
 	}
 	// Threshold-based upstream pause, renewed on a timer while the egress
 	// stays congested (new arrivals stop once upstream is paused, so
 	// arrival-driven renewal alone would let the sender free-run whenever a
-	// quanta lapses — the same reasoning as MAC.renewPause).
-	if p.sw.cfg.PauseEnabled && float64(out.occupied) >= p.sw.cfg.HiWater*float64(p.sw.bufferBytes) {
-		p.propagatePause(out)
-	}
-}
-
-// propagatePause pauses the upstream MAC attached to this ingress port on
-// behalf of the congested egress port out, renewing until out drains below
-// the high watermark. Like MAC.renewPause, the renewal chain schedules
-// events as long as congestion persists — a permanently stalled consumer
-// therefore keeps the kernel's event queue non-empty, so simulations with
-// such consumers must bound Kernel.Run with a horizon.
-func (p *switchPort) propagatePause(out *switchPort) {
-	if p.renewing {
-		return
-	}
-	p.renewing = true
-	p.renewUpstream(out)
-}
-
-func (p *switchPort) renewUpstream(out *switchPort) {
-	if float64(out.occupied) < p.sw.cfg.HiWater*float64(p.sw.bufferBytes) {
-		// Congestion cleared; let the last quanta lapse naturally.
-		p.renewing = false
-		return
-	}
-	quanta := p.sw.cfg.PauseQuanta
-	peer := p.peer
-	p.sw.k.At(p.sw.k.Now()+p.sw.cfg.WireLatency, func() {
-		if peer != nil {
-			peer.deliver(Frame{pause: true, quanta: quanta})
-		}
-	})
-	p.sw.k.After(quanta/2, func() { p.renewUpstream(out) })
-}
-
-// txLoop drains the egress queue toward the attached MAC, honoring pause
-// frames received from it. Like MAC.txLoop, the port blocks only for wire
-// serialization; store-and-forward buffering and propagation add delivery
-// *latency* while back-to-back frames pipeline.
-func (p *switchPort) txLoop(proc *sim.Proc) {
-	proc.SetDaemon(true)
-	for {
-		f := p.egress.Get(proc)
-		for {
-			if wait := p.paused - proc.Now(); wait > 0 && p.sw.cfg.PauseEnabled {
-				proc.Sleep(wait)
-				continue
-			}
-			break
-		}
-		if p.peer == nil {
-			panic("ethernet: switch port transmitting with no attached MAC")
-		}
-		storeDelay := sim.TransferTime(minI64(f.Bytes, p.sw.cfg.MTU), p.sw.cfg.BytesPerSec())
-		delivered := p.wire.Reserve(p.sw.cfg.WireBytes(f.Bytes))
-		p.inFlight.send(p.sw.k, delivered+storeDelay, p.peer, f, &p.occupied)
-		proc.Sleep(delivered - p.sw.cfg.WireLatency - proc.Now())
-	}
+	// quanta lapses).
+	p.tx.throttle(&out.occupied, p.sw.bufferBytes)
 }

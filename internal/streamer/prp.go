@@ -39,7 +39,7 @@ func (s *Streamer) prpPointer(slot int, isWrite bool, bufOff int64) uint64 {
 		return s.cfg.WindowBase + uint64((bufOff+nvme.PageSize)|PRPShadowBit)
 	}
 	s.prpReg[slot] = prpRegVal{secondPageOff: bufOff + nvme.PageSize, isWrite: isWrite, valid: true}
-	return s.cfg.WindowBase + uint64(s.layout().prpOff) + uint64(slot)*nvme.PageSize
+	return s.cfg.WindowBase + uint64(s.lo.prpOff) + uint64(slot)*nvme.PageSize
 }
 
 // prpWindow answers the controller's PRP-list reads with computed entries.
@@ -65,7 +65,7 @@ func (w *prpWindow) CompleteRead(addr uint64, n int64, dst pcie.Payload, done fu
 				dst.WriteAt(entry[:], int(j*8))
 			}
 		} else {
-			winRel := rel - s.layout().prpOff
+			winRel := rel - s.lo.prpOff
 			slot := int(winRel / nvme.PageSize)
 			first := (winRel % nvme.PageSize) / 8
 			reg := s.prpReg[slot]

@@ -66,6 +66,7 @@ func statusSeverity(s uint16) int {
 type Streamer struct {
 	k    *sim.Kernel
 	cfg  Config
+	lo   windowLayout // the window's sub-regions, fixed by cfg
 	res  Resources
 	port *pcie.Port
 
@@ -300,6 +301,7 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 	s := &Streamer{
 		k:         k,
 		cfg:       cfg,
+		lo:        layoutFor(cfg),
 		res:       res,
 		port:      port,
 		Port:      newPort(k, cfg.Name, cfg.StreamCfg),
@@ -428,7 +430,7 @@ func (s *Streamer) Config() Config { return s.cfg }
 func (s *Streamer) Resources() Resources { return s.res }
 
 // WindowSize returns the BAR window span this streamer decodes.
-func (s *Streamer) WindowSize() int64 { return s.windowSize() }
+func (s *Streamer) WindowSize() int64 { return s.lo.size }
 
 // Stats.
 

@@ -34,8 +34,6 @@ type windowLayout struct {
 	size              int64
 }
 
-func (s *Streamer) layout() windowLayout { return layoutFor(s.cfg) }
-
 // WindowSizeFor computes the BAR window span a configuration will decode,
 // so the platform can allocate the window before building the streamer.
 func WindowSizeFor(cfg Config) int64 { return layoutFor(cfg).size }
@@ -80,8 +78,6 @@ func nextPow2(n int64) int64 {
 	return p
 }
 
-func (s *Streamer) windowSize() int64 { return s.layout().size }
-
 // sqOffFor / cqOffFor place I/O queue pair i's control regions: each pair
 // occupies 2*ctrlRegionGap after the layout's base SQ offset. Every variant
 // reserves at least MaxIOQueues*2*ctrlRegionGap of control space (the host
@@ -92,7 +88,7 @@ func (lo windowLayout) cqOffFor(i int) int64 { return lo.sqOffFor(i) + ctrlRegio
 
 // installWindows wires the streamer's sub-regions into the FPGA BAR router.
 func (s *Streamer) installWindows(router *pcie.RangeRouter) {
-	lo := s.layout()
+	lo := s.lo
 	if s.cfg.WindowBase%uint64(lo.size) != 0 {
 		panic(fmt.Sprintf("streamer: window base %#x not aligned to window size %#x", s.cfg.WindowBase, lo.size))
 	}
@@ -115,13 +111,13 @@ func (s *Streamer) installWindows(router *pcie.RangeRouter) {
 // passes to CreateIOSQ/CreateIOCQ for I/O queue pair i (0-based streamer
 // index).
 func (s *Streamer) SQBusAddr(i int) uint64 {
-	return s.cfg.WindowBase + uint64(s.layout().sqOffFor(i))
+	return s.cfg.WindowBase + uint64(s.lo.sqOffFor(i))
 }
 
 // CQBusAddr returns queue pair i's completion-queue (reorder buffer window)
 // bus address.
 func (s *Streamer) CQBusAddr(i int) uint64 {
-	return s.cfg.WindowBase + uint64(s.layout().cqOffFor(i))
+	return s.cfg.WindowBase + uint64(s.lo.cqOffFor(i))
 }
 
 // ---- payload buffer plumbing ----
@@ -240,7 +236,7 @@ const fifoReadLatency = 50 * sim.Nanosecond
 func (w *sqWindow) CompleteRead(addr uint64, n int64, dst pcie.Payload, done func()) {
 	s := w.s
 	q := s.queues[w.qi]
-	rel := int64(addr - s.cfg.WindowBase - uint64(s.layout().sqOffFor(w.qi)))
+	rel := int64(addr - s.cfg.WindowBase - uint64(s.lo.sqOffFor(w.qi)))
 	if rel%nvme.SQESize != 0 || n%nvme.SQESize != 0 {
 		panic("streamer: partial SQE fetch")
 	}

@@ -169,13 +169,6 @@ type ServeOptions struct {
 	CloseProbability float64
 	// Seed drives the workload generator (0 selects a fixed default).
 	Seed uint64
-	// Server tuning, 0 = package defaults: dispatch-queue depth and batch,
-	// capsules coalesced per Ethernet frame, and the per-fleet backlog
-	// bound past which paused arrivals are shed.
-	DispatchDepth int
-	DispatchBatch int
-	FrameBatch    int
-	ClientBacklog int
 }
 
 // ServeReport is the serving tier's end-of-run accounting: arrivals
@@ -188,9 +181,9 @@ type ServeReport = serve.Report
 // suite's serve sweep.
 const serveSeedDefault = 0x5ac5
 
-// build translates the public options into the internal workload spec and
-// tier config, filling defaults. Validation happens in serve.New.
-func (o *ServeOptions) build(tenants int) (workload.OpenLoopSpec, serve.Config) {
+// build translates the public options into the internal workload spec,
+// filling defaults. Validation happens in serve.New.
+func (o *ServeOptions) build(tenants int) workload.OpenLoopSpec {
 	spec := workload.OpenLoopSpec{
 		Clients:      o.Clients,
 		RatePerSec:   o.RatePerSec,
@@ -237,12 +230,7 @@ func (o *ServeOptions) build(tenants int) (workload.OpenLoopSpec, serve.Config) 
 			Duration:  sim.Time(ph.DurationNs),
 		})
 	}
-	return spec, serve.Config{
-		DispatchDepth: o.DispatchDepth,
-		DispatchBatch: o.DispatchBatch,
-		FrameBatch:    o.FrameBatch,
-		ClientBacklog: o.ClientBacklog,
-	}
+	return spec
 }
 
 // ClusterOptions configures Options.Cluster: a replicated multi-node
@@ -435,9 +423,8 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	if opts.Serve != nil {
-		spec, cfg := opts.Serve.build(len(opts.Tenants))
 		var err error
-		if sys.serve, err = serve.New(sys.k, cfg, spec, sys.lanes); err != nil {
+		if sys.serve, err = serve.New(sys.k, serve.Config{}, opts.Serve.build(len(opts.Tenants)), sys.lanes); err != nil {
 			return nil, err
 		}
 	}
