@@ -304,6 +304,33 @@ func TestClusterNodeDeathFailoverAndRepair(t *testing.T) {
 	}
 }
 
+// TestPartitionLinkDirections: a partition that names one direction
+// applies only on that side of the node's link, one that names neither
+// applies on both, and none applies to another node.
+func TestPartitionLinkDirections(t *testing.T) {
+	for _, c := range []struct {
+		pt              Partition
+		atNode, atCoord bool
+	}{
+		{Partition{}, true, true},
+		{Partition{ToNode: true}, true, false},
+		{Partition{FromNode: true}, false, true},
+		{Partition{ToNode: true, FromNode: true}, true, true},
+	} {
+		c.pt.Node, c.pt.Drop = 1, true
+		parts := []Partition{c.pt}
+		if got := partitionLink(1, parts, 1, true).FrameFate(0).Drop; got != c.atNode {
+			t.Errorf("%+v: node-side drop = %v, want %v", c.pt, got, c.atNode)
+		}
+		if got := partitionLink(1, parts, 1, false).FrameFate(0).Drop; got != c.atCoord {
+			t.Errorf("%+v: coordinator-side drop = %v, want %v", c.pt, got, c.atCoord)
+		}
+		if partitionLink(1, parts, 0, true).FrameFate(0).Drop || partitionLink(1, parts, 0, false).FrameFate(0).Drop {
+			t.Errorf("%+v: a partition of node 1 drops node 0's frames", c.pt)
+		}
+	}
+}
+
 // TestClusterPartitionRejoin: a link partition (not a controller fault)
 // isolates a node long enough for the health ladder to declare it dead;
 // when the partition heals the prober brings it back, and the cluster ends
