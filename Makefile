@@ -56,7 +56,8 @@ vet:
 
 # Per-package statement coverage, with a ratchet on the packages whose test
 # suites this repo leans on hardest: the span tracer, the trace parser, the
-# experiment engine and the Ethernet link transmitter's PAUSE paths. Raise a floor when its package's coverage rises;
+# experiment engine, the Ethernet link transmitter's PAUSE paths and the
+# NVMe controller's protocol checks. Raise a floor when its package's coverage rises;
 # never lower one to make a change fit.
 cover:
 	$(GO) test -cover ./... > cover.txt || { cat cover.txt; rm -f cover.txt; exit 1; }
@@ -70,6 +71,7 @@ cover:
 		$$2 == "snacc/internal/streamer" && pct + 0 < 88 { bad = bad "  " $$2 ": " pct "% < 88%\n" } \
 		$$2 == "snacc/internal/cluster"  && pct + 0 < 85 { bad = bad "  " $$2 ": " pct "% < 85%\n" } \
 		$$2 == "snacc/internal/ethernet" && pct + 0 < 90 { bad = bad "  " $$2 ": " pct "% < 90%\n" } \
+		$$2 == "snacc/internal/nvme"     && pct + 0 < 86 { bad = bad "  " $$2 ": " pct "% < 86%\n" } \
 		END { if (bad != "") { printf "coverage ratchet failed:\n%s", bad; exit 1 } }' cover.txt
 	@rm -f cover.txt
 

@@ -30,7 +30,7 @@ var testOracles = []struct {
 		"fault.Rule.Seen", "fault.Rule.Fired", "fault.Injector.InjectedByKind", "fault.LinkRule.Seen", "fault.LinkRule.Fired",
 		"memmodel.DRAM.Turnarounds", "memmodel.DRAM.RowMisses", "memmodel.DRAM.Accesses",
 		"nvme.Device.CQEsDropped", "nvme.Device.CQEsDelayed", "nvme.Device.CQEsLost", "nvme.Device.ControllerHangs",
-		"nvme.Device.CommandsExecuted", "nvme.Device.DeallocatedBytes",
+		"nvme.Device.CommandsExecuted",
 		"nvme.NAND.EpochSlow", "nvme.NAND.DieReads", "nvme.NAND.StripedReads", "nvme.NAND.Programs",
 		"obs.Hist.Sum", "obs.Tracer.OpenedByTenant", "obs.Tracer.ClosedByTenant", "obs.Tracer.DoubleCloses", "obs.Tracer.Events",
 		"pcie.Port.PayloadTx", "pcie.SparseMem.Pages", "pcie.SparseMem.PageMoves", "pcie.MemCompleter.Reads", "pcie.MemCompleter.Writes",
@@ -41,13 +41,13 @@ var testOracles = []struct {
 	}},
 	{"state or geometry a test reads back to check what a model negotiated or recorded", []string{
 		"memmodel.ChunkedBuffer.ChunkSize", "memmodel.ChunkedBuffer.Chunks", "memmodel.HBM.Channels",
-		"nvme.Device.Mode", "nvme.Device.FatalReason", "nvme.Device.ErrorLog",
+		"nvme.Device.Mode", "nvme.Device.FatalReason",
 		"pcie.Port.Identity", "pcie.Port.Link", "pcie.IOMMU.Enabled", "pcie.IOMMU.Check", "sim.Chan.Peek",
 		"spdk.Driver.MDTSBytes", "spdk.Driver.QueuePairs", "tapasco.Driver.LBASize", "tapasco.Driver.CapacityBlocks",
 		"tapasco.Platform.Config",
 	}},
 	{"handles a test uses to reach one part of an assembled model", []string{
-		"nvme.Device.NAND", "pcie.Fabric.HostPort", "streamer.Streamer.Resources", "streamer.Striped.Member",
+		"nvme.Device.NAND", "nvme.NAND.Store", "pcie.Fabric.HostPort", "streamer.Streamer.Resources", "streamer.Striped.Member",
 	}},
 	{"probes that put a model in a state no rig reaches on its own (a malformed CQE, the IOMMU-off control experiment, a revoked grant, a stream read outside a process)", []string{
 		"streamer.Streamer.InjectCQE", "pcie.IOMMU.SetEnabled", "pcie.IOMMU.Revoke", "axis.Stream.TryRecv",

@@ -14,17 +14,6 @@ import (
 	"snacc/internal/workload"
 )
 
-// Serve-sweep workload shape: 4 KiB requests, 70% reads, a zipfian hot set,
-// 5% session churn, and a burst schedule that multiplies the baseline rate
-// 6x for short windows — the overload that makes the pause/shed loop do
-// real work.
-const (
-	serveSpanBytes = 256 * sim.MiB
-	serveIOBytes   = int64(4 * sim.KiB)
-	serveRate      = 500e3
-	serveSeed      = 0x5ac5
-)
-
 // DefaultServeClients is the CLI's client-population sweep: 10k, 100k and
 // one million simulated clients.
 var DefaultServeClients = []int{10_000, 100_000, 1_000_000}
@@ -36,32 +25,22 @@ var DefaultServePhases = []workload.PhaseSpec{
 	{RateScale: 6, Duration: 50 * sim.Microsecond},
 }
 
-// serveSpec builds the open-loop spec for one sweep point.
-func serveSpec(clients int, ops int, phases []workload.PhaseSpec) workload.OpenLoopSpec {
-	return workload.OpenLoopSpec{
-		Clients:      clients,
-		RatePerSec:   serveRate,
-		Ops:          int64(ops),
-		ReadFraction: 0.7,
-		IOBytes:      serveIOBytes,
-		SpanBytes:    serveSpanBytes,
-		ZipfTheta:    0.9,
-		ZipfBuckets:  64,
-		Phases:       phases,
-		CloseProb:    0.05,
-		Seed:         serveSeed,
-	}
+// serveSpec is one sweep point's workload: the serving tier's defaults
+// (serve.New fills the zero fields) with 5% session churn and the given
+// burst schedule.
+func serveSpec(clients, ops int, phases []workload.PhaseSpec) workload.OpenLoopSpec {
+	return workload.OpenLoopSpec{Clients: clients, Ops: int64(max(ops, 0)), Phases: phases, CloseProb: 0.05}
 }
 
 // runServeRig builds a full-stack serving rig — platform, NVMe, URAM
 // streamer, serving tier over the Ethernet link — runs it to quiescence and
 // returns the tier's report.
-func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
+func runServeRig(spec workload.OpenLoopSpec) serve.Report {
 	k := sim.NewKernel()
 	defer k.Close()
 	node := tapasco.NewNode(k, tapasco.DefaultU280())
 	st := node.AddStreamer(node.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR)), streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	tier, err := serve.New(k, cfg, spec, []serve.Lane{streamer.NewClient(st)})
+	tier, err := serve.New(k, spec, []serve.Lane{streamer.NewClient(st)})
 	if err != nil {
 		panic(err)
 	}
@@ -77,26 +56,27 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 
 // ServeSweep runs the open-loop serving experiment at each client
 // population: an RPC client fleet drives the URAM streamer through the
-// serving tier over the simulated 100 G link. Each row reports what the
-// fleet observed — arrivals generated, responses received OK, arrivals shed
-// at the paused client, payload goodput, due→response latency percentiles
-// — next to what the server spent: the connection-table high-water mark
-// and state bytes, the dispatch-queue high-water mark and the 802.3x pause
-// frames sent. Zero/nil arguments select the defaults (10k/100k/1M
-// clients, 4000 requests, the burst schedule). Rigs shard across the
+// serving tier over the simulated 100 G link. The workload is the serving
+// tier's default one (4 KiB requests, 70% reads, a zipfian hot set) with
+// 5% session churn and a burst schedule that multiplies the baseline rate
+// 6x for short windows — the overload that makes the pause/shed loop do
+// real work. Each row reports what the fleet observed — arrivals
+// generated, responses received OK, arrivals shed at the paused client,
+// payload goodput, due→response latency percentiles — next to what the
+// server spent: the connection-table high-water mark and state bytes, the
+// dispatch-queue high-water mark and the 802.3x pause frames sent.
+// Zero/nil arguments select the defaults (10k/100k/1M clients, 4000
+// requests, the burst schedule). Rigs shard across the
 // experiment engine; rows are deterministic at any parallelism.
 func ServeSweep(clients []int, ops int, phases []workload.PhaseSpec) Table {
 	if len(clients) == 0 {
 		clients = DefaultServeClients
 	}
-	if ops <= 0 {
-		ops = 4000
-	}
 	if phases == nil {
 		phases = DefaultServePhases
 	}
 	rows := mapRows(len(clients), func(i int) Row {
-		rep := runServeRig(serveSpec(clients[i], ops, phases), serve.Config{})
+		rep := runServeRig(serveSpec(clients[i], ops, phases))
 		return Row{Label: fmt.Sprintf("%dk clients", clients[i]/1000), Values: []float64{
 			float64(rep.Generated), float64(rep.Completed), float64(rep.Dropped),
 			rep.GoodputMBps(),

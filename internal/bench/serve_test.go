@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"snacc/internal/serve"
 	"snacc/internal/sim"
 	"snacc/internal/workload"
 )
@@ -117,9 +118,10 @@ func TestParseServePhases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseServePhases(%q): %v", in, err)
 		}
-		spec := serveSpec(1000, 10, phases)
-		if err := spec.Validate(); err != nil {
+		k := sim.NewKernel()
+		if _, err := serve.New(k, serveSpec(1000, 10, phases), make([]serve.Lane, 1)); err != nil {
 			t.Errorf("phases %q produce an invalid spec: %v", in, err)
 		}
+		k.Close()
 	}
 }

@@ -61,7 +61,7 @@ func TestOpAnyMatchesAllOpcodes(t *testing.T) {
 	in := NewInjector(1)
 	in.Add(Rule{Name: "everything", Kind: StatusError, Opcode: OpAny,
 		Nth: 1, Status: nvme.StatusInternalError})
-	for _, op := range []uint8{nvme.OpRead, nvme.OpWrite, nvme.OpFlush} {
+	for _, op := range []uint8{nvme.OpRead, nvme.OpWrite, 0x00 /* Flush */} {
 		if got := in.ExecStatus(ioCmd(op, 0)); got != nvme.StatusInternalError {
 			t.Errorf("opcode %#x: status %#x, want injected error", op, got)
 		}

@@ -6,27 +6,17 @@ import (
 	"snacc/internal/pcie"
 )
 
-// pendingCQs tracks CQs created before their paired SQ arrives. The model
-// pairs SQ y with CQ y (the layout both our drivers use); mismatched
-// pairings are rejected as invalid.
-//
 // executeAdmin runs one admin command to completion.
 func (d *Device) executeAdmin(c *command) {
 	switch c.cmd.Opcode {
 	case OpIdentify:
 		d.adminIdentify(c)
-	case OpGetLogPage:
-		d.adminGetLogPage(c)
 	case OpCreateIOCQ:
 		d.adminCreateIOCQ(c)
 	case OpCreateIOSQ:
 		d.adminCreateIOSQ(c)
-	case OpDeleteIOSQ, OpDeleteIOCQ:
-		d.adminDeleteQueue(c)
 	case OpSetFeatures:
 		d.adminSetFeatures(c)
-	case OpGetFeatures:
-		d.adminGetFeatures(c)
 	default:
 		d.complete(c, StatusInvalidOpcode, 0)
 	}
@@ -74,13 +64,13 @@ func (d *Device) adminIdentify(c *command) {
 	})
 }
 
-// cqPending holds CQ parameters until the matching SQ is created.
+// cqPending holds CQ parameters until the matching SQ is created. The model
+// pairs SQ y with CQ y (the layout both our drivers use); mismatched
+// pairings are rejected as invalid.
 type cqPending struct {
 	base    uint64
 	entries int
 }
-
-var _ = cqPending{} // referenced via the device map below
 
 func (d *Device) pendingCQs() map[uint16]cqPending {
 	if d.cqPendingMap == nil {
@@ -131,23 +121,6 @@ func (d *Device) adminCreateIOSQ(c *command) {
 	d.complete(c, StatusSuccess, 0)
 }
 
-// adminDeleteQueue tears down an I/O queue pair (either half removes both;
-// the model keeps them paired).
-func (d *Device) adminDeleteQueue(c *command) {
-	cmd := c.cmd
-	qid := uint16(cmd.CDW10 & 0xFFFF)
-	if qid == 0 {
-		d.complete(c, StatusInvalidField, 0)
-		return
-	}
-	if int(qid) < len(d.queues) {
-		d.queues[qid] = nil
-		d.recountUnfetched()
-	}
-	delete(d.pendingCQs(), qid)
-	d.complete(c, StatusSuccess, 0)
-}
-
 // adminSetFeatures handles Number of Queues (FID 0x07); the grant is echoed
 // in DW0 as (NCQA<<16)|NSQA, both zero-based.
 func (d *Device) adminSetFeatures(c *command) {
@@ -167,16 +140,4 @@ func (d *Device) adminSetFeatures(c *command) {
 	}
 	dw0 := uint32(grant(reqCQ)-1)<<16 | uint32(grant(reqSQ)-1)
 	d.complete(c, StatusSuccess, dw0)
-}
-
-// adminGetFeatures mirrors SetFeatures for Number of Queues.
-func (d *Device) adminGetFeatures(c *command) {
-	cmd := c.cmd
-	fid := uint8(cmd.CDW10 & 0xFF)
-	if fid != FeatureNumQueues {
-		d.complete(c, StatusInvalidField, 0)
-		return
-	}
-	n := uint32(d.cfg.MaxIOQueuePairs - 1)
-	d.complete(c, StatusSuccess, n<<16|n)
 }

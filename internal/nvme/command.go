@@ -19,6 +19,9 @@ type command struct {
 	d   *Device
 	q   *queuePair
 	cmd Command
+	// dup marks an entry whose CID was already outstanding on its queue
+	// when it was fetched; it completes with Command ID Conflict.
+	dup bool
 
 	// Completion, recorded at complete() and read by the stages that post
 	// it; resume says which of them a parked completion re-enters.

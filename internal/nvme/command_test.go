@@ -34,8 +34,8 @@ func TestCommandsRecycleZeroed(t *testing.T) {
 				}
 			}
 		}
-		if c := tb.admin(Command{Opcode: OpGetFeatures, CID: 9, CDW10: uint32(FeatureNumQueues)}); c.Status != StatusSuccess {
-			t.Fatalf("get features: status %#x", c.Status)
+		if c := tb.admin(Command{Opcode: OpSetFeatures, CID: 9, CDW10: uint32(FeatureNumQueues)}); c.Status != StatusSuccess {
+			t.Fatalf("set features: status %#x", c.Status)
 		}
 	}
 	traffic()
@@ -48,7 +48,7 @@ func TestCommandsRecycleZeroed(t *testing.T) {
 		t.Errorf("repeated traffic grew the command free list %d -> %d", free, len(tb.dev.cmdFree))
 	}
 	for _, c := range tb.dev.cmdFree {
-		if c.d != tb.dev || c.q != nil || c.cmd != (Command{}) || c.status != 0 || c.dw0 != 0 || c.resume != nil ||
+		if c.d != tb.dev || c.q != nil || c.cmd != (Command{}) || c.dup || c.status != 0 || c.dw0 != 0 || c.resume != nil ||
 			c.total != 0 || c.off != 0 || len(c.runs) != 0 || len(c.listBuf) != 0 || !c.media.IsNil() ||
 			c.outstanding != 0 || c.cqe != [CQESize]byte{} || !c.released {
 			t.Fatalf("released command not zeroed: %+v", *c)

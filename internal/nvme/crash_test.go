@@ -93,14 +93,15 @@ func TestCrashUnknownQueueDoorbellLatchesCFS(t *testing.T) {
 
 // TestCrashDoorbellPastQueueTableLatchesCFS rings doorbells the queue table
 // has no entry for: qids past MaxIOQueuePairs (up to the last doorbell the
-// BAR holds) and a queue pair that was created and then deleted. Each is a
-// host protocol violation that must latch CSTS.CFS, never panic.
+// BAR holds) and a queue pair that was created and then torn down by a
+// controller reset. Each is a host protocol violation that must latch
+// CSTS.CFS, never panic.
 func TestCrashDoorbellPastQueueTableLatchesCFS(t *testing.T) {
 	const maxPairs = 2
 	lastDoorbell := uint64(BARSize-4-RegDoorbellBase) / 4
 	cases := []struct {
 		name    string
-		deleted bool   // create and delete the qid-1 pair first
+		deleted bool   // create the qid-1 pair, then reset and re-enable the controller
 		idx     uint64 // doorbell index: 2*qid for the SQ tail, 2*qid+1 for the CQ head
 	}{
 		{name: "sq-past-max", idx: 2 * (maxPairs + 1)},
@@ -115,9 +116,9 @@ func TestCrashDoorbellPastQueueTableLatchesCFS(t *testing.T) {
 			tb.enable()
 			if c.deleted {
 				tb.createIOQueues()
-				if cqe := tb.admin(Command{Opcode: OpDeleteIOSQ, CID: 8, CDW10: 1}); cqe.Status != StatusSuccess {
-					t.Fatalf("delete SQ: %#x", cqe.Status)
-				}
+				tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
+				tb.aTail, tb.aHead, tb.aPhase = 0, 0, true
+				tb.enable()
 			}
 			tb.host.Port.Write(tb.bar+RegDoorbellBase+4*c.idx, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 1)), nil)
 			tb.k.Run(0)
@@ -222,44 +223,6 @@ func TestCrashSurpriseRemovalFloatsAllOnes(t *testing.T) {
 	tb.k.Run(0)
 	if v := tb.csts(); v != ^uint32(0) {
 		t.Fatalf("removed controller answered a reset: CSTS = %#x", v)
-	}
-}
-
-func TestCrashShutdownHandshake(t *testing.T) {
-	tb := newTestbench(t, nil)
-	tb.enable()
-	tb.createIOQueues()
-	// CC.SHN = normal shutdown; keep EN set per spec.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, CCEnable|CCShutdownNormal)), nil)
-	// Poll without draining the event queue: processing must be visible
-	// before the ShutdownDelay elapses.
-	var seen uint32
-	tb.k.Spawn("poll", func(p *sim.Proc) {
-		p.Sleep(sim.Microsecond)
-		buf := make([]byte, 4)
-		tb.host.Port.ReadB(p, tb.bar+RegCSTS, 4, buf)
-		seen = binary.LittleEndian.Uint32(buf)
-	})
-	tb.k.Run(0)
-	if seen&CSTSShutdownMask != CSTSShutdownProcessing {
-		t.Fatalf("CSTS.SHST during shutdown = %#x, want processing", seen&CSTSShutdownMask)
-	}
-	if tb.csts()&CSTSShutdownMask != CSTSShutdownComplete {
-		t.Fatal("shutdown never reported complete")
-	}
-	// A shut-down controller fetches nothing.
-	cmd := Command{Opcode: OpRead, CID: 90, NSID: 1, PRP1: tb.host.Alloc(PageSize, PageSize)}
-	cmd.SetNLB(7)
-	if n := tb.ioNoWait(cmd); n != 0 {
-		t.Fatalf("shut-down controller posted %d completions", n)
-	}
-	// Reset + rebuild restarts it.
-	tb.host.Port.Write(tb.bar+RegCC, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, 0)), nil)
-	tb.k.Run(0)
-	tb.rebuild()
-	cmd.CID = 91
-	if c := tb.io(cmd); c.Status != StatusSuccess {
-		t.Fatalf("I/O after shutdown+reset: %#x", c.Status)
 	}
 }
 

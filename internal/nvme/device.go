@@ -46,9 +46,6 @@ type Config struct {
 	SlowEpochReadPadding sim.Time
 	// ReadyDelay is the time between CC.EN and CSTS.RDY.
 	ReadyDelay sim.Time
-	// ShutdownDelay is the time between CC.SHN and CSTS.SHST reporting
-	// shutdown complete.
-	ShutdownDelay sim.Time
 	// Functional enables content movement (real bytes on the media); when
 	// false the device is timing-only for data payloads. Queue entries and
 	// PRP lists always carry real bytes.
@@ -79,7 +76,6 @@ func DefaultConfig(name string, barBase uint64) Config {
 		ExecContexts:         128,
 		SlowEpochReadPadding: 150 * sim.Nanosecond,
 		ReadyDelay:           50 * sim.Microsecond,
-		ShutdownDelay:        20 * sim.Microsecond,
 	}
 }
 
@@ -101,8 +97,9 @@ type queuePair struct {
 	// host advances the CQ head doorbell.
 	cqWait sim.FIFO[*command]
 
-	// outstanding tracks fetched-but-not-completed CIDs to catch protocol
-	// violations (duplicate fetch / double completion).
+	// outstanding tracks fetched-but-not-completed CIDs: a fetched CID
+	// already in it completes with Command ID Conflict, and a completion
+	// for a CID not in it is a model bug.
 	outstanding cidSet
 }
 
@@ -213,7 +210,7 @@ type Device struct {
 	// Failure model.
 	mode        CtrlMode
 	fatalReason string
-	resetGen    uint64             // invalidates ready/shutdown timers across resets
+	resetGen    uint64             // invalidates ready timers across resets
 	hangGen     uint64             // invalidates stale revive timers
 	hungWait    sim.FIFO[*command] // completions parked while hung
 
@@ -231,22 +228,15 @@ type Device struct {
 	// untraced path pays one nil compare per site.
 	cmdObserver CmdObserver
 
-	// Stats and SMART accounting.
-	cmdsExecuted     int64
-	cqesDropped      int64
-	cqesDelayed      int64
-	cqesLost         int64
-	ctrlCrashes      int64
-	ctrlHangs        int64
-	ctrlRemovals     int64
-	errs             int64
-	errorCount       uint64
-	errorLog         []ErrorLogEntry
-	dataUnitsRead    int64
-	dataUnitsWritten int64
-	hostReads        int64
-	hostWrites       int64
-	deallocated      int64
+	// Stats.
+	cmdsExecuted int64
+	cqesDropped  int64
+	cqesDelayed  int64
+	cqesLost     int64
+	ctrlCrashes  int64
+	ctrlHangs    int64
+	ctrlRemovals int64
+	errs         int64
 }
 
 // SetFaultInjector installs fn; fn returning a non-success status fails the
@@ -393,11 +383,6 @@ func (d *Device) flushParked(old []*queuePair) {
 // discarded — they must never land in a rebuilt queue's memory.
 func (d *Device) stale(q *queuePair) bool { return d.queues[q.id] != q }
 
-// fetchAllowed reports whether the controller currently fetches SQEs.
-func (d *Device) fetchAllowed() bool {
-	return d.mode == ModeHealthy && d.csts&CSTSShutdownMask == 0
-}
-
 // New attaches a device to the fabric and maps its register BAR.
 func New(k *sim.Kernel, f *pcie.Fabric, cfg Config) *Device {
 	if cfg.LBASize <= 0 || PageSize%cfg.LBASize != 0 {
@@ -486,9 +471,6 @@ func (d *Device) regWrite(off uint64, data []byte) {
 	switch off {
 	case RegCC:
 		d.cc = binary.LittleEndian.Uint32(data)
-		if d.cc&CCShutdownMask != 0 && d.csts&CSTSShutdownMask == 0 {
-			d.beginShutdown()
-		}
 		if d.cc&CCEnable != 0 && d.csts&CSTSReady == 0 && d.mode == ModeHealthy {
 			d.enable()
 		}
@@ -570,12 +552,12 @@ func (d *Device) enable() {
 	})
 }
 
-// reset is a controller reset (CC.EN 1→0): queues are torn down, the ready,
-// fatal and shutdown status bits clear, and a crashed or hung controller
-// returns to healthy. Completions still in flight against the old queues
-// flush through the stale-queue discard path.
+// reset is a controller reset (CC.EN 1→0): queues are torn down, the ready
+// and fatal status bits clear, and a crashed or hung controller returns to
+// healthy. Completions still in flight against the old queues flush through
+// the stale-queue discard path.
 func (d *Device) reset() {
-	d.csts &^= CSTSReady | CSTSFatal | CSTSShutdownMask
+	d.csts &^= CSTSReady | CSTSFatal
 	d.resetGen++
 	old := d.queues
 	d.queues = make([]*queuePair, len(old))
@@ -586,20 +568,6 @@ func (d *Device) reset() {
 		d.hangGen++ // cancel a pending revive
 	}
 	d.flushParked(old)
-}
-
-// beginShutdown runs the CC.SHN → CSTS.SHST handshake: the controller
-// reports shutdown-processing, stops fetching new commands, and reports
-// shutdown-complete after ShutdownDelay.
-func (d *Device) beginShutdown() {
-	d.csts = (d.csts &^ CSTSShutdownMask) | CSTSShutdownProcessing
-	gen := d.resetGen
-	d.k.After(d.cfg.ShutdownDelay, func() {
-		if gen != d.resetGen || d.csts&CSTSShutdownMask != CSTSShutdownProcessing {
-			return
-		}
-		d.csts = (d.csts &^ CSTSShutdownMask) | CSTSShutdownComplete
-	})
 }
 
 // doorbell decodes a doorbell write and kicks the affected queue.
@@ -670,7 +638,7 @@ func (d *Device) recountUnfetched() {
 // entry: a scan that finds nothing moves the pointer a full cycle, back to
 // where it started, so stopping early leaves it where the full scan would.
 func (d *Device) kickAll() {
-	if !d.fetchAllowed() {
+	if d.mode != ModeHealthy {
 		return
 	}
 	n := d.cfg.MaxIOQueuePairs + 1 // qid 0 (admin) .. MaxIOQueuePairs
@@ -730,14 +698,19 @@ func (f *sqeFetch) done() {
 		if err != nil {
 			panic(err) // 64-byte slices by construction
 		}
+		c := d.getCommand(q, cmd)
 		if q.outstanding.has(cmd.CID) {
-			panic(fmt.Sprintf("nvme: duplicate fetch of CID %d on q%d (slot %d op %#x)", cmd.CID, q.id, fetchHead+i, cmd.Opcode))
+			// The host reused a CID still outstanding on this queue: the
+			// entry completes with Command ID Conflict and leaves the
+			// original's record, and its span, alone.
+			c.dup = true
+		} else {
+			q.outstanding.add(cmd.CID)
+			if d.cmdObserver != nil {
+				d.cmdObserver(q.id, cmd.CID, obs.StageFetched, d.k.Now())
+			}
 		}
-		q.outstanding.add(cmd.CID)
-		if d.cmdObserver != nil {
-			d.cmdObserver(q.id, cmd.CID, obs.StageFetched, d.k.Now())
-		}
-		d.execGate.Acquire(d.getCommand(q, cmd))
+		d.execGate.Acquire(c)
 	}
 	f.release()
 	d.kickAll()
@@ -762,7 +735,9 @@ func (c *command) Grant() {
 
 func (c *command) execute() {
 	c.check()
-	if c.q.id == 0 {
+	if c.dup {
+		c.d.complete(c, StatusCommandIDConflict, 0)
+	} else if c.q.id == 0 {
 		c.d.executeAdmin(c)
 	} else {
 		c.d.executeIO(c)
@@ -826,7 +801,9 @@ func (d *Device) complete(c *command, status uint16, dw0 uint32) {
 // torn down) while the command executed: the host never sees a CQE, but the
 // execution context recycles and the outstanding-CID record clears.
 func (d *Device) discard(c *command) {
-	c.q.outstanding.remove(c.cmd.CID)
+	if !c.dup {
+		c.q.outstanding.remove(c.cmd.CID)
+	}
 	d.cqesLost++
 	d.execGate.Release()
 	c.release()
@@ -863,15 +840,16 @@ func (c *command) deliver() {
 
 // account finalizes a command's bookkeeping at completion-decision time.
 func (d *Device) account(c *command) {
-	q, cmd := c.q, c.cmd
-	if !q.outstanding.has(cmd.CID) {
-		panic(fmt.Sprintf("nvme: double completion of CID %d on q%d", cmd.CID, q.id))
+	q, cid := c.q, c.cmd.CID
+	if !c.dup {
+		if !q.outstanding.has(cid) {
+			panic(fmt.Sprintf("nvme: double completion of CID %d on q%d", cid, q.id))
+		}
+		q.outstanding.remove(cid)
 	}
-	q.outstanding.remove(cmd.CID)
 	d.cmdsExecuted++
 	if c.status != StatusSuccess {
 		d.errs++
-		d.recordError(q, cmd, c.status)
 	}
 }
 

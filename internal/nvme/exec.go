@@ -39,25 +39,17 @@ func (d *Device) executeIO(c *command) {
 			return
 		}
 	}
-	switch cmd.Opcode {
-	case OpFlush:
-		d.nand.Flush(func() { d.complete(c, StatusSuccess, 0) })
-	case OpRead, OpWrite:
-		total, off, status := d.validateRange(cmd)
-		if status != StatusSuccess {
-			d.complete(c, status, 0)
-			return
-		}
-		d.accountIO(cmd.Opcode, total)
-		c.total, c.off = total, off
-		c.resolvePRPs()
-	case OpWriteZeroes:
-		d.executeWriteZeroes(c)
-	case OpDatasetMgmt:
-		d.executeDatasetMgmt(c)
-	default:
+	if cmd.Opcode != OpRead && cmd.Opcode != OpWrite {
 		d.complete(c, StatusInvalidOpcode, 0)
+		return
 	}
+	total, off, status := d.validateRange(cmd)
+	if status != StatusSuccess {
+		d.complete(c, status, 0)
+		return
+	}
+	c.total, c.off = total, off
+	c.resolvePRPs()
 }
 
 // validateRange checks namespace and LBA bounds, returning the transfer size

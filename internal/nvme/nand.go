@@ -76,8 +76,6 @@ type NAND struct {
 	// Program pipeline.
 	programBusyUntil sim.Time
 	bytesProgrammed  int64
-	outstandingProg  int
-	flushWaiters     []func()
 	// progQ holds the sizes of scheduled programs. Their completion times
 	// never decrease, so they finish in scheduling order and one bound
 	// callback, programDoneFn, retires the head.
@@ -196,7 +194,6 @@ func (nd *NAND) Program(off uint64, n int64, data pcie.Payload) {
 		start = nd.programBusyUntil
 	}
 	nd.programBusyUntil = start + sim.TransferTime(n, rate)
-	nd.outstandingProg++
 	nd.bytesProgrammed += n
 	if nd.cfg.EpochBytes > 0 {
 		slow := (nd.bytesProgrammed/nd.cfg.EpochBytes)%2 == 1
@@ -211,25 +208,7 @@ func (nd *NAND) Program(off uint64, n int64, data pcie.Payload) {
 	nd.k.At(nd.programBusyUntil, nd.programDoneFn)
 }
 
-// programDone retires the oldest scheduled program: its buffer space frees
-// and, once nothing is left programming, the flush waiters run.
+// programDone retires the oldest scheduled program: its buffer space frees.
 func (nd *NAND) programDone() {
 	nd.releaseBuffer(nd.progQ.Pop())
-	nd.outstandingProg--
-	if nd.outstandingProg == 0 {
-		ws := nd.flushWaiters
-		nd.flushWaiters = nil
-		for _, w := range ws {
-			w()
-		}
-	}
-}
-
-// Flush calls fn once every scheduled program operation has completed.
-func (nd *NAND) Flush(fn func()) {
-	if nd.outstandingProg == 0 {
-		fn()
-		return
-	}
-	nd.flushWaiters = append(nd.flushWaiters, fn)
 }

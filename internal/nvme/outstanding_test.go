@@ -20,23 +20,47 @@ func panicOf(fn func()) (msg string) {
 	return ""
 }
 
-// TestDuplicateFetchPanics pins the fetch-side CID check: a host that
-// submits a CID still outstanding on the same queue is a protocol bug, and
-// the controller stops the simulation naming the CID and the queue.
-func TestDuplicateFetchPanics(t *testing.T) {
+// TestDuplicateCIDConflict pins the fetch-side CID check: a host that
+// submits a CID still outstanding on the same queue gets Command ID Conflict
+// (generic status 0x03) for the second entry, as a real controller reports
+// it, while the original command completes normally and the simulation
+// keeps running. Afterwards the CID is free again.
+func TestDuplicateCIDConflict(t *testing.T) {
 	tb := newTestbench(t, nil)
 	tb.enable()
 	tb.createIOQueues()
 	buf := tb.host.Alloc(PageSize, PageSize)
+	read := Command{Opcode: OpRead, CID: 9, NSID: 1, PRP1: buf}
+	read.SetNLB(7)
 	for i := 0; i < 2; i++ {
-		cmd := Command{Opcode: OpRead, CID: 9, NSID: 1, PRP1: buf}
-		tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), cmd.Marshal())
+		tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), read.Marshal())
 		tb.ioTail++
 	}
 	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, pcie.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(tb.ioTail))), nil)
-	msg := panicOf(func() { tb.k.Run(0) })
-	if !strings.Contains(msg, "nvme: duplicate fetch of CID 9 on q1") {
-		t.Fatalf("Run panicked with %q, want a duplicate fetch of CID 9 on q1", msg)
+	if msg := panicOf(func() { tb.k.Run(0) }); msg != "" {
+		t.Fatalf("a duplicate CID panicked: %s", msg)
+	}
+	if len(tb.completions) != 4 { // two admin, then the pair
+		t.Fatalf("%d completions, want the original's and the duplicate's", len(tb.completions)-2)
+	}
+	statuses := map[uint16]int{}
+	for _, c := range tb.completions[2:] {
+		if c.CID != 9 {
+			t.Fatalf("completion for CID %d, want 9", c.CID)
+		}
+		statuses[c.Status]++
+	}
+	if statuses[StatusSuccess] != 1 || statuses[StatusCommandIDConflict] != 1 {
+		t.Fatalf("statuses %v, want one success and one Command ID Conflict (0x03)", statuses)
+	}
+	if tb.dev.CommandsExecuted() != 4 || tb.dev.Errors() != 1 {
+		t.Fatalf("executed %d with %d errors, want 4 and 1", tb.dev.CommandsExecuted(), tb.dev.Errors())
+	}
+	if q := tb.dev.queues[1]; q.outstanding.has(9) {
+		t.Fatal("CID 9 still outstanding after both entries completed")
+	}
+	if c := tb.io(read); c.Status != StatusSuccess || c.CID != 9 {
+		t.Fatalf("CID 9 resubmitted after the conflict completed %+v", c)
 	}
 }
 

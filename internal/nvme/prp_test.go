@@ -3,7 +3,6 @@ package nvme
 import (
 	"encoding/binary"
 	"testing"
-	"testing/quick"
 )
 
 // prpCmd builds a read command of n bytes with explicit PRPs.
@@ -161,18 +160,5 @@ func TestRegisterReads(t *testing.T) {
 	tb.k.Run(0)
 	if csts[0]&1 != 1 {
 		t.Error("CSTS.RDY clear after enable")
-	}
-}
-
-func TestErrorEntryRoundTripProperty(t *testing.T) {
-	f := func(count uint64, sqid, cid uint16, status uint16, lba uint64) bool {
-		e := ErrorLogEntry{ErrorCount: count, SQID: sqid, CID: cid,
-			Status: status & 0x7FFF, LBA: lba}
-		b := make([]byte, 64)
-		marshalErrorEntry(e, b)
-		return unmarshalErrorEntry(b) == e
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

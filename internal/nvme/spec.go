@@ -25,20 +25,18 @@ const (
 	CQESize = 16
 )
 
-// Admin opcodes.
+// Admin opcodes: the bring-up set a host driver issues (PAPER.md §1 item
+// 4). Any other admin opcode completes with Invalid Opcode.
 const (
-	OpDeleteIOSQ  uint8 = 0x00
 	OpCreateIOSQ  uint8 = 0x01
-	OpDeleteIOCQ  uint8 = 0x04
 	OpCreateIOCQ  uint8 = 0x05
 	OpIdentify    uint8 = 0x06
 	OpSetFeatures uint8 = 0x09
-	OpGetFeatures uint8 = 0x0A
 )
 
-// I/O opcodes.
+// I/O opcodes: the Streamer and the host drivers issue only reads and
+// writes. Any other I/O opcode completes with Invalid Opcode.
 const (
-	OpFlush uint8 = 0x00
 	OpWrite uint8 = 0x01
 	OpRead  uint8 = 0x02
 )
@@ -48,6 +46,7 @@ const (
 	StatusSuccess           uint16 = 0x00
 	StatusInvalidOpcode     uint16 = 0x01
 	StatusInvalidField      uint16 = 0x02
+	StatusCommandIDConflict uint16 = 0x03 // CID still outstanding on its queue
 	StatusDataTransferError uint16 = 0x04
 	StatusInternalError     uint16 = 0x06
 	StatusAbortRequested    uint16 = 0x07
@@ -233,10 +232,6 @@ const (
 // CC bits.
 const (
 	CCEnable uint32 = 1 << 0
-	// CC.SHN (bits 15:14): host-requested shutdown notification.
-	CCShutdownNormal uint32 = 1 << 14
-	CCShutdownAbrupt uint32 = 2 << 14
-	CCShutdownMask   uint32 = 3 << 14
 )
 
 // CSTS bits.
@@ -247,10 +242,6 @@ const (
 	// violations on registers and doorbells). Only a controller reset
 	// (CC.EN 1→0) clears it.
 	CSTSFatal uint32 = 1 << 1
-	// CSTS.SHST (bits 3:2): shutdown handshake status.
-	CSTSShutdownProcessing uint32 = 1 << 2
-	CSTSShutdownComplete   uint32 = 2 << 2
-	CSTSShutdownMask       uint32 = 3 << 2
 )
 
 // StatusControllerUnavailable is a vendor-specific status the host-side

@@ -121,32 +121,6 @@ func TestSparseMemProperty(t *testing.T) {
 	}
 }
 
-func TestSparseMemZeroHugeRange(t *testing.T) {
-	// A namespace-sized Zero costs what is materialized, not the range:
-	// the two whole pages inside the 2 TiB range are dropped, the first
-	// page, which the range covers only in part, is cleared in place, and
-	// the page past the range is left alone.
-	s := NewSparseMem()
-	one := bytes.Repeat([]byte{7}, 4096)
-	for _, addr := range []uint64{0, 1 << 30, 1<<41 - 4096} {
-		s.WriteBytes(addr, one)
-	}
-	s.WriteBytes(1<<41, one) // just past the range
-	s.Zero(100, 1<<41-100)
-	if s.Pages() != 2 {
-		t.Fatalf("Pages() = %d, want 2 (the partly covered first page and the page past the range)", s.Pages())
-	}
-	got := make([]byte, 4096)
-	s.ReadBytes(0, got)
-	if !bytes.Equal(got[:100], one[:100]) || !bytes.Equal(got[100:], make([]byte, 4096-100)) {
-		t.Fatal("first page: the 100 bytes before the range must survive, the rest must be zero")
-	}
-	s.ReadBytes(1<<41, got)
-	if !bytes.Equal(got, one) {
-		t.Fatal("the page past the range was clobbered")
-	}
-}
-
 func TestSparseMemOverlappingWrites(t *testing.T) {
 	s := NewSparseMem()
 	s.WriteBytes(100, []byte{1, 1, 1, 1, 1, 1})
@@ -208,45 +182,5 @@ func TestDMAReadChunkKeepsSnapshot(t *testing.T) {
 			t.Fatalf("MRRS %d: %d sub-page chunks shared a page by reference", mrrs, byRef)
 		}
 		dst.Release()
-	}
-}
-
-// TestSparseMemZeroSharedPage: two stores sharing pages after a hand-over
-// stay independent under Zero. A partial Zero copies the page first; a
-// whole-page Zero drops only the zeroing store's reference.
-func TestSparseMemZeroSharedPage(t *testing.T) {
-	a, b := NewSparseMem(), NewSparseMem()
-	want := make([]byte, 2*PageSize)
-	for i := range want {
-		want[i] = byte(i%251 + 1)
-	}
-	a.WriteBytes(0, want)
-	p := NewPages(0, len(want))
-	a.Share(0, p)
-	b.Install(0, p)
-	p.Release()
-	a.Zero(100, 200)
-	b.Zero(PageSize, PageSize)
-
-	wantA := bytes.Clone(want)
-	clear(wantA[100:300])
-	wantB := bytes.Clone(want)
-	clear(wantB[PageSize:])
-	for _, c := range []struct {
-		name string
-		s    *SparseMem
-		want []byte
-	}{{"a", a, wantA}, {"b", b, wantB}} {
-		got := make([]byte, len(want))
-		c.s.ReadBytes(0, got)
-		if !bytes.Equal(got, c.want) {
-			t.Errorf("store %s: Zero on the other owner's shared page leaked into this one", c.name)
-		}
-		if byRef, copied := c.s.PageMoves(); byRef != 2 || copied != 0 {
-			t.Errorf("store %s: PageMoves = %d by reference, %d copied, want 2 and 0", c.name, byRef, copied)
-		}
-	}
-	if a.Pages() != 2 || b.Pages() != 1 {
-		t.Errorf("Pages() = %d and %d, want 2 and 1", a.Pages(), b.Pages())
 	}
 }

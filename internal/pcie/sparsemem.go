@@ -4,8 +4,8 @@ package pcie
 // 4 KiB pages. It holds the *contents* of simulated memories — host DRAM,
 // FPGA URAM/DRAM buffers, NAND media — while the timing of accesses is
 // modeled separately. Pages are allocated on first write; reads of
-// never-written pages return zeros, matching both DRAM after init and NVMe
-// deallocated-block semantics.
+// never-written pages return zeros, matching both DRAM after init and
+// never-written NVMe blocks.
 //
 // Pages are indexed in two levels: a map from 1 MiB chunk number to a fixed
 // array of page pointers, plus a one-entry cache of the last chunk touched,
@@ -189,64 +189,6 @@ func (s *SparseMem) Install(addr uint64, src Payload) {
 		}
 		addr += uint64(n)
 		i += n
-	}
-}
-
-// Zero makes [addr, addr+n) read back as zeros without materializing
-// anything: partially covered pages are cleared in place and wholly covered
-// pages are dropped. The cost scales with the materialized chunks the range
-// touches, not with its size, so a namespace-wide deallocate is cheap.
-func (s *SparseMem) Zero(addr uint64, n int64) {
-	if n <= 0 || len(s.chunks) == 0 {
-		return
-	}
-	end := addr + uint64(n)
-	first, last := addr>>spChunkShift, (end-1)>>spChunkShift
-	if last-first >= uint64(len(s.chunks)) {
-		// The range spans more chunks than exist: visit the existing ones.
-		for no := range s.chunks {
-			if no >= first && no <= last {
-				s.zeroChunk(no, addr, end)
-			}
-		}
-		return
-	}
-	for no := first; no <= last; no++ {
-		s.zeroChunk(no, addr, end)
-	}
-}
-
-// zeroChunk zeroes the part of [addr, end) inside chunk no, deleting the
-// chunk once its last page is dropped.
-func (s *SparseMem) zeroChunk(no, addr, end uint64) {
-	c := s.chunks[no]
-	if c == nil {
-		return
-	}
-	base := no << spChunkShift
-	lo, hi := max(addr, base), min(end, base+spChunkSize)
-	dropped := false
-	for a := lo; a < hi; {
-		pi := a >> spPageShift & (spChunkPages - 1)
-		off := a & (spPageSize - 1)
-		m := min(spPageSize-off, hi-a)
-		if c[pi] != nil {
-			if m == spPageSize {
-				c[pi].release()
-				c[pi] = nil
-				s.pages--
-				dropped = true
-			} else {
-				clear(own(&c[pi], true).data[off : off+m])
-			}
-		}
-		a += m
-	}
-	if dropped && *c == (spChunk{}) {
-		delete(s.chunks, no)
-		if s.last == c {
-			s.last = nil
-		}
 	}
 }
 

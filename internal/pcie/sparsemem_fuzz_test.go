@@ -11,7 +11,6 @@ import (
 const (
 	fuzzOpWrite = iota
 	fuzzOpRead
-	fuzzOpZero
 	// fuzzOpMove shares [addr, addr+n) of one store into a page payload
 	// and installs it in the other store at addr + fill*256 (folded into
 	// the window): a page-aligned shift when fill%16 == 0, a misaligned
@@ -65,15 +64,14 @@ func (f *fuzzStore) check(t *testing.T, name string) {
 	}
 }
 
-// FuzzSparseMem runs random WriteBytes, ReadBytes and Zero calls on two
+// FuzzSparseMem runs random WriteBytes and ReadBytes calls on two
 // stores, and page hand-overs between them (Share into a payload, Install
 // from it), each store checked against its own flat []byte reference:
 // every read must match it, a write after a hand-over must reach neither
 // the other store nor the payload still holding the shared pages, and
 // Pages() must equal the pages the reference says are materialized. A page
-// is materialized by a write or a copied install, dropped by a Zero that
-// covers it whole, and takes the source page's state when installed whole
-// by reference.
+// is materialized by a write or a copied install, and takes the source
+// page's state when installed whole by reference.
 func FuzzSparseMem(f *testing.F) {
 	const page, chunk = spPageSize, spChunkSize
 	seeds := [][]byte{
@@ -83,22 +81,20 @@ func FuzzSparseMem(f *testing.F) {
 		fuzzOps(fuzzOp(fuzzOpWrite, chunk/2-100, 2*page, 2), fuzzOp(fuzzOpRead, chunk/2-page, 4*page, 0)),
 		// A read of a never-written hole, inside and across chunks.
 		fuzzOps(fuzzOp(fuzzOpRead, 2*chunk+5, 9000, 0), fuzzOp(fuzzOpRead, chunk/2-7, chunk, 0)),
-		// Partial-page and whole-page Zero.
-		fuzzOps(fuzzOp(fuzzOpWrite, 0, 3*page, 3), fuzzOp(fuzzOpZero, 100, 200, 0),
-			fuzzOp(fuzzOpZero, 2*page+1000, page-1001, 0), fuzzOp(fuzzOpZero, page, page, 0),
-			fuzzOp(fuzzOpRead, 0, 3*page, 0)),
-		// A Zero dropping a whole chunk, a write back into it, a write to
+		// Overlapping partial-page writes over a written span.
+		fuzzOps(fuzzOp(fuzzOpWrite, 0, 3*page, 3), fuzzOp(fuzzOpWrite, 100, 200, 0),
+			fuzzOp(fuzzOpWrite, 2*page+1000, page-1001, 0), fuzzOp(fuzzOpRead, 0, 3*page, 0)),
+		// A write spanning a whole chunk, a write back into it, a write to
 		// another chunk, then a read of the first.
-		fuzzOps(fuzzOp(fuzzOpWrite, chunk/2, chunk, 4), fuzzOp(fuzzOpZero, chunk/2-10, chunk+20, 0),
-			fuzzOp(fuzzOpWrite, chunk/2+3*page, 10, 5), fuzzOp(fuzzOpWrite, 2*chunk, 10, 7),
-			fuzzOp(fuzzOpRead, chunk/2-page, chunk, 0)),
-		// A Zero wider than the materialized chunks (walks the chunk map).
-		fuzzOps(fuzzOp(fuzzOpWrite, 2*chunk+page/2, page, 6), fuzzOp(fuzzOpZero, 0, fuzzWindow, 0)),
+		fuzzOps(fuzzOp(fuzzOpWrite, chunk/2, chunk, 4), fuzzOp(fuzzOpWrite, chunk/2+3*page, 10, 5),
+			fuzzOp(fuzzOpWrite, 2*chunk, 10, 7), fuzzOp(fuzzOpRead, chunk/2-page, chunk, 0)),
+		// A long read across chunks, most of them never materialized.
+		fuzzOps(fuzzOp(fuzzOpWrite, 2*chunk+page/2, page, 6), fuzzOp(fuzzOpRead, 0, fuzzWindow, 0)),
 		// An aligned hand-over (by reference, a hole included), then writes
-		// into the shared pages on both sides and a partial Zero of one.
+		// into the shared pages on both sides.
 		fuzzOps(fuzzOp(fuzzOpWrite, 0, 3*page, 8), fuzzOp(fuzzOpMove, 0, 5*page, 16),
 			fuzzOp(fuzzOpWrite, page+10, 20, 9), fuzzOn(fuzzOp(fuzzOpWrite, 4096*16+2*page, page, 10)),
-			fuzzOn(fuzzOp(fuzzOpZero, 4096*16+5, 100, 0)), fuzzOn(fuzzOp(fuzzOpRead, 4096*16, 5*page, 0))),
+			fuzzOn(fuzzOp(fuzzOpRead, 4096*16, 5*page, 0))),
 		// A misaligned hand-over: the install falls back to copying.
 		fuzzOps(fuzzOp(fuzzOpWrite, 100, 2*page, 11), fuzzOp(fuzzOpMove, 50, 2*page+100, 3),
 			fuzzOn(fuzzOp(fuzzOpRead, 50+3*256, 2*page+100, 0))),
@@ -146,12 +142,6 @@ func FuzzSparseMem(f *testing.F) {
 				s.s.ReadBytes(fuzzBase+uint64(addr), got)
 				if !bytes.Equal(got, s.ref[addr:addr+n]) {
 					t.Fatalf("ReadBytes(+%#x, %d) differs from the reference", addr, n)
-				}
-			case fuzzOpZero:
-				s.s.Zero(fuzzBase+uint64(addr), int64(n))
-				clear(s.ref[addr : addr+n])
-				for pg := (addr + page - 1) / page; (pg+1)*page <= addr+n; pg++ {
-					s.live[pg] = false
 				}
 			case fuzzOpMove:
 				to := (addr + int(fill)*256) % (fuzzWindow - n + 1)

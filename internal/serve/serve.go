@@ -9,79 +9,66 @@ import (
 	"snacc/internal/workload"
 )
 
-// Config tunes the serving tier. The zero value of every field selects the
-// documented default.
-type Config struct {
-	// DispatchDepth bounds requests decoded off the wire but not yet
-	// issued to the backend. This is the knob that closes the backpressure
-	// loop: a full dispatch queue stalls the receive process, the MAC's
-	// rx FIFO fills, and 802.3x pause frames throttle the client.
-	// Default 256.
-	DispatchDepth int
-	// DispatchBatch is how many queued requests the dispatcher issues to
+// The serving tier's fixed shape.
+const (
+	// dispatchDepth bounds requests decoded off the wire but not yet
+	// issued to the backend. This is what closes the backpressure loop: a
+	// full dispatch queue stalls the receive process, the MAC's rx FIFO
+	// fills, and 802.3x pause frames throttle the client.
+	dispatchDepth = 256
+	// dispatchBatch is how many queued requests the dispatcher issues to
 	// the backend per wakeup (the doorbell-batching idea applied to RPC
-	// dispatch). Default 16.
-	DispatchBatch int
-	// FrameBatch caps the request/response capsules coalesced into one
-	// Ethernet frame. Default 32.
-	FrameBatch int
-	// ClientBacklog bounds capsules the open-loop client holds while the
+	// dispatch).
+	dispatchBatch = 16
+	// frameBatch caps the request/response capsules coalesced into one
+	// Ethernet frame.
+	frameBatch = 32
+	// clientBacklog bounds capsules the open-loop client holds while the
 	// link is paused; arrivals beyond it are shed oldest-first and counted
-	// as drops. Default 4096.
-	ClientBacklog int
-	// LaneWindow bounds requests in flight per lane; the dispatcher blocks
+	// as drops.
+	clientBacklog = 4096
+	// laneWindow bounds requests in flight per lane; the dispatcher blocks
 	// at the cap, which is what fills the dispatch queue when the backend
-	// is slow. Default 64.
-	LaneWindow int
-	// RetryTick is the client's poll interval while the link refuses new
-	// frames. Default 2µs.
-	RetryTick sim.Time
-	// Ethernet configures both MACs; the zero value means
-	// ethernet.DefaultConfig (100 G, pause enabled).
-	Ethernet ethernet.Config
-}
+	// is slow.
+	laneWindow = 64
+	// retryTick is the client's poll interval while the link refuses new
+	// frames.
+	retryTick = 2 * sim.Microsecond
+)
 
-func (c Config) withDefaults() Config {
-	if c.DispatchDepth == 0 {
-		c.DispatchDepth = 256
+// withDefaults fills the zero fields of a serving workload with its
+// defaults: 10 000 clients send 4000 requests of 4 KiB at 500 000/s, 70%
+// of them reads, over 256 MiB with a zipfian (θ 0.9, 64 buckets) hot set,
+// from seed 0x5ac5. Phases, CloseProb and Tenants have no default.
+func withDefaults(s workload.OpenLoopSpec) workload.OpenLoopSpec {
+	if s.Clients == 0 {
+		s.Clients = 10_000
 	}
-	if c.DispatchBatch == 0 {
-		c.DispatchBatch = 16
+	if s.RatePerSec == 0 {
+		s.RatePerSec = 500e3
 	}
-	if c.FrameBatch == 0 {
-		c.FrameBatch = 32
+	if s.Ops == 0 {
+		s.Ops = 4000
 	}
-	if c.ClientBacklog == 0 {
-		c.ClientBacklog = 4096
+	if s.ReadFraction == 0 {
+		s.ReadFraction = 0.7
 	}
-	if c.LaneWindow == 0 {
-		c.LaneWindow = 64
+	if s.IOBytes == 0 {
+		s.IOBytes = 4 * sim.KiB
 	}
-	if c.RetryTick == 0 {
-		c.RetryTick = 2 * sim.Microsecond
+	if s.SpanBytes == 0 {
+		s.SpanBytes = 256 * sim.MiB
 	}
-	if c.Ethernet.BitsPerSec == 0 {
-		c.Ethernet = ethernet.DefaultConfig()
+	if s.ZipfTheta == 0 {
+		s.ZipfTheta = 0.9
 	}
-	return c
-}
-
-func (c Config) validate() error {
-	switch {
-	case c.DispatchDepth < 1:
-		return fmt.Errorf("serve: dispatch depth must be positive")
-	case c.DispatchBatch < 1 || c.DispatchBatch > c.DispatchDepth:
-		return fmt.Errorf("serve: dispatch batch must be in [1, depth]")
-	case c.FrameBatch < 1:
-		return fmt.Errorf("serve: frame batch must be positive")
-	case c.ClientBacklog < 1:
-		return fmt.Errorf("serve: client backlog must be positive")
-	case c.LaneWindow < 1:
-		return fmt.Errorf("serve: lane window must be positive")
-	case c.RetryTick <= 0:
-		return fmt.Errorf("serve: retry tick must be positive")
+	if s.ZipfBuckets == 0 {
+		s.ZipfBuckets = 64
 	}
-	return nil
+	if s.Seed == 0 {
+		s.Seed = 0x5ac5
+	}
+	return s
 }
 
 // Lane is one in-order pipeline of the storage side the dispatcher feeds,
@@ -107,7 +94,6 @@ type pending struct {
 // each receiver hands a frame's buffer back once it has parsed the frame,
 // and both transmitters build their next frames in them.
 type Tier struct {
-	cfg   Config
 	spec  workload.OpenLoopSpec
 	lanes []Lane
 
@@ -146,13 +132,11 @@ type Tier struct {
 	rejected  int64
 }
 
-// New builds a serving tier on kernel k. With one lane every request goes
-// to it; with more, a request goes to the lane of its tenant.
-func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// New builds a serving tier on kernel k. Zero fields of spec select the
+// defaults withDefaults lists. With one lane every request goes to it; with
+// more, a request goes to the lane of its tenant.
+func New(k *sim.Kernel, spec workload.OpenLoopSpec, lanes []Lane) (*Tier, error) {
+	spec = withDefaults(spec)
 	gen, err := workload.NewOpenLoop(spec)
 	if err != nil {
 		return nil, err
@@ -170,25 +154,24 @@ func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, lanes []Lane) (*
 	}
 
 	t := &Tier{
-		cfg:         cfg,
 		spec:        spec,
 		lanes:       lanes,
 		k:           k,
 		gen:         gen,
 		outstanding: make(map[uint64]sim.Time),
 		table:       table,
-		dispatchQ:   sim.NewChan[Request](k, cfg.DispatchDepth),
-		respQ:       sim.NewChan[Response](k, cfg.DispatchDepth),
+		dispatchQ:   sim.NewChan[Request](k, dispatchDepth),
+		respQ:       sim.NewChan[Response](k, dispatchDepth),
 	}
-	t.cliMAC = ethernet.NewMAC(k, "serve.cli", cfg.Ethernet)
-	t.srvMAC = ethernet.NewMAC(k, "serve.srv", cfg.Ethernet)
+	t.cliMAC = ethernet.NewMAC(k, "serve.cli", ethernet.DefaultConfig())
+	t.srvMAC = ethernet.NewMAC(k, "serve.srv", ethernet.DefaultConfig())
 	ethernet.Connect(t.cliMAC, t.srvMAC)
 
 	t.pendRead = make([]*sim.Chan[Request], len(lanes))
 	t.pendWrite = make([]*sim.Chan[Request], len(lanes))
 	for i := range lanes {
-		t.pendRead[i] = sim.NewChan[Request](k, cfg.LaneWindow)
-		t.pendWrite[i] = sim.NewChan[Request](k, cfg.LaneWindow)
+		t.pendRead[i] = sim.NewChan[Request](k, laneWindow)
+		t.pendWrite[i] = sim.NewChan[Request](k, laneWindow)
 		lane := i
 		k.Spawn(fmt.Sprintf("serve.rdrain%d", lane), func(p *sim.Proc) {
 			p.SetDaemon(true)
@@ -253,8 +236,8 @@ func (t *Tier) senderLoop(p *sim.Proc) {
 				// release is noticed promptly; sleep straight to the
 				// due time otherwise.
 				step := wait
-				if t.pendq.Len() > 0 && t.cfg.RetryTick < step {
-					step = t.cfg.RetryTick
+				if t.pendq.Len() > 0 && retryTick < step {
+					step = retryTick
 				}
 				p.Sleep(step)
 				t.flush()
@@ -269,7 +252,7 @@ func (t *Tier) senderLoop(p *sim.Proc) {
 	// reopening empties it.
 	for t.pendq.Len() > 0 {
 		if !t.flush() {
-			p.Sleep(t.cfg.RetryTick)
+			p.Sleep(retryTick)
 		}
 	}
 }
@@ -292,7 +275,7 @@ func (t *Tier) enqueue(a workload.Arrival, due sim.Time) {
 		req.Flags |= FlagFin
 	}
 	t.pendq.Push(pending{req: req, due: due})
-	for t.pendq.Len() > t.cfg.ClientBacklog {
+	for t.pendq.Len() > clientBacklog {
 		t.pendq.Pop()
 		t.dropped++
 	}
@@ -304,7 +287,7 @@ func (t *Tier) enqueue(a workload.Arrival, due sim.Time) {
 func (t *Tier) flush() bool {
 	progress := false
 	for t.pendq.Len() > 0 {
-		n := min(t.pendq.Len(), t.cfg.FrameBatch)
+		n := min(t.pendq.Len(), frameBatch)
 		f := ethernet.Frame{Data: t.frameBuf()}
 		for i := 0; i < n; i++ {
 			req := t.pendq.At(i).req
@@ -397,7 +380,7 @@ func (t *Tier) serverRxLoop(p *sim.Proc) {
 }
 
 // dispatchLoop batches queued requests into the lanes, up to
-// DispatchBatch per wakeup. The bounded per-lane pend channels block it
+// dispatchBatch per wakeup. The bounded per-lane pend channels block it
 // when a lane falls behind, which is what lets the dispatch queue fill and
 // trip the pause thresholds upstream.
 func (t *Tier) dispatchLoop(p *sim.Proc) {
@@ -415,7 +398,7 @@ func (t *Tier) dispatchLoop(p *sim.Proc) {
 				t.lanes[lane].WriteAsync(p, req.Addr, req.N, nil)
 				t.pendWrite[lane].Put(p, req)
 			}
-			if issued+1 >= t.cfg.DispatchBatch {
+			if issued+1 >= dispatchBatch {
 				break
 			}
 			var ok bool
@@ -469,7 +452,7 @@ func (t *Tier) respTxLoop(p *sim.Proc) {
 		for n := 0; ; n++ {
 			f.Data = AppendResponse(f.Data, resp)
 			f.Bytes += resp.WireBytes()
-			if n+1 >= t.cfg.FrameBatch {
+			if n+1 >= frameBatch {
 				break
 			}
 			var ok bool
@@ -563,7 +546,7 @@ func (t *Tier) Report() Report {
 		Elapsed:        t.lastResp - t.startAt,
 		Latency:        t.latency,
 		PeakDispatch:   t.peakDisp,
-		DispatchCap:    t.cfg.DispatchDepth,
+		DispatchCap:    dispatchDepth,
 		PeakConns:      t.table.Peak(),
 		ConnCapacity:   t.table.Capacity(),
 		ConnStateBytes: t.table.StateBytes(),

@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"snacc/internal/ethernet"
 	"snacc/internal/sim"
 	"snacc/internal/workload"
 )
@@ -48,10 +47,10 @@ func fastSpec(ops int64) workload.OpenLoopSpec {
 }
 
 // runTier builds and runs a single-kernel tier to quiescence.
-func runTier(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) *Tier {
+func runTier(t *testing.T, spec workload.OpenLoopSpec, b []Lane) *Tier {
 	t.Helper()
 	k := sim.NewKernel()
-	tier, err := New(k, cfg, spec, b)
+	tier, err := New(k, spec, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +62,9 @@ func runTier(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) *Ti
 }
 
 // runSerial runs a tier to quiescence and returns its report.
-func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b []Lane) Report {
+func runSerial(t *testing.T, spec workload.OpenLoopSpec, b []Lane) Report {
 	t.Helper()
-	return runTier(t, cfg, spec, b).Report()
+	return runTier(t, spec, b).Report()
 }
 
 // checkConservation asserts the request-accounting invariants every run
@@ -86,7 +85,7 @@ func checkConservation(t *testing.T, r Report) {
 }
 
 func TestTierEndToEnd(t *testing.T) {
-	r := runSerial(t, Config{}, fastSpec(400), stubLanes(1, sim.Microsecond))
+	r := runSerial(t, fastSpec(400), stubLanes(1, sim.Microsecond))
 	checkConservation(t, r)
 	if r.Generated != 400 {
 		t.Fatalf("generated %d, want 400", r.Generated)
@@ -124,12 +123,14 @@ func TestTierEndToEnd(t *testing.T) {
 }
 
 // overload is a tier whose backend is orders of magnitude slower than the
-// arrival rate, so pause frames fire and the client sheds.
-func overload() (Config, workload.OpenLoopSpec, []Lane) {
+// arrival rate, so pause frames fire and the client sheds: twice the
+// client backlog's worth of arrivals outruns the backlog, the dispatch
+// queue and every lane window.
+func overload() (workload.OpenLoopSpec, []Lane) {
 	spec := workload.OpenLoopSpec{
 		Clients:      256,
 		RatePerSec:   1e8, // ~10 ns between arrivals: hopeless overload
-		Ops:          4000,
+		Ops:          2 * clientBacklog,
 		ReadFraction: 0.5,
 		IOBytes:      512,
 		SpanBytes:    16 * sim.MiB,
@@ -137,17 +138,7 @@ func overload() (Config, workload.OpenLoopSpec, []Lane) {
 		ZipfBuckets:  16,
 		Seed:         11,
 	}
-	ecfg := ethernet.DefaultConfig()
-	ecfg.RxFIFOBytes = 64 * sim.KiB
-	cfg := Config{
-		DispatchDepth: 32,
-		DispatchBatch: 8,
-		FrameBatch:    1, // one capsule per frame, so the tx queue meters capsules
-		ClientBacklog: 128,
-		LaneWindow:    4,
-		Ethernet:      ecfg,
-	}
-	return cfg, spec, stubLanes(1, 100*sim.Microsecond)
+	return spec, stubLanes(1, 100*sim.Microsecond)
 }
 
 // TestBackpressureBounds is the tier's load-shedding invariant: with a
@@ -157,8 +148,8 @@ func overload() (Config, workload.OpenLoopSpec, []Lane) {
 // counted as drops — instead of buffered without limit. Runs under -race
 // via the Makefile's race target.
 func TestBackpressureBounds(t *testing.T) {
-	cfg, spec, slow := overload()
-	r := runSerial(t, cfg, spec, slow)
+	spec, slow := overload()
+	r := runSerial(t, spec, slow)
 	if r.Generated != r.Sent+r.Dropped {
 		t.Fatalf("conservation: generated %d != sent %d + dropped %d", r.Generated, r.Sent, r.Dropped)
 	}
@@ -184,19 +175,20 @@ func TestBackpressureBounds(t *testing.T) {
 	if r.FramesDropped != 0 {
 		t.Fatalf("%d frames dropped in the MACs — shedding must happen above the link", r.FramesDropped)
 	}
+	t.Logf("shed %d of %d, %d pauses sent, dispatch peak %d/%d", r.Dropped, r.Generated, r.PausesSent, r.PeakDispatch, r.DispatchCap)
 }
 
 // TestDrainLeavesNothingInflight: once a run quiesces, every connection
 // still open has had each of its requests answered — on a clean run and
 // on an overloaded one that sheds at the client.
 func TestDrainLeavesNothingInflight(t *testing.T) {
-	cfg, spec, slow := overload()
+	spec, slow := overload()
 	for _, tc := range []struct {
 		name string
 		tier *Tier
 	}{
-		{"clean", runTier(t, Config{}, fastSpec(400), stubLanes(1, sim.Microsecond))},
-		{"shedding", runTier(t, cfg, spec, slow)},
+		{"clean", runTier(t, fastSpec(400), stubLanes(1, sim.Microsecond))},
+		{"shedding", runTier(t, spec, slow)},
 	} {
 		tier := tc.tier
 		open := 0
@@ -230,7 +222,7 @@ func TestTierAllocsPerRequest(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
-		r := runSerial(t, Config{}, fastSpec(ops), stubLanes(1, sim.Microsecond))
+		r := runSerial(t, fastSpec(ops), stubLanes(1, sim.Microsecond))
 		runtime.ReadMemStats(&m1)
 		checkConservation(t, r)
 		return m1.Mallocs - m0.Mallocs
@@ -261,9 +253,9 @@ func raceBuild() bool {
 func TestTierDeterministic(t *testing.T) {
 	spec := fastSpec(300)
 	b := stubLanes(1, 2*sim.Microsecond)
-	first := runSerial(t, Config{}, spec, b)
+	first := runSerial(t, spec, b)
 	checkConservation(t, first)
-	if again := runSerial(t, Config{}, spec, b); again != first {
+	if again := runSerial(t, spec, b); again != first {
 		t.Fatalf("repeat run diverged:\n%+v\n%+v", first, again)
 	}
 }
@@ -273,7 +265,7 @@ func TestTierDeterministic(t *testing.T) {
 func TestTierTenantLanes(t *testing.T) {
 	spec := fastSpec(300)
 	spec.Tenants = 4
-	r := runSerial(t, Config{}, spec, stubLanes(4, sim.Microsecond))
+	r := runSerial(t, spec, stubLanes(4, sim.Microsecond))
 	checkConservation(t, r)
 	if r.Completed != 300 {
 		t.Fatalf("completed %d, want 300", r.Completed)
@@ -285,27 +277,21 @@ func TestTierConfigErrors(t *testing.T) {
 	good := fastSpec(10)
 	b := stubLanes(1, 0)
 
-	if _, err := New(k, Config{}, good, nil); err == nil {
+	if _, err := New(k, good, nil); err == nil {
 		t.Fatal("no lanes accepted")
 	}
 	multi := good
 	multi.Tenants = 4
-	if _, err := New(k, Config{}, multi, b); err == nil {
+	if _, err := New(k, multi, b); err == nil {
 		t.Fatal("4 tenants over 1 lane accepted")
 	}
 	bad := good
-	bad.Clients = 0
-	if _, err := New(k, Config{}, bad, b); err == nil {
+	bad.Clients = -1 // zero selects the default population
+	if _, err := New(k, bad, b); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	if _, err := New(k, Config{DispatchBatch: 99, DispatchDepth: 8}, good, b); err == nil {
-		t.Fatal("batch > depth accepted")
-	}
-	if _, err := New(k, Config{DispatchDepth: -1}, good, b); err == nil {
-		t.Fatal("negative depth accepted")
-	}
 
-	tier, err := New(k, Config{}, good, b)
+	tier, err := New(k, good, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,19 +50,22 @@ type TenantConfig struct {
 	MaxInflight int
 }
 
+// The scheduler shared by all tenants of a hub.
+const (
+	// hubQuantum is the DRR quantum credited per weight unit each round a
+	// tenant is backlogged.
+	hubQuantum = 256 * sim.KiB
+	// hubMaxOutstanding caps commands dispatched to the backend but not
+	// yet completed, across all tenants. This is the window the scheduler
+	// actually arbitrates: without it the backend's deep FIFOs would absorb
+	// every backlog and DRR order would not translate into service order.
+	hubMaxOutstanding = 16
+)
+
 // HubOptions tunes the scheduler shared by all tenants of a hub.
 type HubOptions struct {
-	// QuantumBytes is the DRR quantum credited per weight unit each round
-	// a tenant is backlogged. Defaults to 256 KiB.
-	QuantumBytes int64
-	// MaxOutstanding caps commands dispatched to the backend but not yet
-	// completed, across all tenants. This is the window the scheduler
-	// actually arbitrates: without it the backend's deep FIFOs would
-	// absorb every backlog and DRR order would not translate into service
-	// order. Defaults to 16.
-	MaxOutstanding int
 	// FIFO disables the QoS policy: jobs dispatch in global arrival order
-	// with no weights, rate limits, or fairness — only the MaxOutstanding
+	// with no weights, rate limits, or fairness — only the outstanding
 	// window is kept, so the comparison against DRR isolates the policy.
 	// The bench uses it as the noisy-neighbor baseline.
 	FIFO bool
@@ -175,7 +178,7 @@ type Tenant struct {
 
 	cfg     TenantConfig
 	idx     int
-	quantum int64 // QuantumBytes * Weight, precomputed
+	quantum int64 // hubQuantum * Weight, precomputed
 
 	pending    sim.FIFO[tenantJob]
 	deficit    int64
@@ -212,14 +215,12 @@ type TenantHub struct {
 	// procs pair results with jobs in that order.
 	target  *Client
 	tenants []*Tenant
-	quantum int64
 	fifo    bool
 	rr      int
 
 	// outstanding counts dispatched-but-incomplete backend commands
-	// against maxOutstanding — the submission window DRR arbitrates.
-	outstanding    int
-	maxOutstanding int
+	// against hubMaxOutstanding — the submission window DRR arbitrates.
+	outstanding int
 	// fifoPending is the global arrival-order queue of the FIFO baseline.
 	fifoPending sim.FIFO[tenantJob]
 
@@ -234,30 +235,14 @@ func NewTenantHub(k *sim.Kernel, st *Streamer, cfgs []TenantConfig, opts HubOpti
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("streamer: tenant hub needs at least one tenant")
 	}
-	quantum := opts.QuantumBytes
-	if quantum == 0 {
-		quantum = 256 * sim.KiB
-	}
-	if quantum < 0 {
-		return nil, fmt.Errorf("streamer: QuantumBytes must be positive, got %d", opts.QuantumBytes)
-	}
-	maxOut := opts.MaxOutstanding
-	if maxOut == 0 {
-		maxOut = 16
-	}
-	if maxOut < 0 {
-		return nil, fmt.Errorf("streamer: MaxOutstanding must be positive, got %d", opts.MaxOutstanding)
-	}
 	h := &TenantHub{
-		k:              k,
-		target:         NewClient(st),
-		quantum:        quantum,
-		fifo:           opts.FIFO,
-		maxOutstanding: maxOut,
-		dispatchQ:      sim.NewChan[tenantJob](k, 256),
-		readPending:    sim.NewChan[tenantJob](k, 1<<16),
-		writePending:   sim.NewChan[tenantJob](k, 1<<16),
-		workSignal:     sim.NewChan[struct{}](k, 1),
+		k:            k,
+		target:       NewClient(st),
+		fifo:         opts.FIFO,
+		dispatchQ:    sim.NewChan[tenantJob](k, 256),
+		readPending:  sim.NewChan[tenantJob](k, 1<<16),
+		writePending: sim.NewChan[tenantJob](k, 1<<16),
+		workSignal:   sim.NewChan[struct{}](k, 1),
 	}
 	for i, cfg := range cfgs {
 		if cfg.Name == "" {
@@ -295,7 +280,7 @@ func NewTenantHub(k *sim.Kernel, st *Streamer, cfgs []TenantConfig, opts HubOpti
 			Port:    newPort(k, name, st.cfg.StreamCfg),
 			cfg:     cfg,
 			idx:     i,
-			quantum: quantum * int64(cfg.Weight),
+			quantum: hubQuantum * int64(cfg.Weight),
 			bucket: tokenBucket{
 				rate:  cfg.RateBytesPerSec,
 				burst: cfg.BurstBytes,
@@ -460,7 +445,7 @@ func (h *TenantHub) schedLoop(p *sim.Proc) {
 func (h *TenantHub) fifoPass(p *sim.Proc) (progress bool) {
 	for h.fifoPending.Len() > 0 {
 		j := h.fifoPending.Peek()
-		if !j.rejected && h.outstanding >= h.maxOutstanding {
+		if !j.rejected && h.outstanding >= hubMaxOutstanding {
 			break
 		}
 		h.fifoPending.Pop()
@@ -496,7 +481,7 @@ func (h *TenantHub) schedulePass(p *sim.Proc) (progress, again bool, wait sim.Ti
 				progress = true
 				continue
 			}
-			if h.outstanding >= h.maxOutstanding {
+			if h.outstanding >= hubMaxOutstanding {
 				h.rr = (h.rr + 1) % n
 				return progress, false, 0
 			}

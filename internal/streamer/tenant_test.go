@@ -129,7 +129,7 @@ func TestTenantDRRWeightedShares(t *testing.T) {
 		{Name: "light", Weight: 1, LBAStart: 0, LBABytes: window, MaxInflight: 16},
 		{Name: "heavy", Weight: 3, LBAStart: uint64(window), LBABytes: window, MaxInflight: 16},
 	}
-	k, hub, _, _ := tenantHubRig(t, cfgs, streamer.HubOptions{QuantumBytes: 64 * sim.KiB}, nil)
+	k, hub, _, _ := tenantHubRig(t, cfgs, streamer.HubOptions{}, nil)
 	const ops, ioBytes = 96, 64 * sim.KiB
 	var doneAt [2]sim.Time
 	for i := 0; i < 2; i++ {
@@ -260,7 +260,7 @@ func TestTenantHubValidation(t *testing.T) {
 // stages), and (c) summed per-tenant stats equal the global stats.
 func TestTenantIsolationProperty(t *testing.T) {
 	const window = 4 * sim.MiB
-	k, hub, st, dev := tenantHubRig(t, threeTenants(window), streamer.HubOptions{QuantumBytes: 64 * sim.KiB},
+	k, hub, st, dev := tenantHubRig(t, threeTenants(window), streamer.HubOptions{},
 		func(cfg *streamer.Config) {
 			crashRecovery(cfg)
 			cfg.IOQueues = 4
@@ -371,7 +371,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 // outstanding in the hub, the Streamer or the span tracer.
 func TestTenantHubBackendDies(t *testing.T) {
 	const window = 4 * sim.MiB
-	k, hub, st, dev := tenantHubRig(t, threeTenants(window), streamer.HubOptions{QuantumBytes: 64 * sim.KiB},
+	k, hub, st, dev := tenantHubRig(t, threeTenants(window), streamer.HubOptions{},
 		func(cfg *streamer.Config) {
 			crashRecovery(cfg)
 			cfg.MaxResets = 0 // removal is permanent: die on the first trip

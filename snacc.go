@@ -177,12 +177,10 @@ type ServeOptions struct {
 // connection-state footprint in bytes, and 802.3x pause activity.
 type ServeReport = serve.Report
 
-// serveSeedDefault keeps default ServeOptions runs aligned with the bench
-// suite's serve sweep.
-const serveSeedDefault = 0x5ac5
-
-// build translates the public options into the internal workload spec,
-// filling defaults. Validation happens in serve.New.
+// build translates the public options into the internal workload spec.
+// Zero fields stay zero: serve.New fills them with the serving workload's
+// defaults, the same ones the bench's serve sweep runs on. Validation
+// happens there too.
 func (o *ServeOptions) build(tenants int) workload.OpenLoopSpec {
 	spec := workload.OpenLoopSpec{
 		Clients:      o.Clients,
@@ -196,33 +194,6 @@ func (o *ServeOptions) build(tenants int) workload.OpenLoopSpec {
 		CloseProb:    o.CloseProbability,
 		Seed:         o.Seed,
 		Tenants:      tenants,
-	}
-	if spec.Clients == 0 {
-		spec.Clients = 10_000
-	}
-	if spec.RatePerSec == 0 {
-		spec.RatePerSec = 500e3
-	}
-	if spec.Ops == 0 {
-		spec.Ops = 4000
-	}
-	if spec.ReadFraction == 0 {
-		spec.ReadFraction = 0.7
-	}
-	if spec.IOBytes == 0 {
-		spec.IOBytes = 4 * sim.KiB
-	}
-	if spec.SpanBytes == 0 {
-		spec.SpanBytes = 256 * sim.MiB
-	}
-	if spec.ZipfTheta == 0 {
-		spec.ZipfTheta = 0.9
-	}
-	if spec.ZipfBuckets == 0 {
-		spec.ZipfBuckets = 64
-	}
-	if spec.Seed == 0 {
-		spec.Seed = serveSeedDefault
 	}
 	for _, ph := range o.Phases {
 		spec.Phases = append(spec.Phases, workload.PhaseSpec{
@@ -424,7 +395,7 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	if opts.Serve != nil {
 		var err error
-		if sys.serve, err = serve.New(sys.k, serve.Config{}, opts.Serve.build(len(opts.Tenants)), sys.lanes); err != nil {
+		if sys.serve, err = serve.New(sys.k, opts.Serve.build(len(opts.Tenants)), sys.lanes); err != nil {
 			return nil, err
 		}
 	}
