@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -158,6 +159,7 @@ func TestProtocolSGLRejected(t *testing.T) {
 
 // TestProtocolInvalidOpcode: every I/O opcode but Read and Write completes
 // with Invalid Opcode, including the NVM commands no host here issues.
+// TestProtocolDatasetManagementRejected covers opcode 0x09.
 func TestProtocolInvalidOpcode(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -165,7 +167,6 @@ func TestProtocolInvalidOpcode(t *testing.T) {
 	}{
 		{"flush", 0x00},
 		{"write-zeroes", 0x08},
-		{"dataset-management", 0x09},
 		{"unassigned", 0x7F},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -174,6 +175,68 @@ func TestProtocolInvalidOpcode(t *testing.T) {
 			tb.createIOQueues()
 			if cqe := tb.io(Command{Opcode: c.opcode, CID: 4, NSID: 1, CDW11: 1 << 2}); cqe.Status != StatusInvalidOpcode {
 				t.Fatalf("opcode %#x: status %#x, want invalid opcode", c.opcode, cqe.Status)
+			}
+		})
+	}
+}
+
+// TestProtocolDatasetManagementRejected: Dataset Management (opcode 0x09) is
+// not modeled. Each form a host could send, from a deallocate of written
+// sectors to a hint-only command, completes with Invalid Opcode and leaves
+// the media as it was.
+func TestProtocolDatasetManagementRejected(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		ranges [][2]uint64 // {SLBA, NLB} of each range entry
+		cdw11  uint32      // 1<<2 is the Deallocate attribute
+	}{
+		{"trim", [][2]uint64{{100, 1}, {5000, 1}}, 1 << 2},
+		{"hint", nil, 0},
+		{"out-of-range", [][2]uint64{{1 << 60, 1}}, 1 << 2},
+		{"large-range", [][2]uint64{{2049, 256 << 20 / 512}}, 1 << 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := newTestbench(t, nil)
+			tb.enable()
+			tb.createIOQueues()
+			store := tb.dev.NAND().Store()
+			want := bytes.Repeat([]byte{0xCD}, PageSize)
+			buf := tb.host.Alloc(PageSize, PageSize)
+			tb.host.Mem.Store().WriteBytes(buf-tb.host.Mem.Base, want)
+			var list []byte
+			for i, r := range c.ranges {
+				list = binary.LittleEndian.AppendUint32(list, 0) // context attributes
+				list = binary.LittleEndian.AppendUint32(list, uint32(r[1]))
+				list = binary.LittleEndian.AppendUint64(list, r[0])
+				if r[0] >= 1<<40 {
+					continue
+				}
+				w := Command{Opcode: OpWrite, CID: uint16(40 + i), NSID: 1, PRP1: buf}
+				w.SetSLBA(r[0])
+				w.SetNLB(7)
+				if cqe := tb.io(w); cqe.Status != StatusSuccess {
+					t.Fatalf("write at LBA %d: %#x", r[0], cqe.Status)
+				}
+			}
+			listBuf := tb.host.Alloc(PageSize, PageSize)
+			tb.host.Mem.Store().WriteBytes(listBuf-tb.host.Mem.Base, list)
+			nr := uint32(max(len(c.ranges)-1, 0)) // 0-based range count
+			pages := store.Pages()
+			cqe := tb.io(Command{Opcode: 0x09, CID: 34, NSID: 1, PRP1: listBuf, CDW10: nr, CDW11: c.cdw11})
+			if cqe.Status != StatusInvalidOpcode {
+				t.Fatalf("dataset management: status %#x, want invalid opcode", cqe.Status)
+			}
+			if got := store.Pages(); got != pages {
+				t.Errorf("media store went from %d to %d pages", pages, got)
+			}
+			got := make([]byte, PageSize)
+			for _, r := range c.ranges {
+				if r[0] >= 1<<40 {
+					continue
+				}
+				if store.ReadBytes(r[0]*512, got); !bytes.Equal(got, want) {
+					t.Errorf("data written at LBA %d changed", r[0])
+				}
 			}
 		})
 	}
